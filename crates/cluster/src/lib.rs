@@ -23,11 +23,10 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identifier of a device (GPU) in a [`Cluster`]; dense indices.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct DeviceId(pub u32);
 
 impl DeviceId {
@@ -44,7 +43,7 @@ impl fmt::Display for DeviceId {
 }
 
 /// Static performance profile of one accelerator.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DeviceProfile {
     /// Marketing name, for reports.
     pub name: String,
@@ -102,7 +101,7 @@ impl DeviceProfile {
 }
 
 /// A point-to-point interconnect profile.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LinkProfile {
     /// Sustained bandwidth in bytes/s.
     pub bandwidth: f64,
@@ -140,7 +139,7 @@ impl LinkProfile {
 /// communicate over `intra_link`, devices in different nodes over
 /// `inter_link`. This matches the Summit configuration of the paper's
 /// evaluation (2 POWER9 + 4 V100 per node, NVLink within, EDR IB across).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Cluster {
     profile: DeviceProfile,
     num_devices: usize,
@@ -276,7 +275,7 @@ impl Cluster {
 /// Contiguity keeps data-parallel replicas topologically close, which is how
 /// the paper assigns devices on Summit; it also makes device partitions
 /// (condition C3 of §3) trivial to verify.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct DeviceRange {
     start: u32,
     len: u32,

@@ -58,7 +58,7 @@ pub mod session;
 pub use error::Error;
 pub use session::{
     Comparison, ComparisonRow, EvalResult, PlannedStrategy, Session, SessionBuilder, SessionFleet,
-    SessionService, TrainingConfig, TrainingRun,
+    TrainingConfig, TrainingRun,
 };
 
 /// Computation-graph IR and model zoo (re-export of `gp-ir`).
@@ -105,7 +105,7 @@ pub mod verify {
 pub mod obs {
     pub use gp_obs::*;
 }
-/// Distributed plan serving: sharded cache, persistent artifact store,
+/// Plan serving: sharded cache, persistent artifact store, local and
 /// remote planner workers, multi-tenant admission (re-export of
 /// `gp-fleet`).
 pub mod fleet {
@@ -127,8 +127,8 @@ pub mod prelude {
     pub use crate::verify::{verify_plan, verify_schedule, verify_strategy, VerifyReport};
     pub use crate::{
         evaluate, planner, simulate_plan, Comparison, ComparisonRow, Error, EvalResult,
-        PlannedStrategy, PlannerKind, Session, SessionBuilder, SessionFleet, SessionService,
-        TrainingConfig, TrainingRun,
+        PlannedStrategy, PlannerKind, Session, SessionBuilder, SessionFleet, TrainingConfig,
+        TrainingRun,
     };
 }
 
@@ -179,11 +179,13 @@ impl From<PlannerKind> for ServePlanner {
 
 /// Constructs a planner of the given kind with the given options.
 ///
-/// Thin shim over the [`Session`] machinery's planner factory — prefer
-/// [`Session::plan`], which also fingerprints the request; this remains
-/// for code that drives the [`Planner`] trait directly.
+/// Thin shim over the workspace's one planner factory,
+/// [`ServePlanner::build`] — prefer [`Session::plan`], which also
+/// fingerprints the request; this remains for code that drives the
+/// [`Planner`] trait directly.
 pub fn planner(kind: PlannerKind, options: PlanOptions) -> Box<dyn Planner> {
-    session::build_planner(kind, options, &gp_obs::Telemetry::disabled(), None)
+    kind.serve_planner()
+        .build(options, &gp_obs::Telemetry::disabled(), None)
 }
 
 /// Simulates one training iteration of a plan on the cluster it was

@@ -18,10 +18,11 @@
 //!   [`crate::evaluate`] is a shim over it);
 //! * [`Session::compare`] → a [`Comparison`] that renders the
 //!   Figure-6-style planner table the bench harness builds on;
-//! * [`Session::serve`] → a [`SessionService`] that hands the *same*
-//!   [`PlanRequest`] to `gp-serve`'s cached, single-flight
-//!   [`PlanService`], so local and served plans share one fingerprint and
-//!   one validation story.
+//! * [`Session::serve_fleet`] → a [`SessionFleet`] that hands the *same*
+//!   [`PlanRequest`] to `gp-fleet`'s cached, single-flight
+//!   [`FleetService`], so local and served plans share one fingerprint and
+//!   one validation story ([`FleetConfig::local`] is the single-process
+//!   preset).
 //!
 //! # Examples
 //!
@@ -40,14 +41,14 @@
 
 use crate::error::Error;
 use crate::PlannerKind;
-use gp_baselines::{PipeDreamPlanner, PiperPlanner};
+use gp_baselines::PiperPlanner;
 use gp_cluster::Cluster;
 use gp_exec::{reference_step, synth_batch, ModelParams};
 use gp_fleet::{FleetConfig, FleetService, FleetStats};
 use gp_ir::{plan_dag, DagOptions, Graph, PlanPath, SpModel};
 use gp_obs::Telemetry;
-use gp_partition::{GraphPipePlanner, Plan, PlanError, PlanOptions, Planner, WarmStart};
-use gp_serve::{artifact, Fingerprint, PlanRequest, PlanService, ServeStats};
+use gp_partition::{Plan, PlanError, PlanOptions, Planner, WarmStart};
+use gp_serve::{artifact, Fingerprint, PlanRequest};
 use gp_sim::{SimOptions, SimReport};
 use std::fmt;
 use std::ops::Deref;
@@ -60,30 +61,6 @@ use std::sync::Arc;
 /// separately. [`Session::plan`] and [`Session::evaluate`] always run the
 /// raw planner.
 pub const PIPER_COMPARE_UNIT_OPS: usize = 8;
-
-/// Constructs the planner implementation for a kind/options pair — the one
-/// factory shared by [`Session`], the free [`crate::planner`], and
-/// everything built on them. A [`WarmStart`] seeds GraphPipe's bracket
-/// ladder (the produced plan is identical either way); the baselines have
-/// no iterative search to seed and ignore it.
-pub(crate) fn build_planner(
-    kind: PlannerKind,
-    options: PlanOptions,
-    telemetry: &Telemetry,
-    warm: Option<WarmStart>,
-) -> Box<dyn Planner> {
-    match kind {
-        PlannerKind::GraphPipe => {
-            let planner = GraphPipePlanner::with_options(options).with_telemetry(telemetry.clone());
-            Box::new(match warm {
-                Some(w) => planner.with_warm_start(w),
-                None => planner,
-            })
-        }
-        PlannerKind::PipeDream => Box::new(PipeDreamPlanner::with_options(options)),
-        PlannerKind::Piper => Box::new(PiperPlanner::with_options(options)),
-    }
-}
 
 /// Simulates one training iteration of a plan on its cluster — the one
 /// copy of the plan→simulate wiring behind [`PlannedStrategy::simulate`]
@@ -317,7 +294,7 @@ impl Session {
     }
 
     /// The canonical `gp-serve` [`PlanRequest`] for this session and
-    /// planner choice. [`Session::plan`] and [`SessionService::plan`] both
+    /// planner choice. [`Session::plan`] and [`SessionFleet::plan`] both
     /// derive their fingerprints from this exact request, which is what
     /// keeps local and served plans cache-compatible.
     pub fn request(&self, kind: PlannerKind) -> PlanRequest {
@@ -399,11 +376,10 @@ impl Session {
         warm: Option<WarmStart>,
     ) -> Result<PlannedStrategy, Error> {
         let _span = self.telemetry.span("session.plan");
-        let plan = build_planner(kind, self.options.clone(), &self.telemetry, warm).plan(
-            &self.model,
-            &self.cluster,
-            self.mini_batch,
-        )?;
+        let plan = kind
+            .serve_planner()
+            .build(self.options.clone(), &self.telemetry, warm)
+            .plan(&self.model, &self.cluster, self.mini_batch)?;
         {
             let _verify = self.telemetry.span("session.verify");
             gp_verify::verify_strategy(&self.model, &self.cluster, &plan).into_result()?;
@@ -437,11 +413,11 @@ impl Session {
         for &b in &candidates {
             let _candidate = self.telemetry.span_with("evaluate.candidate", b);
             let opts = self.options.clone().with_forced_micro_batch(b);
-            match build_planner(kind, opts, &self.telemetry, None).plan(
-                &self.model,
-                &self.cluster,
-                self.mini_batch,
-            ) {
+            match kind
+                .serve_planner()
+                .build(opts, &self.telemetry, None)
+                .plan(&self.model, &self.cluster, self.mini_batch)
+            {
                 Ok(plan) => {
                     let report = match simulate_on(
                         &self.model,
@@ -607,27 +583,11 @@ impl Session {
         })
     }
 
-    /// Attaches this session to a fresh `gp-serve` [`PlanService`] with
-    /// `workers` planner threads and an LRU cache of `cache_capacity`
-    /// plans. The returned handle submits this session's canonical
-    /// [`Session::request`]s, so served plans carry the same fingerprints
-    /// as [`Session::plan`] and identical repeats are cache hits.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `workers == 0` or `cache_capacity == 0` (the service's
-    /// own contract).
-    pub fn serve(&self, workers: usize, cache_capacity: usize) -> SessionService {
-        SessionService {
-            service: PlanService::with_telemetry(workers, cache_capacity, self.telemetry.clone()),
-            session: self.clone(),
-        }
-    }
-
     /// Attaches this session to a fresh `gp-fleet` [`FleetService`] —
-    /// the distributed serving front-end: a sharded plan cache, an
-    /// optional persistent artifact store, a pool of local and/or remote
-    /// planner workers, and multi-tenant admission control. The handle
+    /// the plan-serving front-end: a sharded plan cache, an optional
+    /// persistent artifact store, a pool of local and/or remote planner
+    /// workers, and multi-tenant admission control
+    /// ([`FleetConfig::local`] for a single-process service). The handle
     /// submits this session's canonical [`Session::request`]s, so fleet
     /// plans carry the same fingerprints as [`Session::plan`] (unless a
     /// tenant tier rewrites the search options — then the ticket carries
@@ -1005,89 +965,10 @@ impl fmt::Display for Comparison {
     }
 }
 
-/// A [`Session`] bound to a `gp-serve` [`PlanService`]: the cached,
-/// single-flight path to the same [`PlannedStrategy`] values
-/// [`Session::plan`] computes directly. Obtained from [`Session::serve`].
-///
-/// # Examples
-///
-/// ```
-/// use graphpipe::prelude::*;
-///
-/// let session = Session::builder()
-///     .model(zoo::mmt(&zoo::MmtConfig::tiny()))
-///     .cluster(Cluster::summit_like(4))
-///     .mini_batch(32)
-///     .build()?;
-/// let service = session.serve(2, 16);
-/// let first = service.plan(PlannerKind::GraphPipe)?;   // planner runs
-/// let again = service.plan(PlannerKind::GraphPipe)?;   // cache hit
-/// assert_eq!(first.fingerprint(), again.fingerprint());
-/// assert_eq!(service.stats().planner_runs, 1);
-/// # Ok::<(), graphpipe::Error>(())
-/// ```
-pub struct SessionService {
-    service: PlanService,
-    session: Session,
-}
-
-impl SessionService {
-    /// Plans (or fetches from cache / joins in flight) via the service.
-    ///
-    /// # Errors
-    ///
-    /// Planner failures surface as [`Error::Plan`] — the same variant the
-    /// uncached [`Session::plan`] reports; [`Error::Serve`] only for
-    /// service-level failures (shutdown).
-    pub fn plan(&self, kind: PlannerKind) -> Result<PlannedStrategy, Error> {
-        let ticket = self.service.submit(self.session.request(kind));
-        let fingerprint = ticket.fingerprint();
-        let plan = ticket.wait()?;
-        debug_assert_eq!(fingerprint, self.session.request(kind).fingerprint());
-        // The service verified the plan before caching it (its own trust
-        // boundary); debug builds re-verify against *this* session's model
-        // to catch cache-keying bugs that hand back a foreign plan.
-        #[cfg(debug_assertions)]
-        {
-            let report =
-                gp_verify::verify_strategy(&self.session.model, &self.session.cluster, &plan);
-            debug_assert!(report.is_clean(), "served an invalid plan: {report}");
-        }
-        Ok(PlannedStrategy {
-            model: Arc::clone(&self.session.model),
-            cluster: self.session.cluster.clone(),
-            kind,
-            plan,
-            fingerprint,
-            sim_options: self.session.sim_options.clone(),
-            telemetry: self.session.telemetry.clone(),
-        })
-    }
-
-    /// The session this handle submits requests for.
-    pub fn session(&self) -> &Session {
-        &self.session
-    }
-
-    /// The underlying service, for sharing with other sessions or
-    /// submitting hand-built [`PlanRequest`]s.
-    pub fn service(&self) -> &PlanService {
-        &self.service
-    }
-
-    /// A snapshot of the service's hit/miss/latency counters.
-    pub fn stats(&self) -> ServeStats {
-        self.service.stats()
-    }
-
-    /// Drains the worker pool and returns the final counters.
-    pub fn shutdown(self) -> ServeStats {
-        self.service.shutdown()
-    }
-}
-
-/// A session bound to a `gp-fleet` [`FleetService`]: distributed plan
-/// serving with the session's own request fingerprints.
+/// A session bound to a `gp-fleet` [`FleetService`]: the cached,
+/// single-flight path to the same strategies [`Session::plan`] computes,
+/// under the session's own request fingerprints. Obtained from
+/// [`Session::serve_fleet`].
 ///
 /// ```
 /// use graphpipe::fleet::FleetConfig;
@@ -1098,10 +979,11 @@ impl SessionService {
 ///     .cluster(Cluster::summit_like(4))
 ///     .mini_batch(32)
 ///     .build()?;
-/// let fleet = session.serve_fleet(FleetConfig::default())?;
+/// let fleet = session.serve_fleet(FleetConfig::local(2, 16))?;
 /// let first = fleet.plan(PlannerKind::GraphPipe)?;   // a worker plans
 /// let again = fleet.plan(PlannerKind::GraphPipe)?;   // shard cache hit
 /// assert_eq!(first.fingerprint(), again.fingerprint());
+/// assert_eq!(first.fingerprint(), session.plan(PlannerKind::GraphPipe)?.fingerprint());
 /// assert_eq!(fleet.stats().planner_runs, 1);
 /// # Ok::<(), graphpipe::Error>(())
 /// ```

@@ -22,10 +22,9 @@
 
 use gp_cluster::{Cluster, DeviceRange, LinkProfile};
 use gp_ir::{Graph, OpId};
-use serde::{Deserialize, Serialize};
 
 /// Direction of a pass through (part of) the model.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Pass {
     /// Forward pass.
     Forward,

@@ -1,13 +1,14 @@
-//! The decoded-plan LRU cache behind [`crate::PlanService`].
+//! The decoded-plan LRU behind each shard of
+//! [`ShardedPlanCache`](crate::ShardedPlanCache).
 
-use crate::fingerprint::Fingerprint;
 use gp_partition::Plan;
+use gp_serve::Fingerprint;
 use std::collections::HashMap;
 use std::sync::Arc;
 
 struct Entry {
     plan: Arc<Plan>,
-    /// [`crate::fingerprint::numbering_signature`] of the graph the plan
+    /// [`gp_serve::fingerprint::numbering_signature`] of the graph the plan
     /// was computed for; consulted before reuse, since plans carry raw
     /// operator ids.
     numbering: u64,
@@ -21,7 +22,7 @@ struct Entry {
 /// beyond capacity — plan caches are small (tens to hundreds of entries)
 /// and a plan *miss* costs milliseconds of DP search, so simplicity wins
 /// over an intrusive list.
-pub struct PlanCache {
+pub(crate) struct PlanCache {
     capacity: usize,
     entries: HashMap<Fingerprint, Entry>,
     clock: u64,
@@ -85,11 +86,6 @@ impl PlanCache {
         self.entries.len()
     }
 
-    /// Whether the cache is empty.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
     /// The configured capacity.
     pub fn capacity(&self) -> usize {
         self.capacity
@@ -143,7 +139,6 @@ mod tests {
         assert_eq!(cache.len(), 1);
         assert_eq!(cache.evictions(), 0);
         assert_eq!(cache.capacity(), 1);
-        assert!(!cache.is_empty());
     }
 
     #[test]

@@ -1,8 +1,10 @@
-//! # gp-fleet — distributed plan serving
+//! # gp-fleet — plan serving, from one process to a fleet
 //!
-//! `gp-serve` answers plan requests from one process: a single cache, a
-//! single planner pool, callers trusted not to stampede. This crate
-//! scales that surface out to a fleet:
+//! The workspace's one plan service. `gp-serve` supplies the request
+//! fingerprints, the artifact codec, and the planner factory; this crate
+//! serves plans on top of them. [`FleetConfig::local`] is the
+//! single-process preset (one shard, in-process workers, no store, no
+//! admission rewrites); the same service scales out to a fleet:
 //!
 //! * [`ShardedPlanCache`] — N independent LRU shards selected by
 //!   fingerprint range, so concurrent tenants contend on `1/N` of the
@@ -30,6 +32,7 @@
 //! locally. DESIGN.md §"Fleet architecture" gives the full argument.
 
 pub mod admission;
+mod cache;
 pub mod protocol;
 pub mod service;
 pub mod shard;

@@ -25,7 +25,9 @@
 //! misses exceeds the configured depth the request is shed with
 //! [`ServeError::Overloaded`] instead of queued into a latency cliff.
 
-use crate::admission::{AdmissionConfig, AdmissionControl, AdmissionToken};
+use crate::admission::{
+    AdmissionConfig, AdmissionControl, AdmissionToken, TenantClass, TenantSpec,
+};
 use crate::shard::{ShardLookup, ShardStats, ShardedPlanCache};
 use crate::store::ArtifactStore;
 use crate::worker::{LocalWorker, PlanWorker, RemoteWorker, WorkerFailure};
@@ -61,6 +63,36 @@ pub struct FleetConfig {
     pub admission: AdmissionConfig,
     /// Telemetry sink for fleet counters, histograms, and spans.
     pub telemetry: Telemetry,
+}
+
+impl FleetConfig {
+    /// The single-process preset: one shard of `cache_capacity` plans,
+    /// `workers` in-process planner workers, no store, no remote workers,
+    /// and a [`Premium`](TenantClass::Premium) default tenant with no
+    /// quota or shedding. Admission therefore leaves every request
+    /// unchanged, and served plans carry the same fingerprints as planning
+    /// the request directly.
+    ///
+    /// # Panics
+    ///
+    /// [`FleetService::start`] panics on a zero `cache_capacity`.
+    pub fn local(workers: usize, cache_capacity: usize) -> Self {
+        FleetConfig {
+            shards: 1,
+            cache_capacity,
+            local_workers: workers,
+            remote_workers: Vec::new(),
+            store: None,
+            admission: AdmissionConfig {
+                default_spec: TenantSpec {
+                    class: TenantClass::Premium,
+                    tokens: None,
+                },
+                ..AdmissionConfig::default()
+            },
+            telemetry: Telemetry::disabled(),
+        }
+    }
 }
 
 impl Default for FleetConfig {
@@ -599,14 +631,6 @@ impl Drop for FleetService {
     }
 }
 
-fn planner_tag(planner: ServePlanner) -> u64 {
-    match planner {
-        ServePlanner::GraphPipe => 0,
-        ServePlanner::PipeDream => 1,
-        ServePlanner::Piper => 2,
-    }
-}
-
 fn dispatcher_loop(shared: &Shared, rx: &Receiver<Job>, worker_index: usize) {
     while let Ok(job) = rx.recv() {
         let wait_ns = shared.clock.now_nanos().saturating_sub(job.enqueued_ns);
@@ -632,7 +656,7 @@ fn plan_via_workers(
 ) -> Result<(String, Arc<Plan>), ServeError> {
     let warm_key = (request.planner == ServePlanner::GraphPipe).then(|| {
         (
-            request_graph_fingerprint(&request.model, planner_tag(request.planner)),
+            request_graph_fingerprint(&request.model, request.planner.tag()),
             request_config_fingerprint(&request.cluster, request.mini_batch, &request.options),
         )
     });
@@ -761,16 +785,21 @@ fn publish(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::admission::{TenantClass, TenantSpec};
     use gp_cluster::Cluster;
     use gp_ir::zoo::{self, CandleUnoConfig, DlrmConfig};
+    use gp_partition::PlanOptions;
+    use gp_serve::fingerprint::plan_fingerprint;
 
-    fn request() -> PlanRequest {
+    fn candle(mini_batch: u64) -> PlanRequest {
         PlanRequest::new(
             Arc::new(zoo::candle_uno(&CandleUnoConfig::tiny())),
             Cluster::summit_like(4),
-            32,
+            mini_batch,
         )
+    }
+
+    fn request() -> PlanRequest {
+        candle(32)
     }
 
     fn other_request() -> PlanRequest {
@@ -779,6 +808,39 @@ mod tests {
             Cluster::summit_like(4),
             64,
         )
+    }
+
+    fn local(workers: usize, cache_capacity: usize) -> FleetService {
+        FleetService::start(FleetConfig::local(workers, cache_capacity)).unwrap()
+    }
+
+    fn plan(service: &FleetService, request: PlanRequest) -> Reply {
+        service.submit("t", request)?.wait()
+    }
+
+    /// A local worker that plans only after a release message, so a test
+    /// can hold a planning run open while it submits more requests.
+    struct Gate(Receiver<()>, LocalWorker);
+
+    impl PlanWorker for Gate {
+        fn describe(&self) -> String {
+            "gate".into()
+        }
+        fn plan(
+            &self,
+            request: &PlanRequest,
+            warm: Option<WarmStart>,
+        ) -> Result<String, WorkerFailure> {
+            let _ = self.0.recv();
+            self.1.plan(request, warm)
+        }
+    }
+
+    fn gated(config: FleetConfig) -> (FleetService, Sender<()>) {
+        let (release, gate) = unbounded::<()>();
+        let worker = Gate(gate, LocalWorker::new(0, Telemetry::disabled()));
+        let service = FleetService::with_workers(config, vec![Box::new(worker)]).unwrap();
+        (service, release)
     }
 
     #[test]
@@ -801,21 +863,6 @@ mod tests {
 
     #[test]
     fn quota_exhaustion_is_overloaded() {
-        struct Gate(crossbeam::channel::Receiver<()>, LocalWorker);
-        impl PlanWorker for Gate {
-            fn describe(&self) -> String {
-                "gate".into()
-            }
-            fn plan(
-                &self,
-                request: &PlanRequest,
-                warm: Option<WarmStart>,
-            ) -> Result<String, WorkerFailure> {
-                let _ = self.0.recv();
-                self.1.plan(request, warm)
-            }
-        }
-        let (release, gated) = unbounded::<()>();
         let config = FleetConfig {
             admission: AdmissionConfig {
                 tenants: vec![(
@@ -829,14 +876,7 @@ mod tests {
             },
             ..FleetConfig::default()
         };
-        let service = FleetService::with_workers(
-            config,
-            vec![Box::new(Gate(
-                gated,
-                LocalWorker::new(0, Telemetry::disabled()),
-            ))],
-        )
-        .unwrap();
+        let (service, release) = gated(config);
         let held = service.submit("acme", request()).unwrap();
         match service.submit("acme", other_request()) {
             Err(ServeError::Overloaded { tenant, depth }) => {
@@ -859,21 +899,6 @@ mod tests {
 
     #[test]
     fn deep_backlog_sheds_new_misses_but_not_joins() {
-        struct Gate(crossbeam::channel::Receiver<()>, LocalWorker);
-        impl PlanWorker for Gate {
-            fn describe(&self) -> String {
-                "gate".into()
-            }
-            fn plan(
-                &self,
-                request: &PlanRequest,
-                warm: Option<WarmStart>,
-            ) -> Result<String, WorkerFailure> {
-                let _ = self.0.recv();
-                self.1.plan(request, warm)
-            }
-        }
-        let (release, gated) = unbounded::<()>();
         let config = FleetConfig {
             admission: AdmissionConfig {
                 max_queue_depth: Some(0),
@@ -881,14 +906,7 @@ mod tests {
             },
             ..FleetConfig::default()
         };
-        let service = FleetService::with_workers(
-            config,
-            vec![Box::new(Gate(
-                gated,
-                LocalWorker::new(0, Telemetry::disabled()),
-            ))],
-        )
-        .unwrap();
+        let (service, release) = gated(config);
         let first = service.submit("t", request()).unwrap();
         // Backlog is now 1 (> 0): a *different* request is shed...
         match service.submit("t", other_request()) {
@@ -1002,5 +1020,229 @@ mod tests {
         cheap.wait().expect("batch-tier plan");
         rich.wait().expect("premium-tier plan");
         assert_eq!(service.stats().misses, 2);
+    }
+
+    #[test]
+    fn repeat_requests_hit_the_cache() {
+        let service = local(2, 8);
+        let a = plan(&service, request()).unwrap();
+        let b = plan(&service, request()).unwrap();
+        assert_eq!(a, b);
+        let stats = service.stats();
+        assert_eq!(stats.requests, 2);
+        assert_eq!(stats.planner_runs, 1);
+        assert_eq!(stats.shard_hits, 1);
+        assert_eq!(stats.misses, 1);
+        assert!(stats.hit_rate() > 0.0);
+    }
+
+    #[test]
+    fn distinct_requests_plan_separately() {
+        let service = local(2, 8);
+        let a = plan(&service, candle(32)).unwrap();
+        let b = plan(&service, candle(16)).unwrap();
+        assert_ne!(a.stage_graph.mini_batch(), b.stage_graph.mini_batch());
+        let stats = service.stats();
+        assert_eq!(stats.planner_runs, 2);
+        assert_eq!(stats.shard_hits, 0);
+    }
+
+    #[test]
+    fn concurrent_identical_requests_run_the_planner_once() {
+        // More submitters than workers, all identical: single-flight must
+        // collapse them into exactly one planner execution.
+        let service = local(4, 8);
+        let tickets: Vec<FleetTicket> = (0..64)
+            .map(|_| service.submit("t", request()).unwrap())
+            .collect();
+        let plans: Vec<_> = tickets.into_iter().map(|t| t.wait().unwrap()).collect();
+        for w in plans.windows(2) {
+            assert_eq!(w[0], w[1]);
+        }
+        let stats = service.stats();
+        assert_eq!(stats.requests, 64);
+        assert_eq!(stats.planner_runs, 1, "single-flight failed: {stats:?}");
+        assert_eq!(stats.shard_hits + stats.joins, 63);
+    }
+
+    #[test]
+    fn planner_failures_propagate_to_all_waiters() {
+        // A mini-batch no micro-batch candidate divides -> planner error.
+        let bad = || {
+            request().with_options(PlanOptions {
+                micro_batch_candidates: Some(vec![7]),
+                ..PlanOptions::default()
+            })
+        };
+        let (service, release) = gated(FleetConfig::local(1, 8));
+        let t1 = service.submit("t", bad()).unwrap();
+        let t2 = service.submit("t", bad()).unwrap();
+        assert_eq!(t2.served(), Served::Joined);
+        release.send(()).unwrap();
+        assert!(matches!(t1.wait(), Err(ServeError::Plan(_))));
+        assert!(matches!(t2.wait(), Err(ServeError::Plan(_))));
+        // Errors are not cached: a retry plans (and fails) again.
+        let t3 = service.submit("t", bad()).unwrap();
+        assert_eq!(t3.served(), Served::Planned);
+        release.send(()).unwrap();
+        assert!(matches!(t3.wait(), Err(ServeError::Plan(_))));
+        let stats = service.stats();
+        assert_eq!(stats.cached_plans, 0);
+        assert_eq!((stats.misses, stats.joins, stats.planner_runs), (2, 1, 0));
+    }
+
+    #[test]
+    fn tickets_expose_fingerprint_and_cache_flag() {
+        let service = local(1, 8);
+        let t1 = service.submit("t", request()).unwrap();
+        let fp = t1.fingerprint();
+        // The local preset's admission leaves the request unchanged.
+        assert_eq!(fp, request().fingerprint());
+        assert!(!t1.served_from_cache());
+        t1.wait().unwrap();
+        let t2 = service.submit("t", request()).unwrap();
+        assert_eq!(t2.fingerprint(), fp);
+        assert!(t2.served_from_cache());
+        t2.wait().unwrap();
+    }
+
+    #[test]
+    fn baseline_planners_are_servable() {
+        let service = local(2, 8);
+        let gp = plan(&service, request()).unwrap();
+        let pd = plan(&service, request().with_planner(ServePlanner::PipeDream)).unwrap();
+        // Different planner => different fingerprint => both planned.
+        assert!(pd.pipeline_depth() >= gp.pipeline_depth());
+        assert_eq!(service.stats().planner_runs, 2);
+    }
+
+    #[test]
+    fn eviction_forces_a_replan() {
+        let service = local(1, 1);
+        plan(&service, candle(32)).unwrap();
+        plan(&service, candle(16)).unwrap(); // evicts the first plan
+        plan(&service, candle(32)).unwrap(); // must re-plan
+        let stats = service.stats();
+        assert_eq!(stats.planner_runs, 3);
+        assert_eq!(stats.cache_evictions, 2);
+    }
+
+    #[test]
+    fn renumbered_isomorphic_model_gets_its_own_plan() {
+        use gp_ir::{GraphBuilder, OpKind, Shape, SpBlock, SpModel};
+        // The same asymmetric diamond built in two insertion orders: equal
+        // fingerprints, permuted OpIds. Serving A's cached plan to B would
+        // assign B's operators to the wrong stages; the shard must refuse
+        // it and the fleet must plan B for real.
+        let diamond = |swap: bool| {
+            let mut b = GraphBuilder::new();
+            let x = b.input("x", Shape::vector(64));
+            let (p, q) = if swap {
+                let q = b.linear("q", x, 64, false).unwrap();
+                let p = b.linear("p", x, 64, true).unwrap();
+                (p, q)
+            } else {
+                let p = b.linear("p", x, 64, true).unwrap();
+                let q = b.linear("q", x, 64, false).unwrap();
+                (p, q)
+            };
+            let cat = b.op("cat", OpKind::Concat, &[p, q]).unwrap();
+            let loss = b.loss("loss", &[cat]);
+            let root = SpBlock::Chain(vec![
+                SpBlock::Leaf(x),
+                SpBlock::Branches(vec![SpBlock::Leaf(p), SpBlock::Leaf(q)]),
+                SpBlock::Leaf(cat),
+                SpBlock::Leaf(loss),
+            ]);
+            Arc::new(SpModel::new("diamond", b.finish().unwrap(), root).unwrap())
+        };
+        let (a, b) = (diamond(false), diamond(true));
+        let cluster = Cluster::summit_like(2);
+        let req = |m: &Arc<SpModel>| PlanRequest::new(Arc::clone(m), cluster.clone(), 16);
+        assert_eq!(req(&a).fingerprint(), req(&b).fingerprint());
+
+        let service = local(1, 8);
+        let plan_a = plan(&service, req(&a)).unwrap();
+        let plan_b = plan(&service, req(&b)).unwrap();
+        // Both plans must be valid for their own graph's numbering.
+        for (plan, model) in [(&plan_a, &a), (&plan_b, &b)] {
+            gp_verify::verify_strategy(model, &cluster, plan)
+                .into_result()
+                .unwrap();
+        }
+        let stats = service.stats();
+        assert_eq!(stats.planner_runs, 2, "{stats:?}");
+        assert_eq!(stats.shards[0].rejections, 1, "{stats:?}");
+    }
+
+    #[test]
+    fn parallel_requests_share_the_sequential_cache_entry() {
+        // One hot request may spend idle cores via options.parallelism;
+        // the produced plan is identical, so sequential and parallel
+        // requests must collapse onto a single cache entry.
+        let service = local(2, 8);
+        let parallel = request().with_options(PlanOptions {
+            parallelism: 3,
+            ..PlanOptions::default()
+        });
+        assert_eq!(request().fingerprint(), parallel.fingerprint());
+        let a = plan(&service, parallel).unwrap();
+        let b = plan(&service, request()).unwrap();
+        assert_eq!(a, b);
+        let stats = service.stats();
+        assert_eq!(stats.planner_runs, 1, "{stats:?}");
+        assert_eq!(stats.shard_hits, 1, "{stats:?}");
+    }
+
+    #[test]
+    fn near_miss_warm_start_serves_the_cold_plan() {
+        // Same model, different cluster size and mini-batch: a fingerprint
+        // near miss. The warm-started plan must be the plan a cold service
+        // produces for the same request.
+        let near = || {
+            PlanRequest::new(
+                Arc::new(zoo::candle_uno(&CandleUnoConfig::tiny())),
+                Cluster::summit_like(8),
+                64,
+            )
+        };
+        let service = local(1, 8);
+        plan(&service, request()).unwrap(); // seeds the warm index
+        let warm_plan = plan(&service, near()).unwrap();
+        let stats = service.stats();
+        assert_eq!(stats.planner_runs, 2, "{stats:?}");
+        assert_eq!(stats.warm_starts, 1, "{stats:?}");
+        assert!(stats.render().contains("warm-starts 1"));
+
+        let cold_service = local(1, 8);
+        let cold_plan = plan(&cold_service, near()).unwrap();
+        assert_eq!(cold_service.stats().warm_starts, 0);
+        assert_eq!(plan_fingerprint(&warm_plan), plan_fingerprint(&cold_plan));
+    }
+
+    #[test]
+    fn warm_start_counts_only_near_misses() {
+        // An eviction-forced replan of the *same* config reuses the seed
+        // but is not a near miss, so the counter must stay untouched. The
+        // eviction comes from a different model, whose seed lives under its
+        // own graph fingerprint.
+        let service = local(1, 1);
+        plan(&service, request()).unwrap();
+        plan(&service, other_request()).unwrap(); // evicts the first plan
+        plan(&service, request()).unwrap(); // exact replan: warm, not near
+        let stats = service.stats();
+        assert_eq!(stats.planner_runs, 3, "{stats:?}");
+        assert_eq!(stats.cache_evictions, 2, "{stats:?}");
+        assert_eq!(stats.warm_starts, 0, "{stats:?}");
+    }
+
+    #[test]
+    fn stats_display_mentions_hit_rate() {
+        let service = local(1, 4);
+        plan(&service, request()).unwrap();
+        plan(&service, request()).unwrap();
+        let text = service.stats().render();
+        assert!(text.contains("hit-rate 0.500"), "{text}");
+        assert!(text.contains("planner-runs 1"), "{text}");
     }
 }

@@ -1,4 +1,4 @@
-//! The sharded plan cache: N independent [`PlanCache`] LRUs selected by
+//! The sharded plan cache: N independent plan LRUs selected by
 //! fingerprint range.
 //!
 //! The 128-bit request fingerprint is a uniform key (it is the output of
@@ -13,8 +13,9 @@
 //! lookups for different fingerprints contend only `1/N` of the time and
 //! a burst of new plans in one key range cannot evict the whole cache.
 
+use crate::cache::PlanCache;
 use gp_partition::Plan;
-use gp_serve::{Fingerprint, PlanCache};
+use gp_serve::Fingerprint;
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -57,7 +58,7 @@ pub struct ShardStats {
     pub capacity: u64,
 }
 
-/// N independent [`PlanCache`] shards behind per-shard locks, selected by
+/// N independent plan LRU shards behind per-shard locks, selected by
 /// fingerprint range.
 pub struct ShardedPlanCache {
     shards: Vec<Shard>,
@@ -77,8 +78,7 @@ impl ShardedPlanCache {
     ///
     /// # Panics
     ///
-    /// Panics if `shards == 0` or `total_capacity == 0` (the underlying
-    /// [`PlanCache`] contract).
+    /// Panics if `shards == 0` or `total_capacity == 0`.
     pub fn new(shards: usize, total_capacity: usize) -> Self {
         assert!(shards > 0, "sharded cache needs at least one shard");
         assert!(total_capacity > 0, "sharded cache needs capacity >= 1");

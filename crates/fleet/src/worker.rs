@@ -14,10 +14,9 @@
 use crate::protocol::{
     self, canonical_artifact, classify_reply, read_frame, write_frame, WireReply,
 };
-use gp_baselines::{PipeDreamPlanner, PiperPlanner};
 use gp_obs::Telemetry;
-use gp_partition::{GraphPipePlanner, PlanError, Planner, WarmStart};
-use gp_serve::{PlanRequest, ServeError, ServePlanner};
+use gp_partition::{PlanError, WarmStart};
+use gp_serve::{PlanRequest, ServeError};
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -54,9 +53,9 @@ pub trait PlanWorker: Send + Sync {
 /// Plans a request in-process: build the requested planner, run it,
 /// statically verify the strategy, and encode the canonical artifact.
 ///
-/// This mirrors `gp-serve`'s planner construction (the planner choice and
-/// warm-start plumbing) so a fleet worker and a `PlanService` produce the
-/// same strategy for the same request.
+/// The planner comes from [`ServePlanner::build`](gp_serve::ServePlanner::build),
+/// the same factory `Session::plan` uses, so a fleet worker and local
+/// planning produce the same strategy for the same request.
 ///
 /// # Errors
 ///
@@ -67,25 +66,12 @@ pub fn plan_locally(
     warm: Option<WarmStart>,
     telemetry: &Telemetry,
 ) -> Result<String, ServeError> {
-    let planner: Box<dyn Planner> = match request.planner {
-        ServePlanner::GraphPipe => {
-            let planner = GraphPipePlanner::with_options(request.options.clone())
-                .with_telemetry(telemetry.clone());
-            Box::new(match warm {
-                Some(w) => planner.with_warm_start(w),
-                None => planner,
-            })
-        }
-        // The baselines have no iterative search to seed.
-        ServePlanner::PipeDream => {
-            Box::new(PipeDreamPlanner::with_options(request.options.clone()))
-        }
-        ServePlanner::Piper => Box::new(PiperPlanner::with_options(request.options.clone())),
-    };
-    let plan = planner
+    let plan = request
+        .planner
+        .build(request.options.clone(), telemetry, warm)
         .plan(&request.model, &request.cluster, request.mini_batch)
         .map_err(ServeError::Plan)?;
-    // Same trust boundary as gp-serve: no unverified plan leaves a worker.
+    // Trust boundary: no unverified plan leaves a worker.
     gp_verify::verify_strategy(&request.model, &request.cluster, &plan)
         .into_result()
         .map_err(ServeError::InvalidPlan)?;
@@ -269,6 +255,7 @@ mod tests {
     use super::*;
     use gp_cluster::Cluster;
     use gp_ir::zoo::{self, CandleUnoConfig, DlrmConfig};
+    use gp_serve::ServePlanner;
     use std::sync::Arc as StdArc;
 
     fn request() -> PlanRequest {

@@ -51,7 +51,7 @@
 //! # Module tour
 //!
 //! * [`session`] — the [`Session`] builder, [`PlannedStrategy`],
-//!   [`Comparison`], and the serving handle ([`SessionService`]);
+//!   [`Comparison`], and the serving handle ([`SessionFleet`]);
 //! * [`ir`] — computation-graph IR, SP decomposition, model zoo;
 //! * [`cluster`] — device profiles and interconnect topology;
 //! * [`cost`] — roofline cost/memory/communication models;
@@ -63,20 +63,19 @@
 //!   ([`PlannedStrategy::execute`]);
 //! * [`prelude`] — one-stop imports, plus the [`planner`] / [`evaluate`] /
 //!   [`simulate_plan`] free-function shims over the session machinery;
-//! * [`serve`] — the plan-serving subsystem: canonical graph fingerprints,
-//!   the lossless plan artifact codec, and the cached, single-flight
-//!   [`serve::PlanService`] that [`Session::serve`] hands requests to;
-//! * [`fleet`] — distributed plan serving: the sharded cache, persistent
-//!   artifact store, remote planner workers, and multi-tenant admission
-//!   behind [`Session::serve_fleet`].
+//! * [`serve`] — plan-serving primitives: canonical graph fingerprints,
+//!   the lossless plan artifact codec, and the plan request types;
+//! * [`fleet`] — the plan service: the sharded cache, persistent artifact
+//!   store, local and remote planner workers, and multi-tenant admission
+//!   behind [`Session::serve_fleet`] ([`fleet::FleetConfig::local`] is the
+//!   single-process preset).
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
 pub use gp_core::*;
 
-/// Plan serving: fingerprints, artifacts, cache, service (re-export of
-/// `gp-serve`).
+/// Plan fingerprints, artifacts, and requests (re-export of `gp-serve`).
 pub mod serve {
     pub use gp_serve::*;
 }

@@ -6,7 +6,6 @@
 
 use crate::op::{OpKind, BYTES_PER_ELEMENT};
 use crate::shape::Shape;
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 use std::fmt;
 
@@ -14,7 +13,7 @@ use std::fmt;
 ///
 /// Ids are dense indices assigned in insertion order, so they can be used to
 /// index side tables (`Vec`s) keyed by operator.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct OpId(pub u32);
 
 impl OpId {
@@ -31,7 +30,7 @@ impl fmt::Display for OpId {
 }
 
 /// A single operator instance in a [`Graph`].
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Node {
     /// The operator's id.
     pub id: OpId,
@@ -110,7 +109,7 @@ impl std::error::Error for GraphError {}
 /// assert_eq!(g.node(y).out_shape, Shape::vector(1));
 /// # Ok::<(), gp_ir::GraphError>(())
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Graph {
     nodes: Vec<Node>,
     preds: Vec<Vec<OpId>>,

@@ -7,14 +7,13 @@
 //! table").
 
 use crate::shape::Shape;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Element size used throughout the reproduction (fp32 training).
 pub const BYTES_PER_ELEMENT: u64 = 4;
 
 /// Nonlinearity applied by an [`OpKind::Activation`] operator.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Nonlinearity {
     /// Rectified linear unit.
     Relu,
@@ -38,7 +37,7 @@ impl fmt::Display for Nonlinearity {
 /// model): dense layers, multi-head attention, layer norm, embedding bags,
 /// concatenation, DLRM's feature interaction, activations, and graph
 /// sources/sinks.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum OpKind {
     /// A graph source feeding per-sample data of the given shape.
     Input,

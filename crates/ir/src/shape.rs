@@ -5,7 +5,6 @@
 //! costs are computed (see `gp-cost`). This mirrors how the GraphPipe planner
 //! reasons about micro-batch sizes independently of the model definition.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// A per-sample tensor shape (batch dimension excluded).
@@ -19,7 +18,7 @@ use std::fmt;
 /// assert_eq!(s.numel(), 256 * 1024);
 /// assert_eq!(s.last_dim(), 1024);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Shape(Vec<usize>);
 
 impl Shape {

@@ -13,7 +13,6 @@
 //! nondeterminism hazards (DESIGN.md §"Determinism lint").
 
 use crate::graph::{Graph, OpId};
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt;
 
@@ -24,7 +23,7 @@ use std::fmt;
 ///   child into the next);
 /// * [`SpBlock::Branches`] — children are computationally independent and
 ///   may execute concurrently (the structure GPP exploits).
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum SpBlock {
     /// A single operator.
     Leaf(OpId),
@@ -143,7 +142,7 @@ impl SpBlock {
 /// The path rides on the [`SpModel`] (and is stamped into every plan built
 /// from it), so fingerprints, artifacts, and the verifier all see which
 /// rung produced the decomposition.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum PlanPath {
     /// The tree represents the graph exactly: hand-authored and validated,
     /// or recovered losslessly by SP recognition.
@@ -228,7 +227,7 @@ impl std::error::Error for SpError {}
 /// let order = model.linearize();
 /// assert!(model.graph().is_topo_order(&order));
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SpModel {
     graph: Graph,
     root: SpBlock,

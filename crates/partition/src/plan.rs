@@ -8,7 +8,6 @@ use gp_cluster::Cluster;
 use gp_cost::CostModel;
 use gp_ir::SpModel;
 use gp_sched::{InFlightTable, PipelineSchedule, StageGraph};
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::time::Duration;
 
@@ -203,7 +202,7 @@ impl std::error::Error for PlanError {}
 /// clears them wherever plans are compared for equality. Times come from
 /// the injected `gp_obs::Clock` seam, never from a direct wall-clock
 /// read (DESIGN.md §"Observability").
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct SearchPhases {
     /// Geometric bracket-ladder phase: the doubling probes that find a
     /// feasible throughput target (Algorithm 1 lines 2–6).
@@ -215,7 +214,7 @@ pub struct SearchPhases {
 }
 
 /// Search-cost accounting, reported alongside every plan (Table 1).
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct SearchStats {
     /// Wall-clock search time.
     pub wall: Duration,

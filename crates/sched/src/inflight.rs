@@ -11,7 +11,6 @@
 //! nondeterminism hazards (DESIGN.md §"Determinism lint").
 
 use crate::stage::{StageGraph, StageId};
-use serde::{Deserialize, Serialize};
 
 /// Computes the minimal number of in-flight samples for a stage `x` feeding
 /// a stage `y`, per Table 2 of the paper (Appendix A.1).
@@ -87,7 +86,7 @@ pub fn compute_in_flight(k_x: u64, b_x: u64, k_y: u64, b_y: u64, i_y: u64) -> u6
 }
 
 /// Per-stage in-flight sample counts for a whole stage graph.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct InFlightTable {
     samples: Vec<u64>,
 }

@@ -12,12 +12,11 @@
 
 use gp_cluster::{Cluster, DeviceRange};
 use gp_ir::{Graph, OpId};
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 use std::fmt;
 
 /// Identifier of a stage within a [`StageGraph`]; dense indices.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct StageId(pub u32);
 
 impl StageId {
@@ -35,7 +34,7 @@ impl fmt::Display for StageId {
 
 /// One pipeline stage: a convex subgraph executed on a device range with a
 /// per-stage micro-batch size and kFkB schedule parameter.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Stage {
     /// The stage's id (must equal its position in the stage list).
     pub id: StageId,
@@ -127,7 +126,7 @@ impl std::error::Error for StageGraphError {}
 /// Stage dependency edges are *derived* from the model's data edges
 /// (condition C2): `S_i -> S_j` exists iff some operator edge crosses from
 /// `S_i` into `S_j`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StageGraph {
     stages: Vec<Stage>,
     preds: Vec<Vec<StageId>>,

@@ -14,12 +14,11 @@
 use crate::inflight::InFlightTable;
 use crate::stage::{StageGraph, StageId};
 use gp_cost::Pass;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::ops::Range;
 
 /// One forward or backward pass of one micro-batch on one stage.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Task {
     /// Forward or backward.
     pub pass: Pass,
@@ -74,7 +73,7 @@ impl fmt::Display for ScheduleError {
 impl std::error::Error for ScheduleError {}
 
 /// The ordered task list of one stage.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StageSchedule {
     /// The stage this order belongs to.
     pub stage: StageId,
@@ -207,7 +206,7 @@ impl StageSchedule {
 /// assert_eq!(schedule.stage(StageId(0)).tasks.len(), 8); // 4 F + 4 B
 /// assert_eq!(schedule.stage(StageId(1)).peak_in_flight_micro_batches(), 1);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct PipelineSchedule {
     /// Task orders indexed by stage id.
     pub per_stage: Vec<StageSchedule>,

@@ -3,9 +3,7 @@
 //! A *plan artifact* is the on-the-wire / on-disk form of a
 //! [`gp_partition::Plan`]: a single JSON document that a plan service can
 //! persist, ship to trainers, and decode back into the exact strategy the
-//! planner produced. The codec is hand-rolled on [`crate::json`] so it
-//! works today with the vendored serde API-stubs; when the real serde
-//! lands, only this module needs revisiting.
+//! planner produced. The codec is hand-rolled on [`crate::json`].
 //!
 //! # Format (version 4)
 //!

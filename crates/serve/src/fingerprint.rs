@@ -1,6 +1,6 @@
 //! Canonical structural fingerprints for planning requests.
 //!
-//! The plan cache ([`crate::PlanService`]) is keyed by a 128-bit
+//! Plan caches and stores (`gp-fleet`'s `FleetService`) are keyed by a 128-bit
 //! [`Fingerprint`] over everything that determines a planner's output:
 //!
 //! * the **model graph**, hashed structurally — per-node labels are
@@ -371,7 +371,7 @@ pub fn plan_fingerprint(plan: &gp_partition::Plan) -> Fingerprint {
 /// Two requests with equal graph parts but different [config parts]
 /// (`request_config_fingerprint`) are *near misses*: the search spaces
 /// differ, but a cached plan for one is a useful warm-start seed for the
-/// other (see `PlanService`'s warm index).
+/// other (see `FleetService`'s warm index in `gp-fleet`).
 ///
 /// [config parts]: request_config_fingerprint
 pub fn request_graph_fingerprint(model: &SpModel, planner_tag: u64) -> Fingerprint {

@@ -1,10 +1,10 @@
-//! # gp-serve — the concurrent plan-serving subsystem
+//! # gp-serve — plan fingerprints, artifacts, and requests
 //!
 //! GraphPipe's value is the *plan*: the §5 partitioner spends tens of
 //! thousands of DP evaluations per query, yet the result is a small, pure
 //! function of `(model, cluster, planner, options, mini-batch)`. This crate
-//! turns planning into a service, the PipeDream-style profiler → planner →
-//! runtime split realized for the reproduction:
+//! holds what makes planning servable — the PipeDream-style profiler →
+//! planner → runtime split realized for the reproduction:
 //!
 //! * [`fingerprint`] — **canonical cache keys.** A 128-bit structural hash
 //!   over the model graph (Weisfeiler–Leman-refined, so it is invariant
@@ -17,14 +17,14 @@
 //!   `format`/`version` header, integer-exact numbers, shortest-round-trip
 //!   floats, and *validating* decoding (the stage graph is rebuilt and
 //!   re-checked against §3's C1–C4). `decode(encode(plan)) == plan`,
-//!   exactly. Built on the in-crate [`json`] document model; swapping in
-//!   real serde later only touches that seam.
-//! * [`PlanCache`] — an LRU of decoded plans keyed by fingerprint.
-//! * [`PlanService`] — a thread-pool-backed service (crossbeam channels +
-//!   parking_lot, the same stack as `gp-exec`) that deduplicates
-//!   concurrent identical requests (single-flight), serves repeats from
-//!   the cache without touching the DP path, and reports hit/miss/latency
-//!   counters as [`ServeStats`].
+//!   exactly. Built on the in-crate [`json`] document model.
+//! * [`PlanRequest`] — the planning problem plus the planner choice
+//!   ([`ServePlanner`], whose [`ServePlanner::build`] is the one planner
+//!   factory), and [`ServeError`], the failures a serving layer reports.
+//!
+//! The serving layer itself — sharded cache, single-flight joins, worker
+//! pool, persistent store, admission — is `gp-fleet`'s `FleetService`,
+//! built on these keys and this codec.
 //!
 //! Plans carry raw operator ids, so before any plan is reused — cache hit
 //! or single-flight fan-out — the receiving request's graph must match the
@@ -40,39 +40,38 @@
 //! use std::sync::Arc;
 //! use gp_cluster::Cluster;
 //! use gp_ir::zoo::{self, CandleUnoConfig};
-//! use gp_serve::{artifact, PlanRequest, PlanService};
+//! use gp_obs::Telemetry;
+//! use gp_serve::{artifact, PlanRequest};
 //!
-//! let service = PlanService::new(2, 32);
 //! let model = Arc::new(zoo::candle_uno(&CandleUnoConfig::tiny()));
-//! let request = PlanRequest::new(Arc::clone(&model), Cluster::summit_like(4), 32);
+//! let cluster = Cluster::summit_like(4);
+//! let request = PlanRequest::new(Arc::clone(&model), cluster.clone(), 32);
 //! let fingerprint = request.fingerprint();
 //!
-//! // First query plans; the repeat is a cache hit.
-//! let plan = service.plan(request.clone())?;
-//! let cached = service.plan(request)?;
-//! assert_eq!(plan, cached);
-//! assert_eq!(service.stats().planner_runs, 1);
+//! // Plan the request with its own planner choice.
+//! let plan = request
+//!     .planner
+//!     .build(request.options.clone(), &Telemetry::disabled(), None)
+//!     .plan(&model, &cluster, 32)?;
 //!
 //! // Persist the strategy and restore it, losslessly.
 //! let text = artifact::encode_plan(&plan, Some(fingerprint));
-//! let (restored, fp) = artifact::decode_plan(&text, model.graph(), &Cluster::summit_like(4))
+//! let (restored, fp) = artifact::decode_plan(&text, model.graph(), &cluster)
 //!     .expect("artifact decodes");
 //! // Lossless for plan data (search-phase wall timings are measurement,
 //! // not plan data): re-encoding reproduces the bytes exactly.
 //! assert_eq!(artifact::encode_plan(&restored, fp), text);
 //! assert_eq!(fp, Some(fingerprint));
-//! # Ok::<(), gp_serve::ServeError>(())
+//! # Ok::<(), gp_partition::PlanError>(())
 //! ```
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
 pub mod artifact;
-mod cache;
 pub mod fingerprint;
 pub mod json;
-mod service;
+mod request;
 
-pub use cache::PlanCache;
 pub use fingerprint::Fingerprint;
-pub use service::{PlanRequest, PlanService, PlanTicket, ServeError, ServePlanner, ServeStats};
+pub use request::{PlanRequest, ServeError, ServePlanner};

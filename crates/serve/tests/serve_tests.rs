@@ -1,81 +1,29 @@
-//! Integration tests for the plan-serving subsystem: real OS-thread
-//! concurrency against one service, and end-to-end artifact fidelity
-//! (a decoded plan simulates byte-identically to the original).
+//! Integration tests for plan artifact fidelity: a decoded plan equals the
+//! plan that was encoded, and simulates byte-identically to it.
 
 use gp_cluster::Cluster;
-use gp_ir::zoo::{self, CandleUnoConfig, DlrmConfig, MmtConfig, MoeConfig};
-use gp_serve::{artifact, PlanRequest, PlanService, ServePlanner};
+use gp_ir::zoo::{self, CandleUnoConfig, MoeConfig};
+use gp_obs::Telemetry;
+use gp_partition::Plan;
+use gp_serve::{artifact, PlanRequest, ServePlanner};
 use std::sync::Arc;
 
-#[test]
-fn sixty_four_concurrent_identical_requests_single_flight() {
-    let service = Arc::new(PlanService::new(4, 16));
-    let model = Arc::new(zoo::candle_uno(&CandleUnoConfig::default()));
-    let mk = |model: &Arc<_>| PlanRequest::new(Arc::clone(model), Cluster::summit_like(8), 1024);
-    let mut handles = Vec::new();
-    for _ in 0..64 {
-        let service = Arc::clone(&service);
-        let request = mk(&model);
-        handles.push(std::thread::spawn(move || service.plan(request).unwrap()));
-    }
-    let plans: Vec<_> = handles.into_iter().map(|h| h.join().unwrap()).collect();
-    for w in plans.windows(2) {
-        assert_eq!(w[0], w[1], "all requesters must observe the same plan");
-    }
-    let stats = service.stats();
-    assert_eq!(stats.requests, 64);
-    assert_eq!(
-        stats.planner_runs, 1,
-        "identical concurrent requests must trigger exactly one planner run: {stats}"
-    );
-    assert_eq!(stats.hits + stats.joins, 63);
-}
-
-#[test]
-fn concurrent_mixed_workload_is_consistent() {
-    let service = Arc::new(PlanService::new(4, 32));
-    let models: Vec<(Arc<_>, u64)> = vec![
-        (Arc::new(zoo::mmt(&MmtConfig::tiny())), 32),
-        (Arc::new(zoo::candle_uno(&CandleUnoConfig::tiny())), 32),
-        (Arc::new(zoo::dlrm(&DlrmConfig::tiny())), 16),
-        (Arc::new(zoo::moe(&MoeConfig::tiny())), 16),
-    ];
-    let mut handles = Vec::new();
-    for i in 0..64 {
-        let service = Arc::clone(&service);
-        let (model, mini_batch) = models[i % models.len()].clone();
-        handles.push(std::thread::spawn(move || {
-            let request = PlanRequest::new(model, Cluster::summit_like(4), mini_batch);
-            let plan = service.plan(request.clone()).unwrap();
-            // A repeat from inside the worker threads also matches.
-            assert_eq!(plan, service.plan(request).unwrap());
-        }));
-    }
-    for h in handles {
-        h.join().unwrap();
-    }
-    let stats = service.stats();
-    assert_eq!(stats.requests, 128);
-    // Exactly one planner run per distinct model, everything else served
-    // from cache or single-flight.
-    assert_eq!(stats.planner_runs, models.len() as u64, "{stats}");
-    assert_eq!(stats.hit_rate(), (128 - models.len()) as f64 / 128.0);
+/// Plans a request directly with the planner it names.
+fn plan(request: &PlanRequest) -> Plan {
+    request
+        .planner
+        .build(request.options.clone(), &Telemetry::disabled(), None)
+        .plan(&request.model, &request.cluster, request.mini_batch)
+        .unwrap()
 }
 
 #[test]
 fn decoded_plans_simulate_identically() {
     // The artifact round trip must preserve not only equality but observable
     // behaviour: simulating the decoded plan yields a byte-identical report.
-    let model = zoo::moe(&MoeConfig::tiny());
+    let model = Arc::new(zoo::moe(&MoeConfig::tiny()));
     let cluster = Cluster::summit_like(4);
-    let service = PlanService::new(1, 4);
-    let plan = service
-        .plan(PlanRequest::new(
-            Arc::new(model.clone()),
-            cluster.clone(),
-            16,
-        ))
-        .unwrap();
+    let plan = plan(&PlanRequest::new(Arc::clone(&model), cluster.clone(), 16));
     let text = artifact::encode_plan(&plan, None);
     let (decoded, _) = artifact::decode_plan(&text, model.graph(), &cluster).unwrap();
     let a = gp_sim::simulate(model.graph(), &cluster, &plan.stage_graph, &plan.schedule).unwrap();
@@ -91,17 +39,13 @@ fn decoded_plans_simulate_identically() {
 
 #[test]
 fn sequential_strategies_serve_and_round_trip() {
-    let service = PlanService::new(2, 8);
     let model = Arc::new(zoo::candle_uno(&CandleUnoConfig::tiny()));
     let cluster = Cluster::summit_like(4);
     let request = PlanRequest::new(Arc::clone(&model), cluster.clone(), 32)
         .with_planner(ServePlanner::PipeDream);
-    let plan = service.plan(request.clone()).unwrap();
-    let again = service.plan(request).unwrap();
-    assert_eq!(plan, again);
-    let text = artifact::encode_plan(&plan, None);
-    let (decoded, _) = artifact::decode_plan(&text, model.graph(), &cluster).unwrap();
-    assert_eq!(&decoded, &*plan);
-    let stats = service.shutdown();
-    assert_eq!(stats.planner_runs, 1);
+    let plan = plan(&request);
+    let text = artifact::encode_plan(&plan, Some(request.fingerprint()));
+    let (decoded, fingerprint) = artifact::decode_plan(&text, model.graph(), &cluster).unwrap();
+    assert_eq!(decoded, plan);
+    assert_eq!(fingerprint, Some(request.fingerprint()));
 }

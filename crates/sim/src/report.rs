@@ -7,11 +7,10 @@
 use gp_cluster::DeviceId;
 use gp_cost::Pass;
 use gp_sched::StageId;
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// One executed task instance on the simulated timeline.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TaskSpan {
     /// The device (replica) that ran the task.
     pub device: DeviceId,
@@ -28,7 +27,7 @@ pub struct TaskSpan {
 }
 
 /// Metrics of one simulated training iteration.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SimReport {
     /// Makespan of the iteration (including gradient allreduce), seconds.
     pub iteration_time: f64,

@@ -177,8 +177,8 @@ moe beam=16 delta=1.000000 evals=554730 prunes=0
 #[test]
 fn warm_started_plans_are_identical_to_cold() {
     for (name, model, points) in zoo_cells() {
-        // Seed every scale from the 8-GPU strategy (the PlanService
-        // near-miss shape: same graph, different cluster size).
+        // Seed every scale from the 8-GPU strategy (the fleet warm
+        // index's near-miss shape: same graph, different cluster size).
         let seed_devices = 8usize;
         let seed = GraphPipePlanner::with_options(base_options())
             .plan(

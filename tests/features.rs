@@ -1,6 +1,6 @@
 //! Feature-level integration tests: the paper's optional/extension modes
-//! (per-stage micro-batch sizes, kFkB schedules beyond 1F1B), strategy
-//! serialization, and cross-planner consistency on degenerate topologies.
+//! (per-stage micro-batch sizes, kFkB schedules beyond 1F1B) and
+//! cross-planner consistency on degenerate topologies.
 
 use graphpipe::prelude::*;
 use graphpipe::sched::{assign_in_flight, schedule_tasks, StageGraph, StageId};
@@ -85,18 +85,6 @@ fn explicit_2f2b_schedule_executes() {
     schedule.validate_c4(&sg).unwrap();
     let report = gp_sim::simulate(model.graph(), &cluster, &sg, &schedule).unwrap();
     assert!(report.throughput > 0.0);
-}
-
-/// Strategy types implement `Serialize`/`Deserialize` (what a control
-/// plane would persist); checked at the type level.
-#[test]
-fn strategy_types_are_serde() {
-    fn assert_serde<T: serde::Serialize + for<'de> serde::Deserialize<'de>>() {}
-    assert_serde::<graphpipe::sched::StageGraph>();
-    assert_serde::<graphpipe::sched::PipelineSchedule>();
-    assert_serde::<graphpipe::sched::InFlightTable>();
-    assert_serde::<graphpipe::sim::SimReport>();
-    assert_serde::<graphpipe::partition::SearchStats>();
 }
 
 /// Degenerate topologies: a single-op-per-branch model plans fine.

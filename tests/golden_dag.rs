@@ -14,6 +14,7 @@
 //! pipeline parallelism must never lose to the sequential baseline on a
 //! residual transformer, and the rendered table is pinned byte-for-byte.
 
+use graphpipe::fleet::{canonical_artifact, FleetConfig};
 use graphpipe::prelude::*;
 use graphpipe::serve::fingerprint::plan_fingerprint;
 use std::fmt::Write as _;
@@ -161,17 +162,17 @@ fn non_sp_dags_plan_end_to_end_through_the_session() {
         assert_eq!(restored.plan_path(), strategy.plan_path());
         assert_eq!(restored.fingerprint(), strategy.fingerprint());
 
-        // Serving reproduces local planning, fingerprints included.
-        let service = session.serve(1, 4);
-        let served = service.plan(PlannerKind::GraphPipe).unwrap();
-        assert_eq!(served.fingerprint(), strategy.fingerprint());
+        // Serving reproduces local planning, fingerprints included (served
+        // plans come from the canonical artifact, so compare its bytes).
+        let fleet = session.serve_fleet(FleetConfig::local(1, 4)).unwrap();
+        let served = fleet.plan(PlannerKind::GraphPipe).unwrap();
+        let fp = strategy.fingerprint();
+        assert_eq!(served.fingerprint(), fp);
         assert_eq!(served.plan_path(), strategy.plan_path());
-        let strip = |p: &Plan| {
-            let mut p = p.clone();
-            p.stats.zero_walls();
-            p
-        };
-        assert_eq!(strip(served.plan()), strip(strategy.plan()));
+        assert_eq!(
+            canonical_artifact(served.plan(), fp),
+            canonical_artifact(strategy.plan(), fp)
+        );
     }
 }
 

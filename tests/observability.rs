@@ -6,6 +6,7 @@
 //! contract is also pinned per-layer in `tests/golden_planner.rs` and
 //! `tests/golden_sim.rs`.
 
+use graphpipe::fleet::FleetConfig;
 use graphpipe::obs::{PerfettoSink, SummarySink, Telemetry};
 use graphpipe::prelude::*;
 use graphpipe::serve::json::Json;
@@ -130,14 +131,19 @@ fn session_run_exports_valid_trace_with_deep_spans() {
     assert!(saw_slice, "no simulated task slices");
     assert!(trace.contains("simulated cluster"));
 
-    // Serving through the same session records latency histograms.
-    let service = session.serve(1, 4);
-    service.plan(PlannerKind::GraphPipe).unwrap();
-    service.plan(PlannerKind::GraphPipe).unwrap();
-    let stats = service.shutdown();
-    assert_eq!(stats.miss_latency.count, 1, "{stats}");
-    assert_eq!(stats.hit_latency.count, 1, "{stats}");
-    assert!(stats.render().contains("hit latency"), "{stats}");
+    // Serving through the same session records latency histograms: one
+    // planned miss (queue wait + worker round trip), one shard hit.
+    let fleet = session.serve_fleet(FleetConfig::local(1, 4)).unwrap();
+    fleet.plan(PlannerKind::GraphPipe).unwrap();
+    fleet.plan(PlannerKind::GraphPipe).unwrap();
+    let stats = fleet.shutdown();
+    assert_eq!(stats.shard_hits, 1, "{}", stats.render());
+    assert_eq!(stats.worker_rtt.count, 1, "{}", stats.render());
+    assert_eq!(stats.queue_wait.count, 1, "{}", stats.render());
+    assert!(stats.render().contains("worker-rtt"), "{}", stats.render());
+    for name in ["fleet.worker_rtt_ns", "fleet.queue_wait_ns"] {
+        assert_eq!(telemetry.histogram_snapshot(name).count, 1, "{name}");
+    }
 }
 
 /// The committed `BENCH_serve.json` (written by `serve_load --out`) must

@@ -3,6 +3,7 @@
 //! type, and the pinned equivalence between `Session::compare` and the
 //! hand-wired per-planner evaluation it replaced.
 
+use graphpipe::fleet::{canonical_artifact, FleetConfig};
 use graphpipe::prelude::*;
 use graphpipe::serve::{artifact, PlanRequest, ServeError};
 use std::sync::Arc;
@@ -67,29 +68,29 @@ fn session_plan_round_trips_artifact_and_matches_request_fingerprint() {
 #[test]
 fn served_plans_match_local_plans_and_hit_the_cache() {
     let session = mmt_session(PlanOptions::default());
-    let service = session.serve(2, 8);
+    let fleet = session.serve_fleet(FleetConfig::local(2, 8)).unwrap();
 
-    let served = service.plan(PlannerKind::GraphPipe).unwrap();
+    let served = fleet.plan(PlannerKind::GraphPipe).unwrap();
     let local = session.plan(PlannerKind::GraphPipe).unwrap();
     assert_eq!(served.fingerprint(), local.fingerprint());
-    // Identical strategies modulo the machine-dependent search wall-clock.
-    let strip = |p: &Plan| {
-        let mut p = p.clone();
-        p.stats.zero_walls();
-        p
-    };
-    assert_eq!(strip(served.plan()), strip(local.plan()));
+    // Identical strategies. Served plans are decoded from the canonical
+    // artifact (search stats zeroed), so compare canonical bytes.
+    let fp = local.fingerprint();
+    assert_eq!(
+        canonical_artifact(served.plan(), fp),
+        canonical_artifact(local.plan(), fp)
+    );
 
-    let again = service.plan(PlannerKind::GraphPipe).unwrap();
+    let again = fleet.plan(PlannerKind::GraphPipe).unwrap();
     assert_eq!(again.fingerprint(), served.fingerprint());
-    let stats = service.shutdown();
-    assert_eq!(stats.planner_runs, 1, "{stats}");
-    assert_eq!(stats.hits, 1, "{stats}");
+    let stats = fleet.shutdown();
+    assert_eq!(stats.planner_runs, 1, "{}", stats.render());
+    assert_eq!(stats.shard_hits, 1, "{}", stats.render());
 }
 
 /// An evaluate-derived (sweep-best) strategy is fingerprinted by the
 /// winning forced-micro-batch request, and handing that exact request to a
-/// `PlanService` reproduces the same plan — fingerprint equality implies
+/// `FleetService` reproduces the same plan — fingerprint equality implies
 /// plan identity across the local, served, and artifact paths.
 #[test]
 fn evaluate_fingerprint_keys_the_winning_request_and_reproduces_via_serve() {
@@ -112,20 +113,24 @@ fn evaluate_fingerprint_keys_the_winning_request_and_reproduces_via_serve() {
 
     // A plan service given the winning request serves the identical plan
     // under the identical fingerprint.
-    let service = session.serve(1, 4);
-    let ticket = service.service().submit(forced);
-    assert_eq!(ticket.fingerprint(), res.plan.fingerprint());
+    let fleet = session.serve_fleet(FleetConfig::local(1, 4)).unwrap();
+    let ticket = fleet.fleet().submit("default", forced).unwrap();
+    let fp = res.plan.fingerprint();
+    assert_eq!(ticket.fingerprint(), fp);
     let served = ticket.wait().unwrap();
+    assert_eq!(
+        canonical_artifact(&served, fp),
+        canonical_artifact(res.plan.plan(), fp)
+    );
+
+    // The sweep winner's artifact round-trips through the same session,
+    // keeping the recorded (forced-request) fingerprint (walls zeroed:
+    // the codec doesn't carry per-phase timings).
     let strip = |p: &Plan| {
         let mut p = p.clone();
         p.stats.zero_walls();
         p
     };
-    assert_eq!(strip(&served), strip(res.plan.plan()));
-
-    // The sweep winner's artifact round-trips through the same session,
-    // keeping the recorded (forced-request) fingerprint (walls zeroed:
-    // the codec doesn't carry per-phase timings).
     let restored = session
         .load_artifact(&res.plan.artifact(), PlannerKind::GraphPipe)
         .unwrap();
@@ -263,8 +268,8 @@ fn serve_path_failures_normalize_to_plan_errors() {
         .options(PlanOptions::default().with_micro_batch_candidates(vec![7]))
         .build()
         .unwrap();
-    let service = session.serve(1, 4);
-    let served = service.plan(PlannerKind::GraphPipe).unwrap_err();
+    let fleet = session.serve_fleet(FleetConfig::local(1, 4)).unwrap();
+    let served = fleet.plan(PlannerKind::GraphPipe).unwrap_err();
     let local = session.plan(PlannerKind::GraphPipe).unwrap_err();
     assert!(matches!(served, graphpipe::Error::Plan(_)), "{served:?}");
     assert_eq!(served, local);
