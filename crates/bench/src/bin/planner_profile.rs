@@ -18,9 +18,6 @@
 //!
 //! * `--smoke` — small fixed-budget subset with pinned plan fingerprints;
 //!   exits non-zero when any fingerprint drifts (CI uses this);
-//! * `--parallel N` — plan with [`ParallelPlanner`] over `N` threads
-//!   instead of the sequential planner (plans are identical by
-//!   construction; only the wall time moves);
 //! * `--beam W` — beam width for every cell (`0` = unbounded), overriding
 //!   the per-device-count policy;
 //! * `--warm` — plan each cell twice (cold, then warm-started from the
@@ -28,6 +25,9 @@
 //!   construction;
 //! * `--models a,b` / `--gpus 8,16` — restrict the sweep;
 //! * `--out PATH` — where to write the JSON (default `BENCH_planner.json`).
+//!
+//! The planner fans each large probe out onto idle cores, so walls depend
+//! on the host: the JSON header records its `host_cores`.
 
 use gp_bench::harness::{harness_options, paper_mini_batch};
 use graphpipe::prelude::*;
@@ -117,45 +117,30 @@ fn plan_once(
     cluster: &Cluster,
     mini_batch: u64,
     opts: &PlanOptions,
-    parallel: usize,
     warm: Option<WarmStart>,
 ) -> Result<Plan, PlanError> {
-    if parallel > 1 {
-        let mut p = ParallelPlanner::with_options(opts.clone(), parallel);
-        if let Some(w) = warm {
-            p = p.with_warm_start(w);
-        }
-        p.plan(model, cluster, mini_batch)
-    } else {
-        let mut p = GraphPipePlanner::with_options(opts.clone());
-        if let Some(w) = warm {
-            p = p.with_warm_start(w);
-        }
-        p.plan(model, cluster, mini_batch)
+    let mut p = GraphPipePlanner::with_options(opts.clone());
+    if let Some(w) = warm {
+        p = p.with_warm_start(w);
     }
+    p.plan(model, cluster, mini_batch)
 }
 
-fn run_cell(
-    name: &'static str,
-    gpus: usize,
-    opts: &PlanOptions,
-    parallel: usize,
-    warm: bool,
-) -> CellResult {
+fn run_cell(name: &'static str, gpus: usize, opts: &PlanOptions, warm: bool) -> CellResult {
     let model = model_by_name(name);
     let cluster = Cluster::summit_like(gpus);
     let mini_batch = paper_mini_batch(name, gpus);
     let warm_hint = if warm {
         // Seed from a cold plan of the same cell: the warm walk must land
         // on the identical strategy, so only the wall below changes.
-        let cold = plan_once(&model, &cluster, mini_batch, opts, parallel, None)
+        let cold = plan_once(&model, &cluster, mini_batch, opts, None)
             .unwrap_or_else(|e| panic!("{name}@{gpus} (cold): {e}"));
         Some(WarmStart::from_plan(&cold, gpus as u32, gpus as u32))
     } else {
         None
     };
     let t0 = Instant::now();
-    let plan = plan_once(&model, &cluster, mini_batch, opts, parallel, warm_hint)
+    let plan = plan_once(&model, &cluster, mini_batch, opts, warm_hint)
         .unwrap_or_else(|e| panic!("{name}@{gpus}: {e}"));
     let wall_secs = t0.elapsed().as_secs_f64();
     CellResult {
@@ -173,9 +158,14 @@ fn run_cell(
     }
 }
 
+/// The host's core count, which bounds how far a search fans out.
+fn host_cores() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
+}
+
 /// Wall times of the committed profile, keyed `(model, gpus)`. Only
-/// sequential (parallelism == 1) profiles count as baselines — parallel
-/// walls are not comparable across thread counts.
+/// profiles from a host with as many cores count as baselines, plus
+/// single-threaded ones from before the fan-out (`parallelism: 1`).
 fn load_baseline(path: &str) -> Vec<(String, usize, f64)> {
     let Ok(text) = std::fs::read_to_string(path) else {
         return Vec::new();
@@ -183,7 +173,11 @@ fn load_baseline(path: &str) -> Vec<(String, usize, f64)> {
     let Ok(doc) = Json::parse(&text) else {
         return Vec::new();
     };
-    if doc.get("parallelism").and_then(Json::as_u64) != Some(1) {
+    let comparable = match doc.get("host_cores").and_then(Json::as_u64) {
+        Some(cores) => cores == host_cores() as u64,
+        None => doc.get("parallelism").and_then(Json::as_u64) == Some(1),
+    };
+    if !comparable {
         return Vec::new();
     }
     let Some(cells) = doc.get("cells").and_then(Json::as_arr) else {
@@ -201,10 +195,10 @@ fn load_baseline(path: &str) -> Vec<(String, usize, f64)> {
         .collect()
 }
 
-fn emit_json(results: &[CellResult], parallel: usize) -> String {
+fn emit_json(results: &[CellResult]) -> String {
     let mut out = String::new();
     out.push_str("{\n  \"bench\": \"planner_profile\",\n");
-    let _ = writeln!(out, "  \"parallelism\": {},", parallel.max(1));
+    let _ = writeln!(out, "  \"host_cores\": {},", host_cores());
     out.push_str("  \"cells\": [\n");
     for (i, r) in results.iter().enumerate() {
         let s = &r.stats;
@@ -257,7 +251,6 @@ fn emit_json(results: &[CellResult], parallel: usize) -> String {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut smoke = false;
-    let mut parallel = 1usize;
     let mut beam_override: Option<u32> = None;
     let mut warm = false;
     let mut models: Vec<String> = vec![
@@ -273,12 +266,6 @@ fn main() {
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--smoke" => smoke = true,
-            "--parallel" => {
-                parallel = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--parallel N");
-            }
             "--beam" => {
                 beam_override = Some(it.next().and_then(|v| v.parse().ok()).expect("--beam W"));
             }
@@ -344,7 +331,7 @@ fn main() {
         for &(name, g, beam, warm_cell, expected) in SMOKE_CELLS {
             let mut opts = base.clone();
             opts.beam_width = (beam != 0).then_some(beam);
-            let r = run_cell(as_static(name), g, &opts, parallel, warm_cell);
+            let r = run_cell(as_static(name), g, &opts, warm_cell);
             let ok = r.fingerprint == expected;
             println!(
                 "{:<16} gpus={:<3} beam={:<2} warm={:<5} wall={:.3}s evals={} hit-rate={:.1}% fp={} {}",
@@ -364,7 +351,7 @@ fn main() {
             }
             results.push(r);
         }
-        std::fs::write(&out_path, emit_json(&results, parallel)).expect("write json");
+        std::fs::write(&out_path, emit_json(&results)).expect("write json");
         if drifted {
             eprintln!("plan fingerprint drift detected (see above)");
             std::process::exit(1);
@@ -381,13 +368,11 @@ fn main() {
         let name = as_static(m);
         for &g in &gpus {
             let cell_opts = cell_options(&opts, g);
-            let mut r = run_cell(name, g, &cell_opts, parallel, warm);
-            if parallel <= 1 {
-                r.baseline_wall_secs = baseline
-                    .iter()
-                    .find(|(bm, bg, _)| bm == name && *bg == g)
-                    .map(|&(_, _, w)| w);
-            }
+            let mut r = run_cell(name, g, &cell_opts, warm);
+            r.baseline_wall_secs = baseline
+                .iter()
+                .find(|(bm, bg, _)| bm == name && *bg == g)
+                .map(|&(_, _, w)| w);
             let speedup = r
                 .baseline_wall_secs
                 .map(|b| format!(" speedup={:.2}x", b / r.wall_secs.max(1e-9)))
@@ -407,6 +392,6 @@ fn main() {
             results.push(r);
         }
     }
-    std::fs::write(&out_path, emit_json(&results, parallel)).expect("write json");
+    std::fs::write(&out_path, emit_json(&results)).expect("write json");
     println!("wrote {out_path}");
 }

@@ -120,8 +120,7 @@ pub mod prelude {
     pub use crate::ir::{DagOptions, Graph, OpId, PlanPath, SpModel};
     pub use crate::obs::{JsonlSink, PerfettoSink, SummarySink, Telemetry, TraceSink};
     pub use crate::partition::{
-        GraphPipePlanner, ParallelPlanner, Plan, PlanError, PlanOptions, Planner, SearchStats,
-        WarmStart,
+        GraphPipePlanner, Plan, PlanError, PlanOptions, Planner, SearchStats, WarmStart,
     };
     pub use crate::sim::{render_gantt, SimOptions, SimReport};
     pub use crate::verify::{verify_plan, verify_schedule, verify_strategy, VerifyReport};

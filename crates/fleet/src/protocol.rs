@@ -6,14 +6,16 @@
 //! Three JSON document kinds travel over a worker connection, all
 //! distinguished by their `format` marker:
 //!
-//! * **plan request** (`graphpipe-plan-request`, version 1) — everything a
+//! * **plan request** (`graphpipe-plan-request`, version 2) — everything a
 //!   planner needs: the model (operator list + SP tree), the cluster, the
 //!   mini-batch, the full search options, the planner choice, and an
 //!   optional warm-start hint. The codec is *lossless*: decoding an
 //!   encoded request rebuilds a model with identical operator numbering
 //!   (`numbering_signature` equal) and an identical request fingerprint,
 //!   which is what makes remote planning byte-compatible with local
-//!   planning.
+//!   planning. Version 2 dropped version 1's required
+//!   `options.parallelism`; in a version 1 document it is ignored like
+//!   any unknown member.
 //! * **plan artifact** (`graphpipe-plan`) — the success reply; exactly the
 //!   `gp-serve` artifact codec bytes ([`canonical_artifact`]), passed
 //!   through verbatim so the bytes a remote worker computed are the bytes
@@ -47,7 +49,7 @@ use std::sync::Arc;
 pub const REQUEST_FORMAT: &str = "graphpipe-plan-request";
 
 /// The plan-request version this build writes.
-pub const REQUEST_VERSION: u64 = 1;
+pub const REQUEST_VERSION: u64 = 2;
 
 /// The plan-error `format` marker.
 pub const ERROR_FORMAT: &str = "graphpipe-plan-error";
@@ -94,8 +96,8 @@ impl std::error::Error for ProtocolError {}
 
 /// The canonical artifact the fleet serves and persists: the `gp-serve`
 /// plan codec with the **search stats zeroed**. Search counters and wall
-/// clocks are measurement — they vary with warm starts, parallelism, and
-/// the machine — while the strategy itself is a pure function of the
+/// clocks are measurement — they vary with warm starts and the machine —
+/// while the strategy itself is a pure function of the
 /// request. Zeroing them makes the artifact bytes a pure function of the
 /// request too, which is the fleet's determinism contract: a remotely
 /// planned artifact is byte-identical to a locally planned one.
@@ -413,7 +415,6 @@ fn encode_options(options: &PlanOptions) -> Json {
             "eval_budget".into(),
             Json::Int(i128::from(options.eval_budget)),
         ),
-        ("parallelism".into(), Json::Int(options.parallelism as i128)),
         (
             "beam_width".into(),
             match options.beam_width {
@@ -707,10 +708,6 @@ fn decode_options(doc: &Json) -> Result<PlanOptions, ProtocolError> {
             .get("eval_budget")
             .and_then(Json::as_u64)
             .ok_or(ProtocolError::Field("options.eval_budget"))?,
-        parallelism: doc
-            .get("parallelism")
-            .and_then(Json::as_u64)
-            .ok_or(ProtocolError::Field("options.parallelism"))? as usize,
         beam_width: match doc.get("beam_width") {
             None | Some(Json::Null) => None,
             Some(v) => Some(
@@ -828,7 +825,6 @@ mod tests {
                 kfkb_candidates: vec![1, 2],
                 per_stage_micro_batch: true,
                 eval_budget: 12345,
-                parallelism: 3,
                 beam_width: Some(6),
             }),
             PlanRequest::new(Arc::new(zoo::moe(&MoeConfig::tiny())), cluster, 256)
@@ -915,5 +911,36 @@ mod tests {
             Err(ProtocolError::UnsupportedVersion(_))
         ));
         assert!(classify_reply("{\"format\":\"mystery\"}").is_err());
+    }
+
+    #[test]
+    fn a_huge_parallelism_member_is_ignored() {
+        // Version 1 documents carry `options.parallelism`. Whatever its
+        // value, it must reach neither the fingerprint nor the planner.
+        let request = PlanRequest::new(
+            Arc::new(zoo::mmt(&MmtConfig::two_branch())),
+            Cluster::summit_like(4),
+            64,
+        );
+        let plain = encode_request(&request, None);
+        let hostile = plain.replacen(
+            "\"options\":{",
+            "\"options\":{\"parallelism\":18446744073709551615,",
+            1,
+        );
+        assert_ne!(hostile, plain, "the member was injected");
+        let (decoded, _) = decode_request(&hostile).expect("an unknown member is ignored");
+        assert_eq!(decoded.fingerprint(), request.fingerprint());
+        let plan = |r: &PlanRequest| {
+            let planner = r
+                .planner
+                .build(r.options.clone(), &Default::default(), None);
+            let mut plan = planner
+                .plan(&r.model, &r.cluster, r.mini_batch)
+                .expect("plans normally");
+            plan.stats.zero_walls();
+            plan
+        };
+        assert_eq!(plan(&decoded), plan(&request));
     }
 }

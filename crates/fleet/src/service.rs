@@ -1176,25 +1176,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_requests_share_the_sequential_cache_entry() {
-        // One hot request may spend idle cores via options.parallelism;
-        // the produced plan is identical, so sequential and parallel
-        // requests must collapse onto a single cache entry.
-        let service = local(2, 8);
-        let parallel = request().with_options(PlanOptions {
-            parallelism: 3,
-            ..PlanOptions::default()
-        });
-        assert_eq!(request().fingerprint(), parallel.fingerprint());
-        let a = plan(&service, parallel).unwrap();
-        let b = plan(&service, request()).unwrap();
-        assert_eq!(a, b);
-        let stats = service.stats();
-        assert_eq!(stats.planner_runs, 1, "{stats:?}");
-        assert_eq!(stats.shard_hits, 1, "{stats:?}");
-    }
-
-    #[test]
     fn near_miss_warm_start_serves_the_cold_plan() {
         // Same model, different cluster size and mini-batch: a fingerprint
         // near miss. The warm-started plan must be the plan a cold service

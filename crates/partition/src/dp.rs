@@ -50,30 +50,32 @@
 //!   indexed by `NodeIdx` (× micro-batch candidate), and op-membership
 //!   tests use a stamped scratch array instead of per-call hash sets.
 //!
-//! # Determinism & the parallel search
+//! # Determinism & the probe fan-out
 //!
 //! A single DP run is a pure function of `(graph, cost, SP tree, t_max,
 //! micro-batch candidates, eval budget)`: candidate enumeration order,
 //! tie-breaking, and `Down` interning order are all fixed, and the run
 //! shares no state with other runs. The binary search's probe *sequence*
-//! is in turn a deterministic function of per-probe feasibility. The
-//! parallel planner ([`crate::ParallelPlanner`]) exploits exactly this: it
-//! speculatively evaluates probe targets (the geometric bracket ladder,
-//! plus the upcoming midpoints of the bisection's decision tree) and
-//! micro-batch configurations on scoped worker threads, then **replays the
-//! sequential probe order**, consuming speculative results instead of
-//! computing them. Merged [`SearchStats`] counters are accumulated in
-//! replay order, so the returned [`Plan`] — strategy *and* deterministic
-//! counters — is identical to the sequential planner's; only `stats.wall`
-//! differs. Speculative runs execute under the full eval budget; if the
-//! replay finds that the sequential search would have run out of budget
-//! mid-run, that run is re-executed with the exact remaining budget so
-//! even [`PlanError::SearchExplosion`] accounting is bit-identical.
+//! is in turn a deterministic function of per-probe feasibility. A probe
+//! runs one DP per micro-batch configuration, and those runs are
+//! independent, so a probe may **fan them out** onto helper threads drawn
+//! from the process-wide [`CoreBudget`]: the calling thread takes runs
+//! from the front of a shared range and its helpers from the back, and
+//! the results are put back in configuration order before
+//! [`replay_probe`] merges them. Merged [`SearchStats`] counters are
+//! accumulated in that order, so the returned [`Plan`] — strategy *and*
+//! deterministic counters — does not depend on the thread count or the
+//! interleaving; only `stats.wall` does. A helper's run executes under
+//! the probe's whole remaining eval budget; if the replay finds that the
+//! sequential search would have run out of budget mid-run, that run is
+//! re-executed with the exact remaining budget so even
+//! [`PlanError::SearchExplosion`] accounting is bit-identical.
 //!
 //! gp-lint: deterministic — this module's outputs feed plan
 //! fingerprints or the artifact codec; `cargo xtask lint` scans it for
 //! nondeterminism hazards (DESIGN.md §"Determinism lint").
 
+use crate::cores::CoreBudget;
 use crate::plan::{Plan, PlanError, PlanOptions, Planner, SearchStats, WarmStart};
 use gp_cluster::{Cluster, DeviceRange};
 use gp_cost::{CostModel, Pass, BYTES_PER_PARAM_STATE};
@@ -81,6 +83,7 @@ use gp_ir::{Graph, OpId, SpBlock, SpModel};
 use gp_obs::{ClockHandle, Telemetry};
 use gp_sched::{assign_in_flight, compute_in_flight, schedule_tasks, Stage, StageGraph, StageId};
 use std::collections::HashMap;
+use std::sync::{Mutex, OnceLock};
 
 // ---------------------------------------------------------------- arena --
 
@@ -1700,19 +1703,19 @@ impl<'a> Dp<'a> {
 
 /// A solved stage of a finished DP run, with ops resolved.
 #[derive(Debug, Clone)]
-pub(crate) struct SolvedStage {
-    pub(crate) ops: Vec<OpId>,
-    pub(crate) d: u32,
-    pub(crate) b: u64,
-    pub(crate) k: u64,
+struct SolvedStage {
+    ops: Vec<OpId>,
+    d: u32,
+    b: u64,
+    k: u64,
 }
 
 /// The owned, thread-transferable result of one successful DP run.
 #[derive(Debug, Clone)]
-pub(crate) struct Solution {
-    pub(crate) stages: Vec<SolvedStage>,
-    pub(crate) peak_mem: u64,
-    pub(crate) max_entry: u64,
+struct Solution {
+    stages: Vec<SolvedStage>,
+    peak_mem: u64,
+    max_entry: u64,
 }
 
 impl Solution {
@@ -1730,29 +1733,29 @@ impl Solution {
 /// target), including its budget so the replay can decide whether the run
 /// is valid for the sequential budget trajectory.
 #[derive(Debug, Clone)]
-pub(crate) struct RunResult {
-    pub(crate) solution: Option<Solution>,
-    pub(crate) evals: u64,
-    pub(crate) distinct_states: u64,
-    pub(crate) memo_hits: u64,
-    pub(crate) memo_misses: u64,
-    pub(crate) work_bound_prunes: u64,
-    pub(crate) memory_prunes: u64,
-    pub(crate) beam_prunes: u64,
-    pub(crate) eval_batches: u64,
-    pub(crate) exploded: bool,
-    pub(crate) budget: u64,
+struct RunResult {
+    solution: Option<Solution>,
+    evals: u64,
+    distinct_states: u64,
+    memo_hits: u64,
+    memo_misses: u64,
+    work_bound_prunes: u64,
+    memory_prunes: u64,
+    beam_prunes: u64,
+    eval_batches: u64,
+    exploded: bool,
+    budget: u64,
 }
 
 /// Everything a DP run needs, shared (immutably) across worker threads.
-pub(crate) struct SearchCtx<'a> {
-    pub(crate) graph: &'a Graph,
-    pub(crate) cost: CostModel,
-    pub(crate) root: &'a SpBlock,
-    pub(crate) devices: u32,
-    pub(crate) mini_batch: u64,
-    pub(crate) b_all: Vec<u64>,
-    pub(crate) options: &'a PlanOptions,
+struct SearchCtx<'a> {
+    graph: &'a Graph,
+    cost: CostModel,
+    root: &'a SpBlock,
+    devices: u32,
+    mini_batch: u64,
+    b_all: Vec<u64>,
+    options: &'a PlanOptions,
     /// Work-conservation lower bound on the achievable TPS.
     t_base: f64,
     /// Loosest target worth probing (`cost.max_tps` of the whole model).
@@ -1760,7 +1763,7 @@ pub(crate) struct SearchCtx<'a> {
 }
 
 impl<'a> SearchCtx<'a> {
-    pub(crate) fn new(
+    fn new(
         model: &'a SpModel,
         cluster: &Cluster,
         mini_batch: u64,
@@ -1807,9 +1810,8 @@ impl<'a> SearchCtx<'a> {
     }
 
     /// The geometric bracket ladder: `2 * t_base * 2^j` while within the
-    /// loosest worthwhile target. Fully precomputable, which is what lets
-    /// the parallel provider speculate the bracket phase.
-    pub(crate) fn ladder(&self) -> Vec<f64> {
+    /// loosest worthwhile target.
+    fn ladder(&self) -> Vec<f64> {
         let mut out = Vec::new();
         let mut t = 2.0 * self.t_base;
         while t <= 4.0 * self.t_hi0 {
@@ -1823,7 +1825,7 @@ impl<'a> SearchCtx<'a> {
     /// run each), plus how many sizes the work-conservation pre-filter
     /// discarded. Skipping sizes whose bound already exceeds the target is
     /// sound: the whole model's work must fit `d * t_max`.
-    pub(crate) fn run_specs(&self, t: f64) -> (Vec<Vec<u64>>, u64) {
+    fn run_specs(&self, t: f64) -> (Vec<Vec<u64>>, u64) {
         let feasible: Vec<u64> = self
             .b_all
             .iter()
@@ -1848,7 +1850,7 @@ impl<'a> SearchCtx<'a> {
 
 /// Runs one DP to completion: one `(t_max, micro-batch candidates)`
 /// configuration under `budget` evals.
-pub(crate) fn run_dp(ctx: &SearchCtx<'_>, t_max: f64, b_cands: Vec<u64>, budget: u64) -> RunResult {
+fn run_dp(ctx: &SearchCtx<'_>, t_max: f64, b_cands: Vec<u64>, budget: u64) -> RunResult {
     let mut dp = Dp::new(ctx, t_max, b_cands, budget);
     let root = dp.arena.root;
     let sol = dp.solve(root, ctx.devices, 0);
@@ -1869,58 +1871,122 @@ pub(crate) fn run_dp(ctx: &SearchCtx<'_>, t_max: f64, b_cands: Vec<u64>, budget:
 
 // ----------------------------------------------------------- the driver --
 
-/// Supplies probe results to the search driver. Implementations must
-/// return, for target `t`, one [`RunResult`] per [`SearchCtx::run_specs`]
-/// entry (in order). Each run records the budget it executed under; the
-/// replay re-runs any run whose budget diverged from the sequential
-/// trajectory in a way that mattered.
-pub(crate) trait ProbeProvider {
-    /// Computes (or retrieves a speculatively computed) probe, giving up
-    /// ownership of its runs. `remaining` is the eval budget the
-    /// sequential search would have left at this point — an on-demand
-    /// provider should honor it (making the replay's re-run path dead
-    /// code); a speculative provider cannot know it in advance and uses
-    /// the full budget instead.
-    fn take(&mut self, t: f64, remaining: u64) -> Vec<RunResult>;
+/// Evals a search charges before its probes may spawn helpers. A spawn
+/// and join costs 130–190 µs on a 2-core host, several thousand evals'
+/// worth, so a search must first show it is big enough to repay one;
+/// tiny models charge 38–130 evals in all and never spawn.
+const FANOUT_MIN_EVALS: u64 = 50_000;
 
-    /// Hints targets that may be consumed soon (in likelihood order). A
-    /// speculative provider evaluates a prefix of them concurrently.
-    fn prefetch(&mut self, _targets: &[f64]) {}
+/// Where a search's helper threads come from: `cores`, tapped only once
+/// the search has charged `gate` evals.
+#[derive(Clone, Copy)]
+struct Fanout<'b> {
+    cores: &'b CoreBudget,
+    gate: u64,
+}
 
-    /// How many bisection levels ahead the driver should reveal to
-    /// `prefetch` (0 disables speculation).
-    fn spec_depth(&self) -> u32 {
-        0
+impl Fanout<'static> {
+    /// The process-wide core budget behind [`FANOUT_MIN_EVALS`].
+    fn host() -> Self {
+        Fanout {
+            cores: CoreBudget::global(),
+            gate: FANOUT_MIN_EVALS,
+        }
     }
 }
 
-/// The sequential provider: computes every probe on demand, nothing
-/// speculative.
-struct SequentialProvider<'c, 'a> {
-    ctx: &'c SearchCtx<'a>,
-}
-
-impl ProbeProvider for SequentialProvider<'_, '_> {
-    fn take(&mut self, t: f64, remaining: u64) -> Vec<RunResult> {
-        // Mirror the in-probe budget trajectory exactly: run `i` executes
-        // under what remains after runs `0..i`, so the replay never needs
-        // to re-run anything on the sequential path — and an explosion
-        // aborts the probe immediately (the replay errors out at that run
-        // without looking past it).
-        let (specs, _) = self.ctx.run_specs(t);
+/// The probe executor: runs the DP of each micro-batch configuration in
+/// `specs` at target `t` and returns one [`RunResult`] per spec, in spec
+/// order, for [`replay_probe`]; the list ends early at a run that
+/// exhausted the budget.
+///
+/// The calling thread claims runs from the front, in spec order, under
+/// the exact sequential budget trajectory: run `i` gets what remains
+/// after runs `0..i`, and an explosion ends the probe. Once the search
+/// has charged `fanout.gate` evals, counting this probe's finished runs,
+/// it leases helpers for all but one of the unclaimed runs. Helpers
+/// claim from the back, the largest micro-batch first, because the
+/// work-conservation bound prunes large micro-batches least, so the last
+/// runs usually cost the most. A helper's run gets the probe's whole
+/// `remaining` budget; the replay re-runs the rare one whose budget
+/// mattered.
+fn run_probe(
+    ctx: &SearchCtx<'_>,
+    t: f64,
+    specs: &[Vec<u64>],
+    remaining: u64,
+    charged: u64,
+    fanout: Fanout<'_>,
+    telemetry: &Telemetry,
+) -> Vec<RunResult> {
+    let unclaimed = Mutex::new(0..specs.len());
+    let claim = |from_back: bool| {
+        let mut runs = unclaimed.lock().expect("no thread panics claiming a run");
+        if from_back {
+            runs.next_back()
+        } else {
+            runs.next()
+        }
+    };
+    let slots: Vec<OnceLock<RunResult>> = specs.iter().map(|_| OnceLock::new()).collect();
+    let store = |i: usize, run: RunResult| {
+        assert!(slots[i].set(run).is_ok(), "run {i} executed twice");
+    };
+    let helper = || {
+        while let Some(i) = claim(true) {
+            store(i, run_dp(ctx, t, specs[i].clone(), remaining));
+        }
+    };
+    let mut helpers = None;
+    std::thread::scope(|s| {
         let mut used = 0u64;
-        let mut runs = Vec::with_capacity(specs.len());
-        for b_cands in specs {
-            let run = run_dp(self.ctx, t, b_cands, remaining.saturating_sub(used));
+        loop {
+            if helpers.is_none() && charged + used >= fanout.gate {
+                let left = unclaimed
+                    .lock()
+                    .expect("no thread panics claiming a run")
+                    .len();
+                let lease = fanout.cores.helpers(left.saturating_sub(1));
+                if lease.granted() > 0 {
+                    telemetry.counter_add("planner.fanout_probes", 1);
+                    telemetry.counter_add("planner.fanout_helpers", lease.granted() as u64);
+                    for _ in 0..lease.granted() {
+                        s.spawn(helper);
+                    }
+                    helpers = Some(lease);
+                }
+            }
+            let Some(i) = claim(false) else { break };
+            let run = run_dp(ctx, t, specs[i].clone(), remaining.saturating_sub(used));
             used += run.evals;
             let exploded = run.exploded;
-            runs.push(run);
+            store(i, run);
             if exploded {
+                // The replay stops here: leave the later runs unclaimed.
+                *unclaimed.lock().expect("no thread panics claiming a run") = 0..0;
                 break;
             }
         }
-        runs
-    }
+    });
+    drop(helpers);
+    slots.into_iter().map_while(OnceLock::into_inner).collect()
+}
+
+/// One binary-search probe at target `t`: runs the probe, then replays it
+/// into the search's stats and budget trajectory.
+fn probe(
+    ctx: &SearchCtx<'_>,
+    t: f64,
+    fanout: Fanout<'_>,
+    stats: &mut SearchStats,
+    evals_used: &mut u64,
+    telemetry: &Telemetry,
+) -> Result<Option<Solution>, PlanError> {
+    let _probe = telemetry.span_with("search.probe", stats.binary_iters as u64 + 1);
+    let (specs, _) = ctx.run_specs(t);
+    let remaining = ctx.options.eval_budget.saturating_sub(*evals_used);
+    let runs = run_probe(ctx, t, &specs, remaining, *evals_used, fanout, telemetry);
+    replay_probe(ctx, t, runs, stats, evals_used, telemetry)
 }
 
 /// Replays one probe in sequential order, merging its runs into the
@@ -1940,11 +2006,11 @@ fn replay_probe(
     stats.binary_iters += 1;
     let (specs, filtered) = ctx.run_specs(t);
     stats.work_bound_prunes += filtered;
-    // A provider may truncate after an exploded run (nothing past it is
+    // The executor may truncate after an exploded run (nothing past it is
     // ever consumed); otherwise the counts must agree.
     debug_assert!(
         runs.len() == specs.len() || runs.last().is_some_and(|r| r.exploded),
-        "provider returned {} runs for {} specs",
+        "executor returned {} runs for {} specs",
         runs.len(),
         specs.len()
     );
@@ -1985,24 +2051,10 @@ fn replay_probe(
     Ok(best)
 }
 
-/// The future midpoints of the bisection's decision tree over `[lo, hi)`,
-/// to `depth` levels: after probing `mid(lo, hi)` the next target is the
-/// midpoint of either half, so the whole frontier is known in advance.
-fn bisect_targets(lo: f64, hi: f64, epsilon: f64, depth: u32, out: &mut Vec<f64>) {
-    if depth == 0 || hi - lo <= epsilon * hi {
-        return;
-    }
-    let mid = 0.5 * (lo + hi);
-    out.push(mid);
-    bisect_targets(lo, mid, epsilon, depth - 1, out);
-    bisect_targets(mid, hi, epsilon, depth - 1, out);
-}
-
 /// Algorithm 1 lines 2–11: geometric bracketing from the
-/// work-conservation bound, then bisection to `epsilon`. The probe
-/// sequence is replayed strictly sequentially regardless of how the
-/// provider computed the probes, which is the determinism contract of the
-/// parallel planner.
+/// work-conservation bound, then bisection to `epsilon`. Probes run one
+/// at a time in this sequence; only a probe's own runs fan out (see
+/// [`run_probe`]).
 ///
 /// A warm hint enters the ladder at the rung its TPS predicts instead of
 /// the bottom, then walks toward the bracket: up while infeasible (the
@@ -2014,13 +2066,15 @@ fn bisect_targets(lo: f64, hi: f64, epsilon: f64, depth: u32, out: &mut Vec<f64>
 /// change. The exception is a search that runs out of eval budget:
 /// warm and cold spend the budget on different probes, so explosion
 /// accounting is only defined per walk.
-pub(crate) fn drive_search(
+fn drive_search(
     ctx: &SearchCtx<'_>,
-    provider: &mut dyn ProbeProvider,
+    fanout: Fanout<'_>,
     warm: Option<&WarmStart>,
     clock: &ClockHandle,
     telemetry: &Telemetry,
 ) -> Result<(Solution, SearchStats), PlanError> {
+    // This thread's core, held for the whole search.
+    let _own_core = fanout.cores.enter();
     let mut stats = SearchStats::default();
     let mut evals_used = 0u64;
     let epsilon = ctx.options.epsilon;
@@ -2042,18 +2096,9 @@ pub(crate) fn drive_search(
     {
         let _bracket = telemetry.span("search.bracket");
         while best.is_none() && rung < ladder.len() {
-            // Speculate only a couple of rungs ahead: the bracket almost
-            // always resolves within two probes, and high rungs (loose
-            // targets) are the most expensive ones to evaluate wastefully.
-            provider.prefetch(&ladder[rung..ladder.len().min(rung + 2)]);
             let t = ladder[rung];
             t_hi = t;
-            let remaining = ctx.options.eval_budget.saturating_sub(evals_used);
-            let probe = telemetry.span_with("search.probe", stats.binary_iters as u64 + 1);
-            let runs = provider.take(t, remaining);
-            let result = replay_probe(ctx, t, runs, &mut stats, &mut evals_used, telemetry);
-            drop(probe);
-            best = result?;
+            best = probe(ctx, t, fanout, &mut stats, &mut evals_used, telemetry)?;
             if best.is_none() {
                 // Infeasible guess: every rung below is infeasible too
                 // (monotonicity), so the remaining walk is the cold
@@ -2066,15 +2111,8 @@ pub(crate) fn drive_search(
         // Feasible warm guess: walk down to the lowest feasible rung —
         // the rung the cold walk stops at.
         while descending && rung > 0 {
-            let below: Vec<f64> = ladder[..rung].iter().rev().take(2).copied().collect();
-            provider.prefetch(&below);
             let t = ladder[rung - 1];
-            let remaining = ctx.options.eval_budget.saturating_sub(evals_used);
-            let probe = telemetry.span_with("search.probe", stats.binary_iters as u64 + 1);
-            let runs = provider.take(t, remaining);
-            let result = replay_probe(ctx, t, runs, &mut stats, &mut evals_used, telemetry);
-            drop(probe);
-            match result? {
+            match probe(ctx, t, fanout, &mut stats, &mut evals_used, telemetry)? {
                 Some(sol) => {
                     best = Some(sol);
                     t_hi = t;
@@ -2093,29 +2131,13 @@ pub(crate) fn drive_search(
         let _bisect = telemetry.span("search.bisect");
         // Refine within the bracket [t_lo, t_hi].
         while t_hi - t_lo > epsilon * t_hi {
-            let depth = provider.spec_depth();
-            if depth > 0 {
-                let mut targets = Vec::new();
-                bisect_targets(t_lo, t_hi, epsilon, depth, &mut targets);
-                provider.prefetch(&targets);
-            }
-            for _ in 0..depth.max(1) {
-                if t_hi - t_lo <= epsilon * t_hi {
-                    break;
+            let t_m = 0.5 * (t_lo + t_hi);
+            match probe(ctx, t_m, fanout, &mut stats, &mut evals_used, telemetry)? {
+                Some(sol) => {
+                    best = Some(sol);
+                    t_hi = t_m;
                 }
-                let t_m = 0.5 * (t_lo + t_hi);
-                let remaining = ctx.options.eval_budget.saturating_sub(evals_used);
-                let probe = telemetry.span_with("search.probe", stats.binary_iters as u64 + 1);
-                let runs = provider.take(t_m, remaining);
-                let result = replay_probe(ctx, t_m, runs, &mut stats, &mut evals_used, telemetry);
-                drop(probe);
-                match result? {
-                    Some(sol) => {
-                        best = Some(sol);
-                        t_hi = t_m;
-                    }
-                    None => t_lo = t_m,
-                }
+                None => t_lo = t_m,
             }
         }
         stats.phases.bisect_wall = clock.since(bisect_start);
@@ -2134,9 +2156,9 @@ pub(crate) fn drive_search(
 /// The GraphPipe planner: topology-aware stage partitioning with the §6
 /// micro-batch scheduler in the loop.
 ///
-/// With [`PlanOptions::parallelism`] above one the search runs on the
-/// speculative parallel driver (see [`crate::ParallelPlanner`]); the
-/// produced plan is identical either way.
+/// Large searches fan each probe's micro-batch runs out onto cores that
+/// no other search holds; the produced plan does not depend on how many
+/// cores it got.
 ///
 /// # Examples
 ///
@@ -2213,6 +2235,33 @@ impl GraphPipePlanner {
         self.warm.as_ref()
     }
 
+    /// The search with helper threads drawn from `fanout`.
+    fn plan_with(
+        &self,
+        model: &SpModel,
+        cluster: &Cluster,
+        mini_batch: u64,
+        fanout: Fanout<'_>,
+    ) -> Result<Plan, PlanError> {
+        let _search_span = self.telemetry.span("planner.search");
+        let start = self.clock.now_nanos();
+        let ctx = SearchCtx::new(model, cluster, mini_batch, &self.options)?;
+        let (solution, stats) = drive_search(
+            &ctx,
+            fanout,
+            self.warm.as_ref(),
+            &self.clock,
+            &self.telemetry,
+        )?;
+        let finalize_start = self.clock.now_nanos();
+        let _finalize_span = self.telemetry.span("planner.finalize");
+        let mut plan =
+            Self::solution_to_plan(&solution, model, cluster, &ctx.cost, mini_batch, stats)?;
+        plan.stats.phases.finalize_wall = self.clock.since(finalize_start);
+        plan.stats.wall = self.clock.since(start);
+        Ok(plan)
+    }
+
     fn solution_to_plan(
         solution: &Solution,
         model: &SpModel,
@@ -2270,46 +2319,14 @@ impl Planner for GraphPipePlanner {
     }
 
     fn plan(&self, model: &SpModel, cluster: &Cluster, mini_batch: u64) -> Result<Plan, PlanError> {
-        let _search_span = self.telemetry.span("planner.search");
-        let start = self.clock.now_nanos();
-        let ctx = SearchCtx::new(model, cluster, mini_batch, &self.options)?;
-        let (solution, stats) = if self.options.parallelism > 1 {
-            let mut provider = crate::parallel::SpeculativeProvider::new(
-                &ctx,
-                self.options.parallelism,
-                self.warm.as_ref().and_then(|w| w.micro_batch),
-            );
-            drive_search(
-                &ctx,
-                &mut provider,
-                self.warm.as_ref(),
-                &self.clock,
-                &self.telemetry,
-            )?
-        } else {
-            let mut provider = SequentialProvider { ctx: &ctx };
-            drive_search(
-                &ctx,
-                &mut provider,
-                self.warm.as_ref(),
-                &self.clock,
-                &self.telemetry,
-            )?
-        };
-        let finalize_start = self.clock.now_nanos();
-        let _finalize_span = self.telemetry.span("planner.finalize");
-        let mut plan =
-            Self::solution_to_plan(&solution, model, cluster, &ctx.cost, mini_batch, stats)?;
-        plan.stats.phases.finalize_wall = self.clock.since(finalize_start);
-        plan.stats.wall = self.clock.since(start);
-        Ok(plan)
+        self.plan_with(model, cluster, mini_batch, Fanout::host())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use gp_ir::zoo::{self, CandleUnoConfig, DlrmConfig, MmtConfig};
+    use gp_ir::zoo::{self, CandleUnoConfig, DlrmConfig, MmtConfig, MoeConfig};
 
     fn plan_for(model: &SpModel, devices: usize, mini_batch: u64) -> Result<Plan, PlanError> {
         GraphPipePlanner::new().plan(model, &Cluster::summit_like(devices), mini_batch)
@@ -2544,5 +2561,251 @@ mod tests {
         let p4 = plan_for(&model, 4, 1024).unwrap();
         let p8 = plan_for(&model, 8, 1024).unwrap();
         assert!(p8.bottleneck_tps <= p4.bottleneck_tps * 1.05);
+    }
+
+    /// Plans with exactly `helpers` helper threads on every probe that has
+    /// more than one run: a private budget with a core for each plus the
+    /// search's own, and no spawn gate. Zero helpers is the sequential
+    /// reference. Returns the wall-free result and the probes that fanned
+    /// out.
+    fn plan_fanned(
+        planner: &GraphPipePlanner,
+        model: &SpModel,
+        cluster: &Cluster,
+        mini_batch: u64,
+        helpers: usize,
+    ) -> (Result<Plan, PlanError>, u64) {
+        let cores = CoreBudget::new(helpers + 1);
+        let telemetry = Telemetry::enabled();
+        let planner = planner.clone().with_telemetry(telemetry.clone());
+        let fanout = Fanout {
+            cores: &cores,
+            gate: 0,
+        };
+        let result = planner
+            .plan_with(model, cluster, mini_batch, fanout)
+            .map(|mut plan| {
+                plan.stats.zero_walls();
+                plan
+            });
+        (result, fanout_probes(&telemetry))
+    }
+
+    fn fanout_probes(telemetry: &Telemetry) -> u64 {
+        let counters = telemetry.registry().expect("enabled").counters();
+        counters
+            .iter()
+            .find(|(name, _)| name == "planner.fanout_probes")
+            .map_or(0, |&(_, n)| n)
+    }
+
+    /// The sequential result, after checking that 1 and 3 helpers fan out
+    /// and reproduce it exactly: the plan with its search counters, or the
+    /// same error.
+    fn assert_fanout_parity(
+        planner: &GraphPipePlanner,
+        model: &SpModel,
+        cluster: &Cluster,
+        mini_batch: u64,
+        label: &str,
+    ) -> Result<Plan, PlanError> {
+        let (reference, none) = plan_fanned(planner, model, cluster, mini_batch, 0);
+        assert_eq!(none, 0, "{label}: the reference fanned out");
+        for helpers in [1, 3] {
+            let (fanned, probes) = plan_fanned(planner, model, cluster, mini_batch, helpers);
+            assert!(probes > 0, "{label}: no probe fanned out");
+            assert_eq!(fanned, reference, "{label}: helpers={helpers}");
+        }
+        reference
+    }
+
+    /// Checks fan-out parity on every `(model, devices, mini_batch)` cell.
+    fn assert_cells_fanout_parity(options: PlanOptions, cells: &[(&SpModel, usize, u64)]) {
+        let planner = GraphPipePlanner::with_options(options);
+        for &(model, devices, mini_batch) in cells {
+            let label = format!("{}@{devices}", model.name());
+            let cluster = Cluster::summit_like(devices);
+            assert_fanout_parity(&planner, model, &cluster, mini_batch, &label)
+                .unwrap_or_else(|e| panic!("{label}: {e}"));
+        }
+    }
+
+    #[test]
+    fn fanned_out_plans_match_sequential_plans() {
+        let mmt = zoo::mmt(&MmtConfig::default());
+        let dlrm = zoo::dlrm(&DlrmConfig::default());
+        let uno = zoo::candle_uno(&CandleUnoConfig::default());
+        let moe_tiny = zoo::moe(&MoeConfig::tiny());
+        assert_cells_fanout_parity(
+            PlanOptions::default(),
+            &[
+                (&mmt, 8, 128),
+                (&dlrm, 8, 512),
+                (&uno, 8, 1024),
+                (&moe_tiny, 4, 64),
+            ],
+        );
+    }
+
+    #[test]
+    fn fanned_out_plans_match_golden_table_at_small_scale() {
+        // The golden planner table's 8/16-GPU cells and options.
+        let mmt = zoo::mmt(&MmtConfig::default());
+        let dlrm = zoo::dlrm(&DlrmConfig::default());
+        let uno = zoo::candle_uno(&CandleUnoConfig::default());
+        let uno_full = zoo::candle_uno(&CandleUnoConfig::full());
+        let moe = zoo::moe(&MoeConfig::default());
+        let golden = PlanOptions {
+            max_micro_batches: 128,
+            ..PlanOptions::default()
+        };
+        assert_cells_fanout_parity(
+            golden,
+            &[
+                (&mmt, 8, 128),
+                (&mmt, 16, 256),
+                (&dlrm, 8, 512),
+                (&dlrm, 16, 1024),
+                (&uno, 8, 8192),
+                (&uno, 16, 16384),
+                (&uno_full, 8, 8192),
+                (&uno_full, 16, 16384),
+                (&moe, 8, 256),
+                (&moe, 16, 512),
+            ],
+        );
+    }
+
+    #[test]
+    fn fanned_out_explosion_matches_sequential() {
+        // Budget accounting must be bit-identical on the error path too.
+        let model = zoo::candle_uno(&CandleUnoConfig::default());
+        let cluster = Cluster::summit_like(8);
+        // A budget that trips in the second run of the first probe: the
+        // fanned-out run executes under the whole budget, so the replay
+        // must re-run it under what the first run left.
+        let defaults = PlanOptions::default();
+        let ctx = SearchCtx::new(&model, &cluster, 1024, &defaults).unwrap();
+        let t = ctx.ladder()[0];
+        let (specs, _) = ctx.run_specs(t);
+        assert!(specs.len() >= 2, "the first probe has one run");
+        let first_run = run_dp(&ctx, t, specs[0].clone(), u64::MAX);
+        for budget in [1u64, 100, 5000, first_run.evals + 1] {
+            let planner = GraphPipePlanner::with_options(defaults.clone().with_eval_budget(budget));
+            let label = format!("budget={budget}");
+            let err = assert_fanout_parity(&planner, &model, &cluster, 1024, &label)
+                .expect_err("the budget is exceeded");
+            assert!(matches!(err, PlanError::SearchExplosion { .. }), "{err:?}");
+        }
+    }
+
+    #[test]
+    fn fanout_parity_under_beam_and_warm_start() {
+        let base = PlanOptions {
+            max_micro_batches: 128,
+            ..PlanOptions::default()
+        };
+        let cells = [
+            (zoo::mmt(&MmtConfig::default()), 128, 256),
+            (zoo::dlrm(&DlrmConfig::default()), 512, 1024),
+            (zoo::candle_uno(&CandleUnoConfig::default()), 8192, 16384),
+            (zoo::candle_uno(&CandleUnoConfig::full()), 8192, 16384),
+            (zoo::moe(&MoeConfig::default()), 256, 512),
+        ];
+        for (model, batch_at_8, batch_at_16) in cells {
+            let seed = GraphPipePlanner::with_options(base.clone())
+                .plan(&model, &Cluster::summit_like(8), batch_at_8)
+                .unwrap_or_else(|e| panic!("{} seed: {e}", model.name()));
+            let planner = GraphPipePlanner::with_options(base.clone().with_beam_width(4))
+                .with_warm_start(WarmStart::from_plan(&seed, 8, 16));
+            let label = format!("{} beam 4 warm", model.name());
+            assert_fanout_parity(
+                &planner,
+                &model,
+                &Cluster::summit_like(16),
+                batch_at_16,
+                &label,
+            )
+            .unwrap_or_else(|e| panic!("{label}: {e}"));
+        }
+    }
+
+    /// A multi-branch MLP: `branches` parallel chains of `layers` dense
+    /// layers of width `width`, merged by a concat and a small head.
+    fn random_model(branches: usize, layers: usize, width: usize) -> SpModel {
+        let mut b = gp_ir::GraphBuilder::new();
+        let mut branch_blocks = Vec::new();
+        let mut outs = Vec::new();
+        for br in 0..branches {
+            let mut blocks = Vec::new();
+            let input = b.input(format!("in{br}"), gp_ir::Shape::vector(width));
+            blocks.push(SpBlock::Leaf(input));
+            let mut cur = input;
+            for l in 0..layers {
+                let fc = b.linear(format!("b{br}l{l}"), cur, width, true).unwrap();
+                blocks.push(SpBlock::Leaf(fc));
+                cur = fc;
+            }
+            outs.push(cur);
+            branch_blocks.push(SpBlock::Chain(blocks));
+        }
+        let cat = b.op("cat", gp_ir::OpKind::Concat, &outs).unwrap();
+        let head = b.linear("head", cat, 1, true).unwrap();
+        let loss = b.loss("loss", &[head]);
+        let root = SpBlock::Chain(vec![
+            SpBlock::Branches(branch_blocks),
+            SpBlock::Leaf(cat),
+            SpBlock::Leaf(head),
+            SpBlock::Leaf(loss),
+        ]);
+        SpModel::new("random", b.finish().unwrap(), root).unwrap()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(24))]
+
+        /// Any random SP model, GPU count, mini-batch and helper count
+        /// plans exactly as the sequential search does.
+        #[test]
+        fn fanout_matches_sequential_on_random_sp_models(
+            branches in 1usize..5,
+            layers in 1usize..5,
+            width in proptest::prelude::prop::sample::select(vec![64usize, 128, 256]),
+            devices in 2usize..7,
+            log_b in 2u32..6,
+            helpers in 1usize..5,
+        ) {
+            let model = random_model(branches, layers, width);
+            let cluster = Cluster::summit_like(devices);
+            let mini_batch = 1u64 << log_b;
+            let planner = GraphPipePlanner::new();
+            let (reference, _) = plan_fanned(&planner, &model, &cluster, mini_batch, 0);
+            let (fanned, _) = plan_fanned(&planner, &model, &cluster, mini_batch, helpers);
+            proptest::prop_assert_eq!(fanned, reference);
+        }
+    }
+
+    #[test]
+    fn a_search_denied_its_own_core_still_plans_sequentially() {
+        let model = zoo::mmt(&MmtConfig::default());
+        let cluster = Cluster::summit_like(8);
+        let planner = GraphPipePlanner::new();
+        let (reference, _) = plan_fanned(&planner, &model, &cluster, 128, 0);
+        let cores = CoreBudget::new(2);
+        let others = cores.helpers(2);
+        assert_eq!(others.granted(), 2, "other searches fill the host");
+        let telemetry = Telemetry::enabled();
+        let fanout = Fanout {
+            cores: &cores,
+            gate: 0,
+        };
+        let mut plan = planner
+            .clone()
+            .with_telemetry(telemetry.clone())
+            .plan_with(&model, &cluster, 128, fanout)
+            .expect("plans without a core of its own");
+        plan.stats.zero_walls();
+        assert_eq!(Ok(plan), reference);
+        assert_eq!(fanout_probes(&telemetry), 0, "it fanned out");
     }
 }

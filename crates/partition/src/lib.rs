@@ -27,10 +27,9 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
+mod cores;
 mod dp;
-mod parallel;
 mod plan;
 
 pub use dp::GraphPipePlanner;
-pub use parallel::ParallelPlanner;
 pub use plan::{Plan, PlanError, PlanOptions, Planner, SearchPhases, SearchStats, WarmStart};

@@ -34,20 +34,13 @@ pub struct PlanOptions {
     /// Abort the search after this many DP evaluations (guards against
     /// exponential blow-ups; primarily exercised by the Piper baseline).
     pub eval_budget: u64,
-    /// Worker threads used to evaluate binary-search targets and
-    /// micro-batch configurations speculatively (`1` = sequential). The
-    /// produced plan is byte-identical for every value — parallelism only
-    /// changes wall-clock time — so this knob is deliberately excluded
-    /// from `gp-serve` request fingerprints.
-    pub parallelism: usize,
     /// Beam width for device-split enumeration. `None` (the default)
     /// keeps every split the work-conservation bound admits and is
     /// byte-identical to the exhaustive search; `Some(w)` truncates each
     /// split window to the `w` candidates nearest the work-proportional
     /// pivot (a deterministic total order — see DESIGN.md §"Planner
     /// search"). Bounded beams trade plan quality for search time, so
-    /// unlike [`PlanOptions::parallelism`] this knob *is* part of the
-    /// `gp-serve` request fingerprint.
+    /// this knob is part of the `gp-serve` request fingerprint.
     pub beam_width: Option<u32>,
 }
 
@@ -60,7 +53,6 @@ impl Default for PlanOptions {
             kfkb_candidates: vec![1],
             per_stage_micro_batch: false,
             eval_budget: 200_000_000,
-            parallelism: 1,
             beam_width: None,
         }
     }
@@ -117,14 +109,6 @@ impl PlanOptions {
     /// which a search aborts with [`PlanError::SearchExplosion`].
     pub fn with_eval_budget(mut self, budget: u64) -> Self {
         self.eval_budget = budget;
-        self
-    }
-
-    /// Sets the speculative-search worker count
-    /// ([`PlanOptions::parallelism`]; plans are byte-identical for every
-    /// value, only wall-clock time changes).
-    pub fn with_parallelism(mut self, parallelism: usize) -> Self {
-        self.parallelism = parallelism;
         self
     }
 
@@ -272,10 +256,9 @@ impl SearchStats {
     }
 
     /// Zero every wall-clock field — total and phase breakdown — leaving
-    /// only the deterministic counters. Plan-equality tests, the parallel
-    /// planner's sequential-replay comparison, and `verify-goldens
-    /// --bless` all use this: wall times are the *only* nondeterministic
-    /// fields in a plan.
+    /// only the deterministic counters. Plan-equality tests, the fan-out
+    /// parity tests, and `verify-goldens --bless` all use this: wall
+    /// times are the *only* nondeterministic fields in a plan.
     pub fn zero_walls(&mut self) {
         self.wall = Duration::ZERO;
         self.phases = SearchPhases::default();
@@ -298,8 +281,8 @@ pub struct WarmStart {
     /// new configuration (e.g. halved when the device count doubles).
     /// Used to pick the bracket ladder's starting rung.
     pub tps_hint: f64,
-    /// Micro-batch size the source plan chose. Speculative providers use
-    /// it to prioritize the matching configuration's probes; it never
+    /// Micro-batch size the source plan chose. Carried with the seed and
+    /// on the fleet wire; the search itself does not read it, so it never
     /// restricts the candidate set.
     pub micro_batch: Option<u64>,
 }
@@ -478,7 +461,6 @@ mod tests {
             .with_kfkb_candidates(vec![1, 2])
             .with_per_stage_micro_batch(true)
             .with_eval_budget(1_000)
-            .with_parallelism(3)
             .with_beam_width(8);
         assert_eq!(
             opts,
@@ -489,7 +471,6 @@ mod tests {
                 kfkb_candidates: vec![1, 2],
                 per_stage_micro_batch: true,
                 eval_budget: 1_000,
-                parallelism: 3,
                 beam_width: Some(8),
             }
         );

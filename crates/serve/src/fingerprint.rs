@@ -334,9 +334,6 @@ fn absorb_options(digest: &mut Digest, options: &PlanOptions) {
     // `None` hashes as 0: `with_beam_width` clamps to >= 1, so no bounded
     // beam can alias the unbounded default.
     digest.word(options.beam_width.map(u64::from).unwrap_or(0));
-    // `options.parallelism` is deliberately NOT absorbed: the parallel
-    // planner is plan-identical to the sequential one by construction, so
-    // requests differing only in thread count must share a cache entry.
 }
 
 /// A canonical fingerprint of a *produced plan*: the strategy itself —
@@ -594,22 +591,6 @@ mod tests {
         assert_eq!(
             request_fingerprint(&model, &cluster, 64, &opts, 0),
             request_fingerprint(&model, &cluster, 64, &opts, 0)
-        );
-    }
-
-    #[test]
-    fn parallelism_does_not_change_request_fingerprint() {
-        // Thread count never changes the produced plan, so it must not
-        // split the cache.
-        let model = zoo::mmt(&MmtConfig::tiny());
-        let cluster = Cluster::summit_like(4);
-        let parallel = PlanOptions {
-            parallelism: 8,
-            ..PlanOptions::default()
-        };
-        assert_eq!(
-            request_fingerprint(&model, &cluster, 64, &PlanOptions::default(), 0),
-            request_fingerprint(&model, &cluster, 64, &parallel, 0)
         );
     }
 

@@ -45,7 +45,6 @@ const REQUIRED_TAGGED: &[&str] = &[
     "crates/sched/src/inflight.rs",
     "crates/partition/src/plan.rs",
     "crates/partition/src/dp.rs",
-    "crates/partition/src/parallel.rs",
     "crates/baselines/src/pipedream.rs",
     "crates/baselines/src/piper.rs",
     "crates/ir/src/graph.rs",

@@ -15,9 +15,8 @@
 //!   rather than a silent quality regression;
 //! * **warm-start changes search effort, never the answer** — a plan
 //!   seeded from another configuration's strategy is identical to the
-//!   cold plan (same stage graph, schedule, and plan fingerprint), for
-//!   both the sequential and the speculative parallel planner, with and
-//!   without a beam.
+//!   cold plan (same stage graph, schedule, and plan fingerprint), with
+//!   and without a beam.
 
 use graphpipe::prelude::*;
 use graphpipe::serve::artifact::encode_plan;
@@ -222,31 +221,5 @@ fn warm_started_plans_are_identical_to_cold() {
                 "{name}@{devices}: warm walk took more bracket iterations"
             );
         }
-    }
-}
-
-/// The speculative parallel planner must reproduce the sequential plan
-/// bit-for-bit under the full option surface this PR adds — bounded beam
-/// plus a warm-start seed — not just at defaults.
-#[test]
-fn parallel_planner_parity_under_beam_and_warm_start() {
-    for (name, model, points) in zoo_cells() {
-        let devices = 16usize;
-        let mini_batch = mini_batch_at(&points, devices);
-        let seed = GraphPipePlanner::with_options(base_options())
-            .plan(&model, &Cluster::summit_like(8), mini_batch_at(&points, 8))
-            .unwrap_or_else(|e| panic!("{name} seed: {e}"));
-        let opts = base_options().with_beam_width(4);
-        let warm = || WarmStart::from_plan(&seed, 8, devices as u32);
-        let cluster = Cluster::summit_like(devices);
-        let seq = GraphPipePlanner::with_options(opts.clone())
-            .with_warm_start(warm())
-            .plan(&model, &cluster, mini_batch)
-            .unwrap_or_else(|e| panic!("{name}: {e}"));
-        let par = ParallelPlanner::with_options(opts, 3)
-            .with_warm_start(warm())
-            .plan(&model, &cluster, mini_batch)
-            .unwrap_or_else(|e| panic!("{name} (parallel): {e}"));
-        assert_eq!(strip(seq), strip(par), "{name}");
     }
 }

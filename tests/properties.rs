@@ -153,33 +153,6 @@ proptest! {
         prop_assert_eq!(&decoded, &fresh, "artifact was lossy: {}", text);
     }
 
-    /// The speculative parallel planner produces *exactly* the sequential
-    /// planner's plan — same stage graph, schedule, estimates, and
-    /// deterministic search counters — for any random SP model, GPU
-    /// count, mini-batch, and thread count. Only `stats.wall` (machine
-    /// time) may differ.
-    #[test]
-    fn parallel_planner_equals_sequential(
-        branches in 1usize..5,
-        layers in 1usize..5,
-        width in prop::sample::select(vec![64usize, 128, 256]),
-        devices in 2usize..7,
-        log_b in 2u32..6,
-        threads in 2usize..6,
-    ) {
-        let model = random_model(branches, layers, width);
-        let cluster = Cluster::summit_like(devices);
-        let mini_batch = 1u64 << log_b;
-        let strip = |mut p: Plan| { p.stats.zero_walls(); p };
-        let seq = GraphPipePlanner::new()
-            .plan(&model, &cluster, mini_batch)
-            .expect("tiny models always fit");
-        let par = ParallelPlanner::new(threads)
-            .plan(&model, &cluster, mini_batch)
-            .expect("tiny models always fit");
-        prop_assert_eq!(strip(seq), strip(par));
-    }
-
     /// Schedules generated for any warm-up/k combination satisfy C4 and
     /// peak exactly at the requested warm-up length.
     #[test]
