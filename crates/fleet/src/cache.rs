@@ -8,7 +8,7 @@ use std::sync::Arc;
 
 struct Entry {
     plan: Arc<Plan>,
-    /// [`gp_serve::fingerprint::numbering_signature`] of the graph the plan
+    /// [`gp_ir::SpModel::numbering_signature`] of the graph the plan
     /// was computed for; consulted before reuse, since plans carry raw
     /// operator ids.
     numbering: u64,

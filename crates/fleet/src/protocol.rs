@@ -71,6 +71,16 @@ pub enum ProtocolError {
     /// The request parsed but does not rebuild into a valid model
     /// (graph construction or SP validation failed).
     Model(String),
+    /// A count is larger than the decoder can represent: device ids are
+    /// `u32`, so a cluster beyond `u32::MAX` devices cannot be addressed.
+    OutOfRange {
+        /// The field.
+        field: &'static str,
+        /// The value on the wire.
+        value: u64,
+        /// The largest accepted value.
+        max: u64,
+    },
 }
 
 impl fmt::Display for ProtocolError {
@@ -88,6 +98,9 @@ impl fmt::Display for ProtocolError {
             }
             ProtocolError::Field(name) => write!(f, "missing or mistyped field `{name}`"),
             ProtocolError::Model(why) => write!(f, "request model invalid: {why}"),
+            ProtocolError::OutOfRange { field, value, max } => {
+                write!(f, "field `{field}` is {value}, above the limit {max}")
+            }
         }
     }
 }
@@ -657,21 +670,28 @@ fn decode_cluster(doc: &Json) -> Result<Cluster, ProtocolError> {
         kernel_overhead: float(profile, "kernel_overhead")?,
         efficiency_half_sat: float(profile, "efficiency_half_sat")?,
     };
-    let devices = doc
-        .get("devices")
-        .and_then(Json::as_u64)
-        .ok_or(ProtocolError::Field("cluster.devices"))?;
-    let gpus_per_node = doc
-        .get("gpus_per_node")
-        .and_then(Json::as_u64)
-        .ok_or(ProtocolError::Field("cluster.gpus_per_node"))?;
+    // Device ids and ranges are u32 (`DeviceId`, `DeviceRange`), so a
+    // larger count could not be addressed, only truncated.
+    let count = |member: &str, field: &'static str| -> Result<usize, ProtocolError> {
+        let value = doc
+            .get(member)
+            .and_then(Json::as_u64)
+            .ok_or(ProtocolError::Field(field))?;
+        let max = u64::from(u32::MAX);
+        if value > max {
+            return Err(ProtocolError::OutOfRange { field, value, max });
+        }
+        Ok(value as usize)
+    };
+    let devices = count("devices", "cluster.devices")?;
+    let gpus_per_node = count("gpus_per_node", "cluster.gpus_per_node")?;
     if devices == 0 || gpus_per_node == 0 {
         return Err(ProtocolError::Model("cluster with zero devices".into()));
     }
     Ok(Cluster::new(
         device,
-        devices as usize,
-        gpus_per_node as usize,
+        devices,
+        gpus_per_node,
         link(doc.get("intra_link"))?,
         link(doc.get("inter_link"))?,
     ))
@@ -797,7 +817,7 @@ pub fn classify_reply(text: &str) -> Result<WireReply, ProtocolError> {
 mod tests {
     use super::*;
     use gp_ir::zoo::{self, CandleUnoConfig, DlrmConfig, MmtConfig, MoeConfig};
-    use gp_serve::fingerprint::numbering_signature;
+    use gp_serve::json::JsonErrorKind;
 
     fn zoo_requests() -> Vec<PlanRequest> {
         let cluster = Cluster::summit_like(8);
@@ -827,9 +847,27 @@ mod tests {
                 eval_budget: 12345,
                 beam_width: Some(6),
             }),
-            PlanRequest::new(Arc::new(zoo::moe(&MoeConfig::tiny())), cluster, 256)
+            PlanRequest::new(Arc::new(zoo::moe(&MoeConfig::tiny())), cluster.clone(), 256)
                 .with_planner(ServePlanner::Piper),
+            PlanRequest::new(
+                Arc::new(zoo::gpt2(&zoo::Gpt2Config::default())),
+                cluster.clone(),
+                64,
+            ),
+            PlanRequest::new(
+                Arc::new(zoo::gnn_pipe(&zoo::GnnPipeConfig::default())),
+                cluster,
+                64,
+            ),
         ]
+    }
+
+    fn depth(doc: &Json) -> usize {
+        match doc {
+            Json::Arr(items) => 1 + items.iter().map(depth).max().unwrap_or(0),
+            Json::Obj(members) => 1 + members.iter().map(|(_, v)| depth(v)).max().unwrap_or(0),
+            _ => 0,
+        }
     }
 
     #[test]
@@ -840,11 +878,16 @@ mod tests {
                 micro_batch: Some(8),
             });
             let text = encode_request(&request, warm.as_ref());
+            let doc = Json::parse(&text).expect("parses");
+            assert!(
+                depth(&doc) <= gp_serve::json::MAX_DEPTH / 8,
+                "nesting headroom"
+            );
             let (decoded, decoded_warm) = decode_request(&text).expect("decodes");
             assert_eq!(decoded.fingerprint(), request.fingerprint());
             assert_eq!(
-                numbering_signature(decoded.model.graph()),
-                numbering_signature(request.model.graph()),
+                decoded.model.numbering_signature(),
+                request.model.numbering_signature(),
                 "operator numbering must survive the wire"
             );
             assert_eq!(decoded.mini_batch, request.mini_batch);
@@ -898,6 +941,14 @@ mod tests {
             decode_request("not json"),
             Err(ProtocolError::Json(_))
         ));
+        // A nesting bomb is a typed error, not a stack overflow.
+        let bomb = "[".repeat(100_000);
+        for err in [decode_request(&bomb).err(), classify_reply(&bomb).err()] {
+            assert!(
+                matches!(&err, Some(ProtocolError::Json(e)) if e.kind == JsonErrorKind::TooDeep),
+                "{err:?}"
+            );
+        }
         assert!(matches!(
             decode_request("{\"format\":\"other\"}"),
             Err(ProtocolError::Field("format") | ProtocolError::BadFormat(_))
@@ -911,6 +962,37 @@ mod tests {
             Err(ProtocolError::UnsupportedVersion(_))
         ));
         assert!(classify_reply("{\"format\":\"mystery\"}").is_err());
+    }
+
+    #[test]
+    fn device_counts_beyond_u32_are_rejected() {
+        let request = PlanRequest::new(
+            Arc::new(zoo::mmt(&MmtConfig::tiny())),
+            Cluster::summit_like(8),
+            64,
+        );
+        let text = encode_request(&request, None);
+        let huge = (1u64 << 32) + 8;
+        for (member, field) in [
+            ("\"devices\":8,", "cluster.devices"),
+            ("\"gpus_per_node\":4,", "cluster.gpus_per_node"),
+        ] {
+            let name = member.split(':').next().unwrap();
+            let hostile = text.replacen(member, &format!("{name}:{huge},"), 1);
+            assert_ne!(hostile, text, "{member} was replaced");
+            assert_eq!(
+                decode_request(&hostile).err(),
+                Some(ProtocolError::OutOfRange {
+                    field,
+                    value: huge,
+                    max: u64::from(u32::MAX),
+                })
+            );
+        }
+        // The bound is inclusive.
+        let widest = text.replacen("\"devices\":8,", &format!("\"devices\":{},", u32::MAX), 1);
+        let (decoded, _) = decode_request(&widest).expect("u32::MAX devices decode");
+        assert_eq!(decoded.cluster.device_count(), u32::MAX as usize);
     }
 
     #[test]

@@ -34,9 +34,7 @@ use crate::worker::{LocalWorker, PlanWorker, RemoteWorker, WorkerFailure};
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use gp_obs::{ClockHandle, Histogram, HistogramSnapshot, Telemetry};
 use gp_partition::{Plan, PlanError, WarmStart};
-use gp_serve::fingerprint::{
-    numbering_signature, request_config_fingerprint, request_graph_fingerprint,
-};
+use gp_serve::fingerprint::{request_config_fingerprint, request_graph_fingerprint};
 use gp_serve::{artifact, Fingerprint, PlanRequest, ServeError, ServePlanner};
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
@@ -273,13 +271,11 @@ impl FleetTicket {
 
 struct Waiter {
     tx: Sender<Reply>,
-    numbering: u64,
     request: PlanRequest,
 }
 
 struct Job {
     fingerprint: Fingerprint,
-    numbering: u64,
     request: PlanRequest,
     enqueued_ns: u64,
 }
@@ -433,7 +429,7 @@ impl FleetService {
             }
         };
         let fingerprint = request.fingerprint();
-        let numbering = numbering_signature(request.model.graph());
+        let numbering = request.model.numbering_signature();
 
         // Level 1: the sharded cache.
         if let ShardLookup::Hit(plan) = shared.cache.get(&fingerprint, numbering) {
@@ -452,7 +448,7 @@ impl FleetService {
         // request's model and cluster, so anything stale or corrupt is a
         // reject, not a wrong answer. Two racing submits may both decode
         // the same artifact; the duplicate insert is byte-identical.
-        if let Some(plan) = self.consult_store(&request, fingerprint, numbering) {
+        if let Some(plan) = self.consult_store(&request, fingerprint) {
             return Ok(FleetTicket {
                 fingerprint,
                 served: Served::Store,
@@ -477,11 +473,7 @@ impl FleetService {
             });
         }
         if let Some(waiters) = inflight.get_mut(&fingerprint) {
-            waiters.push(Waiter {
-                tx,
-                numbering,
-                request,
-            });
+            waiters.push(Waiter { tx, request });
             shared.counters.joins.fetch_add(1, Ordering::Relaxed);
             shared.telemetry.counter_add("fleet.joins", 1);
             return Ok(FleetTicket {
@@ -509,18 +501,10 @@ impl FleetService {
         shared.telemetry.counter_add("fleet.misses", 1);
         let job = Job {
             fingerprint,
-            numbering,
             request: request.clone(),
             enqueued_ns: shared.clock.now_nanos(),
         };
-        inflight.insert(
-            fingerprint,
-            vec![Waiter {
-                tx,
-                numbering,
-                request,
-            }],
-        );
+        inflight.insert(fingerprint, vec![Waiter { tx, request }]);
         drop(inflight);
         if let Some(job_tx) = &self.job_tx {
             if job_tx.send(job).is_err() {
@@ -538,13 +522,9 @@ impl FleetService {
         })
     }
 
-    fn consult_store(
-        &self,
-        request: &PlanRequest,
-        fingerprint: Fingerprint,
-        numbering: u64,
-    ) -> Option<Arc<Plan>> {
+    fn consult_store(&self, request: &PlanRequest, fingerprint: Fingerprint) -> Option<Arc<Plan>> {
         let shared = &self.shared;
+        let numbering = request.model.numbering_signature();
         let store = shared.store.as_ref()?;
         let (text, stored_numbering) = store.get(&fingerprint)?;
         let reject = || {
@@ -742,19 +722,20 @@ fn publish(
 ) {
     let mut inflight = shared.inflight.lock();
     let waiters = inflight.remove(&job.fingerprint).unwrap_or_default();
+    let numbering = job.request.model.numbering_signature();
     match outcome {
         Ok((text, plan)) => {
             if let Some(store) = &shared.store {
                 // Persisting is best-effort: a full disk must not fail the
                 // request, only the warm restart.
-                let _ = store.put(job.fingerprint, &text, job.numbering);
+                let _ = store.put(job.fingerprint, &text, numbering);
             }
             shared
                 .cache
-                .insert(job.fingerprint, Arc::clone(&plan), job.numbering);
+                .insert(job.fingerprint, Arc::clone(&plan), numbering);
             drop(inflight);
             for waiter in waiters {
-                if waiter.numbering == job.numbering {
+                if waiter.request.model.numbering_signature() == numbering {
                     let _ = waiter.tx.send(Ok(Arc::clone(&plan)));
                 } else {
                     // Same fingerprint, different operator numbering: a

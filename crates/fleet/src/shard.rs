@@ -186,14 +186,13 @@ mod tests {
     use gp_cluster::Cluster;
     use gp_ir::zoo::{self, CandleUnoConfig};
     use gp_partition::{GraphPipePlanner, Planner};
-    use gp_serve::fingerprint::numbering_signature;
     use gp_serve::PlanRequest;
 
     fn planned() -> (PlanRequest, Arc<Plan>, u64) {
         let model = Arc::new(zoo::candle_uno(&CandleUnoConfig::tiny()));
         let cluster = Cluster::summit_like(4);
         let plan = GraphPipePlanner::new().plan(&model, &cluster, 32).unwrap();
-        let numbering = numbering_signature(model.graph());
+        let numbering = model.numbering_signature();
         (
             PlanRequest::new(model, cluster, 32),
             Arc::new(plan),

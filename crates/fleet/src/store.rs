@@ -34,7 +34,7 @@
 //! fingerprint, so the index bytes are a pure function of the store
 //! contents.
 //!
-//! [`numbering_signature`]: gp_serve::fingerprint::numbering_signature
+//! [`numbering_signature`]: gp_ir::SpModel::numbering_signature
 //!
 //! gp-lint: deterministic — this module's outputs feed plan
 //! fingerprints or the artifact codec; `cargo xtask lint` scans it for
@@ -287,7 +287,6 @@ mod tests {
     use gp_cluster::Cluster;
     use gp_ir::zoo::{self, CandleUnoConfig};
     use gp_partition::{GraphPipePlanner, Planner};
-    use gp_serve::fingerprint::numbering_signature;
     use gp_serve::{artifact, PlanRequest};
     use std::sync::Arc;
 
@@ -302,7 +301,7 @@ mod tests {
         let cluster = Cluster::summit_like(4);
         let plan = GraphPipePlanner::new().plan(&model, &cluster, 32).unwrap();
         let fp = PlanRequest::new(Arc::clone(&model), cluster, 32).fingerprint();
-        let numbering = numbering_signature(model.graph());
+        let numbering = model.numbering_signature();
         (fp, artifact::encode_plan(&plan, Some(fp)), numbering)
     }
 
@@ -344,11 +343,12 @@ mod tests {
             let store = ArtifactStore::open(&dir).unwrap();
             store.put(fp, &text, numbering).unwrap();
         }
-        for sabotage in ["missing", "garbage"] {
+        for sabotage in ["missing", "garbage", "nesting bomb"] {
             let index_path = dir.join(INDEX_FILE);
             match sabotage {
                 "missing" => std::fs::remove_file(&index_path).unwrap(),
-                _ => std::fs::write(&index_path, "not json at all").unwrap(),
+                "garbage" => std::fs::write(&index_path, "not json at all").unwrap(),
+                _ => std::fs::write(&index_path, "[".repeat(100_000)).unwrap(),
             }
             let store = ArtifactStore::open(&dir).unwrap();
             assert!(store.rebuilt_index(), "{sabotage}: expected a rebuild");

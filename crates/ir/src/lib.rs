@@ -29,6 +29,7 @@
 
 pub mod dag;
 mod graph;
+mod identity;
 mod op;
 mod shape;
 mod sp;
@@ -36,6 +37,7 @@ pub mod zoo;
 
 pub use dag::{plan_dag, recognize, DagOptions};
 pub use graph::{Graph, GraphBuilder, GraphError, Node, OpId};
+pub use identity::Digest;
 pub use op::{Nonlinearity, OpKind, BYTES_PER_ELEMENT};
 pub use shape::Shape;
 pub use sp::{PlanPath, SpBlock, SpError, SpModel};

@@ -13,8 +13,10 @@
 //! nondeterminism hazards (DESIGN.md §"Determinism lint").
 
 use crate::graph::{Graph, OpId};
+use crate::identity;
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::OnceLock;
 
 /// One node of the series-parallel decomposition tree.
 ///
@@ -227,7 +229,7 @@ impl std::error::Error for SpError {}
 /// let order = model.linearize();
 /// assert!(model.graph().is_topo_order(&order));
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Clone)]
 pub struct SpModel {
     graph: Graph,
     root: SpBlock,
@@ -235,6 +237,23 @@ pub struct SpModel {
     name: String,
     /// How the tree was obtained from the graph (see [`PlanPath`]).
     path: PlanPath,
+    /// Memo of [`SpModel::fingerprint`]; a clone carries it.
+    fingerprint: OnceLock<u128>,
+    /// Memo of [`SpModel::numbering_signature`]; a clone carries it.
+    numbering: OnceLock<u64>,
+}
+
+/// Leaves the identity memos out: whether a model was hashed yet is not
+/// part of what it is.
+impl fmt::Debug for SpModel {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("SpModel")
+            .field("graph", &self.graph)
+            .field("root", &self.root)
+            .field("name", &self.name)
+            .field("path", &self.path)
+            .finish()
+    }
 }
 
 impl SpModel {
@@ -250,12 +269,7 @@ impl SpModel {
     pub fn new(name: impl Into<String>, graph: Graph, root: SpBlock) -> Result<Self, SpError> {
         let root = root.normalize();
         validate_sp(&graph, &root)?;
-        Ok(SpModel {
-            graph,
-            root,
-            name: name.into(),
-            path: PlanPath::ExactSp,
-        })
+        Ok(SpModel::new_unchecked(name, graph, root, PlanPath::ExactSp))
     }
 
     /// Pairs a graph with a tree **without validating or normalizing** —
@@ -274,6 +288,8 @@ impl SpModel {
             root,
             name: name.into(),
             path,
+            fingerprint: OnceLock::new(),
+            numbering: OnceLock::new(),
         }
     }
 
@@ -281,8 +297,13 @@ impl SpModel {
     /// planning pipeline (and wire decoders) to record which rung of the
     /// fallback ladder produced the tree; the path is absorbed into the
     /// model fingerprint whenever it is not [`PlanPath::ExactSp`].
+    ///
+    /// This is the only way a model changes after construction, so it is
+    /// the one place that resets the identity memos.
     pub fn with_path(mut self, path: PlanPath) -> Self {
         self.path = path;
+        self.fingerprint = OnceLock::new();
+        self.numbering = OnceLock::new();
         self
     }
 
@@ -312,6 +333,30 @@ impl SpModel {
     /// another exactly like the "imaginary linear dependencies" of Figure 2.
     pub fn linearize(&self) -> Vec<OpId> {
         self.root.ops()
+    }
+
+    /// The model's canonical 128-bit fingerprint: graph structure (WL
+    /// refined, so independent of node-insertion order and operator names),
+    /// SP decomposition, and [`PlanPath`] (see the `identity` module docs).
+    ///
+    /// Computed on the first call and memoized, so every later call, and
+    /// every clone of an already-hashed model, reads it for free.
+    pub fn fingerprint(&self) -> u128 {
+        *self
+            .fingerprint
+            .get_or_init(|| identity::model_digest(self))
+    }
+
+    /// The order-sensitive signature of the graph's concrete numbering:
+    /// equal only for identical labelled graphs, so it guards serving a
+    /// cached plan (whose stage op lists are raw ids) to a renumbered
+    /// model that shares its [`fingerprint`](Self::fingerprint).
+    ///
+    /// Memoized like [`SpModel::fingerprint`].
+    pub fn numbering_signature(&self) -> u64 {
+        *self
+            .numbering
+            .get_or_init(|| identity::numbering_signature(&self.graph))
     }
 }
 
@@ -529,5 +574,76 @@ mod tests {
     fn error_display() {
         let e = SpError::CrossBranchEdge(OpId(1), OpId(2));
         assert!(e.to_string().contains("crosses between parallel branches"));
+    }
+
+    fn forkjoin_model() -> SpModel {
+        let (g, tree) = fork_join();
+        SpModel::new("forkjoin", g, tree).unwrap()
+    }
+
+    #[test]
+    fn identity_memo_equals_a_fresh_computation() {
+        let m = forkjoin_model();
+        let (fp, numbering) = (m.fingerprint(), m.numbering_signature());
+        assert_eq!(fp, identity::model_digest(&m));
+        assert_eq!(numbering, identity::numbering_signature(m.graph()));
+        assert_eq!(m.fingerprint.get(), Some(&fp));
+        assert_eq!(m.numbering.get(), Some(&numbering));
+    }
+
+    #[test]
+    fn with_path_resets_the_identity_memo() {
+        let m = forkjoin_model();
+        let (exact, numbering) = (m.fingerprint(), m.numbering_signature());
+        let m = m.with_path(PlanPath::Clustered { units: 2 });
+        assert!(m.fingerprint.get().is_none() && m.numbering.get().is_none());
+        assert_ne!(m.fingerprint(), exact);
+        assert_eq!(m.fingerprint(), identity::model_digest(&m));
+        // The path is not part of the numbering.
+        assert_eq!(m.numbering_signature(), numbering);
+        let m = m.with_path(PlanPath::ExactSp);
+        assert_eq!(m.fingerprint(), exact);
+    }
+
+    #[test]
+    fn a_clone_carries_the_identity_memo() {
+        let m = forkjoin_model();
+        assert!(m.clone().fingerprint.get().is_none());
+        let (fp, numbering) = (m.fingerprint(), m.numbering_signature());
+        let copy = m.clone();
+        assert_eq!(copy.fingerprint.get(), Some(&fp));
+        assert_eq!(copy.numbering.get(), Some(&numbering));
+    }
+
+    #[test]
+    fn racing_first_calls_see_one_identity() {
+        const THREADS: usize = 8;
+        // A model big enough that the first calls overlap.
+        let m = crate::zoo::gnn_pipe(&crate::zoo::GnnPipeConfig::default());
+        let barrier = std::sync::Barrier::new(THREADS);
+        let seen: Vec<(u128, u64)> = std::thread::scope(|s| {
+            let handles: Vec<_> = (0..THREADS)
+                .map(|_| {
+                    s.spawn(|| {
+                        barrier.wait();
+                        (m.fingerprint(), m.numbering_signature())
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        let want = (
+            identity::model_digest(&m),
+            identity::numbering_signature(m.graph()),
+        );
+        assert!(seen.iter().all(|&got| got == want), "{seen:?} != {want:?}");
+    }
+
+    #[test]
+    fn debug_leaves_the_identity_memo_out() {
+        let m = forkjoin_model();
+        let before = format!("{m:?}");
+        m.fingerprint();
+        assert_eq!(format!("{m:?}"), before);
     }
 }

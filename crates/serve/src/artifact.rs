@@ -715,6 +715,10 @@ mod tests {
             Err(ArtifactError::Json(_))
         ));
         assert!(matches!(
+            decode_plan(&"[".repeat(100_000), model.graph(), &cluster),
+            Err(ArtifactError::Json(e)) if e.kind == crate::json::JsonErrorKind::TooDeep
+        ));
+        assert!(matches!(
             decode_plan(
                 "{\"format\":\"graphpipe-plan\",\"version\":1}",
                 model.graph(),

@@ -18,6 +18,11 @@
 //! Object member order is preserved (objects are association lists), which
 //! keeps encoded artifacts byte-stable.
 //!
+//! The parser reads bytes from outside the process (worker frames, stored
+//! artifacts, the store index), so it bounds its recursion: arrays and
+//! objects nested deeper than [`MAX_DEPTH`] are a typed
+//! [`JsonErrorKind::TooDeep`] error rather than a stack overflow.
+//!
 //! gp-lint: deterministic — this module's outputs feed plan
 //! fingerprints or the artifact codec; `cargo xtask lint` scans it for
 //! nondeterminism hazards (DESIGN.md §"Determinism lint").
@@ -43,13 +48,29 @@ pub enum Json {
     Obj(Vec<(String, Json)>),
 }
 
+/// Deepest nesting of arrays and objects [`Json::parse`] accepts. The
+/// documents this workspace writes stay far below it (the fleet wire spends
+/// two levels per SP-tree level); anything deeper is hostile input.
+pub const MAX_DEPTH: usize = 512;
+
 /// A parse failure, with the byte offset where it was detected.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct JsonError {
     /// Byte offset into the input.
     pub offset: usize,
+    /// Which kind of failure.
+    pub kind: JsonErrorKind,
     /// What went wrong.
     pub message: String,
+}
+
+/// The kinds of [`JsonError`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum JsonErrorKind {
+    /// The input is not one well-formed JSON document.
+    Syntax,
+    /// Arrays and objects nest deeper than [`MAX_DEPTH`].
+    TooDeep,
 }
 
 impl fmt::Display for JsonError {
@@ -65,11 +86,14 @@ impl Json {
     ///
     /// # Errors
     ///
-    /// Returns a [`JsonError`] on malformed input or trailing garbage.
+    /// Returns a [`JsonError`] on malformed input or trailing garbage,
+    /// and one of kind [`JsonErrorKind::TooDeep`] when arrays and objects
+    /// nest deeper than [`MAX_DEPTH`].
     pub fn parse(text: &str) -> Result<Json, JsonError> {
         let mut p = Parser {
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let value = p.value()?;
@@ -200,12 +224,15 @@ fn write_escaped(s: &str, out: &mut String) {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open at `pos`.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
     fn err(&self, message: impl Into<String>) -> JsonError {
         JsonError {
             offset: self.pos,
+            kind: JsonErrorKind::Syntax,
             message: message.into(),
         }
     }
@@ -248,12 +275,31 @@ impl<'a> Parser<'a> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => self.string().map(Json::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(b'-' | b'0'..=b'9') => self.number(),
             Some(other) => Err(self.err(format!("unexpected byte 0x{other:02x}"))),
             None => Err(self.err("unexpected end of input")),
         }
+    }
+
+    /// Parses an array or object one level deeper, refusing to go past
+    /// [`MAX_DEPTH`] before recursing.
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<Json, JsonError>,
+    ) -> Result<Json, JsonError> {
+        if self.depth == MAX_DEPTH {
+            return Err(JsonError {
+                offset: self.pos,
+                kind: JsonErrorKind::TooDeep,
+                message: format!("arrays and objects nest deeper than {MAX_DEPTH} levels"),
+            });
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn array(&mut self) -> Result<Json, JsonError> {
@@ -502,7 +548,60 @@ mod tests {
             "\"\\q\"",
             "1e999",
         ] {
-            assert!(Json::parse(bad).is_err(), "accepted {bad:?}");
+            let err = Json::parse(bad).expect_err(bad);
+            assert_eq!(err.kind, JsonErrorKind::Syntax, "{bad:?}: {err}");
+        }
+    }
+
+    #[test]
+    fn nesting_bombs_are_a_typed_error_not_a_stack_overflow() {
+        // (document, bytes per nesting level)
+        for (bomb, level) in [
+            ("[".repeat(100_000), 1),
+            ("{\"a\":".repeat(100_000), 5),
+            (
+                format!("{}{}", "[".repeat(MAX_DEPTH + 1), "]".repeat(MAX_DEPTH + 1)),
+                1,
+            ),
+        ] {
+            let err = Json::parse(&bomb).unwrap_err();
+            assert_eq!(err.kind, JsonErrorKind::TooDeep, "{err}");
+            // Detected at the first container past the limit.
+            assert_eq!(err.offset, MAX_DEPTH * level);
+        }
+        // The limit itself is accepted, arrays and objects alike.
+        let deepest = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(Json::parse(&deepest).is_ok());
+        let deepest = format!("{}1{}", "{\"a\":".repeat(MAX_DEPTH), "}".repeat(MAX_DEPTH));
+        assert!(Json::parse(&deepest).is_ok());
+        // Depth is nesting, not the number of containers: siblings reset it.
+        let wide = format!("[{}]", vec!["[[]]"; 10_000].join(","));
+        assert!(Json::parse(&wide).is_ok());
+    }
+
+    #[test]
+    fn golden_artifacts_parse_well_inside_the_depth_limit() {
+        let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../tests/goldens");
+        let mut files: Vec<_> = std::fs::read_dir(&dir)
+            .expect("tests/goldens exists")
+            .map(|e| e.expect("readable entry").path())
+            .filter(|p| p.extension().is_some_and(|x| x == "json"))
+            .collect();
+        files.sort();
+        assert!(!files.is_empty());
+        for path in files {
+            let text = std::fs::read_to_string(&path).unwrap();
+            let doc = Json::parse(&text).unwrap_or_else(|e| panic!("{}: {e}", path.display()));
+            assert!(depth(&doc) <= MAX_DEPTH / 8, "{}", path.display());
+        }
+    }
+
+    /// Nesting depth of a parsed document (a scalar is 0).
+    fn depth(doc: &Json) -> usize {
+        match doc {
+            Json::Arr(items) => 1 + items.iter().map(depth).max().unwrap_or(0),
+            Json::Obj(members) => 1 + members.iter().map(|(_, v)| depth(v)).max().unwrap_or(0),
+            _ => 0,
         }
     }
 

@@ -10,7 +10,8 @@
 //!   over the model graph (Weisfeiler–Leman-refined, so it is invariant
 //!   under node-insertion order and operator renaming), its SP
 //!   decomposition, the cluster spec, the planner choice and options, and
-//!   the mini-batch size. See
+//!   the mini-batch size. The model part is hashed once per model
+//!   instance and memoized on it ([`gp_ir::SpModel::fingerprint`]). See
 //!   [`fingerprint::request_fingerprint`] for the exact definition.
 //! * [`artifact`] — **a lossless, versioned plan format.** Hand-rolled
 //!   JSON encode/decode for [`gp_partition::Plan`] with a
@@ -29,8 +30,8 @@
 //! Plans carry raw operator ids, so before any plan is reused — cache hit
 //! or single-flight fan-out — the receiving request's graph must match the
 //! plan's recorded *numbering signature*
-//! ([`fingerprint::numbering_signature`], an order-sensitive exact-graph
-//! hash). A fingerprint collision — or an isomorphic model with
+//! ([`gp_ir::SpModel::numbering_signature`], an order-sensitive
+//! exact-graph hash). A fingerprint collision — or an isomorphic model with
 //! renumbered operators — therefore degrades to a fresh planner run
 //! instead of returning a plan that indexes the wrong operators.
 //!

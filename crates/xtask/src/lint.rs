@@ -49,6 +49,7 @@ const REQUIRED_TAGGED: &[&str] = &[
     "crates/baselines/src/piper.rs",
     "crates/ir/src/graph.rs",
     "crates/ir/src/sp.rs",
+    "crates/ir/src/identity.rs",
 ];
 
 /// Hazard token and why it endangers determinism.
