@@ -15,8 +15,6 @@
 //!
 //! * `--smoke` — small fixed cells with pinned report fingerprints; exits
 //!   non-zero when any fingerprint drifts (CI uses this);
-//! * `--parallel N` — simulate with `N` relaxation workers (reports are
-//!   byte-identical by construction; only the wall time moves);
 //! * `--models a,b` / `--devices 64,256` / `--micro-batches 1000` —
 //!   restrict the sweep;
 //! * `--baseline PATH` — a previous `BENCH_sim.json`; matching cells gain
@@ -28,7 +26,7 @@
 //! later (smaller) cells repeat the same number; it must not be read as a
 //! per-cell cost. `rss_hwm_delta_kb` is the amount *this* cell raised the
 //! watermark (0 when a previous cell's peak still dominates), and
-//! `report_bytes` is the deterministic, engine-independent share.
+//! `report_bytes` is the deterministic share.
 
 use graphpipe::prelude::*;
 use graphpipe::sched::{assign_in_flight, schedule_tasks, Stage, StageGraph, StageId};
@@ -141,21 +139,20 @@ fn rss_high_water_kb() -> u64 {
 }
 
 /// Bytes held by the report itself (timeline + per-device vectors) — the
-/// deterministic share of the memory cost, engine-independent.
+/// deterministic share of the memory cost.
 fn report_bytes(report: &SimReport) -> usize {
     report.timeline.capacity() * std::mem::size_of::<graphpipe::sim::TaskSpan>()
         + report.per_device_busy.capacity() * std::mem::size_of::<f64>()
         + report.peak_memory_bytes.capacity() * std::mem::size_of::<u64>()
 }
 
-fn run_cell(name: &'static str, devices: usize, micro_batches: u64, parallel: usize) -> CellResult {
+fn run_cell(name: &'static str, devices: usize, micro_batches: u64) -> CellResult {
     let model = model_by_name(name);
     let cluster = Cluster::summit_like(devices);
     let (sg, schedule) = scaled_strategy(&model, &cluster, micro_batches);
-    let options = graphpipe::sim::SimOptions::default().with_parallelism(parallel);
     let hwm_before = rss_high_water_kb();
     let t0 = Instant::now();
-    let report = graphpipe::sim::simulate_with(model.graph(), &cluster, &sg, &schedule, &options)
+    let report = graphpipe::sim::simulate(model.graph(), &cluster, &sg, &schedule)
         .unwrap_or_else(|e| panic!("{name}@{devices}x{micro_batches}: {e}"));
     let wall_secs = t0.elapsed().as_secs_f64();
     let hwm_after = rss_high_water_kb();
@@ -199,10 +196,9 @@ fn parse_baseline(text: &str) -> Vec<(String, usize, u64, f64)> {
         .collect()
 }
 
-fn emit_json(results: &[CellResult], parallel: usize) -> String {
+fn emit_json(results: &[CellResult]) -> String {
     let mut out = String::new();
     out.push_str("{\n  \"bench\": \"sim_profile\",\n");
-    let _ = writeln!(out, "  \"parallelism\": {},", parallel.max(1));
     out.push_str("  \"cells\": [\n");
     for (i, r) in results.iter().enumerate() {
         let _ = write!(
@@ -241,7 +237,6 @@ fn emit_json(results: &[CellResult], parallel: usize) -> String {
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut smoke = false;
-    let mut parallel = 1usize;
     let mut models: Vec<String> = vec![
         "mmt".into(),
         "dlrm".into(),
@@ -257,12 +252,6 @@ fn main() {
     while let Some(arg) = it.next() {
         match arg.as_str() {
             "--smoke" => smoke = true,
-            "--parallel" => {
-                parallel = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .expect("--parallel N");
-            }
             "--models" => {
                 models = it
                     .next()
@@ -318,7 +307,7 @@ fn main() {
         let mut drifted = false;
         let mut results = Vec::new();
         for &(name, d, m, expected) in SMOKE_CELLS {
-            let r = run_cell(as_static(name), d, m, parallel);
+            let r = run_cell(as_static(name), d, m);
             let ok = r.fingerprint == expected;
             println!(
                 "{:<16} devices={:<4} mbs={:<5} wall={:.3}s spans={} fp={} {}",
@@ -336,7 +325,7 @@ fn main() {
             }
             results.push(r);
         }
-        std::fs::write(&out_path, emit_json(&results, parallel)).expect("write json");
+        std::fs::write(&out_path, emit_json(&results)).expect("write json");
         if drifted {
             eprintln!("sim report fingerprint drift detected (see above)");
             std::process::exit(1);
@@ -350,7 +339,7 @@ fn main() {
         let name = as_static(m);
         for &d in &devices {
             for &mb in &micro_batches {
-                let mut r = run_cell(name, d, mb, parallel);
+                let mut r = run_cell(name, d, mb);
                 r.baseline_wall_secs = baseline
                     .iter()
                     .find(|(bm, bd, bmb, _)| bm == name && *bd == d && *bmb == mb)
@@ -373,6 +362,6 @@ fn main() {
             }
         }
     }
-    std::fs::write(&out_path, emit_json(&results, parallel)).expect("write json");
+    std::fs::write(&out_path, emit_json(&results)).expect("write json");
     println!("wrote {out_path}");
 }

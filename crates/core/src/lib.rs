@@ -193,22 +193,13 @@ pub fn planner(kind: PlannerKind, options: PlanOptions) -> Box<dyn Planner> {
 /// Thin shim over the [`Session`] machinery — equivalent to
 /// [`PlannedStrategy::simulate`] for a strategy bound to `model` and
 /// `cluster`, without requiring the plan to have come from a session.
-/// Runs the default (sequential) simulator; build a session with
-/// [`SessionBuilder::sim_options`] or use
-/// [`PlannedStrategy::simulate_with`] for the parallel engine.
 ///
 /// # Errors
 ///
 /// Propagates simulator failures (which indicate an invalid schedule) as
 /// [`Error::Sim`].
 pub fn simulate_plan(model: &SpModel, cluster: &Cluster, plan: &Plan) -> Result<SimReport, Error> {
-    session::simulate_on(
-        model,
-        cluster,
-        plan,
-        &gp_sim::SimOptions::default(),
-        &gp_obs::Telemetry::disabled(),
-    )
+    session::simulate_on(model, cluster, plan, &gp_obs::Telemetry::disabled())
 }
 
 /// Plans with every candidate micro-batch size, simulates each strategy,

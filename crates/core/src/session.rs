@@ -69,7 +69,6 @@ pub(crate) fn simulate_on(
     model: &SpModel,
     cluster: &Cluster,
     plan: &Plan,
-    sim_options: &SimOptions,
     telemetry: &Telemetry,
 ) -> Result<SimReport, Error> {
     // Debug builds statically verify every plan handed to the simulator,
@@ -85,7 +84,7 @@ pub(crate) fn simulate_on(
         cluster,
         &plan.stage_graph,
         &plan.schedule,
-        sim_options,
+        &SimOptions::default(),
         telemetry,
     )
     .map_err(Error::from)
@@ -105,7 +104,6 @@ pub struct SessionBuilder {
     cluster: Option<Cluster>,
     mini_batch: Option<u64>,
     options: PlanOptions,
-    sim_options: SimOptions,
     telemetry: Telemetry,
 }
 
@@ -159,16 +157,6 @@ impl SessionBuilder {
         self
     }
 
-    /// Replaces the simulator options (defaults to the sequential engine).
-    ///
-    /// `SimOptions::parallelism` is a pure wall-clock lever: reports are
-    /// byte-identical at any worker count, so strategies simulated through
-    /// this session stay comparable with every golden table.
-    pub fn sim_options(mut self, sim_options: SimOptions) -> Self {
-        self.sim_options = sim_options;
-        self
-    }
-
     /// Attaches a [`Telemetry`] handle: every plan, sweep, simulation, and
     /// execution run through the session records spans and metrics into
     /// it (defaults to [`Telemetry::disabled`], which costs nothing).
@@ -217,7 +205,6 @@ impl SessionBuilder {
             cluster,
             mini_batch,
             options: self.options,
-            sim_options: self.sim_options,
             telemetry: self.telemetry,
         })
     }
@@ -250,7 +237,6 @@ pub struct Session {
     cluster: Cluster,
     mini_batch: u64,
     options: PlanOptions,
-    sim_options: SimOptions,
     telemetry: Telemetry,
 }
 
@@ -278,12 +264,6 @@ impl Session {
     /// The planner search options in effect.
     pub fn options(&self) -> &PlanOptions {
         &self.options
-    }
-
-    /// The simulator options strategies planned through this session
-    /// simulate with.
-    pub fn sim_options(&self) -> &SimOptions {
-        &self.sim_options
     }
 
     /// The telemetry handle session operations record into
@@ -334,7 +314,6 @@ impl Session {
             cluster: self.cluster.clone(),
             kind,
             plan,
-            sim_options: self.sim_options.clone(),
             telemetry: self.telemetry.clone(),
         }
     }
@@ -419,19 +398,14 @@ impl Session {
                 .plan(&self.model, &self.cluster, self.mini_batch)
             {
                 Ok(plan) => {
-                    let report = match simulate_on(
-                        &self.model,
-                        &self.cluster,
-                        &plan,
-                        &self.sim_options,
-                        &self.telemetry,
-                    ) {
-                        Ok(r) => r,
-                        Err(e) => {
-                            last_err = PlanError::Internal(e.to_string());
-                            continue;
-                        }
-                    };
+                    let report =
+                        match simulate_on(&self.model, &self.cluster, &plan, &self.telemetry) {
+                            Ok(r) => r,
+                            Err(e) => {
+                                last_err = PlanError::Internal(e.to_string());
+                                continue;
+                            }
+                        };
                     per_micro_batch.push((b, report.throughput));
                     let better = match &best {
                         None => true,
@@ -484,13 +458,8 @@ impl Session {
                         .plan(&self.model, &self.cluster, self.mini_batch)
                         .map_err(Error::from)
                         .and_then(|plan| {
-                            let report = simulate_on(
-                                &self.model,
-                                &self.cluster,
-                                &plan,
-                                &self.sim_options,
-                                &self.telemetry,
-                            )?;
+                            let report =
+                                simulate_on(&self.model, &self.cluster, &plan, &self.telemetry)?;
                             Ok((Arc::new(plan), report))
                         }),
                     _ => self
@@ -578,7 +547,6 @@ impl Session {
             cluster: self.cluster.clone(),
             kind,
             plan,
-            sim_options: self.sim_options.clone(),
             telemetry: self.telemetry.clone(),
         })
     }
@@ -636,7 +604,6 @@ pub struct PlannedStrategy {
     kind: PlannerKind,
     plan: Arc<Plan>,
     fingerprint: Fingerprint,
-    sim_options: SimOptions,
     telemetry: Telemetry,
 }
 
@@ -690,7 +657,7 @@ impl PlannedStrategy {
     }
 
     /// Simulates one training iteration on the discrete-event timing
-    /// substitute (`gp-sim`), with the session's [`SimOptions`].
+    /// substitute (`gp-sim`).
     ///
     /// # Errors
     ///
@@ -698,32 +665,7 @@ impl PlannedStrategy {
     /// indicate an invalid strategy.
     pub fn simulate(&self) -> Result<SimReport, Error> {
         let _span = self.telemetry.span("session.simulate");
-        simulate_on(
-            &self.model,
-            &self.cluster,
-            &self.plan,
-            &self.sim_options,
-            &self.telemetry,
-        )
-    }
-
-    /// [`PlannedStrategy::simulate`] with explicit [`SimOptions`] — e.g.
-    /// to turn on the parallel relaxation engine for one large strategy.
-    /// The report is byte-identical to [`PlannedStrategy::simulate`]'s at
-    /// any worker count.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`PlannedStrategy::simulate`].
-    pub fn simulate_with(&self, sim_options: &SimOptions) -> Result<SimReport, Error> {
-        let _span = self.telemetry.span("session.simulate");
-        simulate_on(
-            &self.model,
-            &self.cluster,
-            &self.plan,
-            sim_options,
-            &self.telemetry,
-        )
+        simulate_on(&self.model, &self.cluster, &self.plan, &self.telemetry)
     }
 
     /// Trains the strategy for real on the threaded `gp-exec` runtime
@@ -1032,7 +974,6 @@ impl SessionFleet {
             kind,
             plan,
             fingerprint,
-            sim_options: self.session.sim_options.clone(),
             telemetry: self.session.telemetry.clone(),
         })
     }

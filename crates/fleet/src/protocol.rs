@@ -215,16 +215,7 @@ pub fn encode_request(request: &PlanRequest, warm: Option<&WarmStart>) -> String
     let model = Json::Obj(model_members);
     let warm = match warm {
         None => Json::Null,
-        Some(w) => Json::Obj(vec![
-            ("tps_hint".into(), Json::Float(w.tps_hint)),
-            (
-                "micro_batch".into(),
-                match w.micro_batch {
-                    Some(m) => Json::Int(i128::from(m)),
-                    None => Json::Null,
-                },
-            ),
-        ]),
+        Some(w) => Json::Obj(vec![("tps_hint".into(), Json::Float(w.tps_hint))]),
     };
     Json::Obj(vec![
         ("format".into(), Json::Str(REQUEST_FORMAT.into())),
@@ -489,10 +480,6 @@ pub fn decode_request(text: &str) -> Result<(PlanRequest, Option<WarmStart>), Pr
                 .get("tps_hint")
                 .and_then(Json::as_f64)
                 .ok_or(ProtocolError::Field("warm.tps_hint"))?,
-            micro_batch: match w.get("micro_batch") {
-                None | Some(Json::Null) => None,
-                Some(m) => Some(m.as_u64().ok_or(ProtocolError::Field("warm.micro_batch"))?),
-            },
         }),
     };
     Ok((
@@ -873,10 +860,7 @@ mod tests {
     #[test]
     fn requests_round_trip_losslessly() {
         for request in zoo_requests() {
-            let warm = Some(WarmStart {
-                tps_hint: 1.25e-6,
-                micro_batch: Some(8),
-            });
+            let warm = Some(WarmStart { tps_hint: 1.25e-6 });
             let text = encode_request(&request, warm.as_ref());
             let doc = Json::parse(&text).expect("parses");
             assert!(

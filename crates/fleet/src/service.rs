@@ -285,7 +285,6 @@ struct WarmSeed {
     config_fp: Fingerprint,
     devices: u32,
     bottleneck_tps: f64,
-    micro_batch: u64,
 }
 
 #[derive(Default)]
@@ -651,7 +650,6 @@ fn plan_via_workers(
             let devices = request.cluster.device_count().max(1) as f64;
             WarmStart {
                 tps_hint: seed.bottleneck_tps * (f64::from(seed.devices.max(1)) / devices),
-                micro_batch: Some(seed.micro_batch),
             }
         })
     });
@@ -694,7 +692,6 @@ fn plan_via_workers(
                                 config_fp,
                                 devices: request.cluster.device_count() as u32,
                                 bottleneck_tps: plan.bottleneck_tps,
-                                micro_batch: plan.max_micro_batch(),
                             },
                         );
                     }

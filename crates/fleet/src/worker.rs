@@ -284,13 +284,7 @@ mod tests {
         let worker = LocalWorker::new(0, Telemetry::disabled());
         let cold = worker.plan(&request, None).expect("cold plan");
         let warm = worker
-            .plan(
-                &request,
-                Some(WarmStart {
-                    tps_hint: 2.0e-7,
-                    micro_batch: Some(4),
-                }),
-            )
+            .plan(&request, Some(WarmStart { tps_hint: 2.0e-7 }))
             .expect("warm plan");
         assert_eq!(cold, warm, "warm start must never change the artifact");
     }

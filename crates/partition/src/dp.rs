@@ -2545,7 +2545,6 @@ mod tests {
         // A wildly wrong hint still converges to the same strategy.
         let bad_hint = crate::plan::WarmStart {
             tps_hint: cold.bottleneck_tps * 1e6,
-            micro_batch: None,
         };
         let warm_bad = GraphPipePlanner::new()
             .with_warm_start(bad_hint)

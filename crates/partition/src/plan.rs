@@ -281,10 +281,6 @@ pub struct WarmStart {
     /// new configuration (e.g. halved when the device count doubles).
     /// Used to pick the bracket ladder's starting rung.
     pub tps_hint: f64,
-    /// Micro-batch size the source plan chose. Carried with the seed and
-    /// on the fleet wire; the search itself does not read it, so it never
-    /// restricts the candidate set.
-    pub micro_batch: Option<u64>,
 }
 
 impl WarmStart {
@@ -299,7 +295,6 @@ impl WarmStart {
         };
         WarmStart {
             tps_hint: plan.bottleneck_tps * scale,
-            micro_batch: Some(plan.max_micro_batch()),
         }
     }
 }

@@ -45,22 +45,16 @@
 //! # Compatibility rules
 //!
 //! * `format` must equal `"graphpipe-plan"`; anything else is rejected.
-//! * `version` is a single integer. Decoders accept documents whose
-//!   version is at most [`VERSION`]; newer documents are rejected with
+//! * `version` is a single integer. Decoders accept only [`VERSION`];
+//!   every other version is rejected with
 //!   [`ArtifactError::UnsupportedVersion`] rather than misread. Adding
-//!   fields requires a version bump; unknown fields in a known version are
-//!   ignored, which is what makes minor additions backward-decodable.
-//! * version 1 documents predate the `memo_hits`/`work_bound_prunes`/
-//!   `memory_prunes` search counters; they decode with those counters
-//!   zeroed.
-//! * version 2 documents predate the `memo_misses`/`beam_prunes`/
-//!   `eval_batches` search counters (the beam-search/vectorized-eval
-//!   accounting); they too decode with those counters zeroed.
-//! * version 4 adds the optional `plan_path` member recording which rung
-//!   of the DAG fallback ladder produced the plan's model
+//!   fields requires a version bump; unknown fields are ignored.
+//! * every search counter in `stats` is required.
+//! * the optional `plan_path` member records which rung of the DAG
+//!   fallback ladder produced the plan's model
 //!   (`{"kind": "sp-ized", "distortion": N}` or
-//!   `{"kind": "clustered", "units": N}`); absence — including every
-//!   older document — means the exact-SP path.
+//!   `{"kind": "clustered", "units": N}`); absence means the exact-SP
+//!   path.
 //!
 //! Decoding is *validating*: the raw stage list runs through
 //! [`gp_verify::verify_stages`] before the stage graph is rebuilt (through
@@ -88,7 +82,7 @@ use std::time::Duration;
 /// The artifact `format` marker.
 pub const FORMAT: &str = "graphpipe-plan";
 
-/// The artifact version this build writes; older versions decode too.
+/// The artifact version this build writes and the only one it decodes.
 pub const VERSION: u64 = 4;
 
 /// Why an artifact failed to decode.
@@ -98,7 +92,8 @@ pub enum ArtifactError {
     Json(JsonError),
     /// The `format` marker is missing or not [`FORMAT`].
     BadFormat(String),
-    /// The document's version is newer than this decoder understands.
+    /// The document's version is not [`VERSION`], the only one this
+    /// decoder understands.
     UnsupportedVersion(u64),
     /// A required field is missing or has the wrong type.
     Field(&'static str),
@@ -118,7 +113,7 @@ impl fmt::Display for ArtifactError {
             ArtifactError::UnsupportedVersion(v) => {
                 write!(
                     f,
-                    "artifact version {v} is newer than supported ({VERSION})"
+                    "artifact version {v} is unsupported (this build reads {VERSION})"
                 )
             }
             ArtifactError::Field(name) => {
@@ -365,8 +360,8 @@ pub fn rebuild_stage_graph(
     Err(ArtifactError::Violation(violation))
 }
 
-/// Decodes a plan artifact (any version up to [`VERSION`]) back into the
-/// exact [`Plan`] it encoded, re-validating every §3 condition against
+/// Decodes a version-[`VERSION`] plan artifact back into the exact
+/// [`Plan`] it encoded, re-validating every §3 condition against
 /// the caller's model graph and cluster.
 ///
 /// Returns the plan together with the fingerprint stamped in the header,
@@ -390,7 +385,7 @@ pub fn decode_plan(
         return Err(ArtifactError::BadFormat(format.to_string()));
     }
     let version = u64_field(&doc, "version")?;
-    if version > VERSION {
+    if version != VERSION {
         return Err(ArtifactError::UnsupportedVersion(version));
     }
     let fingerprint = match doc.get("fingerprint") {
@@ -515,27 +510,16 @@ pub fn decode_plan(
         // byte-identical re-encode guarantee.
         return Err(ArtifactError::Field("wall_nanos"));
     }
-    // Counters are required from the version that introduced them on, and
-    // zeroed for genuinely older documents (leniency must not mask
-    // truncated current-version artifacts). The memo/prune counters
-    // arrived in version 2; the beam/batch accounting in version 3.
-    let counter_since = |name: &'static str, since: u64| -> Result<u64, ArtifactError> {
-        match stats_doc.get(name) {
-            None if version < since => Ok(0),
-            None => Err(ArtifactError::Field(name)),
-            Some(v) => v.as_u64().ok_or(ArtifactError::Field(name)),
-        }
-    };
     let stats = SearchStats {
         wall: Duration::new(u64_field(stats_doc, "wall_secs")?, wall_nanos),
         dp_evals: u64_field(stats_doc, "dp_evals")?,
         dp_states: u64_field(stats_doc, "dp_states")?,
-        memo_hits: counter_since("memo_hits", 2)?,
-        memo_misses: counter_since("memo_misses", 3)?,
-        work_bound_prunes: counter_since("work_bound_prunes", 2)?,
-        memory_prunes: counter_since("memory_prunes", 2)?,
-        beam_prunes: counter_since("beam_prunes", 3)?,
-        eval_batches: counter_since("eval_batches", 3)?,
+        memo_hits: u64_field(stats_doc, "memo_hits")?,
+        memo_misses: u64_field(stats_doc, "memo_misses")?,
+        work_bound_prunes: u64_field(stats_doc, "work_bound_prunes")?,
+        memory_prunes: u64_field(stats_doc, "memory_prunes")?,
+        beam_prunes: u64_field(stats_doc, "beam_prunes")?,
+        eval_batches: u64_field(stats_doc, "eval_batches")?,
         binary_iters: u32_field(stats_doc, "binary_iters")?,
         configs_tried: u32_field(stats_doc, "configs_tried")?,
         // Phase walls are measurement, not plan data: never encoded, so a
@@ -543,7 +527,7 @@ pub fn decode_plan(
         ..SearchStats::default()
     };
 
-    // Absent (every pre-version-4 document) means the exact-SP path.
+    // Absent means the exact-SP path.
     let path = match doc.get("plan_path") {
         None => PlanPath::ExactSp,
         Some(p) => {
@@ -626,7 +610,7 @@ mod tests {
     }
 
     #[test]
-    fn versioned_counters_are_required_but_older_documents_decode_zeroed() {
+    fn current_version_documents_require_every_counter() {
         let model = zoo::mlp_chain(2, 8);
         let cluster = Cluster::summit_like(2);
         let plan = gp_partition::GraphPipePlanner::new()
@@ -637,9 +621,8 @@ mod tests {
         assert!(text.contains(&hits), "{text}");
         // A current document missing a required counter is corrupt, not
         // lenient.
-        let truncated = text.replace(&hits, "");
         assert_eq!(
-            decode_plan(&truncated, model.graph(), &cluster).unwrap_err(),
+            decode_plan(&text.replace(&hits, ""), model.graph(), &cluster).unwrap_err(),
             ArtifactError::Field("memo_hits")
         );
         let batches = format!("\"eval_batches\":{},", plan.stats.eval_batches);
@@ -648,37 +631,6 @@ mod tests {
             decode_plan(&text.replace(&batches, ""), model.graph(), &cluster).unwrap_err(),
             ArtifactError::Field("eval_batches")
         );
-        // A v2 document predates the beam/batch accounting: decode
-        // succeeds with those counters zeroed, while the v2 counters stay
-        // required.
-        let strip_v3 = |text: &str| {
-            text.replace(&format!("\"memo_misses\":{},", plan.stats.memo_misses), "")
-                .replace(&format!("\"beam_prunes\":{},", plan.stats.beam_prunes), "")
-                .replace(&batches, "")
-        };
-        let v2 = strip_v3(&text).replace("\"version\":4", "\"version\":2");
-        let (decoded, _) = decode_plan(&v2, model.graph(), &cluster).unwrap();
-        assert_eq!(decoded.stats.memo_hits, plan.stats.memo_hits);
-        assert_eq!(decoded.stats.memo_misses, 0);
-        assert_eq!(decoded.stats.beam_prunes, 0);
-        assert_eq!(decoded.stats.eval_batches, 0);
-        // The same shape claiming version 1 predates all the counters:
-        // decode succeeds with every one of them zeroed.
-        let v1 = strip_v3(&truncated)
-            .replace("\"version\":4", "\"version\":1")
-            .replace(
-                &format!("\"work_bound_prunes\":{},", plan.stats.work_bound_prunes),
-                "",
-            )
-            .replace(
-                &format!("\"memory_prunes\":{},", plan.stats.memory_prunes),
-                "",
-            );
-        let (decoded, _) = decode_plan(&v1, model.graph(), &cluster).unwrap();
-        assert_eq!(decoded.stats.memo_hits, 0);
-        assert_eq!(decoded.stats.work_bound_prunes, 0);
-        assert_eq!(decoded.stats.memory_prunes, 0);
-        assert_eq!(decoded.stage_graph, plan.stage_graph);
     }
 
     #[test]
@@ -724,8 +676,21 @@ mod tests {
                 model.graph(),
                 &cluster
             ),
-            Err(ArtifactError::Field("mini_batch"))
+            Err(ArtifactError::UnsupportedVersion(1))
         ));
+        // Only the current version decodes: a complete document relabelled
+        // with an older version is rejected, not read leniently.
+        let plan = GraphPipePlanner::new().plan(&model, &cluster, 8).unwrap();
+        let text = encode_plan(&plan, None);
+        let current = format!("\"version\":{VERSION}");
+        assert!(text.contains(&current), "{text}");
+        for version in [1, 2, 3] {
+            let older = text.replace(&current, &format!("\"version\":{version}"));
+            assert_eq!(
+                decode_plan(&older, model.graph(), &cluster).unwrap_err(),
+                ArtifactError::UnsupportedVersion(version)
+            );
+        }
     }
 
     #[test]

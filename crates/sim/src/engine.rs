@@ -33,15 +33,6 @@
 //!   (equal-time charge/release pairs only arise for zero-duration stages,
 //!   which stash zero bytes — see DESIGN.md §"Memory accounting").
 //!
-//! [`SimOptions::parallelism`] switches on the deterministic parallel mode:
-//! device queues are striped over `crossbeam::thread::scope` workers that
-//! relax concurrently against shared atomic completion columns, with a
-//! barrier per round. Every task's start/completion time is a pure
-//! function of its dependencies' times (a unique longest-path fixpoint),
-//! so worker interleaving cannot change any value and reports are
-//! byte-identical to the sequential engine's (see DESIGN.md
-//! §"Determinism").
-//!
 //! Modeling notes (see DESIGN.md §"The modeling contract"):
 //!
 //! * replica `r` of a stage with `d` replicas processes micro-batches
@@ -60,29 +51,14 @@ use gp_cost::{CostModel, Pass};
 use gp_ir::Graph;
 use gp_obs::Telemetry;
 use gp_sched::{covering_micro_batches, PipelineSchedule, StageGraph, StageId, TaskIndex};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
-use std::sync::Barrier;
 
-/// Tuning knobs for [`simulate_with`].
+/// Simulator settings: there are none.
 ///
-/// The default is the sequential engine. `parallelism > 1` relaxes device
-/// queues on that many scoped worker threads; the report is byte-identical
-/// either way, so the knob is purely a wall-clock lever for large
-/// simulations on idle cores.
+/// The engine has a single mode, so this struct has no fields. It remains
+/// only because [`simulate_traced`] takes it, and callers outside this
+/// workspace pass `&SimOptions::default()` there.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct SimOptions {
-    /// Number of relaxation worker threads; `0` and `1` both mean the
-    /// sequential engine. Clamped to the device count.
-    pub parallelism: usize,
-}
-
-impl SimOptions {
-    /// Sets [`SimOptions::parallelism`], builder style.
-    pub fn with_parallelism(mut self, workers: usize) -> Self {
-        self.parallelism = workers;
-        self
-    }
-}
+pub struct SimOptions {}
 
 /// One task instance placed on a device queue.
 #[derive(Debug, Clone, Copy)]
@@ -314,15 +290,12 @@ impl Prep {
     /// not completed yet.
     ///
     /// `done_at` returns a task's completion time once it is scheduled.
-    /// The accumulated value is a max over per-dependency arrival times,
-    /// so it is independent of evaluation order — which is what makes the
-    /// parallel mode's answers bit-equal to the sequential engine's.
     #[inline]
     fn ready_time(
         &self,
         t: &QueuedTask,
         me: u32,
-        done_at: &mut impl FnMut(usize) -> Option<f64>,
+        done_at: impl Fn(usize) -> Option<f64>,
     ) -> Result<f64, usize> {
         let s = t.stage as usize;
         let b_me = self.micro_batch[s];
@@ -373,8 +346,7 @@ impl Prep {
     }
 }
 
-/// Per-device mutable state of one relaxation (sequential: all devices;
-/// parallel: the worker's stripe, indexed by stripe position).
+/// Per-device mutable state of the relaxation.
 #[derive(Debug, Clone)]
 struct DeviceState {
     head: usize,
@@ -413,27 +385,24 @@ impl DeviceState {
     }
 }
 
-/// Output of a relaxation, merged across workers in the parallel mode.
+/// Output of the relaxation.
 struct Relaxed {
     completion: Vec<f64>,
     start: Vec<f64>,
     busy_until: Vec<f64>,
     busy_total: Vec<f64>,
     peak_mem: Vec<u64>,
-    /// Engine-mechanics counters for telemetry: deterministic for the
-    /// sequential engine; `rounds` for the parallel one (whose count can
-    /// vary with interleaving — it never reaches report data). All zero
-    /// for whichever engine did not run.
+    /// Engine-mechanics counters for telemetry; they never reach report
+    /// data.
     parks: u64,
     wakes: u64,
-    rounds: u64,
 }
 
-/// Sequential relaxation: an explicit ready stack of devices plus an
-/// intrusive watcher list per task. A blocked device parks on the first
-/// missing dependency and is re-pushed exactly when that task completes,
-/// so every task is examined `O(1 + its dependency count)` times.
-fn relax_sequential(prep: &Prep) -> Result<Relaxed, SimError> {
+/// The relaxation: an explicit ready stack of devices plus an intrusive
+/// watcher list per task. A blocked device parks on the first missing
+/// dependency and is re-pushed exactly when that task completes, so every
+/// task is examined `O(1 + its dependency count)` times.
+fn relax(prep: &Prep) -> Result<Relaxed, SimError> {
     let n = prep.idx.len();
     let n_dev = prep.n_dev;
     let mut completion = vec![f64::NAN; n];
@@ -455,7 +424,7 @@ fn relax_sequential(prep: &Prep) -> Result<Relaxed, SimError> {
         let state = &mut dev[d as usize];
         while state.head < queue.len() {
             let t = &queue[state.head];
-            match prep.ready_time(t, d, &mut |dep| done[dep].then(|| completion[dep])) {
+            match prep.ready_time(t, d, |dep| done[dep].then(|| completion[dep])) {
                 Err(dep) => {
                     // Park on the missing dependency's watcher list.
                     watcher_next[d as usize] = watcher_head[dep];
@@ -500,138 +469,10 @@ fn relax_sequential(prep: &Prep) -> Result<Relaxed, SimError> {
         peak_mem: dev.iter().map(|s| s.peak_mem).collect(),
         parks,
         wakes,
-        rounds: 0,
     })
 }
 
-/// Round states of the parallel relaxation.
-const RUN: u8 = 0;
-const FINISHED: u8 = 1;
-const DEADLOCKED: u8 = 2;
-
-/// Parallel relaxation: devices stripe over `workers` scoped threads
-/// (`dev % workers`), each sweeping its own queues against shared atomic
-/// completion columns. Rounds are separated by barriers; the leader calls
-/// the iteration finished when all tasks are scheduled and deadlocked when
-/// a whole round makes no progress anywhere (the done-set is then a
-/// fixpoint). Every value a worker publishes is the unique longest-path
-/// solution for that task, so the merged result is byte-identical to
-/// [`relax_sequential`]'s regardless of thread interleaving.
-fn relax_parallel(prep: &Prep, workers: usize) -> Result<Relaxed, SimError> {
-    let n = prep.idx.len();
-    let n_dev = prep.n_dev;
-    let total: usize = prep.tasks.len();
-    let done: Vec<AtomicBool> = (0..n).map(|_| AtomicBool::new(false)).collect();
-    let completion: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(f64::NAN.to_bits())).collect();
-    let start: Vec<AtomicU64> = (0..n).map(|_| AtomicU64::new(f64::NAN.to_bits())).collect();
-    let barrier = Barrier::new(workers);
-    let round_progress = AtomicUsize::new(0);
-    let scheduled_total = AtomicUsize::new(0);
-    let state_flag = AtomicU8::new(RUN);
-    let rounds = AtomicUsize::new(0);
-
-    let worker = |w: usize| -> Vec<(usize, DeviceState)> {
-        let mut owned: Vec<(usize, DeviceState)> = (w..n_dev)
-            .step_by(workers)
-            .map(|d| (d, DeviceState::new(prep.static_mem[d])))
-            .collect();
-        loop {
-            let mut local = 0usize;
-            // Sweep owned devices to a local fixpoint; peers may publish
-            // new completions mid-sweep, which only adds progress.
-            loop {
-                let mut sweep = 0usize;
-                for (d, state) in owned.iter_mut() {
-                    let queue = prep.queue(*d);
-                    while state.head < queue.len() {
-                        let t = &queue[state.head];
-                        let ready = prep.ready_time(t, *d as u32, &mut |dep| {
-                            done[dep]
-                                .load(Ordering::Acquire)
-                                .then(|| f64::from_bits(completion[dep].load(Ordering::Relaxed)))
-                        });
-                        let Ok(ready) = ready else { break };
-                        let t_start = state.busy_until.max(ready);
-                        let t_end = t_start + t.duration;
-                        let ti = prep.idx.index(StageId(t.stage), t.mb, t.pass);
-                        completion[ti].store(t_end.to_bits(), Ordering::Relaxed);
-                        start[ti].store(t_start.to_bits(), Ordering::Relaxed);
-                        done[ti].store(true, Ordering::Release);
-                        state.commit(t, t_end, prep.act_charge[t.stage as usize]);
-                        sweep += 1;
-                    }
-                }
-                local += sweep;
-                if sweep == 0 {
-                    break;
-                }
-            }
-            round_progress.fetch_add(local, Ordering::SeqCst);
-            barrier.wait();
-            if w == 0 {
-                rounds.fetch_add(1, Ordering::SeqCst);
-                let progress = round_progress.swap(0, Ordering::SeqCst);
-                let scheduled = scheduled_total.fetch_add(progress, Ordering::SeqCst) + progress;
-                let next = if scheduled == total {
-                    FINISHED
-                } else if progress == 0 {
-                    DEADLOCKED
-                } else {
-                    RUN
-                };
-                state_flag.store(next, Ordering::SeqCst);
-            }
-            barrier.wait();
-            if state_flag.load(Ordering::SeqCst) != RUN {
-                return owned;
-            }
-        }
-    };
-
-    let worker = &worker;
-    let per_worker: Vec<Vec<(usize, DeviceState)>> = crossbeam::thread::scope(|s| {
-        let handles: Vec<_> = (0..workers).map(|w| s.spawn(move |_| worker(w))).collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("relaxation workers do not panic"))
-            .collect()
-    })
-    .expect("scope does not fail");
-
-    if state_flag.load(Ordering::SeqCst) == DEADLOCKED {
-        return Err(SimError::Deadlock {
-            completed: scheduled_total.load(Ordering::SeqCst),
-            total,
-        });
-    }
-    let mut busy_until = vec![0.0f64; n_dev];
-    let mut busy_total = vec![0.0f64; n_dev];
-    let mut peak_mem = vec![0u64; n_dev];
-    for (d, state) in per_worker.into_iter().flatten() {
-        busy_until[d] = state.busy_until;
-        busy_total[d] = state.busy_total;
-        peak_mem[d] = state.peak_mem;
-    }
-    Ok(Relaxed {
-        completion: completion
-            .into_iter()
-            .map(|c| f64::from_bits(c.into_inner()))
-            .collect(),
-        start: start
-            .into_iter()
-            .map(|s| f64::from_bits(s.into_inner()))
-            .collect(),
-        busy_until,
-        busy_total,
-        peak_mem,
-        parks: 0,
-        wakes: 0,
-        rounds: rounds.load(Ordering::SeqCst) as u64,
-    })
-}
-
-/// Simulates one synchronous training iteration of a strategy with the
-/// default [`SimOptions`] (sequential engine).
+/// Simulates one synchronous training iteration of a strategy.
 ///
 /// # Errors
 ///
@@ -645,50 +486,34 @@ pub fn simulate(
     sg: &StageGraph,
     schedule: &PipelineSchedule,
 ) -> Result<SimReport, SimError> {
-    simulate_with(graph, cluster, sg, schedule, &SimOptions::default())
-}
-
-/// Simulates one synchronous training iteration of a strategy.
-///
-/// The report is byte-identical for any [`SimOptions::parallelism`]; the
-/// option only moves wall-clock time (see the module docs for the
-/// determinism argument).
-///
-/// # Errors
-///
-/// Same as [`simulate`].
-pub fn simulate_with(
-    graph: &Graph,
-    cluster: &Cluster,
-    sg: &StageGraph,
-    schedule: &PipelineSchedule,
-    options: &SimOptions,
-) -> Result<SimReport, SimError> {
     simulate_traced(
         graph,
         cluster,
         sg,
         schedule,
-        options,
+        &SimOptions::default(),
         &Telemetry::disabled(),
     )
 }
 
-/// [`simulate_with`], emitting spans (`sim.prep` / `sim.relax` /
+/// [`simulate`], emitting spans (`sim.prep` / `sim.relax` /
 /// `sim.finalize`) and engine counters (`sim.tasks`,
-/// `sim.watcher_parks`, `sim.watcher_wakes`, `sim.relax_rounds`) into
-/// `telemetry`.
+/// `sim.watcher_parks`, `sim.watcher_wakes`) into `telemetry`.
 ///
 /// Telemetry is write-only: the returned report — including its
 /// [`SimReport::fingerprint`](crate::SimReport::fingerprint) — is
 /// byte-identical whether `telemetry` is enabled, disabled, or absent
 /// (the golden sim tests assert this).
+///
+/// # Errors
+///
+/// Same as [`simulate`].
 pub fn simulate_traced(
     graph: &Graph,
     cluster: &Cluster,
     sg: &StageGraph,
     schedule: &PipelineSchedule,
-    options: &SimOptions,
+    _options: &SimOptions,
     telemetry: &Telemetry,
 ) -> Result<SimReport, SimError> {
     if schedule.per_stage.len() != sg.len() {
@@ -705,19 +530,13 @@ pub fn simulate_traced(
     drop(prep_span);
     let total_tasks = prep.tasks.len();
 
-    let workers = options.parallelism.min(n_dev);
     let relax_span = telemetry.span_with("sim.relax", total_tasks as u64);
-    let relaxed = if workers > 1 {
-        relax_parallel(&prep, workers)?
-    } else {
-        relax_sequential(&prep)?
-    };
+    let relaxed = relax(&prep)?;
     drop(relax_span);
     if telemetry.is_enabled() {
         telemetry.counter_add("sim.tasks", total_tasks as u64);
         telemetry.counter_add("sim.watcher_parks", relaxed.parks);
         telemetry.counter_add("sim.watcher_wakes", relaxed.wakes);
-        telemetry.counter_add("sim.relax_rounds", relaxed.rounds);
         telemetry.gauge_set("sim.devices", n_dev as i64);
     }
     let _finalize_span = telemetry.span("sim.finalize");

@@ -16,8 +16,6 @@
 //! a running per-device watermark (the layout is documented on the
 //! private `engine` module; the perf harness is
 //! `crates/bench/src/bin/sim_profile.rs`).
-//! [`SimOptions::parallelism`] enables a deterministic parallel
-//! relaxation with byte-identical reports.
 //!
 //! # Examples
 //!
@@ -25,19 +23,12 @@
 //! use gp_cluster::Cluster;
 //! use gp_ir::zoo::{self, CandleUnoConfig};
 //! use gp_partition::{GraphPipePlanner, Planner};
-//! use gp_sim::SimOptions;
 //!
 //! let model = zoo::candle_uno(&CandleUnoConfig::default());
 //! let cluster = Cluster::summit_like(8);
 //! let plan = GraphPipePlanner::new().plan(&model, &cluster, 1024)?;
 //! let report = gp_sim::simulate(model.graph(), &cluster, &plan.stage_graph, &plan.schedule)?;
 //! assert!(report.throughput > 0.0);
-//! // The parallel engine produces the byte-identical report.
-//! let par = gp_sim::simulate_with(
-//!     model.graph(), &cluster, &plan.stage_graph, &plan.schedule,
-//!     &SimOptions::default().with_parallelism(4),
-//! )?;
-//! assert_eq!(report.fingerprint(), par.fingerprint());
 //! println!("{}", gp_sim::render_gantt(&report, &plan.stage_graph, 80));
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
@@ -50,7 +41,7 @@ mod gantt;
 mod report;
 mod trace;
 
-pub use engine::{simulate, simulate_traced, simulate_with, SimOptions};
+pub use engine::{simulate, simulate_traced, SimOptions};
 pub use gantt::render_gantt;
 pub use report::{SimError, SimReport, TaskSpan};
 pub use trace::{report_into_perfetto, report_to_perfetto};

@@ -274,35 +274,3 @@ fn serve_path_failures_normalize_to_plan_errors() {
     assert!(matches!(served, graphpipe::Error::Plan(_)), "{served:?}");
     assert_eq!(served, local);
 }
-
-/// `SessionBuilder::sim_options` routes every simulate call through the
-/// chosen engine, and the parallel engine's reports are byte-identical to
-/// the sequential default — so sessions can flip the knob freely without
-/// invalidating golden tables or cached comparisons.
-#[test]
-fn session_sim_options_parallel_reports_are_identical() {
-    let opts = PlanOptions::default().with_max_micro_batches(16);
-    let sequential = mmt_session(opts.clone());
-    let parallel = Session::builder()
-        .model(zoo::mmt(&zoo::MmtConfig::two_branch()))
-        .cluster(Cluster::summit_like(4))
-        .mini_batch(64)
-        .options(opts)
-        .sim_options(SimOptions::default().with_parallelism(3))
-        .build()
-        .expect("well-formed session");
-    assert_eq!(parallel.sim_options().parallelism, 3);
-
-    let a = sequential.plan(PlannerKind::GraphPipe).unwrap();
-    let b = parallel.plan(PlannerKind::GraphPipe).unwrap();
-    let ra = a.simulate().unwrap();
-    let rb = b.simulate().unwrap();
-    assert_eq!(ra.fingerprint(), rb.fingerprint());
-    assert_eq!(ra.timeline, rb.timeline);
-
-    // Explicit per-call options override the session's.
-    let rc = a
-        .simulate_with(&SimOptions::default().with_parallelism(2))
-        .unwrap();
-    assert_eq!(ra.fingerprint(), rc.fingerprint());
-}
