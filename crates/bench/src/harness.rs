@@ -12,18 +12,12 @@ pub fn paper_mini_batch(model: &str, devices: usize) -> u64 {
         8 => 1,
         16 => 2,
         32 => 3,
-        64 => 4,
-        128 => 5,
         other => panic!("no paper configuration for {other} devices"),
     };
-    // The 64- and 128-GPU columns extrapolate A.2's doubling pattern (the
-    // paper stops at 32); `planner_profile` uses them for the scaling
-    // sweep.
     match model {
-        "mmt" => [64, 128, 256, 512, 1024, 2048][idx],
-        "dlrm" => [256, 512, 1024, 2048, 4096, 8192][idx],
-        "candle-uno" | "candle-uno-full" => [4096, 8192, 16384, 32768, 65536, 131072][idx],
-        "moe" => [128, 256, 512, 1024, 2048, 4096][idx],
+        "mmt" => [64, 128, 256, 512][idx],
+        "dlrm" => [256, 512, 1024, 2048][idx],
+        "candle-uno" => [4096, 8192, 16384, 32768][idx],
         other => panic!("unknown model {other}"),
     }
 }

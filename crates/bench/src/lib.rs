@@ -1,7 +1,7 @@
 //! # gp-bench — benchmark harnesses for the GraphPipe evaluation
 //!
-//! One binary per table/figure of the paper (see `src/bin/`), plus the
-//! planner, simulator, and serving profiles. Shared helpers live here.
+//! One binary per table/figure of the paper (see `src/bin/`). Shared
+//! helpers live here.
 
 #![forbid(unsafe_code)]
 

@@ -4,9 +4,9 @@
 //! executes discovered GPP strategies while preserving synchronous training
 //! semantics. This crate is that runtime's *semantic* substitute (the
 //! timing substitute is `gp-sim`): worker threads play the role of GPUs,
-//! crossbeam channels play the role of NVLink/InfiniBand, and real f32
-//! tensor math (`gp-tensor`) runs every forward and backward pass in the
-//! order prescribed by the strategy's micro-batch schedules.
+//! `std::sync::mpsc` channels play the role of NVLink/InfiniBand, and real
+//! f32 tensor math (`gp-tensor`) runs every forward and backward pass in
+//! the order prescribed by the strategy's micro-batch schedules.
 //!
 //! The headline guarantees, enforced by the integration tests:
 //!

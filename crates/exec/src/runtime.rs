@@ -2,10 +2,10 @@
 //!
 //! One OS thread per stage *replica* plays the role of one GPU: it executes
 //! its stage's task order (from `gp-sched`), exchanges activation and
-//! gradient chunks with neighbouring stages over crossbeam channels, and
-//! accumulates weight gradients. The main thread plays the role of the
-//! synchronous optimizer: it sums replica gradients in a fixed order
-//! (deterministic results) and applies SGD — preserving exactly the
+//! gradient chunks with neighbouring stages over `std::sync::mpsc`
+//! channels, and accumulates weight gradients. The main thread plays the
+//! role of the synchronous optimizer: it sums replica gradients in a fixed
+//! order (deterministic results) and applies SGD — preserving exactly the
 //! synchronous-1F1B training semantics the paper's runtime guarantees
 //! ("the DNN training semantics is preserved, thus statistical convergence
 //! issues do not arise", §8).
@@ -19,16 +19,15 @@
 use crate::data::slice_batch;
 use crate::module::{ModelParams, OpParams};
 use crate::stage::StageRunner;
-use crossbeam::channel::{unbounded, Receiver, Sender};
 use gp_cost::Pass;
 use gp_ir::{Graph, OpId};
 use gp_obs::Telemetry;
 use gp_sched::{PipelineSchedule, StageGraph, StageId};
 use gp_tensor::Tensor;
-use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::Arc;
+use std::sync::mpsc::{self, Receiver, Sender};
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// What one worker thread hands back: its `(stage, replica)` identity, the
 /// accumulated parameter gradients, and the local loss contribution.
@@ -175,12 +174,16 @@ impl<'a> Worker<'a> {
                     self.ship_backward_grads(&upstream, lo);
                 }
             }
-            self.trace.lock().push(TraceEvent {
-                stage: self.stage,
-                replica: self.replica,
-                mb: task.mb,
-                pass: task.pass,
-            });
+            // A peer's panic surfaces from its join, not from this lock.
+            self.trace
+                .lock()
+                .unwrap_or_else(PoisonError::into_inner)
+                .push(TraceEvent {
+                    stage: self.stage,
+                    replica: self.replica,
+                    mb: task.mb,
+                    pass: task.pass,
+                });
         }
         Ok(())
     }
@@ -378,7 +381,7 @@ pub fn train_iteration_traced(
     let mut senders: HashMap<(StageId, u32), Sender<ChunkMsg>> = HashMap::new();
     let mut receivers: HashMap<(StageId, u32), Receiver<ChunkMsg>> = HashMap::new();
     for &(s, r) in &replicas {
-        let (tx, rx) = unbounded();
+        let (tx, rx) = mpsc::channel();
         senders.insert((s, r), tx);
         receivers.insert((s, r), rx);
     }
@@ -487,7 +490,8 @@ pub fn train_iteration_traced(
     params.sgd_step(&grads, lr);
     let trace = Arc::try_unwrap(trace)
         .expect("all workers joined")
-        .into_inner();
+        .into_inner()
+        .unwrap_or_else(PoisonError::into_inner);
     Ok(IterationResult { loss, trace })
 }
 

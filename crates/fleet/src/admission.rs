@@ -17,10 +17,10 @@
 //! into a latency cliff. Cache and store hits are never shed — they cost
 //! no planner time.
 
+use crate::lock;
 use gp_partition::PlanOptions;
-use parking_lot::Mutex;
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// Service tier, ordered cheapest to most capable.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Default)]
@@ -35,25 +35,6 @@ pub enum TenantClass {
 }
 
 impl TenantClass {
-    /// Stable name for stats and bench output.
-    pub fn name(self) -> &'static str {
-        match self {
-            TenantClass::Batch => "batch",
-            TenantClass::Standard => "standard",
-            TenantClass::Premium => "premium",
-        }
-    }
-
-    /// Parses a class name (as accepted by `serve_load --tenants`).
-    pub fn parse(text: &str) -> Option<TenantClass> {
-        match text {
-            "batch" => Some(TenantClass::Batch),
-            "standard" => Some(TenantClass::Standard),
-            "premium" => Some(TenantClass::Premium),
-            _ => None,
-        }
-    }
-
     /// Caps `options` to this tier: eval budget and beam width are
     /// clamped down, never raised. `Premium` passes everything through.
     pub fn apply(self, options: &mut PlanOptions) {
@@ -131,7 +112,7 @@ pub struct AdmissionToken {
 impl Drop for AdmissionToken {
     fn drop(&mut self) {
         if let Some(tenant) = self.tenant.take() {
-            let mut held = self.in_flight.lock();
+            let mut held = lock(&self.in_flight);
             if let Some(count) = held.get_mut(&tenant) {
                 *count -= 1;
                 if *count == 0 {
@@ -181,7 +162,7 @@ impl AdmissionControl {
         let spec = self.config.spec(tenant);
         spec.class.apply(options);
         if let Some(limit) = spec.tokens {
-            let mut held = self.in_flight.lock();
+            let mut held = lock(&self.in_flight);
             let count = held.entry(tenant.to_string()).or_insert(0);
             if *count >= limit {
                 return Err(QuotaExceeded {
@@ -204,7 +185,7 @@ impl AdmissionControl {
 
     /// Tokens currently held by `tenant`.
     pub fn held(&self, tenant: &str) -> usize {
-        self.in_flight.lock().get(tenant).copied().unwrap_or(0) as usize
+        lock(&self.in_flight).get(tenant).copied().unwrap_or(0) as usize
     }
 }
 

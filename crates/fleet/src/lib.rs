@@ -50,6 +50,16 @@ pub use worker::{
     plan_locally, LocalWorker, PlanWorker, RemoteWorker, WorkerFailure, WorkerServer,
 };
 
+use std::sync::{Mutex, MutexGuard, PoisonError};
+
+/// Locks `mutex`, recovering the guard when an earlier holder panicked.
+/// The fleet's critical sections are short map and counter updates that
+/// leave their table valid at every step, so one panicking thread must not
+/// fail every later request that needs the same lock.
+fn lock<T: ?Sized>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 #[cfg(test)]
 mod doc_sync {
     //! The crate's documentation contract: the repository docs must

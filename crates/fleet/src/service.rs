@@ -28,20 +28,22 @@
 use crate::admission::{
     AdmissionConfig, AdmissionControl, AdmissionToken, TenantClass, TenantSpec,
 };
+use crate::lock;
 use crate::shard::{ShardLookup, ShardStats, ShardedPlanCache};
 use crate::store::ArtifactStore;
 use crate::worker::{LocalWorker, PlanWorker, RemoteWorker, WorkerFailure};
-use crossbeam::channel::{unbounded, Receiver, Sender};
 use gp_obs::{ClockHandle, Histogram, HistogramSnapshot, Telemetry};
 use gp_partition::{Plan, PlanError, WarmStart};
 use gp_serve::fingerprint::{request_config_fingerprint, request_graph_fingerprint};
 use gp_serve::{artifact, Fingerprint, PlanRequest, ServeError, ServePlanner};
-use parking_lot::Mutex;
+use std::any::Any;
 use std::collections::BTreeMap;
 use std::io;
+use std::panic::{self, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::mpsc::{self, Receiver, RecvError, Sender};
+use std::sync::{Arc, Mutex};
 use std::thread;
 
 /// How a [`FleetService`] is assembled.
@@ -304,6 +306,9 @@ struct Counters {
 }
 
 struct Shared {
+    /// The miss queue. A std channel has one consumer, so the dispatchers
+    /// share its receiving end behind a lock (see [`next_job`]).
+    jobs: Mutex<Receiver<Job>>,
     cache: ShardedPlanCache,
     store: Option<ArtifactStore>,
     workers: Vec<Box<dyn PlanWorker>>,
@@ -366,7 +371,9 @@ impl FleetService {
             Some(dir) => Some(ArtifactStore::open(dir)?),
             None => None,
         };
+        let (job_tx, jobs) = mpsc::channel::<Job>();
         let shared = Arc::new(Shared {
+            jobs: Mutex::new(jobs),
             cache: ShardedPlanCache::new(config.shards, config.cache_capacity),
             store,
             workers,
@@ -381,14 +388,12 @@ impl FleetService {
             clock: ClockHandle::default(),
             stopped: AtomicBool::new(false),
         });
-        let (job_tx, job_rx) = unbounded::<Job>();
         let dispatchers = (0..shared.workers.len())
             .map(|i| {
                 let shared = Arc::clone(&shared);
-                let rx = job_rx.clone();
                 thread::Builder::new()
                     .name(format!("gp-fleet-dispatch-{i}"))
-                    .spawn(move || dispatcher_loop(&shared, &rx, i))
+                    .spawn(move || dispatcher_loop(&shared, i))
                     .expect("spawn fleet dispatcher")
             })
             .collect();
@@ -457,8 +462,8 @@ impl FleetService {
         }
 
         // Levels 3 and 4 under the in-flight lock.
-        let (tx, rx) = unbounded::<Reply>();
-        let mut inflight = shared.inflight.lock();
+        let (tx, rx) = mpsc::channel::<Reply>();
+        let mut inflight = lock(&shared.inflight);
         // Double-check: a dispatcher may have published between the cache
         // miss above and taking this lock (publish holds the same lock).
         if let ShardLookup::Hit(plan) = shared.cache.peek(&fingerprint, numbering) {
@@ -508,7 +513,7 @@ impl FleetService {
         if let Some(job_tx) = &self.job_tx {
             if job_tx.send(job).is_err() {
                 // Dispatchers are gone; unpublish the claim.
-                self.shared.inflight.lock().remove(&fingerprint);
+                lock(&self.shared.inflight).remove(&fingerprint);
                 shared.backlog.fetch_sub(1, Ordering::AcqRel);
                 return Err(ServeError::ServiceStopped);
             }
@@ -610,8 +615,16 @@ impl Drop for FleetService {
     }
 }
 
-fn dispatcher_loop(shared: &Shared, rx: &Receiver<Job>, worker_index: usize) {
-    while let Ok(job) = rx.recv() {
+/// Takes the next job off the shared queue, blocking while it is empty;
+/// fails once the queue is drained and its sender is gone. The guard lives
+/// only inside this call: held through a dispatcher's loop body, it would
+/// let one dispatcher plan at a time.
+fn next_job<T>(queue: &Mutex<Receiver<T>>) -> Result<T, RecvError> {
+    lock(queue).recv()
+}
+
+fn dispatcher_loop(shared: &Shared, worker_index: usize) {
+    while let Ok(job) = next_job(&shared.jobs) {
         let wait_ns = shared.clock.now_nanos().saturating_sub(job.enqueued_ns);
         shared.queue_wait.record(wait_ns);
         shared.telemetry.record("fleet.queue_wait_ns", wait_ns);
@@ -640,7 +653,7 @@ fn plan_via_workers(
         )
     });
     let warm = warm_key.and_then(|(graph_fp, config_fp)| {
-        shared.warm_index.lock().get(&graph_fp).map(|seed| {
+        lock(&shared.warm_index).get(&graph_fp).map(|seed| {
             if seed.config_fp != config_fp {
                 // Same graph, different cluster/batch/options: the hint
                 // crossed configurations, the paper's warm-start case.
@@ -663,7 +676,19 @@ fn plan_via_workers(
             shared.telemetry.counter_add("fleet.retries", 1);
         }
         let start_ns = shared.clock.now_nanos();
-        match worker.plan(request, warm) {
+        // A panicking planner fails this request like any planner error:
+        // every waiter gets the error and the dispatcher keeps serving.
+        let attempt = panic::catch_unwind(AssertUnwindSafe(|| worker.plan(request, warm)))
+            .unwrap_or_else(|payload| {
+                Err(WorkerFailure::Failed(ServeError::Plan(
+                    PlanError::Internal(format!(
+                        "worker {} panicked: {}",
+                        worker.describe(),
+                        panic_message(payload.as_ref())
+                    )),
+                )))
+            });
+        match attempt {
             Ok(text) => {
                 let rtt = shared.clock.now_nanos().saturating_sub(start_ns);
                 shared.worker_rtt.record(rtt);
@@ -686,7 +711,7 @@ fn plan_via_workers(
                 }
                 if seed_warm_index {
                     if let Some((graph_fp, config_fp)) = warm_key {
-                        shared.warm_index.lock().insert(
+                        lock(&shared.warm_index).insert(
                             graph_fp,
                             WarmSeed {
                                 config_fp,
@@ -711,13 +736,22 @@ fn plan_via_workers(
     Err(ServeError::WorkerUnavailable { attempts })
 }
 
+/// The text a panic was raised with.
+fn panic_message(payload: &(dyn Any + Send)) -> &str {
+    payload
+        .downcast_ref::<&str>()
+        .copied()
+        .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+        .unwrap_or("non-string panic payload")
+}
+
 fn publish(
     shared: &Shared,
     job: &Job,
     outcome: Result<(String, Arc<Plan>), ServeError>,
     worker_index: usize,
 ) {
-    let mut inflight = shared.inflight.lock();
+    let mut inflight = lock(&shared.inflight);
     let waiters = inflight.remove(&job.fingerprint).unwrap_or_default();
     let numbering = job.request.model.numbering_signature();
     match outcome {
@@ -767,6 +801,8 @@ mod tests {
     use gp_ir::zoo::{self, CandleUnoConfig, DlrmConfig};
     use gp_partition::PlanOptions;
     use gp_serve::fingerprint::plan_fingerprint;
+    use std::sync::{Condvar, PoisonError};
+    use std::time::Duration;
 
     fn candle(mini_batch: u64) -> PlanRequest {
         PlanRequest::new(
@@ -796,11 +832,11 @@ mod tests {
         service.submit("t", request)?.wait()
     }
 
-    /// A local worker that plans only after a release message, so a test
-    /// can hold a planning run open while it submits more requests.
-    struct Gate(Receiver<()>, LocalWorker);
+    /// A worker that plans only after a release message, so a test can
+    /// hold a planning run open while it submits more requests.
+    struct Gate<W>(Mutex<Receiver<()>>, W);
 
-    impl PlanWorker for Gate {
+    impl<W: PlanWorker> PlanWorker for Gate<W> {
         fn describe(&self) -> String {
             "gate".into()
         }
@@ -809,16 +845,33 @@ mod tests {
             request: &PlanRequest,
             warm: Option<WarmStart>,
         ) -> Result<String, WorkerFailure> {
-            let _ = self.0.recv();
+            let _ = lock(&self.0).recv();
             self.1.plan(request, warm)
         }
     }
 
     fn gated(config: FleetConfig) -> (FleetService, Sender<()>) {
-        let (release, gate) = unbounded::<()>();
-        let worker = Gate(gate, LocalWorker::new(0, Telemetry::disabled()));
+        gated_over(config, LocalWorker::new(0, Telemetry::disabled()))
+    }
+
+    fn gated_over(
+        config: FleetConfig,
+        worker: impl PlanWorker + 'static,
+    ) -> (FleetService, Sender<()>) {
+        let (release, gate) = mpsc::channel::<()>();
+        let worker = Gate(Mutex::new(gate), worker);
         let service = FleetService::with_workers(config, vec![Box::new(worker)]).unwrap();
         (service, release)
+    }
+
+    /// Waits for `ticket` on another thread, so a ticket that never
+    /// resolves fails the test instead of hanging it.
+    fn wait_or_fail(ticket: FleetTicket) -> Reply {
+        let (done, reply) = mpsc::channel();
+        thread::spawn(move || done.send(ticket.wait()));
+        reply
+            .recv_timeout(Duration::from_secs(30))
+            .expect("the ticket never resolved")
     }
 
     #[test]
@@ -1203,5 +1256,131 @@ mod tests {
         let text = service.stats().render();
         assert!(text.contains("hit-rate 0.500"), "{text}");
         assert!(text.contains("planner-runs 1"), "{text}");
+    }
+
+    #[test]
+    fn planner_panics_fail_every_waiter_and_spare_the_dispatcher() {
+        /// A local worker with a planner bug: it panics on mini-batch 16.
+        struct Panicky(LocalWorker);
+
+        impl PlanWorker for Panicky {
+            fn describe(&self) -> String {
+                "panicky".into()
+            }
+            fn plan(
+                &self,
+                request: &PlanRequest,
+                warm: Option<WarmStart>,
+            ) -> Result<String, WorkerFailure> {
+                assert_ne!(request.mini_batch, 16, "planner bug");
+                self.0.plan(request, warm)
+            }
+        }
+
+        let worker = Panicky(LocalWorker::new(0, Telemetry::disabled()));
+        let (service, release) = gated_over(FleetConfig::local(1, 8), worker);
+        let first = service.submit("t", candle(16)).unwrap();
+        let joined = service.submit("t", candle(16)).unwrap();
+        assert_eq!(joined.served(), Served::Joined);
+        release.send(()).unwrap();
+        for ticket in [first, joined] {
+            match wait_or_fail(ticket) {
+                Err(ServeError::Plan(PlanError::Internal(why))) => {
+                    assert!(why.contains("panicked: "), "{why}");
+                    assert!(why.contains("planner bug"), "{why}");
+                }
+                other => panic!("expected the panic as an internal error, got {other:?}"),
+            }
+        }
+        // The one dispatcher survived the panic and serves the next miss.
+        release.send(()).unwrap();
+        let next = service.submit("t", candle(32)).unwrap();
+        wait_or_fail(next).expect("the dispatcher keeps serving");
+        assert_eq!(service.stats().planner_runs, 1);
+    }
+
+    #[test]
+    fn dispatchers_plan_concurrently() {
+        /// Enters `plan`, then waits until both workers of the pool are
+        /// inside `plan`. If the dispatchers took turns, the first would
+        /// time out alone and fail its request.
+        struct Rendezvous {
+            inside: Arc<(Mutex<usize>, Condvar)>,
+            worker: LocalWorker,
+        }
+
+        impl PlanWorker for Rendezvous {
+            fn describe(&self) -> String {
+                "rendezvous".into()
+            }
+            fn plan(
+                &self,
+                request: &PlanRequest,
+                warm: Option<WarmStart>,
+            ) -> Result<String, WorkerFailure> {
+                let (count, changed) = &*self.inside;
+                let mut inside = lock(count);
+                *inside += 1;
+                changed.notify_all();
+                let (inside, wait) = changed
+                    .wait_timeout_while(inside, Duration::from_secs(20), |n| *n < 2)
+                    .unwrap_or_else(PoisonError::into_inner);
+                drop(inside);
+                if wait.timed_out() {
+                    return Err(WorkerFailure::Failed(ServeError::Plan(
+                        PlanError::Internal("planned alone".into()),
+                    )));
+                }
+                self.worker.plan(request, warm)
+            }
+        }
+
+        let inside = Arc::new((Mutex::new(0), Condvar::new()));
+        let workers: Vec<Box<dyn PlanWorker>> = (0..2)
+            .map(|i| {
+                Box::new(Rendezvous {
+                    inside: Arc::clone(&inside),
+                    worker: LocalWorker::new(i, Telemetry::disabled()),
+                }) as Box<dyn PlanWorker>
+            })
+            .collect();
+        let service = FleetService::with_workers(FleetConfig::local(2, 8), workers).unwrap();
+        let a = service.submit("t", request()).unwrap();
+        let b = service.submit("t", other_request()).unwrap();
+        a.wait().expect("both dispatchers were planning at once");
+        b.wait().expect("both dispatchers were planning at once");
+        assert_eq!(service.stats().planner_runs, 2);
+    }
+
+    #[test]
+    fn last_sender_drop_always_wakes_a_blocked_receiver() {
+        // The dispatchers' queue: a receiver behind a `Mutex`, parked in
+        // `recv` by `next_job`. Race the last sender's drop against a
+        // receiver entering `recv` on an empty queue, many times. A lost
+        // wakeup parks the receiver forever; the `recv_timeout` guard
+        // turns that into a failure instead of a hung test.
+        let (handoff, queues) = mpsc::channel::<Mutex<Receiver<()>>>();
+        let (ack, acks) = mpsc::channel();
+        let receiver = thread::spawn(move || {
+            for queue in queues {
+                ack.send(next_job(&queue)).unwrap();
+            }
+        });
+        for i in 0..50_000u32 {
+            let (tx, rx) = mpsc::channel::<()>();
+            handoff.send(Mutex::new(rx)).unwrap();
+            for _ in 0..i % 64 {
+                std::hint::spin_loop();
+            }
+            drop(tx);
+            let woke = acks.recv_timeout(Duration::from_secs(2));
+            assert_eq!(
+                woke,
+                Ok(Err(RecvError)),
+                "receiver missed the wakeup at race {i}"
+            );
+        }
+        drop(handoff);
+        receiver.join().unwrap();
     }
 }

@@ -14,11 +14,11 @@
 //! a burst of new plans in one key range cannot evict the whole cache.
 
 use crate::cache::PlanCache;
+use crate::lock;
 use gp_partition::Plan;
 use gp_serve::Fingerprint;
-use parking_lot::Mutex;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 /// Outcome of a sharded cache lookup.
 pub enum ShardLookup {
@@ -109,7 +109,7 @@ impl ShardedPlanCache {
     /// the outcome on the owning shard.
     pub fn get(&self, fingerprint: &Fingerprint, numbering: u64) -> ShardLookup {
         let shard = &self.shards[self.shard_of(*fingerprint)];
-        match shard.cache.lock().get(fingerprint) {
+        match lock(&shard.cache).get(fingerprint) {
             Some((plan, cached_numbering)) if cached_numbering == numbering => {
                 shard.hits.fetch_add(1, Ordering::Relaxed);
                 ShardLookup::Hit(plan)
@@ -130,7 +130,7 @@ impl ShardedPlanCache {
     /// which would otherwise count every miss twice.
     pub fn peek(&self, fingerprint: &Fingerprint, numbering: u64) -> ShardLookup {
         let shard = &self.shards[self.shard_of(*fingerprint)];
-        match shard.cache.lock().get(fingerprint) {
+        match lock(&shard.cache).get(fingerprint) {
             Some((plan, cached)) if cached == numbering => ShardLookup::Hit(plan),
             Some(_) => ShardLookup::Rejected,
             None => ShardLookup::Miss,
@@ -140,15 +140,12 @@ impl ShardedPlanCache {
     /// Inserts a plan under its fingerprint and numbering signature into
     /// the owning shard, evicting that shard's LRU entry when full.
     pub fn insert(&self, fingerprint: Fingerprint, plan: Arc<Plan>, numbering: u64) {
-        self.shards[self.shard_of(fingerprint)]
-            .cache
-            .lock()
-            .insert(fingerprint, plan, numbering);
+        lock(&self.shards[self.shard_of(fingerprint)].cache).insert(fingerprint, plan, numbering);
     }
 
     /// Plans held across all shards.
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.cache.lock().len()).sum()
+        self.shards.iter().map(|s| lock(&s.cache).len()).sum()
     }
 
     /// True when no shard holds a plan.
@@ -158,7 +155,7 @@ impl ShardedPlanCache {
 
     /// Evictions performed across all shards.
     pub fn evictions(&self) -> u64 {
-        self.shards.iter().map(|s| s.cache.lock().evictions()).sum()
+        self.shards.iter().map(|s| lock(&s.cache).evictions()).sum()
     }
 
     /// A per-shard counter snapshot, in shard order.
@@ -166,7 +163,7 @@ impl ShardedPlanCache {
         self.shards
             .iter()
             .map(|s| {
-                let cache = s.cache.lock();
+                let cache = lock(&s.cache);
                 ShardStats {
                     hits: s.hits.load(Ordering::Relaxed),
                     misses: s.misses.load(Ordering::Relaxed),

@@ -40,12 +40,13 @@
 //! fingerprints or the artifact codec; `cargo xtask lint` scans it for
 //! nondeterminism hazards (DESIGN.md §"Determinism lint").
 
+use crate::lock;
 use gp_serve::json::Json;
 use gp_serve::Fingerprint;
-use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::io;
 use std::path::{Path, PathBuf};
+use std::sync::Mutex;
 
 /// The index `format` marker.
 pub const INDEX_FORMAT: &str = "graphpipe-store-index";
@@ -113,7 +114,7 @@ impl ArtifactStore {
 
     /// Artifacts currently indexed.
     pub fn len(&self) -> usize {
-        self.index.lock().len()
+        lock(&self.index).len()
     }
 
     /// True when the store indexes no artifacts.
@@ -123,7 +124,7 @@ impl ArtifactStore {
 
     /// All indexed fingerprints, ascending.
     pub fn fingerprints(&self) -> Vec<Fingerprint> {
-        self.index.lock().keys().copied().collect()
+        lock(&self.index).keys().copied().collect()
     }
 
     /// The artifact bytes and recorded numbering signature for a
@@ -131,11 +132,11 @@ impl ArtifactStore {
     /// file vanished out from under the index, in which case the entry is
     /// dropped).
     pub fn get(&self, fingerprint: &Fingerprint) -> Option<(String, Option<u64>)> {
-        let entry = *self.index.lock().get(fingerprint)?;
+        let entry = *lock(&self.index).get(fingerprint)?;
         match std::fs::read_to_string(self.artifact_path(fingerprint)) {
             Ok(text) => Some((text, entry.numbering)),
             Err(_) => {
-                self.index.lock().remove(fingerprint);
+                lock(&self.index).remove(fingerprint);
                 None
             }
         }
@@ -152,7 +153,7 @@ impl ArtifactStore {
     pub fn put(&self, fingerprint: Fingerprint, text: &str, numbering: u64) -> io::Result<()> {
         write_atomic(&self.artifact_path(&fingerprint), text)?;
         let snapshot = {
-            let mut index = self.index.lock();
+            let mut index = lock(&self.index);
             index.insert(
                 fingerprint,
                 IndexEntry {
@@ -168,7 +169,7 @@ impl ArtifactStore {
     /// lost it (an index rebuild), after a successful validated decode
     /// against a graph with that signature.
     pub fn confirm_numbering(&self, fingerprint: Fingerprint, numbering: u64) {
-        let mut index = self.index.lock();
+        let mut index = lock(&self.index);
         if let Some(entry) = index.get_mut(&fingerprint) {
             if entry.numbering.is_none() {
                 entry.numbering = Some(numbering);

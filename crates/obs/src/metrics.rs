@@ -148,16 +148,6 @@ pub struct HistogramSnapshot {
     pub max: u64,
 }
 
-impl HistogramSnapshot {
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.count as f64
-        }
-    }
-}
-
 /// A thread-safe, name-addressed home for metrics. Names are sorted
 /// (`BTreeMap`) so every listing is deterministic.
 #[derive(Default)]
@@ -252,7 +242,6 @@ mod tests {
     fn empty_histogram_snapshots_zero() {
         let s = Histogram::new().snapshot();
         assert_eq!(s, HistogramSnapshot::default());
-        assert_eq!(s.mean(), 0.0);
     }
 
     #[test]

@@ -480,7 +480,7 @@ mod tests {
     fn memo_hit_rate_is_per_run_consistent() {
         // The rate divides hits by total lookups (hits + misses), so it
         // stays in [0, 1] even on memo-heavy cells where hits exceed
-        // charged evals (the bug BENCH_planner.json exhibited).
+        // charged evals (dividing by evals alone reported rates above 1).
         let stats = SearchStats {
             memo_hits: 114_933_552,
             memo_misses: 35_699,

@@ -122,8 +122,8 @@ fn absorb_options(digest: &mut Digest, options: &PlanOptions) {
 /// The artifact's format/version header and its [`SearchStats`] block are
 /// excluded on purpose: codec schema bumps and accounting changes (new
 /// counters, re-defined `dp_states`) must not read as plan drift, while
-/// any change to the strategy a planner returns must. The planner-perf
-/// smoke check (`planner_profile --smoke`) pins these fingerprints.
+/// any change to the strategy a planner returns must. The golden tables in
+/// `tests/golden_planner.rs` pin these fingerprints.
 ///
 /// [`SearchStats`]: gp_partition::SearchStats
 pub fn plan_fingerprint(plan: &gp_partition::Plan) -> Fingerprint {

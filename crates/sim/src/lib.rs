@@ -14,8 +14,8 @@
 //! [`gp_sched::TaskIndex`], device queues are slices of one slab,
 //! dependency probes walk precomputed CSR rows, and activation memory is
 //! a running per-device watermark (the layout is documented on the
-//! private `engine` module; the perf harness is
-//! `crates/bench/src/bin/sim_profile.rs`).
+//! private `engine` module; `tests/golden_sim.rs` pins its reports up to
+//! 1024 devices × 10k micro-batches).
 //!
 //! # Examples
 //!

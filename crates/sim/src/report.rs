@@ -61,9 +61,9 @@ impl SimReport {
     /// scalar metrics enter as their IEEE-754 bit patterns and the whole
     /// timeline is folded span by span. Two reports have equal fingerprints
     /// iff they are byte-identical (modulo hash collisions), which makes
-    /// this the drift detector for golden tests and the `sim_profile`
-    /// smoke: any behaviour change in the engine — timing, memory
-    /// accounting, span ordering — moves the fingerprint.
+    /// this the drift detector for the golden tables in
+    /// `tests/golden_sim.rs`: any behaviour change in the engine — timing,
+    /// memory accounting, span ordering — moves the fingerprint.
     ///
     /// # Examples
     ///

@@ -12,21 +12,16 @@
 //!   analysis on it, re-plans the same problem fresh, and checks the bytes
 //!   and the plan agree; `--bless` regenerates the files (with the
 //!   wall-clock stat zeroed so the bytes are reproducible).
-//! * `bench-check [--fresh <file>]` — compares a fresh `planner_profile`
-//!   sweep against the committed BENCH_planner.json: plan fingerprints
-//!   must match exactly, and wall-clock regressions beyond 1.5x fail.
-//!   CI runs this so the bench trajectory stops being write-only.
 //! * `fleet-smoke` — boots a loopback TCP planner worker and a two-shard
 //!   store-backed `gp-fleet` service in a temp directory, round-trips
 //!   three zoo models, and asserts the served artifacts are byte-identical
 //!   to in-process plans and that a warm restart replays the store with
-//!   zero planner runs. CI runs this next to the serve smoke.
+//!   zero planner runs. CI runs this after the examples.
 //! * `trace-check <file.json>...` — validates Chrome/Perfetto
 //!   `trace_event` JSON (as exported by `gp-obs` and the `--trace` flags):
 //!   well-formed, non-negative durations, properly paired `B`/`E` events
 //!   per lane. CI runs it against a freshly exported session trace.
 
-mod bench_check;
 mod fleet_smoke;
 mod goldens;
 mod lint;
@@ -40,11 +35,10 @@ fn main() -> ExitCode {
         Some("lint") => lint::run(),
         Some("verify-goldens") => goldens::run(args.iter().any(|a| a == "--bless")),
         Some("trace-check") => trace::run(&args[1..]),
-        Some("bench-check") => bench_check::run(&args[1..]),
         Some("fleet-smoke") => fleet_smoke::run(),
         other => {
             eprintln!(
-                "usage: cargo xtask <lint | verify-goldens [--bless] | trace-check <file>... | bench-check [--fresh <sweep.json>] | fleet-smoke>{}",
+                "usage: cargo xtask <lint | verify-goldens [--bless] | trace-check <file>... | fleet-smoke>{}",
                 other.map_or(String::new(), |o| format!(" (got `{o}`)"))
             );
             ExitCode::FAILURE

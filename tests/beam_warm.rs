@@ -189,7 +189,7 @@ fn warm_started_plans_are_identical_to_cold() {
         for (devices, mini_batch) in points.into_iter().filter(|&(d, _)| d >= 16) {
             // Exhaustive at 16 GPUs; beamed at 32+ to keep debug-mode
             // test time in check (beam + warm is also the configuration
-            // the 128-GPU CI smoke pins).
+            // `tests/golden_planner.rs` pins at 128 GPUs).
             let opts = if devices >= 32 {
                 base_options().with_beam_width(8)
             } else {

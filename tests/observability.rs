@@ -146,47 +146,6 @@ fn session_run_exports_valid_trace_with_deep_spans() {
     }
 }
 
-/// The committed `BENCH_serve.json` (written by `serve_load --out`) must
-/// stay parseable and shape-valid: every latency histogram carries
-/// monotone percentiles (p50 ≤ p90 ≤ p99 ≤ max). Values are wall-clock
-/// and machine-dependent, so only the shape is pinned.
-#[test]
-fn bench_serve_json_parses_with_monotone_percentiles() {
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/BENCH_serve.json");
-    let text = std::fs::read_to_string(path).expect("BENCH_serve.json is committed");
-    let doc = Json::parse(&text).expect("BENCH_serve.json is well-formed JSON");
-    assert_eq!(doc.get("bench").and_then(Json::as_str), Some("serve_load"));
-    for key in ["shard_hit_rate", "shed_rate"] {
-        let rate = doc
-            .get(key)
-            .and_then(Json::as_f64)
-            .unwrap_or_else(|| panic!("{key} is a number"));
-        assert!((0.0..=1.0).contains(&rate), "{key} out of range: {rate}");
-    }
-    let latency = doc.get("latency").expect("latency object");
-    for key in ["queue_wait", "worker_rtt"] {
-        let h = latency.get(key).unwrap_or_else(|| panic!("latency.{key}"));
-        let field = |name: &str| {
-            h.get(name)
-                .and_then(Json::as_u64)
-                .unwrap_or_else(|| panic!("latency.{key}.{name}"))
-        };
-        let (p50, p90, p99, max) = (
-            field("p50_ns"),
-            field("p90_ns"),
-            field("p99_ns"),
-            field("max_ns"),
-        );
-        assert!(
-            p50 <= p90 && p90 <= p99 && p99 <= max,
-            "latency.{key} percentiles not monotone: {p50} {p90} {p99} {max}"
-        );
-        if field("count") > 0 {
-            assert!(max > 0, "latency.{key} recorded but max is zero");
-        }
-    }
-}
-
 #[test]
 fn telemetry_is_inert_across_the_session() {
     let quiet = session_with(Telemetry::disabled());
