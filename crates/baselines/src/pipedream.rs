@@ -22,7 +22,7 @@ use gp_cost::{CostModel, Pass, BYTES_PER_PARAM_STATE};
 use gp_ir::{Graph, OpId, SpModel};
 use gp_obs::ClockHandle;
 use gp_partition::{Plan, PlanError, PlanOptions, Planner, SearchStats};
-use gp_sched::{assign_in_flight, schedule_tasks, Stage, StageGraph, StageId};
+use gp_sched::{Stage, StageGraph, StageId};
 
 /// A reconstructed stage on the linearized chain: `(first op index,
 /// one-past-last op index, device count)`.
@@ -48,7 +48,7 @@ type ChainCut = (u32, u32, u32);
 pub struct PipeDreamPlanner {
     options: PlanOptions,
     /// Wall-clock seam: feeds only `SearchStats.wall`, which fingerprints
-    /// exclude. Injectable for deterministic timing under test.
+    /// exclude.
     clock: ClockHandle,
 }
 
@@ -132,12 +132,6 @@ impl PipeDreamPlanner {
             options,
             ..Self::default()
         }
-    }
-
-    /// Replace the wall-clock source (tests inject a manual clock).
-    pub fn with_clock(mut self, clock: ClockHandle) -> Self {
-        self.clock = clock;
-        self
     }
 
     /// Runs the suffix DP for one micro-batch size; returns the cut
@@ -313,22 +307,8 @@ impl Planner for PipeDreamPlanner {
             .collect();
         let stage_graph = StageGraph::new_sequential(graph, cluster, stages, mini_batch)
             .map_err(|e| PlanError::Internal(e.to_string()))?;
-        let in_flight = assign_in_flight(&stage_graph);
-        let schedule = schedule_tasks(&stage_graph, &in_flight);
         stats.wall = self.clock.since(start);
-        let mut plan = Plan {
-            stage_graph,
-            in_flight,
-            schedule,
-            bottleneck_tps: 0.0,
-            peak_memory_bytes: 0,
-            path: model.path(),
-            stats,
-        };
-        let (tps, mem) = plan.measure(graph, &cost);
-        plan.bottleneck_tps = tps;
-        plan.peak_memory_bytes = mem;
-        Ok(plan)
+        Ok(Plan::from_stage_graph(stage_graph, model, &cost, stats))
     }
 }
 

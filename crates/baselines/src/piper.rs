@@ -25,7 +25,7 @@ use gp_cost::{CostModel, Pass, BYTES_PER_PARAM_STATE};
 use gp_ir::{Graph, OpId, SpBlock, SpModel};
 use gp_obs::ClockHandle;
 use gp_partition::{Plan, PlanError, PlanOptions, Planner, SearchStats};
-use gp_sched::{assign_in_flight, schedule_tasks, Stage, StageGraph, StageId};
+use gp_sched::{Stage, StageGraph, StageId};
 use std::collections::{BTreeSet, HashMap};
 
 /// Downset-lattice planner for sequential pipelines with cross-branch
@@ -49,10 +49,8 @@ pub struct PiperPlanner {
     options: PlanOptions,
     /// Operators grouped per layer unit.
     unit_ops: usize,
-    /// Abort once the lattice exceeds this many downsets.
-    downset_cap: usize,
     /// Wall-clock seam: feeds only `SearchStats.wall`, which fingerprints
-    /// exclude. Injectable for deterministic timing under test.
+    /// exclude.
     clock: ClockHandle,
 }
 
@@ -61,11 +59,13 @@ impl Default for PiperPlanner {
         PiperPlanner {
             options: PlanOptions::default(),
             unit_ops: 4,
-            downset_cap: 10_000,
             clock: ClockHandle::default(),
         }
     }
 }
+
+/// Abort once the downset lattice exceeds this many downsets.
+const DOWNSET_CAP: usize = 10_000;
 
 /// A reconstructed stage in bitset form: `(outer downset, inner downset,
 /// device count)` — the stage's units are `outer \ inner`.
@@ -179,19 +179,6 @@ impl PiperPlanner {
         self
     }
 
-    /// Overrides the downset-count cap that triggers
-    /// [`PlanError::SearchExplosion`].
-    pub fn with_downset_cap(mut self, cap: usize) -> Self {
-        self.downset_cap = cap.max(1);
-        self
-    }
-
-    /// Replace the wall-clock source (tests inject a manual clock).
-    pub fn with_clock(mut self, clock: ClockHandle) -> Self {
-        self.clock = clock;
-        self
-    }
-
     /// Enumerates all downsets of the unit graph (bitset form), capped.
     fn enumerate_downsets(&self, ug: &UnitGraph) -> Result<Vec<u128>, PlanError> {
         let n = ug.units.len();
@@ -211,7 +198,7 @@ impl PiperPlanner {
         let mut out = Vec::new();
         while let Some(d) = stack.pop() {
             out.push(d);
-            if out.len() > self.downset_cap {
+            if out.len() > DOWNSET_CAP {
                 return Err(PlanError::SearchExplosion {
                     evals: out.len() as u64,
                 });
@@ -491,22 +478,8 @@ impl Planner for PiperPlanner {
             .collect();
         let stage_graph = StageGraph::new_sequential(graph, cluster, stages, mini_batch)
             .map_err(|e| PlanError::Internal(e.to_string()))?;
-        let in_flight = assign_in_flight(&stage_graph);
-        let schedule = schedule_tasks(&stage_graph, &in_flight);
         stats.wall = self.clock.since(start);
-        let mut plan = Plan {
-            stage_graph,
-            in_flight,
-            schedule,
-            bottleneck_tps: 0.0,
-            peak_memory_bytes: 0,
-            path: model.path(),
-            stats,
-        };
-        let (tps, mem) = plan.measure(graph, &cost);
-        plan.bottleneck_tps = tps;
-        plan.peak_memory_bytes = mem;
-        Ok(plan)
+        Ok(Plan::from_stage_graph(stage_graph, model, &cost, stats))
     }
 }
 

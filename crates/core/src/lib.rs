@@ -118,7 +118,7 @@ pub mod prelude {
     pub use crate::cluster::{Cluster, DeviceRange};
     pub use crate::ir::zoo;
     pub use crate::ir::{DagOptions, Graph, OpId, PlanPath, SpModel};
-    pub use crate::obs::{JsonlSink, PerfettoSink, SummarySink, Telemetry, TraceSink};
+    pub use crate::obs::{PerfettoSink, SummarySink, Telemetry, TraceSink};
     pub use crate::partition::{
         GraphPipePlanner, Plan, PlanError, PlanOptions, Planner, SearchStats, WarmStart,
     };
@@ -134,57 +134,21 @@ pub mod prelude {
 use gp_cluster::Cluster;
 use gp_ir::SpModel;
 use gp_partition::{Plan, PlanOptions, Planner};
-use gp_serve::ServePlanner;
 use gp_sim::SimReport;
 
-/// The planners compared throughout the paper's evaluation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum PlannerKind {
-    /// GraphPipe (this paper, §5–§6).
-    GraphPipe,
-    /// PipeDream at operator granularity (SPP baseline).
-    PipeDream,
-    /// Piper's downset planner (SPP baseline with cross-branch stages).
-    Piper,
-}
-
-impl PlannerKind {
-    /// Display name matching the paper's figures.
-    pub fn label(self) -> &'static str {
-        match self {
-            PlannerKind::GraphPipe => "GraphPipe",
-            PlannerKind::PipeDream => "PipeDream",
-            PlannerKind::Piper => "Piper",
-        }
-    }
-
-    /// The `gp-serve` planner selector for this kind — what
-    /// [`Session::request`] puts into the [`gp_serve::PlanRequest`], so
-    /// local and served plans share fingerprints.
-    pub fn serve_planner(self) -> ServePlanner {
-        match self {
-            PlannerKind::GraphPipe => ServePlanner::GraphPipe,
-            PlannerKind::PipeDream => ServePlanner::PipeDream,
-            PlannerKind::Piper => ServePlanner::Piper,
-        }
-    }
-}
-
-impl From<PlannerKind> for ServePlanner {
-    fn from(kind: PlannerKind) -> Self {
-        kind.serve_planner()
-    }
-}
+/// The planners compared throughout the paper's evaluation: the facade's
+/// name for `gp-serve`'s planner choice, so a session's requests and a
+/// fleet's share one enum and one fingerprint tag.
+pub use gp_serve::ServePlanner as PlannerKind;
 
 /// Constructs a planner of the given kind with the given options.
 ///
 /// Thin shim over the workspace's one planner factory,
-/// [`ServePlanner::build`] — prefer [`Session::plan`], which also
+/// [`PlannerKind::build`] — prefer [`Session::plan`], which also
 /// fingerprints the request; this remains for code that drives the
 /// [`Planner`] trait directly.
 pub fn planner(kind: PlannerKind, options: PlanOptions) -> Box<dyn Planner> {
-    kind.serve_planner()
-        .build(options, &gp_obs::Telemetry::disabled(), None)
+    kind.build(options, &gp_obs::Telemetry::disabled(), None)
 }
 
 /// Simulates one training iteration of a plan on the cluster it was
@@ -244,7 +208,6 @@ mod tests {
         ] {
             assert_eq!(planner(kind, PlanOptions::default()).name(), name);
             assert!(!kind.label().is_empty());
-            assert_eq!(ServePlanner::from(kind), kind.serve_planner());
         }
     }
 

@@ -100,7 +100,6 @@ pub(crate) fn simulate_on(
 pub struct SessionBuilder {
     model: Option<Arc<SpModel>>,
     dag: Option<(String, Graph)>,
-    dag_options: DagOptions,
     cluster: Option<Cluster>,
     mini_batch: Option<u64>,
     options: PlanOptions,
@@ -128,14 +127,6 @@ impl SessionBuilder {
     /// [`SessionBuilder::model`].
     pub fn model_dag(mut self, graph: Graph) -> Self {
         self.dag = Some(("dag".to_string(), graph));
-        self
-    }
-
-    /// Replaces the DAG ladder's options (distortion budget and
-    /// clustering unit size); only meaningful with
-    /// [`SessionBuilder::model_dag`].
-    pub fn dag_options(mut self, dag_options: DagOptions) -> Self {
-        self.dag_options = dag_options;
         self
     }
 
@@ -186,7 +177,7 @@ impl SessionBuilder {
             }
             (Some(model), None) => model,
             (None, Some((name, graph))) => Arc::new(
-                plan_dag(name, graph, &self.dag_options)
+                plan_dag(name, graph, &DagOptions::default())
                     .map_err(|e| Error::Invalid(format!("model DAG is invalid: {e}")))?,
             ),
             (None, None) => return Err(Error::Invalid("session has no model".into())),
@@ -291,7 +282,7 @@ impl Session {
             self.mini_batch,
         )
         .with_options(options)
-        .with_planner(kind.serve_planner())
+        .with_planner(kind)
     }
 
     fn wrap(&self, kind: PlannerKind, plan: Arc<Plan>) -> PlannedStrategy {
@@ -356,7 +347,6 @@ impl Session {
     ) -> Result<PlannedStrategy, Error> {
         let _span = self.telemetry.span("session.plan");
         let plan = kind
-            .serve_planner()
             .build(self.options.clone(), &self.telemetry, warm)
             .plan(&self.model, &self.cluster, self.mini_batch)?;
         {
@@ -392,11 +382,8 @@ impl Session {
         for &b in &candidates {
             let _candidate = self.telemetry.span_with("evaluate.candidate", b);
             let opts = self.options.clone().with_forced_micro_batch(b);
-            match kind
-                .serve_planner()
-                .build(opts, &self.telemetry, None)
-                .plan(&self.model, &self.cluster, self.mini_batch)
-            {
+            let planner = kind.build(opts, &self.telemetry, None);
+            match planner.plan(&self.model, &self.cluster, self.mini_batch) {
                 Ok(plan) => {
                     let report =
                         match simulate_on(&self.model, &self.cluster, &plan, &self.telemetry) {

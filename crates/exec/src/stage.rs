@@ -195,14 +195,6 @@ impl<'g> StageRunner<'g> {
             }
         }
     }
-
-    /// Synchronizes this runner's parameters from the authoritative store
-    /// (used between iterations).
-    pub fn refresh_params(&mut self, params: &ModelParams) {
-        for (&op, p) in self.params.iter_mut() {
-            *p = params.op(op).clone();
-        }
-    }
 }
 
 #[cfg(test)]

@@ -591,11 +591,6 @@ impl FleetService {
         self.shared.store.as_ref()
     }
 
-    /// Worker pool size.
-    pub fn worker_count(&self) -> usize {
-        self.shared.workers.len()
-    }
-
     /// Stops accepting requests, drains queued work, and joins the
     /// dispatchers. Idempotent; also runs on drop.
     pub fn shutdown(&mut self) {

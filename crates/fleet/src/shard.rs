@@ -95,11 +95,6 @@ impl ShardedPlanCache {
         }
     }
 
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
     /// The shard index owning `fingerprint`.
     pub fn shard_of(&self, fingerprint: Fingerprint) -> usize {
         shard_of(fingerprint, self.shards.len())

@@ -97,23 +97,6 @@ pub enum OpKind {
 }
 
 impl OpKind {
-    /// Short lowercase mnemonic used in rendered schedules and Gantt charts.
-    pub fn mnemonic(&self) -> &'static str {
-        match self {
-            OpKind::Input => "input",
-            OpKind::Linear { .. } => "linear",
-            OpKind::MultiHeadAttention { .. } => "mha",
-            OpKind::LayerNorm { .. } => "ln",
-            OpKind::Activation(Nonlinearity::Relu) => "relu",
-            OpKind::Activation(Nonlinearity::Gelu) => "gelu",
-            OpKind::EmbeddingBag { .. } => "embag",
-            OpKind::Concat => "concat",
-            OpKind::FeatureInteraction { .. } => "interact",
-            OpKind::Loss => "loss",
-            OpKind::Add => "add",
-        }
-    }
-
     /// A stable numeric encoding of the operator kind and its static
     /// attributes: a variant tag followed by the attribute values.
     ///

@@ -1,7 +1,7 @@
-//! Trace exporters: JSONL events, a human-readable summary tree, and
-//! Chrome/Perfetto `trace_event` JSON.
+//! Trace exporters: a human-readable summary tree and Chrome/Perfetto
+//! `trace_event` JSON.
 //!
-//! All three implement [`TraceSink`]; [`Telemetry::export`]
+//! Both implement [`TraceSink`]; [`Telemetry::export`]
 //! (crate::Telemetry::export) replays finished spans (sorted by start
 //! time) and metrics (sorted by name) into a sink and returns
 //! `sink.finish()`. Output is deterministic given deterministic inputs: no
@@ -45,71 +45,6 @@ fn json_escape(s: &str) -> String {
 /// Chrome's `trace_event` format expects. Integer math keeps it exact.
 fn ns_as_us(ns: u64) -> String {
     format!("{}.{:03}", ns / 1_000, ns % 1_000)
-}
-
-/// One JSON object per line: spans, then counters/gauges/histograms.
-/// Greppable and trivially machine-parseable.
-#[derive(Default)]
-pub struct JsonlSink {
-    out: String,
-}
-
-impl JsonlSink {
-    pub fn new() -> Self {
-        Self::default()
-    }
-}
-
-impl TraceSink for JsonlSink {
-    fn span(&mut self, s: &SpanRecord) {
-        let detail = s
-            .detail
-            .map_or(String::new(), |d| format!(",\"detail\":{d}"));
-        let _ = writeln!(
-            self.out,
-            "{{\"type\":\"span\",\"name\":\"{}\",\"id\":{},\"parent\":{},\"thread\":{},\"start_ns\":{},\"dur_ns\":{}{detail}}}",
-            json_escape(s.name),
-            s.id,
-            s.parent,
-            s.thread,
-            s.start_ns,
-            s.duration_ns(),
-        );
-    }
-
-    fn counter(&mut self, name: &str, value: u64) {
-        let _ = writeln!(
-            self.out,
-            "{{\"type\":\"counter\",\"name\":\"{}\",\"value\":{value}}}",
-            json_escape(name)
-        );
-    }
-
-    fn gauge(&mut self, name: &str, value: i64) {
-        let _ = writeln!(
-            self.out,
-            "{{\"type\":\"gauge\",\"name\":\"{}\",\"value\":{value}}}",
-            json_escape(name)
-        );
-    }
-
-    fn histogram(&mut self, name: &str, s: &HistogramSnapshot) {
-        let _ = writeln!(
-            self.out,
-            "{{\"type\":\"histogram\",\"name\":\"{}\",\"count\":{},\"sum\":{},\"p50\":{},\"p90\":{},\"p99\":{},\"max\":{}}}",
-            json_escape(name),
-            s.count,
-            s.sum,
-            s.p50,
-            s.p90,
-            s.p99,
-            s.max,
-        );
-    }
-
-    fn finish(&mut self) -> String {
-        std::mem::take(&mut self.out)
-    }
 }
 
 struct SummaryNode {
@@ -421,19 +356,6 @@ mod tests {
         tele.counter_add("events", 7);
         tele.record("lat", 500);
         tele
-    }
-
-    #[test]
-    fn jsonl_lines_cover_spans_and_metrics() {
-        let tele = sample_telemetry();
-        let out = tele.export(&mut JsonlSink::new());
-        let lines: Vec<&str> = out.lines().collect();
-        assert_eq!(lines.len(), 4, "{out}");
-        assert!(lines[0].contains("\"name\":\"outer\""));
-        assert!(lines[0].contains("\"dur_ns\":1750"));
-        assert!(lines[1].contains("\"detail\":3"));
-        assert!(lines[2].contains("\"type\":\"counter\""));
-        assert!(lines[3].contains("\"p50\":500"));
     }
 
     #[test]

@@ -19,8 +19,8 @@
 //! 4. **No dependencies.** Hand-rolled histograms and JSON emission keep
 //!    this crate buildable offline below every other workspace crate.
 //!
-//! The three exporters ([`JsonlSink`], [`SummarySink`], [`PerfettoSink`])
-//! all implement [`TraceSink`] and are driven by [`Telemetry::export`].
+//! The two exporters ([`SummarySink`], [`PerfettoSink`]) implement
+//! [`TraceSink`] and are driven by [`Telemetry::export`].
 //! The Perfetto output opens directly in `ui.perfetto.dev`.
 
 mod clock;
@@ -29,8 +29,6 @@ mod metrics;
 mod span;
 
 pub use clock::{Clock, ClockHandle, ManualClock, MonotonicClock};
-pub use export::{
-    JsonlSink, PerfettoSink, SummarySink, TraceSink, PERFETTO_PID_LIVE, PERFETTO_PID_SIM,
-};
+pub use export::{PerfettoSink, SummarySink, TraceSink, PERFETTO_PID_LIVE, PERFETTO_PID_SIM};
 pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot, Registry, HISTOGRAM_BUCKETS};
 pub use span::{Span, SpanId, SpanRecord, Telemetry};

@@ -81,7 +81,7 @@ use gp_cluster::{Cluster, DeviceRange};
 use gp_cost::{CostModel, Pass, BYTES_PER_PARAM_STATE};
 use gp_ir::{Graph, OpId, SpBlock, SpModel};
 use gp_obs::{ClockHandle, Telemetry};
-use gp_sched::{assign_in_flight, compute_in_flight, schedule_tasks, Stage, StageGraph, StageId};
+use gp_sched::{compute_in_flight, Stage, StageGraph, StageId};
 use std::collections::HashMap;
 use std::sync::{Mutex, OnceLock};
 
@@ -2178,8 +2178,7 @@ fn drive_search(
 pub struct GraphPipePlanner {
     options: PlanOptions,
     /// Wall-clock seam: feeds only `SearchStats` wall fields, which every
-    /// fingerprint and comparison excludes. Injectable for deterministic
-    /// timing under test.
+    /// fingerprint and comparison excludes.
     clock: ClockHandle,
     /// Telemetry handle (inert by default): search spans and counters.
     /// Write-only — never read back into the plan.
@@ -2203,12 +2202,6 @@ impl GraphPipePlanner {
             options,
             ..Self::default()
         }
-    }
-
-    /// Replace the wall-clock source (tests inject a manual clock).
-    pub fn with_clock(mut self, clock: ClockHandle) -> Self {
-        self.clock = clock;
-        self
     }
 
     /// Attach a telemetry handle; search phases emit spans under it.
@@ -2295,21 +2288,7 @@ impl GraphPipePlanner {
             .collect();
         let stage_graph = StageGraph::new(model.graph(), cluster, stages, mini_batch)
             .map_err(|e| PlanError::Internal(e.to_string()))?;
-        let in_flight = assign_in_flight(&stage_graph);
-        let schedule = schedule_tasks(&stage_graph, &in_flight);
-        let mut plan = Plan {
-            stage_graph,
-            in_flight,
-            schedule,
-            bottleneck_tps: 0.0,
-            peak_memory_bytes: 0,
-            path: model.path(),
-            stats,
-        };
-        let (tps, mem) = plan.measure(model.graph(), cost);
-        plan.bottleneck_tps = tps;
-        plan.peak_memory_bytes = mem;
-        Ok(plan)
+        Ok(Plan::from_stage_graph(stage_graph, model, cost, stats))
     }
 }
 

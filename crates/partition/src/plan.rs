@@ -7,7 +7,7 @@
 use gp_cluster::Cluster;
 use gp_cost::CostModel;
 use gp_ir::SpModel;
-use gp_sched::{InFlightTable, PipelineSchedule, StageGraph};
+use gp_sched::{assign_in_flight, schedule_tasks, InFlightTable, PipelineSchedule, StageGraph};
 use std::fmt;
 use std::time::Duration;
 
@@ -129,17 +129,15 @@ impl PlanOptions {
                 .copied()
                 .filter(|&b| b > 0 && mini_batch.is_multiple_of(b))
                 .collect(),
-            None => {
-                let mut out = Vec::new();
-                let mut b = 1;
-                while b <= mini_batch {
-                    if mini_batch.is_multiple_of(b) && mini_batch / b <= self.max_micro_batches {
-                        out.push(b);
-                    }
-                    b *= 2;
-                }
-                out
-            }
+            // Every power of two a u64 holds: a doubling walk would wrap
+            // to 0 on a mini-batch of 2^63 or more and never end.
+            None => (0..u64::BITS)
+                .map(|shift| 1u64 << shift)
+                .take_while(|&b| b <= mini_batch)
+                .filter(|&b| {
+                    mini_batch.is_multiple_of(b) && mini_batch / b <= self.max_micro_batches
+                })
+                .collect(),
         }
     }
 }
@@ -257,7 +255,7 @@ impl SearchStats {
 
     /// Zero every wall-clock field — total and phase breakdown — leaving
     /// only the deterministic counters. Plan-equality tests, the fan-out
-    /// parity tests, and `verify-goldens --bless` all use this: wall
+    /// parity tests, and the golden-artifact check all use this: wall
     /// times are the *only* nondeterministic fields in a plan.
     pub fn zero_walls(&mut self) {
         self.wall = Duration::ZERO;
@@ -324,6 +322,30 @@ pub struct Plan {
 }
 
 impl Plan {
+    /// Assembles the plan for a validated stage graph: the §6 in-flight
+    /// table, the C4 task orders, then the bottleneck-TPS and peak-memory
+    /// estimates measured against `cost` ([`Plan::measure`]).
+    pub fn from_stage_graph(
+        stage_graph: StageGraph,
+        model: &SpModel,
+        cost: &CostModel,
+        stats: SearchStats,
+    ) -> Plan {
+        let in_flight = assign_in_flight(&stage_graph);
+        let schedule = schedule_tasks(&stage_graph, &in_flight);
+        let mut plan = Plan {
+            stage_graph,
+            in_flight,
+            schedule,
+            bottleneck_tps: 0.0,
+            peak_memory_bytes: 0,
+            path: model.path(),
+            stats,
+        };
+        (plan.bottleneck_tps, plan.peak_memory_bytes) = plan.measure(model.graph(), cost);
+        plan
+    }
+
     /// Pipeline depth (stage-DAG diameter) of the strategy.
     pub fn pipeline_depth(&self) -> usize {
         self.stage_graph.pipeline_depth()
@@ -436,6 +458,13 @@ mod tests {
             ..PlanOptions::default()
         };
         assert_eq!(opts.micro_batch_sizes(64), vec![16, 32, 64]);
+        // The largest mini-batches terminate: 2^63 keeps the nine sizes
+        // 2^55..=2^63 under the default cap of 256 micro-batches, and the
+        // odd u64::MAX has no candidate at all.
+        let opts = PlanOptions::default();
+        let top: Vec<u64> = (55..64).map(|s| 1u64 << s).collect();
+        assert_eq!(opts.micro_batch_sizes(1 << 63), top);
+        assert_eq!(opts.micro_batch_sizes(u64::MAX), Vec::<u64>::new());
     }
 
     #[test]

@@ -147,11 +147,6 @@ impl StageSchedule {
         peak as u64
     }
 
-    /// Peak in-flight samples (micro-batches times micro-batch size).
-    pub fn peak_in_flight_samples(&self, micro_batch: u64) -> u64 {
-        self.peak_in_flight_micro_batches() * micro_batch
-    }
-
     /// Checks condition C4: forwards in order, backwards in order, and each
     /// forward before its backward; exactly `num_micro_batches` of each.
     ///

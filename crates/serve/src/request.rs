@@ -15,19 +15,30 @@ use gp_partition::{GraphPipePlanner, PlanError, PlanOptions, Planner, WarmStart}
 use std::fmt;
 use std::sync::Arc;
 
-/// Which planner a request should run on a cache miss.
+/// The planners compared throughout the paper's evaluation, and the one
+/// a request runs on a cache miss. The facade re-exports it as
+/// `PlannerKind`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum ServePlanner {
-    /// The GraphPipe §5 partitioner (the default).
+    /// GraphPipe (this paper, §5–§6; the default).
     #[default]
     GraphPipe,
-    /// The PipeDream-style sequential baseline.
+    /// PipeDream at operator granularity (SPP baseline).
     PipeDream,
-    /// Piper's downset planner.
+    /// Piper's downset planner (SPP baseline with cross-branch stages).
     Piper,
 }
 
 impl ServePlanner {
+    /// Display name matching the paper's figures.
+    pub fn label(self) -> &'static str {
+        match self {
+            ServePlanner::GraphPipe => "GraphPipe",
+            ServePlanner::PipeDream => "PipeDream",
+            ServePlanner::Piper => "Piper",
+        }
+    }
+
     /// Stable tag mixed into the request fingerprint (and the warm-start
     /// index key, [`crate::fingerprint::request_graph_fingerprint`]).
     pub fn tag(self) -> u64 {

@@ -95,11 +95,6 @@ impl Tensor {
         &mut self.data
     }
 
-    /// Consumes the tensor, returning its elements.
-    pub fn into_data(self) -> Vec<f32> {
-        self.data
-    }
-
     /// Returns a reshaped copy sharing the same element order.
     ///
     /// # Panics

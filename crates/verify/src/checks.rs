@@ -742,21 +742,12 @@ mod tests {
             },
         ];
         let sg = StageGraph::new(model.graph(), &cluster, stages, mini_batch).unwrap();
-        let in_flight = assign_in_flight(&sg);
-        let schedule = schedule_tasks(&sg, &in_flight);
-        let mut plan = Plan {
-            stage_graph: sg,
-            in_flight,
-            schedule,
-            bottleneck_tps: 0.0,
-            peak_memory_bytes: 0,
-            path: gp_ir::PlanPath::ExactSp,
-            stats: gp_partition::SearchStats::default(),
-        };
-        let cost = CostModel::new(&cluster);
-        let (tps, mem) = plan.measure(model.graph(), &cost);
-        plan.bottleneck_tps = tps;
-        plan.peak_memory_bytes = mem;
+        let plan = Plan::from_stage_graph(
+            sg,
+            &model,
+            &CostModel::new(&cluster),
+            gp_partition::SearchStats::default(),
+        );
         (model, cluster, plan)
     }
 

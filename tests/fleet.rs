@@ -283,7 +283,8 @@ fn fleet_with_remote_worker_matches_local_fleet() {
     })
     .unwrap();
 
-    for request in zoo_requests() {
+    let requests = zoo_requests();
+    for request in &requests {
         let via_remote = remote_fleet.submit("t", request.clone()).unwrap();
         let via_local = local_fleet.submit("t", request.clone()).unwrap();
         let fp = via_remote.fingerprint();
@@ -301,6 +302,9 @@ fn fleet_with_remote_worker_matches_local_fleet() {
         let local_stored = local_fleet.store().unwrap().get(&fp).unwrap().0;
         assert_eq!(remote_stored, local_stored);
     }
-    assert!(server.served() >= zoo_requests().len() as u64);
+    // Exactly one planner run, and one worker call, per distinct request.
+    let n = requests.len() as u64;
+    assert_eq!(remote_fleet.stats().planner_runs, n, "planner runs");
+    assert_eq!(server.served(), n, "worker calls");
     server.shutdown();
 }

@@ -88,9 +88,10 @@ fn session_run_exports_valid_trace_with_deep_spans() {
     }
 
     // One Perfetto file holds the live spans (pid 1) next to the
-    // simulated schedule (pid 2), and its B/E events keep stack
-    // discipline with non-negative timestamps and durations — the same
-    // checks `cargo xtask trace-check` applies.
+    // simulated schedule (pid 2), and it is the shape ui.perfetto.dev
+    // renders without warnings: non-negative timestamps and durations,
+    // and per-lane B/E stack discipline where a named E closes the B of
+    // the same name.
     let mut sink = PerfettoSink::new();
     report_into_perfetto(&mut sink, &report);
     let trace = telemetry.export(&mut sink);
@@ -100,7 +101,7 @@ fn session_run_exports_valid_trace_with_deep_spans() {
         .and_then(Json::as_arr)
         .expect("traceEvents array");
     assert!(!events.is_empty());
-    let mut open: HashMap<(u64, u64), Vec<f64>> = HashMap::new();
+    let mut open: HashMap<(u64, u64), Vec<(&str, f64)>> = HashMap::new();
     let mut saw_slice = false;
     for ev in events {
         let ph = ev.get("ph").and_then(Json::as_str).expect("ph");
@@ -108,18 +109,30 @@ fn session_run_exports_valid_trace_with_deep_spans() {
             ev.get("pid").and_then(Json::as_u64).unwrap_or(0),
             ev.get("tid").and_then(Json::as_u64).unwrap_or(0),
         );
-        let ts = || ev.get("ts").and_then(Json::as_f64).expect("numeric ts");
+        let name = ev.get("name").and_then(Json::as_str);
+        let ts = || {
+            let ts = ev.get("ts").and_then(Json::as_f64).expect("numeric ts");
+            assert!(ts >= 0.0, "negative `{ph}` timestamp {ts}");
+            ts
+        };
         match ph {
-            "B" => open.entry(lane).or_default().push(ts()),
+            "B" => open
+                .entry(lane)
+                .or_default()
+                .push((name.expect("B has a name"), ts())),
             "E" => {
-                let begin = open
+                let (began, begin) = open
                     .get_mut(&lane)
                     .and_then(Vec::pop)
                     .expect("E closes an open B");
+                // trace_event lets E omit its name.
+                if let Some(name) = name {
+                    assert_eq!(name, began, "E closes a B of another name");
+                }
                 assert!(ts() >= begin, "negative span duration");
             }
             "X" => {
-                assert!(ts() >= 0.0);
+                ts();
                 assert!(ev.get("dur").and_then(Json::as_f64).expect("dur") >= 0.0);
                 saw_slice = true;
             }

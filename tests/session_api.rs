@@ -34,7 +34,7 @@ fn session_plan_round_trips_artifact_and_matches_request_fingerprint() {
         64,
     )
     .with_options(opts)
-    .with_planner(PlannerKind::GraphPipe.serve_planner());
+    .with_planner(PlannerKind::GraphPipe);
     assert_eq!(strategy.fingerprint(), direct.fingerprint());
     assert_eq!(
         strategy.fingerprint(),

@@ -10,16 +10,28 @@
 //! byte-level corruptions go through the artifact codec to prove decode
 //! errors carry the violation name end to end (DESIGN.md §"Invariant
 //! catalog").
+//!
+//! The goldens also pin planner and codec determinism: each must equal a
+//! fresh plan of its cell and re-encode to its committed bytes. After an
+//! intended planner or codec change, regenerate them with
+//! `UPDATE_GOLDENS=1 cargo test -q --test verify_mutations`.
 
 use gp_cluster::{Cluster, DeviceRange};
 use gp_ir::{zoo, PlanPath, SpBlock, SpModel};
-use gp_partition::Plan;
+use gp_partition::{GraphPipePlanner, Plan, Planner};
 use gp_sched::{InFlightTable, Stage, StageId};
-use gp_serve::artifact::decode_plan;
+use gp_serve::artifact::{decode_plan, encode_plan};
+use gp_serve::{Fingerprint, PlanRequest};
 use gp_verify::{verify_plan, verify_stages, verify_strategy, Check, VerifyReport};
 use std::path::PathBuf;
+use std::sync::Arc;
 
-/// The same cells `cargo xtask verify-goldens` blesses.
+/// The mini-batch every golden cell is planned at.
+const MINI_BATCH: u64 = 32;
+
+/// The golden cells: small enough to plan in debug mode in well under a
+/// second each, diverse enough to cover branching, MoE routing, and plain
+/// chains.
 fn cells() -> Vec<(&'static str, SpModel, usize)> {
     vec![
         ("mmt-tiny-4gpu", zoo::mmt(&zoo::MmtConfig::tiny()), 4),
@@ -39,15 +51,21 @@ fn cells() -> Vec<(&'static str, SpModel, usize)> {
     ]
 }
 
-fn golden(name: &str, model: &SpModel, cluster: &Cluster) -> (String, Plan) {
-    let path = PathBuf::from(env!("CARGO_MANIFEST_DIR"))
+fn golden_path(name: &str) -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR"))
         .join("tests/goldens")
-        .join(format!("{name}.json"));
+        .join(format!("{name}.json"))
+}
+
+/// The committed artifact's text, its decoded plan, and the fingerprint
+/// it records.
+fn golden(name: &str, model: &SpModel, cluster: &Cluster) -> (String, Plan, Option<Fingerprint>) {
+    let path = golden_path(name);
     let text = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("cannot read {} (re-bless?): {e}", path.display()));
-    let (plan, _) = decode_plan(&text, model.graph(), cluster)
+        .unwrap_or_else(|e| panic!("cannot read {}: {e}", path.display()));
+    let (plan, fingerprint) = decode_plan(&text, model.graph(), cluster)
         .unwrap_or_else(|e| panic!("{name}: committed golden does not decode: {e}"));
-    (text, plan)
+    (text, plan, fingerprint)
 }
 
 fn stage_list(plan: &Plan) -> Vec<Stage> {
@@ -59,7 +77,7 @@ fn stage_list(plan: &Plan) -> Vec<Stage> {
 fn assert_stage_mutation(expected: &[Check], mutate: impl Fn(&mut Vec<Stage>, &mut u64, &Cluster)) {
     for (name, model, devices) in cells() {
         let cluster = Cluster::summit_like(devices);
-        let (_, plan) = golden(name, &model, &cluster);
+        let (_, plan, _) = golden(name, &model, &cluster);
         let mut stages = stage_list(&plan);
         let mut mini_batch = plan.stage_graph.mini_batch();
         mutate(&mut stages, &mut mini_batch, &cluster);
@@ -78,7 +96,7 @@ fn assert_stage_mutation(expected: &[Check], mutate: impl Fn(&mut Vec<Stage>, &m
 fn assert_plan_mutation(expected: &[Check], mutate: impl Fn(&mut Plan)) {
     for (name, model, devices) in cells() {
         let cluster = Cluster::summit_like(devices);
-        let (_, mut plan) = golden(name, &model, &cluster);
+        let (_, mut plan, _) = golden(name, &model, &cluster);
         mutate(&mut plan);
         let report = verify_plan(model.graph(), &cluster, &plan);
         for check in expected {
@@ -90,13 +108,42 @@ fn assert_plan_mutation(expected: &[Check], mutate: impl Fn(&mut Plan)) {
     }
 }
 
+/// Every committed golden decodes and verifies clean, equals a fresh plan
+/// of the same problem (planner determinism across builds), and
+/// re-encodes to the committed bytes (codec determinism). With
+/// `UPDATE_GOLDENS=1` the files are first rewritten from the fresh plans.
 #[test]
 fn golden_plans_verify_clean() {
+    let update = std::env::var("UPDATE_GOLDENS").is_ok_and(|v| v == "1");
     for (name, model, devices) in cells() {
         let cluster = Cluster::summit_like(devices);
-        let (_, plan) = golden(name, &model, &cluster);
+        let mut fresh = GraphPipePlanner::new()
+            .plan(&model, &cluster, MINI_BATCH)
+            .unwrap_or_else(|e| panic!("{name}: planner failed: {e}"));
+        // Search walls are the only nondeterministic plan fields.
+        fresh.stats.zero_walls();
+        if update {
+            let fp = PlanRequest::new(Arc::new(model.clone()), cluster.clone(), MINI_BATCH)
+                .fingerprint();
+            // Write, then rename: the other tests read the goldens
+            // concurrently and must never see a half-written file.
+            let path = golden_path(name);
+            let tmp = path.with_extension("json.tmp");
+            std::fs::write(&tmp, encode_plan(&fresh, Some(fp))).expect("write golden");
+            std::fs::rename(&tmp, &path).expect("replace golden");
+        }
+        let (text, plan, recorded_fp) = golden(name, &model, &cluster);
         let report: VerifyReport = verify_strategy(&model, &cluster, &plan);
         assert!(report.is_clean(), "{name}: golden plan rejected: {report}");
+        assert!(
+            plan == fresh,
+            "{name}: golden differs from a fresh plan of the same problem \
+             (rerun with UPDATE_GOLDENS=1 if the planner change is intended)"
+        );
+        assert!(
+            encode_plan(&plan, recorded_fp) == text,
+            "{name}: re-encoding the decoded golden changed its bytes"
+        );
     }
 }
 
@@ -244,7 +291,7 @@ fn non_finite_estimate_is_rejected() {
 fn sp_ized_cell() -> (SpModel, Cluster, Plan) {
     let model = zoo::gnn_pipe(&zoo::GnnPipeConfig::tiny());
     let cluster = Cluster::summit_like(4);
-    let (_, plan) = golden("gnn-pipe-tiny-4gpu", &model, &cluster);
+    let (_, plan, _) = golden("gnn-pipe-tiny-4gpu", &model, &cluster);
     assert!(
         matches!(model.path(), PlanPath::SpIzed { .. }),
         "the gnn-pipe cell must exercise the SP-ization rung"
@@ -383,7 +430,7 @@ fn insane_cluster_unit_count_is_rejected() {
 fn corrupted_artifact_bytes_name_the_invariant() {
     for (name, model, devices) in cells() {
         let cluster = Cluster::summit_like(devices);
-        let (text, _) = golden(name, &model, &cluster);
+        let (text, _, _) = golden(name, &model, &cluster);
 
         let zeroed = text.replace("\"mini_batch\":32", "\"mini_batch\":0");
         assert_ne!(zeroed, text, "{name}: mini_batch field not found");
