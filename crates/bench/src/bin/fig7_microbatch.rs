@@ -28,7 +28,8 @@ fn main() {
         let mut cells = Vec::new();
         for kind in [PlannerKind::GraphPipe, PlannerKind::PipeDream] {
             let opts = PlanOptions::default().with_forced_micro_batch(b);
-            let cell = graphpipe::planner(kind, opts)
+            let cell = kind
+                .build(opts, &Telemetry::disabled())
                 .plan(&model, &cluster, mini_batch)
                 .ok()
                 .and_then(|plan| {

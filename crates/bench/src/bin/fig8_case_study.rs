@@ -15,24 +15,19 @@ fn main() {
     // infeasible, producing the paper's one-layer-per-device partition.
     let cluster = Cluster::summit_like(8).with_memory_capacity(384 << 20);
     let mini_batch = 128;
-    let opts = PlanOptions::default();
+    let session = Session::builder()
+        .model(model.clone())
+        .cluster(cluster.clone())
+        .mini_batch(mini_batch)
+        .build()
+        .expect("the case study is a valid planning problem");
 
-    let gpp = graphpipe::evaluate(
-        &model,
-        &cluster,
-        mini_batch,
-        graphpipe::PlannerKind::GraphPipe,
-        &opts,
-    )
-    .expect("GraphPipe plans the case study");
-    let spp = graphpipe::evaluate(
-        &model,
-        &cluster,
-        mini_batch,
-        graphpipe::PlannerKind::PipeDream,
-        &opts,
-    )
-    .expect("PipeDream plans the case study");
+    let gpp = session
+        .evaluate(PlannerKind::GraphPipe)
+        .expect("GraphPipe plans the case study");
+    let spp = session
+        .evaluate(PlannerKind::PipeDream)
+        .expect("PipeDream plans the case study");
     // "Parallel": GPP partition pinned to SPP's micro-batch size.
     let par_plan = parallel_ablation(&model, &cluster, mini_batch).expect("ablation plans");
     let par = graphpipe::simulate_plan(&model, &cluster, &par_plan).expect("simulates");

@@ -120,36 +120,25 @@ pub mod prelude {
     pub use crate::ir::{DagOptions, Graph, OpId, PlanPath, SpModel};
     pub use crate::obs::{PerfettoSink, SummarySink, Telemetry, TraceSink};
     pub use crate::partition::{
-        GraphPipePlanner, Plan, PlanError, PlanOptions, Planner, SearchStats, WarmStart,
+        GraphPipePlanner, Plan, PlanError, PlanOptions, Planner, SearchStats,
     };
     pub use crate::sim::{render_gantt, SimOptions, SimReport};
     pub use crate::verify::{verify_plan, verify_schedule, verify_strategy, VerifyReport};
     pub use crate::{
-        evaluate, planner, simulate_plan, Comparison, ComparisonRow, Error, EvalResult,
-        PlannedStrategy, PlannerKind, Session, SessionBuilder, SessionFleet, TrainingConfig,
-        TrainingRun,
+        simulate_plan, Comparison, ComparisonRow, Error, EvalResult, PlannedStrategy, PlannerKind,
+        Session, SessionBuilder, SessionFleet, TrainingConfig, TrainingRun,
     };
 }
 
 use gp_cluster::Cluster;
 use gp_ir::SpModel;
-use gp_partition::{Plan, PlanOptions, Planner};
+use gp_partition::Plan;
 use gp_sim::SimReport;
 
 /// The planners compared throughout the paper's evaluation: the facade's
 /// name for `gp-serve`'s planner choice, so a session's requests and a
 /// fleet's share one enum and one fingerprint tag.
 pub use gp_serve::ServePlanner as PlannerKind;
-
-/// Constructs a planner of the given kind with the given options.
-///
-/// Thin shim over the workspace's one planner factory,
-/// [`PlannerKind::build`] — prefer [`Session::plan`], which also
-/// fingerprints the request; this remains for code that drives the
-/// [`Planner`] trait directly.
-pub fn planner(kind: PlannerKind, options: PlanOptions) -> Box<dyn Planner> {
-    kind.build(options, &gp_obs::Telemetry::disabled(), None)
-}
 
 /// Simulates one training iteration of a plan on the cluster it was
 /// planned for.
@@ -166,38 +155,21 @@ pub fn simulate_plan(model: &SpModel, cluster: &Cluster, plan: &Plan) -> Result<
     session::simulate_on(model, cluster, plan, &gp_obs::Telemetry::disabled())
 }
 
-/// Plans with every candidate micro-batch size, simulates each strategy,
-/// and returns the best by measured throughput — exactly how the paper
-/// selects configurations for Figures 6, 7 and 9.
-///
-/// Thin shim over [`Session::evaluate`], which owns the single copy of
-/// this sweep; building a [`Session`] directly avoids re-cloning the model
-/// per call.
-///
-/// # Errors
-///
-/// Returns the planner's error if *no* candidate yields a feasible plan.
-pub fn evaluate(
-    model: &SpModel,
-    cluster: &Cluster,
-    mini_batch: u64,
-    kind: PlannerKind,
-    options: &PlanOptions,
-) -> Result<EvalResult, Error> {
-    Session::builder()
-        .model(model.clone())
-        .cluster(cluster.clone())
-        .mini_batch(mini_batch)
-        .options(options.clone())
-        .build()?
-        .evaluate(kind)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use gp_ir::zoo::{self, CandleUnoConfig, DlrmConfig};
-    use gp_partition::PlanError;
+    use gp_partition::{PlanError, PlanOptions};
+
+    fn session(model: SpModel, mini_batch: u64, options: PlanOptions) -> Session {
+        Session::builder()
+            .model(model)
+            .cluster(Cluster::summit_like(4))
+            .mini_batch(mini_batch)
+            .options(options)
+            .build()
+            .unwrap()
+    }
 
     #[test]
     fn planner_factory_names() {
@@ -206,51 +178,35 @@ mod tests {
             (PlannerKind::PipeDream, "pipedream"),
             (PlannerKind::Piper, "piper"),
         ] {
-            assert_eq!(planner(kind, PlanOptions::default()).name(), name);
+            let planner = kind.build(PlanOptions::default(), &gp_obs::Telemetry::disabled());
+            assert_eq!(planner.name(), name);
             assert!(!kind.label().is_empty());
         }
     }
 
     #[test]
     fn evaluate_sweeps_and_picks_best() {
-        let model = zoo::candle_uno(&CandleUnoConfig::default());
-        let cluster = Cluster::summit_like(4);
         let opts = PlanOptions {
             max_micro_batches: 64,
             ..PlanOptions::default()
         };
-        let result = evaluate(&model, &cluster, 1024, PlannerKind::GraphPipe, &opts).unwrap();
+        let session = session(zoo::candle_uno(&CandleUnoConfig::default()), 1024, opts);
+        let result = session.evaluate(PlannerKind::GraphPipe).unwrap();
         assert!(!result.per_micro_batch.is_empty());
         let best_throughput = result.report.throughput;
         for (_, t) in &result.per_micro_batch {
             assert!(*t <= best_throughput + 1e-9);
         }
-        // The shim produces exactly what the Session produces.
-        let session = Session::builder()
-            .model(model)
-            .cluster(cluster)
-            .mini_batch(1024)
-            .options(opts)
-            .build()
-            .unwrap();
-        let direct = session.evaluate(PlannerKind::GraphPipe).unwrap();
-        assert_eq!(direct.report.throughput, best_throughput);
-        assert_eq!(direct.per_micro_batch, result.per_micro_batch);
-        assert_eq!(direct.plan.fingerprint(), result.plan.fingerprint());
     }
 
     #[test]
     fn evaluate_propagates_piper_explosion() {
-        let model = zoo::dlrm(&DlrmConfig::default());
-        let cluster = Cluster::summit_like(4);
-        let err = evaluate(
-            &model,
-            &cluster,
+        let session = session(
+            zoo::dlrm(&DlrmConfig::default()),
             256,
-            PlannerKind::Piper,
-            &PlanOptions::default(),
-        )
-        .unwrap_err();
+            PlanOptions::default(),
+        );
+        let err = session.evaluate(PlannerKind::Piper).unwrap_err();
         assert!(matches!(
             err,
             Error::Plan(PlanError::SearchExplosion { .. })

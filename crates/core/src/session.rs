@@ -14,8 +14,7 @@
 //!   threaded `gp-exec` runtime, and persist itself as a lossless
 //!   [`artifact`](PlannedStrategy::artifact);
 //! * [`Session::evaluate`] → the Appendix A.2 micro-batch sweep (the one
-//!   copy of the plan→simulate selection loop — the free
-//!   [`crate::evaluate`] is a shim over it);
+//!   copy of the plan→simulate selection loop);
 //! * [`Session::compare`] → a [`Comparison`] that renders the
 //!   Figure-6-style planner table the bench harness builds on;
 //! * [`Session::serve_fleet`] → a [`SessionFleet`] that hands the *same*
@@ -47,7 +46,7 @@ use gp_exec::{reference_step, synth_batch, ModelParams};
 use gp_fleet::{FleetConfig, FleetService, FleetStats};
 use gp_ir::{plan_dag, DagOptions, Graph, PlanPath, SpModel};
 use gp_obs::Telemetry;
-use gp_partition::{Plan, PlanError, PlanOptions, Planner, WarmStart};
+use gp_partition::{Plan, PlanError, PlanOptions, Planner};
 use gp_serve::{artifact, Fingerprint, PlanRequest};
 use gp_sim::{SimOptions, SimReport};
 use std::fmt;
@@ -319,36 +318,9 @@ impl Session {
     /// Propagates the planner's failure as [`Error::Plan`]; a plan the
     /// verifier rejects is [`Error::Verify`].
     pub fn plan(&self, kind: PlannerKind) -> Result<PlannedStrategy, Error> {
-        self.plan_seeded(kind, None)
-    }
-
-    /// [`Session::plan`] seeded with a [`WarmStart`] — typically derived
-    /// from a strategy planned for the same model on a *different* cluster
-    /// size or mini-batch ([`PlannedStrategy::warm_start`]). Warm-started
-    /// plans are byte-identical to cold ones; only the search effort
-    /// (bracket probes, wall-clock) shrinks. Planners without an iterative
-    /// search (the baselines) ignore the seed.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Session::plan`].
-    pub fn plan_with_warm_start(
-        &self,
-        kind: PlannerKind,
-        warm: WarmStart,
-    ) -> Result<PlannedStrategy, Error> {
-        self.plan_seeded(kind, Some(warm))
-    }
-
-    fn plan_seeded(
-        &self,
-        kind: PlannerKind,
-        warm: Option<WarmStart>,
-    ) -> Result<PlannedStrategy, Error> {
         let _span = self.telemetry.span("session.plan");
-        let plan = kind
-            .build(self.options.clone(), &self.telemetry, warm)
-            .plan(&self.model, &self.cluster, self.mini_batch)?;
+        let planner = kind.build(self.options.clone(), &self.telemetry);
+        let plan = planner.plan(&self.model, &self.cluster, self.mini_batch)?;
         {
             let _verify = self.telemetry.span("session.verify");
             gp_verify::verify_strategy(&self.model, &self.cluster, &plan).into_result()?;
@@ -359,8 +331,7 @@ impl Session {
     /// Plans with every candidate micro-batch size, simulates each
     /// strategy, and returns the best by measured throughput — exactly how
     /// the paper selects configurations for Figures 6, 7 and 9 (Appendix
-    /// A.2). This is the single copy of the plan→simulate sweep; the free
-    /// [`crate::evaluate`] delegates here.
+    /// A.2). This is the single copy of the plan→simulate sweep.
     ///
     /// The returned strategy is fingerprinted by the *winning* request —
     /// the session options with the winning micro-batch size forced
@@ -382,7 +353,7 @@ impl Session {
         for &b in &candidates {
             let _candidate = self.telemetry.span_with("evaluate.candidate", b);
             let opts = self.options.clone().with_forced_micro_batch(b);
-            let planner = kind.build(opts, &self.telemetry, None);
+            let planner = kind.build(opts, &self.telemetry);
             match planner.plan(&self.model, &self.cluster, self.mini_batch) {
                 Ok(plan) => {
                     let report =
@@ -704,15 +675,6 @@ impl PlannedStrategy {
     /// `graphpipe::serve::artifact::decode_plan` directly).
     pub fn artifact(&self) -> String {
         artifact::encode_plan(&self.plan, Some(self.fingerprint))
-    }
-
-    /// A [`WarmStart`] seed for re-planning this strategy's model on a
-    /// cluster with `new_devices` devices — feed it to
-    /// [`Session::plan_with_warm_start`]. The throughput hint scales by
-    /// the device-count ratio so the bracket walk lands near the new
-    /// optimum.
-    pub fn warm_start(&self, new_devices: u32) -> WarmStart {
-        WarmStart::from_plan(&self.plan, self.cluster.device_count() as u32, new_devices)
     }
 }
 
@@ -1107,38 +1069,6 @@ mod tests {
         assert!(row.throughput.is_none());
         assert!(row.error.is_some());
         assert!(c.render().contains('✗'));
-    }
-
-    #[test]
-    fn warm_started_session_plan_is_identical_to_cold() {
-        // Plan at 4 devices, then re-plan the same model at 8 seeded from
-        // the first strategy: the warm plan must be byte-identical to the
-        // cold plan for 8 devices (only search effort may differ).
-        let small = session();
-        let seed = small.plan(PlannerKind::GraphPipe).unwrap();
-        let big = Session::builder()
-            .model(Arc::clone(small.model()))
-            .cluster(Cluster::summit_like(8))
-            .mini_batch(32)
-            .build()
-            .unwrap();
-        let cold = big.plan(PlannerKind::GraphPipe).unwrap();
-        let warm = big
-            .plan_with_warm_start(PlannerKind::GraphPipe, seed.warm_start(8))
-            .unwrap();
-        assert_eq!(warm.fingerprint(), cold.fingerprint());
-        assert_eq!(warm.plan().stage_graph, cold.plan().stage_graph);
-        assert_eq!(warm.plan().schedule, cold.plan().schedule);
-        assert_eq!(warm.bottleneck_tps, cold.bottleneck_tps);
-        assert!(warm.stats.binary_iters <= cold.stats.binary_iters);
-        // Baselines ignore the seed rather than erroring.
-        let baseline = big
-            .plan_with_warm_start(PlannerKind::PipeDream, seed.warm_start(8))
-            .unwrap();
-        assert_eq!(
-            baseline.plan().stage_graph,
-            big.plan(PlannerKind::PipeDream).unwrap().plan().stage_graph
-        );
     }
 
     #[test]

@@ -8,14 +8,16 @@
 //!
 //! * **plan request** (`graphpipe-plan-request`, version 2) — everything a
 //!   planner needs: the model (operator list + SP tree), the cluster, the
-//!   mini-batch, the full search options, the planner choice, and an
-//!   optional warm-start hint. The codec is *lossless*: decoding an
-//!   encoded request rebuilds a model with identical operator numbering
-//!   (`numbering_signature` equal) and an identical request fingerprint,
-//!   which is what makes remote planning byte-compatible with local
-//!   planning. Version 2 dropped version 1's required
-//!   `options.parallelism`; in a version 1 document it is ignored like
-//!   any unknown member.
+//!   mini-batch, the full search options, and the planner choice. The
+//!   codec is *lossless*: decoding an encoded request rebuilds a model
+//!   with identical operator numbering (`numbering_signature` equal) and
+//!   an identical request fingerprint, which is what makes remote
+//!   planning byte-compatible with local planning. Version 2 dropped
+//!   version 1's required `options.parallelism`; in a version 1 document
+//!   it is ignored like any unknown member. Older version 2 encoders also
+//!   wrote a top-level `warm` member (`null` or a `tps_hint` search
+//!   hint); decoding ignores it the same way, so peers on both sides of
+//!   its removal still interoperate.
 //! * **plan artifact** (`graphpipe-plan`) — the success reply; exactly the
 //!   `gp-serve` artifact codec bytes ([`canonical_artifact`]), passed
 //!   through verbatim so the bytes a remote worker computed are the bytes
@@ -38,7 +40,7 @@
 
 use gp_cluster::{Cluster, DeviceProfile, LinkProfile};
 use gp_ir::{GraphBuilder, Nonlinearity, OpId, OpKind, PlanPath, Shape, SpBlock, SpModel};
-use gp_partition::{Plan, PlanError, PlanOptions, SearchStats, WarmStart};
+use gp_partition::{Plan, PlanError, PlanOptions, SearchStats};
 use gp_serve::json::{Json, JsonError};
 use gp_serve::{artifact, Fingerprint, PlanRequest, ServePlanner};
 use std::fmt;
@@ -109,11 +111,11 @@ impl std::error::Error for ProtocolError {}
 
 /// The canonical artifact the fleet serves and persists: the `gp-serve`
 /// plan codec with the **search stats zeroed**. Search counters and wall
-/// clocks are measurement — they vary with warm starts and the machine —
-/// while the strategy itself is a pure function of the
-/// request. Zeroing them makes the artifact bytes a pure function of the
-/// request too, which is the fleet's determinism contract: a remotely
-/// planned artifact is byte-identical to a locally planned one.
+/// clocks are measurement — they vary with the machine — while the
+/// strategy itself is a pure function of the request. Zeroing them makes
+/// the artifact bytes a pure function of the request too, which is the
+/// fleet's determinism contract: a remotely planned artifact is
+/// byte-identical to a locally planned one.
 pub fn canonical_artifact(plan: &Plan, fingerprint: Fingerprint) -> String {
     let mut canonical = plan.clone();
     canonical.stats = SearchStats::default();
@@ -168,9 +170,8 @@ pub fn read_frame(r: &mut impl Read) -> std::io::Result<String> {
 // ---------------------------------------------------------------------------
 // Request encoding.
 
-/// Encodes a plan request (plus an optional warm-start hint) as one wire
-/// document.
-pub fn encode_request(request: &PlanRequest, warm: Option<&WarmStart>) -> String {
+/// Encodes a plan request as one wire document.
+pub fn encode_request(request: &PlanRequest) -> String {
     let graph = request.model.graph();
     let ops = graph
         .nodes()
@@ -213,10 +214,6 @@ pub fn encode_request(request: &PlanRequest, warm: Option<&WarmStart>) -> String
         model_members.push(("path".to_string(), path));
     }
     let model = Json::Obj(model_members);
-    let warm = match warm {
-        None => Json::Null,
-        Some(w) => Json::Obj(vec![("tps_hint".into(), Json::Float(w.tps_hint))]),
-    };
     Json::Obj(vec![
         ("format".into(), Json::Str(REQUEST_FORMAT.into())),
         ("version".into(), Json::Int(i128::from(REQUEST_VERSION))),
@@ -231,7 +228,6 @@ pub fn encode_request(request: &PlanRequest, warm: Option<&WarmStart>) -> String
             Json::Str(planner_tag(request.planner).into()),
         ),
         ("options".into(), encode_options(&request.options)),
-        ("warm".into(), warm),
     ])
     .to_string()
 }
@@ -432,15 +428,14 @@ fn encode_options(options: &PlanOptions) -> Json {
 // ---------------------------------------------------------------------------
 // Request decoding.
 
-/// Decodes a plan request (and its warm-start hint, if any), rebuilding
-/// the model through [`GraphBuilder`] and [`SpModel::new`] so the result
-/// is fully re-validated.
+/// Decodes a plan request, rebuilding the model through [`GraphBuilder`]
+/// and [`SpModel::new`] so the result is fully re-validated.
 ///
 /// # Errors
 ///
 /// [`ProtocolError`] on malformed documents, unknown formats, newer
 /// versions, or models that fail graph/SP validation.
-pub fn decode_request(text: &str) -> Result<(PlanRequest, Option<WarmStart>), ProtocolError> {
+pub fn decode_request(text: &str) -> Result<PlanRequest, ProtocolError> {
     let doc = Json::parse(text).map_err(ProtocolError::Json)?;
     let format = doc
         .get("format")
@@ -473,21 +468,9 @@ pub fn decode_request(text: &str) -> Result<(PlanRequest, Option<WarmStart>), Pr
         other => return Err(ProtocolError::Model(format!("unknown planner `{other}`"))),
     };
     let options = decode_options(doc.get("options").ok_or(ProtocolError::Field("options"))?)?;
-    let warm = match doc.get("warm") {
-        None | Some(Json::Null) => None,
-        Some(w) => Some(WarmStart {
-            tps_hint: w
-                .get("tps_hint")
-                .and_then(Json::as_f64)
-                .ok_or(ProtocolError::Field("warm.tps_hint"))?,
-        }),
-    };
-    Ok((
-        PlanRequest::new(Arc::new(model), cluster, mini_batch)
-            .with_options(options)
-            .with_planner(planner),
-        warm,
-    ))
+    Ok(PlanRequest::new(Arc::new(model), cluster, mini_batch)
+        .with_options(options)
+        .with_planner(planner))
 }
 
 fn decode_model(doc: &Json) -> Result<SpModel, ProtocolError> {
@@ -860,14 +843,13 @@ mod tests {
     #[test]
     fn requests_round_trip_losslessly() {
         for request in zoo_requests() {
-            let warm = Some(WarmStart { tps_hint: 1.25e-6 });
-            let text = encode_request(&request, warm.as_ref());
+            let text = encode_request(&request);
             let doc = Json::parse(&text).expect("parses");
             assert!(
                 depth(&doc) <= gp_serve::json::MAX_DEPTH / 8,
                 "nesting headroom"
             );
-            let (decoded, decoded_warm) = decode_request(&text).expect("decodes");
+            let decoded = decode_request(&text).expect("decodes");
             assert_eq!(decoded.fingerprint(), request.fingerprint());
             assert_eq!(
                 decoded.model.numbering_signature(),
@@ -877,9 +859,8 @@ mod tests {
             assert_eq!(decoded.mini_batch, request.mini_batch);
             assert_eq!(decoded.options, request.options);
             assert_eq!(decoded.planner, request.planner);
-            assert_eq!(decoded_warm, warm);
             // Idempotent: re-encoding the decoded request reproduces bytes.
-            assert_eq!(encode_request(&decoded, warm.as_ref()), text);
+            assert_eq!(encode_request(&decoded), text);
         }
     }
 
@@ -955,7 +936,7 @@ mod tests {
             Cluster::summit_like(8),
             64,
         );
-        let text = encode_request(&request, None);
+        let text = encode_request(&request);
         let huge = (1u64 << 32) + 8;
         for (member, field) in [
             ("\"devices\":8,", "cluster.devices"),
@@ -975,38 +956,44 @@ mod tests {
         }
         // The bound is inclusive.
         let widest = text.replacen("\"devices\":8,", &format!("\"devices\":{},", u32::MAX), 1);
-        let (decoded, _) = decode_request(&widest).expect("u32::MAX devices decode");
+        let decoded = decode_request(&widest).expect("u32::MAX devices decode");
         assert_eq!(decoded.cluster.device_count(), u32::MAX as usize);
     }
 
     #[test]
-    fn a_huge_parallelism_member_is_ignored() {
-        // Version 1 documents carry `options.parallelism`. Whatever its
-        // value, it must reach neither the fingerprint nor the planner.
+    fn retired_members_are_ignored() {
+        // Version 1 documents carry `options.parallelism`, and older
+        // version 2 encoders wrote a top-level `warm` search hint. Whatever
+        // their values, they must reach neither the fingerprint nor the
+        // planner.
         let request = PlanRequest::new(
             Arc::new(zoo::mmt(&MmtConfig::two_branch())),
             Cluster::summit_like(4),
             64,
         );
-        let plain = encode_request(&request, None);
-        let hostile = plain.replacen(
-            "\"options\":{",
-            "\"options\":{\"parallelism\":18446744073709551615,",
-            1,
-        );
-        assert_ne!(hostile, plain, "the member was injected");
-        let (decoded, _) = decode_request(&hostile).expect("an unknown member is ignored");
-        assert_eq!(decoded.fingerprint(), request.fingerprint());
         let plan = |r: &PlanRequest| {
-            let planner = r
-                .planner
-                .build(r.options.clone(), &Default::default(), None);
+            let planner = r.planner.build(r.options.clone(), &Default::default());
             let mut plan = planner
                 .plan(&r.model, &r.cluster, r.mini_batch)
                 .expect("plans normally");
             plan.stats.zero_walls();
             plan
         };
-        assert_eq!(plan(&decoded), plan(&request));
+        let expected = plan(&request);
+        let plain = encode_request(&request);
+        for (anchor, injected) in [
+            (
+                "\"options\":{",
+                "\"options\":{\"parallelism\":18446744073709551615,",
+            ),
+            ("{\"format\":", "{\"warm\":null,\"format\":"),
+            ("{\"format\":", "{\"warm\":{\"tps_hint\":2e-7},\"format\":"),
+        ] {
+            let hostile = plain.replacen(anchor, injected, 1);
+            assert_ne!(hostile, plain, "{injected} was injected");
+            let decoded = decode_request(&hostile).expect("an unknown member is ignored");
+            assert_eq!(decoded.fingerprint(), request.fingerprint(), "{injected}");
+            assert_eq!(plan(&decoded), expected, "{injected}");
+        }
     }
 }

@@ -33,9 +33,8 @@ use crate::shard::{ShardLookup, ShardStats, ShardedPlanCache};
 use crate::store::ArtifactStore;
 use crate::worker::{LocalWorker, PlanWorker, RemoteWorker, WorkerFailure};
 use gp_obs::{ClockHandle, Histogram, HistogramSnapshot, Telemetry};
-use gp_partition::{Plan, PlanError, WarmStart};
-use gp_serve::fingerprint::{request_config_fingerprint, request_graph_fingerprint};
-use gp_serve::{artifact, Fingerprint, PlanRequest, ServeError, ServePlanner};
+use gp_partition::{Plan, PlanError};
+use gp_serve::{artifact, Fingerprint, PlanRequest, ServeError};
 use std::any::Any;
 use std::collections::BTreeMap;
 use std::io;
@@ -135,9 +134,6 @@ pub struct FleetStats {
     pub worker_errors: u64,
     /// Successful planner runs across all workers.
     pub planner_runs: u64,
-    /// Planner runs seeded by a warm-start hint from a *different*
-    /// configuration of the same graph (the cross-config reuse case).
-    pub warm_starts: u64,
     /// Plans currently cached across all shards.
     pub cached_plans: u64,
     /// LRU evictions across all shards.
@@ -177,9 +173,8 @@ impl FleetStats {
             self.requests, self.shard_hits, self.store_hits, self.joins, self.misses
         ));
         out.push_str(&format!(
-            "shed {}  quota-refusals {}  retries {}  worker-errors {}  planner-runs {}  warm-starts {}\n",
-            self.shed, self.quota_refusals, self.retries, self.worker_errors, self.planner_runs,
-            self.warm_starts
+            "shed {}  quota-refusals {}  retries {}  worker-errors {}  planner-runs {}\n",
+            self.shed, self.quota_refusals, self.retries, self.worker_errors, self.planner_runs
         ));
         out.push_str(&format!(
             "cached {}  evictions {}  store-rejects {}  hit-rate {:.3}  shed-rate {:.3}\n",
@@ -282,13 +277,6 @@ struct Job {
     enqueued_ns: u64,
 }
 
-#[derive(Clone, Copy)]
-struct WarmSeed {
-    config_fp: Fingerprint,
-    devices: u32,
-    bottleneck_tps: f64,
-}
-
 #[derive(Default)]
 struct Counters {
     requests: AtomicU64,
@@ -302,7 +290,6 @@ struct Counters {
     retries: AtomicU64,
     worker_errors: AtomicU64,
     planner_runs: AtomicU64,
-    warm_starts: AtomicU64,
 }
 
 struct Shared {
@@ -314,7 +301,6 @@ struct Shared {
     workers: Vec<Box<dyn PlanWorker>>,
     admission: AdmissionControl,
     inflight: Mutex<BTreeMap<Fingerprint, Vec<Waiter>>>,
-    warm_index: Mutex<BTreeMap<Fingerprint, WarmSeed>>,
     /// Misses claimed but not yet published — the backlog that shedding
     /// bounds (queued plus in-service, so a slow worker counts too).
     backlog: AtomicUsize,
@@ -379,7 +365,6 @@ impl FleetService {
             workers,
             admission: AdmissionControl::new(config.admission.clone()),
             inflight: Mutex::new(BTreeMap::new()),
-            warm_index: Mutex::new(BTreeMap::new()),
             backlog: AtomicUsize::new(0),
             counters: Counters::default(),
             queue_wait: Histogram::default(),
@@ -577,7 +562,6 @@ impl FleetService {
             retries: c.retries.load(Ordering::Relaxed),
             worker_errors: c.worker_errors.load(Ordering::Relaxed),
             planner_runs: c.planner_runs.load(Ordering::Relaxed),
-            warm_starts: c.warm_starts.load(Ordering::Relaxed),
             cached_plans: self.shared.cache.len() as u64,
             cache_evictions: self.shared.cache.evictions(),
             queue_wait: self.shared.queue_wait.snapshot(),
@@ -624,7 +608,7 @@ fn dispatcher_loop(shared: &Shared, worker_index: usize) {
         shared.queue_wait.record(wait_ns);
         shared.telemetry.record("fleet.queue_wait_ns", wait_ns);
         let span = shared.telemetry.span("fleet.dispatch");
-        let outcome = plan_via_workers(shared, worker_index, &job.request, job.fingerprint, true);
+        let outcome = plan_via_workers(shared, worker_index, &job.request, job.fingerprint);
         drop(span);
         publish(shared, &job, outcome, worker_index);
         shared.backlog.fetch_sub(1, Ordering::AcqRel);
@@ -639,28 +623,7 @@ fn plan_via_workers(
     start: usize,
     request: &PlanRequest,
     fingerprint: Fingerprint,
-    seed_warm_index: bool,
 ) -> Result<(String, Arc<Plan>), ServeError> {
-    let warm_key = (request.planner == ServePlanner::GraphPipe).then(|| {
-        (
-            request_graph_fingerprint(&request.model, request.planner.tag()),
-            request_config_fingerprint(&request.cluster, request.mini_batch, &request.options),
-        )
-    });
-    let warm = warm_key.and_then(|(graph_fp, config_fp)| {
-        lock(&shared.warm_index).get(&graph_fp).map(|seed| {
-            if seed.config_fp != config_fp {
-                // Same graph, different cluster/batch/options: the hint
-                // crossed configurations, the paper's warm-start case.
-                shared.counters.warm_starts.fetch_add(1, Ordering::Relaxed);
-                shared.telemetry.counter_add("fleet.warm_starts", 1);
-            }
-            let devices = request.cluster.device_count().max(1) as f64;
-            WarmStart {
-                tps_hint: seed.bottleneck_tps * (f64::from(seed.devices.max(1)) / devices),
-            }
-        })
-    });
     let n = shared.workers.len();
     let mut attempts = 0;
     for k in 0..n {
@@ -673,7 +636,7 @@ fn plan_via_workers(
         let start_ns = shared.clock.now_nanos();
         // A panicking planner fails this request like any planner error:
         // every waiter gets the error and the dispatcher keeps serving.
-        let attempt = panic::catch_unwind(AssertUnwindSafe(|| worker.plan(request, warm)))
+        let attempt = panic::catch_unwind(AssertUnwindSafe(|| worker.plan(request)))
             .unwrap_or_else(|payload| {
                 Err(WorkerFailure::Failed(ServeError::Plan(
                     PlanError::Internal(format!(
@@ -703,18 +666,6 @@ fn plan_via_workers(
                         "worker {} answered for the wrong request",
                         worker.describe()
                     ))));
-                }
-                if seed_warm_index {
-                    if let Some((graph_fp, config_fp)) = warm_key {
-                        lock(&shared.warm_index).insert(
-                            graph_fp,
-                            WarmSeed {
-                                config_fp,
-                                devices: request.cluster.device_count() as u32,
-                                bottleneck_tps: plan.bottleneck_tps,
-                            },
-                        );
-                    }
                 }
                 return Ok((text, Arc::new(plan)));
             }
@@ -768,14 +719,9 @@ fn publish(
                     // 128-bit collision. Plan this waiter's own model so
                     // stage indices are valid for *its* graph; the result
                     // must not overwrite the published entry.
-                    let solo = plan_via_workers(
-                        shared,
-                        worker_index,
-                        &waiter.request,
-                        job.fingerprint,
-                        false,
-                    )
-                    .map(|(_, plan)| plan);
+                    let solo =
+                        plan_via_workers(shared, worker_index, &waiter.request, job.fingerprint)
+                            .map(|(_, plan)| plan);
                     let _ = waiter.tx.send(solo);
                 }
             }
@@ -795,7 +741,7 @@ mod tests {
     use gp_cluster::Cluster;
     use gp_ir::zoo::{self, CandleUnoConfig, DlrmConfig};
     use gp_partition::PlanOptions;
-    use gp_serve::fingerprint::plan_fingerprint;
+    use gp_serve::ServePlanner;
     use std::sync::{Condvar, PoisonError};
     use std::time::Duration;
 
@@ -835,13 +781,9 @@ mod tests {
         fn describe(&self) -> String {
             "gate".into()
         }
-        fn plan(
-            &self,
-            request: &PlanRequest,
-            warm: Option<WarmStart>,
-        ) -> Result<String, WorkerFailure> {
+        fn plan(&self, request: &PlanRequest) -> Result<String, WorkerFailure> {
             let _ = lock(&self.0).recv();
-            self.1.plan(request, warm)
+            self.1.plan(request)
         }
     }
 
@@ -957,11 +899,7 @@ mod tests {
             fn describe(&self) -> String {
                 "dead".into()
             }
-            fn plan(
-                &self,
-                _request: &PlanRequest,
-                _warm: Option<WarmStart>,
-            ) -> Result<String, WorkerFailure> {
+            fn plan(&self, _request: &PlanRequest) -> Result<String, WorkerFailure> {
                 Err(WorkerFailure::Unavailable("gone".into()))
             }
         }
@@ -982,8 +920,7 @@ mod tests {
         .unwrap();
         let req = request();
         let fp = req.fingerprint();
-        plan_via_workers(&service.shared, 0, &req, fp, true)
-            .expect("failed over to the live worker");
+        plan_via_workers(&service.shared, 0, &req, fp).expect("failed over to the live worker");
         let stats = service.stats();
         assert_eq!(stats.worker_errors, 1, "{stats:?}");
         assert_eq!(stats.retries, 1, "{stats:?}");
@@ -1202,48 +1139,6 @@ mod tests {
     }
 
     #[test]
-    fn near_miss_warm_start_serves_the_cold_plan() {
-        // Same model, different cluster size and mini-batch: a fingerprint
-        // near miss. The warm-started plan must be the plan a cold service
-        // produces for the same request.
-        let near = || {
-            PlanRequest::new(
-                Arc::new(zoo::candle_uno(&CandleUnoConfig::tiny())),
-                Cluster::summit_like(8),
-                64,
-            )
-        };
-        let service = local(1, 8);
-        plan(&service, request()).unwrap(); // seeds the warm index
-        let warm_plan = plan(&service, near()).unwrap();
-        let stats = service.stats();
-        assert_eq!(stats.planner_runs, 2, "{stats:?}");
-        assert_eq!(stats.warm_starts, 1, "{stats:?}");
-        assert!(stats.render().contains("warm-starts 1"));
-
-        let cold_service = local(1, 8);
-        let cold_plan = plan(&cold_service, near()).unwrap();
-        assert_eq!(cold_service.stats().warm_starts, 0);
-        assert_eq!(plan_fingerprint(&warm_plan), plan_fingerprint(&cold_plan));
-    }
-
-    #[test]
-    fn warm_start_counts_only_near_misses() {
-        // An eviction-forced replan of the *same* config reuses the seed
-        // but is not a near miss, so the counter must stay untouched. The
-        // eviction comes from a different model, whose seed lives under its
-        // own graph fingerprint.
-        let service = local(1, 1);
-        plan(&service, request()).unwrap();
-        plan(&service, other_request()).unwrap(); // evicts the first plan
-        plan(&service, request()).unwrap(); // exact replan: warm, not near
-        let stats = service.stats();
-        assert_eq!(stats.planner_runs, 3, "{stats:?}");
-        assert_eq!(stats.cache_evictions, 2, "{stats:?}");
-        assert_eq!(stats.warm_starts, 0, "{stats:?}");
-    }
-
-    #[test]
     fn stats_display_mentions_hit_rate() {
         let service = local(1, 4);
         plan(&service, request()).unwrap();
@@ -1262,13 +1157,9 @@ mod tests {
             fn describe(&self) -> String {
                 "panicky".into()
             }
-            fn plan(
-                &self,
-                request: &PlanRequest,
-                warm: Option<WarmStart>,
-            ) -> Result<String, WorkerFailure> {
+            fn plan(&self, request: &PlanRequest) -> Result<String, WorkerFailure> {
                 assert_ne!(request.mini_batch, 16, "planner bug");
-                self.0.plan(request, warm)
+                self.0.plan(request)
             }
         }
 
@@ -1308,11 +1199,7 @@ mod tests {
             fn describe(&self) -> String {
                 "rendezvous".into()
             }
-            fn plan(
-                &self,
-                request: &PlanRequest,
-                warm: Option<WarmStart>,
-            ) -> Result<String, WorkerFailure> {
+            fn plan(&self, request: &PlanRequest) -> Result<String, WorkerFailure> {
                 let (count, changed) = &*self.inside;
                 let mut inside = lock(count);
                 *inside += 1;
@@ -1326,7 +1213,7 @@ mod tests {
                         PlanError::Internal("planned alone".into()),
                     )));
                 }
-                self.worker.plan(request, warm)
+                self.worker.plan(request)
             }
         }
 

@@ -3,8 +3,8 @@
 //! [`WorkerServer`] that turns any host into a planning backend.
 //!
 //! Every worker — local thread or remote process — satisfies the same
-//! contract: given a [`PlanRequest`] and an optional warm-start hint,
-//! produce the **canonical artifact text** for that request
+//! contract: given a [`PlanRequest`], produce the **canonical artifact
+//! text** for that request
 //! ([`crate::canonical_artifact`]: the plan codec with search stats
 //! zeroed). Because the artifact is a pure function of the request, the
 //! front-end cannot tell local and remote workers apart by their output —
@@ -15,7 +15,7 @@ use crate::protocol::{
     self, canonical_artifact, classify_reply, read_frame, write_frame, WireReply,
 };
 use gp_obs::Telemetry;
-use gp_partition::{PlanError, WarmStart};
+use gp_partition::PlanError;
 use gp_serve::{PlanRequest, ServeError};
 use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -34,8 +34,8 @@ pub enum WorkerFailure {
     Failed(ServeError),
 }
 
-/// A planning backend: anything that maps a request (plus warm hint) to
-/// the canonical artifact text.
+/// A planning backend: anything that maps a request to the canonical
+/// artifact text.
 pub trait PlanWorker: Send + Sync {
     /// Human-readable identity for stats and error messages.
     fn describe(&self) -> String;
@@ -46,8 +46,7 @@ pub trait PlanWorker: Send + Sync {
     ///
     /// [`WorkerFailure::Unavailable`] when the backend is unreachable,
     /// [`WorkerFailure::Failed`] when planning itself failed.
-    fn plan(&self, request: &PlanRequest, warm: Option<WarmStart>)
-        -> Result<String, WorkerFailure>;
+    fn plan(&self, request: &PlanRequest) -> Result<String, WorkerFailure>;
 }
 
 /// Plans a request in-process: build the requested planner, run it,
@@ -61,14 +60,10 @@ pub trait PlanWorker: Send + Sync {
 ///
 /// [`ServeError::Plan`] when the search fails, [`ServeError::InvalidPlan`]
 /// when the produced strategy violates a static invariant.
-pub fn plan_locally(
-    request: &PlanRequest,
-    warm: Option<WarmStart>,
-    telemetry: &Telemetry,
-) -> Result<String, ServeError> {
+pub fn plan_locally(request: &PlanRequest, telemetry: &Telemetry) -> Result<String, ServeError> {
     let plan = request
         .planner
-        .build(request.options.clone(), telemetry, warm)
+        .build(request.options.clone(), telemetry)
         .plan(&request.model, &request.cluster, request.mini_batch)
         .map_err(ServeError::Plan)?;
     // Trust boundary: no unverified plan leaves a worker.
@@ -96,12 +91,8 @@ impl PlanWorker for LocalWorker {
         format!("local-{}", self.index)
     }
 
-    fn plan(
-        &self,
-        request: &PlanRequest,
-        warm: Option<WarmStart>,
-    ) -> Result<String, WorkerFailure> {
-        plan_locally(request, warm, &self.telemetry).map_err(WorkerFailure::Failed)
+    fn plan(&self, request: &PlanRequest) -> Result<String, WorkerFailure> {
+        plan_locally(request, &self.telemetry).map_err(WorkerFailure::Failed)
     }
 }
 
@@ -125,20 +116,13 @@ impl PlanWorker for RemoteWorker {
         format!("remote-{}", self.addr)
     }
 
-    fn plan(
-        &self,
-        request: &PlanRequest,
-        warm: Option<WarmStart>,
-    ) -> Result<String, WorkerFailure> {
+    fn plan(&self, request: &PlanRequest) -> Result<String, WorkerFailure> {
         let unavailable = |what: &str, e: &dyn std::fmt::Display| -> WorkerFailure {
             WorkerFailure::Unavailable(format!("{}: {what}: {e}", self.addr))
         };
         let mut stream = TcpStream::connect(&self.addr).map_err(|e| unavailable("connect", &e))?;
-        write_frame(
-            &mut stream,
-            &protocol::encode_request(request, warm.as_ref()),
-        )
-        .map_err(|e| unavailable("send", &e))?;
+        write_frame(&mut stream, &protocol::encode_request(request))
+            .map_err(|e| unavailable("send", &e))?;
         let reply = read_frame(&mut stream).map_err(|e| unavailable("recv", &e))?;
         match classify_reply(&reply) {
             Ok(WireReply::Artifact(text)) => Ok(text),
@@ -237,7 +221,7 @@ fn handle_connection(mut stream: TcpStream, telemetry: &Telemetry, served: &Atom
         return; // Peer died mid-request; nothing to answer.
     };
     let reply = match protocol::decode_request(&text) {
-        Ok((request, warm)) => match plan_locally(&request, warm, telemetry) {
+        Ok(request) => match plan_locally(&request, telemetry) {
             Ok(artifact) => artifact,
             Err(ServeError::Plan(e)) => protocol::encode_plan_error(&e),
             Err(other) => {
@@ -270,23 +254,12 @@ mod tests {
     fn local_worker_output_is_the_canonical_artifact() {
         let request = request();
         let worker = LocalWorker::new(0, Telemetry::disabled());
-        let text = worker.plan(&request, None).expect("plans");
+        let text = worker.plan(&request).expect("plans");
         let (plan, fp) =
             gp_serve::artifact::decode_plan(&text, request.model.graph(), &request.cluster)
                 .expect("artifact decodes and validates");
         assert_eq!(fp, Some(request.fingerprint()));
         assert_eq!(text, canonical_artifact(&plan, request.fingerprint()));
-    }
-
-    #[test]
-    fn warm_started_worker_produces_identical_bytes() {
-        let request = request();
-        let worker = LocalWorker::new(0, Telemetry::disabled());
-        let cold = worker.plan(&request, None).expect("cold plan");
-        let warm = worker
-            .plan(&request, Some(WarmStart { tps_hint: 2.0e-7 }))
-            .expect("warm plan");
-        assert_eq!(cold, warm, "warm start must never change the artifact");
     }
 
     #[test]
@@ -302,8 +275,8 @@ mod tests {
             )
             .with_planner(ServePlanner::PipeDream),
         ] {
-            let local = plan_locally(&request, None, &Telemetry::disabled()).unwrap();
-            let served = remote.plan(&request, None).expect("remote plans");
+            let local = plan_locally(&request, &Telemetry::disabled()).unwrap();
+            let served = remote.plan(&request).expect("remote plans");
             assert_eq!(
                 served, local,
                 "remote and local artifacts must be identical"
@@ -321,7 +294,7 @@ mod tests {
             listener.local_addr().unwrap().port()
         };
         let remote = RemoteWorker::new(format!("127.0.0.1:{port}"));
-        match remote.plan(&request(), None) {
+        match remote.plan(&request()) {
             Err(WorkerFailure::Unavailable(why)) => {
                 assert!(why.contains("connect"), "{why}")
             }

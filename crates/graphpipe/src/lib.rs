@@ -61,8 +61,8 @@
 //! * [`sim`] — the discrete-event simulator ([`simulate_plan`]);
 //! * [`exec`] — the threaded runtime with real tensor math
 //!   ([`PlannedStrategy::execute`]);
-//! * [`prelude`] — one-stop imports, plus the [`planner`] / [`evaluate`] /
-//!   [`simulate_plan`] free-function shims over the session machinery;
+//! * [`prelude`] — one-stop imports, plus [`simulate_plan`], a free
+//!   function for simulating a plan that did not come from a session;
 //! * [`serve`] — plan-serving primitives: canonical graph fingerprints,
 //!   the lossless plan artifact codec, and the plan request types;
 //! * [`fleet`] — the plan service: the sharded cache, persistent artifact

@@ -76,7 +76,7 @@
 //! nondeterminism hazards (DESIGN.md §"Determinism lint").
 
 use crate::cores::CoreBudget;
-use crate::plan::{Plan, PlanError, PlanOptions, Planner, SearchStats, WarmStart};
+use crate::plan::{Plan, PlanError, PlanOptions, Planner, SearchStats};
 use gp_cluster::{Cluster, DeviceRange};
 use gp_cost::{CostModel, Pass, BYTES_PER_PARAM_STATE};
 use gp_ir::{Graph, OpId, SpBlock, SpModel};
@@ -1769,6 +1769,18 @@ impl<'a> SearchCtx<'a> {
         mini_batch: u64,
         options: &'a PlanOptions,
     ) -> Result<SearchCtx<'a>, PlanError> {
+        // Below one ulp of relative gap the bisection could never close.
+        if !(options.epsilon.is_finite() && options.epsilon >= f64::EPSILON) {
+            return Err(PlanError::Infeasible(format!(
+                "epsilon must be finite and at least f64::EPSILON, got {}",
+                options.epsilon
+            )));
+        }
+        if options.kfkb_candidates.is_empty() || options.kfkb_candidates.contains(&0) {
+            return Err(PlanError::Infeasible(
+                "kfkb_candidates must be non-empty and every k at least 1".to_string(),
+            ));
+        }
         let graph = model.graph();
         let cost = CostModel::new(cluster);
         let devices = cluster.device_count() as u32;
@@ -2055,21 +2067,9 @@ fn replay_probe(
 /// work-conservation bound, then bisection to `epsilon`. Probes run one
 /// at a time in this sequence; only a probe's own runs fan out (see
 /// [`run_probe`]).
-///
-/// A warm hint enters the ladder at the rung its TPS predicts instead of
-/// the bottom, then walks toward the bracket: up while infeasible (the
-/// cold walk's tail), or down to the lowest feasible rung when the guess
-/// was feasible. Feasibility is monotone in the target, so either walk
-/// settles on exactly the `[t_lo, t_hi]` bracket — and the same entering
-/// solution — that the cold walk finds; the produced strategy is
-/// identical and only probe counts (hence eval counters and wall time)
-/// change. The exception is a search that runs out of eval budget:
-/// warm and cold spend the budget on different probes, so explosion
-/// accounting is only defined per walk.
 fn drive_search(
     ctx: &SearchCtx<'_>,
     fanout: Fanout<'_>,
-    warm: Option<&WarmStart>,
     clock: &ClockHandle,
     telemetry: &Telemetry,
 ) -> Result<(Solution, SearchStats), PlanError> {
@@ -2078,51 +2078,21 @@ fn drive_search(
     let mut stats = SearchStats::default();
     let mut evals_used = 0u64;
     let epsilon = ctx.options.epsilon;
-    let ladder = ctx.ladder();
     let mut best: Option<Solution> = None;
     let mut t_lo = ctx.t_base;
     let mut t_hi = 2.0 * ctx.t_base;
-    let mut rung = 0usize;
-    let mut descending = false;
-    if let Some(w) = warm {
-        if !ladder.is_empty() && w.tps_hint.is_finite() && w.tps_hint > 0.0 {
-            rung = ladder
-                .partition_point(|&t| t < w.tps_hint)
-                .min(ladder.len() - 1);
-            descending = rung > 0;
-        }
-    }
     let bracket_start = clock.now_nanos();
     {
         let _bracket = telemetry.span("search.bracket");
-        while best.is_none() && rung < ladder.len() {
-            let t = ladder[rung];
+        for t in ctx.ladder() {
             t_hi = t;
             best = probe(ctx, t, fanout, &mut stats, &mut evals_used, telemetry)?;
-            if best.is_none() {
-                // Infeasible guess: every rung below is infeasible too
-                // (monotonicity), so the remaining walk is the cold
-                // walk's tail.
-                t_lo = t;
-                rung += 1;
-                descending = false;
+            if best.is_some() {
+                break;
             }
-        }
-        // Feasible warm guess: walk down to the lowest feasible rung —
-        // the rung the cold walk stops at.
-        while descending && rung > 0 {
-            let t = ladder[rung - 1];
-            match probe(ctx, t, fanout, &mut stats, &mut evals_used, telemetry)? {
-                Some(sol) => {
-                    best = Some(sol);
-                    t_hi = t;
-                    rung -= 1;
-                }
-                None => {
-                    t_lo = t;
-                    break;
-                }
-            }
+            // Infeasible: every lower target is infeasible too
+            // (feasibility is monotone in the target).
+            t_lo = t;
         }
     }
     stats.phases.bracket_wall = clock.since(bracket_start);
@@ -2183,11 +2153,6 @@ pub struct GraphPipePlanner {
     /// Telemetry handle (inert by default): search spans and counters.
     /// Write-only — never read back into the plan.
     telemetry: Telemetry,
-    /// Optional warm-start hints ([`WarmStart`]); the produced plan is
-    /// identical with or without them — only search cost changes — so
-    /// this is deliberately not a [`PlanOptions`] field (it never enters
-    /// request fingerprints).
-    warm: Option<WarmStart>,
 }
 
 impl GraphPipePlanner {
@@ -2210,22 +2175,9 @@ impl GraphPipePlanner {
         self
     }
 
-    /// Seed the search from a previously planned strategy ([`WarmStart`]).
-    /// The produced plan is identical to a cold search's; only probe
-    /// counts (and wall time) shrink.
-    pub fn with_warm_start(mut self, warm: WarmStart) -> Self {
-        self.warm = Some(warm);
-        self
-    }
-
     /// The options in effect.
     pub fn options(&self) -> &PlanOptions {
         &self.options
-    }
-
-    /// The warm-start hints in effect, if any.
-    pub fn warm_start(&self) -> Option<&WarmStart> {
-        self.warm.as_ref()
     }
 
     /// The search with helper threads drawn from `fanout`.
@@ -2239,13 +2191,7 @@ impl GraphPipePlanner {
         let _search_span = self.telemetry.span("planner.search");
         let start = self.clock.now_nanos();
         let ctx = SearchCtx::new(model, cluster, mini_batch, &self.options)?;
-        let (solution, stats) = drive_search(
-            &ctx,
-            fanout,
-            self.warm.as_ref(),
-            &self.clock,
-            &self.telemetry,
-        )?;
+        let (solution, stats) = drive_search(&ctx, fanout, &self.clock, &self.telemetry)?;
         let finalize_start = self.clock.now_nanos();
         let _finalize_span = self.telemetry.span("planner.finalize");
         let mut plan =
@@ -2434,6 +2380,53 @@ mod tests {
     }
 
     #[test]
+    fn hostile_search_options_are_rejected_before_any_probe() {
+        // An epsilon under one ulp of relative gap never closes the
+        // bisection, k = 0 panics the in-flight formula, and no k at all
+        // used to be blamed on the memory budget. Each case plans on its
+        // own thread, so a hang fails the test instead of stalling it.
+        let cases: [(&str, f64, &[u64]); 9] = [
+            ("epsilon", 0.0, &[1]),
+            ("epsilon", -1.0, &[1]),
+            ("epsilon", 1e-16, &[1]),
+            ("epsilon", 1e-300, &[1]),
+            ("epsilon", f64::NAN, &[1]),
+            ("epsilon", f64::INFINITY, &[1]),
+            ("kfkb_candidates", 0.01, &[0]),
+            ("kfkb_candidates", 0.01, &[1, 0]),
+            ("kfkb_candidates", 0.01, &[]),
+        ];
+        let plan_guarded = |epsilon: f64, kfkb: &[u64]| {
+            let label = format!("epsilon {epsilon:?}, kfkb_candidates {kfkb:?}");
+            let options = PlanOptions::default()
+                .with_epsilon(epsilon)
+                .with_kfkb_candidates(kfkb.to_vec());
+            let (done, reply) = std::sync::mpsc::channel();
+            let planner = std::thread::spawn(move || {
+                let model = zoo::mlp_chain(2, 512);
+                let planner = GraphPipePlanner::with_options(options);
+                let _ = done.send(planner.plan(&model, &Cluster::summit_like(4), 32));
+            });
+            let result = reply
+                .recv_timeout(std::time::Duration::from_secs(5))
+                .unwrap_or_else(|e| panic!("{label}: no answer ({e})"));
+            planner.join().expect("the planner thread has answered");
+            (label, result)
+        };
+        for (option, epsilon, kfkb) in cases {
+            match plan_guarded(epsilon, kfkb) {
+                (_, Err(PlanError::Infeasible(msg))) if msg.starts_with(option) => {}
+                (label, Err(e)) => panic!("{label}: expected an `{option}` error, got {e:?}"),
+                (label, Ok(_)) => panic!("{label}: planned instead of rejecting"),
+            }
+        }
+        // The smallest epsilon the search accepts still terminates.
+        let (label, tight) = plan_guarded(f64::EPSILON, &[1]);
+        let plan = tight.unwrap_or_else(|e| panic!("{label}: {e}"));
+        plan.schedule.validate_c4(&plan.stage_graph).unwrap();
+    }
+
+    #[test]
     fn forced_micro_batch_is_used() {
         let model = zoo::candle_uno(&CandleUnoConfig::default());
         let opts = PlanOptions::default().with_forced_micro_batch(16);
@@ -2500,37 +2493,6 @@ mod tests {
         // Windows narrower than the beam pass through unpruned.
         assert_eq!(dp.beam_window(5, 7, 6), (5, 7));
         assert_eq!(dp.beam_prunes, 59 * 4);
-    }
-
-    #[test]
-    fn warm_start_produces_identical_strategy() {
-        let model = zoo::dlrm(&DlrmConfig::default());
-        let cluster = Cluster::summit_like(8);
-        let cold = GraphPipePlanner::new().plan(&model, &cluster, 512).unwrap();
-        // Seed from the cold plan itself (same devices): the warm walk
-        // must settle on the same bracket and the same strategy.
-        let warm = GraphPipePlanner::new()
-            .with_warm_start(crate::plan::WarmStart::from_plan(&cold, 8, 8))
-            .plan(&model, &cluster, 512)
-            .unwrap();
-        assert_eq!(warm.stage_graph, cold.stage_graph);
-        assert_eq!(warm.in_flight, cold.in_flight);
-        assert_eq!(warm.schedule, cold.schedule);
-        assert_eq!(warm.bottleneck_tps, cold.bottleneck_tps);
-        assert_eq!(warm.peak_memory_bytes, cold.peak_memory_bytes);
-        // The warm walk skips the cold walk's infeasible bottom rungs.
-        assert!(warm.stats.binary_iters <= cold.stats.binary_iters);
-        assert!(warm.stats.dp_evals <= cold.stats.dp_evals);
-        // A wildly wrong hint still converges to the same strategy.
-        let bad_hint = crate::plan::WarmStart {
-            tps_hint: cold.bottleneck_tps * 1e6,
-        };
-        let warm_bad = GraphPipePlanner::new()
-            .with_warm_start(bad_hint)
-            .plan(&model, &cluster, 512)
-            .unwrap();
-        assert_eq!(warm_bad.stage_graph, cold.stage_graph);
-        assert_eq!(warm_bad.bottleneck_tps, cold.bottleneck_tps);
     }
 
     #[test]
@@ -2678,34 +2640,27 @@ mod tests {
     }
 
     #[test]
-    fn fanout_parity_under_beam_and_warm_start() {
-        let base = PlanOptions {
+    fn fanout_parity_under_beam() {
+        let mmt = zoo::mmt(&MmtConfig::default());
+        let dlrm = zoo::dlrm(&DlrmConfig::default());
+        let uno = zoo::candle_uno(&CandleUnoConfig::default());
+        let uno_full = zoo::candle_uno(&CandleUnoConfig::full());
+        let moe = zoo::moe(&MoeConfig::default());
+        let beam = PlanOptions {
             max_micro_batches: 128,
             ..PlanOptions::default()
-        };
-        let cells = [
-            (zoo::mmt(&MmtConfig::default()), 128, 256),
-            (zoo::dlrm(&DlrmConfig::default()), 512, 1024),
-            (zoo::candle_uno(&CandleUnoConfig::default()), 8192, 16384),
-            (zoo::candle_uno(&CandleUnoConfig::full()), 8192, 16384),
-            (zoo::moe(&MoeConfig::default()), 256, 512),
-        ];
-        for (model, batch_at_8, batch_at_16) in cells {
-            let seed = GraphPipePlanner::with_options(base.clone())
-                .plan(&model, &Cluster::summit_like(8), batch_at_8)
-                .unwrap_or_else(|e| panic!("{} seed: {e}", model.name()));
-            let planner = GraphPipePlanner::with_options(base.clone().with_beam_width(4))
-                .with_warm_start(WarmStart::from_plan(&seed, 8, 16));
-            let label = format!("{} beam 4 warm", model.name());
-            assert_fanout_parity(
-                &planner,
-                &model,
-                &Cluster::summit_like(16),
-                batch_at_16,
-                &label,
-            )
-            .unwrap_or_else(|e| panic!("{label}: {e}"));
         }
+        .with_beam_width(4);
+        assert_cells_fanout_parity(
+            beam,
+            &[
+                (&mmt, 16, 256),
+                (&dlrm, 16, 1024),
+                (&uno, 16, 16384),
+                (&uno_full, 16, 16384),
+                (&moe, 16, 512),
+            ],
+        );
     }
 
     /// A multi-branch MLP: `branches` parallel chains of `layers` dense

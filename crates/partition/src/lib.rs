@@ -32,4 +32,4 @@ mod dp;
 mod plan;
 
 pub use dp::GraphPipePlanner;
-pub use plan::{Plan, PlanError, PlanOptions, Planner, SearchPhases, SearchStats, WarmStart};
+pub use plan::{Plan, PlanError, PlanOptions, Planner, SearchPhases, SearchStats};

@@ -16,6 +16,8 @@ use std::time::Duration;
 pub struct PlanOptions {
     /// Relative tolerance of the binary search over the bottleneck TPS
     /// (`epsilon` of Algorithm 1, as a fraction of the initial upper bound).
+    /// GraphPipe rejects a value that is not finite or is below
+    /// `f64::EPSILON`.
     pub epsilon: f64,
     /// Explicit micro-batch-size candidates. When `None`, all powers of two
     /// dividing the mini-batch size with at most [`PlanOptions::max_micro_batches`]
@@ -25,7 +27,8 @@ pub struct PlanOptions {
     /// candidates (bounds `|B|`, see the §5 complexity analysis).
     pub max_micro_batches: u64,
     /// kFkB parameters to consider. The paper's default schedule is the
-    /// synchronous 1F1B, i.e. `[1]`.
+    /// synchronous 1F1B, i.e. `[1]`. GraphPipe rejects an empty list or
+    /// a `k` of 0.
     pub kfkb_candidates: Vec<u64>,
     /// Allow different micro-batch sizes per stage (§6's generalized
     /// scheduler). Off by default, matching the paper's default
@@ -260,40 +263,6 @@ impl SearchStats {
     pub fn zero_walls(&mut self) {
         self.wall = Duration::ZERO;
         self.phases = SearchPhases::default();
-    }
-}
-
-/// Search hints recovered from a previously planned strategy, used to
-/// seed a new search instead of starting cold.
-///
-/// Warm-starting never changes the produced plan: feasibility of a
-/// throughput target is monotone in the target (any strategy meeting a
-/// tighter target meets every looser one, and the memory constraint does
-/// not depend on the target), so however the bracket walk enters the
-/// ladder it settles on the same `[t_lo, t_hi]` interval — and therefore
-/// the same bisection and the same strategy — that a cold walk finds.
-/// Only probe counts (and hence eval counters and wall time) shrink.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct WarmStart {
-    /// Bottleneck TPS of the source plan, pre-scaled by the caller to the
-    /// new configuration (e.g. halved when the device count doubles).
-    /// Used to pick the bracket ladder's starting rung.
-    pub tps_hint: f64,
-}
-
-impl WarmStart {
-    /// Builds a hint from a finished plan, scaling the TPS hint by
-    /// `old_devices / new_devices` (throughput per sample scales roughly
-    /// inversely with devices at fixed work).
-    pub fn from_plan(plan: &Plan, old_devices: u32, new_devices: u32) -> Self {
-        let scale = if new_devices == 0 {
-            1.0
-        } else {
-            old_devices.max(1) as f64 / new_devices as f64
-        };
-        WarmStart {
-            tps_hint: plan.bottleneck_tps * scale,
-        }
     }
 }
 

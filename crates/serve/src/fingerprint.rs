@@ -142,14 +142,7 @@ pub fn plan_fingerprint(plan: &gp_partition::Plan) -> Fingerprint {
 /// The *graph part* of a request fingerprint: everything that identifies
 /// which planner runs over which model, independent of the cluster,
 /// mini-batch, or search options.
-///
-/// Two requests with equal graph parts but different [config parts]
-/// (`request_config_fingerprint`) are *near misses*: the search spaces
-/// differ, but a cached plan for one is a useful warm-start seed for the
-/// other (see `FleetService`'s warm index in `gp-fleet`).
-///
-/// [config parts]: request_config_fingerprint
-pub fn request_graph_fingerprint(model: &SpModel, planner_tag: u64) -> Fingerprint {
+fn request_graph_fingerprint(model: &SpModel, planner_tag: u64) -> Fingerprint {
     let mut digest = Digest::new(0x0072_6571_6772_6168);
     let model_fp = model_fingerprint(model).0;
     digest.word(model_fp as u64);
@@ -159,8 +152,8 @@ pub fn request_graph_fingerprint(model: &SpModel, planner_tag: u64) -> Fingerpri
 }
 
 /// The *config part* of a request fingerprint: cluster, mini-batch and
-/// planner options — everything a near-miss warm start is allowed to vary.
-pub fn request_config_fingerprint(
+/// planner options.
+fn request_config_fingerprint(
     cluster: &Cluster,
     mini_batch: u64,
     options: &PlanOptions,
@@ -172,8 +165,9 @@ pub fn request_config_fingerprint(
     Fingerprint(digest.finish())
 }
 
-/// The full cache key of a planning request: the combination of
-/// [`request_graph_fingerprint`] and [`request_config_fingerprint`].
+/// The full cache key of a planning request: the combination of a graph
+/// part (model and planner) and a config part (cluster, mini-batch and
+/// options).
 ///
 /// `planner_tag` distinguishes planners that share everything else (the
 /// [`crate::ServePlanner`] discriminant).
@@ -348,8 +342,8 @@ mod tests {
             g,
             request_graph_fingerprint(&zoo::moe(&MoeConfig::tiny()), 0)
         );
-        // ...and the config part ignores the model: a near-miss (same
-        // graph, different cluster or mini-batch) differs only in config.
+        // ...and the config part ignores the model: the same graph on a
+        // different cluster or mini-batch differs only in config.
         let c = request_config_fingerprint(&cluster, 64, &opts);
         assert_eq!(c, request_config_fingerprint(&cluster, 64, &opts));
         assert_ne!(

@@ -52,7 +52,7 @@
 //! // Plan the request with its own planner choice.
 //! let plan = request
 //!     .planner
-//!     .build(request.options.clone(), &Telemetry::disabled(), None)
+//!     .build(request.options.clone(), &Telemetry::disabled())
 //!     .plan(&model, &cluster, 32)?;
 //!
 //! // Persist the strategy and restore it, losslessly.

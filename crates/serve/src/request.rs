@@ -11,7 +11,7 @@ use gp_baselines::{PipeDreamPlanner, PiperPlanner};
 use gp_cluster::Cluster;
 use gp_ir::SpModel;
 use gp_obs::Telemetry;
-use gp_partition::{GraphPipePlanner, PlanError, PlanOptions, Planner, WarmStart};
+use gp_partition::{GraphPipePlanner, PlanError, PlanOptions, Planner};
 use std::fmt;
 use std::sync::Arc;
 
@@ -39,8 +39,7 @@ impl ServePlanner {
         }
     }
 
-    /// Stable tag mixed into the request fingerprint (and the warm-start
-    /// index key, [`crate::fingerprint::request_graph_fingerprint`]).
+    /// Stable tag mixed into the request fingerprint.
     pub fn tag(self) -> u64 {
         match self {
             ServePlanner::GraphPipe => 0,
@@ -50,25 +49,12 @@ impl ServePlanner {
     }
 
     /// Constructs this planner with `options`. GraphPipe records into
-    /// `telemetry` and, given a [`WarmStart`], seeds its bracket ladder
-    /// (the produced plan is identical either way); the baselines have no
-    /// iterative search to seed and ignore both.
-    pub fn build(
-        self,
-        options: PlanOptions,
-        telemetry: &Telemetry,
-        warm: Option<WarmStart>,
-    ) -> Box<dyn Planner> {
+    /// `telemetry`; the baselines ignore it.
+    pub fn build(self, options: PlanOptions, telemetry: &Telemetry) -> Box<dyn Planner> {
         match self {
             ServePlanner::GraphPipe => {
-                let planner =
-                    GraphPipePlanner::with_options(options).with_telemetry(telemetry.clone());
-                Box::new(match warm {
-                    Some(w) => planner.with_warm_start(w),
-                    None => planner,
-                })
+                Box::new(GraphPipePlanner::with_options(options).with_telemetry(telemetry.clone()))
             }
-            // The baselines have no iterative search to seed.
             ServePlanner::PipeDream => Box::new(PipeDreamPlanner::with_options(options)),
             ServePlanner::Piper => Box::new(PiperPlanner::with_options(options)),
         }

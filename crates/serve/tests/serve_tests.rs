@@ -12,7 +12,7 @@ use std::sync::Arc;
 fn plan(request: &PlanRequest) -> Plan {
     request
         .planner
-        .build(request.options.clone(), &Telemetry::disabled(), None)
+        .build(request.options.clone(), &Telemetry::disabled())
         .plan(&request.model, &request.cluster, request.mini_batch)
         .unwrap()
 }

@@ -1,8 +1,8 @@
-//! Beam-pruning and warm-start coverage for the GraphPipe planner (the
-//! "planner at 128+ GPUs" perf work; DESIGN.md §"Planner search: pruning,
-//! vectorization, warm-start").
+//! Beam-pruning coverage for the GraphPipe planner (the "planner at 128+
+//! GPUs" perf work; DESIGN.md §"Planner search: pruning and
+//! vectorization").
 //!
-//! Three contracts are pinned here:
+//! Two contracts are pinned here:
 //!
 //! * **a saturating beam is a no-op** — `beam_width` wide enough to admit
 //!   every device window must replay the exhaustive search byte-for-byte,
@@ -12,15 +12,10 @@
 //! * **bounded beams degrade gracefully and deterministically** — the
 //!   makespan delta vs. exhaustive at widths {4, 8, 16} is pinned per zoo
 //!   model, so a change to the pruning order shows up as a table diff
-//!   rather than a silent quality regression;
-//! * **warm-start changes search effort, never the answer** — a plan
-//!   seeded from another configuration's strategy is identical to the
-//!   cold plan (same stage graph, schedule, and plan fingerprint), with
-//!   and without a beam.
+//!   rather than a silent quality regression.
 
 use graphpipe::prelude::*;
 use graphpipe::serve::artifact::encode_plan;
-use graphpipe::serve::fingerprint::plan_fingerprint;
 use std::fmt::Write as _;
 
 /// A zoo model with its per-device-count mini-batches (the golden-table
@@ -32,27 +27,27 @@ fn zoo_cells() -> Vec<Cell> {
         (
             "mmt",
             zoo::mmt(&zoo::MmtConfig::default()),
-            vec![(8, 128), (16, 256), (32, 512)],
+            vec![(8, 128), (16, 256)],
         ),
         (
             "dlrm",
             zoo::dlrm(&zoo::DlrmConfig::default()),
-            vec![(8, 512), (16, 1024), (32, 2048)],
+            vec![(8, 512), (16, 1024)],
         ),
         (
             "candle-uno",
             zoo::candle_uno(&zoo::CandleUnoConfig::default()),
-            vec![(8, 8192), (16, 16384), (32, 32768)],
+            vec![(8, 8192), (16, 16384)],
         ),
         (
             "candle-uno-full",
             zoo::candle_uno(&zoo::CandleUnoConfig::full()),
-            vec![(8, 8192), (16, 16384), (32, 32768), (64, 65536)],
+            vec![(8, 8192), (16, 16384)],
         ),
         (
             "moe",
             zoo::moe(&zoo::MoeConfig::default()),
-            vec![(8, 256), (16, 512), (32, 1024), (64, 2048)],
+            vec![(8, 256), (16, 512)],
         ),
     ]
 }
@@ -167,59 +162,3 @@ moe beam=4 delta=0.909262 evals=265238 prunes=26080
 moe beam=8 delta=1.000000 evals=517923 prunes=1224
 moe beam=16 delta=1.000000 evals=554730 prunes=0
 ";
-
-/// Warm-start is a search accelerator, not a search restriction: a plan
-/// seeded from a smaller configuration's strategy must be identical to
-/// the cold plan — same stage graph, schedule, and plan fingerprint —
-/// across the zoo, at every scale, with and without a beam. Search effort
-/// is the only thing allowed to change.
-#[test]
-fn warm_started_plans_are_identical_to_cold() {
-    for (name, model, points) in zoo_cells() {
-        // Seed every scale from the 8-GPU strategy (the fleet warm
-        // index's near-miss shape: same graph, different cluster size).
-        let seed_devices = 8usize;
-        let seed = GraphPipePlanner::with_options(base_options())
-            .plan(
-                &model,
-                &Cluster::summit_like(seed_devices),
-                mini_batch_at(&points, seed_devices),
-            )
-            .unwrap_or_else(|e| panic!("{name} seed: {e}"));
-        for (devices, mini_batch) in points.into_iter().filter(|&(d, _)| d >= 16) {
-            // Exhaustive at 16 GPUs; beamed at 32+ to keep debug-mode
-            // test time in check (beam + warm is also the configuration
-            // `tests/golden_planner.rs` pins at 128 GPUs).
-            let opts = if devices >= 32 {
-                base_options().with_beam_width(8)
-            } else {
-                base_options()
-            };
-            let warm = WarmStart::from_plan(&seed, seed_devices as u32, devices as u32);
-            let cluster = Cluster::summit_like(devices);
-            let cold = GraphPipePlanner::with_options(opts.clone())
-                .plan(&model, &cluster, mini_batch)
-                .unwrap_or_else(|e| panic!("{name}@{devices}: {e}"));
-            let warmed = GraphPipePlanner::with_options(opts)
-                .with_warm_start(warm)
-                .plan(&model, &cluster, mini_batch)
-                .unwrap_or_else(|e| panic!("{name}@{devices} (warm): {e}"));
-            assert_eq!(
-                plan_fingerprint(&warmed),
-                plan_fingerprint(&cold),
-                "{name}@{devices}: warm fingerprint diverged from cold"
-            );
-            assert_eq!(warmed.stage_graph, cold.stage_graph, "{name}@{devices}");
-            assert_eq!(warmed.schedule, cold.schedule, "{name}@{devices}");
-            assert_eq!(warmed.in_flight, cold.in_flight, "{name}@{devices}");
-            assert_eq!(
-                warmed.bottleneck_tps, cold.bottleneck_tps,
-                "{name}@{devices}"
-            );
-            assert!(
-                warmed.stats.binary_iters <= cold.stats.binary_iters,
-                "{name}@{devices}: warm walk took more bracket iterations"
-            );
-        }
-    }
-}

@@ -5,6 +5,17 @@ use graphpipe::exec::{reference_step, synth_batch, train_iteration, ModelParams}
 use graphpipe::prelude::*;
 use graphpipe::PlannerKind;
 
+/// A session pinning `model` on `cluster` at `mini_batch` with `options`.
+fn session(model: &SpModel, cluster: &Cluster, mini_batch: u64, options: &PlanOptions) -> Session {
+    Session::builder()
+        .model(model.clone())
+        .cluster(cluster.clone())
+        .mini_batch(mini_batch)
+        .options(options.clone())
+        .build()
+        .unwrap()
+}
+
 #[test]
 fn every_planner_produces_valid_strategies() {
     let model = zoo::mmt(&zoo::MmtConfig::two_branch());
@@ -14,7 +25,8 @@ fn every_planner_produces_valid_strategies() {
         PlannerKind::PipeDream,
         PlannerKind::Piper,
     ] {
-        let plan = graphpipe::planner(kind, PlanOptions::default())
+        let plan = kind
+            .build(PlanOptions::default(), &Telemetry::disabled())
             .plan(&model, &cluster, 64)
             .unwrap_or_else(|e| panic!("{} failed: {e}", kind.label()));
         // C1-C3 are enforced by the StageGraph constructor; C4 re-checked.
@@ -46,10 +58,9 @@ fn gpp_beats_spp_on_every_multi_branch_model() {
         ..PlanOptions::default()
     };
     for (name, model, mini_batch) in cases {
-        let gp = graphpipe::evaluate(&model, &cluster, mini_batch, PlannerKind::GraphPipe, &opts)
-            .unwrap();
-        let pd = graphpipe::evaluate(&model, &cluster, mini_batch, PlannerKind::PipeDream, &opts)
-            .unwrap();
+        let session = session(&model, &cluster, mini_batch, &opts);
+        let gp = session.evaluate(PlannerKind::GraphPipe).unwrap();
+        let pd = session.evaluate(PlannerKind::PipeDream).unwrap();
         assert!(
             gp.report.throughput >= pd.report.throughput * 0.99,
             "{name}: GraphPipe {:.0} < PipeDream {:.0}",
@@ -68,8 +79,9 @@ fn sequential_models_show_parity() {
         max_micro_batches: 64,
         ..PlanOptions::default()
     };
-    let gp = graphpipe::evaluate(&model, &cluster, 64, PlannerKind::GraphPipe, &opts).unwrap();
-    let pd = graphpipe::evaluate(&model, &cluster, 64, PlannerKind::PipeDream, &opts).unwrap();
+    let session = session(&model, &cluster, 64, &opts);
+    let gp = session.evaluate(PlannerKind::GraphPipe).unwrap();
+    let pd = session.evaluate(PlannerKind::PipeDream).unwrap();
     let ratio = gp.report.throughput / pd.report.throughput;
     assert!((0.9..=1.15).contains(&ratio), "parity broken: {ratio:.3}");
 }
@@ -80,10 +92,12 @@ fn gpp_reduces_pipeline_depth_and_memory_on_branchy_models() {
     let cluster = Cluster::summit_like(16);
     // Same forced micro-batch isolates the structural effect (§7.3 right).
     let opts = PlanOptions::default().with_forced_micro_batch(64);
-    let gp = graphpipe::planner(PlannerKind::GraphPipe, opts.clone())
+    let gp = PlannerKind::GraphPipe
+        .build(opts.clone(), &Telemetry::disabled())
         .plan(&model, &cluster, 16384)
         .unwrap();
-    let pd = graphpipe::planner(PlannerKind::PipeDream, opts)
+    let pd = PlannerKind::PipeDream
+        .build(opts, &Telemetry::disabled())
         .plan(&model, &cluster, 16384)
         .unwrap();
     assert!(
@@ -185,7 +199,9 @@ fn ablation_sits_between_spp_and_graphpipe() {
         max_micro_batches: 64,
         ..PlanOptions::default()
     };
-    let spp = graphpipe::evaluate(&model, &cluster, mini_batch, PlannerKind::PipeDream, &opts)
+    let session = session(&model, &cluster, mini_batch, &opts);
+    let spp = session
+        .evaluate(PlannerKind::PipeDream)
         .unwrap()
         .report
         .throughput;
@@ -193,7 +209,8 @@ fn ablation_sits_between_spp_and_graphpipe() {
     let par = graphpipe::simulate_plan(&model, &cluster, &par_plan)
         .unwrap()
         .throughput;
-    let gpp = graphpipe::evaluate(&model, &cluster, mini_batch, PlannerKind::GraphPipe, &opts)
+    let gpp = session
+        .evaluate(PlannerKind::GraphPipe)
         .unwrap()
         .report
         .throughput;

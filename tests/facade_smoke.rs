@@ -1,8 +1,8 @@
 //! Facade smoke test: the public API surface the README advertises —
-//! `graphpipe::Session`, `graphpipe::prelude`, the `planner` / `evaluate` /
-//! `simulate_plan` shims, and `sched::compute_in_flight` — must resolve and
-//! run end-to-end on a small zoo model. Guards the facade crate's re-export
-//! wiring: a missing `pub use` breaks this file at compile time.
+//! `graphpipe::Session`, `graphpipe::prelude`, the `PlannerKind::build`
+//! factory, `simulate_plan`, and `sched::compute_in_flight` — must resolve
+//! and run end-to-end on a small zoo model. Guards the facade crate's
+//! re-export wiring: a missing `pub use` breaks this file at compile time.
 
 use graphpipe::prelude::*;
 use graphpipe::sched::compute_in_flight;
@@ -13,17 +13,17 @@ fn facade_surface_resolves_and_runs() {
     let model = zoo::mmt(&zoo::MmtConfig::two_branch());
     let cluster = Cluster::summit_like(4);
 
-    // `planner` factory covers every PlannerKind.
+    // The planner factory covers every PlannerKind.
     for kind in [
         PlannerKind::GraphPipe,
         PlannerKind::PipeDream,
         PlannerKind::Piper,
     ] {
-        let p = graphpipe::planner(kind, PlanOptions::default());
+        let p = kind.build(PlanOptions::default(), &Telemetry::disabled());
         assert_eq!(p.name(), kind.label().to_lowercase());
     }
 
-    // Plan → simulate via the two top-level helpers.
+    // Plan → simulate without a session.
     let plan = GraphPipePlanner::new()
         .plan(&model, &cluster, 64)
         .expect("two-branch MMT plans on 4 devices");
@@ -31,23 +31,15 @@ fn facade_surface_resolves_and_runs() {
     assert!(report.throughput > 0.0);
     assert!(plan.bottleneck_tps > 0.0);
 
-    // `evaluate` sweeps micro-batch sizes and returns the best measured.
-    let opts = PlanOptions {
-        max_micro_batches: 16,
-        ..PlanOptions::default()
-    };
-    let eval = graphpipe::evaluate(&model, &cluster, 64, PlannerKind::GraphPipe, &opts)
-        .expect("sweep finds at least one feasible plan");
-    assert!(!eval.per_micro_batch.is_empty());
-    for &(_, t) in &eval.per_micro_batch {
-        assert!(t <= eval.report.throughput + 1e-9);
-    }
-
     // The §6 closed form is reachable through the facade and reduces to the
     // classic 1F1B increment on a uniform chain.
     assert_eq!(compute_in_flight(1, 4, 1, 4, 8), 12);
 
     // The Session front door covers the same ground with typed artifacts.
+    let opts = PlanOptions {
+        max_micro_batches: 16,
+        ..PlanOptions::default()
+    };
     let session = Session::builder()
         .model(model.clone())
         .cluster(cluster.clone())
@@ -55,6 +47,16 @@ fn facade_surface_resolves_and_runs() {
         .options(opts)
         .build()
         .expect("session builds");
+
+    // `evaluate` sweeps micro-batch sizes and returns the best measured.
+    let eval = session
+        .evaluate(PlannerKind::GraphPipe)
+        .expect("sweep finds at least one feasible plan");
+    assert!(!eval.per_micro_batch.is_empty());
+    for &(_, t) in &eval.per_micro_batch {
+        assert!(t <= eval.report.throughput + 1e-9);
+    }
+
     let strategy = session.plan(PlannerKind::GraphPipe).expect("session plans");
     assert!(strategy.simulate().expect("strategy simulates").throughput > 0.0);
     assert_eq!(

@@ -135,7 +135,8 @@ fn single_device_is_a_single_stage() {
         PlannerKind::PipeDream,
         PlannerKind::Piper,
     ] {
-        let plan = graphpipe::planner(kind, PlanOptions::default())
+        let plan = kind
+            .build(PlanOptions::default(), &Telemetry::disabled())
             .plan(&model, &cluster, 8)
             .unwrap();
         assert_eq!(plan.stage_graph.len(), 1, "{}", kind.label());
@@ -143,7 +144,7 @@ fn single_device_is_a_single_stage() {
     }
 }
 
-/// The evaluate() sweep respects explicit candidate lists.
+/// The `Session::evaluate` sweep respects explicit candidate lists.
 #[test]
 fn evaluate_uses_explicit_candidates() {
     let model = zoo::candle_uno(&zoo::CandleUnoConfig::tiny());
@@ -152,7 +153,15 @@ fn evaluate_uses_explicit_candidates() {
         micro_batch_candidates: Some(vec![2, 8]),
         ..PlanOptions::default()
     };
-    let res = graphpipe::evaluate(&model, &cluster, 16, PlannerKind::GraphPipe, &opts).unwrap();
+    let res = Session::builder()
+        .model(model)
+        .cluster(cluster)
+        .mini_batch(16)
+        .options(opts)
+        .build()
+        .unwrap()
+        .evaluate(PlannerKind::GraphPipe)
+        .unwrap();
     let swept: Vec<u64> = res.per_micro_batch.iter().map(|(b, _)| *b).collect();
     assert_eq!(swept, vec![2, 8]);
 }

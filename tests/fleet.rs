@@ -76,8 +76,8 @@ fn remote_planning_is_byte_identical_to_local_for_every_zoo_model() {
     let remote = RemoteWorker::new(server.addr().to_string());
     let mut checked = 0;
     for request in zoo_requests() {
-        let local = plan_locally(&request, None, &Telemetry::disabled()).expect("local plan");
-        let served = remote.plan(&request, None).expect("remote plan");
+        let local = plan_locally(&request, &Telemetry::disabled()).expect("local plan");
+        let served = remote.plan(&request).expect("remote plan");
         assert_eq!(
             served,
             local,
@@ -91,8 +91,8 @@ fn remote_planning_is_byte_identical_to_local_for_every_zoo_model() {
         .remove(1)
         .with_planner(ServePlanner::PipeDream);
     assert_eq!(
-        remote.plan(&baseline, None).expect("remote baseline plan"),
-        plan_locally(&baseline, None, &Telemetry::disabled()).expect("local baseline plan"),
+        remote.plan(&baseline).expect("remote baseline plan"),
+        plan_locally(&baseline, &Telemetry::disabled()).expect("local baseline plan"),
     );
     checked += 1;
     assert_eq!(server.served() as usize, checked);

@@ -19,9 +19,8 @@
 //! * [`EXPECTED`] covers every model at 8–32 GPUs, plus the two models the
 //!   scale work targets (`CandleUnoConfig::full()`, `zoo::moe`) at 64, and
 //!   runs in every build;
-//! * [`EXPECTED_SCALE`] covers the other 64-GPU cells, every model at 128
-//!   GPUs with beam width 8, and a warm-started re-plan of moe@128. Its
-//!   ~240M DP evaluations take about half a minute in a debug build, so it
+//! * [`EXPECTED_SCALE`] covers the other 64-GPU cells and every model at
+//!   128 GPUs with beam width 8. Its ~230M DP evaluations take about half a minute in a debug build, so it
 //!   runs only in release builds (`cargo test --release --test
 //!   golden_planner`, a CI step).
 //!
@@ -59,17 +58,16 @@ const CELLS: &[(&str, usize, u64)] = &[
 ];
 
 /// The release-only cells, at the same operating points: (model, devices,
-/// mini-batch, beam width, re-plan warm-started from the cold plan).
-const SCALE_CELLS: &[(&str, usize, u64, Option<u32>, bool)] = &[
-    ("mmt", 64, 1024, None, false),
-    ("dlrm", 64, 4096, None, false),
-    ("candle-uno", 64, 65536, None, false),
-    ("mmt", 128, 2048, Some(8), false),
-    ("dlrm", 128, 8192, Some(8), false),
-    ("candle-uno", 128, 131072, Some(8), false),
-    ("candle-uno-full", 128, 131072, Some(8), false),
-    ("moe", 128, 4096, Some(8), false),
-    ("moe", 128, 4096, Some(8), true),
+/// mini-batch, beam width).
+const SCALE_CELLS: &[(&str, usize, u64, Option<u32>)] = &[
+    ("mmt", 64, 1024, None),
+    ("dlrm", 64, 4096, None),
+    ("candle-uno", 64, 65536, None),
+    ("mmt", 128, 2048, Some(8)),
+    ("dlrm", 128, 8192, Some(8)),
+    ("candle-uno", 128, 131072, Some(8)),
+    ("candle-uno-full", 128, 131072, Some(8)),
+    ("moe", 128, 4096, Some(8)),
 ];
 
 fn model(name: &str) -> SpModel {
@@ -90,34 +88,21 @@ fn options() -> PlanOptions {
     }
 }
 
-fn actual_table(cells: &[(&str, usize, u64, Option<u32>, bool)]) -> String {
+fn actual_table(cells: &[(&str, usize, u64, Option<u32>)]) -> String {
     let mut out = String::new();
-    for &(name, devices, mini_batch, beam_width, warm) in cells {
+    for &(name, devices, mini_batch, beam_width) in cells {
         let mut label = format!("{name} gpus={devices} b={mini_batch}");
         if let Some(width) = beam_width {
             let _ = write!(label, " beam={width}");
         }
-        if warm {
-            label.push_str(" warm");
-        }
         let model = model(name);
         let cluster = Cluster::summit_like(devices);
-        let planner = GraphPipePlanner::with_options(PlanOptions {
+        let plan = GraphPipePlanner::with_options(PlanOptions {
             beam_width,
             ..options()
-        });
-        let mut plan = planner
-            .clone()
-            .plan(&model, &cluster, mini_batch)
-            .unwrap_or_else(|e| panic!("{label}: {e}"));
-        if warm {
-            // Warm-starting changes the search counters, never the plan.
-            let hint = WarmStart::from_plan(&plan, devices as u32, devices as u32);
-            plan = planner
-                .with_warm_start(hint)
-                .plan(&model, &cluster, mini_batch)
-                .unwrap_or_else(|e| panic!("{label}: {e}"));
-        }
+        })
+        .plan(&model, &cluster, mini_batch)
+        .unwrap_or_else(|e| panic!("{label}: {e}"));
         let report = graphpipe::simulate_plan(&model, &cluster, &plan)
             .unwrap_or_else(|e| panic!("{label}: {e}"));
         let _ = writeln!(
@@ -139,7 +124,7 @@ fn actual_table(cells: &[(&str, usize, u64, Option<u32>, bool)]) -> String {
     out
 }
 
-fn assert_table(cells: &[(&str, usize, u64, Option<u32>, bool)], expected: &str) {
+fn assert_table(cells: &[(&str, usize, u64, Option<u32>)], expected: &str) {
     let actual = actual_table(cells);
     assert_eq!(
         actual.trim(),
@@ -176,14 +161,13 @@ dlrm gpus=128 b=8192 beam=8 makespan=1.208564715e-1 stages=16 depth=3 micro=256 
 candle-uno gpus=128 b=131072 beam=8 makespan=4.906111067e-1 stages=1 depth=1 micro=1024 evals=701018 states=301 hits=609892 iters=9 configs=72 fp=6b4c902fb0fc28df391658418c557bda
 candle-uno-full gpus=128 b=131072 beam=8 makespan=2.166610647e0 stages=22 depth=2 micro=1024 evals=21768447 states=25968 hits=35402182 iters=9 configs=72 fp=5ee86e7997f9bb4110e41e93cc863c8c
 moe gpus=128 b=4096 beam=8 makespan=2.549905075e-2 stages=18 depth=4 micro=1024 evals=5321565 states=4085 hits=4748006 iters=11 configs=88 fp=b379539cbdd0b2d983d2b925c921d470
-moe gpus=128 b=4096 beam=8 warm makespan=2.549905075e-2 stages=18 depth=4 micro=1024 evals=5077004 states=4085 hits=4556138 iters=9 configs=72 fp=b379539cbdd0b2d983d2b925c921d470
 ";
 
 #[test]
 fn planner_outputs_match_golden_table() {
     let cells: Vec<_> = CELLS
         .iter()
-        .map(|&(name, devices, mini_batch)| (name, devices, mini_batch, None, false))
+        .map(|&(name, devices, mini_batch)| (name, devices, mini_batch, None))
         .collect();
     assert_table(&cells, EXPECTED);
 }

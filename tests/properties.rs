@@ -87,9 +87,9 @@ proptest! {
         let model = random_model(branches, layers, 128);
         let cluster = Cluster::summit_like(devices);
         let opts = PlanOptions::default().with_forced_micro_batch(4);
-        let gp = graphpipe::planner(graphpipe::PlannerKind::GraphPipe, opts.clone())
+        let gp = PlannerKind::GraphPipe.build(opts.clone(), &Telemetry::disabled())
             .plan(&model, &cluster, 16).unwrap();
-        let pd = graphpipe::planner(graphpipe::PlannerKind::PipeDream, opts)
+        let pd = PlannerKind::PipeDream.build(opts, &Telemetry::disabled())
             .plan(&model, &cluster, 16).unwrap();
         prop_assert_eq!(pd.pipeline_depth(), pd.stage_graph.len());
         prop_assert!(gp.pipeline_depth() <= pd.pipeline_depth().max(gp.stage_graph.len()));

@@ -158,7 +158,7 @@ fn compare_matches_hand_wired_per_planner_evaluation_on_mmt() {
     // the A.2 micro-batch sweep for GraphPipe/PipeDream, a single run at
     // 8-op unit granularity for Piper.
     for kind in [PlannerKind::GraphPipe, PlannerKind::PipeDream] {
-        let res = graphpipe::evaluate(&model, &cluster, mini_batch, kind, &opts).unwrap();
+        let res = session.evaluate(kind).unwrap();
         let row = table.row(kind).unwrap();
         assert_eq!(row.throughput, Some(res.report.throughput), "{kind:?}");
         assert_eq!(row.depth, Some(res.plan.pipeline_depth()), "{kind:?}");
