@@ -6,17 +6,18 @@ use gp_serve::Fingerprint;
 use std::collections::HashMap;
 use std::sync::Arc;
 
+/// A plan's key: the request fingerprint plus the
+/// [`gp_ir::SpModel::numbering_signature`] of the graph it was planned
+/// for. Plans carry raw operator ids, so renumbered isomorphic models
+/// (equal fingerprints) must not share an entry.
+pub(crate) type PlanKey = (Fingerprint, u64);
+
 struct Entry {
     plan: Arc<Plan>,
-    /// [`gp_ir::SpModel::numbering_signature`] of the graph the plan
-    /// was computed for; consulted before reuse, since plans carry raw
-    /// operator ids.
-    numbering: u64,
     last_used: u64,
 }
 
-/// A least-recently-used cache of decoded plans keyed by request
-/// fingerprint.
+/// A least-recently-used cache of decoded plans keyed by [`PlanKey`].
 ///
 /// Eviction scans for the oldest stamp, which is `O(capacity)` per insert
 /// beyond capacity — plan caches are small (tens to hundreds of entries)
@@ -24,7 +25,7 @@ struct Entry {
 /// over an intrusive list.
 pub(crate) struct PlanCache {
     capacity: usize,
-    entries: HashMap<Fingerprint, Entry>,
+    entries: HashMap<PlanKey, Entry>,
     clock: u64,
     evictions: u64,
 }
@@ -45,22 +46,21 @@ impl PlanCache {
         }
     }
 
-    /// Looks up a plan and the numbering signature of the graph it was
-    /// planned for, refreshing recency on hit.
-    pub fn get(&mut self, fingerprint: &Fingerprint) -> Option<(Arc<Plan>, u64)> {
+    /// Looks up a plan, refreshing recency on hit.
+    pub fn get(&mut self, key: &PlanKey) -> Option<Arc<Plan>> {
         self.clock += 1;
         let clock = self.clock;
-        self.entries.get_mut(fingerprint).map(|e| {
+        self.entries.get_mut(key).map(|e| {
             e.last_used = clock;
-            (Arc::clone(&e.plan), e.numbering)
+            Arc::clone(&e.plan)
         })
     }
 
-    /// Inserts (or replaces) a plan and its graph's numbering signature,
-    /// evicting the least-recently-used entry when full.
-    pub fn insert(&mut self, fingerprint: Fingerprint, plan: Arc<Plan>, numbering: u64) {
+    /// Inserts (or replaces) a plan, evicting the least-recently-used
+    /// entry when full.
+    pub fn insert(&mut self, key: PlanKey, plan: Arc<Plan>) {
         self.clock += 1;
-        if !self.entries.contains_key(&fingerprint) && self.entries.len() >= self.capacity {
+        if !self.entries.contains_key(&key) && self.entries.len() >= self.capacity {
             if let Some(&oldest) = self
                 .entries
                 .iter()
@@ -72,10 +72,9 @@ impl PlanCache {
             }
         }
         self.entries.insert(
-            fingerprint,
+            key,
             Entry {
                 plan,
-                numbering,
                 last_used: self.clock,
             },
         );
@@ -117,11 +116,11 @@ mod tests {
     fn lru_evicts_least_recently_used() {
         let plan = some_plan();
         let mut cache = PlanCache::new(2);
-        let (a, b, c) = (Fingerprint(1), Fingerprint(2), Fingerprint(3));
-        cache.insert(a, Arc::clone(&plan), 7);
-        cache.insert(b, Arc::clone(&plan), 7);
+        let [a, b, c] = [1, 2, 3].map(|i| (Fingerprint(i), 7));
+        cache.insert(a, Arc::clone(&plan));
+        cache.insert(b, Arc::clone(&plan));
         assert!(cache.get(&a).is_some()); // refresh a; b is now oldest
-        cache.insert(c, Arc::clone(&plan), 7);
+        cache.insert(c, Arc::clone(&plan));
         assert_eq!(cache.len(), 2);
         assert_eq!(cache.evictions(), 1);
         assert!(cache.get(&b).is_none());
@@ -133,9 +132,9 @@ mod tests {
     fn reinsert_does_not_evict() {
         let plan = some_plan();
         let mut cache = PlanCache::new(1);
-        let a = Fingerprint(1);
-        cache.insert(a, Arc::clone(&plan), 7);
-        cache.insert(a, Arc::clone(&plan), 7);
+        let a = (Fingerprint(1), 7);
+        cache.insert(a, Arc::clone(&plan));
+        cache.insert(a, Arc::clone(&plan));
         assert_eq!(cache.len(), 1);
         assert_eq!(cache.evictions(), 0);
         assert_eq!(cache.capacity(), 1);

@@ -9,9 +9,9 @@
 //! * [`ShardedPlanCache`] — N independent LRU shards selected by
 //!   fingerprint range, so concurrent tenants contend on `1/N` of the
 //!   lock surface and one hot key range cannot evict everything else.
-//! * [`ArtifactStore`] — a directory of canonical plan artifacts plus a
-//!   versioned index; a warm restart decodes instead of replanning, and
-//!   a missing or stale index is rebuilt from the artifacts themselves.
+//! * [`ArtifactStore`] — a directory of canonical plan artifacts, one
+//!   file per key, whose names are the index; a warm restart decodes
+//!   instead of replanning.
 //! * [`PlanWorker`] / [`WorkerServer`] — planning as a backend: the same
 //!   request/artifact contract served by in-process threads or by remote
 //!   hosts over a length-prefixed TCP protocol ([`protocol`]), with
@@ -27,7 +27,8 @@
 //! function of the admitted request.** Workers strip search-time
 //! measurement from their artifacts ([`canonical_artifact`]), the wire
 //! codec is lossless in both directions, and store/cache entries are
-//! keyed by the same fingerprints `gp-serve` uses — so a plan served
+//! keyed by the same fingerprints `gp-serve` uses, plus the graph's
+//! numbering signature — so a plan served
 //! remotely, from disk, or from any shard is byte-identical to planning
 //! locally. DESIGN.md §"Fleet architecture" gives the full argument.
 
@@ -44,7 +45,7 @@ pub use admission::{
 };
 pub use protocol::{canonical_artifact, ProtocolError, WireReply};
 pub use service::{FleetConfig, FleetService, FleetStats, FleetTicket, Served};
-pub use shard::{shard_of, ShardLookup, ShardStats, ShardedPlanCache};
+pub use shard::{shard_of, ShardStats, ShardedPlanCache};
 pub use store::ArtifactStore;
 pub use worker::{
     plan_locally, LocalWorker, PlanWorker, RemoteWorker, WorkerFailure, WorkerServer,
@@ -71,7 +72,7 @@ mod doc_sync {
         for needle in [
             "## Fleet architecture",
             "graphpipe-plan-request",
-            "graphpipe-store-index",
+            "<fingerprint>-<numbering>.json",
             "shard",
             "admission",
         ] {

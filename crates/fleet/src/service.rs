@@ -6,14 +6,15 @@
 //!
 //! A submitted request walks four levels, cheapest first:
 //!
-//! 1. **Sharded cache** — an [`Arc<Plan>`] under a per-shard lock;
-//!    numbering-verified, no I/O.
+//! 1. **Sharded cache** — an [`Arc<Plan>`] under a per-shard lock, keyed
+//!    by fingerprint and graph numbering; no I/O.
 //! 2. **Persistent store** — the canonical artifact bytes on disk;
 //!    decoding re-validates the plan against this request's model and
 //!    cluster, so a corrupt or mismatched artifact degrades to a miss,
 //!    never to a wrong answer.
-//! 3. **Single-flight join** — an identical request already being planned;
-//!    the new request subscribes to its result instead of planning again.
+//! 3. **Single-flight join** — a request with the same key already being
+//!    planned; the new request subscribes to its result instead of
+//!    planning again.
 //! 4. **Worker pool** — the miss is queued; a dispatcher sends it to its
 //!    worker (in-process or remote), retrying the next worker when one is
 //!    unreachable. The worker's canonical artifact is decoded, verified,
@@ -28,8 +29,9 @@
 use crate::admission::{
     AdmissionConfig, AdmissionControl, AdmissionToken, TenantClass, TenantSpec,
 };
+use crate::cache::PlanKey;
 use crate::lock;
-use crate::shard::{ShardLookup, ShardStats, ShardedPlanCache};
+use crate::shard::{ShardStats, ShardedPlanCache};
 use crate::store::ArtifactStore;
 use crate::worker::{LocalWorker, PlanWorker, RemoteWorker, WorkerFailure};
 use gp_obs::{ClockHandle, Histogram, HistogramSnapshot, Telemetry};
@@ -195,8 +197,8 @@ impl FleetStats {
         ));
         for (i, s) in self.shards.iter().enumerate() {
             out.push_str(&format!(
-                "shard {i}: hits {}  misses {}  rejections {}  evictions {}  len {}/{}\n",
-                s.hits, s.misses, s.rejections, s.evictions, s.len, s.capacity
+                "shard {i}: hits {}  misses {}  evictions {}  len {}/{}\n",
+                s.hits, s.misses, s.evictions, s.len, s.capacity
             ));
         }
         out
@@ -234,7 +236,8 @@ pub struct FleetTicket {
 }
 
 impl FleetTicket {
-    /// The request's fingerprint (cache, store, and wire key).
+    /// The request's fingerprint: the wire key, and with the model's
+    /// numbering signature the cache and store key.
     pub fn fingerprint(&self) -> Fingerprint {
         self.fingerprint
     }
@@ -266,13 +269,8 @@ impl FleetTicket {
     }
 }
 
-struct Waiter {
-    tx: Sender<Reply>,
-    request: PlanRequest,
-}
-
 struct Job {
-    fingerprint: Fingerprint,
+    key: PlanKey,
     request: PlanRequest,
     enqueued_ns: u64,
 }
@@ -300,7 +298,8 @@ struct Shared {
     store: Option<ArtifactStore>,
     workers: Vec<Box<dyn PlanWorker>>,
     admission: AdmissionControl,
-    inflight: Mutex<BTreeMap<Fingerprint, Vec<Waiter>>>,
+    /// Each planning run's waiters, by cache key.
+    inflight: Mutex<BTreeMap<PlanKey, Vec<Sender<Reply>>>>,
     /// Misses claimed but not yet published — the backlog that shedding
     /// bounds (queued plus in-service, so a slow worker counts too).
     backlog: AtomicUsize,
@@ -421,7 +420,7 @@ impl FleetService {
         let numbering = request.model.numbering_signature();
 
         // Level 1: the sharded cache.
-        if let ShardLookup::Hit(plan) = shared.cache.get(&fingerprint, numbering) {
+        if let Some(plan) = shared.cache.get(&fingerprint, numbering) {
             shared.counters.shard_hits.fetch_add(1, Ordering::Relaxed);
             shared.telemetry.counter_add("fleet.shard_hits", 1);
             return Ok(FleetTicket {
@@ -451,7 +450,7 @@ impl FleetService {
         let mut inflight = lock(&shared.inflight);
         // Double-check: a dispatcher may have published between the cache
         // miss above and taking this lock (publish holds the same lock).
-        if let ShardLookup::Hit(plan) = shared.cache.peek(&fingerprint, numbering) {
+        if let Some(plan) = shared.cache.peek(&fingerprint, numbering) {
             shared.counters.shard_hits.fetch_add(1, Ordering::Relaxed);
             shared.telemetry.counter_add("fleet.shard_hits", 1);
             return Ok(FleetTicket {
@@ -461,8 +460,9 @@ impl FleetService {
                 _token: token,
             });
         }
-        if let Some(waiters) = inflight.get_mut(&fingerprint) {
-            waiters.push(Waiter { tx, request });
+        let key = (fingerprint, numbering);
+        if let Some(waiters) = inflight.get_mut(&key) {
+            waiters.push(tx);
             shared.counters.joins.fetch_add(1, Ordering::Relaxed);
             shared.telemetry.counter_add("fleet.joins", 1);
             return Ok(FleetTicket {
@@ -489,16 +489,16 @@ impl FleetService {
         shared.counters.misses.fetch_add(1, Ordering::Relaxed);
         shared.telemetry.counter_add("fleet.misses", 1);
         let job = Job {
-            fingerprint,
-            request: request.clone(),
+            key,
+            request,
             enqueued_ns: shared.clock.now_nanos(),
         };
-        inflight.insert(fingerprint, vec![Waiter { tx, request }]);
+        inflight.insert(key, vec![tx]);
         drop(inflight);
         if let Some(job_tx) = &self.job_tx {
             if job_tx.send(job).is_err() {
                 // Dispatchers are gone; unpublish the claim.
-                lock(&self.shared.inflight).remove(&fingerprint);
+                lock(&self.shared.inflight).remove(&key);
                 shared.backlog.fetch_sub(1, Ordering::AcqRel);
                 return Err(ServeError::ServiceStopped);
             }
@@ -514,37 +514,25 @@ impl FleetService {
     fn consult_store(&self, request: &PlanRequest, fingerprint: Fingerprint) -> Option<Arc<Plan>> {
         let shared = &self.shared;
         let numbering = request.model.numbering_signature();
-        let store = shared.store.as_ref()?;
-        let (text, stored_numbering) = store.get(&fingerprint)?;
-        let reject = || {
+        let (text, stored_numbering) = shared.store.as_ref()?.get(&fingerprint)?;
+        let decoded = (stored_numbering == numbering)
+            .then(|| artifact::decode_plan(&text, request.model.graph(), &request.cluster))
+            .and_then(Result::ok);
+        let Some((plan, _)) = decoded.filter(|(_, fp)| *fp == Some(fingerprint)) else {
             shared
                 .counters
                 .store_rejects
                 .fetch_add(1, Ordering::Relaxed);
             shared.telemetry.counter_add("fleet.store_rejects", 1);
-        };
-        if stored_numbering.is_some_and(|n| n != numbering) {
-            reject();
             return None;
-        }
-        match artifact::decode_plan(&text, request.model.graph(), &request.cluster) {
-            Ok((plan, Some(fp))) if fp == fingerprint => {
-                let plan = Arc::new(plan);
-                shared
-                    .cache
-                    .insert(fingerprint, Arc::clone(&plan), numbering);
-                if stored_numbering.is_none() {
-                    store.confirm_numbering(fingerprint, numbering);
-                }
-                shared.counters.store_hits.fetch_add(1, Ordering::Relaxed);
-                shared.telemetry.counter_add("fleet.store_hits", 1);
-                Some(plan)
-            }
-            _ => {
-                reject();
-                None
-            }
-        }
+        };
+        let plan = Arc::new(plan);
+        shared
+            .cache
+            .insert(fingerprint, Arc::clone(&plan), numbering);
+        shared.counters.store_hits.fetch_add(1, Ordering::Relaxed);
+        shared.telemetry.counter_add("fleet.store_hits", 1);
+        Some(plan)
     }
 
     /// A point-in-time counter snapshot.
@@ -608,9 +596,9 @@ fn dispatcher_loop(shared: &Shared, worker_index: usize) {
         shared.queue_wait.record(wait_ns);
         shared.telemetry.record("fleet.queue_wait_ns", wait_ns);
         let span = shared.telemetry.span("fleet.dispatch");
-        let outcome = plan_via_workers(shared, worker_index, &job.request, job.fingerprint);
+        let outcome = plan_via_workers(shared, worker_index, &job.request, job.key.0);
         drop(span);
-        publish(shared, &job, outcome, worker_index);
+        publish(shared, &job, outcome);
         shared.backlog.fetch_sub(1, Ordering::AcqRel);
     }
 }
@@ -691,47 +679,27 @@ fn panic_message(payload: &(dyn Any + Send)) -> &str {
         .unwrap_or("non-string panic payload")
 }
 
-fn publish(
-    shared: &Shared,
-    job: &Job,
-    outcome: Result<(String, Arc<Plan>), ServeError>,
-    worker_index: usize,
-) {
+/// Persists and caches a planning run's plan, then answers every waiter.
+/// The in-flight lock is held until the plan is cached, so puts stay
+/// serialized and a submit that missed the cache still finds the flight.
+fn publish(shared: &Shared, job: &Job, outcome: Result<(String, Arc<Plan>), ServeError>) {
+    let (fingerprint, numbering) = job.key;
     let mut inflight = lock(&shared.inflight);
-    let waiters = inflight.remove(&job.fingerprint).unwrap_or_default();
-    let numbering = job.request.model.numbering_signature();
-    match outcome {
-        Ok((text, plan)) => {
-            if let Some(store) = &shared.store {
-                // Persisting is best-effort: a full disk must not fail the
-                // request, only the warm restart.
-                let _ = store.put(job.fingerprint, &text, numbering);
-            }
-            shared
-                .cache
-                .insert(job.fingerprint, Arc::clone(&plan), numbering);
-            drop(inflight);
-            for waiter in waiters {
-                if waiter.request.model.numbering_signature() == numbering {
-                    let _ = waiter.tx.send(Ok(Arc::clone(&plan)));
-                } else {
-                    // Same fingerprint, different operator numbering: a
-                    // 128-bit collision. Plan this waiter's own model so
-                    // stage indices are valid for *its* graph; the result
-                    // must not overwrite the published entry.
-                    let solo =
-                        plan_via_workers(shared, worker_index, &waiter.request, job.fingerprint)
-                            .map(|(_, plan)| plan);
-                    let _ = waiter.tx.send(solo);
-                }
-            }
+    let waiters = inflight.remove(&job.key).unwrap_or_default();
+    let reply = outcome.map(|(text, plan)| {
+        if let Some(store) = &shared.store {
+            // Persisting is best-effort: a full disk must not fail the
+            // request, only the warm restart.
+            let _ = store.put(fingerprint, &text, numbering);
         }
-        Err(e) => {
-            drop(inflight);
-            for waiter in waiters {
-                let _ = waiter.tx.send(Err(e.clone()));
-            }
-        }
+        shared
+            .cache
+            .insert(fingerprint, Arc::clone(&plan), numbering);
+        plan
+    });
+    drop(inflight);
+    for tx in waiters {
+        let _ = tx.send(reply.clone());
     }
 }
 
@@ -1095,8 +1063,9 @@ mod tests {
         use gp_ir::{GraphBuilder, OpKind, Shape, SpBlock, SpModel};
         // The same asymmetric diamond built in two insertion orders: equal
         // fingerprints, permuted OpIds. Serving A's cached plan to B would
-        // assign B's operators to the wrong stages; the shard must refuse
-        // it and the fleet must plan B for real.
+        // assign B's operators to the wrong stages; the numbering is part
+        // of the cache key, so B is a miss that plans for real and both
+        // plans stay cached side by side.
         let diamond = |swap: bool| {
             let mut b = GraphBuilder::new();
             let x = b.input("x", Shape::vector(64));
@@ -1133,9 +1102,13 @@ mod tests {
                 .into_result()
                 .unwrap();
         }
+        for (model, planned) in [(&a, &plan_a), (&b, &plan_b)] {
+            let repeat = service.submit("t", req(model)).unwrap();
+            assert_eq!(repeat.served(), Served::Cache);
+            assert!(Arc::ptr_eq(&repeat.wait().unwrap(), planned));
+        }
         let stats = service.stats();
         assert_eq!(stats.planner_runs, 2, "{stats:?}");
-        assert_eq!(stats.shards[0].rejections, 1, "{stats:?}");
     }
 
     #[test]

@@ -9,6 +9,10 @@
 //! widening multiply — `(hi64 * N) >> 64` — which is exact for every
 //! shard count, not just powers of two, and never divides.
 //!
+//! A plan is keyed by its fingerprint plus the numbering signature of the
+//! graph it was planned for (plans carry raw operator ids); the shard is
+//! chosen by the fingerprint alone.
+//!
 //! Each shard has its own lock and its own LRU budget, so concurrent
 //! lookups for different fingerprints contend only `1/N` of the time and
 //! a burst of new plans in one key range cannot evict the whole cache.
@@ -20,36 +24,19 @@ use gp_serve::Fingerprint;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
-/// Outcome of a sharded cache lookup.
-pub enum ShardLookup {
-    /// The shard holds a plan for the fingerprint and the recorded graph
-    /// numbering matches the requester's.
-    Hit(Arc<Plan>),
-    /// The shard holds a plan for the fingerprint, but it was computed for
-    /// a different graph numbering (fingerprint collision or renumbered
-    /// isomorphic model); serving it would index the wrong operators.
-    Rejected,
-    /// No plan cached for the fingerprint.
-    Miss,
-}
-
 struct Shard {
     cache: Mutex<PlanCache>,
     hits: AtomicU64,
     misses: AtomicU64,
-    rejections: AtomicU64,
 }
 
 /// Per-shard counters, snapshotted by [`ShardedPlanCache::stats`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ShardStats {
-    /// Lookups served from this shard (numbering verified).
+    /// Lookups served from this shard.
     pub hits: u64,
-    /// Lookups that found nothing in this shard.
+    /// Lookups that found no plan for the key in this shard.
     pub misses: u64,
-    /// Lookups that found a plan recorded under a different graph
-    /// numbering and refused to serve it.
-    pub rejections: u64,
     /// LRU evictions performed by this shard.
     pub evictions: u64,
     /// Plans currently held.
@@ -89,7 +76,6 @@ impl ShardedPlanCache {
                     cache: Mutex::new(PlanCache::new(per_shard)),
                     hits: AtomicU64::new(0),
                     misses: AtomicU64::new(0),
-                    rejections: AtomicU64::new(0),
                 })
                 .collect(),
         }
@@ -100,42 +86,31 @@ impl ShardedPlanCache {
         shard_of(fingerprint, self.shards.len())
     }
 
-    /// Looks up a plan, verifying the recorded graph numbering, and counts
-    /// the outcome on the owning shard.
-    pub fn get(&self, fingerprint: &Fingerprint, numbering: u64) -> ShardLookup {
+    /// Looks up the plan for `fingerprint` planned under graph
+    /// `numbering`, and counts the hit or miss on the owning shard.
+    pub fn get(&self, fingerprint: &Fingerprint, numbering: u64) -> Option<Arc<Plan>> {
         let shard = &self.shards[self.shard_of(*fingerprint)];
-        match lock(&shard.cache).get(fingerprint) {
-            Some((plan, cached_numbering)) if cached_numbering == numbering => {
-                shard.hits.fetch_add(1, Ordering::Relaxed);
-                ShardLookup::Hit(plan)
-            }
-            Some(_) => {
-                shard.rejections.fetch_add(1, Ordering::Relaxed);
-                ShardLookup::Rejected
-            }
-            None => {
-                shard.misses.fetch_add(1, Ordering::Relaxed);
-                ShardLookup::Miss
-            }
-        }
+        let plan = lock(&shard.cache).get(&(*fingerprint, numbering));
+        let counter = if plan.is_some() {
+            &shard.hits
+        } else {
+            &shard.misses
+        };
+        counter.fetch_add(1, Ordering::Relaxed);
+        plan
     }
 
     /// Like [`get`](Self::get), but without touching the hit/miss
     /// counters. Used for the double-check under the in-flight lock,
     /// which would otherwise count every miss twice.
-    pub fn peek(&self, fingerprint: &Fingerprint, numbering: u64) -> ShardLookup {
-        let shard = &self.shards[self.shard_of(*fingerprint)];
-        match lock(&shard.cache).get(fingerprint) {
-            Some((plan, cached)) if cached == numbering => ShardLookup::Hit(plan),
-            Some(_) => ShardLookup::Rejected,
-            None => ShardLookup::Miss,
-        }
+    pub fn peek(&self, fingerprint: &Fingerprint, numbering: u64) -> Option<Arc<Plan>> {
+        lock(&self.shards[self.shard_of(*fingerprint)].cache).get(&(*fingerprint, numbering))
     }
 
-    /// Inserts a plan under its fingerprint and numbering signature into
-    /// the owning shard, evicting that shard's LRU entry when full.
+    /// Inserts a plan under its fingerprint and graph numbering into the
+    /// owning shard, evicting that shard's LRU entry when full.
     pub fn insert(&self, fingerprint: Fingerprint, plan: Arc<Plan>, numbering: u64) {
-        lock(&self.shards[self.shard_of(fingerprint)].cache).insert(fingerprint, plan, numbering);
+        lock(&self.shards[self.shard_of(fingerprint)].cache).insert((fingerprint, numbering), plan);
     }
 
     /// Plans held across all shards.
@@ -162,7 +137,6 @@ impl ShardedPlanCache {
                 ShardStats {
                     hits: s.hits.load(Ordering::Relaxed),
                     misses: s.misses.load(Ordering::Relaxed),
-                    rejections: s.rejections.load(Ordering::Relaxed),
                     evictions: cache.evictions(),
                     len: cache.len() as u64,
                     capacity: cache.capacity() as u64,
@@ -209,26 +183,23 @@ mod tests {
     }
 
     #[test]
-    fn hit_miss_and_rejection_are_counted_per_shard() {
+    fn hits_and_misses_are_counted_per_shard() {
         let (request, plan, numbering) = planned();
         let fp = request.fingerprint();
         let cache = ShardedPlanCache::new(4, 8);
-        assert!(matches!(cache.get(&fp, numbering), ShardLookup::Miss));
+        assert!(cache.get(&fp, numbering).is_none());
         cache.insert(fp, Arc::clone(&plan), numbering);
-        assert!(matches!(cache.get(&fp, numbering), ShardLookup::Hit(_)));
-        // Wrong numbering: the shard must refuse the plan.
-        assert!(matches!(
-            cache.get(&fp, numbering ^ 1),
-            ShardLookup::Rejected
-        ));
+        assert!(cache.get(&fp, numbering).is_some());
+        // Another graph numbering is another key: a miss, not this plan.
+        assert!(cache.get(&fp, numbering ^ 1).is_none());
+        assert!(cache.peek(&fp, numbering).is_some());
         let owner = cache.shard_of(fp);
         let stats = cache.stats();
         assert_eq!(stats[owner].hits, 1);
-        assert_eq!(stats[owner].misses, 1);
-        assert_eq!(stats[owner].rejections, 1);
+        assert_eq!(stats[owner].misses, 2);
         for (i, s) in stats.iter().enumerate() {
             if i != owner {
-                assert_eq!((s.hits, s.misses, s.rejections), (0, 0, 0));
+                assert_eq!((s.hits, s.misses), (0, 0));
             }
         }
     }

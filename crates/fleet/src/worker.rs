@@ -161,13 +161,17 @@ impl WorkerServer {
         let accept_thread = thread::Builder::new()
             .name(format!("gp-fleet-worker-{}", addr.port()))
             .spawn(move || {
-                let mut handlers = Vec::new();
+                let mut handlers: Vec<thread::JoinHandle<()>> = Vec::new();
                 while let Ok((stream, _)) = listener.accept() {
                     if accept_stop.load(Ordering::Acquire) {
                         break;
                     }
                     let telemetry = telemetry.clone();
                     let served = Arc::clone(&accept_served);
+                    // A finished thread keeps its stack mapped until its
+                    // handle is joined or dropped; keeping every handle
+                    // runs a long-lived server out of mappings.
+                    handlers.retain(|h| !h.is_finished());
                     handlers.push(thread::spawn(move || {
                         handle_connection(stream, &telemetry, &served);
                     }));

@@ -1,8 +1,8 @@
 //! A minimal, dependency-free JSON document model.
 //!
-//! The plan artifact codec ([`crate::artifact`]), the fleet wire protocol,
-//! and the store index all need a concrete wire format, and the workspace
-//! has no serialization dependency. This module is that format's
+//! The plan artifact codec ([`crate::artifact`]) and the fleet wire
+//! protocol need a concrete wire format, and the workspace has no
+//! serialization dependency. This module is that format's
 //! foundation: a JSON value tree with a writer and a recursive-descent
 //! parser, built for **losslessness** rather than speed:
 //!
@@ -18,8 +18,8 @@
 //! Object member order is preserved (objects are association lists), which
 //! keeps encoded artifacts byte-stable.
 //!
-//! The parser reads bytes from outside the process (worker frames, stored
-//! artifacts, the store index), so it bounds its recursion: arrays and
+//! The parser reads bytes from outside the process (worker frames and
+//! stored artifacts), so it bounds its recursion: arrays and
 //! objects nested deeper than [`MAX_DEPTH`] are a typed
 //! [`JsonErrorKind::TooDeep`] error rather than a stack overflow.
 //!

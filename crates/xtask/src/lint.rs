@@ -124,10 +124,10 @@ fn parse_allowlist(root: &Path) -> Result<Vec<AllowEntry>, String> {
 }
 
 /// All `.rs` files under the workspace's first-party source trees
-/// (`crates/*/src` and the root `src/`), sorted for stable output.
+/// (`crates/*/src`), sorted for stable output.
 fn source_files(root: &Path) -> Vec<PathBuf> {
     let mut out = Vec::new();
-    let mut stack = vec![root.join("src")];
+    let mut stack = Vec::new();
     if let Ok(crates) = std::fs::read_dir(root.join("crates")) {
         for c in crates.flatten() {
             // The lint's own source spells the tag and every hazard token;

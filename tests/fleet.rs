@@ -1,7 +1,7 @@
 //! Integration tests for the `gp-fleet` distributed serving layer: the
 //! remote-equals-local determinism contract, crash/restart durability of
-//! the artifact store, the fingerprint-range shard partition, and the
-//! tenant-facing `Session::serve_fleet` surface.
+//! the artifact store and its fault paths, the fingerprint-range shard
+//! partition, and the tenant-facing `Session::serve_fleet` surface.
 
 use graphpipe::cluster::Cluster;
 use graphpipe::fleet::{
@@ -307,4 +307,87 @@ fn fleet_with_remote_worker_matches_local_fleet() {
     assert_eq!(remote_fleet.stats().planner_runs, n, "planner runs");
     assert_eq!(server.served(), n, "worker calls");
     server.shutdown();
+}
+
+/// The store file of a request's artifact: `<fingerprint>-<numbering>.json`.
+fn artifact_path(dir: &std::path::Path, request: &PlanRequest) -> PathBuf {
+    dir.join(format!(
+        "{}-{:016x}.json",
+        request.fingerprint(),
+        request.model.numbering_signature()
+    ))
+}
+
+/// Fault injection: an artifact corrupted on disk between two runs is a
+/// store reject, never a wrong plan; the request is re-planned and the
+/// file rewritten, so the next run serves it from the store again.
+#[test]
+fn a_corrupt_store_artifact_is_replanned_and_rewritten() {
+    let dir = TempDir::new("corrupt");
+    let fleet = || {
+        FleetService::start(FleetConfig {
+            store: Some(dir.path().to_path_buf()),
+            ..FleetConfig::local(1, 8)
+        })
+        .unwrap()
+    };
+    let request = zoo_requests().remove(0);
+    let fp = request.fingerprint();
+    let file = artifact_path(dir.path(), &request);
+
+    let original = {
+        let plan = fleet().submit("t", request.clone()).unwrap().wait();
+        canonical_artifact(&plan.expect("cold plan"), fp)
+    };
+    assert_eq!(std::fs::read_to_string(&file).unwrap(), original);
+    std::fs::write(&file, &original[..original.len() / 2]).unwrap();
+
+    {
+        let fleet = fleet();
+        let ticket = fleet.submit("t", request.clone()).unwrap();
+        assert_eq!(ticket.served(), Served::Planned);
+        let plan = ticket.wait().expect("re-planned");
+        assert_eq!(canonical_artifact(&plan, fp), original);
+        let stats = fleet.stats();
+        assert_eq!(stats.store_rejects, 1, "{stats:?}");
+        assert_eq!(stats.planner_runs, 1, "{stats:?}");
+        assert_eq!(std::fs::read_to_string(&file).unwrap(), original);
+    }
+
+    let fleet = fleet();
+    let ticket = fleet.submit("t", request).unwrap();
+    assert_eq!(ticket.served(), Served::Store);
+    assert_eq!(canonical_artifact(&ticket.wait().unwrap(), fp), original);
+}
+
+/// Fault injection: a store write that fails never fails the request. A
+/// directory squatting on the artifact's file name makes the rename fail
+/// (permission bits would not stop a root test run).
+#[test]
+fn a_failed_store_write_still_serves_the_plan() {
+    let dir = TempDir::new("squat");
+    let request = zoo_requests().remove(0);
+    let fp = request.fingerprint();
+    std::fs::create_dir(artifact_path(dir.path(), &request)).unwrap();
+    let fleet = FleetService::start(FleetConfig {
+        store: Some(dir.path().to_path_buf()),
+        ..FleetConfig::local(1, 8)
+    })
+    .unwrap();
+
+    let ticket = fleet.submit("t", request.clone()).unwrap();
+    assert_eq!(ticket.served(), Served::Planned);
+    ticket.wait().expect("served despite the failed write");
+    assert_eq!(fleet.stats().planner_runs, 1);
+    assert!(fleet.store().unwrap().get(&fp).is_none());
+    let temp_files: Vec<_> = std::fs::read_dir(dir.path())
+        .unwrap()
+        .map(|e| e.unwrap().file_name())
+        .filter(|name| name.to_string_lossy().ends_with(".tmp"))
+        .collect();
+    assert!(temp_files.is_empty(), "left behind: {temp_files:?}");
+
+    let repeat = fleet.submit("t", request).unwrap();
+    assert_eq!(repeat.served(), Served::Cache);
+    repeat.wait().expect("cached plan");
 }
