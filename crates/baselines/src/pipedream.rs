@@ -320,12 +320,13 @@ mod tests {
     #[test]
     fn sequential_stages_use_all_devices() {
         let model = zoo::mlp_chain(8, 512);
-        let plan = PipeDreamPlanner::new()
-            .plan(&model, &Cluster::summit_like(4), 32)
-            .unwrap();
+        let cluster = Cluster::summit_like(4);
+        let plan = PipeDreamPlanner::new().plan(&model, &cluster, 32).unwrap();
         let total: usize = plan.stage_graph.stages().map(|s| s.dp_degree()).sum();
         assert_eq!(total, 4);
-        plan.schedule.validate_c4(&plan.stage_graph).unwrap();
+        gp_verify::verify_plan(model.graph(), &cluster, &plan)
+            .into_result()
+            .unwrap();
     }
 
     #[test]

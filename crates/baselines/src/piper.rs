@@ -525,12 +525,13 @@ mod tests {
     #[test]
     fn plans_two_branch_mmt() {
         let model = zoo::mmt(&MmtConfig::two_branch());
-        let plan = PiperPlanner::new()
-            .plan(&model, &Cluster::summit_like(4), 64)
-            .unwrap();
+        let cluster = Cluster::summit_like(4);
+        let plan = PiperPlanner::new().plan(&model, &cluster, 64).unwrap();
         // Sequential pipeline: depth equals stage count.
         assert_eq!(plan.pipeline_depth(), plan.stage_graph.len());
-        plan.schedule.validate_c4(&plan.stage_graph).unwrap();
+        gp_verify::verify_plan(model.graph(), &cluster, &plan)
+            .into_result()
+            .unwrap();
     }
 
     #[test]

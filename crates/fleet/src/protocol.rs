@@ -39,7 +39,7 @@
 //! nondeterminism hazards (DESIGN.md §"Determinism lint").
 
 use gp_cluster::{Cluster, DeviceProfile, LinkProfile};
-use gp_ir::{GraphBuilder, Nonlinearity, OpId, OpKind, PlanPath, Shape, SpBlock, SpModel};
+use gp_ir::{GraphBuilder, Nonlinearity, OpId, OpKind, Shape, SpBlock, SpModel};
 use gp_partition::{Plan, PlanError, PlanOptions, SearchStats};
 use gp_serve::json::{Json, JsonError};
 use gp_serve::{artifact, Fingerprint, PlanRequest, ServePlanner};
@@ -210,7 +210,7 @@ pub fn encode_request(request: &PlanRequest) -> String {
         ("ops".to_string(), Json::Arr(ops)),
         ("sp".to_string(), encode_sp(request.model.root())),
     ];
-    if let Some(path) = encode_path(request.model.path()) {
+    if let Some(path) = artifact::encode_plan_path(request.model.path()) {
         model_members.push(("path".to_string(), path));
     }
     let model = Json::Obj(model_members);
@@ -288,45 +288,6 @@ fn encode_kind(kind: &OpKind) -> Json {
         ]),
         OpKind::Loss => obj(vec![("op", Json::Str("loss".into()))]),
         OpKind::Add => obj(vec![("op", Json::Str("add".into()))]),
-    }
-}
-
-/// Encodes a non-default [`PlanPath`]; `ExactSp` is represented by the
-/// member's absence (keeps pre-DAG documents byte-stable).
-fn encode_path(path: PlanPath) -> Option<Json> {
-    match path {
-        PlanPath::ExactSp => None,
-        PlanPath::SpIzed { distortion } => Some(Json::Obj(vec![
-            ("kind".into(), Json::Str("sp-ized".into())),
-            ("distortion".into(), Json::Int(i128::from(distortion))),
-        ])),
-        PlanPath::Clustered { units } => Some(Json::Obj(vec![
-            ("kind".into(), Json::Str("clustered".into())),
-            ("units".into(), Json::Int(i128::from(units))),
-        ])),
-    }
-}
-
-fn decode_path(doc: &Json) -> Result<PlanPath, ProtocolError> {
-    let kind = doc
-        .get("kind")
-        .and_then(Json::as_str)
-        .ok_or(ProtocolError::Field("path.kind"))?;
-    match kind {
-        "sp-ized" => Ok(PlanPath::SpIzed {
-            distortion: doc
-                .get("distortion")
-                .and_then(Json::as_u64)
-                .ok_or(ProtocolError::Field("path.distortion"))?,
-        }),
-        "clustered" => Ok(PlanPath::Clustered {
-            units: doc
-                .get("units")
-                .and_then(Json::as_u64)
-                .and_then(|u| u32::try_from(u).ok())
-                .ok_or(ProtocolError::Field("path.units"))?,
-        }),
-        other => Err(ProtocolError::Model(format!("unknown plan path `{other}`"))),
     }
 }
 
@@ -537,7 +498,9 @@ fn decode_model(doc: &Json) -> Result<SpModel, ProtocolError> {
     let model = SpModel::new(name, graph, root)
         .map_err(|e| ProtocolError::Model(format!("sp tree: {e:?}")))?;
     match doc.get("path") {
-        Some(path) => Ok(model.with_path(decode_path(path)?)),
+        Some(path) => Ok(model.with_path(
+            artifact::decode_plan_path(path).ok_or(ProtocolError::Field("model.path"))?,
+        )),
         None => Ok(model),
     }
 }
@@ -927,6 +890,39 @@ mod tests {
             Err(ProtocolError::UnsupportedVersion(_))
         ));
         assert!(classify_reply("{\"format\":\"mystery\"}").is_err());
+    }
+
+    /// An unknown plan-path kind, or a kind without its count, is a typed
+    /// field error from both documents that share the plan-path codec.
+    #[test]
+    fn hostile_plan_paths_are_field_errors() {
+        let model = zoo::gnn_pipe(&zoo::GnnPipeConfig::tiny());
+        let cluster = Cluster::summit_like(4);
+        let request = PlanRequest::new(Arc::new(model.clone()), cluster.clone(), 32);
+        let plan = ServePlanner::GraphPipe
+            .build(PlanOptions::default(), &Default::default())
+            .plan(&model, &cluster, 32)
+            .unwrap();
+        let member = artifact::encode_plan_path(model.path())
+            .expect("gnn-pipe takes the SP-ized path")
+            .to_string();
+        let (wire, stored) = (encode_request(&request), artifact::encode_plan(&plan, None));
+        for hostile in [
+            r#"{"kind":"bogus","distortion":1}"#,
+            r#"{"kind":"sp-ized"}"#,
+            r#"{"kind":"clustered"}"#,
+        ] {
+            let wire = wire.replacen(&member, hostile, 1);
+            let stored = stored.replacen(&member, hostile, 1);
+            assert_eq!(
+                decode_request(&wire).err(),
+                Some(ProtocolError::Field("model.path"))
+            );
+            assert_eq!(
+                artifact::decode_plan(&stored, model.graph(), &cluster).err(),
+                Some(artifact::ArtifactError::Field("plan_path"))
+            );
+        }
     }
 
     #[test]

@@ -8,8 +8,11 @@
 //!
 //! The pieces map one-to-one onto the paper:
 //!
-//! * [`Stage`], [`StageGraph`] — the stage tuple `<G_i, b_i, D_i, Pi_i>` and
-//!   the validity conditions C1–C3 of §3;
+//! * [`Stage`], [`StageGraph`] — the stage tuple `<G_i, b_i, D_i, Pi_i>`
+//!   and the derived stage DAG;
+//! * [`verify_stages`] — the validity conditions C1–C3 of §3, which every
+//!   [`StageGraph`] constructor runs, reporting violations by the catalog
+//!   names of [`Check`] (DESIGN.md §"Invariant catalog");
 //! * [`compute_in_flight`] — the closed-form `ComputeInFlight` of Table 2
 //!   (Appendix A.1), generalized over per-stage micro-batch sizes and kFkB
 //!   schedules;
@@ -17,7 +20,6 @@
 //!   propagates in-flight counts from sinks to sources (§6);
 //! * [`StageSchedule::kfkb`] / [`schedule_tasks`] — `ScheduleTask`, the
 //!   greedy earliest-backward order generation of Algorithm 2;
-//! * [`PipelineSchedule::validate_c4`] — condition C4;
 //! * [`TaskIndex`] — the dense `(stage, micro-batch, pass)` → flat-offset
 //!   map consumers key per-task arenas by (`gp-sim`'s relaxation columns
 //!   are the motivating user; see DESIGN.md §"Scale: the simulator at
@@ -44,7 +46,7 @@
 //! let inflight = assign_in_flight(&sg);
 //! assert_eq!(inflight.samples(StageId(0)), 4); // one extra micro-batch upstream
 //! let schedule = schedule_tasks(&sg, &inflight);
-//! schedule.validate_c4(&sg)?;
+//! assert_eq!(schedule.stage(StageId(0)).warmup, 2);
 //! # Ok::<(), Box<dyn std::error::Error>>(())
 //! ```
 
@@ -52,12 +54,13 @@
 #![forbid(unsafe_code)]
 
 mod inflight;
+mod report;
 mod stage;
 mod tasks;
 
 pub use inflight::{assign_in_flight, best_kfkb, compute_in_flight, InFlightTable};
-pub use stage::{Stage, StageGraph, StageGraphError, StageId};
+pub use report::{verify_stages, Check, Location, VerifyError, VerifyReport, Violation};
+pub use stage::{Stage, StageGraph, StageId};
 pub use tasks::{
-    covering_micro_batches, schedule_tasks, PipelineSchedule, ScheduleError, StageSchedule, Task,
-    TaskIndex,
+    covering_micro_batches, schedule_tasks, PipelineSchedule, StageSchedule, Task, TaskIndex,
 };

@@ -1,15 +1,22 @@
-//! Violation vocabulary: the check catalog, locations, and the report.
+//! Violation vocabulary — the check catalog, locations, and the report —
+//! and [`verify_stages`], the stage-list checks (§3's C1–C3) every
+//! `StageGraph` constructor runs.
 //!
-//! Every invariant `gp-verify` enforces is a [`Check`] variant with a
-//! stable kebab-case [`Check::name`]. The names are the contract shared
-//! with DESIGN.md §"Invariant catalog" (each variant's doc comment cites
-//! its catalog entry), with the artifact codec's error messages, and with
-//! the mutation test suite — renaming one is a breaking change.
+//! Every invariant the static verifier (`gp-verify`) enforces is a
+//! [`Check`] variant with a stable kebab-case [`Check::name`]. The names
+//! are the contract shared with DESIGN.md §"Invariant catalog" (each
+//! variant's doc comment cites its catalog entry), with the artifact
+//! codec's error messages, and with the mutation test suite — renaming
+//! one is a breaking change.
+//!
+//! gp-lint: deterministic — this module decides which stage graphs can
+//! exist and names every codec stage error; `cargo xtask lint` scans it
+//! for nondeterminism hazards (DESIGN.md §"Determinism lint").
 
-use gp_cluster::DeviceId;
+use crate::stage::{Stage, StageId};
+use gp_cluster::{Cluster, DeviceId};
 use gp_cost::Pass;
-use gp_ir::OpId;
-use gp_sched::StageId;
+use gp_ir::{Graph, OpId};
 use std::fmt;
 
 /// One invariant in the catalog.
@@ -47,8 +54,9 @@ pub enum Check {
     /// `device-coverage` — stage device ranges cover the cluster exactly:
     /// condition C3's coverage half (DESIGN.md §"Invariant catalog").
     DeviceCoverage,
-    /// `stage-acyclic` — the data-derived stage DAG admits a topological
-    /// order (DESIGN.md §"Invariant catalog").
+    /// `stage-acyclic` — the data-derived stage DAG, with any imposed
+    /// sequential chain, admits a topological order (DESIGN.md
+    /// §"Invariant catalog").
     StageAcyclic,
     /// `edge-derivation` — the recorded stage edges contain every
     /// data-derived edge (condition C2) and any extra edge is an imposed
@@ -426,6 +434,202 @@ impl fmt::Display for VerifyError {
 }
 
 impl std::error::Error for VerifyError {}
+
+/// Verifies a raw stage list against the model graph and cluster:
+/// `mini-batch-positive`, `stage-ids-dense`, `stage-nonempty`,
+/// `micro-batch-divides`, `op-cover-exact`, `op-convex`, `device-bounds`,
+/// `device-overlap`, `device-coverage`, and `stage-acyclic` over the
+/// data-derived stage DAG (DESIGN.md §"Invariant catalog").
+///
+/// [`StageGraph::new`](crate::StageGraph::new) and
+/// [`StageGraph::new_sequential`](crate::StageGraph::new_sequential) run
+/// this before building anything, so every stage graph satisfies these
+/// checks and a rejected stage list is named by invariant.
+pub fn verify_stages(
+    graph: &Graph,
+    cluster: &Cluster,
+    stages: &[Stage],
+    mini_batch: u64,
+) -> VerifyReport {
+    let mut report = VerifyReport::new();
+    if mini_batch == 0 {
+        report.fail(
+            Check::MiniBatchPositive,
+            Location::global(),
+            "mini-batch size is 0",
+        );
+    }
+    if stages.is_empty() {
+        report.fail(Check::OpCoverExact, Location::global(), "no stages");
+        return report;
+    }
+    let mut ids_dense = true;
+    for (i, s) in stages.iter().enumerate() {
+        if s.id.index() != i {
+            ids_dense = false;
+            report.fail(
+                Check::StageIdsDense,
+                Location::stage(s.id),
+                format!("stage at position {i} has id {}", s.id),
+            );
+        }
+        if s.ops.is_empty() {
+            report.fail(
+                Check::StageNonEmpty,
+                Location::stage(s.id),
+                "stage holds no operators",
+            );
+        }
+        if s.kfkb == 0 {
+            report.fail(
+                Check::StageNonEmpty,
+                Location::stage(s.id),
+                "kFkB parameter is 0",
+            );
+        }
+        if s.micro_batch == 0 {
+            report.fail(
+                Check::MicroBatchDivides,
+                Location::stage(s.id),
+                "micro-batch size is 0",
+            );
+        } else if mini_batch > 0 && !mini_batch.is_multiple_of(s.micro_batch) {
+            report.fail(
+                Check::MicroBatchDivides,
+                Location::stage(s.id),
+                format!(
+                    "micro-batch size {} does not divide mini-batch size {mini_batch}",
+                    s.micro_batch
+                ),
+            );
+        }
+    }
+    // C1, partition half: every operator covered exactly once, every
+    // referenced operator in range.
+    let mut ops_in_bounds = true;
+    let mut cover_exact = true;
+    let mut stage_of = vec![u32::MAX; graph.len()];
+    for s in stages {
+        for &op in &s.ops {
+            if op.index() >= graph.len() {
+                ops_in_bounds = false;
+                cover_exact = false;
+                report.fail(
+                    Check::OpCoverExact,
+                    Location::stage(s.id).at_op(op),
+                    format!("references operator outside the {}-op graph", graph.len()),
+                );
+            } else if stage_of[op.index()] != u32::MAX {
+                cover_exact = false;
+                report.fail(
+                    Check::OpCoverExact,
+                    Location::stage(s.id).at_op(op),
+                    format!(
+                        "operator already assigned to stage S{}",
+                        stage_of[op.index()]
+                    ),
+                );
+            } else {
+                stage_of[op.index()] = s.id.0;
+            }
+        }
+    }
+    for (i, &owner) in stage_of.iter().enumerate() {
+        if owner == u32::MAX {
+            cover_exact = false;
+            report.fail(
+                Check::OpCoverExact,
+                Location::global().at_op(OpId(i as u32)),
+                "operator is not assigned to any stage",
+            );
+        }
+    }
+    // C1, convexity half (needs in-bounds ops).
+    if ops_in_bounds {
+        for s in stages {
+            if !graph.is_convex(&s.ops) {
+                report.fail(
+                    Check::OpConvex,
+                    Location::stage(s.id),
+                    "operator set is not a convex subgraph: a path leaves and re-enters it",
+                );
+            }
+        }
+    }
+    // C3: device bounds, disjointness, exact coverage.
+    for s in stages {
+        if s.devices.last().index() >= cluster.device_count() {
+            report.fail(
+                Check::DeviceBounds,
+                Location::stage(s.id).on_device(s.devices.last()),
+                format!(
+                    "device outside the {}-device cluster",
+                    cluster.device_count()
+                ),
+            );
+        }
+    }
+    for (i, a) in stages.iter().enumerate() {
+        for b in &stages[i + 1..] {
+            if a.devices.overlaps(&b.devices) {
+                report.fail(
+                    Check::DeviceOverlap,
+                    Location::stage(a.id).on_device(b.devices.first().max(a.devices.first())),
+                    format!("device ranges of {} and {} overlap", a.id, b.id),
+                );
+            }
+        }
+    }
+    let assigned: usize = stages.iter().map(|s| s.devices.len()).sum();
+    if assigned != cluster.device_count() {
+        report.fail(
+            Check::DeviceCoverage,
+            Location::global(),
+            format!(
+                "stages assign {assigned} devices but the cluster has {}",
+                cluster.device_count()
+            ),
+        );
+    }
+    // Acyclicity of the data-derived stage DAG. Needs dense ids and an
+    // exact cover for a trustworthy `stage_of` table.
+    if ids_dense && cover_exact {
+        let n = stages.len();
+        let mut succs: Vec<Vec<u32>> = vec![Vec::new(); n];
+        let mut indeg = vec![0usize; n];
+        for (u, v) in graph.edges() {
+            let (su, sv) = (stage_of[u.index()], stage_of[v.index()]);
+            if su != sv && !succs[su as usize].contains(&sv) {
+                succs[su as usize].push(sv);
+                indeg[sv as usize] += 1;
+            }
+        }
+        let mut stack: Vec<u32> = (0..n as u32).filter(|&s| indeg[s as usize] == 0).collect();
+        let mut seen = 0usize;
+        while let Some(s) = stack.pop() {
+            seen += 1;
+            for &t in &succs[s as usize] {
+                indeg[t as usize] -= 1;
+                if indeg[t as usize] == 0 {
+                    stack.push(t);
+                }
+            }
+        }
+        if seen != n {
+            let cyclic = indeg
+                .iter()
+                .position(|&d| d > 0)
+                .map(|i| StageId(i as u32))
+                .expect("an unprocessed stage retains in-degree");
+            report.fail(
+                Check::StageAcyclic,
+                Location::stage(cyclic),
+                format!("the data-derived stage DAG is cyclic ({seen}/{n} stages sort)"),
+            );
+        }
+    }
+    report
+}
 
 #[cfg(test)]
 mod tests {

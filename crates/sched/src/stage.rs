@@ -3,13 +3,15 @@
 //! A GPP strategy is a DAG of stages `S_i = <G_i, b_i, D_i, Pi_i>`: a convex
 //! subgraph of the model, a micro-batch size, a device set, and a micro-batch
 //! schedule. This module defines the first three elements plus the derived
-//! stage DAG and its validity conditions C1–C3; schedules (`Pi_i`, condition
-//! C4) live in [`crate::tasks`].
+//! stage DAG, whose constructors accept only stage lists that pass the
+//! validity conditions C1–C3 ([`crate::verify_stages`]); schedules (`Pi_i`,
+//! condition C4) live in [`crate::tasks`].
 //!
 //! gp-lint: deterministic — this module's outputs feed plan
 //! fingerprints or the artifact codec; `cargo xtask lint` scans it for
 //! nondeterminism hazards (DESIGN.md §"Determinism lint").
 
+use crate::report::{verify_stages, Check, Location, VerifyError, VerifyReport};
 use gp_cluster::{Cluster, DeviceRange};
 use gp_ir::{Graph, OpId};
 use std::collections::VecDeque;
@@ -60,67 +62,6 @@ impl Stage {
     }
 }
 
-/// Errors raised when a stage graph violates the validity conditions of §3.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum StageGraphError {
-    /// An operator is assigned to zero or multiple stages (violates C1).
-    NotAPartition(OpId),
-    /// A stage's operator set is not convex (violates C1).
-    NotConvex(StageId),
-    /// The derived stage graph has a cycle, so no valid execution order
-    /// exists.
-    CyclicStages,
-    /// Two stages' device ranges overlap (violates C3).
-    DeviceOverlap(StageId, StageId),
-    /// Device ranges do not cover the cluster exactly (violates C3).
-    DeviceCoverage {
-        /// Devices assigned across all stages.
-        assigned: usize,
-        /// Devices available in the cluster.
-        available: usize,
-    },
-    /// A stage's micro-batch size does not divide the mini-batch size.
-    BadMicroBatch(StageId),
-    /// A stage has an empty operator list or `kfkb == 0`.
-    EmptyStage(StageId),
-}
-
-impl fmt::Display for StageGraphError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            StageGraphError::NotAPartition(op) => {
-                write!(
-                    f,
-                    "operator {op} is not covered exactly once by the stages (C1)"
-                )
-            }
-            StageGraphError::NotConvex(s) => {
-                write!(f, "stage {s} is not a convex subgraph (C1)")
-            }
-            StageGraphError::CyclicStages => write!(f, "stage dependencies form a cycle"),
-            StageGraphError::DeviceOverlap(a, b) => {
-                write!(f, "stages {a} and {b} share devices (C3)")
-            }
-            StageGraphError::DeviceCoverage {
-                assigned,
-                available,
-            } => write!(
-                f,
-                "stages use {assigned} devices but the cluster has {available} (C3)"
-            ),
-            StageGraphError::BadMicroBatch(s) => write!(
-                f,
-                "stage {s}: micro-batch size must be positive and divide the mini-batch size"
-            ),
-            StageGraphError::EmptyStage(s) => {
-                write!(f, "stage {s} is empty or has kfkb == 0")
-            }
-        }
-    }
-}
-
-impl std::error::Error for StageGraphError {}
-
 /// A validated DAG of pipeline stages over a model graph.
 ///
 /// Stage dependency edges are *derived* from the model's data edges
@@ -137,21 +78,51 @@ pub struct StageGraph {
 }
 
 impl StageGraph {
-    /// Builds and validates a stage graph over `graph` for the given
-    /// cluster and mini-batch size.
+    /// Builds a stage graph over `graph` for the given cluster and
+    /// mini-batch size, after [`verify_stages`] accepts the stage list.
     ///
     /// # Errors
     ///
-    /// Returns a [`StageGraphError`] if any of the §3 validity conditions
-    /// C1–C3 fails, the derived stage DAG is cyclic, or a micro-batch size
-    /// does not divide `mini_batch`.
+    /// Returns a [`VerifyError`] naming every stage-list check the stages
+    /// violate: the §3 validity conditions C1–C3, dense ids, non-empty
+    /// stages, a positive mini-batch that every micro-batch size divides,
+    /// and an acyclic derived stage DAG.
     pub fn new(
         graph: &Graph,
         cluster: &Cluster,
         stages: Vec<Stage>,
         mini_batch: u64,
-    ) -> Result<Self, StageGraphError> {
-        Self::build(graph, cluster, stages, mini_batch, false)
+    ) -> Result<Self, VerifyError> {
+        verify_stages(graph, cluster, &stages, mini_batch).into_result()?;
+        // The stages cover every operator exactly once, so every slot is
+        // written.
+        let mut stage_of = vec![u32::MAX; graph.len()];
+        for s in &stages {
+            for &op in &s.ops {
+                stage_of[op.index()] = s.id.0;
+            }
+        }
+        // C2: derive stage edges from operator edges.
+        let n = stages.len();
+        let mut preds = vec![Vec::new(); n];
+        let mut succs: Vec<Vec<StageId>> = vec![Vec::new(); n];
+        for (u, v) in graph.edges() {
+            let (su, sv) = (StageId(stage_of[u.index()]), StageId(stage_of[v.index()]));
+            if su != sv && !succs[su.index()].contains(&sv) {
+                succs[su.index()].push(sv);
+                preds[sv.index()].push(su);
+            }
+        }
+        for list in preds.iter_mut().chain(succs.iter_mut()) {
+            list.sort_unstable();
+        }
+        Ok(StageGraph {
+            stages,
+            preds,
+            succs,
+            mini_batch,
+            stage_of,
+        })
     }
 
     /// Like [`StageGraph::new`], but additionally imposes a strict
@@ -166,113 +137,41 @@ impl StageGraph {
     ///
     /// # Errors
     ///
-    /// Same as [`StageGraph::new`].
+    /// Same as [`StageGraph::new`], plus `stage-acyclic` when an imposed
+    /// chain edge runs against the data flow and closes a cycle.
     pub fn new_sequential(
         graph: &Graph,
         cluster: &Cluster,
         stages: Vec<Stage>,
         mini_batch: u64,
-    ) -> Result<Self, StageGraphError> {
-        Self::build(graph, cluster, stages, mini_batch, true)
+    ) -> Result<Self, VerifyError> {
+        Self::new(graph, cluster, stages, mini_batch)?.into_sequential()
     }
 
-    fn build(
-        graph: &Graph,
-        cluster: &Cluster,
-        stages: Vec<Stage>,
-        mini_batch: u64,
-        impose_sequential: bool,
-    ) -> Result<Self, StageGraphError> {
-        // Basic per-stage checks.
-        for (i, s) in stages.iter().enumerate() {
-            debug_assert_eq!(s.id.index(), i, "stage ids must be dense");
-            if s.ops.is_empty() || s.kfkb == 0 {
-                return Err(StageGraphError::EmptyStage(s.id));
-            }
-            if s.micro_batch == 0 || !mini_batch.is_multiple_of(s.micro_batch) {
-                return Err(StageGraphError::BadMicroBatch(s.id));
-            }
+    /// Imposes [`StageGraph::new_sequential`]'s chain on a graph built by
+    /// [`StageGraph::new`], without re-running the stage-list checks.
+    ///
+    /// # Errors
+    ///
+    /// `stage-acyclic` when a chain edge closes a cycle against the data
+    /// flow.
+    pub fn into_sequential(mut self) -> Result<Self, VerifyError> {
+        for i in 1..self.len() {
+            self.succs[i - 1].push(StageId(i as u32));
+            self.preds[i].push(StageId(i as u32 - 1));
         }
-        // C1: exact cover.
-        let mut stage_of = vec![u32::MAX; graph.len()];
-        for s in &stages {
-            for &op in &s.ops {
-                if stage_of[op.index()] != u32::MAX {
-                    return Err(StageGraphError::NotAPartition(op));
-                }
-                stage_of[op.index()] = s.id.0;
-            }
-        }
-        if let Some(op) = (0..graph.len()).find(|&i| stage_of[i] == u32::MAX) {
-            return Err(StageGraphError::NotAPartition(OpId(op as u32)));
-        }
-        // C1: convexity.
-        for s in &stages {
-            if !graph.is_convex(&s.ops) {
-                return Err(StageGraphError::NotConvex(s.id));
-            }
-        }
-        // C3: device partition.
-        for (i, a) in stages.iter().enumerate() {
-            for b in &stages[i + 1..] {
-                if a.devices.overlaps(&b.devices) {
-                    return Err(StageGraphError::DeviceOverlap(a.id, b.id));
-                }
-            }
-        }
-        let assigned: usize = stages.iter().map(|s| s.devices.len()).sum();
-        let in_range = stages
-            .iter()
-            .all(|s| s.devices.last().index() < cluster.device_count());
-        if assigned != cluster.device_count() || !in_range {
-            return Err(StageGraphError::DeviceCoverage {
-                assigned,
-                available: cluster.device_count(),
-            });
-        }
-        // C2: derive stage edges from operator edges.
-        let n = stages.len();
-        let mut preds = vec![Vec::new(); n];
-        let mut succs = vec![Vec::new(); n];
-        let connect = |su: StageId,
-                       sv: StageId,
-                       preds: &mut Vec<Vec<StageId>>,
-                       succs: &mut Vec<Vec<StageId>>| {
-            if !succs[su.index()].contains(&sv) {
-                succs[su.index()].push(sv);
-                preds[sv.index()].push(su);
-            }
-        };
-        for (u, v) in graph.edges() {
-            let (su, sv) = (stage_of[u.index()], stage_of[v.index()]);
-            if su != sv {
-                connect(StageId(su), StageId(sv), &mut preds, &mut succs);
-            }
-        }
-        if impose_sequential {
-            for i in 1..n {
-                connect(
-                    StageId(i as u32 - 1),
-                    StageId(i as u32),
-                    &mut preds,
-                    &mut succs,
-                );
-            }
-        }
-        for list in preds.iter_mut().chain(succs.iter_mut()) {
+        for list in self.preds.iter_mut().chain(self.succs.iter_mut()) {
             list.sort_unstable();
+            list.dedup();
         }
-        let sg = StageGraph {
-            stages,
-            preds,
-            succs,
-            mini_batch,
-            stage_of,
-        };
-        if sg.topo_order().len() != sg.len() {
-            return Err(StageGraphError::CyclicStages);
+        // `verify_stages` proved the data-derived DAG acyclic; a chain edge
+        // can still close a cycle against a data edge.
+        let mut report = VerifyReport::new();
+        if self.topo_order().len() != self.len() {
+            let detail = "an imposed sequential chain edge closes a cycle";
+            report.fail(Check::StageAcyclic, Location::global(), detail);
         }
-        Ok(sg)
+        report.into_result().map(|()| self)
     }
 
     /// Number of stages.
@@ -294,8 +193,8 @@ impl StageGraph {
         &self.stages[id.index()]
     }
 
-    /// Iterates over stages in id order.
-    pub fn stages(&self) -> impl Iterator<Item = &Stage> {
+    /// Iterates over stages in id order; `as_slice` lends them as a list.
+    pub fn stages(&self) -> std::slice::Iter<'_, Stage> {
         self.stages.iter()
     }
 
@@ -465,7 +364,8 @@ mod tests {
         let dup = stages[0].ops[0];
         stages[1].ops.push(dup);
         let err = StageGraph::new(model.graph(), &cluster, stages, 8).unwrap_err();
-        assert_eq!(err, StageGraphError::NotAPartition(dup));
+        assert_eq!(err.violation().check, Check::OpCoverExact, "{err}");
+        assert_eq!(err.violation().location.op, Some(dup), "{err}");
     }
 
     #[test]
@@ -473,7 +373,18 @@ mod tests {
         let (model, cluster, mut stages) = chain_stages(2);
         let dropped = stages[1].ops.pop().unwrap();
         let err = StageGraph::new(model.graph(), &cluster, stages, 8).unwrap_err();
-        assert_eq!(err, StageGraphError::NotAPartition(dropped));
+        assert_eq!(err.violation().check, Check::OpCoverExact, "{err}");
+        assert_eq!(err.violation().location.op, Some(dropped), "{err}");
+    }
+
+    #[test]
+    fn rejects_out_of_range_op() {
+        let (model, cluster, mut stages) = chain_stages(2);
+        let stray = OpId(model.graph().len() as u32);
+        stages[1].ops.push(stray);
+        let err = StageGraph::new(model.graph(), &cluster, stages, 8).unwrap_err();
+        assert_eq!(err.violation().check, Check::OpCoverExact, "{err}");
+        assert_eq!(err.violation().location.op, Some(stray), "{err}");
     }
 
     #[test]
@@ -504,7 +415,7 @@ mod tests {
         ];
         let err = StageGraph::new(model.graph(), &cluster, stages, 8).unwrap_err();
         // Either stage may be flagged first; both are non-convex here.
-        assert!(matches!(err, StageGraphError::NotConvex(_)), "{err:?}");
+        assert_eq!(err.violation().check, Check::OpConvex, "{err}");
     }
 
     #[test]
@@ -512,7 +423,8 @@ mod tests {
         let (model, cluster, mut stages) = chain_stages(2);
         stages[1].devices = DeviceRange::new(0, 1);
         let err = StageGraph::new(model.graph(), &cluster, stages, 8).unwrap_err();
-        assert_eq!(err, StageGraphError::DeviceOverlap(StageId(0), StageId(1)));
+        assert_eq!(err.violation().check, Check::DeviceOverlap, "{err}");
+        assert_eq!(err.violation().location.stage, Some(StageId(0)), "{err}");
     }
 
     #[test]
@@ -520,13 +432,7 @@ mod tests {
         let (model, _, stages) = chain_stages(2);
         let bigger = Cluster::tiny_test(4);
         let err = StageGraph::new(model.graph(), &bigger, stages, 8).unwrap_err();
-        assert_eq!(
-            err,
-            StageGraphError::DeviceCoverage {
-                assigned: 2,
-                available: 4
-            }
-        );
+        assert_eq!(err.violation().check, Check::DeviceCoverage, "{err}");
     }
 
     #[test]
@@ -534,7 +440,8 @@ mod tests {
         let (model, cluster, mut stages) = chain_stages(2);
         stages[0].micro_batch = 3; // does not divide 8
         let err = StageGraph::new(model.graph(), &cluster, stages, 8).unwrap_err();
-        assert_eq!(err, StageGraphError::BadMicroBatch(StageId(0)));
+        assert_eq!(err.violation().check, Check::MicroBatchDivides, "{err}");
+        assert_eq!(err.violation().location.stage, Some(StageId(0)), "{err}");
     }
 
     #[test]
@@ -542,7 +449,8 @@ mod tests {
         let (model, cluster, mut stages) = chain_stages(2);
         stages[0].kfkb = 0;
         let err = StageGraph::new(model.graph(), &cluster, stages, 8).unwrap_err();
-        assert_eq!(err, StageGraphError::EmptyStage(StageId(0)));
+        assert_eq!(err.violation().check, Check::StageNonEmpty, "{err}");
+        assert_eq!(err.violation().location.stage, Some(StageId(0)), "{err}");
     }
 
     #[test]
@@ -570,11 +478,11 @@ mod tests {
 
     #[test]
     fn error_display() {
-        let e = StageGraphError::DeviceCoverage {
-            assigned: 2,
-            available: 4,
-        };
-        assert!(e.to_string().contains("2 devices"));
+        let (model, _, stages) = chain_stages(2);
+        let e = StageGraph::new(model.graph(), &Cluster::tiny_test(4), stages, 8).unwrap_err();
+        let text = e.to_string();
+        assert!(text.contains("device-coverage"), "{text}");
+        assert!(text.contains("2 devices"), "{text}");
     }
 }
 
@@ -611,5 +519,14 @@ mod sequential_tests {
         assert!(chain.succs(StageId(0)).contains(&StageId(1)));
         assert!(chain.succs(StageId(0)).contains(&StageId(2)));
         assert!(chain.succs(StageId(1)).contains(&StageId(2)));
+        // Merge stage first: the chain S0 -> S1 runs against the data edge
+        // S1 -> S0 and closes a cycle.
+        let merge_first = vec![
+            make(&all[10..], 0),
+            make(&all[0..5], 1),
+            make(&all[5..10], 2),
+        ];
+        let err = StageGraph::new_sequential(g, &cluster, merge_first, 8).unwrap_err();
+        assert_eq!(err.violation().check, Check::StageAcyclic, "{err}");
     }
 }

@@ -35,43 +35,6 @@ impl fmt::Display for Task {
     }
 }
 
-/// Errors raised when a task order violates condition C4 of §3.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ScheduleError {
-    /// Forward passes are out of order or duplicated.
-    ForwardOrder(StageId),
-    /// Backward passes are out of order or duplicated.
-    BackwardOrder(StageId),
-    /// A backward pass precedes its own forward pass.
-    BackwardBeforeForward(StageId, u32),
-    /// The schedule does not contain exactly `B / b` passes per direction.
-    WrongTaskCount(StageId),
-}
-
-impl fmt::Display for ScheduleError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ScheduleError::ForwardOrder(s) => {
-                write!(f, "stage {s}: forward passes out of order (C4)")
-            }
-            ScheduleError::BackwardOrder(s) => {
-                write!(f, "stage {s}: backward passes out of order (C4)")
-            }
-            ScheduleError::BackwardBeforeForward(s, mb) => {
-                write!(
-                    f,
-                    "stage {s}: backward of micro-batch {mb} precedes its forward (C4)"
-                )
-            }
-            ScheduleError::WrongTaskCount(s) => {
-                write!(f, "stage {s}: wrong number of scheduled passes")
-            }
-        }
-    }
-}
-
-impl std::error::Error for ScheduleError {}
-
 /// The ordered task list of one stage.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StageSchedule {
@@ -146,40 +109,6 @@ impl StageSchedule {
         }
         peak as u64
     }
-
-    /// Checks condition C4: forwards in order, backwards in order, and each
-    /// forward before its backward; exactly `num_micro_batches` of each.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first violated clause as a [`ScheduleError`].
-    pub fn validate_c4(&self, num_micro_batches: u64) -> Result<(), ScheduleError> {
-        let mut next_f = 0u32;
-        let mut next_b = 0u32;
-        for t in &self.tasks {
-            match t.pass {
-                Pass::Forward => {
-                    if t.mb != next_f {
-                        return Err(ScheduleError::ForwardOrder(self.stage));
-                    }
-                    next_f += 1;
-                }
-                Pass::Backward => {
-                    if t.mb != next_b {
-                        return Err(ScheduleError::BackwardOrder(self.stage));
-                    }
-                    if t.mb >= next_f {
-                        return Err(ScheduleError::BackwardBeforeForward(self.stage, t.mb));
-                    }
-                    next_b += 1;
-                }
-            }
-        }
-        if next_f as u64 != num_micro_batches || next_b as u64 != num_micro_batches {
-            return Err(ScheduleError::WrongTaskCount(self.stage));
-        }
-        Ok(())
-    }
 }
 
 /// The complete static schedule of a strategy: one task order per stage.
@@ -211,20 +140,6 @@ impl PipelineSchedule {
     /// The schedule of a stage.
     pub fn stage(&self, id: StageId) -> &StageSchedule {
         &self.per_stage[id.index()]
-    }
-
-    /// Validates C4 for every stage against the stage graph's micro-batch
-    /// counts.
-    ///
-    /// # Errors
-    ///
-    /// Returns the first stage's violation.
-    pub fn validate_c4(&self, sg: &StageGraph) -> Result<(), ScheduleError> {
-        for s in &self.per_stage {
-            let m = sg.stage(s.stage).num_micro_batches(sg.mini_batch());
-            s.validate_c4(m)?;
-        }
-        Ok(())
     }
 }
 
@@ -383,7 +298,6 @@ mod tests {
         let s = StageSchedule::kfkb(StageId(0), 4, 1, 1);
         assert_eq!(render(&s), "F1 B1 F2 B2 F3 B3 F4 B4");
         assert_eq!(s.peak_in_flight_micro_batches(), 1);
-        s.validate_c4(4).unwrap();
     }
 
     #[test]
@@ -391,7 +305,6 @@ mod tests {
         let s = StageSchedule::kfkb(StageId(0), 4, 2, 1);
         assert_eq!(render(&s), "F1 F2 B1 F3 B2 F4 B3 B4");
         assert_eq!(s.peak_in_flight_micro_batches(), 2);
-        s.validate_c4(4).unwrap();
     }
 
     #[test]
@@ -399,7 +312,6 @@ mod tests {
         let s = StageSchedule::kfkb(StageId(0), 4, 2, 2);
         assert_eq!(render(&s), "F1 F2 B1 B2 F3 F4 B3 B4");
         assert_eq!(s.peak_in_flight_micro_batches(), 2);
-        s.validate_c4(4).unwrap();
     }
 
     #[test]
@@ -407,14 +319,16 @@ mod tests {
         let s = StageSchedule::kfkb(StageId(0), 2, 8, 1);
         assert_eq!(render(&s), "F1 F2 B1 B2");
         assert_eq!(s.warmup, 2);
-        s.validate_c4(2).unwrap();
     }
 
     #[test]
     fn warmup_at_least_k() {
         let s = StageSchedule::kfkb(StageId(0), 8, 1, 2);
+        assert_eq!(
+            render(&s),
+            "F1 F2 B1 B2 F3 F4 B3 B4 F5 F6 B5 B6 F7 F8 B7 B8"
+        );
         assert_eq!(s.warmup, 2);
-        s.validate_c4(8).unwrap();
         assert_eq!(s.peak_in_flight_micro_batches(), 2);
     }
 
@@ -424,7 +338,6 @@ mod tests {
             for l in 1..=m {
                 for k in [1u64, 2, 4] {
                     let s = StageSchedule::kfkb(StageId(0), m, l, k);
-                    s.validate_c4(m).unwrap();
                     assert_eq!(
                         s.peak_in_flight_micro_batches(),
                         l.max(k).min(m),
@@ -434,48 +347,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn c4_catches_reordered_forwards() {
-        let mut s = StageSchedule::kfkb(StageId(3), 4, 2, 1);
-        // Swap the two warm-up forwards.
-        s.tasks.swap(0, 1);
-        assert_eq!(
-            s.validate_c4(4),
-            Err(ScheduleError::ForwardOrder(StageId(3)))
-        );
-    }
-
-    #[test]
-    fn c4_catches_backward_before_forward() {
-        let s = StageSchedule {
-            stage: StageId(1),
-            warmup: 1,
-            tasks: vec![
-                Task {
-                    pass: Pass::Backward,
-                    mb: 0,
-                },
-                Task {
-                    pass: Pass::Forward,
-                    mb: 0,
-                },
-            ],
-        };
-        assert_eq!(
-            s.validate_c4(1),
-            Err(ScheduleError::BackwardBeforeForward(StageId(1), 0))
-        );
-    }
-
-    #[test]
-    fn c4_catches_wrong_count() {
-        let s = StageSchedule::kfkb(StageId(0), 4, 1, 1);
-        assert_eq!(
-            s.validate_c4(8),
-            Err(ScheduleError::WrongTaskCount(StageId(0)))
-        );
     }
 
     #[test]

@@ -56,10 +56,10 @@
 //!   `{"kind": "clustered", "units": N}`); absence means the exact-SP
 //!   path.
 //!
-//! Decoding is *validating*: the raw stage list runs through
-//! [`gp_verify::verify_stages`] before the stage graph is rebuilt (through
-//! [`StageGraph::new`], falling back to [`StageGraph::new_sequential`] for
-//! artifacts carrying imposed chain edges), and the assembled plan runs
+//! Decoding is *validating*: the stage graph is rebuilt once through
+//! [`StageGraph::new`] (plus [`StageGraph::into_sequential`] for artifacts
+//! carrying imposed chain edges), which runs the stage-list checks
+//! ([`gp_verify::verify_stages`]), and the assembled plan runs
 //! through [`gp_verify::verify_plan`] — C4 order, deadlock freedom, stash
 //! and memory bounds, estimate agreement. A corrupted or mismatched
 //! artifact fails with [`ArtifactError::Violation`], naming the exact
@@ -219,24 +219,42 @@ pub(crate) fn strategy_members(plan: &Plan) -> Vec<(String, Json)> {
     // Emitted only off the exact-SP path: pre-DAG plans (and their
     // fingerprints) stay byte-stable, while SP-ized/clustered strategies
     // carry the rung — and its accounting — in their identity.
-    match plan.path {
-        PlanPath::ExactSp => {}
-        PlanPath::SpIzed { distortion } => members.push((
-            "plan_path".into(),
-            Json::Obj(vec![
-                ("kind".into(), Json::Str("sp-ized".into())),
-                ("distortion".into(), Json::Int(i128::from(distortion))),
-            ]),
-        )),
-        PlanPath::Clustered { units } => members.push((
-            "plan_path".into(),
-            Json::Obj(vec![
-                ("kind".into(), Json::Str("clustered".into())),
-                ("units".into(), Json::Int(i128::from(units))),
-            ]),
-        )),
+    if let Some(path) = encode_plan_path(plan.path) {
+        members.push(("plan_path".into(), path));
     }
     members
+}
+
+/// Encodes a [`PlanPath`] as the JSON object both the artifact's
+/// `plan_path` member and the fleet request's `model.path` member carry:
+/// `{"kind": "sp-ized", "distortion": N}` or
+/// `{"kind": "clustered", "units": N}`. The exact-SP path is `None`: both
+/// documents spell it by leaving the member out.
+pub fn encode_plan_path(path: PlanPath) -> Option<Json> {
+    let (kind, key, value) = match path {
+        PlanPath::ExactSp => return None,
+        PlanPath::SpIzed { distortion } => ("sp-ized", "distortion", distortion),
+        PlanPath::Clustered { units } => ("clustered", "units", u64::from(units)),
+    };
+    Some(Json::Obj(vec![
+        ("kind".into(), Json::Str(kind.into())),
+        (key.into(), Json::Int(i128::from(value))),
+    ]))
+}
+
+/// Decodes what [`encode_plan_path`] wrote. `None` when the `kind` is
+/// missing or unknown, or its count is missing, ill-typed or out of
+/// range; each caller reports that as its own typed field error.
+pub fn decode_plan_path(doc: &Json) -> Option<PlanPath> {
+    match doc.get("kind")?.as_str()? {
+        "sp-ized" => Some(PlanPath::SpIzed {
+            distortion: doc.get("distortion")?.as_u64()?,
+        }),
+        "clustered" => Some(PlanPath::Clustered {
+            units: u32::try_from(doc.get("units")?.as_u64()?).ok()?,
+        }),
+        _ => None,
+    }
 }
 
 /// Encodes a plan as a version-[`VERSION`] artifact document, optionally
@@ -311,8 +329,9 @@ fn u32_field(doc: &Json, name: &'static str) -> Result<u32, ArtifactError> {
 
 /// Rebuilds and validates a stage graph from its parts, requiring its
 /// derived edge list to equal `expected_edges`. Tries the plain (C2-derived)
-/// construction first, then the sequential-pipeline construction, so both
-/// GraphPipe and SPP-baseline strategies reconstruct exactly.
+/// graph first, then the same graph with the sequential chain imposed, so
+/// both GraphPipe and SPP-baseline strategies reconstruct exactly. A stage
+/// list the constructor rejects fails with its first violation.
 pub fn rebuild_stage_graph(
     graph: &Graph,
     cluster: &Cluster,
@@ -320,20 +339,20 @@ pub fn rebuild_stage_graph(
     mini_batch: u64,
     expected_edges: &[(StageId, StageId)],
 ) -> Result<StageGraph, ArtifactError> {
-    let plain = StageGraph::new(graph, cluster, stages.clone(), mini_batch)
-        .map_err(|e| ArtifactError::Violation(gp_verify::violation_of_stage_graph_error(&e)))?;
-    if plain.stage_edges() == expected_edges {
+    let plain = StageGraph::new(graph, cluster, stages, mini_batch)
+        .map_err(|e| ArtifactError::Violation(e.violation().clone()))?;
+    let derived = plain.stage_edges();
+    if derived == expected_edges {
         return Ok(plain);
     }
-    if let Ok(seq) = StageGraph::new_sequential(graph, cluster, stages, mini_batch) {
+    if let Ok(seq) = plain.into_sequential() {
         if seq.stage_edges() == expected_edges {
             return Ok(seq);
         }
     }
-    // Neither construction reproduces the recorded edge list: name the
-    // first edge the data flow derives but the artifact lacks (or vice
-    // versa), so a mismatched model/cluster is diagnosed precisely.
-    let derived = plain.stage_edges();
+    // Neither graph reproduces the recorded edge list: name the first edge
+    // the data flow derives but the artifact lacks (or vice versa), so a
+    // mismatched model/cluster is diagnosed precisely.
     let disagreement = derived
         .iter()
         .find(|e| !expected_edges.contains(e))
@@ -428,14 +447,6 @@ pub fn decode_plan(
             kfkb: u64_field(s, "kfkb")?,
         });
     }
-    // Semantic verification of the raw stage list before the rebuild:
-    // every corruption (dense ids, op cover, convexity, device tiling,
-    // divisibility) is reported by invariant name rather than as an opaque
-    // constructor failure.
-    if let Some(v) = gp_verify::verify_stages(graph, cluster, &stages, mini_batch).first() {
-        return Err(ArtifactError::Violation(v.clone()));
-    }
-
     // Edges.
     let mut edges = Vec::new();
     for e in field(&doc, "edges")?
@@ -530,21 +541,7 @@ pub fn decode_plan(
     // Absent means the exact-SP path.
     let path = match doc.get("plan_path") {
         None => PlanPath::ExactSp,
-        Some(p) => {
-            let kind = p
-                .get("kind")
-                .and_then(Json::as_str)
-                .ok_or(ArtifactError::Field("plan_path.kind"))?;
-            match kind {
-                "sp-ized" => PlanPath::SpIzed {
-                    distortion: u64_field(p, "distortion")?,
-                },
-                "clustered" => PlanPath::Clustered {
-                    units: u32_field(p, "units")?,
-                },
-                _ => return Err(ArtifactError::Field("plan_path.kind")),
-            }
-        }
+        Some(p) => decode_plan_path(p).ok_or(ArtifactError::Field("plan_path"))?,
     };
 
     let plan = Plan {
@@ -636,7 +633,7 @@ mod tests {
     #[test]
     fn sequential_baseline_plans_round_trip() {
         // PipeDream imposes sequential edges; decode must reconstruct them
-        // through the new_sequential fallback.
+        // through the into_sequential fallback.
         let model = zoo::candle_uno(&CandleUnoConfig::tiny());
         let cluster = Cluster::summit_like(4);
         let plan = PipeDreamPlanner::new().plan(&model, &cluster, 32).unwrap();

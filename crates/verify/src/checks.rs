@@ -1,249 +1,40 @@
-//! The invariant checks themselves: `verify_stages`, `verify_stage_graph`,
+//! The invariant checks past the stage list: `verify_stage_graph`,
 //! `verify_schedule`, `verify_plan`, and `verify_strategy`.
 //!
 //! Every check is named after its DESIGN.md §"Invariant catalog" entry (see
 //! [`Check`]); the entry points compose so each caller pays only for the
-//! structures it holds. None of the checks execute anything — the
-//! deadlock-freedom certificate in particular is a topological argument
-//! over the same task dependency graph `gp-sim` relaxes, not a simulation.
+//! structures it holds. The stage-list checks (`verify_stages`) live in
+//! gp-sched, whose `StageGraph` constructors run them. None of the checks
+//! execute anything — the deadlock-freedom certificate in particular is a
+//! topological argument over the same task dependency graph `gp-sim`
+//! relaxes, not a simulation.
 
-use crate::report::{Check, Location, VerifyReport, Violation};
 use gp_cluster::Cluster;
 use gp_cost::{CostModel, Pass};
 use gp_ir::{Graph, SpModel};
 use gp_partition::Plan;
 use gp_sched::{
-    assign_in_flight, covering_micro_batches, PipelineSchedule, ScheduleError, Stage, StageGraph,
-    StageGraphError, StageId, TaskIndex,
+    assign_in_flight, covering_micro_batches, verify_stages, Check, Location, PipelineSchedule,
+    StageGraph, StageId, TaskIndex, VerifyReport,
 };
-
-/// Verifies the raw stage list against the model graph and cluster, before
-/// (or without) a [`StageGraph`] existing: `mini-batch-positive`,
-/// `stage-ids-dense`, `stage-nonempty`, `micro-batch-divides`,
-/// `op-cover-exact`, `op-convex`, `device-bounds`, `device-overlap`,
-/// `device-coverage`, and `stage-acyclic` over the data-derived stage DAG
-/// (DESIGN.md §"Invariant catalog").
-///
-/// This is the codec's trust anchor: a decoded artifact's stages run
-/// through here first, so a corrupted artifact is diagnosed by invariant
-/// name instead of failing opaquely inside `StageGraph::new`.
-pub fn verify_stages(
-    graph: &Graph,
-    cluster: &Cluster,
-    stages: &[Stage],
-    mini_batch: u64,
-) -> VerifyReport {
-    let mut report = VerifyReport::new();
-    if mini_batch == 0 {
-        report.fail(
-            Check::MiniBatchPositive,
-            Location::global(),
-            "mini-batch size is 0",
-        );
-    }
-    if stages.is_empty() {
-        report.fail(Check::OpCoverExact, Location::global(), "no stages");
-        return report;
-    }
-    let mut ids_dense = true;
-    for (i, s) in stages.iter().enumerate() {
-        if s.id.index() != i {
-            ids_dense = false;
-            report.fail(
-                Check::StageIdsDense,
-                Location::stage(s.id),
-                format!("stage at position {i} has id {}", s.id),
-            );
-        }
-        if s.ops.is_empty() {
-            report.fail(
-                Check::StageNonEmpty,
-                Location::stage(s.id),
-                "stage holds no operators",
-            );
-        }
-        if s.kfkb == 0 {
-            report.fail(
-                Check::StageNonEmpty,
-                Location::stage(s.id),
-                "kFkB parameter is 0",
-            );
-        }
-        if s.micro_batch == 0 {
-            report.fail(
-                Check::MicroBatchDivides,
-                Location::stage(s.id),
-                "micro-batch size is 0",
-            );
-        } else if mini_batch > 0 && !mini_batch.is_multiple_of(s.micro_batch) {
-            report.fail(
-                Check::MicroBatchDivides,
-                Location::stage(s.id),
-                format!(
-                    "micro-batch size {} does not divide mini-batch size {mini_batch}",
-                    s.micro_batch
-                ),
-            );
-        }
-    }
-    // C1, partition half: every operator covered exactly once, every
-    // referenced operator in range.
-    let mut ops_in_bounds = true;
-    let mut cover_exact = true;
-    let mut stage_of = vec![u32::MAX; graph.len()];
-    for s in stages {
-        for &op in &s.ops {
-            if op.index() >= graph.len() {
-                ops_in_bounds = false;
-                cover_exact = false;
-                report.fail(
-                    Check::OpCoverExact,
-                    Location::stage(s.id).at_op(op),
-                    format!("references operator outside the {}-op graph", graph.len()),
-                );
-            } else if stage_of[op.index()] != u32::MAX {
-                cover_exact = false;
-                report.fail(
-                    Check::OpCoverExact,
-                    Location::stage(s.id).at_op(op),
-                    format!(
-                        "operator already assigned to stage S{}",
-                        stage_of[op.index()]
-                    ),
-                );
-            } else {
-                stage_of[op.index()] = s.id.0;
-            }
-        }
-    }
-    for (i, &owner) in stage_of.iter().enumerate() {
-        if owner == u32::MAX {
-            cover_exact = false;
-            report.fail(
-                Check::OpCoverExact,
-                Location::global().at_op(gp_ir::OpId(i as u32)),
-                "operator is not assigned to any stage",
-            );
-        }
-    }
-    // C1, convexity half (needs in-bounds ops).
-    if ops_in_bounds {
-        for s in stages {
-            if !graph.is_convex(&s.ops) {
-                report.fail(
-                    Check::OpConvex,
-                    Location::stage(s.id),
-                    "operator set is not a convex subgraph: a path leaves and re-enters it",
-                );
-            }
-        }
-    }
-    // C3: device bounds, disjointness, exact coverage.
-    for s in stages {
-        if s.devices.last().index() >= cluster.device_count() {
-            report.fail(
-                Check::DeviceBounds,
-                Location::stage(s.id).on_device(s.devices.last()),
-                format!(
-                    "device outside the {}-device cluster",
-                    cluster.device_count()
-                ),
-            );
-        }
-    }
-    for (i, a) in stages.iter().enumerate() {
-        for b in &stages[i + 1..] {
-            if a.devices.overlaps(&b.devices) {
-                report.fail(
-                    Check::DeviceOverlap,
-                    Location::stage(a.id).on_device(b.devices.first().max(a.devices.first())),
-                    format!("device ranges of {} and {} overlap", a.id, b.id),
-                );
-            }
-        }
-    }
-    let assigned: usize = stages.iter().map(|s| s.devices.len()).sum();
-    if assigned != cluster.device_count() {
-        report.fail(
-            Check::DeviceCoverage,
-            Location::global(),
-            format!(
-                "stages assign {assigned} devices but the cluster has {}",
-                cluster.device_count()
-            ),
-        );
-    }
-    // Acyclicity of the data-derived stage DAG. Needs dense ids and an
-    // exact cover for a trustworthy `stage_of` table.
-    if ids_dense && cover_exact {
-        let n = stages.len();
-        let mut succs: Vec<Vec<u32>> = vec![Vec::new(); n];
-        let mut indeg = vec![0usize; n];
-        for (u, v) in graph.edges() {
-            let (su, sv) = (stage_of[u.index()], stage_of[v.index()]);
-            if su != sv && !succs[su as usize].contains(&sv) {
-                succs[su as usize].push(sv);
-                indeg[sv as usize] += 1;
-            }
-        }
-        let mut stack: Vec<u32> = (0..n as u32).filter(|&s| indeg[s as usize] == 0).collect();
-        let mut seen = 0usize;
-        while let Some(s) = stack.pop() {
-            seen += 1;
-            for &t in &succs[s as usize] {
-                indeg[t as usize] -= 1;
-                if indeg[t as usize] == 0 {
-                    stack.push(t);
-                }
-            }
-        }
-        if seen != n {
-            let cyclic = indeg
-                .iter()
-                .position(|&d| d > 0)
-                .map(|i| StageId(i as u32))
-                .expect("an unprocessed stage retains in-degree");
-            report.fail(
-                Check::StageAcyclic,
-                Location::stage(cyclic),
-                format!("the data-derived stage DAG is cyclic ({seen}/{n} stages sort)"),
-            );
-        }
-    }
-    report
-}
 
 /// Verifies a constructed [`StageGraph`]: everything [`verify_stages`]
 /// covers plus `edge-derivation` — every data-derived edge (condition C2)
 /// must be recorded, and any extra recorded edge must be an imposed
-/// sequential-chain edge `S_i -> S_{i+1}`; predecessor and successor lists
-/// must mirror each other (DESIGN.md §"Invariant catalog").
+/// sequential-chain edge `S_i -> S_{i+1}` (DESIGN.md §"Invariant
+/// catalog").
 ///
-/// `StageGraph::new` establishes these at construction; this re-proves
-/// them for graphs that arrive through serialization or other
-/// non-constructor paths.
+/// `StageGraph::new` establishes these at construction, against the graph
+/// and cluster it was given; this re-proves them against the graph and
+/// cluster the caller holds, which may differ.
 pub fn verify_stage_graph(graph: &Graph, cluster: &Cluster, sg: &StageGraph) -> VerifyReport {
-    let stages: Vec<Stage> = sg.stages().cloned().collect();
-    let mut report = verify_stages(graph, cluster, &stages, sg.mini_batch());
+    let mut report = verify_stages(graph, cluster, sg.stages().as_slice(), sg.mini_batch());
     if !report.is_clean() {
         return report;
     }
-    // Recorded edges: succs-derived, sorted by construction.
+    // Recorded edges, sorted by construction. The constructor fills the
+    // predecessor and successor lists together, so checking one suffices.
     let recorded = sg.stage_edges();
-    // preds must mirror succs.
-    let mut from_preds: Vec<(StageId, StageId)> = stages
-        .iter()
-        .flat_map(|s| sg.preds(s.id).iter().map(move |&p| (p, s.id)))
-        .collect();
-    from_preds.sort_unstable();
-    if from_preds != recorded {
-        report.fail(
-            Check::EdgeDerivation,
-            Location::global(),
-            "stage predecessor and successor lists disagree",
-        );
-        return report;
-    }
     // Every data edge must be recorded.
     let mut derived: Vec<(StageId, StageId)> = Vec::new();
     for (u, v) in graph.edges() {
@@ -673,43 +464,13 @@ pub fn verify_strategy(model: &SpModel, cluster: &Cluster, plan: &Plan) -> Verif
     report
 }
 
-/// Maps a [`StageGraphError`] (from `StageGraph::new`) to its catalog
-/// violation, so constructor failures report the same names as the
-/// analyzer.
-pub fn violation_of_stage_graph_error(e: &StageGraphError) -> Violation {
-    let (check, location) = match e {
-        StageGraphError::NotAPartition(op) => (Check::OpCoverExact, Location::global().at_op(*op)),
-        StageGraphError::NotConvex(s) => (Check::OpConvex, Location::stage(*s)),
-        StageGraphError::CyclicStages => (Check::StageAcyclic, Location::global()),
-        StageGraphError::DeviceOverlap(a, _) => (Check::DeviceOverlap, Location::stage(*a)),
-        StageGraphError::DeviceCoverage { .. } => (Check::DeviceCoverage, Location::global()),
-        StageGraphError::BadMicroBatch(s) => (Check::MicroBatchDivides, Location::stage(*s)),
-        StageGraphError::EmptyStage(s) => (Check::StageNonEmpty, Location::stage(*s)),
-    };
-    Violation::new(check, location, e.to_string())
-}
-
-/// Maps a [`ScheduleError`] (from `validate_c4`) to its catalog violation.
-pub fn violation_of_schedule_error(e: &ScheduleError) -> Violation {
-    let (check, location) = match e {
-        ScheduleError::ForwardOrder(s) => (Check::ForwardOrder, Location::stage(*s)),
-        ScheduleError::BackwardOrder(s) => (Check::BackwardOrder, Location::stage(*s)),
-        ScheduleError::BackwardBeforeForward(s, mb) => (
-            Check::BackwardAfterForward,
-            Location::stage(*s).at_task(*mb, Pass::Backward),
-        ),
-        ScheduleError::WrongTaskCount(s) => (Check::TaskMultiset, Location::stage(*s)),
-    };
-    Violation::new(check, location, e.to_string())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use gp_cluster::DeviceRange;
     use gp_ir::zoo;
     use gp_partition::{GraphPipePlanner, Planner};
-    use gp_sched::{schedule_tasks, StageSchedule, Task};
+    use gp_sched::{schedule_tasks, Stage, StageSchedule, Task};
 
     fn chain_plan() -> (SpModel, Cluster, Plan) {
         let model = zoo::mlp_chain(4, 16);
@@ -945,10 +706,11 @@ mod tests {
                 },
             ],
         };
-        // Both orders satisfy C4 in isolation...
-        deadlocked.validate_c4(&sg).unwrap();
-        // ...but the cross-stage dependency graph is cyclic.
+        // Both orders satisfy C4 in isolation (the certificate runs only
+        // once every per-stage check holds)...
         let report = verify_schedule(&sg, &deadlocked);
+        assert_eq!(report.violations().len(), 1, "{report}");
+        // ...but the cross-stage dependency graph is cyclic.
         assert!(report.violates(Check::DeadlockFree), "{report}");
         // The working order (enough warm-up upstream) proves clean.
         let fine = schedule_tasks(&sg, &assign_in_flight(&sg));
@@ -1021,66 +783,5 @@ mod tests {
         // The estimates were computed against the real cluster, so they
         // drift too — but memory-budget must be named independently.
         assert!(!report.is_clean());
-    }
-
-    #[test]
-    fn error_mappers_cover_every_variant() {
-        use gp_ir::OpId;
-        let cases = [
-            (
-                violation_of_stage_graph_error(&StageGraphError::NotAPartition(OpId(3))),
-                Check::OpCoverExact,
-            ),
-            (
-                violation_of_stage_graph_error(&StageGraphError::NotConvex(StageId(1))),
-                Check::OpConvex,
-            ),
-            (
-                violation_of_stage_graph_error(&StageGraphError::CyclicStages),
-                Check::StageAcyclic,
-            ),
-            (
-                violation_of_stage_graph_error(&StageGraphError::DeviceOverlap(
-                    StageId(0),
-                    StageId(1),
-                )),
-                Check::DeviceOverlap,
-            ),
-            (
-                violation_of_stage_graph_error(&StageGraphError::DeviceCoverage {
-                    assigned: 2,
-                    available: 4,
-                }),
-                Check::DeviceCoverage,
-            ),
-            (
-                violation_of_stage_graph_error(&StageGraphError::BadMicroBatch(StageId(2))),
-                Check::MicroBatchDivides,
-            ),
-            (
-                violation_of_stage_graph_error(&StageGraphError::EmptyStage(StageId(2))),
-                Check::StageNonEmpty,
-            ),
-            (
-                violation_of_schedule_error(&ScheduleError::ForwardOrder(StageId(0))),
-                Check::ForwardOrder,
-            ),
-            (
-                violation_of_schedule_error(&ScheduleError::BackwardOrder(StageId(0))),
-                Check::BackwardOrder,
-            ),
-            (
-                violation_of_schedule_error(&ScheduleError::BackwardBeforeForward(StageId(0), 2)),
-                Check::BackwardAfterForward,
-            ),
-            (
-                violation_of_schedule_error(&ScheduleError::WrongTaskCount(StageId(0))),
-                Check::TaskMultiset,
-            ),
-        ];
-        for (violation, expected) in cases {
-            assert_eq!(violation.check, expected, "{violation}");
-            assert!(!violation.detail.is_empty());
-        }
     }
 }

@@ -13,9 +13,11 @@
 //! The full catalog lives in DESIGN.md §"Invariant catalog"; each
 //! [`Check`] variant's doc comment names its entry. Entry points:
 //!
-//! - [`verify_stages`] — raw stage lists, before a `StageGraph` exists
-//!   (the codec's first line of defense);
-//! - [`verify_stage_graph`] — a constructed or deserialized [`StageGraph`];
+//! - [`verify_stages`] — raw stage lists; re-exported from gp-sched, whose
+//!   [`StageGraph`] constructors run it, so no stage graph exists without
+//!   passing it;
+//! - [`verify_stage_graph`] — a [`StageGraph`] against the graph and
+//!   cluster the caller holds;
 //! - [`verify_schedule`] — a [`PipelineSchedule`] against its stage graph,
 //!   including the topological deadlock certificate;
 //! - [`verify_plan`] — a complete [`Plan`] including in-flight, memory,
@@ -35,10 +37,6 @@
 //! [`SpModel`]: gp_ir::SpModel
 
 mod checks;
-mod report;
 
-pub use checks::{
-    verify_plan, verify_schedule, verify_stage_graph, verify_stages, verify_strategy,
-    violation_of_schedule_error, violation_of_stage_graph_error,
-};
-pub use report::{Check, Location, VerifyError, VerifyReport, Violation};
+pub use checks::{verify_plan, verify_schedule, verify_stage_graph, verify_strategy};
+pub use gp_sched::{verify_stages, Check, Location, VerifyError, VerifyReport, Violation};

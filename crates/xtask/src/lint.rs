@@ -30,8 +30,10 @@ pub const TAG: &str = "gp-lint: deterministic";
 pub const ALLOWLIST: &str = "lint-allowlist.txt";
 
 /// Files that MUST carry the tag: the fingerprint pipeline, the artifact
-/// codec, and every producer of the data they hash. Dropping the tag from
-/// one of these is a lint error, so the protection cannot silently erode.
+/// codec, every producer of the data they hash, and the stage-list checks
+/// that decide which stage graphs exist and name the codec's stage errors.
+/// Dropping the tag from one of these is a lint error, so the protection
+/// cannot silently erode.
 const REQUIRED_TAGGED: &[&str] = &[
     "crates/serve/src/fingerprint.rs",
     "crates/serve/src/artifact.rs",
@@ -40,6 +42,7 @@ const REQUIRED_TAGGED: &[&str] = &[
     "crates/fleet/src/store.rs",
     "crates/sim/src/engine.rs",
     "crates/sim/src/report.rs",
+    "crates/sched/src/report.rs",
     "crates/sched/src/stage.rs",
     "crates/sched/src/tasks.rs",
     "crates/sched/src/inflight.rs",

@@ -29,11 +29,12 @@ fn every_planner_produces_valid_strategies() {
             .build(PlanOptions::default(), &Telemetry::disabled())
             .plan(&model, &cluster, 64)
             .unwrap_or_else(|e| panic!("{} failed: {e}", kind.label()));
-        // C1-C3 are enforced by the StageGraph constructor; C4 re-checked.
-        plan.schedule.validate_c4(&plan.stage_graph).unwrap();
-        // All devices used exactly once.
-        let used: usize = plan.stage_graph.stages().map(|s| s.dp_degree()).sum();
-        assert_eq!(used, 4, "{}", kind.label());
+        // C1-C3 (every device used exactly once) are enforced by the
+        // StageGraph constructor; the verifier re-checks them with C4,
+        // deadlock freedom and the estimates.
+        verify_plan(model.graph(), &cluster, &plan)
+            .into_result()
+            .unwrap_or_else(|e| panic!("{}: {e}", kind.label()));
         // The schedule simulates without deadlock.
         let report = graphpipe::simulate_plan(&model, &cluster, &plan).unwrap();
         assert!(report.throughput > 0.0);

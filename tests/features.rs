@@ -21,7 +21,9 @@ fn per_stage_micro_batch_mode_plans_valid_strategies() {
     let plan = GraphPipePlanner::with_options(opts)
         .plan(&model, &cluster, 8)
         .unwrap();
-    plan.schedule.validate_c4(&plan.stage_graph).unwrap();
+    verify_plan(model.graph(), &cluster, &plan)
+        .into_result()
+        .unwrap();
     // Every stage size is one of the candidates and divides the mini-batch.
     for s in plan.stage_graph.stages() {
         assert!([2, 4].contains(&s.micro_batch), "b={}", s.micro_batch);
@@ -43,7 +45,9 @@ fn kfkb_candidates_are_searched() {
     let plan = GraphPipePlanner::with_options(opts)
         .plan(&model, &cluster, 16)
         .unwrap();
-    plan.schedule.validate_c4(&plan.stage_graph).unwrap();
+    verify_plan(model.graph(), &cluster, &plan)
+        .into_result()
+        .unwrap();
     assert!(plan
         .stage_graph
         .stages()
@@ -82,7 +86,7 @@ fn explicit_2f2b_schedule_executes() {
     assert_eq!(inflight.samples(StageId(1)), 4);
     assert!(inflight.samples(StageId(0)) > 4);
     let schedule = schedule_tasks(&sg, &inflight);
-    schedule.validate_c4(&sg).unwrap();
+    verify_schedule(&sg, &schedule).into_result().unwrap();
     let report = gp_sim::simulate(model.graph(), &cluster, &sg, &schedule).unwrap();
     assert!(report.throughput > 0.0);
 }
@@ -115,7 +119,9 @@ fn single_op_branches_plan() {
     for devices in [1usize, 2, 3, 4] {
         let cluster = Cluster::summit_like(devices);
         let plan = GraphPipePlanner::new().plan(&model, &cluster, 16).unwrap();
-        plan.schedule.validate_c4(&plan.stage_graph).unwrap();
+        verify_plan(model.graph(), &cluster, &plan)
+            .into_result()
+            .unwrap();
         assert!(
             graphpipe::simulate_plan(&model, &cluster, &plan)
                 .unwrap()

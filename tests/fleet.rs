@@ -1,18 +1,22 @@
 //! Integration tests for the `gp-fleet` distributed serving layer: the
 //! remote-equals-local determinism contract, crash/restart durability of
-//! the artifact store and its fault paths, the fingerprint-range shard
-//! partition, and the tenant-facing `Session::serve_fleet` surface.
+//! the artifact store and its fault paths, torn wire frames in both
+//! directions, the fingerprint-range shard partition, and the
+//! tenant-facing `Session::serve_fleet` surface.
 
 use graphpipe::cluster::Cluster;
+use graphpipe::fleet::protocol::{encode_request, read_frame};
 use graphpipe::fleet::{
     canonical_artifact, plan_locally, shard_of, AdmissionConfig, FleetConfig, FleetService,
-    PlanWorker, RemoteWorker, Served, TenantClass, TenantSpec, WorkerServer,
+    PlanWorker, RemoteWorker, Served, TenantClass, TenantSpec, WorkerFailure, WorkerServer,
 };
 use graphpipe::ir::zoo::{self, CandleUnoConfig, DlrmConfig, MmtConfig, MoeConfig};
 use graphpipe::ir::SpModel;
 use graphpipe::obs::Telemetry;
 use graphpipe::prelude::*;
-use graphpipe::serve::{PlanRequest, ServePlanner};
+use graphpipe::serve::{PlanRequest, ServeError, ServePlanner};
+use std::io::Write;
+use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -390,4 +394,63 @@ fn a_failed_store_write_still_serves_the_plan() {
     let repeat = fleet.submit("t", request).unwrap();
     assert_eq!(repeat.served(), Served::Cache);
     repeat.wait().expect("cached plan");
+}
+
+/// Fault injection: a worker that dies mid-reply — a length prefix, half
+/// the payload, then EOF — is unavailable, never a wrong answer. A fleet
+/// whose only worker does this fails the request after one attempt.
+#[test]
+fn a_worker_that_dies_mid_reply_is_unavailable() {
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap().to_string();
+    // Answers the direct call, then the fleet's: a length prefix for 8
+    // bytes, then 4 of them.
+    let peer = std::thread::spawn(move || {
+        for _ in 0..2 {
+            let (mut stream, _) = listener.accept().unwrap();
+            read_frame(&mut stream).expect("the request frame arrives whole");
+            stream
+                .write_all(&[0, 0, 0, 8, b'{', b'"', b'f', b'o'])
+                .unwrap();
+        }
+    });
+    let request = zoo_requests().remove(0);
+    match RemoteWorker::new(addr.clone()).plan(&request) {
+        Err(WorkerFailure::Unavailable(why)) => assert!(why.contains("recv"), "{why}"),
+        other => panic!("expected Unavailable, got {other:?}"),
+    }
+    let fleet = FleetService::start(FleetConfig {
+        local_workers: 0,
+        remote_workers: vec![addr],
+        ..FleetConfig::default()
+    })
+    .unwrap();
+    match fleet.submit("t", request).unwrap().wait() {
+        Err(ServeError::WorkerUnavailable { attempts }) => assert_eq!(attempts, 1),
+        other => panic!("expected WorkerUnavailable, got {other:?}"),
+    }
+    assert_eq!(fleet.stats().worker_errors, 1);
+    peer.join().unwrap();
+}
+
+/// Fault injection: a client that writes half a request frame and closes
+/// gets no answer and is not counted as served; the worker answers the
+/// next well-formed request.
+#[test]
+fn a_half_written_request_frame_is_dropped() {
+    let mut server = WorkerServer::bind("127.0.0.1:0", Telemetry::disabled()).unwrap();
+    let request = zoo_requests().remove(0);
+    let frame = encode_request(&request);
+    let prefix = (frame.len() as u32).to_be_bytes();
+    let torn = [&prefix[..], &frame.as_bytes()[..frame.len() / 2]].concat();
+    // The stream is dropped, and so closed, right after the write.
+    TcpStream::connect(server.addr())
+        .unwrap()
+        .write_all(&torn)
+        .unwrap();
+    RemoteWorker::new(server.addr().to_string())
+        .plan(&request)
+        .expect("the next request is answered");
+    assert_eq!(server.served(), 1);
+    server.shutdown();
 }

@@ -6,7 +6,9 @@
 
 use graphpipe::ir::{GraphBuilder, OpKind, Shape, SpBlock, SpModel};
 use graphpipe::prelude::*;
-use graphpipe::sched::compute_in_flight;
+use graphpipe::sched::{
+    compute_in_flight, PipelineSchedule, Stage, StageGraph, StageId, StageSchedule,
+};
 use proptest::prelude::*;
 
 /// Generates a random multi-branch MLP: `branches` parallel chains of
@@ -44,9 +46,10 @@ fn random_model(branches: usize, layers: usize, width: usize) -> SpModel {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Any planned strategy on any random SP model is valid (C1-C4) and
-    /// simulates without deadlock; the simulator's peak memory never
-    /// exceeds the planner's bound.
+    /// Any planned strategy on any random SP model passes the plan
+    /// verifier (C1-C4, device coverage, the in-flight table, deadlock
+    /// freedom) and simulates; the simulator's peak memory never exceeds
+    /// the planner's bound.
     #[test]
     fn planned_strategies_are_valid(
         branches in 1usize..5,
@@ -61,19 +64,11 @@ proptest! {
         let plan = GraphPipePlanner::new()
             .plan(&model, &cluster, mini_batch)
             .expect("tiny models always fit");
-        plan.schedule.validate_c4(&plan.stage_graph).unwrap();
-        let used: usize = plan.stage_graph.stages().map(|s| s.dp_degree()).sum();
-        prop_assert_eq!(used, devices);
-        // Every op covered exactly once (C1) is enforced by construction;
-        // convexity too. The schedule must execute.
+        let report = verify_plan(model.graph(), &cluster, &plan);
+        prop_assert!(report.is_clean(), "{}", report);
         let report = graphpipe::simulate_plan(&model, &cluster, &plan).unwrap();
         prop_assert!(report.throughput > 0.0);
         prop_assert!(report.max_peak_memory() <= plan.peak_memory_bytes);
-        // The scheduler's in-flight table matches a recomputation.
-        let table = graphpipe::sched::assign_in_flight(&plan.stage_graph);
-        for s in plan.stage_graph.stages() {
-            prop_assert_eq!(plan.in_flight.samples(s.id), table.samples(s.id));
-        }
     }
 
     /// The sequential baseline is never structurally deeper than it is long,
@@ -152,23 +147,37 @@ proptest! {
         fresh.stats.zero_walls();
         prop_assert_eq!(&decoded, &fresh, "artifact was lossy: {}", text);
     }
+}
 
-    /// Schedules generated for any warm-up/k combination satisfy C4 and
-    /// peak exactly at the requested warm-up length.
-    #[test]
-    fn kfkb_schedules_are_well_formed(
-        m_log in 0u32..6,
-        warmup in 1u64..9,
-        k in 1u64..4,
-    ) {
-        let m = 1u64 << m_log;
-        let s = graphpipe::sched::StageSchedule::kfkb(
-            graphpipe::sched::StageId(0), m, warmup, k,
-        );
-        s.validate_c4(m).unwrap();
-        prop_assert_eq!(
-            s.peak_in_flight_micro_batches(),
-            warmup.max(k).min(m)
-        );
+/// Schedules generated for every warm-up/k combination satisfy C4 and peak
+/// exactly at the requested warm-up length, over the whole grid: m in
+/// 1..=32 (powers of two), warm-up in 1..=max(m, 8), k in 1..=4. Each order
+/// is checked on a one-stage graph, so no other stage constrains it.
+#[test]
+fn kfkb_schedules_are_well_formed() {
+    let model = zoo::mlp_chain(1, 8);
+    for m in (0..6).map(|i| 1u64 << i) {
+        for k in 1u64..=4 {
+            let stage = Stage {
+                id: StageId(0),
+                ops: model.linearize(),
+                devices: DeviceRange::new(0, 1),
+                micro_batch: 1,
+                kfkb: k,
+            };
+            let sg =
+                StageGraph::new(model.graph(), &Cluster::tiny_test(1), vec![stage], m).unwrap();
+            for warmup in 1..=m.max(8) {
+                let case = format!("m {m}, warmup {warmup}, k {k}");
+                let s = StageSchedule::kfkb(StageId(0), m, warmup, k);
+                assert_eq!(
+                    s.peak_in_flight_micro_batches(),
+                    warmup.max(k).min(m),
+                    "{case}"
+                );
+                let report = verify_schedule(&sg, &PipelineSchedule { per_stage: vec![s] });
+                assert!(report.is_clean(), "{case}: {report}");
+            }
+        }
     }
 }

@@ -6,7 +6,8 @@
 //! plan unmodified and (b) reject every corruption *by name*, i.e. the
 //! expected [`Check`] must appear in the report. The corruptions are
 //! applied at the layer where they can exist: raw stage lists go through
-//! [`verify_stages`], assembled plans through [`verify_plan`], and two
+//! [`verify_stages`] and the [`StageGraph`] constructors that run it,
+//! assembled plans through [`verify_plan`], and two
 //! byte-level corruptions go through the artifact codec to prove decode
 //! errors carry the violation name end to end (DESIGN.md §"Invariant
 //! catalog").
@@ -19,7 +20,7 @@
 use gp_cluster::{Cluster, DeviceRange};
 use gp_ir::{zoo, PlanPath, SpBlock, SpModel};
 use gp_partition::{GraphPipePlanner, Plan, Planner};
-use gp_sched::{InFlightTable, Stage, StageId};
+use gp_sched::{InFlightTable, Stage, StageGraph, StageId};
 use gp_serve::artifact::{decode_plan, encode_plan};
 use gp_serve::{Fingerprint, PlanRequest};
 use gp_verify::{verify_plan, verify_stages, verify_strategy, Check, VerifyReport};
@@ -72,8 +73,9 @@ fn stage_list(plan: &Plan) -> Vec<Stage> {
     plan.stage_graph.stages().cloned().collect()
 }
 
-/// Runs `mutate` on every golden cell's stage list and asserts the raw
-/// stage verifier names each `expected` check.
+/// Runs `mutate` on every golden cell's stage list and asserts that the
+/// raw stage verifier and the stage-graph constructor name each
+/// `expected` check.
 fn assert_stage_mutation(expected: &[Check], mutate: impl Fn(&mut Vec<Stage>, &mut u64, &Cluster)) {
     for (name, model, devices) in cells() {
         let cluster = Cluster::summit_like(devices);
@@ -82,11 +84,15 @@ fn assert_stage_mutation(expected: &[Check], mutate: impl Fn(&mut Vec<Stage>, &m
         let mut mini_batch = plan.stage_graph.mini_batch();
         mutate(&mut stages, &mut mini_batch, &cluster);
         let report = verify_stages(model.graph(), &cluster, &stages, mini_batch);
+        let err = StageGraph::new(model.graph(), &cluster, stages, mini_batch)
+            .expect_err("the constructor accepted a corrupted stage list");
         for check in expected {
-            assert!(
-                report.violates(*check),
-                "{name}: expected {check} in report, got: {report}"
-            );
+            for report in [&report, err.report()] {
+                assert!(
+                    report.violates(*check),
+                    "{name}: expected {check} in report, got: {report}"
+                );
+            }
         }
     }
 }
