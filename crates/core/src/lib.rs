@@ -105,9 +105,8 @@ pub mod verify {
 pub mod obs {
     pub use gp_obs::*;
 }
-/// Plan serving: sharded cache, persistent artifact store, local and
-/// remote planner workers, multi-tenant admission (re-export of
-/// `gp-fleet`).
+/// Plan serving: sharded cache, persistent artifact store, in-process
+/// planner workers, multi-tenant admission (re-export of `gp-fleet`).
 pub mod fleet {
     pub use gp_fleet::*;
 }

@@ -20,8 +20,7 @@
 //! * [`Session::serve_fleet`] → a [`SessionFleet`] that hands the *same*
 //!   [`PlanRequest`] to `gp-fleet`'s cached, single-flight
 //!   [`FleetService`], so local and served plans share one fingerprint and
-//!   one validation story ([`FleetConfig::local`] is the single-process
-//!   preset).
+//!   one validation story ([`FleetConfig::local`] is the minimal preset).
 //!
 //! # Examples
 //!
@@ -511,36 +510,28 @@ impl Session {
 
     /// Attaches this session to a fresh `gp-fleet` [`FleetService`] —
     /// the plan-serving front-end: a sharded plan cache, an optional
-    /// persistent artifact store, a pool of local and/or remote planner
-    /// workers, and multi-tenant admission control
-    /// ([`FleetConfig::local`] for a single-process service). The handle
-    /// submits this session's canonical [`Session::request`]s, so fleet
-    /// plans carry the same fingerprints as [`Session::plan`] (unless a
-    /// tenant tier rewrites the search options — then the ticket carries
-    /// the tier-scoped fingerprint).
+    /// persistent artifact store, a pool of in-process planner workers,
+    /// and multi-tenant admission control ([`FleetConfig::local`] is the
+    /// minimal preset). The handle submits this session's canonical
+    /// [`Session::request`]s, so fleet plans carry the same fingerprints
+    /// as [`Session::plan`] (unless a tenant tier rewrites the search
+    /// options — then the ticket carries the tier-scoped fingerprint).
     ///
     /// The session's telemetry handle replaces whatever `config.telemetry`
     /// held, so fleet counters land next to the session's own spans.
     ///
     /// # Errors
     ///
-    /// [`Error::Invalid`] when `config.store` is set and the store
-    /// directory cannot be opened or created.
+    /// [`Error::Invalid`] when [`FleetService::start`] refuses `config`:
+    /// `config.remote_workers` is not empty, or `config.store` is set and
+    /// the store directory cannot be opened or created.
     pub fn serve_fleet(&self, config: FleetConfig) -> Result<SessionFleet, Error> {
         let config = FleetConfig {
             telemetry: self.telemetry.clone(),
             ..config
         };
-        let store = config.store.clone();
-        let fleet = FleetService::start(config).map_err(|e| {
-            Error::Invalid(format!(
-                "cannot open fleet artifact store {}: {e}",
-                store
-                    .as_deref()
-                    .map(|p| p.display().to_string())
-                    .unwrap_or_default()
-            ))
-        })?;
+        let fleet = FleetService::start(config)
+            .map_err(|e| Error::Invalid(format!("cannot start the plan fleet: {e}")))?;
         Ok(SessionFleet {
             fleet,
             session: self.clone(),
@@ -900,17 +891,17 @@ impl SessionFleet {
     /// # Errors
     ///
     /// Planner failures surface as [`Error::Plan`] (the same variant
-    /// [`Session::plan`] reports); admission refusals and worker-pool
-    /// exhaustion as [`Error::Serve`] wrapping
-    /// [`ServeError::Overloaded`](gp_serve::ServeError) or
-    /// [`ServeError::WorkerUnavailable`](gp_serve::ServeError).
+    /// [`Session::plan`] reports); admission refusals as [`Error::Serve`]
+    /// wrapping [`ServeError::Overloaded`](gp_serve::ServeError), and a
+    /// fleet that shut down with the request queued as
+    /// [`ServeError::ServiceStopped`](gp_serve::ServeError).
     pub fn plan_as(&self, tenant: &str, kind: PlannerKind) -> Result<PlannedStrategy, Error> {
         let ticket = self.fleet.submit(tenant, self.session.request(kind))?;
         let fingerprint = ticket.fingerprint();
         let plan = ticket.wait()?;
-        // The fleet verified the plan before caching it (worker-side trust
-        // boundary); debug builds re-verify against *this* session's model
-        // to catch cache-keying bugs that hand back a foreign plan.
+        // The fleet's worker verified the plan before caching it; debug
+        // builds re-verify against *this* session's model to catch
+        // cache-keying bugs that hand back a foreign plan.
         #[cfg(debug_assertions)]
         {
             let report =
@@ -933,7 +924,7 @@ impl SessionFleet {
     }
 
     /// The underlying fleet service, for hand-built [`PlanRequest`]s or
-    /// store/worker introspection.
+    /// store introspection.
     pub fn fleet(&self) -> &FleetService {
         &self.fleet
     }

@@ -1,10 +1,10 @@
-//! # gp-fleet — plan serving, from one process to a fleet
+//! # gp-fleet — the plan service
 //!
 //! The workspace's one plan service. `gp-serve` supplies the request
 //! fingerprints, the artifact codec, and the planner factory; this crate
-//! serves plans on top of them. [`FleetConfig::local`] is the
-//! single-process preset (one shard, in-process workers, no store, no
-//! admission rewrites); the same service scales out to a fleet:
+//! serves plans on top of them, in-process. [`FleetConfig::local`] is
+//! the minimal preset (one shard, no store, no admission rewrites); the
+//! full service composes:
 //!
 //! * [`ShardedPlanCache`] — N independent LRU shards selected by
 //!   fingerprint range, so concurrent tenants contend on `1/N` of the
@@ -12,10 +12,9 @@
 //! * [`ArtifactStore`] — a directory of canonical plan artifacts, one
 //!   file per key, whose names are the index; a warm restart decodes
 //!   instead of replanning.
-//! * [`PlanWorker`] / [`WorkerServer`] — planning as a backend: the same
-//!   request/artifact contract served by in-process threads or by remote
-//!   hosts over a length-prefixed TCP protocol ([`protocol`]), with
-//!   worker death handled by retrying the next worker.
+//! * [`LocalWorker`] — in-process planning, one dispatcher thread per
+//!   worker; [`PlanWorker`] is the seam tests use to inject gated or
+//!   failing workers.
 //! * [`AdmissionControl`] — multi-tenant admission: eval-budget tiers,
 //!   per-tenant in-flight quotas, and backlog shedding.
 //! * [`FleetService`] — the front-end that composes all of the above
@@ -24,17 +23,16 @@
 //! ## Determinism contract
 //!
 //! Every layer preserves one invariant: **the served artifact is a pure
-//! function of the admitted request.** Workers strip search-time
-//! measurement from their artifacts ([`canonical_artifact`]), the wire
-//! codec is lossless in both directions, and store/cache entries are
-//! keyed by the same fingerprints `gp-serve` uses, plus the graph's
-//! numbering signature — so a plan served
-//! remotely, from disk, or from any shard is byte-identical to planning
-//! locally. DESIGN.md §"Fleet architecture" gives the full argument.
+//! function of the admitted request.** The planner is deterministic for a
+//! given request, workers zero the search stats of the plans they return
+//! ([`canonical_artifact`] is the store's byte form), and store and cache
+//! entries are keyed by the same fingerprints `gp-serve` uses, plus the
+//! graph's numbering signature — so a plan served from disk or from any
+//! shard is byte-identical to planning locally. DESIGN.md §"Fleet
+//! architecture" gives the full argument.
 
 pub mod admission;
 mod cache;
-pub mod protocol;
 pub mod service;
 pub mod shard;
 pub mod store;
@@ -43,13 +41,11 @@ pub mod worker;
 pub use admission::{
     AdmissionConfig, AdmissionControl, AdmissionToken, QuotaExceeded, TenantClass, TenantSpec,
 };
-pub use protocol::{canonical_artifact, ProtocolError, WireReply};
+pub use gp_serve::artifact::canonical_artifact;
 pub use service::{FleetConfig, FleetService, FleetStats, FleetTicket, Served};
 pub use shard::{shard_of, ShardStats, ShardedPlanCache};
 pub use store::ArtifactStore;
-pub use worker::{
-    plan_locally, LocalWorker, PlanWorker, RemoteWorker, WorkerFailure, WorkerServer,
-};
+pub use worker::{LocalWorker, PlanWorker};
 
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
@@ -71,7 +67,7 @@ mod doc_sync {
         let design = include_str!("../../../DESIGN.md");
         for needle in [
             "## Fleet architecture",
-            "graphpipe-plan-request",
+            "Planning runs in-process only",
             "<fingerprint>-<numbering>.json",
             "shard",
             "admission",

@@ -1,6 +1,6 @@
 //! The fleet front-end: [`FleetService`] ties the sharded cache, the
-//! persistent store, the worker pool, and admission control into one
-//! plan-serving surface.
+//! persistent store, the in-process planner pool, and admission control
+//! into one plan-serving surface.
 //!
 //! # Request path
 //!
@@ -15,10 +15,10 @@
 //! 3. **Single-flight join** — a request with the same key already being
 //!    planned; the new request subscribes to its result instead of
 //!    planning again.
-//! 4. **Worker pool** — the miss is queued; a dispatcher sends it to its
-//!    worker (in-process or remote), retrying the next worker when one is
-//!    unreachable. The worker's canonical artifact is decoded, verified,
-//!    persisted, cached, and fanned out.
+//! 4. **Planner pool** — the miss is queued; a dispatcher plans it on its
+//!    in-process worker, which verifies the plan and zeroes its search
+//!    stats. The plan is encoded once for the store, cached, and fanned
+//!    out.
 //!
 //! Admission happens before any of this: the tenant's tier rewrites the
 //! search options (changing the fingerprint — tier-scoped caching), a
@@ -33,7 +33,7 @@ use crate::cache::PlanKey;
 use crate::lock;
 use crate::shard::{ShardStats, ShardedPlanCache};
 use crate::store::ArtifactStore;
-use crate::worker::{LocalWorker, PlanWorker, RemoteWorker, WorkerFailure};
+use crate::worker::{LocalWorker, PlanWorker};
 use gp_obs::{ClockHandle, Histogram, HistogramSnapshot, Telemetry};
 use gp_partition::{Plan, PlanError};
 use gp_serve::{artifact, Fingerprint, PlanRequest, ServeError};
@@ -56,7 +56,9 @@ pub struct FleetConfig {
     pub cache_capacity: usize,
     /// In-process planner workers.
     pub local_workers: usize,
-    /// Remote planner workers, as `host:port` addresses.
+    /// Must stay empty: the fleet plans in-process only, and
+    /// [`FleetService::start`] refuses a non-empty list with
+    /// [`io::ErrorKind::Unsupported`].
     pub remote_workers: Vec<String>,
     /// Directory for the persistent artifact store; `None` disables it.
     pub store: Option<PathBuf>,
@@ -67,12 +69,12 @@ pub struct FleetConfig {
 }
 
 impl FleetConfig {
-    /// The single-process preset: one shard of `cache_capacity` plans,
-    /// `workers` in-process planner workers, no store, no remote workers,
-    /// and a [`Premium`](TenantClass::Premium) default tenant with no
-    /// quota or shedding. Admission therefore leaves every request
-    /// unchanged, and served plans carry the same fingerprints as planning
-    /// the request directly.
+    /// The minimal preset: one shard of `cache_capacity` plans,
+    /// `workers` in-process planner workers, no store, and a
+    /// [`Premium`](TenantClass::Premium) default tenant with no quota or
+    /// shedding. Admission therefore leaves every request unchanged, and
+    /// served plans carry the same fingerprints as planning the request
+    /// directly.
     ///
     /// # Panics
     ///
@@ -130,10 +132,6 @@ pub struct FleetStats {
     pub quota_refusals: u64,
     /// Refused by admission: miss backlog past the configured depth.
     pub shed: u64,
-    /// Failovers to another worker after an unreachable one.
-    pub retries: u64,
-    /// Worker attempts that found the worker unreachable.
-    pub worker_errors: u64,
     /// Successful planner runs across all workers.
     pub planner_runs: u64,
     /// Plans currently cached across all shards.
@@ -142,7 +140,8 @@ pub struct FleetStats {
     pub cache_evictions: u64,
     /// Submit-to-dispatch latency of queued misses (nanoseconds).
     pub queue_wait: HistogramSnapshot,
-    /// Per-request worker round-trip time (nanoseconds).
+    /// Planning time of each successful miss on its dispatcher: search
+    /// and verification (nanoseconds).
     pub worker_rtt: HistogramSnapshot,
     /// Per-shard counters, in shard order.
     pub shards: Vec<ShardStats>,
@@ -175,8 +174,8 @@ impl FleetStats {
             self.requests, self.shard_hits, self.store_hits, self.joins, self.misses
         ));
         out.push_str(&format!(
-            "shed {}  quota-refusals {}  retries {}  worker-errors {}  planner-runs {}\n",
-            self.shed, self.quota_refusals, self.retries, self.worker_errors, self.planner_runs
+            "shed {}  quota-refusals {}  planner-runs {}\n",
+            self.shed, self.quota_refusals, self.planner_runs
         ));
         out.push_str(&format!(
             "cached {}  evictions {}  store-rejects {}  hit-rate {:.3}  shed-rate {:.3}\n",
@@ -285,8 +284,6 @@ struct Counters {
     misses: AtomicU64,
     quota_refusals: AtomicU64,
     shed: AtomicU64,
-    retries: AtomicU64,
-    worker_errors: AtomicU64,
     planner_runs: AtomicU64,
 }
 
@@ -319,22 +316,18 @@ pub struct FleetService {
 }
 
 impl FleetService {
-    /// Builds the worker pool described by `config` and starts one
+    /// Builds the `config.local_workers` in-process workers and starts one
     /// dispatcher thread per worker.
     ///
     /// # Errors
     ///
-    /// Propagates the store-open failure when `config.store` is set.
-    /// Remote workers are *not* probed here — an unreachable address
-    /// surfaces per request, through the retry chain.
+    /// [`io::ErrorKind::Unsupported`] when `config.remote_workers` is not
+    /// empty; the store-open failure, naming the directory, when
+    /// `config.store` is set.
     pub fn start(config: FleetConfig) -> io::Result<FleetService> {
-        let mut workers: Vec<Box<dyn PlanWorker>> = Vec::new();
-        for i in 0..config.local_workers {
-            workers.push(Box::new(LocalWorker::new(i, config.telemetry.clone())));
-        }
-        for addr in &config.remote_workers {
-            workers.push(Box::new(RemoteWorker::new(addr.clone())));
-        }
+        let workers = (0..config.local_workers)
+            .map(|i| Box::new(LocalWorker::new(i, config.telemetry.clone())) as Box<dyn PlanWorker>)
+            .collect();
         Self::with_workers(config, workers)
     }
 
@@ -344,16 +337,24 @@ impl FleetService {
     ///
     /// # Errors
     ///
-    /// Propagates the store-open failure when `config.store` is set.
+    /// Same as [`start`](Self::start).
     pub fn with_workers(
         config: FleetConfig,
         mut workers: Vec<Box<dyn PlanWorker>>,
     ) -> io::Result<FleetService> {
+        if !config.remote_workers.is_empty() {
+            return Err(io::Error::new(
+                io::ErrorKind::Unsupported,
+                "remote planner workers are not supported; plan with local_workers",
+            ));
+        }
         if workers.is_empty() {
             workers.push(Box::new(LocalWorker::new(0, config.telemetry.clone())));
         }
         let store = match &config.store {
-            Some(dir) => Some(ArtifactStore::open(dir)?),
+            Some(dir) => Some(ArtifactStore::open(dir).map_err(|e| {
+                io::Error::new(e.kind(), format!("artifact store {}: {e}", dir.display()))
+            })?),
             None => None,
         };
         let (job_tx, jobs) = mpsc::channel::<Job>();
@@ -547,8 +548,6 @@ impl FleetService {
             misses: c.misses.load(Ordering::Relaxed),
             quota_refusals: c.quota_refusals.load(Ordering::Relaxed),
             shed: c.shed.load(Ordering::Relaxed),
-            retries: c.retries.load(Ordering::Relaxed),
-            worker_errors: c.worker_errors.load(Ordering::Relaxed),
             planner_runs: c.planner_runs.load(Ordering::Relaxed),
             cached_plans: self.shared.cache.len() as u64,
             cache_evictions: self.shared.cache.evictions(),
@@ -596,78 +595,36 @@ fn dispatcher_loop(shared: &Shared, worker_index: usize) {
         shared.queue_wait.record(wait_ns);
         shared.telemetry.record("fleet.queue_wait_ns", wait_ns);
         let span = shared.telemetry.span("fleet.dispatch");
-        let outcome = plan_via_workers(shared, worker_index, &job.request, job.key.0);
+        let outcome = plan_on(shared, &*shared.workers[worker_index], &job.request);
         drop(span);
         publish(shared, &job, outcome);
         shared.backlog.fetch_sub(1, Ordering::AcqRel);
     }
 }
 
-/// Walks the worker ring starting at `start`, skipping unreachable
-/// workers, and decodes + validates the winning artifact. Planner
-/// failures are deterministic and end the walk immediately.
-fn plan_via_workers(
+/// Plans a request on `worker`. A panicking planner fails this request
+/// like any planner error: every waiter gets the error and the dispatcher
+/// keeps serving.
+fn plan_on(
     shared: &Shared,
-    start: usize,
+    worker: &dyn PlanWorker,
     request: &PlanRequest,
-    fingerprint: Fingerprint,
-) -> Result<(String, Arc<Plan>), ServeError> {
-    let n = shared.workers.len();
-    let mut attempts = 0;
-    for k in 0..n {
-        let worker = &shared.workers[(start + k) % n];
-        attempts += 1;
-        if k > 0 {
-            shared.counters.retries.fetch_add(1, Ordering::Relaxed);
-            shared.telemetry.counter_add("fleet.retries", 1);
-        }
-        let start_ns = shared.clock.now_nanos();
-        // A panicking planner fails this request like any planner error:
-        // every waiter gets the error and the dispatcher keeps serving.
-        let attempt = panic::catch_unwind(AssertUnwindSafe(|| worker.plan(request)))
-            .unwrap_or_else(|payload| {
-                Err(WorkerFailure::Failed(ServeError::Plan(
-                    PlanError::Internal(format!(
-                        "worker {} panicked: {}",
-                        worker.describe(),
-                        panic_message(payload.as_ref())
-                    )),
-                )))
-            });
-        match attempt {
-            Ok(text) => {
-                let rtt = shared.clock.now_nanos().saturating_sub(start_ns);
-                shared.worker_rtt.record(rtt);
-                shared.telemetry.record("fleet.worker_rtt_ns", rtt);
-                shared.counters.planner_runs.fetch_add(1, Ordering::Relaxed);
-                let (plan, fp) =
-                    artifact::decode_plan(&text, request.model.graph(), &request.cluster).map_err(
-                        |e| {
-                            ServeError::Plan(PlanError::Internal(format!(
-                                "worker {} returned an invalid artifact: {e}",
-                                worker.describe()
-                            )))
-                        },
-                    )?;
-                if fp != Some(fingerprint) {
-                    return Err(ServeError::Plan(PlanError::Internal(format!(
-                        "worker {} answered for the wrong request",
-                        worker.describe()
-                    ))));
-                }
-                return Ok((text, Arc::new(plan)));
-            }
-            Err(WorkerFailure::Failed(e)) => return Err(e),
-            Err(WorkerFailure::Unavailable(_)) => {
-                shared
-                    .counters
-                    .worker_errors
-                    .fetch_add(1, Ordering::Relaxed);
-                shared.telemetry.counter_add("fleet.worker_errors", 1);
-            }
-        }
-    }
-    Err(ServeError::WorkerUnavailable { attempts })
+) -> Result<Arc<Plan>, ServeError> {
+    let start_ns = shared.clock.now_nanos();
+    let plan = panic::catch_unwind(AssertUnwindSafe(|| worker.plan(request))).unwrap_or_else(
+        |payload| {
+            Err(ServeError::Plan(PlanError::Internal(format!(
+                "worker {} panicked: {}",
+                worker.describe(),
+                panic_message(payload.as_ref())
+            ))))
+        },
+    )?;
+    let elapsed = shared.clock.now_nanos().saturating_sub(start_ns);
+    shared.worker_rtt.record(elapsed);
+    shared.telemetry.record("fleet.worker_rtt_ns", elapsed);
+    shared.counters.planner_runs.fetch_add(1, Ordering::Relaxed);
+    Ok(Arc::new(plan))
 }
 
 /// The text a panic was raised with.
@@ -682,24 +639,30 @@ fn panic_message(payload: &(dyn Any + Send)) -> &str {
 /// Persists and caches a planning run's plan, then answers every waiter.
 /// The in-flight lock is held until the plan is cached, so puts stay
 /// serialized and a submit that missed the cache still finds the flight.
-fn publish(shared: &Shared, job: &Job, outcome: Result<(String, Arc<Plan>), ServeError>) {
+fn publish(shared: &Shared, job: &Job, outcome: Reply) {
     let (fingerprint, numbering) = job.key;
+    // The worker zeroed the search stats, so this is the canonical
+    // artifact; it is encoded before the lock is taken.
+    let stored = shared
+        .store
+        .as_ref()
+        .zip(outcome.as_ref().ok())
+        .map(|(store, plan)| (store, artifact::encode_plan(plan, Some(fingerprint))));
     let mut inflight = lock(&shared.inflight);
     let waiters = inflight.remove(&job.key).unwrap_or_default();
-    let reply = outcome.map(|(text, plan)| {
-        if let Some(store) = &shared.store {
-            // Persisting is best-effort: a full disk must not fail the
-            // request, only the warm restart.
-            let _ = store.put(fingerprint, &text, numbering);
-        }
+    if let Some((store, text)) = &stored {
+        // Persisting is best-effort: a full disk must not fail the
+        // request, only the warm restart.
+        let _ = store.put(fingerprint, text, numbering);
+    }
+    if let Ok(plan) = &outcome {
         shared
             .cache
-            .insert(fingerprint, Arc::clone(&plan), numbering);
-        plan
-    });
+            .insert(fingerprint, Arc::clone(plan), numbering);
+    }
     drop(inflight);
     for tx in waiters {
-        let _ = tx.send(reply.clone());
+        let _ = tx.send(outcome.clone());
     }
 }
 
@@ -749,7 +712,7 @@ mod tests {
         fn describe(&self) -> String {
             "gate".into()
         }
-        fn plan(&self, request: &PlanRequest) -> Result<String, WorkerFailure> {
+        fn plan(&self, request: &PlanRequest) -> Result<Plan, ServeError> {
             let _ = lock(&self.0).recv();
             self.1.plan(request)
         }
@@ -861,49 +824,13 @@ mod tests {
     }
 
     #[test]
-    fn unreachable_workers_fail_over_in_order() {
-        struct Dead;
-        impl PlanWorker for Dead {
-            fn describe(&self) -> String {
-                "dead".into()
-            }
-            fn plan(&self, _request: &PlanRequest) -> Result<String, WorkerFailure> {
-                Err(WorkerFailure::Unavailable("gone".into()))
-            }
-        }
-        // Drive the ring walk directly from a fixed start index so the
-        // dead-first ordering is deterministic (through the service, the
-        // dispatcher that grabs the job — and hence the start worker —
-        // depends on thread scheduling).
-        let service = FleetService::with_workers(
-            FleetConfig {
-                local_workers: 0,
-                ..FleetConfig::default()
-            },
-            vec![
-                Box::new(Dead),
-                Box::new(LocalWorker::new(0, Telemetry::disabled())),
-            ],
-        )
-        .unwrap();
-        let req = request();
-        let fp = req.fingerprint();
-        plan_via_workers(&service.shared, 0, &req, fp).expect("failed over to the live worker");
-        let stats = service.stats();
-        assert_eq!(stats.worker_errors, 1, "{stats:?}");
-        assert_eq!(stats.retries, 1, "{stats:?}");
-        assert_eq!(stats.planner_runs, 1);
-
-        // An all-dead pool surfaces WorkerUnavailable with the attempt count.
-        let dead_fleet = FleetService::with_workers(
-            FleetConfig::default(),
-            vec![Box::new(Dead), Box::new(Dead)],
-        )
-        .unwrap();
-        match dead_fleet.submit("t", request()).unwrap().wait() {
-            Err(ServeError::WorkerUnavailable { attempts }) => assert_eq!(attempts, 2),
-            other => panic!("expected WorkerUnavailable, got {other:?}"),
-        }
+    fn remote_workers_are_unsupported() {
+        let config = FleetConfig {
+            remote_workers: vec!["127.0.0.1:7070".into()],
+            ..FleetConfig::local(1, 8)
+        };
+        let err = FleetService::start(config).err().expect("refused");
+        assert_eq!(err.kind(), io::ErrorKind::Unsupported, "{err}");
     }
 
     #[test]
@@ -1130,7 +1057,7 @@ mod tests {
             fn describe(&self) -> String {
                 "panicky".into()
             }
-            fn plan(&self, request: &PlanRequest) -> Result<String, WorkerFailure> {
+            fn plan(&self, request: &PlanRequest) -> Result<Plan, ServeError> {
                 assert_ne!(request.mini_batch, 16, "planner bug");
                 self.0.plan(request)
             }
@@ -1172,7 +1099,7 @@ mod tests {
             fn describe(&self) -> String {
                 "rendezvous".into()
             }
-            fn plan(&self, request: &PlanRequest) -> Result<String, WorkerFailure> {
+            fn plan(&self, request: &PlanRequest) -> Result<Plan, ServeError> {
                 let (count, changed) = &*self.inside;
                 let mut inside = lock(count);
                 *inside += 1;
@@ -1182,8 +1109,8 @@ mod tests {
                     .unwrap_or_else(PoisonError::into_inner);
                 drop(inside);
                 if wait.timed_out() {
-                    return Err(WorkerFailure::Failed(ServeError::Plan(
-                        PlanError::Internal("planned alone".into()),
+                    return Err(ServeError::Plan(PlanError::Internal(
+                        "planned alone".into(),
                     )));
                 }
                 self.worker.plan(request)

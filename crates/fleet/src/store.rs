@@ -7,7 +7,7 @@
 //! carry raw operator ids, so the pair is the key, as in the shard cache.
 //! The file holds byte-for-byte the canonical artifact the fleet serves
 //! (`graphpipe-plan` codec, search stats zeroed — see
-//! [`crate::canonical_artifact`]).
+//! [`gp_serve::artifact::canonical_artifact`]).
 //!
 //! Opening lists the directory in sorted name order and keeps the names
 //! that parse; no file is read until a request asks for it. A put writes a

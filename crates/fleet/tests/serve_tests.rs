@@ -1,6 +1,6 @@
 //! Integration tests for plan serving under real OS-thread concurrency:
 //! many client threads against one `FleetService`, from the
-//! single-process preset (`FleetConfig::local`) to a sharded,
+//! minimal preset (`FleetConfig::local`) to a sharded,
 //! store-backed, multi-tenant fleet.
 
 use gp_cluster::Cluster;

@@ -66,9 +66,9 @@
 //! * [`serve`] — plan-serving primitives: canonical graph fingerprints,
 //!   the lossless plan artifact codec, and the plan request types;
 //! * [`fleet`] — the plan service: the sharded cache, persistent artifact
-//!   store, local and remote planner workers, and multi-tenant admission
+//!   store, in-process planner workers, and multi-tenant admission
 //!   behind [`Session::serve_fleet`] ([`fleet::FleetConfig::local`] is the
-//!   single-process preset).
+//!   minimal preset).
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]

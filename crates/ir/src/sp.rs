@@ -273,9 +273,8 @@ impl SpModel {
     }
 
     /// Pairs a graph with a tree **without validating or normalizing** —
-    /// the seam that lets `gp-verify`'s mutation tests (and protocol
-    /// decoders that re-validate separately) build models the validating
-    /// constructor would reject. Production code paths must use
+    /// the seam that lets `gp-verify`'s mutation tests build models the
+    /// validating constructor would reject. Production code paths must use
     /// [`SpModel::new`] or [`crate::dag::plan_dag`].
     pub fn new_unchecked(
         name: impl Into<String>,
@@ -294,8 +293,8 @@ impl SpModel {
     }
 
     /// Returns the model with its plan path replaced. Used by the DAG
-    /// planning pipeline (and wire decoders) to record which rung of the
-    /// fallback ladder produced the tree; the path is absorbed into the
+    /// planning pipeline to record which rung of the fallback ladder
+    /// produced the tree; the path is absorbed into the
     /// model fingerprint whenever it is not [`PlanPath::ExactSp`].
     ///
     /// This is the only way a model changes after construction, so it is

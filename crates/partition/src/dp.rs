@@ -1781,6 +1781,13 @@ impl<'a> SearchCtx<'a> {
                 "kfkb_candidates must be non-empty and every k at least 1".to_string(),
             ));
         }
+        // A larger k schedules like k = mini-batch, but `k * b` in the
+        // in-flight formula wraps and lets an oversized stage fit.
+        if let Some(k) = options.kfkb_candidates.iter().find(|&&k| k > mini_batch) {
+            return Err(PlanError::Infeasible(format!(
+                "kfkb_candidates must not exceed the mini-batch {mini_batch}, got {k}"
+            )));
+        }
         let graph = model.graph();
         let cost = CostModel::new(cluster);
         let devices = cluster.device_count() as u32;
@@ -2409,9 +2416,11 @@ mod tests {
     #[test]
     fn hostile_search_options_are_rejected_before_any_probe() {
         // An epsilon under one ulp of relative gap never closes the
-        // bisection, k = 0 panics the in-flight formula, and no k at all
-        // used to be blamed on the memory budget.
-        let cases: [(&str, f64, &[u64]); 9] = [
+        // bisection, k = 0 panics the in-flight formula, no k at all used
+        // to be blamed on the memory budget, and a k whose product with the
+        // micro-batch wraps used to fit any stage and then hang the
+        // schedule builder.
+        let cases: [(&str, f64, &[u64]); 11] = [
             ("epsilon", 0.0, &[1]),
             ("epsilon", -1.0, &[1]),
             ("epsilon", 1e-16, &[1]),
@@ -2421,6 +2430,8 @@ mod tests {
             ("kfkb_candidates", 0.01, &[0]),
             ("kfkb_candidates", 0.01, &[1, 0]),
             ("kfkb_candidates", 0.01, &[]),
+            ("kfkb_candidates", 0.01, &[1, 1 << 62]),
+            ("kfkb_candidates", 0.01, &[u64::MAX]),
         ];
         for (option, epsilon, kfkb) in cases {
             let label = format!("epsilon {epsilon:?}, kfkb_candidates {kfkb:?}");

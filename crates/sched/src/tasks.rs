@@ -49,7 +49,8 @@ pub struct StageSchedule {
 impl StageSchedule {
     /// Builds the kFkB order for a stage with `num_micro_batches` tasks per
     /// direction, warm-up `warmup` (clamped to feasible values) and group
-    /// size `k`.
+    /// size `k` (clamped to the micro-batch count: every larger `k` runs
+    /// all forwards, then all backwards).
     ///
     /// # Panics
     ///
@@ -58,6 +59,7 @@ impl StageSchedule {
         assert!(num_micro_batches > 0, "need at least one micro-batch");
         assert!(k > 0, "kFkB requires k >= 1");
         let m = num_micro_batches;
+        let k = k.min(m);
         let l = warmup.max(k).min(m);
         let mut tasks = Vec::with_capacity(2 * m as usize);
         for mb in 0..l {
@@ -330,6 +332,21 @@ mod tests {
         );
         assert_eq!(s.warmup, 2);
         assert_eq!(s.peak_in_flight_micro_batches(), 2);
+    }
+
+    #[test]
+    fn k_beyond_the_micro_batch_count_is_clamped() {
+        let clamped = StageSchedule::kfkb(StageId(0), 4, 1, 4);
+        assert_eq!(render(&clamped), "F1 F2 F3 F4 B1 B2 B3 B4");
+        // Unclamped, each group loop spins u64::MAX times: build on a
+        // thread so a regression fails the test instead of hanging it.
+        let (done, built) = std::sync::mpsc::channel();
+        std::thread::spawn(move || done.send(StageSchedule::kfkb(StageId(0), 4, 1, u64::MAX)));
+        let huge = built
+            .recv_timeout(std::time::Duration::from_secs(5))
+            .expect("k = u64::MAX never finished");
+        assert_eq!(render(&huge), render(&clamped));
+        assert_eq!(huge.warmup, clamped.warmup);
     }
 
     #[test]

@@ -225,12 +225,11 @@ pub(crate) fn strategy_members(plan: &Plan) -> Vec<(String, Json)> {
     members
 }
 
-/// Encodes a [`PlanPath`] as the JSON object both the artifact's
-/// `plan_path` member and the fleet request's `model.path` member carry:
+/// Encodes a [`PlanPath`] as the artifact's `plan_path` member:
 /// `{"kind": "sp-ized", "distortion": N}` or
-/// `{"kind": "clustered", "units": N}`. The exact-SP path is `None`: both
-/// documents spell it by leaving the member out.
-pub fn encode_plan_path(path: PlanPath) -> Option<Json> {
+/// `{"kind": "clustered", "units": N}`. The exact-SP path is `None`: the
+/// artifact spells it by leaving the member out.
+fn encode_plan_path(path: PlanPath) -> Option<Json> {
     let (kind, key, value) = match path {
         PlanPath::ExactSp => return None,
         PlanPath::SpIzed { distortion } => ("sp-ized", "distortion", distortion),
@@ -244,8 +243,8 @@ pub fn encode_plan_path(path: PlanPath) -> Option<Json> {
 
 /// Decodes what [`encode_plan_path`] wrote. `None` when the `kind` is
 /// missing or unknown, or its count is missing, ill-typed or out of
-/// range; each caller reports that as its own typed field error.
-pub fn decode_plan_path(doc: &Json) -> Option<PlanPath> {
+/// range; the caller reports that as a typed field error.
+fn decode_plan_path(doc: &Json) -> Option<PlanPath> {
     match doc.get("kind")?.as_str()? {
         "sp-ized" => Some(PlanPath::SpIzed {
             distortion: doc.get("distortion")?.as_u64()?,
@@ -313,6 +312,18 @@ pub fn encode_plan(plan: &Plan, fingerprint: Option<Fingerprint>) -> String {
         ]),
     ));
     Json::Obj(members).to_string()
+}
+
+/// The canonical artifact the fleet serves and persists: [`encode_plan`]
+/// with the **search stats zeroed**. Search counters and wall clocks are
+/// measurement — they vary with the machine — while the strategy itself
+/// is a pure function of the request. Zeroing them makes the artifact
+/// bytes a pure function of the request too, which is the fleet's
+/// determinism contract: a store file holds exactly these bytes.
+pub fn canonical_artifact(plan: &Plan, fingerprint: Fingerprint) -> String {
+    let mut canonical = plan.clone();
+    canonical.stats = SearchStats::default();
+    encode_plan(&canonical, Some(fingerprint))
 }
 
 fn field<'j>(doc: &'j Json, name: &'static str) -> Result<&'j Json, ArtifactError> {
@@ -439,10 +450,16 @@ pub fn decode_plan(
         if dev_len == 0 {
             return Err(ArtifactError::Field("stages.dev_len"));
         }
+        // `DeviceRange` adds start and length in u32, so a range past the
+        // last addressable device is a field error, not an overflow.
+        let dev_start = u32_field(s, "dev_start")?;
+        if dev_start.checked_add(dev_len).is_none() {
+            return Err(ArtifactError::Field("stages.dev_start"));
+        }
         stages.push(Stage {
             id: StageId(u32_field(s, "id")?),
             ops,
-            devices: DeviceRange::new(u32_field(s, "dev_start")?, dev_len),
+            devices: DeviceRange::new(dev_start, dev_len),
             micro_batch: u64_field(s, "micro_batch")?,
             kfkb: u64_field(s, "kfkb")?,
         });
@@ -466,6 +483,12 @@ pub fn decode_plan(
     }
 
     let stage_graph = rebuild_stage_graph(graph, cluster, stages, mini_batch, &edges)?;
+    // A group larger than the mini-batch schedules like one of exactly the
+    // mini-batch, and the in-flight formula the verifier runs below
+    // multiplies it by the micro-batch size; no planner emits one.
+    if stage_graph.stages().any(|s| s.kfkb > mini_batch) {
+        return Err(ArtifactError::Field("stages.kfkb"));
+    }
 
     // In-flight table.
     let in_flight_samples = field(&doc, "in_flight")?
@@ -700,6 +723,93 @@ mod tests {
         // Decoding against a graph with different operators must fail the
         // rebuild validation rather than hand back a bogus strategy.
         assert!(decode_plan(&text, other.graph(), &cluster).is_err());
+    }
+
+    /// An unknown plan-path kind, or a kind without its count, is a typed
+    /// field error.
+    #[test]
+    fn hostile_plan_paths_are_field_errors() {
+        let model = zoo::gnn_pipe(&zoo::GnnPipeConfig::tiny());
+        let cluster = Cluster::summit_like(4);
+        let plan = GraphPipePlanner::new().plan(&model, &cluster, 32).unwrap();
+        let member = encode_plan_path(model.path())
+            .expect("gnn-pipe takes the SP-ized path")
+            .to_string();
+        let text = encode_plan(&plan, None);
+        assert!(text.contains(&member), "{text}");
+        for hostile in [
+            r#"{"kind":"bogus","distortion":1}"#,
+            r#"{"kind":"sp-ized"}"#,
+            r#"{"kind":"clustered"}"#,
+        ] {
+            assert_eq!(
+                decode_plan(&text.replacen(&member, hostile, 1), model.graph(), &cluster).err(),
+                Some(ArtifactError::Field("plan_path"))
+            );
+        }
+    }
+
+    /// A device range that ends past `u32::MAX` is a field error. Built
+    /// into a `DeviceRange`, its end overflowed: a debug build panicked
+    /// and a release build compared wrapped values.
+    #[test]
+    fn device_ranges_past_u32_are_field_errors() {
+        let model = zoo::mlp_chain(4, 64);
+        let cluster = Cluster::summit_like(4);
+        let plan = GraphPipePlanner::new().plan(&model, &cluster, 32).unwrap();
+        let text = encode_plan(&plan, None);
+        let devices = plan.stage_graph.stage(StageId(0)).devices;
+        let range = format!(
+            "\"dev_start\":{},\"dev_len\":{}",
+            devices.first().0,
+            devices.len()
+        );
+        assert!(text.contains(&range), "{text}");
+        for dev_len in [1, 2] {
+            let hostile = text.replacen(
+                &range,
+                &format!("\"dev_start\":{},\"dev_len\":{dev_len}", u32::MAX),
+                1,
+            );
+            assert_eq!(
+                decode_plan(&hostile, model.graph(), &cluster).unwrap_err(),
+                ArtifactError::Field("stages.dev_start"),
+                "dev_len {dev_len}"
+            );
+        }
+    }
+
+    /// A kFkB group larger than the mini-batch is a field error. Its
+    /// product with the micro-batch size overflowed the in-flight formula:
+    /// a debug build panicked, and a release build could wrap it into a
+    /// plan that verified.
+    #[test]
+    fn kfkb_above_the_mini_batch_is_a_field_error() {
+        let model = zoo::mlp_chain(4, 64);
+        let cluster = Cluster::summit_like(4);
+        let plan = GraphPipePlanner::new().plan(&model, &cluster, 32).unwrap();
+        let text = encode_plan(&plan, None);
+        let stage = plan.stage_graph.stage(StageId(0));
+        let schedule = |kfkb: u64| format!("\"micro_batch\":{},\"kfkb\":{kfkb}", stage.micro_batch);
+        assert!(text.contains(&schedule(stage.kfkb)), "{text}");
+        let decode = |kfkb: u64| {
+            let hostile = text.replacen(&schedule(stage.kfkb), &schedule(kfkb), 1);
+            decode_plan(&hostile, model.graph(), &cluster)
+        };
+        for kfkb in [33, 1 << 62, u64::MAX] {
+            assert_eq!(
+                decode(kfkb).unwrap_err(),
+                ArtifactError::Field("stages.kfkb"),
+                "kfkb {kfkb}"
+            );
+        }
+        // At the bound the group reaches the verifier, which names the
+        // schedule it contradicts.
+        assert!(
+            matches!(decode(32), Err(ArtifactError::Violation(_))),
+            "{:?}",
+            decode(32)
+        );
     }
 
     #[test]

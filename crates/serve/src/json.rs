@@ -1,10 +1,10 @@
 //! A minimal, dependency-free JSON document model.
 //!
-//! The plan artifact codec ([`crate::artifact`]) and the fleet wire
-//! protocol need a concrete wire format, and the workspace has no
-//! serialization dependency. This module is that format's
-//! foundation: a JSON value tree with a writer and a recursive-descent
-//! parser, built for **losslessness** rather than speed:
+//! The plan artifact codec ([`crate::artifact`]) needs a concrete
+//! document format, and the workspace has no serialization dependency.
+//! This module is that format's foundation: a JSON value tree with a
+//! writer and a recursive-descent parser, built for **losslessness**
+//! rather than speed:
 //!
 //! * integers are kept as [`Json::Int`] (`i128`, covering the full `u64`
 //!   range used by plan counters) and never pass through `f64`;
@@ -18,8 +18,8 @@
 //! Object member order is preserved (objects are association lists), which
 //! keeps encoded artifacts byte-stable.
 //!
-//! The parser reads bytes from outside the process (worker frames and
-//! stored artifacts), so it bounds its recursion: arrays and
+//! The parser reads bytes from outside the process (stored and shipped
+//! artifacts), so it bounds its recursion: arrays and
 //! objects nested deeper than [`MAX_DEPTH`] are a typed
 //! [`JsonErrorKind::TooDeep`] error rather than a stack overflow.
 //!
@@ -49,8 +49,8 @@ pub enum Json {
 }
 
 /// Deepest nesting of arrays and objects [`Json::parse`] accepts. The
-/// documents this workspace writes stay far below it (the fleet wire spends
-/// two levels per SP-tree level); anything deeper is hostile input.
+/// documents this workspace writes stay far below it (an artifact nests
+/// four levels); anything deeper is hostile input.
 pub const MAX_DEPTH: usize = 512;
 
 /// A parse failure, with the byte offset where it was detected.

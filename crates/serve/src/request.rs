@@ -2,9 +2,9 @@
 //! failures a serving layer reports.
 //!
 //! [`ServePlanner::build`] is the workspace's one planner factory: the
-//! `Session` facade and every `gp-fleet` worker construct planners through
-//! it, so a request planned locally, served from a fleet, or planned by a
-//! remote worker runs the same search.
+//! `Session` facade and the `gp-fleet` worker construct planners through
+//! it, so a request planned locally or served from a fleet runs the same
+//! search.
 
 use crate::fingerprint::{request_fingerprint, Fingerprint};
 use gp_baselines::{PipeDreamPlanner, PiperPlanner};
@@ -133,12 +133,6 @@ pub enum ServeError {
         /// at refusal time.
         depth: usize,
     },
-    /// Every configured planner worker was unreachable (`gp-fleet` remote
-    /// planning); the request was tried on `attempts` workers.
-    WorkerUnavailable {
-        /// Workers tried before giving up.
-        attempts: usize,
-    },
 }
 
 impl fmt::Display for ServeError {
@@ -151,9 +145,6 @@ impl fmt::Display for ServeError {
             ServeError::ServiceStopped => write!(f, "plan service stopped"),
             ServeError::Overloaded { tenant, depth } => {
                 write!(f, "request shed for tenant `{tenant}` (depth {depth})")
-            }
-            ServeError::WorkerUnavailable { attempts } => {
-                write!(f, "no planner worker reachable (tried {attempts})")
             }
         }
     }

@@ -38,7 +38,6 @@ const REQUIRED_TAGGED: &[&str] = &[
     "crates/serve/src/fingerprint.rs",
     "crates/serve/src/artifact.rs",
     "crates/serve/src/json.rs",
-    "crates/fleet/src/protocol.rs",
     "crates/fleet/src/store.rs",
     "crates/sim/src/engine.rs",
     "crates/sim/src/report.rs",

@@ -1,22 +1,17 @@
-//! Integration tests for the `gp-fleet` distributed serving layer: the
-//! remote-equals-local determinism contract, crash/restart durability of
-//! the artifact store and its fault paths, torn wire frames in both
-//! directions, the fingerprint-range shard partition, and the
-//! tenant-facing `Session::serve_fleet` surface.
+//! Integration tests for the `gp-fleet` serving layer: crash/restart
+//! durability of the artifact store and its fault paths, the
+//! fingerprint-range shard partition, and the tenant-facing
+//! `Session::serve_fleet` surface.
 
 use graphpipe::cluster::Cluster;
-use graphpipe::fleet::protocol::{encode_request, read_frame};
 use graphpipe::fleet::{
-    canonical_artifact, plan_locally, shard_of, AdmissionConfig, FleetConfig, FleetService,
-    PlanWorker, RemoteWorker, Served, TenantClass, TenantSpec, WorkerFailure, WorkerServer,
+    canonical_artifact, shard_of, AdmissionConfig, FleetConfig, FleetService, Served, TenantClass,
+    TenantSpec,
 };
 use graphpipe::ir::zoo::{self, CandleUnoConfig, DlrmConfig, MmtConfig, MoeConfig};
 use graphpipe::ir::SpModel;
-use graphpipe::obs::Telemetry;
 use graphpipe::prelude::*;
-use graphpipe::serve::{PlanRequest, ServeError, ServePlanner};
-use std::io::Write;
-use std::net::{TcpListener, TcpStream};
+use graphpipe::serve::{PlanRequest, ServePlanner};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -68,39 +63,6 @@ impl Drop for TempDir {
     fn drop(&mut self) {
         let _ = std::fs::remove_dir_all(&self.0);
     }
-}
-
-/// The acceptance criterion of the fleet layer: for every zoo model, an
-/// artifact planned by a remote worker over the wire protocol is
-/// byte-identical to one planned in-process — same fingerprint header,
-/// same encoded bytes.
-#[test]
-fn remote_planning_is_byte_identical_to_local_for_every_zoo_model() {
-    let mut server = WorkerServer::bind("127.0.0.1:0", Telemetry::disabled()).unwrap();
-    let remote = RemoteWorker::new(server.addr().to_string());
-    let mut checked = 0;
-    for request in zoo_requests() {
-        let local = plan_locally(&request, &Telemetry::disabled()).expect("local plan");
-        let served = remote.plan(&request).expect("remote plan");
-        assert_eq!(
-            served,
-            local,
-            "remote/local artifact divergence for model `{}`",
-            request.model.name()
-        );
-        checked += 1;
-    }
-    // One baseline planner through the same wire path.
-    let baseline = zoo_requests()
-        .remove(1)
-        .with_planner(ServePlanner::PipeDream);
-    assert_eq!(
-        remote.plan(&baseline).expect("remote baseline plan"),
-        plan_locally(&baseline, &Telemetry::disabled()).expect("local baseline plan"),
-    );
-    checked += 1;
-    assert_eq!(server.served() as usize, checked);
-    server.shutdown();
 }
 
 /// Crash/restart durability: plan through a store-backed fleet, drop the
@@ -267,52 +229,6 @@ fn session_serve_fleet_plans_tiers_and_sheds() {
     assert_eq!(stats.misses, 2);
 }
 
-/// A fleet fronted by a real TCP worker serves the same bytes the local
-/// pool would, end to end through the service (cache, store, dispatch).
-#[test]
-fn fleet_with_remote_worker_matches_local_fleet() {
-    let dir = TempDir::new("remote");
-    let mut server = WorkerServer::bind("127.0.0.1:0", Telemetry::disabled()).unwrap();
-
-    let remote_fleet = FleetService::start(FleetConfig {
-        local_workers: 0,
-        remote_workers: vec![server.addr().to_string()],
-        store: Some(dir.path().join("remote")),
-        ..FleetConfig::default()
-    })
-    .unwrap();
-    let local_fleet = FleetService::start(FleetConfig {
-        store: Some(dir.path().join("local")),
-        ..FleetConfig::default()
-    })
-    .unwrap();
-
-    let requests = zoo_requests();
-    for request in &requests {
-        let via_remote = remote_fleet.submit("t", request.clone()).unwrap();
-        let via_local = local_fleet.submit("t", request.clone()).unwrap();
-        let fp = via_remote.fingerprint();
-        assert_eq!(fp, via_local.fingerprint());
-        let remote_plan = via_remote.wait().expect("remote fleet plan");
-        let local_plan = via_local.wait().expect("local fleet plan");
-        assert_eq!(
-            canonical_artifact(&remote_plan, fp),
-            canonical_artifact(&local_plan, fp),
-            "fleet-level remote/local divergence for `{}`",
-            request.model.name()
-        );
-        // Both stores persisted the same canonical bytes.
-        let remote_stored = remote_fleet.store().unwrap().get(&fp).unwrap().0;
-        let local_stored = local_fleet.store().unwrap().get(&fp).unwrap().0;
-        assert_eq!(remote_stored, local_stored);
-    }
-    // Exactly one planner run, and one worker call, per distinct request.
-    let n = requests.len() as u64;
-    assert_eq!(remote_fleet.stats().planner_runs, n, "planner runs");
-    assert_eq!(server.served(), n, "worker calls");
-    server.shutdown();
-}
-
 /// The store file of a request's artifact: `<fingerprint>-<numbering>.json`.
 fn artifact_path(dir: &std::path::Path, request: &PlanRequest) -> PathBuf {
     dir.join(format!(
@@ -394,63 +310,4 @@ fn a_failed_store_write_still_serves_the_plan() {
     let repeat = fleet.submit("t", request).unwrap();
     assert_eq!(repeat.served(), Served::Cache);
     repeat.wait().expect("cached plan");
-}
-
-/// Fault injection: a worker that dies mid-reply — a length prefix, half
-/// the payload, then EOF — is unavailable, never a wrong answer. A fleet
-/// whose only worker does this fails the request after one attempt.
-#[test]
-fn a_worker_that_dies_mid_reply_is_unavailable() {
-    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-    let addr = listener.local_addr().unwrap().to_string();
-    // Answers the direct call, then the fleet's: a length prefix for 8
-    // bytes, then 4 of them.
-    let peer = std::thread::spawn(move || {
-        for _ in 0..2 {
-            let (mut stream, _) = listener.accept().unwrap();
-            read_frame(&mut stream).expect("the request frame arrives whole");
-            stream
-                .write_all(&[0, 0, 0, 8, b'{', b'"', b'f', b'o'])
-                .unwrap();
-        }
-    });
-    let request = zoo_requests().remove(0);
-    match RemoteWorker::new(addr.clone()).plan(&request) {
-        Err(WorkerFailure::Unavailable(why)) => assert!(why.contains("recv"), "{why}"),
-        other => panic!("expected Unavailable, got {other:?}"),
-    }
-    let fleet = FleetService::start(FleetConfig {
-        local_workers: 0,
-        remote_workers: vec![addr],
-        ..FleetConfig::default()
-    })
-    .unwrap();
-    match fleet.submit("t", request).unwrap().wait() {
-        Err(ServeError::WorkerUnavailable { attempts }) => assert_eq!(attempts, 1),
-        other => panic!("expected WorkerUnavailable, got {other:?}"),
-    }
-    assert_eq!(fleet.stats().worker_errors, 1);
-    peer.join().unwrap();
-}
-
-/// Fault injection: a client that writes half a request frame and closes
-/// gets no answer and is not counted as served; the worker answers the
-/// next well-formed request.
-#[test]
-fn a_half_written_request_frame_is_dropped() {
-    let mut server = WorkerServer::bind("127.0.0.1:0", Telemetry::disabled()).unwrap();
-    let request = zoo_requests().remove(0);
-    let frame = encode_request(&request);
-    let prefix = (frame.len() as u32).to_be_bytes();
-    let torn = [&prefix[..], &frame.as_bytes()[..frame.len() / 2]].concat();
-    // The stream is dropped, and so closed, right after the write.
-    TcpStream::connect(server.addr())
-        .unwrap()
-        .write_all(&torn)
-        .unwrap();
-    RemoteWorker::new(server.addr().to_string())
-        .plan(&request)
-        .expect("the next request is answered");
-    assert_eq!(server.served(), 1);
-    server.shutdown();
 }

@@ -73,8 +73,8 @@ fn served_plans_match_local_plans_and_hit_the_cache() {
     let served = fleet.plan(PlannerKind::GraphPipe).unwrap();
     let local = session.plan(PlannerKind::GraphPipe).unwrap();
     assert_eq!(served.fingerprint(), local.fingerprint());
-    // Identical strategies. Served plans are decoded from the canonical
-    // artifact (search stats zeroed), so compare canonical bytes.
+    // Identical strategies. Served plans carry zeroed search stats, so
+    // compare canonical bytes.
     let fp = local.fingerprint();
     assert_eq!(
         canonical_artifact(served.plan(), fp),
@@ -234,10 +234,6 @@ fn error_variants_display_and_chain_sources() {
                 depth: 7,
             }
             .to_string(),
-        ),
-        (
-            ServeError::WorkerUnavailable { attempts: 3 }.into(),
-            ServeError::WorkerUnavailable { attempts: 3 }.to_string(),
         ),
         (
             ArtifactError::Field("stages").into(),
