@@ -87,7 +87,10 @@ impl CostModel {
         if flops_per_sample == 0 {
             return 0.0;
         }
-        let flops = (flops_per_sample * micro_batch) as f64;
+        // In f64, which cannot wrap at huge micro-batches. Below 2^53 both
+        // factors convert exactly and the product rounds once, to what an
+        // unwrapped u64 product converts to.
+        let flops = flops_per_sample as f64 * micro_batch as f64;
         // Moved bytes: inputs + output per sample, plus one read of the
         // weights per kernel launch.
         let node = graph.node(op);

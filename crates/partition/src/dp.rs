@@ -50,25 +50,35 @@
 //!   indexed by `NodeIdx` (× micro-batch candidate), and op-membership
 //!   tests use a stamped scratch array instead of per-call hash sets.
 //!
-//! # Determinism & the probe fan-out
+//! # Determinism, the lazy probe & the fan-out
 //!
 //! A single DP run is a pure function of `(graph, cost, SP tree, t_max,
 //! micro-batch candidates, eval budget)`: candidate enumeration order,
 //! tie-breaking, and `Down` interning order are all fixed, and the run
-//! shares no state with other runs. The binary search's probe *sequence*
-//! is in turn a deterministic function of per-probe feasibility. A probe
-//! runs one DP per micro-batch configuration, and those runs are
-//! independent, so a probe may **fan them out** onto helper threads drawn
-//! from the process-wide [`CoreBudget`]: the calling thread takes runs
-//! from the front of a shared range and its helpers from the back, and
-//! the results are put back in configuration order before
-//! [`replay_probe`] merges them. Merged [`SearchStats`] counters are
-//! accumulated in that order, so the returned [`Plan`] — strategy *and*
-//! deterministic counters — does not depend on the thread count or the
-//! interleaving; only `stats.wall` does. A helper's run executes under
-//! the probe's whole remaining eval budget; if the replay finds that the
-//! sequential search would have run out of budget mid-run, that run is
-//! re-executed with the exact remaining budget so even
+//! reads no state of other runs. The binary search's probe *sequence* is
+//! in turn a deterministic function of per-probe feasibility, so a probe
+//! is **lazy**: its answer is the first micro-batch configuration, in
+//! [`SearchCtx::run_specs`] order, whose DP run is feasible, and it
+//! consumes no run past that one. PickBetter's pick across
+//! configurations is kept only at the final target, so once the bisection
+//! closes, the **completion pass** runs that target's unconsumed
+//! configurations and picks among them in configuration order, starting
+//! from the probe's answer: the pick a probe that ran every configuration
+//! would make, so plans do not depend on the laziness.
+//!
+//! A pass's runs are independent, so it may **fan them out** onto helper
+//! threads drawn from the process-wide [`CoreBudget`]: the calling thread
+//! takes runs from the front of a shared range and its helpers from the
+//! back. A run that ends the pass (the first feasible one of a probe, or
+//! one that ran out of budget) lowers the pass's [`Cut`] to its index:
+//! nothing past it is claimed, and runs past it stop at their next poll
+//! as [`Outcome::Cancelled`] and are never read. [`consume`] merges the
+//! runs up to the cut in configuration order, so the returned [`Plan`] —
+//! strategy *and* deterministic counters — does not depend on the thread
+//! count or the interleaving; only `stats.wall` does. A helper's run
+//! executes under the pass's whole remaining eval budget; if the replay
+//! finds that the sequential search would have run out of budget mid-run,
+//! that run is re-executed with the exact remaining budget so even
 //! [`PlanError::SearchExplosion`] accounting is bit-identical.
 //!
 //! gp-lint: deterministic — this module's outputs feed plan
@@ -83,6 +93,7 @@ use gp_ir::{Graph, OpId, SpBlock, SpModel};
 use gp_obs::{ClockHandle, Telemetry};
 use gp_sched::{compute_in_flight, Stage, StageGraph, StageId};
 use std::collections::HashMap;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
 
 // ---------------------------------------------------------------- arena --
@@ -547,6 +558,11 @@ struct Dp<'a> {
     evals: u64,
     budget: u64,
     exploded: bool,
+    /// The cut of the pass this run belongs to, and the run's index in it.
+    cut: &'a Cut,
+    index: usize,
+    /// The cut passed this run: it stops like an exploded one.
+    cancelled: bool,
     memo_hits: u64,
     memo_misses: u64,
     work_bound_prunes: u64,
@@ -564,7 +580,14 @@ struct Dp<'a> {
 }
 
 impl<'a> Dp<'a> {
-    fn new(ctx: &'a SearchCtx<'a>, t_max: f64, b_cands: Vec<u64>, budget: u64) -> Dp<'a> {
+    fn new(
+        ctx: &'a SearchCtx<'a>,
+        t_max: f64,
+        b_cands: Vec<u64>,
+        budget: u64,
+        cut: &'a Cut,
+        index: usize,
+    ) -> Dp<'a> {
         let bound_b = b_cands.iter().copied().max().unwrap_or(1);
         let bound_bi = b_cands.iter().position(|&b| b == bound_b).unwrap_or(0);
         let mut dp = Dp {
@@ -594,6 +617,9 @@ impl<'a> Dp<'a> {
             evals: 0,
             budget,
             exploded: false,
+            cut,
+            index,
+            cancelled: false,
             memo_hits: 0,
             memo_misses: 0,
             work_bound_prunes: 0,
@@ -653,12 +679,26 @@ impl<'a> Dp<'a> {
         &self.frags[id as usize]
     }
 
+    /// Charges `units` evals; true once the run must stop.
     fn charge(&mut self, units: u64) -> bool {
         self.evals += units;
         if self.evals > self.budget {
             self.exploded = true;
         }
-        self.exploded
+        self.exploded || self.cancelled
+    }
+
+    /// Whether the run must stop: it ran out of budget or was cancelled.
+    fn halted(&self) -> bool {
+        self.exploded || self.cancelled
+    }
+
+    /// Polls the pass's cut where a subproblem's work starts, on a memo
+    /// miss: a cancelled run stops at its next fresh subproblem, and memo
+    /// hits, most lookups, pay nothing.
+    fn cut_passed(&mut self) -> bool {
+        self.cancelled = self.cut.passed(self.index);
+        self.cancelled
     }
 
     // ----------------------------------------------------- memo plumbing --
@@ -1156,7 +1196,7 @@ impl<'a> Dp<'a> {
     // ----------------------------------------------------------- solving --
 
     fn solve(&mut self, node: NodeIdx, d: u32, down_id: DownId) -> Option<FragId> {
-        if self.exploded {
+        if self.halted() {
             return None;
         }
         match self.arena.node(node) {
@@ -1194,12 +1234,15 @@ impl<'a> Dp<'a> {
         d: u32,
         down_id: DownId,
     ) -> Option<FragId> {
-        if self.exploded {
+        if self.halted() {
             return None;
         }
         let slot = self.chain_slot(chain, start);
         if let Some(cached) = self.memo_get(slot, down_id, d) {
             return cached;
+        }
+        if self.cut_passed() {
+            return None;
         }
         let n = self.arena.children(chain).len() as u16;
         debug_assert!(start < n);
@@ -1584,7 +1627,7 @@ impl<'a> Dp<'a> {
         d: u32,
         down_id: DownId,
     ) -> Option<FragId> {
-        if self.exploded || to == from {
+        if self.halted() || to == from {
             return None;
         }
         if to - from == 1 {
@@ -1594,6 +1637,9 @@ impl<'a> Dp<'a> {
         let slot = self.branch_slot(branches, from, to);
         if let Some(cached) = self.memo_get(slot, down_id, d) {
             return cached;
+        }
+        if self.cut_passed() {
+            return None;
         }
         let mut best: Option<FragId> = None;
         let mut best_score: Score = (u64::MAX, u64::MAX, usize::MAX);
@@ -1729,12 +1775,25 @@ impl Solution {
     }
 }
 
-/// The outcome of one DP run (one micro-batch configuration at one probe
-/// target), including its budget so the replay can decide whether the run
-/// is valid for the sequential budget trajectory.
+/// How a DP run ended.
+#[derive(Debug, Clone)]
+enum Outcome {
+    /// The run finished: its best solution, or `None` when no partition
+    /// meets the target.
+    Done(Option<Solution>),
+    /// The run charged more evals than its budget.
+    Exploded,
+    /// Its pass's cut dropped below the run before it finished: an earlier
+    /// configuration ended the pass, so nothing reads this run.
+    Cancelled,
+}
+
+/// One DP run (one micro-batch configuration at one target): its outcome,
+/// counters and budget, so the replay can decide whether the run is valid
+/// for the sequential budget trajectory.
 #[derive(Debug, Clone)]
 struct RunResult {
-    solution: Option<Solution>,
+    outcome: Outcome,
     evals: u64,
     distinct_states: u64,
     memo_hits: u64,
@@ -1743,8 +1802,43 @@ struct RunResult {
     memory_prunes: u64,
     beam_prunes: u64,
     eval_batches: u64,
-    exploded: bool,
     budget: u64,
+}
+
+impl RunResult {
+    /// Whether no configuration past this one is consumed: the run ran
+    /// out of budget (so it does under any smaller budget too), or it is
+    /// feasible and its pass is a lazy probe.
+    fn ends_pass(&self, lazy: bool) -> bool {
+        match &self.outcome {
+            Outcome::Done(solution) => lazy && solution.is_some(),
+            Outcome::Exploded => true,
+            Outcome::Cancelled => false,
+        }
+    }
+}
+
+/// The index of the earliest run known to end a pass (`usize::MAX` until
+/// one does). No run past it is consumed, so none is claimed, and the
+/// runs past it that are under way stop at their next poll.
+struct Cut(AtomicUsize);
+
+/// The cut of a run outside any pass: it never falls.
+static UNCUT: Cut = Cut::new();
+
+impl Cut {
+    const fn new() -> Cut {
+        Cut(AtomicUsize::new(usize::MAX))
+    }
+
+    /// Whether run `index` lies past the cut.
+    fn passed(&self, index: usize) -> bool {
+        self.0.load(Ordering::Relaxed) < index
+    }
+
+    fn lower(&self, index: usize) {
+        self.0.fetch_min(index, Ordering::Relaxed);
+    }
 }
 
 /// Everything a DP run needs, shared (immutably) across worker threads.
@@ -1769,6 +1863,14 @@ impl<'a> SearchCtx<'a> {
         mini_batch: u64,
         options: &'a PlanOptions,
     ) -> Result<SearchCtx<'a>, PlanError> {
+        // With k and b at most the mini-batch, `k * b` in the in-flight
+        // formula then fits a u64.
+        if mini_batch > u64::from(u32::MAX) {
+            return Err(PlanError::Infeasible(format!(
+                "mini_batch must be at most {}, got {mini_batch}",
+                u32::MAX
+            )));
+        }
         // Below one ulp of relative gap the bisection could never close.
         if !(options.epsilon.is_finite() && options.epsilon >= f64::EPSILON) {
             return Err(PlanError::Infeasible(format!(
@@ -1876,13 +1978,28 @@ impl<'a> SearchCtx<'a> {
 }
 
 /// Runs one DP to completion: one `(t_max, micro-batch candidates)`
-/// configuration under `budget` evals.
-fn run_dp(ctx: &SearchCtx<'_>, t_max: f64, b_cands: Vec<u64>, budget: u64) -> RunResult {
-    let mut dp = Dp::new(ctx, t_max, b_cands, budget);
+/// configuration under `budget` evals, as run `index` of the pass that
+/// `cut` belongs to.
+fn run_dp(
+    ctx: &SearchCtx<'_>,
+    t_max: f64,
+    b_cands: Vec<u64>,
+    budget: u64,
+    cut: &Cut,
+    index: usize,
+) -> RunResult {
+    let mut dp = Dp::new(ctx, t_max, b_cands, budget, cut, index);
     let root = dp.arena.root;
     let sol = dp.solve(root, ctx.devices, 0);
+    let outcome = if dp.cancelled {
+        Outcome::Cancelled
+    } else if dp.exploded {
+        Outcome::Exploded
+    } else {
+        Outcome::Done(sol.map(|id| dp.extract(id)))
+    };
     RunResult {
-        solution: sol.map(|id| dp.extract(id)),
+        outcome,
         evals: dp.evals,
         distinct_states: dp.memo.filled,
         memo_hits: dp.memo_hits,
@@ -1891,17 +2008,17 @@ fn run_dp(ctx: &SearchCtx<'_>, t_max: f64, b_cands: Vec<u64>, budget: u64) -> Ru
         memory_prunes: dp.memory_prunes,
         beam_prunes: dp.beam_prunes,
         eval_batches: dp.eval_batches,
-        exploded: dp.exploded,
         budget,
     }
 }
 
 // ----------------------------------------------------------- the driver --
 
-/// Evals a search charges before its probes may spawn helpers. A spawn
+/// Evals a search charges before its passes may spawn helpers. A spawn
 /// and join costs 130–190 µs on a 2-core host, several thousand evals'
 /// worth, so a search must first show it is big enough to repay one;
-/// tiny models charge 38–130 evals in all and never spawn.
+/// the tiny zoo models at 2 devices and mini-batch 8 charge 38–130 evals
+/// in all, lazy probes or not, and never spawn.
 const FANOUT_MIN_EVALS: u64 = 50_000;
 
 /// Where a search's helper threads come from: `cores`, tapped only once
@@ -1922,30 +2039,33 @@ impl Fanout<'static> {
     }
 }
 
-/// The probe executor: runs the DP of each micro-batch configuration in
-/// `specs` at target `t` and returns one [`RunResult`] per spec, in spec
-/// order, for [`replay_probe`]; the list ends early at a run that
-/// exhausted the budget.
+/// The pass executor: runs the DP of each micro-batch configuration in
+/// `specs` at target `t` and returns, in spec order, every run up to the
+/// first that ends the pass ([`RunResult::ends_pass`]) for [`consume`].
+/// A lazy probe ends at its first feasible run; any pass ends at a run
+/// that exhausted the budget.
 ///
 /// The calling thread claims runs from the front, in spec order, under
 /// the exact sequential budget trajectory: run `i` gets what remains
-/// after runs `0..i`, and an explosion ends the probe. Once the search
-/// has charged `fanout.gate` evals, counting this probe's finished runs,
-/// it leases helpers for all but one of the unclaimed runs. Helpers
-/// claim from the back, the largest micro-batch first, because the
-/// work-conservation bound prunes large micro-batches least, so the last
-/// runs usually cost the most. A helper's run gets the probe's whole
-/// `remaining` budget; the replay re-runs the rare one whose budget
-/// mattered.
-fn run_probe(
+/// after the `charged` evals and runs `0..i`. Once the search has charged
+/// `fanout.gate` evals, counting this pass's finished runs, it leases
+/// helpers for all but one of the unclaimed runs. Helpers claim from the
+/// back, the largest micro-batch first, because the work-conservation
+/// bound prunes large micro-batches least, so the last runs usually cost
+/// the most. A helper's run gets the pass's whole remaining budget; the
+/// replay re-runs the rare one whose budget mattered. A run that ends the
+/// pass lowers the [`Cut`] to its index: no run past it is claimed, and
+/// the runs past it that are under way end as [`Outcome::Cancelled`].
+fn run_pass(
     ctx: &SearchCtx<'_>,
     t: f64,
     specs: &[Vec<u64>],
-    remaining: u64,
+    lazy: bool,
     charged: u64,
     fanout: Fanout<'_>,
     telemetry: &Telemetry,
 ) -> Vec<RunResult> {
+    let remaining = ctx.options.eval_budget.saturating_sub(charged);
     let unclaimed = Mutex::new(0..specs.len());
     let claim = |from_back: bool| {
         let mut runs = unclaimed.lock().expect("no thread panics claiming a run");
@@ -1955,13 +2075,19 @@ fn run_probe(
             runs.next()
         }
     };
+    let cut = Cut::new();
     let slots: Vec<OnceLock<RunResult>> = specs.iter().map(|_| OnceLock::new()).collect();
-    let store = |i: usize, run: RunResult| {
+    let finish = |i: usize, run: RunResult| {
+        if run.ends_pass(lazy) {
+            cut.lower(i);
+            let mut runs = unclaimed.lock().expect("no thread panics claiming a run");
+            runs.end = runs.end.min(i).max(runs.start);
+        }
         assert!(slots[i].set(run).is_ok(), "run {i} executed twice");
     };
     let helper = || {
         while let Some(i) = claim(true) {
-            store(i, run_dp(ctx, t, specs[i].clone(), remaining));
+            finish(i, run_dp(ctx, t, specs[i].clone(), remaining, &cut, i));
         }
     };
     let mut helpers = None;
@@ -1984,23 +2110,39 @@ fn run_probe(
                 }
             }
             let Some(i) = claim(false) else { break };
-            let run = run_dp(ctx, t, specs[i].clone(), remaining.saturating_sub(used));
+            let run = run_dp(
+                ctx,
+                t,
+                specs[i].clone(),
+                remaining.saturating_sub(used),
+                &cut,
+                i,
+            );
             used += run.evals;
-            let exploded = run.exploded;
-            store(i, run);
-            if exploded {
-                // The replay stops here: leave the later runs unclaimed.
-                *unclaimed.lock().expect("no thread panics claiming a run") = 0..0;
-                break;
-            }
+            finish(i, run);
         }
     });
     drop(helpers);
-    slots.into_iter().map_while(OnceLock::into_inner).collect()
+    // Every run up to the cut finished: none was past it when polled.
+    let consumed = cut.0.into_inner().saturating_add(1);
+    slots
+        .into_iter()
+        .take(consumed)
+        .map(|slot| slot.into_inner().expect("runs up to the cut finish"))
+        .collect()
 }
 
-/// One binary-search probe at target `t`: runs the probe, then replays it
-/// into the search's stats and budget trajectory.
+/// The answer of a feasible probe: its first feasible configuration.
+struct Answer {
+    /// The probe's target.
+    t: f64,
+    /// The configuration's index in [`SearchCtx::run_specs`] order.
+    index: usize,
+    solution: Solution,
+}
+
+/// One binary-search probe at target `t`: runs its configurations lazily,
+/// then replays the runs into the search's stats and budget trajectory.
 fn probe(
     ctx: &SearchCtx<'_>,
     t: f64,
@@ -2008,80 +2150,95 @@ fn probe(
     stats: &mut SearchStats,
     evals_used: &mut u64,
     telemetry: &Telemetry,
-) -> Result<Option<Solution>, PlanError> {
+) -> Result<Option<Answer>, PlanError> {
     let _probe = telemetry.span_with("search.probe", stats.binary_iters as u64 + 1);
-    let (specs, _) = ctx.run_specs(t);
-    let remaining = ctx.options.eval_budget.saturating_sub(*evals_used);
-    let runs = run_probe(ctx, t, &specs, remaining, *evals_used, fanout, telemetry);
-    replay_probe(ctx, t, runs, stats, evals_used, telemetry)
-}
-
-/// Replays one probe in sequential order, merging its runs into the
-/// stats/budget trajectory. Runs that the sequential search would have
-/// executed under a *smaller* remaining budget than they were given — and
-/// that would have mattered (explosion, or more evals than remain) — are
-/// re-executed with the exact remaining budget, so explosion accounting is
-/// bit-identical to a fully sequential search.
-fn replay_probe(
-    ctx: &SearchCtx<'_>,
-    t: f64,
-    runs: Vec<RunResult>,
-    stats: &mut SearchStats,
-    evals_used: &mut u64,
-    telemetry: &Telemetry,
-) -> Result<Option<Solution>, PlanError> {
     stats.binary_iters += 1;
     let (specs, filtered) = ctx.run_specs(t);
     stats.work_bound_prunes += filtered;
-    // The executor may truncate after an exploded run (nothing past it is
-    // ever consumed); otherwise the counts must agree.
-    debug_assert!(
-        runs.len() == specs.len() || runs.last().is_some_and(|r| r.exploded),
-        "executor returned {} runs for {} specs",
-        runs.len(),
-        specs.len()
-    );
-    let mut best: Option<Solution> = None;
-    for (run, b_cands) in runs.into_iter().zip(specs) {
-        stats.configs_tried += 1;
-        let remaining = ctx.options.eval_budget.saturating_sub(*evals_used);
-        let run = if (run.exploded || run.evals > remaining) && run.budget != remaining {
-            run_dp(ctx, t, b_cands, remaining)
-        } else {
-            run
-        };
-        *evals_used += run.evals;
-        stats.dp_evals += run.evals;
-        // Histogram of work per DP invocation: data-valued (eval counts,
-        // not times), so its contents are themselves deterministic.
-        telemetry.record("planner.dp_evals_per_run", run.evals);
-        stats.dp_states = stats.dp_states.max(run.distinct_states);
-        stats.memo_hits += run.memo_hits;
-        stats.memo_misses += run.memo_misses;
-        stats.work_bound_prunes += run.work_bound_prunes;
-        stats.memory_prunes += run.memory_prunes;
-        stats.beam_prunes += run.beam_prunes;
-        stats.eval_batches += run.eval_batches;
-        if run.exploded {
-            return Err(PlanError::SearchExplosion { evals: *evals_used });
+    let runs = run_pass(ctx, t, &specs, true, *evals_used, fanout, telemetry);
+    for (index, (run, b_cands)) in runs.into_iter().zip(specs).enumerate() {
+        if let Some(solution) = consume(ctx, t, run, b_cands, stats, evals_used, telemetry)? {
+            return Ok(Some(Answer { t, index, solution }));
         }
-        if let Some(sol) = run.solution {
-            let better = match &best {
-                None => true,
-                Some(cur) => sol.pick_key() < cur.pick_key(),
-            };
-            if better {
-                best = Some(sol);
+    }
+    Ok(None)
+}
+
+/// The completion pass at the final target: runs the configurations
+/// after the answer's, then picks by `pick_key` in configuration order,
+/// starting from the answer. That is the pick of a probe that ran every
+/// configuration.
+fn complete(
+    ctx: &SearchCtx<'_>,
+    answer: Answer,
+    fanout: Fanout<'_>,
+    stats: &mut SearchStats,
+    evals_used: &mut u64,
+    telemetry: &Telemetry,
+) -> Result<Solution, PlanError> {
+    let (mut specs, _) = ctx.run_specs(answer.t);
+    let rest = specs.split_off(answer.index + 1);
+    let _complete = telemetry.span_with("search.complete", rest.len() as u64);
+    let runs = run_pass(ctx, answer.t, &rest, false, *evals_used, fanout, telemetry);
+    let mut best = answer.solution;
+    for (run, b_cands) in runs.into_iter().zip(rest) {
+        if let Some(sol) = consume(ctx, answer.t, run, b_cands, stats, evals_used, telemetry)? {
+            if sol.pick_key() < best.pick_key() {
+                best = sol;
             }
         }
     }
     Ok(best)
 }
 
+/// Consumes one run, in configuration order, into the search's stats and
+/// budget trajectory, and returns its solution. A run that the sequential
+/// search would have executed under a *smaller* remaining budget than it
+/// was given, and for which that would have mattered (explosion, or more
+/// evals than remain), is re-executed with the exact remaining budget, so
+/// explosion accounting is bit-identical to a fully sequential search.
+fn consume(
+    ctx: &SearchCtx<'_>,
+    t: f64,
+    run: RunResult,
+    b_cands: Vec<u64>,
+    stats: &mut SearchStats,
+    evals_used: &mut u64,
+    telemetry: &Telemetry,
+) -> Result<Option<Solution>, PlanError> {
+    stats.configs_tried += 1;
+    let remaining = ctx.options.eval_budget.saturating_sub(*evals_used);
+    let overspent = matches!(run.outcome, Outcome::Exploded) || run.evals > remaining;
+    let run = if overspent && run.budget != remaining {
+        run_dp(ctx, t, b_cands, remaining, &UNCUT, 0)
+    } else {
+        run
+    };
+    *evals_used += run.evals;
+    stats.dp_evals += run.evals;
+    // Histogram of work per DP invocation: data-valued (eval counts,
+    // not times), so its contents are themselves deterministic.
+    telemetry.record("planner.dp_evals_per_run", run.evals);
+    stats.dp_states = stats.dp_states.max(run.distinct_states);
+    stats.memo_hits += run.memo_hits;
+    stats.memo_misses += run.memo_misses;
+    stats.work_bound_prunes += run.work_bound_prunes;
+    stats.memory_prunes += run.memory_prunes;
+    stats.beam_prunes += run.beam_prunes;
+    stats.eval_batches += run.eval_batches;
+    match run.outcome {
+        Outcome::Done(solution) => Ok(solution),
+        Outcome::Exploded => Err(PlanError::SearchExplosion { evals: *evals_used }),
+        Outcome::Cancelled => Err(PlanError::Internal(
+            "a cancelled DP run was consumed".to_string(),
+        )),
+    }
+}
+
 /// Algorithm 1 lines 2–11: geometric bracketing from the
-/// work-conservation bound, then bisection to `epsilon`. Probes run one
-/// at a time in this sequence; only a probe's own runs fan out (see
-/// [`run_probe`]).
+/// work-conservation bound, then bisection to `epsilon`, then the
+/// completion pass at the final target. Probes run one at a time in this
+/// sequence; only a pass's own runs fan out (see [`run_pass`]).
 fn drive_search(
     ctx: &SearchCtx<'_>,
     fanout: Fanout<'_>,
@@ -2093,7 +2250,7 @@ fn drive_search(
     let mut stats = SearchStats::default();
     let mut evals_used = 0u64;
     let epsilon = ctx.options.epsilon;
-    let mut best: Option<Solution> = None;
+    let mut answer: Option<Answer> = None;
     let mut t_lo = ctx.t_base;
     let mut t_hi = 2.0 * ctx.t_base;
     let bracket_start = clock.now_nanos();
@@ -2101,8 +2258,8 @@ fn drive_search(
         let _bracket = telemetry.span("search.bracket");
         for t in ctx.ladder() {
             t_hi = t;
-            best = probe(ctx, t, fanout, &mut stats, &mut evals_used, telemetry)?;
-            if best.is_some() {
+            answer = probe(ctx, t, fanout, &mut stats, &mut evals_used, telemetry)?;
+            if answer.is_some() {
                 break;
             }
             // Infeasible: every lower target is infeasible too
@@ -2111,29 +2268,28 @@ fn drive_search(
         }
     }
     stats.phases.bracket_wall = clock.since(bracket_start);
-    if best.is_some() {
-        let bisect_start = clock.now_nanos();
-        let _bisect = telemetry.span("search.bisect");
-        // Refine within the bracket [t_lo, t_hi].
-        while t_hi - t_lo > epsilon * t_hi {
-            let t_m = 0.5 * (t_lo + t_hi);
-            match probe(ctx, t_m, fanout, &mut stats, &mut evals_used, telemetry)? {
-                Some(sol) => {
-                    best = Some(sol);
-                    t_hi = t_m;
-                }
-                None => t_lo = t_m,
-            }
-        }
-        stats.phases.bisect_wall = clock.since(bisect_start);
-    }
-    match best {
-        Some(sol) => Ok((sol, stats)),
-        None => Err(PlanError::Infeasible(format!(
+    let Some(mut answer) = answer else {
+        return Err(PlanError::Infeasible(format!(
             "no partition fits the {} MiB device memory budget",
             ctx.cost.memory_budget() >> 20
-        ))),
+        )));
+    };
+    let bisect_start = clock.now_nanos();
+    let _bisect = telemetry.span("search.bisect");
+    // Refine within the bracket [t_lo, t_hi].
+    while t_hi - t_lo > epsilon * t_hi {
+        let t_m = 0.5 * (t_lo + t_hi);
+        match probe(ctx, t_m, fanout, &mut stats, &mut evals_used, telemetry)? {
+            Some(found) => {
+                answer = found;
+                t_hi = t_m;
+            }
+            None => t_lo = t_m,
+        }
     }
+    let solution = complete(ctx, answer, fanout, &mut stats, &mut evals_used, telemetry)?;
+    stats.phases.bisect_wall = clock.since(bisect_start);
+    Ok((solution, stats))
 }
 
 // --------------------------------------------------------------- planner --
@@ -2392,19 +2548,20 @@ mod tests {
         assert!(matches!(err, PlanError::Infeasible(_)), "{err:?}");
     }
 
-    /// Plans a two-layer chain at mini-batch 32 on its own thread, so a
-    /// search that never ends fails the calling test after 5 s instead of
-    /// stalling it.
+    /// Plans a two-layer chain on its own thread, so a search that never
+    /// ends fails the calling test after 5 s instead of stalling it, and
+    /// one that panics fails it with "no answer".
     fn plan_guarded(
         label: &str,
         options: PlanOptions,
         cluster: Cluster,
+        mini_batch: u64,
     ) -> Result<Plan, PlanError> {
         let (done, reply) = std::sync::mpsc::channel();
         let planner = std::thread::spawn(move || {
             let model = zoo::mlp_chain(2, 512);
             let planner = GraphPipePlanner::with_options(options);
-            let _ = done.send(planner.plan(&model, &cluster, 32));
+            let _ = done.send(planner.plan(&model, &cluster, mini_batch));
         });
         let result = reply
             .recv_timeout(std::time::Duration::from_secs(5))
@@ -2438,7 +2595,7 @@ mod tests {
             let options = PlanOptions::default()
                 .with_epsilon(epsilon)
                 .with_kfkb_candidates(kfkb.to_vec());
-            match plan_guarded(&label, options, Cluster::summit_like(4)) {
+            match plan_guarded(&label, options, Cluster::summit_like(4), 32) {
                 Err(PlanError::Infeasible(msg)) if msg.starts_with(option) => {}
                 Err(e) => panic!("{label}: expected an `{option}` error, got {e:?}"),
                 Ok(_) => panic!("{label}: planned instead of rejecting"),
@@ -2446,8 +2603,25 @@ mod tests {
         }
         // The smallest epsilon the search accepts still terminates.
         let tight = PlanOptions::default().with_epsilon(f64::EPSILON);
-        if let Err(e) = plan_guarded("epsilon f64::EPSILON", tight, Cluster::summit_like(4)) {
+        if let Err(e) = plan_guarded("epsilon f64::EPSILON", tight, Cluster::summit_like(4), 32) {
             panic!("epsilon f64::EPSILON: {e}");
+        }
+    }
+
+    #[test]
+    fn mini_batches_past_u32_are_rejected_before_any_probe() {
+        // Past u32::MAX, `k <= mini_batch` no longer bounds `k * b`: these
+        // inputs overflowed the FLOP product, the stage memory and the
+        // in-flight formula, panicking a debug build and returning a plan
+        // with a wrapped in-flight count from a release one.
+        let cases: [(u64, u64); 3] = [(1 << 62, 1), (1 << 33, 1 << 31), (1 << 40, 1 << 40)];
+        for (mini_batch, k) in cases {
+            let label = format!("mini_batch {mini_batch}, kfkb_candidates [{k}]");
+            let options = PlanOptions::default().with_kfkb_candidates(vec![k]);
+            match plan_guarded(&label, options, Cluster::summit_like(4), mini_batch) {
+                Err(PlanError::Infeasible(msg)) if msg.starts_with("mini_batch") => {}
+                other => panic!("{label}: expected a mini_batch error, got {other:?}"),
+            }
         }
     }
 
@@ -2470,7 +2644,7 @@ mod tests {
         assert!(huge.is_finite() && huge > f64::MAX / 4.0, "{huge}");
         for peak_flops in [0.0, tiny] {
             let label = format!("peak_flops {peak_flops:e}");
-            match plan_guarded(&label, PlanOptions::default(), cluster(peak_flops)) {
+            match plan_guarded(&label, PlanOptions::default(), cluster(peak_flops), 32) {
                 Err(PlanError::Infeasible(msg)) if msg.starts_with("max_tps") => {}
                 other => panic!("{label}: expected a max_tps error, got {other:?}"),
             }
@@ -2527,7 +2701,7 @@ mod tests {
         let cluster = Cluster::summit_like(2);
         let opts = PlanOptions::default().with_beam_width(4);
         let ctx = SearchCtx::new(&model, &cluster, 16, &opts).unwrap();
-        let mut dp = Dp::new(&ctx, 1.0, vec![1], 1000);
+        let mut dp = Dp::new(&ctx, 1.0, vec![1], 1000, &UNCUT, 0);
         // Unbounded: identity.
         dp.beam_width = None;
         assert_eq!(dp.beam_window(1, 63, 10), (1, 63));
@@ -2666,27 +2840,119 @@ mod tests {
         );
     }
 
+    /// The first probe's runs at their sequential budgets: each run's
+    /// evals, and whether it is feasible.
+    fn first_probe(
+        model: &SpModel,
+        devices: usize,
+        mini_batch: u64,
+        options: &PlanOptions,
+    ) -> Vec<(u64, bool)> {
+        let cluster = Cluster::summit_like(devices);
+        let ctx = SearchCtx::new(model, &cluster, mini_batch, options).unwrap();
+        let t = ctx.ladder()[0];
+        let (specs, _) = ctx.run_specs(t);
+        specs
+            .into_iter()
+            .map(|b_cands| {
+                let run = run_dp(&ctx, t, b_cands, u64::MAX, &UNCUT, 0);
+                (run.evals, matches!(run.outcome, Outcome::Done(Some(_))))
+            })
+            .collect()
+    }
+
+    /// The unbounded search's eval count, and how many configurations its
+    /// completion pass ran (the `search.complete` span's detail).
+    fn evals_and_completion(model: &SpModel, devices: usize, mini_batch: u64) -> (u64, u64) {
+        let telemetry = Telemetry::enabled();
+        let plan = GraphPipePlanner::new()
+            .with_telemetry(telemetry.clone())
+            .plan(model, &Cluster::summit_like(devices), mini_batch)
+            .expect("the unbounded search plans");
+        let completed = telemetry
+            .spans()
+            .iter()
+            .find(|s| s.name == "search.complete")
+            .and_then(|s| s.detail)
+            .expect("the search ran its completion pass");
+        (plan.stats.dp_evals, completed)
+    }
+
+    /// mmt@8 at mini-batch 128 with its candidates ordered so that the
+    /// first probe's only feasible configuration (b = 4) comes last,
+    /// behind the costliest infeasible one (b = 128, over the memory
+    /// budget). The calling thread spends its run on b = 128 while a
+    /// helper, claiming from the back, answers the probe and sets the cut.
+    fn last_feasible_options() -> PlanOptions {
+        PlanOptions::default().with_micro_batch_candidates(vec![128, 2, 4])
+    }
+
+    #[test]
+    fn a_helper_answering_the_probe_matches_sequential() {
+        let mmt = zoo::mmt(&MmtConfig::default());
+        let options = last_feasible_options();
+        let runs = first_probe(&mmt, 8, 128, &options);
+        let feasible: Vec<bool> = runs.iter().map(|r| r.1).collect();
+        assert_eq!(feasible, [false, false, true], "{runs:?}");
+        assert!(
+            runs[0].0 > runs[1].0 + runs[2].0,
+            "the calling thread's run is not the longest: {runs:?}"
+        );
+        assert_cells_fanout_parity(options, &[(&mmt, 8, 128)]);
+    }
+
     #[test]
     fn fanned_out_explosion_matches_sequential() {
         // Budget accounting must be bit-identical on the error path too.
-        let model = zoo::candle_uno(&CandleUnoConfig::default());
-        let cluster = Cluster::summit_like(8);
-        // A budget that trips in the second run of the first probe: the
-        // fanned-out run executes under the whole budget, so the replay
-        // must re-run it under what the first run left.
-        let defaults = PlanOptions::default();
-        let ctx = SearchCtx::new(&model, &cluster, 1024, &defaults).unwrap();
-        let t = ctx.ladder()[0];
-        let (specs, _) = ctx.run_specs(t);
-        assert!(specs.len() >= 2, "the first probe has one run");
-        let first_run = run_dp(&ctx, t, specs[0].clone(), u64::MAX);
-        for budget in [1u64, 100, 5000, first_run.evals + 1] {
-            let planner = GraphPipePlanner::with_options(defaults.clone().with_eval_budget(budget));
-            let label = format!("budget={budget}");
-            let err = assert_fanout_parity(&planner, &model, &cluster, 1024, &label)
+        // Every budget comes from the search's own eval counts and trips
+        // in a known place.
+        let explode = |model: &SpModel, options: PlanOptions, devices, mini_batch, label: &str| {
+            let planner = GraphPipePlanner::with_options(options);
+            let cluster = Cluster::summit_like(devices);
+            let err = assert_fanout_parity(&planner, model, &cluster, mini_batch, label)
                 .expect_err("the budget is exceeded");
-            assert!(matches!(err, PlanError::SearchExplosion { .. }), "{err:?}");
+            assert!(
+                matches!(err, PlanError::SearchExplosion { .. }),
+                "{label}: {err:?}"
+            );
+        };
+        let uno = zoo::candle_uno(&CandleUnoConfig::default());
+        let defaults = PlanOptions::default();
+        let first = first_probe(&uno, 8, 1024, &defaults);
+        // The first run: the calling thread's run under the exact budget.
+        assert!(first[0].0 > 100, "{first:?}");
+        for budget in [1, 100] {
+            let options = defaults.clone().with_eval_budget(budget);
+            explode(&uno, options, 8, 1024, &format!("uno budget={budget}"));
         }
+        // The first probe answers at its first configuration, so one eval
+        // past that run trips in the second probe.
+        assert!(first[0].1, "{first:?}");
+        let options = defaults.clone().with_eval_budget(first[0].0 + 1);
+        explode(&uno, options, 8, 1024, "uno: the second probe");
+        // One eval short of the whole search trips in its last consumed
+        // run. candle-uno's completion pass is empty, so that is the final
+        // probe's answer, here its last configuration behind infeasible
+        // ones: a helper claims it first.
+        let (total, completed) = evals_and_completion(&uno, 8, 1024);
+        assert_eq!(completed, 0);
+        let options = defaults.clone().with_eval_budget(total - 1);
+        explode(&uno, options, 8, 1024, "uno: the final probe's last run");
+        // A helper's run behind infeasible configurations: it runs under
+        // the whole budget, so the replay must re-run it under what the
+        // calling thread's runs left.
+        let mmt = zoo::mmt(&MmtConfig::default());
+        let options = last_feasible_options();
+        let runs = first_probe(&mmt, 8, 128, &options);
+        let before_last: u64 = runs[..2].iter().map(|r| r.0).sum();
+        let options = options.with_eval_budget(before_last + 1);
+        explode(&mmt, options, 8, 128, "mmt: a helper's run");
+        // The completion pass: mmt@8's final target has a configuration
+        // after its answer, so one eval short trips in that pass.
+        let (total, completed) = evals_and_completion(&mmt, 8, 128);
+        assert!(completed > 0, "the completion pass is empty");
+        let options = defaults.with_eval_budget(total - 1);
+        explode(&mmt, options, 8, 128, "mmt: the completion pass");
     }
 
     #[test]

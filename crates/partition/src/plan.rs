@@ -192,29 +192,36 @@ pub struct SearchPhases {
     /// Geometric bracket-ladder phase: the doubling probes that find a
     /// feasible throughput target (Algorithm 1 lines 2–6).
     pub bracket_wall: Duration,
-    /// Bisection phase: refinement probes inside the bracket (lines 7–11).
+    /// Bisection phase: refinement probes inside the bracket (lines 7–11),
+    /// then GraphPipe's completion pass at the final target.
     pub bisect_wall: Duration,
     /// Strategy reconstruction: solution → stage graph → schedule.
     pub finalize_wall: Duration,
 }
 
 /// Search-cost accounting, reported alongside every plan (Table 1).
+///
+/// GraphPipe's counters cover the DP runs its search *consumed*: each
+/// probe's runs up to its first feasible micro-batch configuration, and
+/// the completion pass at the final target. A run that the probe fan-out
+/// started past that point, finished or cancelled, counts nowhere, so
+/// the counters do not depend on the thread count.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct SearchStats {
     /// Wall-clock search time.
     pub wall: Duration,
     /// Wall-clock phase breakdown (zero for single-shot planners).
     pub phases: SearchPhases,
-    /// Dynamic-programming evaluations performed.
+    /// Dynamic-programming evaluations charged by the consumed runs.
     pub dp_evals: u64,
-    /// Distinct memoized DP states, at the peak across DP invocations.
+    /// Distinct memoized DP states, at the peak across consumed runs.
     /// Every binary-search probe (and every micro-batch configuration)
     /// builds its own memo table, so summing table sizes across probes —
     /// what this field used to report — counts the same logical states
     /// once per probe; the maximum is the honest "how big does the state
     /// space get" number.
     pub dp_states: u64,
-    /// Memo lookups answered from the table (across all DP invocations).
+    /// Memo lookups answered from the table (across all consumed runs).
     pub memo_hits: u64,
     /// Memo lookups that found an empty cell and fell through to a fresh
     /// DP computation. `memo_hits + memo_misses` is the total lookup
@@ -236,7 +243,8 @@ pub struct SearchStats {
     pub eval_batches: u64,
     /// Binary-search iterations (0 for single-shot planners).
     pub binary_iters: u32,
-    /// Schedule configurations (micro-batch sizes etc.) tried.
+    /// Schedule configurations (micro-batch sizes etc.) tried: one per
+    /// consumed run.
     pub configs_tried: u32,
 }
 

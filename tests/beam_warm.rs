@@ -146,19 +146,19 @@ fn bounded_beam_makespan_deltas_match_golden_table() {
 /// makespan, so a pruned search can land on a plan that happens to
 /// simulate faster than the exhaustive optimum.
 const EXPECTED_BEAM_TABLE: &str = "\
-mmt beam=4 delta=1.000000 evals=598929 prunes=918
-mmt beam=8 delta=1.000000 evals=926293 prunes=0
-mmt beam=16 delta=1.000000 evals=926293 prunes=0
-dlrm beam=4 delta=1.000000 evals=352479 prunes=13466
-dlrm beam=8 delta=1.000000 evals=487946 prunes=0
-dlrm beam=16 delta=1.000000 evals=487946 prunes=0
-candle-uno beam=4 delta=1.000000 evals=182572 prunes=1491
-candle-uno beam=8 delta=1.000000 evals=268150 prunes=0
-candle-uno beam=16 delta=1.000000 evals=268150 prunes=0
-candle-uno-full beam=4 delta=1.000000 evals=759222 prunes=46240
-candle-uno-full beam=8 delta=1.000000 evals=994472 prunes=0
-candle-uno-full beam=16 delta=1.000000 evals=994472 prunes=0
-moe beam=4 delta=0.909262 evals=265238 prunes=26080
-moe beam=8 delta=1.000000 evals=517923 prunes=1224
-moe beam=16 delta=1.000000 evals=554730 prunes=0
+mmt beam=4 delta=1.000000 evals=37611 prunes=1
+mmt beam=8 delta=1.000000 evals=41641 prunes=0
+mmt beam=16 delta=1.000000 evals=41641 prunes=0
+dlrm beam=4 delta=1.000000 evals=146656 prunes=2100
+dlrm beam=8 delta=1.000000 evals=182578 prunes=0
+dlrm beam=16 delta=1.000000 evals=182578 prunes=0
+candle-uno beam=4 delta=1.000000 evals=47237 prunes=163
+candle-uno beam=8 delta=1.000000 evals=55962 prunes=0
+candle-uno beam=16 delta=1.000000 evals=55962 prunes=0
+candle-uno-full beam=4 delta=1.000000 evals=141794 prunes=4052
+candle-uno-full beam=8 delta=1.000000 evals=165246 prunes=0
+candle-uno-full beam=16 delta=1.000000 evals=165246 prunes=0
+moe beam=4 delta=0.909262 evals=162049 prunes=9702
+moe beam=8 delta=1.000000 evals=282712 prunes=16
+moe beam=16 delta=1.000000 evals=283106 prunes=0
 ";

@@ -69,6 +69,8 @@ fn session_run_exports_valid_trace_with_deep_spans() {
         "planner.search",
         "search.bracket",
         "search.probe",
+        "search.bisect",
+        "search.complete",
         "session.simulate",
         "sim.relax",
         "session.execute",
@@ -79,6 +81,11 @@ fn session_run_exports_valid_trace_with_deep_spans() {
             spans.iter().any(|s| s.name == expected),
             "no `{expected}` span recorded"
         );
+    }
+    // The completion pass is attributed inside the bisection, not to it.
+    let name_of: HashMap<u64, &str> = spans.iter().map(|s| (s.id, s.name)).collect();
+    for complete in spans.iter().filter(|s| s.name == "search.complete") {
+        assert_eq!(name_of.get(&complete.parent), Some(&"search.bisect"));
     }
 
     // The summary tree renders the same hierarchy.
