@@ -190,7 +190,7 @@ impl CostModel {
     /// Peak per-device memory of a stage: optimizer-state bytes for its
     /// parameters plus stashed activations for `in_flight_samples`, divided
     /// across `dp_degree` replicas in whole micro-batches (weights are
-    /// fully replicated).
+    /// fully replicated). Saturates at `u64::MAX`, which no budget admits.
     pub fn stage_memory_bytes(
         &self,
         graph: &Graph,
@@ -203,9 +203,10 @@ impl CostModel {
             .iter()
             .map(|&op| graph.node(op).kind.param_count())
             .sum();
-        let static_bytes = params * BYTES_PER_PARAM_STATE;
+        let static_bytes = params.saturating_mul(BYTES_PER_PARAM_STATE);
         let act = self.stage_activation_bytes_per_sample(graph, ops);
-        static_bytes + act * Self::in_flight_per_replica(in_flight_samples, micro_batch, dp_degree)
+        let per_replica = Self::in_flight_per_replica(in_flight_samples, micro_batch, dp_degree);
+        static_bytes.saturating_add(act.saturating_mul(per_replica))
     }
 
     /// Whether a stage fits the per-device budget (Equation 2).
@@ -361,6 +362,22 @@ mod tests {
         // Data parallelism shares the activation load.
         let m8dp = cost.stage_memory_bytes(g, &ops, 8, 1, 4);
         assert!(m8dp < m8);
+    }
+
+    #[test]
+    fn memory_saturates_past_u64() {
+        // 2^55 in-flight samples of a stage stashing kilobytes each: the
+        // product passes u64::MAX and used to wrap to a few megabytes.
+        let model = zoo::mlp_chain(2, 512);
+        let cost = CostModel::new(&Cluster::summit_like(4));
+        let g = model.graph();
+        let ops: Vec<OpId> = g.nodes().map(|n| n.id).collect();
+        let in_flight = 1u64 << 55;
+        assert_eq!(
+            cost.stage_memory_bytes(g, &ops, in_flight, 1 << 24, 1),
+            u64::MAX
+        );
+        assert!(!cost.stage_fits_memory(g, &ops, in_flight, 1 << 24, 1));
     }
 
     #[test]

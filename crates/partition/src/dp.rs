@@ -41,21 +41,25 @@
 //! * downstream boundary configurations ([`Down`]) are interned into a
 //!   flat `Vec` and addressed by `DownId = u32`;
 //! * the memo is a dense table, not a hash map: every `(node, interval)`
-//!   subproblem owns a precomputed *slot* (chains: one per suffix;
-//!   branches: one per `[from, to)` range), and each slot holds dense
-//!   `[d - 1] -> FragId` columns per interned `DownId`. Lookups are pure
-//!   indexing; `reset` between binary-search probes is dropping the state
-//!   wholesale;
+//!   subproblem owns a precomputed *slot* (leaves: one; chains: one per
+//!   suffix; branches: one per `[from, to)` range), and each slot holds
+//!   dense `[d - 1] -> FragId` columns per interned `DownId`. Lookups are
+//!   pure indexing; `reset` between binary-search probes is dropping the
+//!   state wholesale;
 //! * the per-chain prefix-time / static-cost caches are flat arrays
 //!   indexed by `NodeIdx` (× micro-batch candidate), and op-membership
-//!   tests use a stamped scratch array instead of per-call hash sets.
+//!   tests use a stamped scratch array instead of per-call hash sets;
+//! * every per-op cost those caches sum comes from the search's
+//!   [`OpTable`], built once by [`SearchCtx::new`] and keyed by `OpId`: a
+//!   run computes no `op_time` of its own.
 //!
 //! # Determinism, the lazy probe & the fan-out
 //!
 //! A single DP run is a pure function of `(graph, cost, SP tree, t_max,
 //! micro-batch candidates, eval budget)`: candidate enumeration order,
 //! tie-breaking, and `Down` interning order are all fixed, and the run
-//! reads no state of other runs. The binary search's probe *sequence* is
+//! reads no state of other runs, only the search's immutable op-cost
+//! table. The binary search's probe *sequence* is
 //! in turn a deterministic function of per-probe feasibility, so a probe
 //! is **lazy**: its answer is the first micro-batch configuration, in
 //! [`SearchCtx::run_specs`] order, whose DP run is feasible, and it
@@ -370,13 +374,13 @@ impl MemoTable {
     }
 }
 
-/// Memo slots owned by one arena node: a chain with `n` elements owns `n`
-/// suffix slots; a branches node with `m` children owns `m*(m+1)/2`
-/// interval slots (the whole-node subproblem is the `[0, m)` slot);
-/// leaves are solved inline and own none.
+/// Memo slots owned by one arena node: a leaf owns one, its single-stage
+/// subproblem; a chain with `n` elements owns `n` suffix slots; a branches
+/// node with `m` children owns `m*(m+1)/2` interval slots (the whole-node
+/// subproblem is the `[0, m)` slot).
 fn node_slot_count(node: &ANode) -> u32 {
     match node {
-        ANode::Leaf(_) => 0,
+        ANode::Leaf(_) => 1,
         ANode::Chain(cs) => cs.len() as u32,
         ANode::Branches(cs) => {
             let m = cs.len() as u32;
@@ -518,11 +522,15 @@ struct SplitScratch {
 struct Dp<'a> {
     graph: &'a Graph,
     cost: &'a CostModel,
+    /// The search's per-op costs.
+    table: &'a OpTable,
     arena: Arena,
     mini_batch: u64,
     t_max: f64,
     mem_budget: u64,
     b_cands: Vec<u64>,
+    /// `b_cols[bi]`: the table column of `b_cands[bi]`.
+    b_cols: Vec<usize>,
     k_cands: Vec<u64>,
     /// Largest micro-batch candidate: at it, per-sample compute time is
     /// minimal, making work-conservation bounds sound for every candidate.
@@ -590,14 +598,17 @@ impl<'a> Dp<'a> {
     ) -> Dp<'a> {
         let bound_b = b_cands.iter().copied().max().unwrap_or(1);
         let bound_bi = b_cands.iter().position(|&b| b == bound_b).unwrap_or(0);
+        let b_cols = b_cands.iter().map(|&b| ctx.column(b)).collect();
         let mut dp = Dp {
             graph: ctx.graph,
             cost: &ctx.cost,
+            table: &ctx.table,
             arena: Arena::build(ctx.root),
             mini_batch: ctx.mini_batch,
             t_max,
             mem_budget: ctx.cost.memory_budget(),
             b_cands,
+            b_cols,
             k_cands: ctx.options.kfkb_candidates.clone(),
             bound_b,
             bound_bi,
@@ -760,9 +771,9 @@ impl<'a> Dp<'a> {
             let mut a = 0u64;
             let mut x = 0u64;
             for &op in self.arena.node_ops(c) {
-                p += self.graph.node(op).kind.param_count() * gp_ir::BYTES_PER_ELEMENT;
-                a += self.graph.stashed_bytes(op);
-                let bytes = self.graph.node(op).output_bytes();
+                p += self.table.params[op.index()];
+                a += self.table.stashed[op.index()];
+                let bytes = self.table.out_bytes[op.index()];
                 for &succ in self.graph.succs(op) {
                     match elem_of.get(&succ) {
                         Some(&j) if j == i => {}
@@ -773,7 +784,7 @@ impl<'a> Dp<'a> {
                 }
                 for &pred in self.graph.preds(op) {
                     if !elem_of.contains_key(&pred) {
-                        x += self.graph.node(pred).output_bytes();
+                        x += self.table.out_bytes[pred.index()];
                     }
                 }
             }
@@ -790,20 +801,14 @@ impl<'a> Dp<'a> {
         }));
     }
 
-    fn b_index(&self, b: u64) -> usize {
-        self.b_cands
-            .iter()
-            .position(|&x| x == b)
-            .expect("micro-batch size comes from the candidate list")
-    }
-
-    /// Fills the prefix of element fwd+bwd times for `chain` at `b`.
+    /// Fills the prefix of element fwd+bwd times for `chain` at
+    /// micro-batch candidate `bi`.
     fn ensure_chain_time(&mut self, chain: NodeIdx, bi: usize) {
         let idx = chain as usize * self.b_cands.len().max(1) + bi;
         if self.chain_time[idx].is_some() {
             return;
         }
-        let b = self.b_cands[bi];
+        let col = self.b_cols[bi];
         let n = self.arena.children(chain).len();
         let mut prefix = Vec::with_capacity(n + 1);
         prefix.push(0.0);
@@ -811,8 +816,7 @@ impl<'a> Dp<'a> {
             let c = self.arena.children(chain)[i];
             let mut t = 0.0;
             for &op in self.arena.node_ops(c) {
-                t += self.cost.op_time(self.graph, op, b, Pass::Forward)
-                    + self.cost.op_time(self.graph, op, b, Pass::Backward);
+                t += self.table.time(op, col);
             }
             prefix.push(prefix[i] + t);
         }
@@ -832,6 +836,7 @@ impl<'a> Dp<'a> {
         if self.branch_time[branches as usize].is_some() {
             return;
         }
+        let col = self.b_cols[self.bound_bi];
         let n = self.arena.children(branches).len();
         let mut prefix = Vec::with_capacity(n + 1);
         prefix.push(0.0);
@@ -839,12 +844,7 @@ impl<'a> Dp<'a> {
             let c = self.arena.children(branches)[i];
             let mut t = 0.0;
             for &op in self.arena.node_ops(c) {
-                t += self
-                    .cost
-                    .op_time(self.graph, op, self.bound_b, Pass::Forward)
-                    + self
-                        .cost
-                        .op_time(self.graph, op, self.bound_b, Pass::Backward);
+                t += self.table.time(op, col);
             }
             prefix.push(prefix[i] + t);
         }
@@ -857,11 +857,10 @@ impl<'a> Dp<'a> {
             .expect("branch_time filled")[i]
     }
 
-    /// Cost aggregates of a segment at micro-batch size `b`.
-    fn segment_costs(&mut self, seg: Seg, b: u64) -> SegmentCosts {
+    /// Cost aggregates of a segment at micro-batch candidate `bi`.
+    fn segment_costs(&mut self, seg: Seg, bi: usize) -> SegmentCosts {
         match seg {
             Seg::SimpleChain { chain, s, e } => {
-                let bi = self.b_index(b);
                 self.ensure_chain_time(chain, bi);
                 let stat = self.chain_static[chain as usize]
                     .as_ref()
@@ -876,19 +875,18 @@ impl<'a> Dp<'a> {
                     comm,
                 )
             }
-            Seg::Generic { node, s, e } => self.generic_aggregates(node, s, e, b),
+            Seg::Generic { node, s, e } => self.generic_aggregates(node, s, e, bi),
         }
     }
 
     /// Generic per-op-set aggregates, for non-chain intervals (merged
     /// branch groups, whole composite nodes, non-simple chains). Uses the
     /// stamped membership scratch: no per-call allocation.
-    fn generic_aggregates(&mut self, node: NodeIdx, s: u16, e: u16, b: u64) -> SegmentCosts {
+    fn generic_aggregates(&mut self, node: NodeIdx, s: u16, e: u16, bi: usize) -> SegmentCosts {
         // Memo first: the same segment is re-aggregated for every
         // `(devices, down-set)` DP state that considers it, and the op walk
         // below dominates the planner's wall clock when it isn't cached.
         let key = (node as u64) << 32 | (s as u64) << 16 | e as u64;
-        let bi = self.b_index(b);
         if let Some(entry) = self.seg_cache.get(&key) {
             let time = entry.times[bi];
             if !time.is_nan() {
@@ -919,12 +917,10 @@ impl<'a> Dp<'a> {
         // Pass 2: aggregate.
         let mut time = 0.0;
         let (mut params, mut act, mut comm) = (0u64, 0u64, 0u64);
+        let col = self.b_cols[bi];
         let visit = |dp: &Self, op: OpId| -> (f64, u64, u64, u64) {
-            let t = dp.cost.op_time(dp.graph, op, b, Pass::Forward)
-                + dp.cost.op_time(dp.graph, op, b, Pass::Backward);
-            let p = dp.graph.node(op).kind.param_count() * gp_ir::BYTES_PER_ELEMENT;
-            let a = dp.graph.stashed_bytes(op);
-            let bytes = dp.graph.node(op).output_bytes();
+            let table = dp.table;
+            let bytes = table.out_bytes[op.index()];
             let mut x = 0u64;
             for &succ in dp.graph.succs(op) {
                 if dp.member_stamp[succ.index()] != stamp {
@@ -933,10 +929,15 @@ impl<'a> Dp<'a> {
             }
             for &pred in dp.graph.preds(op) {
                 if dp.member_stamp[pred.index()] != stamp {
-                    x += dp.graph.node(pred).output_bytes();
+                    x += table.out_bytes[pred.index()];
                 }
             }
-            (t, p, a, x)
+            (
+                table.time(op, col),
+                table.params[op.index()],
+                table.stashed[op.index()],
+                x,
+            )
         };
         if whole {
             for i in 0..self.arena.node_ops(node).len() {
@@ -986,8 +987,7 @@ impl<'a> Dp<'a> {
         let mut costs = std::mem::take(&mut self.cand_costs);
         costs.clear();
         for bi in 0..n {
-            let b = self.b_cands[bi];
-            let c = self.segment_costs(seg, b);
+            let c = self.segment_costs(seg, bi);
             costs.push(c);
         }
         let batched = !self.exploded && self.evals + n as u64 <= self.budget;
@@ -1045,8 +1045,9 @@ impl<'a> Dp<'a> {
                 let k = self.k_cands[ki];
                 let in_flight = self.downs[down_id as usize].entry_in_flight(k, b);
                 let per_replica = CostModel::in_flight_per_replica(in_flight, b, d as usize);
-                let mem =
-                    params / gp_ir::BYTES_PER_ELEMENT * BYTES_PER_PARAM_STATE + act * per_replica;
+                // Saturating: a product past u64 is over any budget.
+                let mem = (params / gp_ir::BYTES_PER_ELEMENT * BYTES_PER_PARAM_STATE)
+                    .saturating_add(act.saturating_mul(per_replica));
                 if mem > self.mem_budget {
                     self.memory_prunes += 1;
                     continue;
@@ -1201,16 +1202,26 @@ impl<'a> Dp<'a> {
         }
         match self.arena.node(node) {
             ANode::Leaf(_) => {
-                let cand = self.eval_candidates(
-                    Seg::Generic {
-                        node,
-                        s: WHOLE.0,
-                        e: WHOLE.1,
-                    },
-                    d,
-                    down_id,
-                )?;
-                Some(self.single_frag(node, WHOLE.0, WHOLE.1, d, cand))
+                let slot = self.slot_base[node as usize];
+                if let Some(cached) = self.memo_get(slot, down_id, d) {
+                    return cached;
+                }
+                if self.cut_passed() {
+                    return None;
+                }
+                let seg = Seg::Generic {
+                    node,
+                    s: WHOLE.0,
+                    e: WHOLE.1,
+                };
+                let best = self
+                    .eval_candidates(seg, d, down_id)
+                    .map(|cand| self.single_frag(node, WHOLE.0, WHOLE.1, d, cand));
+                // A candidate sweep cut short by the budget is no answer.
+                if !self.halted() {
+                    self.memo_set(slot, down_id, d, best);
+                }
+                best
             }
             ANode::Chain(_) => self.solve_chain(node, 0, d, down_id),
             ANode::Branches(_) => {
@@ -1390,7 +1401,7 @@ impl<'a> Dp<'a> {
             let seg_key = seg.key();
             for bi_c in 0..n_b {
                 let b = self.b_cands[bi_c];
-                let (seg_time, params, act, comm) = self.segment_costs(seg, b);
+                let (seg_time, params, act, comm) = self.segment_costs(seg, bi_c);
                 let m = (self.mini_batch / b).max(1);
                 let comm_term = comm as f64 / link.bandwidth;
                 let lat_term = 2.0 * link.latency / b as f64;
@@ -1447,7 +1458,7 @@ impl<'a> Dp<'a> {
                         let in_flight = self.downs[entries_id as usize].entry_in_flight(k, b);
                         let per_replica =
                             CostModel::in_flight_per_replica(in_flight, b, d_head as usize);
-                        let mem = params_state + act * per_replica;
+                        let mem = params_state.saturating_add(act.saturating_mul(per_replica));
                         if mem > self.mem_budget {
                             self.memory_prunes += 1;
                             continue;
@@ -1841,6 +1852,67 @@ impl Cut {
     }
 }
 
+/// The per-op costs every DP run of a search reads, built once by
+/// [`SearchCtx::new`]. Per op: the fwd+bwd time at every size in `b_all`,
+/// and the parameter, stashed-activation and output bytes; per size: the
+/// whole-model time. Each time is the exact `f64` `op_time(Forward) +
+/// op_time(Backward)`, so a sum over the table in a given term order has
+/// the bits of the same sum over `op_time`. Rows are keyed by `OpId`, not
+/// by a run's creation-order `NodeIdx`, so every probe, configuration and
+/// helper thread reads one immutable table.
+struct OpTable {
+    /// Operators per column (`graph.len()`).
+    ops: usize,
+    /// `time[col * ops + op]`: fwd+bwd time of `op` at micro-batch
+    /// `b_all[col]`.
+    time: Vec<f64>,
+    /// Parameter bytes per op.
+    params: Vec<u64>,
+    /// Stashed activation bytes per sample, per op.
+    stashed: Vec<u64>,
+    /// Output bytes per sample, per op.
+    out_bytes: Vec<u64>,
+    /// Whole-model fwd+bwd time per column, summed in `graph.nodes()`
+    /// order.
+    total: Vec<f64>,
+}
+
+impl OpTable {
+    fn new(graph: &Graph, cost: &CostModel, b_all: &[u64]) -> OpTable {
+        let ops = graph.len();
+        let mut time = vec![0.0; ops * b_all.len()];
+        let mut params = vec![0; ops];
+        let mut stashed = vec![0; ops];
+        let mut out_bytes = vec![0; ops];
+        for node in graph.nodes() {
+            let op = node.id;
+            for (col, &b) in b_all.iter().enumerate() {
+                time[col * ops + op.index()] = cost.op_time(graph, op, b, Pass::Forward)
+                    + cost.op_time(graph, op, b, Pass::Backward);
+            }
+            params[op.index()] = node.kind.param_count() * gp_ir::BYTES_PER_ELEMENT;
+            stashed[op.index()] = graph.stashed_bytes(op);
+            out_bytes[op.index()] = node.output_bytes();
+        }
+        let total = (0..b_all.len())
+            .map(|col| graph.nodes().map(|n| time[col * ops + n.id.index()]).sum())
+            .collect();
+        OpTable {
+            ops,
+            time,
+            params,
+            stashed,
+            out_bytes,
+            total,
+        }
+    }
+
+    /// Fwd+bwd time of `op` at micro-batch `b_all[col]`.
+    fn time(&self, op: OpId, col: usize) -> f64 {
+        self.time[col * self.ops + op.index()]
+    }
+}
+
 /// Everything a DP run needs, shared (immutably) across worker threads.
 struct SearchCtx<'a> {
     graph: &'a Graph,
@@ -1849,6 +1921,8 @@ struct SearchCtx<'a> {
     devices: u32,
     mini_batch: u64,
     b_all: Vec<u64>,
+    /// Per-op costs at every size in `b_all`.
+    table: OpTable,
     options: &'a PlanOptions,
     /// Work-conservation lower bound on the achievable TPS.
     t_base: f64,
@@ -1908,34 +1982,40 @@ impl<'a> SearchCtx<'a> {
                 "max_tps is {t_hi0}: peak_flops and mem_bandwidth must be positive and finite"
             )));
         }
-        // The optimum can never beat the work-conservation bound
-        // min_b total(b) / (b * |V_D|).
-        let t_base = b_all
-            .iter()
-            .map(|&b| Self::total_time(graph, &cost, b) / (b as f64 * devices as f64))
-            .fold(f64::INFINITY, f64::min)
-            .max(1e-12);
-        Ok(SearchCtx {
+        let table = OpTable::new(graph, &cost, &b_all);
+        let mut ctx = SearchCtx {
             graph,
             cost,
             root: model.root(),
             devices,
             mini_batch,
             b_all,
+            table,
             options,
-            t_base,
+            t_base: 0.0,
             t_hi0,
-        })
+        };
+        // The optimum can never beat the work-conservation bound
+        // min_b total(b) / (b * |V_D|).
+        ctx.t_base = (0..ctx.b_all.len())
+            .map(|col| ctx.work_bound(col))
+            .fold(f64::INFINITY, f64::min)
+            .max(1e-12);
+        Ok(ctx)
     }
 
-    fn total_time(graph: &Graph, cost: &CostModel, b: u64) -> f64 {
-        graph
-            .nodes()
-            .map(|n| {
-                cost.op_time(graph, n.id, b, Pass::Forward)
-                    + cost.op_time(graph, n.id, b, Pass::Backward)
-            })
-            .sum()
+    /// The whole model's time per sample at micro-batch `b_all[col]`,
+    /// spread over every device: no partition at that size beats it.
+    fn work_bound(&self, col: usize) -> f64 {
+        self.table.total[col] / (self.b_all[col] as f64 * self.devices as f64)
+    }
+
+    /// The table column of micro-batch size `b`.
+    fn column(&self, b: u64) -> usize {
+        self.b_all
+            .iter()
+            .position(|&x| x == b)
+            .expect("micro-batch size comes from the search's sizes")
     }
 
     /// The geometric bracket ladder: `2 * t_base * 2^j` while within the
@@ -1955,13 +2035,9 @@ impl<'a> SearchCtx<'a> {
     /// discarded. Skipping sizes whose bound already exceeds the target is
     /// sound: the whole model's work must fit `d * t_max`.
     fn run_specs(&self, t: f64) -> (Vec<Vec<u64>>, u64) {
-        let feasible: Vec<u64> = self
-            .b_all
-            .iter()
-            .copied()
-            .filter(|&b| {
-                Self::total_time(self.graph, &self.cost, b) / (b as f64 * self.devices as f64) <= t
-            })
+        let feasible: Vec<u64> = (0..self.b_all.len())
+            .filter(|&col| self.work_bound(col) <= t)
+            .map(|col| self.b_all[col])
             .collect();
         let filtered = (self.b_all.len() - feasible.len()) as u64;
         let specs = if self.options.per_stage_micro_batch {
@@ -2490,6 +2566,58 @@ mod tests {
     }
 
     #[test]
+    fn op_table_matches_op_time_bit_for_bit() {
+        // The plan-cold models at their 32-GPU operating points (moe at
+        // 128 too), and their tiny variants as train-tiny plans them.
+        use gp_ir::zoo::{GnnPipeConfig, Gpt2Config};
+        let cells: Vec<(SpModel, usize, u64)> = vec![
+            (zoo::mmt(&MmtConfig::default()), 32, 512),
+            (zoo::dlrm(&DlrmConfig::default()), 32, 2048),
+            (zoo::candle_uno(&CandleUnoConfig::default()), 32, 32768),
+            (zoo::candle_uno(&CandleUnoConfig::full()), 32, 32768),
+            (zoo::moe(&MoeConfig::default()), 32, 1024),
+            (zoo::moe(&MoeConfig::default()), 128, 4096),
+            (zoo::gpt2(&Gpt2Config::default()), 32, 256),
+            (zoo::gnn_pipe(&GnnPipeConfig::default()), 32, 512),
+            (zoo::mmt(&MmtConfig::tiny()), 2, 8),
+            (zoo::dlrm(&DlrmConfig::tiny()), 2, 8),
+            (zoo::candle_uno(&CandleUnoConfig::tiny()), 2, 8),
+            (zoo::moe(&MoeConfig::tiny()), 2, 8),
+            (zoo::gpt2(&Gpt2Config::tiny()), 2, 8),
+            (zoo::gnn_pipe(&GnnPipeConfig::tiny()), 2, 8),
+        ];
+        let options = PlanOptions::default().with_max_micro_batches(128);
+        for (model, devices, mini_batch) in cells {
+            let label = format!("{}@{devices}", model.name());
+            let cluster = Cluster::summit_like(devices);
+            let ctx = SearchCtx::new(&model, &cluster, mini_batch, &options).unwrap();
+            let (graph, cost, table) = (model.graph(), &ctx.cost, &ctx.table);
+            assert!(!ctx.b_all.is_empty(), "{label}");
+            for (col, &b) in ctx.b_all.iter().enumerate() {
+                // The in-order sum every DP run used to recompute.
+                let total: f64 = graph
+                    .nodes()
+                    .map(|n| {
+                        let t = cost.op_time(graph, n.id, b, Pass::Forward)
+                            + cost.op_time(graph, n.id, b, Pass::Backward);
+                        let got = table.time(n.id, col);
+                        assert_eq!(got.to_bits(), t.to_bits(), "{label} b={b} {}", n.name);
+                        t
+                    })
+                    .sum();
+                assert_eq!(table.total[col].to_bits(), total.to_bits(), "{label} b={b}");
+            }
+            for n in graph.nodes() {
+                let op = n.id.index();
+                let params = n.kind.param_count() * gp_ir::BYTES_PER_ELEMENT;
+                assert_eq!(table.params[op], params, "{label} {}", n.name);
+                assert_eq!(table.stashed[op], graph.stashed_bytes(n.id), "{label}");
+                assert_eq!(table.out_bytes[op], n.output_bytes(), "{label}");
+            }
+        }
+    }
+
+    #[test]
     fn plans_sequential_chain() {
         let model = zoo::mlp_chain(8, 512);
         let plan = plan_for(&model, 4, 32).unwrap();
@@ -2548,18 +2676,28 @@ mod tests {
         assert!(matches!(err, PlanError::Infeasible(_)), "{err:?}");
     }
 
-    /// Plans a two-layer chain on its own thread, so a search that never
-    /// ends fails the calling test after 5 s instead of stalling it, and
-    /// one that panics fails it with "no answer".
+    /// Plans a two-layer chain on its own thread (see [`plan_model_guarded`]).
     fn plan_guarded(
         label: &str,
         options: PlanOptions,
         cluster: Cluster,
         mini_batch: u64,
     ) -> Result<Plan, PlanError> {
+        plan_model_guarded(label, zoo::mlp_chain(2, 512), options, cluster, mini_batch)
+    }
+
+    /// Plans `model` on its own thread, so a search that never ends fails
+    /// the calling test after 5 s instead of stalling it, and one that
+    /// panics fails it with "no answer".
+    fn plan_model_guarded(
+        label: &str,
+        model: SpModel,
+        options: PlanOptions,
+        cluster: Cluster,
+        mini_batch: u64,
+    ) -> Result<Plan, PlanError> {
         let (done, reply) = std::sync::mpsc::channel();
         let planner = std::thread::spawn(move || {
-            let model = zoo::mlp_chain(2, 512);
             let planner = GraphPipePlanner::with_options(options);
             let _ = done.send(planner.plan(&model, &cluster, mini_batch));
         });
@@ -2622,6 +2760,47 @@ mod tests {
                 Err(PlanError::Infeasible(msg)) if msg.starts_with("mini_batch") => {}
                 other => panic!("{label}: expected a mini_batch error, got {other:?}"),
             }
+        }
+    }
+
+    #[test]
+    fn stage_memory_past_u64_is_over_budget() {
+        // Inside the u32 bound, k = 2^31 in-flight micro-batches of up to
+        // 2^31 samples times a stage's activation bytes still pass
+        // u64::MAX: the product panicked a debug build, and a release build
+        // wrapped it, fitting a one-stage plan into 8.4 MB.
+        let label = "mini_batch 2^31, kfkb_candidates [2^31]";
+        let options = PlanOptions::default().with_kfkb_candidates(vec![1 << 31]);
+        match plan_guarded(label, options, Cluster::summit_like(4), 1 << 31) {
+            Err(PlanError::Infeasible(_)) => {}
+            other => panic!("{label}: expected an over-budget error, got {other:?}"),
+        }
+    }
+
+    /// `input -> fc -> head -> loss`, the head one element wide. At k = 1
+    /// the suffix `[loss]` stashes 4 bytes per sample and fits, so the
+    /// chain solver's split loop prices heads against it.
+    fn narrow_head_chain(hidden: usize) -> SpModel {
+        let mut b = gp_ir::GraphBuilder::new();
+        let input = b.input("input", gp_ir::Shape::vector(hidden));
+        let fc = b.linear("fc", input, hidden, true).unwrap();
+        let head = b.linear("head", fc, 1, true).unwrap();
+        let loss = b.loss("loss", &[head]);
+        let root = SpBlock::Chain([input, fc, head, loss].map(SpBlock::Leaf).to_vec());
+        SpModel::new("narrow-head", b.finish().unwrap(), root).unwrap()
+    }
+
+    #[test]
+    fn split_head_memory_past_u64_is_over_budget() {
+        // The split loop's head pricing has its own copy of the stage
+        // memory product: with the suffix `[loss]` at k = 1, a head at
+        // k = 2^31 takes it past u64::MAX.
+        let label = "narrow-head chain, mini_batch 2^31, kfkb_candidates [1, 2^31]";
+        let options = PlanOptions::default().with_kfkb_candidates(vec![1, 1 << 31]);
+        let model = narrow_head_chain(512);
+        match plan_model_guarded(label, model, options, Cluster::summit_like(4), 1 << 31) {
+            Err(PlanError::Infeasible(_)) => {}
+            other => panic!("{label}: expected an over-budget error, got {other:?}"),
         }
     }
 

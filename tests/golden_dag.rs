@@ -7,8 +7,12 @@
 //! plan path whenever it is not exact-SP, so a ladder regression (e.g.
 //! recognition silently degrading to SP-ization) flips the fingerprint and
 //! fails this table even if the strategy shape happens to survive. The
-//! planner and simulator are deterministic, so the values are exact; a
-//! diff means a behaviour change — re-pin only after reviewing it.
+//! search counters `evals`, `states` and `hits` (`dp_evals`, `dp_states`,
+//! `memo_hits`) are pinned too, as `tests/golden_planner.rs` pins them for
+//! the hand-authored zoo: they move when the search's work does even if
+//! its answer does not. The planner and simulator are deterministic, so
+//! the values are exact; a diff means a behaviour change — re-pin only
+//! after reviewing it.
 //!
 //! The second table pins the Figure-6-style comparison on `gpt2`: graph
 //! pipeline parallelism must never lose to the sequential baseline on a
@@ -62,13 +66,16 @@ fn actual_table() -> String {
             let _ = writeln!(
                 out,
                 "{name} gpus={devices} b={mini_batch} path={} makespan={:.9e} fp={} \
-                 stages={} depth={} micro={}",
+                 stages={} depth={} micro={} evals={} states={} hits={}",
                 plan.path,
                 report.iteration_time,
                 plan_fingerprint(&plan),
                 plan.stage_graph.len(),
                 plan.pipeline_depth(),
                 plan.max_micro_batch(),
+                plan.stats.dp_evals,
+                plan.stats.dp_states,
+                plan.stats.memo_hits,
             );
         }
     }
@@ -76,12 +83,12 @@ fn actual_table() -> String {
 }
 
 const EXPECTED: &str = "\
-gnn-pipe gpus=8 b=128 path=sp-ized (distortion 98304 bytes) makespan=3.312464354e-3 fp=cc7d467000ab5bea1a54a26cd8afebeb stages=8 depth=8 micro=128
-gnn-pipe gpus=16 b=256 path=sp-ized (distortion 98304 bytes) makespan=5.132484007e-3 fp=9a1ca09cd476034eaf95471631231bd9 stages=15 depth=14 micro=256
-gnn-pipe gpus=32 b=512 path=sp-ized (distortion 98304 bytes) makespan=6.218668101e-3 fp=8cbca2578e86317e811c7c1d9f1bf54c stages=32 depth=16 micro=512
-gpt2 gpus=8 b=64 path=exact-sp makespan=9.114274315e-3 fp=a5872ed6a3c5a94741c1b31ad124b9b6 stages=2 depth=2 micro=16
-gpt2 gpus=16 b=128 path=exact-sp makespan=2.923743584e-2 fp=c55b200b61ddfa22b0c09f88e017c822 stages=6 depth=6 micro=32
-gpt2 gpus=32 b=256 path=exact-sp makespan=9.865370851e-3 fp=ee390cec12fb78b75c4d2637058c0f8f stages=1 depth=1 micro=8
+gnn-pipe gpus=8 b=128 path=sp-ized (distortion 98304 bytes) makespan=3.312464354e-3 fp=cc7d467000ab5bea1a54a26cd8afebeb stages=8 depth=8 micro=128 evals=35049 states=941 hits=22347
+gnn-pipe gpus=16 b=256 path=sp-ized (distortion 98304 bytes) makespan=5.132484007e-3 fp=9a1ca09cd476034eaf95471631231bd9 stages=15 depth=14 micro=256 evals=598893 states=3951 hits=685607
+gnn-pipe gpus=32 b=512 path=sp-ized (distortion 98304 bytes) makespan=6.218668101e-3 fp=8cbca2578e86317e811c7c1d9f1bf54c stages=32 depth=16 micro=512 evals=4631029 states=10179 hits=6361671
+gpt2 gpus=8 b=64 path=exact-sp makespan=9.114274315e-3 fp=a5872ed6a3c5a94741c1b31ad124b9b6 stages=2 depth=2 micro=16 evals=101824 states=165 hits=69472
+gpt2 gpus=16 b=128 path=exact-sp makespan=2.923743584e-2 fp=c55b200b61ddfa22b0c09f88e017c822 stages=6 depth=6 micro=32 evals=1720586 states=486 hits=1282978
+gpt2 gpus=32 b=256 path=exact-sp makespan=9.865370851e-3 fp=ee390cec12fb78b75c4d2637058c0f8f stages=1 depth=1 micro=8 evals=9516557 states=1143 hits=8401582
 ";
 
 #[test]
