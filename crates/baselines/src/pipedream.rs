@@ -17,8 +17,9 @@
 //! fingerprints or the artifact codec; `cargo xtask lint` scans it for
 //! nondeterminism hazards (DESIGN.md §"Determinism lint").
 
+use crate::{best_entry, insert_pareto, Entry};
 use gp_cluster::{Cluster, DeviceRange};
-use gp_cost::{CostModel, Pass, BYTES_PER_PARAM_STATE};
+use gp_cost::{CostModel, OpTable};
 use gp_ir::{Graph, OpId, SpModel};
 use gp_obs::ClockHandle;
 use gp_partition::{Plan, PlanError, PlanOptions, Planner, SearchStats};
@@ -52,21 +53,6 @@ pub struct PipeDreamPlanner {
     clock: ClockHandle,
 }
 
-/// One Pareto entry of the suffix DP: a partition of the chain suffix with
-/// its bottleneck TPS and stage count, plus back-pointers for
-/// reconstruction.
-#[derive(Debug, Clone, Copy)]
-struct Entry {
-    tps: f64,
-    depth: u32,
-    /// Split position: the suffix's first stage is `[i..j)`.
-    j: u32,
-    /// Devices given to the first stage.
-    d1: u32,
-    /// Index of the chosen entry in `f(j, d - d1)`.
-    child: u32,
-}
-
 /// Per-prefix aggregate costs of the linearized chain.
 struct Prefix {
     fwd: Vec<f64>,
@@ -79,7 +65,8 @@ struct Prefix {
 }
 
 impl Prefix {
-    fn build(graph: &Graph, cost: &CostModel, order: &[OpId], b: u64) -> Prefix {
+    /// The prefixes at the table's micro-batch size `col`.
+    fn build(graph: &Graph, table: &OpTable, order: &[OpId], col: usize) -> Prefix {
         let n = order.len();
         let mut pos = vec![0usize; graph.len()];
         for (i, &op) in order.iter().enumerate() {
@@ -88,11 +75,10 @@ impl Prefix {
         let (mut fwd, mut bwd) = (vec![0.0; n + 1], vec![0.0; n + 1]);
         let (mut params, mut act) = (vec![0u64; n + 1], vec![0u64; n + 1]);
         for (i, &op) in order.iter().enumerate() {
-            fwd[i + 1] = fwd[i] + cost.op_time(graph, op, b, Pass::Forward);
-            bwd[i + 1] = bwd[i] + cost.op_time(graph, op, b, Pass::Backward);
-            params[i + 1] =
-                params[i] + graph.node(op).kind.param_count() * gp_ir::BYTES_PER_ELEMENT;
-            act[i + 1] = act[i] + graph.stashed_bytes(op);
+            fwd[i + 1] = fwd[i] + table.fwd(op, col);
+            bwd[i + 1] = bwd[i] + table.bwd(op, col);
+            params[i + 1] = params[i] + table.param_bytes(op);
+            act[i + 1] = act[i] + table.stashed_bytes(op);
         }
         // diff[c] accumulates edge contributions: an edge (u, v) is live
         // across every cut strictly between u and v.
@@ -100,7 +86,7 @@ impl Prefix {
         for (u, v) in graph.edges() {
             let (pu, pv) = (pos[u.index()], pos[v.index()]);
             debug_assert!(pu < pv, "linearization must be topological");
-            let bytes = graph.node(u).output_bytes() as i64;
+            let bytes = table.output_bytes(u) as i64;
             diff[pu + 1] += bytes;
             diff[pv + 1] -= bytes;
         }
@@ -134,34 +120,31 @@ impl PipeDreamPlanner {
         }
     }
 
-    /// Runs the suffix DP for one micro-batch size; returns the cut
-    /// positions and device counts of the best partition, with its
-    /// estimated bottleneck TPS.
+    /// Runs the suffix DP at the table's micro-batch size `col`; returns
+    /// the cut positions and device counts of the best partition, with
+    /// its estimated bottleneck TPS.
     #[allow(clippy::too_many_arguments)]
     fn dp(
         &self,
         graph: &Graph,
         cost: &CostModel,
+        table: &OpTable,
         order: &[OpId],
         devices: u32,
-        b: u64,
+        col: usize,
         mini_batch: u64,
         evals: &mut u64,
     ) -> Option<(Vec<ChainCut>, f64)> {
         let n = order.len() as u32;
-        let pre = Prefix::build(graph, cost, order, b);
+        let b = table.sizes()[col];
+        let pre = Prefix::build(graph, table, order, col);
         let mem_budget = cost.memory_budget();
-        let link = cost.default_boundary_link();
-        // f[i][d] = Pareto entries for partitioning ops [i..n) over d devices.
+        // f[i][d] = Pareto entries for partitioning ops [i..n) over d
+        // devices; an entry's `next` is the end `j` of its first stage
+        // `[i..j)`, and `child` indexes `f[j][d - d1]`.
         let mut f: Vec<Vec<Vec<Entry>>> =
             vec![vec![Vec::new(); devices as usize + 1]; n as usize + 1];
-        f[n as usize][0].push(Entry {
-            tps: 0.0,
-            depth: 0,
-            j: n,
-            d1: 0,
-            child: 0,
-        });
+        f[n as usize][0].push(Entry::SINK);
         for i in (0..n).rev() {
             for d in 1..=devices {
                 let mut front: Vec<Entry> = Vec::new();
@@ -177,28 +160,32 @@ impl PipeDreamPlanner {
                             continue;
                         }
                         *evals += 1;
-                        let m = (mini_batch / b).max(1);
-                        let d_eff = m as f64 / m.div_ceil(d1 as u64) as f64;
-                        let tps_stage = (seg_fwd + seg_bwd) / (b as f64 * d_eff)
-                            + comm_bytes as f64 / link.bandwidth
-                            + 2.0 * link.latency / b as f64
-                            + cost.allreduce_time(seg_params, &DeviceRange::new(0, d1))
-                                / mini_batch as f64;
-                        for (ci, child) in f[j as usize][d_rest as usize].clone().iter().enumerate()
-                        {
+                        let tps_stage = cost.candidate_tps(
+                            seg_fwd + seg_bwd,
+                            comm_bytes,
+                            seg_params,
+                            b,
+                            d1,
+                            mini_batch,
+                        );
+                        for (ci, child) in f[j as usize][d_rest as usize].iter().enumerate() {
                             // 1F1B: this stage sits child.depth stages from
                             // the sink and keeps depth+1 micro-batches.
                             let in_flight = (child.depth as u64 + 1) * b;
-                            let mem = seg_params / gp_ir::BYTES_PER_ELEMENT * BYTES_PER_PARAM_STATE
-                                + seg_act
-                                    * CostModel::in_flight_per_replica(in_flight, b, d1 as usize);
+                            let mem = CostModel::stage_memory(
+                                seg_params,
+                                seg_act,
+                                in_flight,
+                                b,
+                                d1 as usize,
+                            );
                             if mem > mem_budget {
                                 continue;
                             }
                             let cand = Entry {
                                 tps: tps_stage.max(child.tps),
                                 depth: child.depth + 1,
-                                j,
+                                next: j,
                                 d1,
                                 child: ci as u32,
                             };
@@ -210,38 +197,23 @@ impl PipeDreamPlanner {
             }
         }
         // Best entry at the source with all devices in use.
-        let best = f[0][devices as usize]
-            .iter()
-            .cloned()
-            .min_by(|a, b| a.tps.total_cmp(&b.tps))?;
+        let best = best_entry(&f[0][devices as usize])?;
         // Reconstruct (start, end, devices) triples.
         let mut cuts = Vec::new();
         let (mut i, mut d, mut e) = (0u32, devices, best);
         loop {
-            cuts.push((i, e.j, e.d1));
-            if e.j == n {
+            cuts.push((i, e.next, e.d1));
+            if e.next == n {
                 break;
             }
-            let next = f[e.j as usize][(d - e.d1) as usize][e.child as usize];
-            i = e.j;
+            let next = f[e.next as usize][(d - e.d1) as usize][e.child as usize];
+            i = e.next;
             d -= e.d1;
             e = next;
         }
         debug_assert_eq!(i, cuts.last().unwrap().0);
         Some((cuts, best.tps))
     }
-}
-
-/// Keeps `front` minimal under (tps, depth) dominance.
-fn insert_pareto(front: &mut Vec<Entry>, cand: Entry) {
-    if front
-        .iter()
-        .any(|e| e.tps <= cand.tps && e.depth <= cand.depth)
-    {
-        return;
-    }
-    front.retain(|e| !(cand.tps <= e.tps && cand.depth <= e.depth));
-    front.push(cand);
 }
 
 impl Planner for PipeDreamPlanner {
@@ -255,20 +227,16 @@ impl Planner for PipeDreamPlanner {
         let cost = CostModel::new(cluster);
         let order = model.linearize();
         let devices = cluster.device_count() as u32;
-        let b_all = self.options.micro_batch_sizes(mini_batch);
-        if b_all.is_empty() {
-            return Err(PlanError::Infeasible(
-                "no micro-batch size candidates divide the mini-batch".to_string(),
-            ));
-        }
+        let b_all = self.options.micro_batch_sizes(mini_batch)?;
+        let table = OpTable::new(&cost, graph, &b_all);
         let mut stats = SearchStats::default();
         let mut best: Option<(Vec<ChainCut>, f64, u64)> = None;
-        for &b in &b_all {
+        for (col, &b) in b_all.iter().enumerate() {
             stats.configs_tried += 1;
             let mut evals = 0u64;
-            if let Some((cuts, tps)) =
-                self.dp(graph, &cost, &order, devices, b, mini_batch, &mut evals)
-            {
+            if let Some((cuts, tps)) = self.dp(
+                graph, &cost, &table, &order, devices, col, mini_batch, &mut evals,
+            ) {
                 let better = match &best {
                     None => true,
                     Some((_, cur, _)) => tps < *cur,
@@ -384,7 +352,7 @@ mod tests {
         let mk = |tps: f64, depth: u32| Entry {
             tps,
             depth,
-            j: 0,
+            next: 0,
             d1: 0,
             child: 0,
         };

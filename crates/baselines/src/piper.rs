@@ -20,8 +20,9 @@
 //! * per-stage device counts are powers of two, as in Piper's
 //!   tensor/data-parallel configuration enumeration.
 
+use crate::{best_entry, insert_pareto, Entry};
 use gp_cluster::{Cluster, DeviceRange};
-use gp_cost::{CostModel, Pass, BYTES_PER_PARAM_STATE};
+use gp_cost::{CostModel, OpTable};
 use gp_ir::{Graph, OpId, SpBlock, SpModel};
 use gp_obs::ClockHandle;
 use gp_partition::{Plan, PlanError, PlanOptions, Planner, SearchStats};
@@ -70,19 +71,6 @@ const DOWNSET_CAP: usize = 10_000;
 /// A reconstructed stage in bitset form: `(outer downset, inner downset,
 /// device count)` — the stage's units are `outer \ inner`.
 type DownsetCut = (u128, u128, u32);
-
-/// One Pareto entry of the suffix DP (see `pipedream.rs` for the scheme).
-#[derive(Debug, Clone, Copy)]
-struct Entry {
-    tps: f64,
-    depth: u32,
-    /// Index of the superset downset this entry extends.
-    parent: u32,
-    /// Devices of the first suffix stage.
-    d1: u32,
-    /// Entry index within the parent's Pareto front.
-    child: u32,
-}
 
 struct UnitGraph {
     /// Operators of each unit, in topological order.
@@ -216,13 +204,15 @@ impl PiperPlanner {
         Ok(out)
     }
 
+    /// The downsets' cost aggregates at the table's micro-batch size
+    /// `col`.
     fn downset_costs(
         &self,
         graph: &Graph,
-        cost: &CostModel,
+        table: &OpTable,
         ug: &UnitGraph,
         downsets: &[u128],
-        b: u64,
+        col: usize,
     ) -> DownsetCosts {
         let n = ug.units.len();
         let mut unit_time = vec![0.0f64; n];
@@ -230,10 +220,9 @@ impl PiperPlanner {
         let mut unit_act = vec![0u64; n];
         for (u, ops) in ug.units.iter().enumerate() {
             for &op in ops {
-                unit_time[u] += cost.op_time(graph, op, b, Pass::Forward)
-                    + cost.op_time(graph, op, b, Pass::Backward);
-                unit_params[u] += graph.node(op).kind.param_count() * gp_ir::BYTES_PER_ELEMENT;
-                unit_act[u] += graph.stashed_bytes(op);
+                unit_time[u] += table.time(op, col);
+                unit_params[u] += table.param_bytes(op);
+                unit_act[u] += table.stashed_bytes(op);
             }
         }
         // Unit-level edge list with live bytes.
@@ -247,7 +236,7 @@ impl PiperPlanner {
         for (a, bb) in graph.edges() {
             let (ua, ub) = (unit_of[a.index()], unit_of[bb.index()]);
             if ua != ub {
-                edges.push((ua, ub, graph.node(a).output_bytes()));
+                edges.push((ua, ub, table.output_bytes(a)));
             }
         }
         let mut time = Vec::with_capacity(downsets.len());
@@ -312,17 +301,12 @@ impl PiperPlanner {
             .take_while(|&p| p <= devices)
             .collect();
         let mem_budget = cost.memory_budget();
-        let link = cost.default_boundary_link();
-        // g[downset][d] = Pareto front for partitioning the complement.
+        // g[downset][d] = Pareto front for partitioning the complement; an
+        // entry's `next` is the superset downset its first stage reaches,
+        // and `child` indexes that downset's front.
         let mut g: Vec<Vec<Vec<Entry>>> =
             vec![vec![Vec::new(); devices as usize + 1]; downsets.len()];
-        g[index_of[&full] as usize][0].push(Entry {
-            tps: 0.0,
-            depth: 0,
-            parent: u32::MAX,
-            d1: 0,
-            child: 0,
-        });
+        g[index_of[&full] as usize][0].push(Entry::SINK);
         for (pi, &i2) in order.iter().enumerate() {
             let d2 = downsets[i2 as usize];
             // Transitions into every strict subset processed later.
@@ -340,13 +324,8 @@ impl PiperPlanner {
                 let stage_act = costs.act[i2 as usize] - costs.act[i1 as usize];
                 let comm_bytes = costs.cut[i1 as usize] + costs.cut[i2 as usize];
                 for &dd in &d_choices {
-                    let m = (mini_batch / b).max(1);
-                    let d_eff = m as f64 / m.div_ceil(dd as u64) as f64;
-                    let tps_stage = stage_time / (b as f64 * d_eff)
-                        + comm_bytes as f64 / link.bandwidth
-                        + 2.0 * link.latency / b as f64
-                        + cost.allreduce_time(stage_params, &DeviceRange::new(0, dd))
-                            / mini_batch as f64;
+                    let tps_stage =
+                        cost.candidate_tps(stage_time, comm_bytes, stage_params, b, dd, mini_batch);
                     for d_rest in 0..=devices.saturating_sub(dd) {
                         if g[i2 as usize][d_rest as usize].is_empty() {
                             continue;
@@ -354,17 +333,20 @@ impl PiperPlanner {
                         for ci in 0..g[i2 as usize][d_rest as usize].len() {
                             let child = g[i2 as usize][d_rest as usize][ci];
                             let in_flight = (child.depth as u64 + 1) * b;
-                            let mem = stage_params / gp_ir::BYTES_PER_ELEMENT
-                                * BYTES_PER_PARAM_STATE
-                                + stage_act
-                                    * CostModel::in_flight_per_replica(in_flight, b, dd as usize);
+                            let mem = CostModel::stage_memory(
+                                stage_params,
+                                stage_act,
+                                in_flight,
+                                b,
+                                dd as usize,
+                            );
                             if mem > mem_budget {
                                 continue;
                             }
                             let cand = Entry {
                                 tps: tps_stage.max(child.tps),
                                 depth: child.depth + 1,
-                                parent: i2,
+                                next: i2,
                                 d1: dd,
                                 child: ci as u32,
                             };
@@ -376,38 +358,22 @@ impl PiperPlanner {
             }
         }
         let empty_idx = index_of[&0] as usize;
-        let Some(best) = g[empty_idx][devices as usize]
-            .iter()
-            .cloned()
-            .min_by(|a, b| a.tps.total_cmp(&b.tps))
-        else {
+        let Some(best) = best_entry(&g[empty_idx][devices as usize]) else {
             return Ok(None);
         };
         // Reconstruct stages from the source: (from_set, to_set, devices).
         let mut stages = Vec::new();
         let (mut idx, mut d, mut e) = (empty_idx, devices, best);
-        while e.parent != u32::MAX {
+        while e.next != Entry::SINK.next {
             let from = downsets[idx];
-            let to = downsets[e.parent as usize];
+            let to = downsets[e.next as usize];
             stages.push((from, to, e.d1));
-            idx = e.parent as usize;
+            idx = e.next as usize;
             d -= e.d1;
             e = g[idx][d as usize][e.child as usize];
         }
         Ok(Some((stages, best.tps)))
     }
-}
-
-/// Keeps `front` minimal under (tps, depth) dominance.
-fn insert_pareto(front: &mut Vec<Entry>, cand: Entry) {
-    if front
-        .iter()
-        .any(|e| e.tps <= cand.tps && e.depth <= cand.depth)
-    {
-        return;
-    }
-    front.retain(|e| !(cand.tps <= e.tps && cand.depth <= e.depth));
-    front.push(cand);
 }
 
 impl Planner for PiperPlanner {
@@ -420,23 +386,19 @@ impl Planner for PiperPlanner {
         let graph = model.graph();
         let cost = CostModel::new(cluster);
         let devices = cluster.device_count() as u32;
+        let b_all = self.options.micro_batch_sizes(mini_batch)?;
         let ug = UnitGraph::build(model, self.unit_ops);
         let downsets = self.enumerate_downsets(&ug)?;
-        let b_all = self.options.micro_batch_sizes(mini_batch);
-        if b_all.is_empty() {
-            return Err(PlanError::Infeasible(
-                "no micro-batch size candidates divide the mini-batch".to_string(),
-            ));
-        }
+        let table = OpTable::new(&cost, graph, &b_all);
         let mut stats = SearchStats {
             dp_states: downsets.len() as u64,
             ..SearchStats::default()
         };
         let mut best: Option<(Vec<DownsetCut>, f64, u64)> = None;
         let mut evals = 0u64;
-        for &b in &b_all {
+        for (col, &b) in b_all.iter().enumerate() {
             stats.configs_tried += 1;
-            let costs = self.downset_costs(graph, &cost, &ug, &downsets, b);
+            let costs = self.downset_costs(graph, &table, &ug, &downsets, col);
             if let Some((cuts, tps)) =
                 self.dp(&cost, &downsets, &costs, devices, b, mini_batch, &mut evals)?
             {

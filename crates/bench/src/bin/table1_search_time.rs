@@ -3,30 +3,61 @@
 //!
 //! Expected shape (paper): GraphPipe fastest everywhere; Piper slowest and
 //! "✗" (search explosion) on the 8-branch DLRM/CANDLE-Uno models.
+//!
+//! Each cell is the median of [`RUNS`] plans, with their min–max beside
+//! it: one plan's wall time swings with host noise (two single-shot runs
+//! of one binary read PD/GP as 2.4–16.7x and 2.3–18.7x on a 2-core host),
+//! so only the median is comparable across runs. The ratios divide
+//! medians.
 
 use gp_bench::harness::{harness_options, paper_mini_batch, row};
 use graphpipe::prelude::*;
 use std::time::Instant;
 
-fn time_plan(planner: &dyn Planner, model: &SpModel, cluster: &Cluster, b: u64) -> Option<f64> {
-    time_plan_stats(planner, model, cluster, b).map(|(t, _)| t)
+/// Plans timed per (planner, cell).
+const RUNS: usize = 3;
+
+/// Search wall times of one (planner, cell) over [`RUNS`] plans, in
+/// seconds, and the search counters (identical across the runs).
+struct Timing {
+    median: f64,
+    min: f64,
+    max: f64,
+    stats: SearchStats,
 }
 
-fn time_plan_stats(
-    planner: &dyn Planner,
-    model: &SpModel,
-    cluster: &Cluster,
-    b: u64,
-) -> Option<(f64, SearchStats)> {
-    let t0 = Instant::now();
-    match planner.plan(model, cluster, b) {
-        Ok(plan) => Some((t0.elapsed().as_secs_f64(), plan.stats)),
-        Err(PlanError::SearchExplosion { .. }) => None,
-        Err(other) => {
-            eprintln!("warning: {} failed: {other}", planner.name());
-            None
+impl Timing {
+    fn render(&self) -> String {
+        format!("{:.3} ({:.3}–{:.3})", self.median, self.min, self.max)
+    }
+}
+
+/// Times [`RUNS`] plans; `None` when the planner fails (the paper's "✗"),
+/// which it does on the first run if at all.
+fn time_plan(planner: &dyn Planner, model: &SpModel, cluster: &Cluster, b: u64) -> Option<Timing> {
+    let mut walls = Vec::with_capacity(RUNS);
+    let mut stats = SearchStats::default();
+    for _ in 0..RUNS {
+        let t0 = Instant::now();
+        match planner.plan(model, cluster, b) {
+            Ok(plan) => {
+                walls.push(t0.elapsed().as_secs_f64());
+                stats = plan.stats;
+            }
+            Err(PlanError::SearchExplosion { .. }) => return None,
+            Err(other) => {
+                eprintln!("warning: {} failed: {other}", planner.name());
+                return None;
+            }
         }
     }
+    walls.sort_by(f64::total_cmp);
+    Some(Timing {
+        median: walls[RUNS / 2],
+        min: walls[0],
+        max: walls[RUNS - 1],
+        stats,
+    })
 }
 
 fn main() {
@@ -39,7 +70,7 @@ fn main() {
             zoo::candle_uno(&zoo::CandleUnoConfig::default()),
         ),
     ];
-    println!("# Table 1: solution search times (seconds)\n");
+    println!("# Table 1: solution search times (seconds; median (min–max) of {RUNS} plans)\n");
     println!(
         "{}",
         row(&[
@@ -64,14 +95,13 @@ fn main() {
             let mini_batch = paper_mini_batch(lookup, devices);
             let cluster = Cluster::summit_like(devices);
             let opts = harness_options();
-            let gp_cell = time_plan_stats(
+            let gp = time_plan(
                 &GraphPipePlanner::with_options(opts.clone()),
                 model,
                 &cluster,
                 mini_batch,
             );
-            let gp = gp_cell.as_ref().map(|&(t, _)| t);
-            if let Some((_, s)) = &gp_cell {
+            if let Some(Timing { stats: s, .. }) = &gp {
                 counter_rows.push(row(&[
                     name.to_string(),
                     devices.to_string(),
@@ -97,9 +127,9 @@ fn main() {
                 &cluster,
                 mini_batch,
             );
-            let fmt = |v: Option<f64>| v.map_or("✗".to_string(), |t| format!("{t:.3}"));
-            let ratio = |num: Option<f64>, den: Option<f64>| match (num, den) {
-                (Some(n), Some(d)) if d > 0.0 => format!("{:.1}x", n / d),
+            let fmt = |v: &Option<Timing>| v.as_ref().map_or("✗".to_string(), Timing::render);
+            let ratio = |num: &Option<Timing>, den: &Option<Timing>| match (num, den) {
+                (Some(n), Some(d)) if d.median > 0.0 => format!("{:.1}x", n.median / d.median),
                 _ => "-".to_string(),
             };
             println!(
@@ -107,11 +137,11 @@ fn main() {
                 row(&[
                     name.to_string(),
                     devices.to_string(),
-                    fmt(piper),
-                    fmt(pd),
-                    fmt(gp),
-                    ratio(piper, gp),
-                    ratio(pd, gp),
+                    fmt(&piper),
+                    fmt(&pd),
+                    fmt(&gp),
+                    ratio(&piper, &gp),
+                    ratio(&pd, &gp),
                 ])
             );
         }

@@ -342,10 +342,12 @@ impl Session {
     ///
     /// Returns the planner's error if *no* candidate yields a feasible
     /// plan; search explosions propagate immediately (retrying other
-    /// micro-batch sizes would explode identically — Table 1's "✗").
+    /// micro-batch sizes would explode identically — Table 1's "✗"). A
+    /// mini-batch that [`PlanOptions::micro_batch_sizes`] rejects fails
+    /// before any plan.
     pub fn evaluate(&self, kind: PlannerKind) -> Result<EvalResult, Error> {
         let _span = self.telemetry.span("session.evaluate");
-        let candidates = self.options.micro_batch_sizes(self.mini_batch);
+        let candidates = self.options.micro_batch_sizes(self.mini_batch)?;
         let mut best: Option<(u64, Arc<Plan>, SimReport)> = None;
         let mut per_micro_batch = Vec::new();
         let mut last_err = PlanError::Infeasible("no micro-batch candidates".to_string());

@@ -16,11 +16,19 @@
 //! * **memory** — weights + gradients + Adam states (16 bytes/param fp32)
 //!   plus stashed activations proportional to the number of in-flight
 //!   samples, the quantity GPP minimizes.
+//!
+//! Every planner prices a candidate stage through the same three pieces:
+//! an [`OpTable`] of per-op costs at the search's micro-batch sizes, which
+//! the planner sums over the stage's operators;
+//! [`CostModel::candidate_tps`] for its Time-Per-Sample; and
+//! [`CostModel::stage_memory`] for its Equation 2 memory, which
+//! [`CostModel::stage_memory_bytes`] (and so `Plan::measure` and
+//! gp-verify) share.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-use gp_cluster::{Cluster, DeviceRange, LinkProfile};
+use gp_cluster::{Cluster, DeviceId, DeviceRange, LinkProfile};
 use gp_ir::{Graph, OpId};
 
 /// Direction of a pass through (part of) the model.
@@ -56,13 +64,17 @@ pub const BYTES_PER_PARAM_STATE: u64 = 16;
 #[derive(Debug, Clone)]
 pub struct CostModel {
     cluster: Cluster,
+    /// [`CostModel::default_boundary_link`], looked up once.
+    boundary: LinkProfile,
 }
 
 impl CostModel {
     /// Binds the model to a cluster (its device profile and links).
     pub fn new(cluster: &Cluster) -> Self {
+        let last = DeviceId(cluster.device_count() as u32 - 1);
         CostModel {
             cluster: cluster.clone(),
+            boundary: cluster.link(DeviceId(0), last),
         }
     }
 
@@ -101,7 +113,9 @@ impl CostModel {
             .sum::<u64>()
             + node.output_bytes();
         let weight_bytes = node.kind.param_count() * gp_ir::BYTES_PER_ELEMENT;
-        let moved = (io_per_sample * micro_batch + weight_bytes) as f64
+        // In f64 too, as the FLOPs: below 2^53 every term converts exactly
+        // and the sum rounds as the unwrapped u64 sum converts.
+        let moved = (io_per_sample as f64 * micro_batch as f64 + weight_bytes as f64)
             * match pass {
                 Pass::Forward => 1.0,
                 Pass::Backward => 2.0,
@@ -161,11 +175,7 @@ impl CostModel {
     /// distributed round-robin over replicas, so each replica stashes whole
     /// micro-batches.
     #[inline]
-    pub fn in_flight_per_replica(
-        in_flight_samples: u64,
-        micro_batch: u64,
-        dp_degree: usize,
-    ) -> u64 {
+    fn in_flight_per_replica(in_flight_samples: u64, micro_batch: u64, dp_degree: usize) -> u64 {
         assert!(dp_degree >= 1 && micro_batch >= 1);
         // Micro-batch sizes are powers of two in practice; a shift-based
         // ceiling division (bit-identical to `div_ceil` for powers of two)
@@ -187,10 +197,28 @@ impl CostModel {
         groups * micro_batch
     }
 
-    /// Peak per-device memory of a stage: optimizer-state bytes for its
-    /// parameters plus stashed activations for `in_flight_samples`, divided
-    /// across `dp_degree` replicas in whole micro-batches (weights are
-    /// fully replicated). Saturates at `u64::MAX`, which no budget admits.
+    /// Peak per-device memory of a stage (Equation 2) from its parameter
+    /// bytes and its stashed activation bytes per sample: optimizer state
+    /// for the parameters plus activations for `in_flight_samples`,
+    /// divided across `dp_degree` replicas in whole micro-batches (weights
+    /// are fully replicated). Saturates at `u64::MAX`, which no budget
+    /// admits. The one memory formula: every planner prunes with it, and
+    /// [`CostModel::stage_memory_bytes`] measures plans with it.
+    #[inline]
+    pub fn stage_memory(
+        param_bytes: u64,
+        act_bytes: u64,
+        in_flight_samples: u64,
+        micro_batch: u64,
+        dp_degree: usize,
+    ) -> u64 {
+        let per_replica = Self::in_flight_per_replica(in_flight_samples, micro_batch, dp_degree);
+        (param_bytes / gp_ir::BYTES_PER_ELEMENT)
+            .saturating_mul(BYTES_PER_PARAM_STATE)
+            .saturating_add(act_bytes.saturating_mul(per_replica))
+    }
+
+    /// [`CostModel::stage_memory`] of the stage running `ops`.
     pub fn stage_memory_bytes(
         &self,
         graph: &Graph,
@@ -199,27 +227,43 @@ impl CostModel {
         micro_batch: u64,
         dp_degree: usize,
     ) -> u64 {
-        let params: u64 = ops
-            .iter()
-            .map(|&op| graph.node(op).kind.param_count())
-            .sum();
-        let static_bytes = params.saturating_mul(BYTES_PER_PARAM_STATE);
-        let act = self.stage_activation_bytes_per_sample(graph, ops);
-        let per_replica = Self::in_flight_per_replica(in_flight_samples, micro_batch, dp_degree);
-        static_bytes.saturating_add(act.saturating_mul(per_replica))
+        Self::stage_memory(
+            self.stage_param_bytes(graph, ops),
+            self.stage_activation_bytes_per_sample(graph, ops),
+            in_flight_samples,
+            micro_batch,
+            dp_degree,
+        )
     }
 
-    /// Whether a stage fits the per-device budget (Equation 2).
-    pub fn stage_fits_memory(
+    /// Time-Per-Sample of a candidate stage before placement: `time`, its
+    /// fwd+bwd time per micro-batch of `micro_batch` samples, spread over
+    /// the effective data-parallel degree of `devices` replicas, plus
+    /// `comm_bytes` per sample over the default boundary link with a send
+    /// and a receive latency per micro-batch, plus the allreduce of
+    /// `param_bytes` amortized over the mini-batch. The one candidate
+    /// price: every planner's search ranks stages by it. (A placed stage's
+    /// [`CostModel::stage_tps`] has no boundary term.)
+    #[inline]
+    pub fn candidate_tps(
         &self,
-        graph: &Graph,
-        ops: &[OpId],
-        in_flight_samples: u64,
+        time: f64,
+        comm_bytes: u64,
+        param_bytes: u64,
         micro_batch: u64,
-        dp_degree: usize,
-    ) -> bool {
-        self.stage_memory_bytes(graph, ops, in_flight_samples, micro_batch, dp_degree)
-            <= self.memory_budget()
+        devices: u32,
+        mini_batch: u64,
+    ) -> f64 {
+        // Micro-batches round-robin over replicas; the slowest replica
+        // gets ceil(m/d) of m micro-batches. The term order is part of
+        // every pinned plan: do not re-associate.
+        let m = (mini_batch / micro_batch).max(1);
+        let d_eff = m as f64 / m.div_ceil(devices as u64) as f64;
+        let link = self.boundary;
+        time / (micro_batch as f64 * d_eff)
+            + comm_bytes as f64 / link.bandwidth
+            + 2.0 * link.latency / micro_batch as f64
+            + self.allreduce_time(param_bytes, &DeviceRange::new(0, devices)) / mini_batch as f64
     }
 
     /// Activation bytes crossing from `from_ops` into `to_ops` per sample:
@@ -245,20 +289,12 @@ impl CostModel {
         total
     }
 
-    /// Affine point-to-point transfer time.
-    pub fn transfer_time(&self, bytes: u64, link: LinkProfile) -> f64 {
-        link.transfer_time(bytes)
-    }
-
     /// The link the planner assumes for a not-yet-placed stage boundary:
     /// the inter-node link when the cluster spans nodes, otherwise NVLink.
     /// (The simulator later uses the *actual* link between assigned
     /// devices.)
-    #[inline]
     pub fn default_boundary_link(&self) -> LinkProfile {
-        let first = gp_cluster::DeviceId(0);
-        let last = gp_cluster::DeviceId(self.cluster.device_count() as u32 - 1);
-        self.cluster.link(first, last)
+        self.boundary
     }
 
     /// Ring-allreduce time for `bytes` across a data-parallel device range:
@@ -284,6 +320,111 @@ impl CostModel {
         let single = DeviceRange::new(0, 1);
         // Mini-batch 1 makes the (zero) allreduce term irrelevant.
         2.0 * self.stage_tps(graph, &ops, 1, &single, 1) + 1e-9
+    }
+}
+
+/// The per-op costs a search sums, built once per search at its
+/// micro-batch sizes. Per op and size: the forward and the backward time,
+/// each the exact `f64` of [`CostModel::op_time`], so a sum over the table
+/// in a given term order has the bits of the same sum over `op_time`. Per
+/// op: the parameter, stashed-activation and output bytes. Rows are keyed
+/// by `OpId` and the table is immutable, so every probe, configuration
+/// and thread of a search reads one table.
+#[derive(Debug, Clone)]
+pub struct OpTable {
+    /// Operators per column (`graph.len()`).
+    ops: usize,
+    /// The micro-batch size of each column.
+    sizes: Vec<u64>,
+    /// `times[col * ops + op]`: `[fwd, bwd]` time of `op` at `sizes[col]`.
+    times: Vec<[f64; 2]>,
+    params: Vec<u64>,
+    stashed: Vec<u64>,
+    out_bytes: Vec<u64>,
+}
+
+impl OpTable {
+    /// Prices every operator of `graph` at every size in `sizes`.
+    pub fn new(cost: &CostModel, graph: &Graph, sizes: &[u64]) -> OpTable {
+        let ops = graph.len();
+        let mut times = vec![[0.0; 2]; ops * sizes.len()];
+        let mut params = vec![0; ops];
+        let mut stashed = vec![0; ops];
+        let mut out_bytes = vec![0; ops];
+        for node in graph.nodes() {
+            let op = node.id;
+            for (col, &b) in sizes.iter().enumerate() {
+                times[col * ops + op.index()] = [
+                    cost.op_time(graph, op, b, Pass::Forward),
+                    cost.op_time(graph, op, b, Pass::Backward),
+                ];
+            }
+            params[op.index()] = node.kind.param_count() * gp_ir::BYTES_PER_ELEMENT;
+            stashed[op.index()] = graph.stashed_bytes(op);
+            out_bytes[op.index()] = node.output_bytes();
+        }
+        OpTable {
+            ops,
+            sizes: sizes.to_vec(),
+            times,
+            params,
+            stashed,
+            out_bytes,
+        }
+    }
+
+    /// The micro-batch sizes, one per column.
+    pub fn sizes(&self) -> &[u64] {
+        &self.sizes
+    }
+
+    /// The column of micro-batch size `b`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the table was not built for `b`.
+    pub fn column(&self, b: u64) -> usize {
+        self.sizes
+            .iter()
+            .position(|&x| x == b)
+            .expect("micro-batch size comes from the table's sizes")
+    }
+
+    /// Forward time of `op` at micro-batch `sizes()[col]`.
+    #[inline]
+    pub fn fwd(&self, op: OpId, col: usize) -> f64 {
+        self.times[col * self.ops + op.index()][0]
+    }
+
+    /// Backward time of `op` at micro-batch `sizes()[col]`.
+    #[inline]
+    pub fn bwd(&self, op: OpId, col: usize) -> f64 {
+        self.times[col * self.ops + op.index()][1]
+    }
+
+    /// Forward plus backward time of `op` at micro-batch `sizes()[col]`.
+    #[inline]
+    pub fn time(&self, op: OpId, col: usize) -> f64 {
+        let [fwd, bwd] = self.times[col * self.ops + op.index()];
+        fwd + bwd
+    }
+
+    /// Parameter bytes of `op`.
+    #[inline]
+    pub fn param_bytes(&self, op: OpId) -> u64 {
+        self.params[op.index()]
+    }
+
+    /// Stashed activation bytes per sample of `op`.
+    #[inline]
+    pub fn stashed_bytes(&self, op: OpId) -> u64 {
+        self.stashed[op.index()]
+    }
+
+    /// Output bytes per sample of `op`.
+    #[inline]
+    pub fn output_bytes(&self, op: OpId) -> u64 {
+        self.out_bytes[op.index()]
     }
 }
 
@@ -377,7 +518,9 @@ mod tests {
             cost.stage_memory_bytes(g, &ops, in_flight, 1 << 24, 1),
             u64::MAX
         );
-        assert!(!cost.stage_fits_memory(g, &ops, in_flight, 1 << 24, 1));
+        // Huge parameter bytes saturate too, past any activation term.
+        assert_eq!(CostModel::stage_memory(u64::MAX, 0, 1, 1, 1), u64::MAX);
+        assert_eq!(CostModel::stage_memory(1 << 62, 1, 1, 1, 1), u64::MAX);
     }
 
     #[test]
@@ -387,7 +530,7 @@ mod tests {
         let cost = CostModel::new(&cluster);
         let g = model.graph();
         let ops: Vec<OpId> = g.nodes().map(|n| n.id).collect();
-        assert!(!cost.stage_fits_memory(g, &ops, 4, 1, 1));
+        assert!(cost.stage_memory_bytes(g, &ops, 4, 1, 1) > cost.memory_budget());
     }
 
     #[test]
@@ -439,5 +582,58 @@ mod tests {
         let g = model.graph();
         let input = g.sources()[0];
         assert_eq!(cost.op_time(g, input, 8, Pass::Forward), 0.0);
+    }
+
+    #[test]
+    fn op_time_prices_huge_micro_batches_without_wrapping() {
+        // Bytes moved per kernel at b = 2^62 pass u64::MAX; the product is
+        // formed in f64, so the time is finite and grows with the batch.
+        let model = zoo::mlp_chain(2, 512);
+        let cost = CostModel::new(&Cluster::summit_like(4));
+        let g = model.graph();
+        for node in g.nodes() {
+            for pass in [Pass::Forward, Pass::Backward] {
+                let huge = cost.op_time(g, node.id, 1 << 62, pass);
+                assert!(huge.is_finite(), "{}", node.name);
+                assert!(huge >= cost.op_time(g, node.id, 1 << 32, pass));
+            }
+        }
+    }
+
+    #[test]
+    fn candidate_tps_of_one_replica_without_traffic_is_compute_per_sample() {
+        let (_, cost) = setup();
+        let link = cost.default_boundary_link();
+        let tps = cost.candidate_tps(8.0, 0, 0, 4, 1, 64);
+        assert_eq!(tps, 8.0 / 4.0 + 2.0 * link.latency / 4.0);
+        // Boundary traffic and replication both show up.
+        assert!(cost.candidate_tps(8.0, 1 << 20, 0, 4, 1, 64) > tps);
+        assert!(cost.candidate_tps(8.0, 0, 1 << 20, 4, 2, 64) < tps);
+    }
+
+    #[test]
+    fn op_table_holds_op_time_bit_for_bit() {
+        let (model, cost) = setup();
+        let g = model.graph();
+        let sizes = [1, 4, 32];
+        let table = OpTable::new(&cost, g, &sizes);
+        assert_eq!(table.sizes(), sizes);
+        for node in g.nodes() {
+            for (col, &b) in sizes.iter().enumerate() {
+                assert_eq!(table.column(b), col);
+                let fwd = cost.op_time(g, node.id, b, Pass::Forward);
+                let bwd = cost.op_time(g, node.id, b, Pass::Backward);
+                assert_eq!(table.fwd(node.id, col).to_bits(), fwd.to_bits());
+                assert_eq!(table.bwd(node.id, col).to_bits(), bwd.to_bits());
+                assert_eq!(table.time(node.id, col).to_bits(), (fwd + bwd).to_bits());
+            }
+            let ops = [node.id];
+            assert_eq!(table.param_bytes(node.id), cost.stage_param_bytes(g, &ops));
+            assert_eq!(
+                table.stashed_bytes(node.id),
+                cost.stage_activation_bytes_per_sample(g, &ops)
+            );
+            assert_eq!(table.output_bytes(node.id), node.output_bytes());
+        }
     }
 }

@@ -51,7 +51,11 @@
 //!   tests use a stamped scratch array instead of per-call hash sets;
 //! * every per-op cost those caches sum comes from the search's
 //!   [`OpTable`], built once by [`SearchCtx::new`] and keyed by `OpId`: a
-//!   run computes no `op_time` of its own.
+//!   run computes no `op_time` of its own;
+//! * every candidate stage is priced by one evaluator,
+//!   [`Dp::eval_candidates`], over a window of `(devices, boundary)`
+//!   pairs, through gp-cost's [`CostModel::candidate_tps`] and
+//!   [`CostModel::stage_memory`], the functions the baselines price with.
 //!
 //! # Determinism, the lazy probe & the fan-out
 //!
@@ -92,7 +96,7 @@
 use crate::cores::CoreBudget;
 use crate::plan::{Plan, PlanError, PlanOptions, Planner, SearchStats};
 use gp_cluster::{Cluster, DeviceRange};
-use gp_cost::{CostModel, Pass, BYTES_PER_PARAM_STATE};
+use gp_cost::{CostModel, OpTable};
 use gp_ir::{Graph, OpId, SpBlock, SpModel};
 use gp_obs::{ClockHandle, Telemetry};
 use gp_sched::{compute_in_flight, Stage, StageGraph, StageId};
@@ -510,13 +514,13 @@ struct SplitScratch {
     /// Resolved suffix column: encoded `FragId` or `MEMO_NONE` per window
     /// index.
     col: Vec<u32>,
-    /// Head-candidate TPS per window index (one micro-batch size at a
-    /// time).
-    tps: Vec<f64>,
-    /// Running per-index best head candidate over `(b, k)`.
-    best_if: Vec<u64>,
-    best_mem: Vec<u64>,
-    best_bk: Vec<(u64, u64)>,
+    /// The live window, in window order: `(head devices, the suffix's
+    /// entry down-set)` per resolved suffix.
+    heads: Vec<(u32, DownId)>,
+    /// The resolved suffix of each live pair.
+    suffixes: Vec<FragId>,
+    /// The best head candidate of each live pair.
+    best: Vec<Option<StageCand>>,
 }
 
 struct Dp<'a> {
@@ -552,6 +556,9 @@ struct Dp<'a> {
     branch_time: Vec<Option<Box<[f64]>>>,
     /// Stamped op-membership scratch (replaces per-call bitmaps).
     member_stamp: Vec<u64>,
+    /// Beside each stamp, the chain element its op belongs to (written
+    /// only by [`Dp::ensure_chain_static`]).
+    member_elem: Vec<u32>,
     cur_stamp: u64,
     /// Generic-segment aggregate memo, keyed by packed `(node, s, e)`.
     seg_cache: FastMap<u64, SegEntry>,
@@ -581,8 +588,9 @@ struct Dp<'a> {
     eval_batches: u64,
     /// Pool of window buffers for the chain split loop's column passes.
     scratch_pool: Vec<SplitScratch>,
-    /// Reusable per-candidate buffers for `eval_candidates` (taken with
-    /// `mem::take` around use; `eval_candidates` never recurses).
+    /// Reusable buffers for `eval_candidates` (taken with `mem::take`
+    /// around use; `eval_candidates` never recurses): segment costs per
+    /// micro-batch size, and TPS per `(size, window pair)`.
     cand_costs: Vec<SegmentCosts>,
     cand_tps: Vec<f64>,
 }
@@ -598,7 +606,7 @@ impl<'a> Dp<'a> {
     ) -> Dp<'a> {
         let bound_b = b_cands.iter().copied().max().unwrap_or(1);
         let bound_bi = b_cands.iter().position(|&b| b == bound_b).unwrap_or(0);
-        let b_cols = b_cands.iter().map(|&b| ctx.column(b)).collect();
+        let b_cols = b_cands.iter().map(|&b| ctx.table.column(b)).collect();
         let mut dp = Dp {
             graph: ctx.graph,
             cost: &ctx.cost,
@@ -621,6 +629,7 @@ impl<'a> Dp<'a> {
             chain_time: Vec::new(),
             branch_time: Vec::new(),
             member_stamp: vec![0; ctx.graph.len()],
+            member_elem: vec![0; ctx.graph.len()],
             cur_stamp: 0,
             seg_cache: FastMap::default(),
             tps_cache: FastMap::default(),
@@ -752,14 +761,20 @@ impl<'a> Dp<'a> {
         if self.chain_static[chain as usize].is_some() {
             return;
         }
+        // Mark each element's ops with the element index.
+        self.cur_stamp += 1;
+        let stamp = self.cur_stamp;
         let n = self.arena.children(chain).len();
-        let mut elem_of: HashMap<OpId, usize> = HashMap::new();
         for i in 0..n {
             let c = self.arena.children(chain)[i];
             for &op in self.arena.node_ops(c) {
-                elem_of.insert(op, i);
+                self.member_stamp[op.index()] = stamp;
+                self.member_elem[op.index()] = i as u32;
             }
         }
+        let elem_of = |op: OpId| {
+            (self.member_stamp[op.index()] == stamp).then(|| self.member_elem[op.index()] as usize)
+        };
         let mut params = vec![0u64; n + 1];
         let mut act = vec![0u64; n + 1];
         let mut ext = vec![0u64; n + 1];
@@ -771,20 +786,20 @@ impl<'a> Dp<'a> {
             let mut a = 0u64;
             let mut x = 0u64;
             for &op in self.arena.node_ops(c) {
-                p += self.table.params[op.index()];
-                a += self.table.stashed[op.index()];
-                let bytes = self.table.out_bytes[op.index()];
+                p += self.table.param_bytes(op);
+                a += self.table.stashed_bytes(op);
+                let bytes = self.table.output_bytes(op);
                 for &succ in self.graph.succs(op) {
-                    match elem_of.get(&succ) {
-                        Some(&j) if j == i => {}
-                        Some(&j) if j == i + 1 => adj[i + 1] += bytes,
+                    match elem_of(succ) {
+                        Some(j) if j == i => {}
+                        Some(j) if j == i + 1 => adj[i + 1] += bytes,
                         Some(_) => simple = false,
                         None => x += bytes,
                     }
                 }
                 for &pred in self.graph.preds(op) {
-                    if !elem_of.contains_key(&pred) {
-                        x += self.table.out_bytes[pred.index()];
+                    if elem_of(pred).is_none() {
+                        x += self.table.output_bytes(pred);
                     }
                 }
             }
@@ -920,7 +935,7 @@ impl<'a> Dp<'a> {
         let col = self.b_cols[bi];
         let visit = |dp: &Self, op: OpId| -> (f64, u64, u64, u64) {
             let table = dp.table;
-            let bytes = table.out_bytes[op.index()];
+            let bytes = table.output_bytes(op);
             let mut x = 0u64;
             for &succ in dp.graph.succs(op) {
                 if dp.member_stamp[succ.index()] != stamp {
@@ -929,13 +944,13 @@ impl<'a> Dp<'a> {
             }
             for &pred in dp.graph.preds(op) {
                 if dp.member_stamp[pred.index()] != stamp {
-                    x += table.out_bytes[pred.index()];
+                    x += table.output_bytes(pred);
                 }
             }
             (
                 table.time(op, col),
-                table.params[op.index()],
-                table.stashed[op.index()],
+                table.param_bytes(op),
+                table.stashed_bytes(op),
                 x,
             )
         };
@@ -972,125 +987,128 @@ impl<'a> Dp<'a> {
         (time, params, act, comm)
     }
 
-    /// The base case of Algorithm 1: one segment as a single stage with
-    /// `d`-way data parallelism; best `(b, k)` candidate by (in-flight,
-    /// memory).
+    /// The base case of Algorithm 1: one segment as a single stage, at
+    /// every `(devices, down-set)` pair of `window`. Writes each pair's
+    /// best `(b, k)` candidate by (in-flight, memory) into `best`, the
+    /// window's length, and returns false when the budget or the cut
+    /// stopped the sweep, leaving no answer.
     ///
-    /// Runs as one batched pass: per-candidate segment costs are gathered
-    /// first, the TPS sweep runs 4 lanes at a time over the candidate
-    /// slice, and the eval budget is charged for the whole batch up front
-    /// — falling back to per-candidate charging only when the batch could
-    /// trip the budget, so explosion accounting stays deterministic.
-    fn eval_candidates(&mut self, seg: Seg, d: u32, down_id: DownId) -> Option<StageCand> {
+    /// Runs as one batched pass, micro-batch sizes outer, the window next,
+    /// `k` inner: segment costs are gathered per size first, TPS through
+    /// the `(segment, b, d)` memo, and the eval budget is charged for the
+    /// whole batch (live pairs × sizes) up front — falling back to
+    /// per-candidate charging only when the batch could trip the budget,
+    /// so explosion accounting stays deterministic.
+    fn eval_candidates(
+        &mut self,
+        seg: Seg,
+        window: &[(u32, DownId)],
+        best: &mut [Option<StageCand>],
+    ) -> bool {
+        debug_assert_eq!(window.len(), best.len());
         self.eval_batches += 1;
         let n = self.b_cands.len();
+        let w = window.len();
         let mut costs = std::mem::take(&mut self.cand_costs);
         costs.clear();
         for bi in 0..n {
             let c = self.segment_costs(seg, bi);
             costs.push(c);
         }
-        let batched = !self.exploded && self.evals + n as u64 <= self.budget;
+        let units = w as u64 * n as u64;
+        let batched = !self.exploded && self.evals + units <= self.budget;
         if batched {
-            self.evals += n as u64;
+            self.evals += units;
         }
         let mut tps = std::mem::take(&mut self.cand_tps);
         tps.clear();
-        tps.resize(n, f64::INFINITY);
-        let link = self.cost.default_boundary_link();
         {
-            // TPS: compute + boundary communication + amortized allreduce,
-            // through the `(segment, b, d)` memo shared with the chain
-            // split loop — the value is down-set-independent, so repeat
-            // states are pure row reads. Micro-batches round-robin over
-            // replicas; the slowest replica gets ceil(m/d) of m
-            // micro-batches. The miss arm's term order is part of the
-            // bit-compat contract — do not re-associate.
+            // The TPS of a candidate depends only on the segment, the
+            // micro-batch size and the device count — not on the down-set
+            // — so repeat states are pure reads of the segment's
+            // `[bi][d]` row.
             let cost = self.cost;
             let mini_batch = self.mini_batch;
             let row_stride = self.devices as usize + 1;
-            let b_cands = &self.b_cands;
             let row = self
                 .tps_cache
                 .entry(seg.key())
                 .or_insert_with(|| vec![f64::NAN; n * row_stride].into_boxed_slice());
-            for (i, lane) in tps.iter_mut().enumerate().take(n) {
-                let cell = &mut row[i * row_stride + d as usize];
-                if cell.is_nan() {
-                    let b = b_cands[i];
-                    let (time, params, _act, comm) = costs[i];
-                    let m = (mini_batch / b).max(1);
-                    let d_eff = m as f64 / m.div_ceil(d as u64) as f64;
-                    *cell = time / (b as f64 * d_eff)
-                        + comm as f64 / link.bandwidth
-                        + 2.0 * link.latency / b as f64
-                        + cost.allreduce_time(params, &DeviceRange::new(0, d)) / mini_batch as f64;
+            for (bi, &(time, params, _act, comm)) in costs.iter().enumerate() {
+                let b = self.b_cands[bi];
+                for &(d, _) in window {
+                    let cell = &mut row[bi * row_stride + d as usize];
+                    if cell.is_nan() {
+                        *cell = cost.candidate_tps(time, comm, params, b, d, mini_batch);
+                    }
+                    tps.push(*cell);
                 }
-                *lane = *cell;
             }
         }
-        let mut best: Option<StageCand> = None;
-        for bi in 0..n {
-            if !batched && self.charge(1) {
-                self.cand_costs = costs;
-                self.cand_tps = tps;
-                return None;
-            }
-            if tps[bi] > self.t_max {
-                continue;
-            }
+        best.fill(None);
+        let mut complete = true;
+        'sweep: for bi in 0..n {
             let b = self.b_cands[bi];
             let (_time, params, act, _comm) = costs[bi];
-            for ki in 0..self.k_cands.len() {
-                let k = self.k_cands[ki];
-                let in_flight = self.downs[down_id as usize].entry_in_flight(k, b);
-                let per_replica = CostModel::in_flight_per_replica(in_flight, b, d as usize);
-                // Saturating: a product past u64 is over any budget.
-                let mem = (params / gp_ir::BYTES_PER_ELEMENT * BYTES_PER_PARAM_STATE)
-                    .saturating_add(act.saturating_mul(per_replica));
-                if mem > self.mem_budget {
-                    self.memory_prunes += 1;
+            for (j, &(d, down_id)) in window.iter().enumerate() {
+                if !batched && self.charge(1) {
+                    complete = false;
+                    break 'sweep;
+                }
+                if tps[bi * w + j] > self.t_max {
                     continue;
                 }
-                let cand = StageCand {
-                    b,
-                    k,
-                    in_flight,
-                    mem,
-                };
-                let better = match &best {
-                    None => true,
-                    Some(cur) => (cand.in_flight, cand.mem) < (cur.in_flight, cur.mem),
-                };
-                if better {
-                    best = Some(cand);
+                for ki in 0..self.k_cands.len() {
+                    let k = self.k_cands[ki];
+                    let in_flight = self.downs[down_id as usize].entry_in_flight(k, b);
+                    let mem = CostModel::stage_memory(params, act, in_flight, b, d as usize);
+                    if mem > self.mem_budget {
+                        self.memory_prunes += 1;
+                        continue;
+                    }
+                    let better = match &best[j] {
+                        None => true,
+                        Some(cur) => (in_flight, mem) < (cur.in_flight, cur.mem),
+                    };
+                    if better {
+                        best[j] = Some(StageCand {
+                            b,
+                            k,
+                            in_flight,
+                            mem,
+                        });
+                    }
                 }
             }
         }
         self.cand_costs = costs;
         self.cand_tps = tps;
-        best
+        complete
     }
 
-    fn chain_interval_candidate(
-        &mut self,
-        chain: NodeIdx,
-        s: u16,
-        e: u16,
-        d: u32,
-        down_id: DownId,
-    ) -> Option<StageCand> {
+    /// [`Dp::eval_candidates`] at one `(d, down_id)` pair.
+    fn eval_candidate(&mut self, seg: Seg, d: u32, down_id: DownId) -> Option<StageCand> {
+        let mut best = [None];
+        if self.eval_candidates(seg, &[(d, down_id)], &mut best) {
+            best[0]
+        } else {
+            None
+        }
+    }
+
+    /// The segment of chain elements `[s, e)`: prefix-served when the
+    /// chain is simple.
+    fn chain_seg(&mut self, chain: NodeIdx, s: u16, e: u16) -> Seg {
         self.ensure_chain_static(chain);
         let simple = self.chain_static[chain as usize]
             .as_ref()
             .expect("chain_static filled")
             .simple;
-        let seg = if simple {
+        if simple {
             Seg::SimpleChain { chain, s, e }
         } else {
             Seg::Generic { node: chain, s, e }
-        };
-        self.eval_candidates(seg, d, down_id)
+        }
     }
 
     /// Builds a one-stage fragment from a candidate.
@@ -1183,6 +1201,9 @@ impl<'a> Dp<'a> {
 
     fn put_scratch(&mut self, mut scratch: SplitScratch) {
         scratch.col.clear();
+        scratch.heads.clear();
+        scratch.suffixes.clear();
+        scratch.best.clear();
         self.scratch_pool.push(scratch);
     }
 
@@ -1215,7 +1236,7 @@ impl<'a> Dp<'a> {
                     e: WHOLE.1,
                 };
                 let best = self
-                    .eval_candidates(seg, d, down_id)
+                    .eval_candidate(seg, d, down_id)
                     .map(|cand| self.single_frag(node, WHOLE.0, WHOLE.1, d, cand));
                 // A candidate sweep cut short by the budget is no answer.
                 if !self.halted() {
@@ -1270,7 +1291,8 @@ impl<'a> Dp<'a> {
         let mut best: Option<FragId> = None;
         let mut best_score: Score = (u64::MAX, u64::MAX, usize::MAX);
         // Option A: the whole suffix as one stage.
-        if let Some(cand) = self.chain_interval_candidate(chain, start, n, d, down_id) {
+        let seg = self.chain_seg(chain, start, n);
+        if let Some(cand) = self.eval_candidate(seg, d, down_id) {
             let frag = self.single_frag(chain, start, n, d, cand);
             self.consider(frag, &mut best, &mut best_score);
         }
@@ -1296,15 +1318,10 @@ impl<'a> Dp<'a> {
         // and the beam (when bounded) narrows it further around the
         // work-proportional pivot. The window runs as column passes over
         // the dense `[down][d]` memo layout: resolve the suffix column
-        // slice-at-a-time, evaluate every head candidate against the
-        // resolved suffixes in a branch-light sweep, then combine in
-        // window order so tie-breaking matches the per-split loop it
-        // replaces (DESIGN.md §"Planner search").
-        self.ensure_chain_static(chain);
-        let simple = self.chain_static[chain as usize]
-            .as_ref()
-            .expect("chain_static filled")
-            .simple;
+        // slice-at-a-time, price the head against every resolved suffix
+        // in one batched evaluation, then combine in window order so
+        // tie-breaking matches the per-split loop it replaces (DESIGN.md
+        // §"Planner search").
         for mid in start + 1..n {
             let head_time = self.chain_time_at(chain, bi, mid as usize)
                 - self.chain_time_at(chain, bi, start as usize);
@@ -1343,8 +1360,9 @@ impl<'a> Dp<'a> {
                 None => scr.col.resize(width, MEMO_EMPTY),
             }
             // Charge the fill pass up front when it cannot trip the budget
-            // (mirrors pass 2's batched accounting); the per-index fallback
-            // keeps the explosion trajectory deterministic near the edge.
+            // (mirrors the evaluator's batched accounting); the per-index
+            // fallback keeps the explosion trajectory deterministic near
+            // the edge.
             let fill_batched = !self.exploded && self.evals + width as u64 <= self.budget;
             if fill_batched {
                 self.evals += width as u64;
@@ -1360,118 +1378,25 @@ impl<'a> Dp<'a> {
                     self.memo_hits += 1;
                 }
             }
-            let n_live = scr.col.iter().filter(|&&c| c != MEMO_NONE).count();
-            if n_live == 0 {
+            // The live window: each resolved suffix, with the devices it
+            // leaves the head and the boundary it gives it.
+            for (i, &suffix) in scr.col.iter().enumerate() {
+                if suffix != MEMO_NONE {
+                    let d_head = d - (w_lo + i as u32);
+                    scr.heads.push((d_head, self.frag(suffix).entries_id));
+                    scr.suffixes.push(suffix);
+                }
+            }
+            if scr.heads.is_empty() {
                 self.put_scratch(scr);
                 continue;
             }
-            // Pass 2 — head candidates (D1). Segment costs depend only on
-            // (interval, b), so they are hoisted out of the device loop;
-            // the budget is charged for the whole batch up front unless
-            // the batch could trip it, in which case the per-candidate
-            // fallback keeps explosion accounting deterministic.
-            let seg = if simple {
-                Seg::SimpleChain {
-                    chain,
-                    s: start,
-                    e: mid,
-                }
-            } else {
-                Seg::Generic {
-                    node: chain,
-                    s: start,
-                    e: mid,
-                }
-            };
-            self.eval_batches += 1;
-            let n_b = self.b_cands.len();
-            let batch_units = n_live as u64 * n_b as u64;
-            let batched = !self.exploded && self.evals + batch_units <= self.budget;
-            if batched {
-                self.evals += batch_units;
-            }
-            scr.best_if.clear();
-            scr.best_if.resize(width, u64::MAX);
-            scr.best_mem.clear();
-            scr.best_mem.resize(width, u64::MAX);
-            scr.best_bk.clear();
-            scr.best_bk.resize(width, (0, 0));
-            let link = self.cost.default_boundary_link();
-            let row_stride = self.devices as usize + 1;
-            let seg_key = seg.key();
-            for bi_c in 0..n_b {
-                let b = self.b_cands[bi_c];
-                let (seg_time, params, act, comm) = self.segment_costs(seg, bi_c);
-                let m = (self.mini_batch / b).max(1);
-                let comm_term = comm as f64 / link.bandwidth;
-                let lat_term = 2.0 * link.latency / b as f64;
-                let params_state = params / gp_ir::BYTES_PER_ELEMENT * BYTES_PER_PARAM_STATE;
-                scr.tps.clear();
-                scr.tps.resize(width, f64::INFINITY);
-                {
-                    // Head TPS through the `(segment, b, d_head)` memo: the
-                    // value does not depend on the down-set or the suffix
-                    // device count, so across DP states this sweep is
-                    // almost always pure row reads. The miss arm keeps the
-                    // scalar evaluator's exact term order (float addition
-                    // order is part of the bit-compat contract — do not
-                    // re-associate).
-                    let cost = self.cost;
-                    let mini_batch = self.mini_batch;
-                    let row = self
-                        .tps_cache
-                        .entry(seg_key)
-                        .or_insert_with(|| vec![f64::NAN; n_b * row_stride].into_boxed_slice());
-                    let base = bi_c * row_stride;
-                    for i in 0..width {
-                        if scr.col[i] == MEMO_NONE {
-                            continue;
-                        }
-                        let d_head = d - (w_lo + i as u32);
-                        let cell = &mut row[base + d_head as usize];
-                        if cell.is_nan() {
-                            let d_eff = m as f64 / m.div_ceil(d_head as u64) as f64;
-                            *cell = seg_time / (b as f64 * d_eff)
-                                + comm_term
-                                + lat_term
-                                + cost.allreduce_time(params, &DeviceRange::new(0, d_head))
-                                    / mini_batch as f64;
-                        }
-                        scr.tps[i] = *cell;
-                    }
-                }
-                for i in 0..width {
-                    let enc = scr.col[i];
-                    if enc == MEMO_NONE {
-                        continue;
-                    }
-                    if !batched && self.charge(1) {
-                        return None;
-                    }
-                    if scr.tps[i] > self.t_max {
-                        continue;
-                    }
-                    let d_head = d - (w_lo + i as u32);
-                    let entries_id = self.frag(enc).entries_id;
-                    for ki in 0..self.k_cands.len() {
-                        let k = self.k_cands[ki];
-                        let in_flight = self.downs[entries_id as usize].entry_in_flight(k, b);
-                        let per_replica =
-                            CostModel::in_flight_per_replica(in_flight, b, d_head as usize);
-                        let mem = params_state.saturating_add(act.saturating_mul(per_replica));
-                        if mem > self.mem_budget {
-                            self.memory_prunes += 1;
-                            continue;
-                        }
-                        if scr.best_bk[i].0 == 0
-                            || (in_flight, mem) < (scr.best_if[i], scr.best_mem[i])
-                        {
-                            scr.best_if[i] = in_flight;
-                            scr.best_mem[i] = mem;
-                            scr.best_bk[i] = (b, k);
-                        }
-                    }
-                }
+            // Pass 2 — head candidates (D1): the head segment as a single
+            // stage at every live pair.
+            let seg = self.chain_seg(chain, start, mid);
+            scr.best.resize(scr.heads.len(), None);
+            if !self.eval_candidates(seg, &scr.heads, &mut scr.best) {
+                return None;
             }
             // Pass 3 — combine, in window order (ascending d_suf), so the
             // evolving best-score tie-breaking matches the exhaustive
@@ -1483,24 +1408,15 @@ impl<'a> Dp<'a> {
                 None
             };
             let d3 = mid > start + 1 && self.absorbable(chain, start, mid);
-            for i in 0..width {
-                let suffix = scr.col[i];
-                if suffix == MEMO_NONE {
-                    continue;
-                }
-                let d_head = d - (w_lo + i as u32);
-                let (suf_entries, suf_peak, suf_len) = {
+            for j in 0..scr.heads.len() {
+                let (d_head, suf_entries) = scr.heads[j];
+                let suffix = scr.suffixes[j];
+                let (suf_peak, suf_len) = {
                     let f = self.frag(suffix);
-                    (f.entries_id, f.peak_mem, f.len as usize)
+                    (f.peak_mem, f.len as usize)
                 };
                 // D1: head segment as a single stage (score-first).
-                if scr.best_bk[i].0 != 0 {
-                    let cand = StageCand {
-                        b: scr.best_bk[i].0,
-                        k: scr.best_bk[i].1,
-                        in_flight: scr.best_if[i],
-                        mem: scr.best_mem[i],
-                    };
+                if let Some(cand) = scr.best[j] {
                     let score = (cand.in_flight, cand.mem.max(suf_peak), 1 + suf_len);
                     if score < best_score {
                         let head = self.single_frag(chain, start, mid, d_head, cand);
@@ -1655,15 +1571,12 @@ impl<'a> Dp<'a> {
         let mut best: Option<FragId> = None;
         let mut best_score: Score = (u64::MAX, u64::MAX, usize::MAX);
         // The whole group as one (data-parallel) stage.
-        if let Some(cand) = self.eval_candidates(
-            Seg::Generic {
-                node: branches,
-                s: from,
-                e: to,
-            },
-            d,
-            down_id,
-        ) {
+        let seg = Seg::Generic {
+            node: branches,
+            s: from,
+            e: to,
+        };
+        if let Some(cand) = self.eval_candidate(seg, d, down_id) {
             let frag = self.single_frag(branches, from, to, d, cand);
             best_score = self.frag(frag).score();
             best = Some(frag);
@@ -1852,67 +1765,6 @@ impl Cut {
     }
 }
 
-/// The per-op costs every DP run of a search reads, built once by
-/// [`SearchCtx::new`]. Per op: the fwd+bwd time at every size in `b_all`,
-/// and the parameter, stashed-activation and output bytes; per size: the
-/// whole-model time. Each time is the exact `f64` `op_time(Forward) +
-/// op_time(Backward)`, so a sum over the table in a given term order has
-/// the bits of the same sum over `op_time`. Rows are keyed by `OpId`, not
-/// by a run's creation-order `NodeIdx`, so every probe, configuration and
-/// helper thread reads one immutable table.
-struct OpTable {
-    /// Operators per column (`graph.len()`).
-    ops: usize,
-    /// `time[col * ops + op]`: fwd+bwd time of `op` at micro-batch
-    /// `b_all[col]`.
-    time: Vec<f64>,
-    /// Parameter bytes per op.
-    params: Vec<u64>,
-    /// Stashed activation bytes per sample, per op.
-    stashed: Vec<u64>,
-    /// Output bytes per sample, per op.
-    out_bytes: Vec<u64>,
-    /// Whole-model fwd+bwd time per column, summed in `graph.nodes()`
-    /// order.
-    total: Vec<f64>,
-}
-
-impl OpTable {
-    fn new(graph: &Graph, cost: &CostModel, b_all: &[u64]) -> OpTable {
-        let ops = graph.len();
-        let mut time = vec![0.0; ops * b_all.len()];
-        let mut params = vec![0; ops];
-        let mut stashed = vec![0; ops];
-        let mut out_bytes = vec![0; ops];
-        for node in graph.nodes() {
-            let op = node.id;
-            for (col, &b) in b_all.iter().enumerate() {
-                time[col * ops + op.index()] = cost.op_time(graph, op, b, Pass::Forward)
-                    + cost.op_time(graph, op, b, Pass::Backward);
-            }
-            params[op.index()] = node.kind.param_count() * gp_ir::BYTES_PER_ELEMENT;
-            stashed[op.index()] = graph.stashed_bytes(op);
-            out_bytes[op.index()] = node.output_bytes();
-        }
-        let total = (0..b_all.len())
-            .map(|col| graph.nodes().map(|n| time[col * ops + n.id.index()]).sum())
-            .collect();
-        OpTable {
-            ops,
-            time,
-            params,
-            stashed,
-            out_bytes,
-            total,
-        }
-    }
-
-    /// Fwd+bwd time of `op` at micro-batch `b_all[col]`.
-    fn time(&self, op: OpId, col: usize) -> f64 {
-        self.time[col * self.ops + op.index()]
-    }
-}
-
 /// Everything a DP run needs, shared (immutably) across worker threads.
 struct SearchCtx<'a> {
     graph: &'a Graph,
@@ -1920,9 +1772,11 @@ struct SearchCtx<'a> {
     root: &'a SpBlock,
     devices: u32,
     mini_batch: u64,
-    b_all: Vec<u64>,
-    /// Per-op costs at every size in `b_all`.
+    /// Per-op costs at every micro-batch size the search tries.
     table: OpTable,
+    /// Whole-model fwd+bwd time per table column, summed in
+    /// `graph.nodes()` order.
+    totals: Vec<f64>,
     options: &'a PlanOptions,
     /// Work-conservation lower bound on the achievable TPS.
     t_base: f64,
@@ -1937,14 +1791,7 @@ impl<'a> SearchCtx<'a> {
         mini_batch: u64,
         options: &'a PlanOptions,
     ) -> Result<SearchCtx<'a>, PlanError> {
-        // With k and b at most the mini-batch, `k * b` in the in-flight
-        // formula then fits a u64.
-        if mini_batch > u64::from(u32::MAX) {
-            return Err(PlanError::Infeasible(format!(
-                "mini_batch must be at most {}, got {mini_batch}",
-                u32::MAX
-            )));
-        }
+        let b_all = options.micro_batch_sizes(mini_batch)?;
         // Below one ulp of relative gap the bisection could never close.
         if !(options.epsilon.is_finite() && options.epsilon >= f64::EPSILON) {
             return Err(PlanError::Infeasible(format!(
@@ -1967,12 +1814,6 @@ impl<'a> SearchCtx<'a> {
         let graph = model.graph();
         let cost = CostModel::new(cluster);
         let devices = cluster.device_count() as u32;
-        let b_all = options.micro_batch_sizes(mini_batch);
-        if b_all.is_empty() {
-            return Err(PlanError::Infeasible(
-                "no micro-batch size candidates divide the mini-batch".to_string(),
-            ));
-        }
         let t_hi0 = cost.max_tps(graph);
         // A device without compute throughput or memory bandwidth makes
         // the bound infinite (a tiny one puts it near f64::MAX), and the
@@ -1982,40 +1823,35 @@ impl<'a> SearchCtx<'a> {
                 "max_tps is {t_hi0}: peak_flops and mem_bandwidth must be positive and finite"
             )));
         }
-        let table = OpTable::new(graph, &cost, &b_all);
+        let table = OpTable::new(&cost, graph, &b_all);
+        let totals = (0..b_all.len())
+            .map(|col| graph.nodes().map(|n| table.time(n.id, col)).sum())
+            .collect();
         let mut ctx = SearchCtx {
             graph,
             cost,
             root: model.root(),
             devices,
             mini_batch,
-            b_all,
             table,
+            totals,
             options,
             t_base: 0.0,
             t_hi0,
         };
         // The optimum can never beat the work-conservation bound
         // min_b total(b) / (b * |V_D|).
-        ctx.t_base = (0..ctx.b_all.len())
+        ctx.t_base = (0..b_all.len())
             .map(|col| ctx.work_bound(col))
             .fold(f64::INFINITY, f64::min)
             .max(1e-12);
         Ok(ctx)
     }
 
-    /// The whole model's time per sample at micro-batch `b_all[col]`,
+    /// The whole model's time per sample at the table's size `col`,
     /// spread over every device: no partition at that size beats it.
     fn work_bound(&self, col: usize) -> f64 {
-        self.table.total[col] / (self.b_all[col] as f64 * self.devices as f64)
-    }
-
-    /// The table column of micro-batch size `b`.
-    fn column(&self, b: u64) -> usize {
-        self.b_all
-            .iter()
-            .position(|&x| x == b)
-            .expect("micro-batch size comes from the search's sizes")
+        self.totals[col] / (self.table.sizes()[col] as f64 * self.devices as f64)
     }
 
     /// The geometric bracket ladder: `2 * t_base * 2^j` while within the
@@ -2035,11 +1871,12 @@ impl<'a> SearchCtx<'a> {
     /// discarded. Skipping sizes whose bound already exceeds the target is
     /// sound: the whole model's work must fit `d * t_max`.
     fn run_specs(&self, t: f64) -> (Vec<Vec<u64>>, u64) {
-        let feasible: Vec<u64> = (0..self.b_all.len())
+        let sizes = self.table.sizes();
+        let feasible: Vec<u64> = (0..sizes.len())
             .filter(|&col| self.work_bound(col) <= t)
-            .map(|col| self.b_all[col])
+            .map(|col| sizes[col])
             .collect();
-        let filtered = (self.b_all.len() - feasible.len()) as u64;
+        let filtered = (sizes.len() - feasible.len()) as u64;
         let specs = if self.options.per_stage_micro_batch {
             if feasible.is_empty() {
                 Vec::new()
@@ -2592,27 +2429,34 @@ mod tests {
             let cluster = Cluster::summit_like(devices);
             let ctx = SearchCtx::new(&model, &cluster, mini_batch, &options).unwrap();
             let (graph, cost, table) = (model.graph(), &ctx.cost, &ctx.table);
-            assert!(!ctx.b_all.is_empty(), "{label}");
-            for (col, &b) in ctx.b_all.iter().enumerate() {
+            assert!(!table.sizes().is_empty(), "{label}");
+            for (col, &b) in table.sizes().iter().enumerate() {
                 // The in-order sum every DP run used to recompute.
                 let total: f64 = graph
                     .nodes()
                     .map(|n| {
-                        let t = cost.op_time(graph, n.id, b, Pass::Forward)
-                            + cost.op_time(graph, n.id, b, Pass::Backward);
+                        let fwd = cost.op_time(graph, n.id, b, gp_cost::Pass::Forward);
+                        let bwd = cost.op_time(graph, n.id, b, gp_cost::Pass::Backward);
+                        assert_eq!(table.fwd(n.id, col).to_bits(), fwd.to_bits(), "{label}");
+                        assert_eq!(table.bwd(n.id, col).to_bits(), bwd.to_bits(), "{label}");
+                        let t = fwd + bwd;
                         let got = table.time(n.id, col);
                         assert_eq!(got.to_bits(), t.to_bits(), "{label} b={b} {}", n.name);
                         t
                     })
                     .sum();
-                assert_eq!(table.total[col].to_bits(), total.to_bits(), "{label} b={b}");
+                assert_eq!(ctx.totals[col].to_bits(), total.to_bits(), "{label} b={b}");
             }
             for n in graph.nodes() {
-                let op = n.id.index();
-                let params = n.kind.param_count() * gp_ir::BYTES_PER_ELEMENT;
-                assert_eq!(table.params[op], params, "{label} {}", n.name);
-                assert_eq!(table.stashed[op], graph.stashed_bytes(n.id), "{label}");
-                assert_eq!(table.out_bytes[op], n.output_bytes(), "{label}");
+                let ops = [n.id];
+                let params = cost.stage_param_bytes(graph, &ops);
+                assert_eq!(table.param_bytes(n.id), params, "{label} {}", n.name);
+                assert_eq!(
+                    table.stashed_bytes(n.id),
+                    graph.stashed_bytes(n.id),
+                    "{label}"
+                );
+                assert_eq!(table.output_bytes(n.id), n.output_bytes(), "{label}");
             }
         }
     }

@@ -124,24 +124,42 @@ impl PlanOptions {
         self
     }
 
-    /// The micro-batch sizes to try for a given mini-batch size.
-    pub fn micro_batch_sizes(&self, mini_batch: u64) -> Vec<u64> {
-        match &self.micro_batch_candidates {
+    /// The micro-batch sizes to try for a given mini-batch size: the
+    /// entry check every planner shares.
+    ///
+    /// # Errors
+    ///
+    /// [`PlanError::Infeasible`] when the mini-batch exceeds `u32::MAX`
+    /// (with every `k` and micro-batch size at most the mini-batch, the
+    /// bound keeps `k * b` in the in-flight formula inside a u64) or when
+    /// no candidate divides it.
+    pub fn micro_batch_sizes(&self, mini_batch: u64) -> Result<Vec<u64>, PlanError> {
+        if mini_batch > u64::from(u32::MAX) {
+            return Err(PlanError::Infeasible(format!(
+                "mini_batch must be at most {}, got {mini_batch}",
+                u32::MAX
+            )));
+        }
+        let sizes: Vec<u64> = match &self.micro_batch_candidates {
             Some(list) => list
                 .iter()
                 .copied()
                 .filter(|&b| b > 0 && mini_batch.is_multiple_of(b))
                 .collect(),
-            // Every power of two a u64 holds: a doubling walk would wrap
-            // to 0 on a mini-batch of 2^63 or more and never end.
-            None => (0..u64::BITS)
+            None => (0..u32::BITS)
                 .map(|shift| 1u64 << shift)
                 .take_while(|&b| b <= mini_batch)
                 .filter(|&b| {
                     mini_batch.is_multiple_of(b) && mini_batch / b <= self.max_micro_batches
                 })
                 .collect(),
+        };
+        if sizes.is_empty() {
+            return Err(PlanError::Infeasible(
+                "no micro-batch size candidates divide the mini-batch".to_string(),
+            ));
         }
+        Ok(sizes)
     }
 }
 
@@ -428,28 +446,44 @@ mod tests {
     #[test]
     fn default_micro_batch_candidates_are_pow2_divisors() {
         let opts = PlanOptions::default();
-        assert_eq!(opts.micro_batch_sizes(64), vec![1, 2, 4, 8, 16, 32, 64]);
+        assert_eq!(opts.micro_batch_sizes(64), Ok(vec![1, 2, 4, 8, 16, 32, 64]));
         // Cap on micro-batch count kicks in for large mini-batches.
         let opts = PlanOptions {
             max_micro_batches: 4,
             ..PlanOptions::default()
         };
-        assert_eq!(opts.micro_batch_sizes(64), vec![16, 32, 64]);
-        // The largest mini-batches terminate: 2^63 keeps the nine sizes
-        // 2^55..=2^63 under the default cap of 256 micro-batches, and the
-        // odd u64::MAX has no candidate at all.
+        assert_eq!(opts.micro_batch_sizes(64), Ok(vec![16, 32, 64]));
+        // The largest mini-batch accepted keeps the nine sizes
+        // 2^23..=2^31 under the default cap of 256 micro-batches.
         let opts = PlanOptions::default();
-        let top: Vec<u64> = (55..64).map(|s| 1u64 << s).collect();
-        assert_eq!(opts.micro_batch_sizes(1 << 63), top);
-        assert_eq!(opts.micro_batch_sizes(u64::MAX), Vec::<u64>::new());
+        let top: Vec<u64> = (23..32).map(|s| 1u64 << s).collect();
+        assert_eq!(opts.micro_batch_sizes(1 << 31), Ok(top));
+        // Odd mini-batches above 256 have no candidate.
+        let none = opts.micro_batch_sizes(u64::from(u32::MAX));
+        assert!(matches!(none, Err(PlanError::Infeasible(m)) if m.starts_with("no micro-batch")));
+    }
+
+    #[test]
+    fn mini_batches_past_u32_have_no_micro_batch_sizes() {
+        let opts = PlanOptions::default();
+        for mini_batch in [1 << 32, 1 << 62, 1 << 63, u64::MAX] {
+            let err = opts.micro_batch_sizes(mini_batch).unwrap_err();
+            assert!(
+                matches!(&err, PlanError::Infeasible(m) if m.starts_with("mini_batch")),
+                "{mini_batch}: {err:?}"
+            );
+        }
     }
 
     #[test]
     fn forced_micro_batch_filters_non_divisors() {
         let opts = PlanOptions::default().with_forced_micro_batch(6);
-        assert_eq!(opts.micro_batch_sizes(64), Vec::<u64>::new());
+        assert!(matches!(
+            opts.micro_batch_sizes(64),
+            Err(PlanError::Infeasible(_))
+        ));
         let opts = PlanOptions::default().with_forced_micro_batch(8);
-        assert_eq!(opts.micro_batch_sizes(64), vec![8]);
+        assert_eq!(opts.micro_batch_sizes(64), Ok(vec![8]));
     }
 
     #[test]

@@ -314,8 +314,8 @@ pub fn verify_plan(graph: &Graph, cluster: &Cluster, plan: &Plan) -> VerifyRepor
         return report;
     }
     // The in-flight budget is charged in whole micro-batches (see
-    // `CostModel::in_flight_per_replica`), so the bound compares
-    // micro-batch counts.
+    // `CostModel::stage_memory`), so the bound compares micro-batch
+    // counts.
     for s in sg.stages() {
         let held = plan.schedule.stage(s.id).peak_in_flight_micro_batches();
         let budget = plan.in_flight.micro_batches(sg, s.id);
