@@ -237,11 +237,7 @@ impl Planner for PipeDreamPlanner {
             if let Some((cuts, tps)) = self.dp(
                 graph, &cost, &table, &order, devices, col, mini_batch, &mut evals,
             ) {
-                let better = match &best {
-                    None => true,
-                    Some((_, cur, _)) => tps < *cur,
-                };
-                if better {
+                if best.as_ref().is_none_or(|(_, cur, _)| tps < *cur) {
                     best = Some((cuts, tps, b));
                 }
             }

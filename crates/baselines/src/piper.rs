@@ -402,11 +402,7 @@ impl Planner for PiperPlanner {
             if let Some((cuts, tps)) =
                 self.dp(&cost, &downsets, &costs, devices, b, mini_batch, &mut evals)?
             {
-                let better = match &best {
-                    None => true,
-                    Some((_, cur, _)) => tps < *cur,
-                };
-                if better {
+                if best.as_ref().is_none_or(|(_, cur, _)| tps < *cur) {
                     best = Some((cuts, tps, b));
                 }
             }

@@ -17,24 +17,15 @@ use std::time::Instant;
 /// Plans timed per (planner, cell).
 const RUNS: usize = 3;
 
-/// Search wall times of one (planner, cell) over [`RUNS`] plans, in
-/// seconds, and the search counters (identical across the runs).
-struct Timing {
-    median: f64,
-    min: f64,
-    max: f64,
-    stats: SearchStats,
-}
-
-impl Timing {
-    fn render(&self) -> String {
-        format!("{:.3} ({:.3}–{:.3})", self.median, self.min, self.max)
-    }
-}
-
-/// Times [`RUNS`] plans; `None` when the planner fails (the paper's "✗"),
-/// which it does on the first run if at all.
-fn time_plan(planner: &dyn Planner, model: &SpModel, cluster: &Cluster, b: u64) -> Option<Timing> {
+/// The sorted search wall times of [`RUNS`] plans, in seconds, and the
+/// search counters (identical across the runs); `None` when the planner
+/// fails (the paper's "✗"), which it does on the first run if at all.
+fn time_plan(
+    planner: &dyn Planner,
+    model: &SpModel,
+    cluster: &Cluster,
+    b: u64,
+) -> Option<(Vec<f64>, SearchStats)> {
     let mut walls = Vec::with_capacity(RUNS);
     let mut stats = SearchStats::default();
     for _ in 0..RUNS {
@@ -52,12 +43,7 @@ fn time_plan(planner: &dyn Planner, model: &SpModel, cluster: &Cluster, b: u64) 
         }
     }
     walls.sort_by(f64::total_cmp);
-    Some(Timing {
-        median: walls[RUNS / 2],
-        min: walls[0],
-        max: walls[RUNS - 1],
-        stats,
-    })
+    Some((walls, stats))
 }
 
 fn main() {
@@ -101,7 +87,7 @@ fn main() {
                 &cluster,
                 mini_batch,
             );
-            if let Some(Timing { stats: s, .. }) = &gp {
+            if let Some((_, s)) = &gp {
                 counter_rows.push(row(&[
                     name.to_string(),
                     devices.to_string(),
@@ -127,9 +113,14 @@ fn main() {
                 &cluster,
                 mini_batch,
             );
-            let fmt = |v: &Option<Timing>| v.as_ref().map_or("✗".to_string(), Timing::render);
-            let ratio = |num: &Option<Timing>, den: &Option<Timing>| match (num, den) {
-                (Some(n), Some(d)) if d.median > 0.0 => format!("{:.1}x", n.median / d.median),
+            let median = |v: &Option<(Vec<f64>, SearchStats)>| v.as_ref().map(|(w, _)| w[RUNS / 2]);
+            let fmt = |v: &Option<(Vec<f64>, SearchStats)>| {
+                v.as_ref().map_or("✗".to_string(), |(w, _)| {
+                    format!("{:.3} ({:.3}–{:.3})", w[RUNS / 2], w[0], w[RUNS - 1])
+                })
+            };
+            let ratio = |num: Option<f64>, den: Option<f64>| match (num, den) {
+                (Some(n), Some(d)) if d > 0.0 => format!("{:.1}x", n / d),
                 _ => "-".to_string(),
             };
             println!(
@@ -140,8 +131,8 @@ fn main() {
                     fmt(&piper),
                     fmt(&pd),
                     fmt(&gp),
-                    ratio(&piper, &gp),
-                    ratio(&pd, &gp),
+                    ratio(median(&piper), median(&gp)),
+                    ratio(median(&pd), median(&gp)),
                 ])
             );
         }

@@ -78,11 +78,6 @@ impl CostModel {
         }
     }
 
-    /// The cluster this model prices against.
-    pub fn cluster(&self) -> &Cluster {
-        &self.cluster
-    }
-
     /// Per-device memory budget in bytes (`M` of Equation 2).
     pub fn memory_budget(&self) -> u64 {
         self.cluster.profile().mem_capacity
