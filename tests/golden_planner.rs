@@ -1,5 +1,6 @@
-//! Golden tests pinning the GraphPipe planner's outputs across the zoo at
-//! 8–128 GPUs (the "baseline parity" + "planner hot path" ROADMAP items).
+//! Golden tests pinning the planners' outputs across the zoo: GraphPipe
+//! at 8–128 GPUs, PipeDream and Piper at 4–32 (the "baseline parity" +
+//! "planner hot path" ROADMAP items).
 //!
 //! Each line pins one (model, devices) cell: the simulated makespan, the
 //! strategy's shape, the planner's search-stat counters, and the plan
