@@ -6,6 +6,9 @@
 
 use crate::tensor::Tensor;
 
+#[cfg(test)]
+mod reference;
+
 /// `y = x @ w + b` applied to the innermost dimension; `x` is interpreted
 /// as `[rows, in]` with `rows = numel / in`.
 pub fn linear_fwd(x: &Tensor, w: &Tensor, b: Option<&Tensor>) -> Tensor {

@@ -218,3 +218,57 @@ fn ablation_sits_between_spp_and_graphpipe() {
     assert!(par >= spp * 0.99, "Parallel {par:.0} < SPP {spp:.0}");
     assert!(gpp >= par * 0.99, "GraphPipe {gpp:.0} < Parallel {par:.0}");
 }
+
+/// `execute`'s eight losses, as f32 bits, for the three tiny models whose
+/// kernels call no libm function (no `tanhf`, no `expf`), at the operating
+/// point of e2ebench's train-tiny workload: 2 devices, mini-batch 8,
+/// lr 0.05, data seed 7, parameter seed 42. Every f32 operation on those
+/// paths is IEEE-exact, so the bits are the same on every host; a kernel
+/// rewrite that reorders a single sum moves them. mmt, gpt2 and moe (its
+/// experts use GeLU) go through `tanhf`/`expf`, whose last bit is the C
+/// library's; their kernels are pinned against the reference loops in
+/// gp-tensor's own tests instead.
+#[test]
+fn libm_free_tiny_training_losses_are_pinned_to_the_bit() {
+    let cases: [(&str, SpModel, [u32; 8]); 3] = [
+        (
+            "candle-uno",
+            zoo::candle_uno(&zoo::CandleUnoConfig::tiny()),
+            [
+                966935141, 966102348, 965361960, 964703570, 963545982, 962503935, 961576577,
+                960750969,
+            ],
+        ),
+        (
+            "dlrm",
+            zoo::dlrm(&zoo::DlrmConfig::tiny()),
+            [
+                936309338, 935498798, 934778163, 934137332, 933567359, 933060294, 932609072,
+                932207432,
+            ],
+        ),
+        (
+            "gnn-pipe",
+            zoo::gnn_pipe(&zoo::GnnPipeConfig::tiny()),
+            [
+                1032391691, 1023133771, 1016387417, 1011137333, 1007255538, 1002878410, 999488647,
+                995983745,
+            ],
+        ),
+    ];
+    let config = TrainingConfig {
+        steps: 8,
+        lr: 0.05,
+        data_seed: 7,
+        param_seed: 42,
+    };
+    for (name, model, bits) in cases {
+        let run = session(&model, &Cluster::summit_like(2), 8, &PlanOptions::default())
+            .plan(PlannerKind::GraphPipe)
+            .unwrap()
+            .execute(&config)
+            .unwrap();
+        let got: Vec<u32> = run.losses.iter().map(|l| l.to_bits()).collect();
+        assert_eq!(got, bits, "{name}: losses {:?}", run.losses);
+    }
+}
