@@ -299,6 +299,13 @@ pub enum OpCache {
     Mha(Box<MhaCache>),
     /// Layer-norm statistics.
     LayerNorm(LayerNormCache),
+    /// GeLU input and the `tanh` its forward pass computed.
+    Gelu {
+        /// Input activation.
+        x: Tensor,
+        /// `tanh(u)` per element (see [`ops::gelu_fwd`]).
+        tanh: Tensor,
+    },
     /// Concat input widths.
     Concat(Vec<usize>),
     /// Embedding-bag indices.
@@ -343,7 +350,9 @@ pub fn op_forward(
             (ops::relu_fwd(inputs[0]), OpCache::Input(inputs[0].clone()))
         }
         (OpKind::Activation(Nonlinearity::Gelu), _) => {
-            (ops::gelu_fwd(inputs[0]), OpCache::Input(inputs[0].clone()))
+            let (y, tanh) = ops::gelu_fwd(inputs[0]);
+            let x = inputs[0].clone();
+            (y, OpCache::Gelu { x, tanh })
         }
         (OpKind::EmbeddingBag { dim, bag, entries }, OpParams::Embedding { table }) => {
             let x = inputs[0];
@@ -440,9 +449,9 @@ pub fn op_backward(
             let dy = dy.expect("non-sink ops receive a gradient");
             (vec![ops::relu_bwd(x, dy)], OpParams::None)
         }
-        (OpKind::Activation(Nonlinearity::Gelu), _, OpCache::Input(x)) => {
+        (OpKind::Activation(Nonlinearity::Gelu), _, OpCache::Gelu { x, tanh }) => {
             let dy = dy.expect("non-sink ops receive a gradient");
-            (vec![ops::gelu_bwd(x, dy)], OpParams::None)
+            (vec![ops::gelu_bwd(x, tanh, dy)], OpParams::None)
         }
         (
             OpKind::EmbeddingBag { entries, dim, bag },

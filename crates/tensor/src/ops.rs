@@ -4,7 +4,7 @@
 //! training loss. All backwards are hand-derived and verified against
 //! finite differences in the test suite.
 
-use crate::tensor::Tensor;
+use crate::tensor::{matmul_into, transpose_into, Tensor};
 
 #[cfg(test)]
 mod reference;
@@ -14,36 +14,47 @@ mod reference;
 pub fn linear_fwd(x: &Tensor, w: &Tensor, b: Option<&Tensor>) -> Tensor {
     let (in_f, out_f) = (w.shape()[0], w.shape()[1]);
     let rows = x.rows_for(in_f);
-    let x2 = x.reshape(vec![rows, in_f]);
-    let mut y = x2.matmul(w);
+    let mut y = vec![0.0f32; rows * out_f];
+    matmul_into(x.data(), w.data(), in_f, out_f, &mut y);
     if let Some(b) = b {
         assert_eq!(b.numel(), out_f, "bias length mismatch");
         for r in 0..rows {
-            for (c, &bv) in b.data().iter().enumerate() {
-                y.data_mut()[r * out_f + c] += bv;
+            for (v, &bv) in y[r * out_f..(r + 1) * out_f].iter_mut().zip(b.data()) {
+                *v += bv;
             }
         }
     }
     let mut shape = x.shape().to_vec();
     *shape.last_mut().expect("non-scalar") = out_f;
-    y.reshape(shape)
+    Tensor::new(shape, y)
 }
 
 /// Gradients of [`linear_fwd`]: returns `(dx, dw, db)`.
 pub fn linear_bwd(x: &Tensor, w: &Tensor, dy: &Tensor) -> (Tensor, Tensor, Tensor) {
     let (in_f, out_f) = (w.shape()[0], w.shape()[1]);
     let rows = x.rows_for(in_f);
-    let x2 = x.reshape(vec![rows, in_f]);
-    let dy2 = dy.reshape(vec![rows, out_f]);
-    let dx = dy2.matmul(&w.t()).reshape(x.shape().to_vec());
-    let dw = x2.t().matmul(&dy2);
-    let mut db = Tensor::zeros(vec![out_f]);
+    assert_eq!(
+        dy.numel(),
+        rows * out_f,
+        "dy does not match [{rows}, {out_f}]"
+    );
+    let mut dx = vec![0.0f32; rows * in_f];
+    matmul_into(dy.data(), w.t().data(), out_f, in_f, &mut dx);
+    let mut x_t = vec![0.0f32; rows * in_f];
+    transpose_into(x.data(), in_f, &mut x_t);
+    let mut dw = vec![0.0f32; in_f * out_f];
+    matmul_into(&x_t, dy.data(), rows, out_f, &mut dw);
+    let mut db = vec![0.0f32; out_f];
     for r in 0..rows {
-        for c in 0..out_f {
-            db.data_mut()[c] += dy2.data()[r * out_f + c];
+        for (d, &g) in db.iter_mut().zip(&dy.data()[r * out_f..(r + 1) * out_f]) {
+            *d += g;
         }
     }
-    (dx, dw, db)
+    (
+        Tensor::new(x.shape().to_vec(), dx),
+        Tensor::new(vec![in_f, out_f], dw),
+        Tensor::new(vec![out_f], db),
+    )
 }
 
 /// Rectified linear unit.
@@ -69,30 +80,37 @@ pub fn relu_bwd(x: &Tensor, dy: &Tensor) -> Tensor {
 const GELU_C: f32 = 0.797_884_6; // sqrt(2/pi)
 const GELU_A: f32 = 0.044_715;
 
-/// GeLU with the tanh approximation.
-pub fn gelu_fwd(x: &Tensor) -> Tensor {
-    Tensor::new(
-        x.shape().to_vec(),
-        x.data()
-            .iter()
-            .map(|&v| {
-                let u = GELU_C * (v + GELU_A * v * v * v);
-                0.5 * v * (1.0 + u.tanh())
-            })
-            .collect(),
+/// GeLU with the tanh approximation: `0.5 x (1 + tanh(u))` with
+/// `u = sqrt(2/pi) (x + 0.044715 x^3)`. Returns the output and `tanh(u)`
+/// per element, which [`gelu_bwd`] reuses instead of computing it again.
+pub fn gelu_fwd(x: &Tensor) -> (Tensor, Tensor) {
+    let tanh: Vec<f32> = x
+        .data()
+        .iter()
+        .map(|&v| (GELU_C * (v + GELU_A * v * v * v)).tanh())
+        .collect();
+    let y = x
+        .data()
+        .iter()
+        .zip(&tanh)
+        .map(|(&v, &t)| 0.5 * v * (1.0 + t))
+        .collect();
+    (
+        Tensor::new(x.shape().to_vec(), y),
+        Tensor::new(x.shape().to_vec(), tanh),
     )
 }
 
-/// Gradient of [`gelu_fwd`].
-pub fn gelu_bwd(x: &Tensor, dy: &Tensor) -> Tensor {
+/// Gradient of [`gelu_fwd`], given its input `x` and the `tanh` it
+/// returned.
+pub fn gelu_bwd(x: &Tensor, tanh: &Tensor, dy: &Tensor) -> Tensor {
     Tensor::new(
         x.shape().to_vec(),
         x.data()
             .iter()
+            .zip(tanh.data())
             .zip(dy.data())
-            .map(|(&v, &g)| {
-                let u = GELU_C * (v + GELU_A * v * v * v);
-                let t = u.tanh();
+            .map(|((&v, &t), &g)| {
                 let du = GELU_C * (1.0 + 3.0 * GELU_A * v * v);
                 g * (0.5 * (1.0 + t) + 0.5 * v * (1.0 - t * t) * du)
             })
@@ -172,37 +190,46 @@ pub fn layernorm_bwd(
 
 /// Row-wise softmax over the innermost dimension.
 pub fn softmax_fwd(x: &Tensor, dim: usize) -> Tensor {
-    let rows = x.rows_for(dim);
+    x.rows_for(dim); // panics unless `dim` divides the element count
     let mut y = vec![0.0f32; x.numel()];
-    for r in 0..rows {
-        let row = &x.data()[r * dim..(r + 1) * dim];
+    softmax_rows(x.data(), dim, &mut y);
+    Tensor::new(x.shape().to_vec(), y)
+}
+
+/// [`softmax_fwd`] over the `dim`-wide rows of `x`, written into `y`.
+fn softmax_rows(x: &[f32], dim: usize, y: &mut [f32]) {
+    for (row, out) in x.chunks_exact(dim).zip(y.chunks_exact_mut(dim)) {
         let max = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
         let mut sum = 0.0f32;
-        for c in 0..dim {
-            let e = (row[c] - max).exp();
-            y[r * dim + c] = e;
+        for (o, &v) in out.iter_mut().zip(row) {
+            let e = (v - max).exp();
+            *o = e;
             sum += e;
         }
-        for c in 0..dim {
-            y[r * dim + c] /= sum;
+        for o in out.iter_mut() {
+            *o /= sum;
         }
     }
-    Tensor::new(x.shape().to_vec(), y)
 }
 
 /// Gradient of [`softmax_fwd`] given its output `y`.
 pub fn softmax_bwd(y: &Tensor, dy: &Tensor, dim: usize) -> Tensor {
-    let rows = y.rows_for(dim);
+    y.rows_for(dim); // panics unless `dim` divides the element count
     let mut dx = vec![0.0f32; y.numel()];
-    for r in 0..rows {
-        let yr = &y.data()[r * dim..(r + 1) * dim];
-        let gr = &dy.data()[r * dim..(r + 1) * dim];
+    softmax_grad_rows(y.data(), dy.data(), dim, &mut dx);
+    Tensor::new(y.shape().to_vec(), dx)
+}
+
+/// [`softmax_bwd`] over the `dim`-wide rows of `y` and `dy`, written into
+/// `dx`.
+fn softmax_grad_rows(y: &[f32], dy: &[f32], dim: usize, dx: &mut [f32]) {
+    let rows = y.chunks_exact(dim).zip(dy.chunks_exact(dim));
+    for ((yr, gr), out) in rows.zip(dx.chunks_exact_mut(dim)) {
         let dot: f32 = yr.iter().zip(gr).map(|(a, b)| a * b).sum();
-        for c in 0..dim {
-            dx[r * dim + c] = yr[c] * (gr[c] - dot);
+        for ((o, &yc), &gc) in out.iter_mut().zip(yr).zip(gr) {
+            *o = yc * (gc - dot);
         }
     }
-    Tensor::new(y.shape().to_vec(), dx)
 }
 
 /// Learnable parameters of a multi-head attention block.
@@ -240,48 +267,93 @@ pub struct MhaCache {
     ctx: Tensor,
 }
 
+/// The layout of attention's `[n * seq, hidden]` tensors: `s` rows per
+/// sample, `h` columns, `h / dh` heads of `dh` columns each.
+#[derive(Clone, Copy)]
+struct HeadLayout {
+    s: usize,
+    h: usize,
+    dh: usize,
+}
+
+impl HeadLayout {
+    /// Copies head `j` of sample `i` of `src` into a contiguous
+    /// `dst: [s, dh]`.
+    fn gather(self, src: &[f32], i: usize, j: usize, dst: &mut [f32]) {
+        let sample = &src[i * self.s * self.h..(i + 1) * self.s * self.h];
+        let cols = j * self.dh..(j + 1) * self.dh;
+        for (d, row) in dst
+            .chunks_exact_mut(self.dh)
+            .zip(sample.chunks_exact(self.h))
+        {
+            d.copy_from_slice(&row[cols.clone()]);
+        }
+    }
+
+    /// Writes `src: [s, dh]`, each element times `alpha` if given, into
+    /// head `j` of sample `i` of `dst`.
+    fn scatter(self, src: &[f32], alpha: Option<f32>, i: usize, j: usize, dst: &mut [f32]) {
+        let sample = &mut dst[i * self.s * self.h..(i + 1) * self.s * self.h];
+        let cols = j * self.dh..(j + 1) * self.dh;
+        for (row, v) in sample
+            .chunks_exact_mut(self.h)
+            .zip(src.chunks_exact(self.dh))
+        {
+            let head = &mut row[cols.clone()];
+            match alpha {
+                Some(alpha) => {
+                    for (d, &acc) in head.iter_mut().zip(v) {
+                        *d = alpha * acc;
+                    }
+                }
+                None => head.copy_from_slice(v),
+            }
+        }
+    }
+}
+
 /// Multi-head self-attention over `x: [batch, seq, hidden]`.
+///
+/// Each (sample, head) pair's Q, K and V columns are copied into
+/// contiguous `[seq, dh]` blocks and multiplied by [`Tensor::matmul`]'s
+/// kernel, with the other operand transposed where the product needs it.
+/// Every score and context element therefore adds its products in the
+/// order a plain dot product would, and the `1/sqrt(dh)` scale multiplies
+/// each finished score.
 pub fn mha_fwd(x: &Tensor, p: &MhaParams) -> (Tensor, MhaCache) {
     let (n, s, h) = (x.shape()[0], x.shape()[1], x.shape()[2]);
     let heads = p.heads;
     assert_eq!(h % heads, 0, "heads must divide hidden");
     let dh = h / heads;
     let alpha = 1.0 / (dh as f32).sqrt();
+    let layout = HeadLayout { s, h, dh };
     let q = linear_fwd(x, &p.wq, Some(&p.bq));
     let k = linear_fwd(x, &p.wk, Some(&p.bk));
     let v = linear_fwd(x, &p.wv, Some(&p.bv));
-    let mut probs = Tensor::zeros(vec![n * heads, s, s]);
-    let mut ctx = Tensor::zeros(vec![n, s, h]);
+    let mut probs = vec![0.0f32; n * heads * s * s];
+    let mut ctx = vec![0.0f32; n * s * h];
+    let (mut qh, mut kvh, mut kt) = (vec![0.0; s * dh], vec![0.0; s * dh], vec![0.0; dh * s]);
+    let (mut scores, mut ch) = (vec![0.0; s * s], vec![0.0; s * dh]);
+    let mut pairs = probs.chunks_exact_mut(s * s);
     for i in 0..n {
         for j in 0..heads {
+            let pmat = pairs.next().expect("one probability block per pair");
             // Scores S = alpha * Qj Kj^T for this (sample, head).
-            let mut scores = Tensor::zeros(vec![s, s]);
-            for a in 0..s {
-                for b in 0..s {
-                    let mut dot = 0.0f32;
-                    for c in 0..dh {
-                        let qa = q.data()[(i * s + a) * h + j * dh + c];
-                        let kb = k.data()[(i * s + b) * h + j * dh + c];
-                        dot += qa * kb;
-                    }
-                    scores.data_mut()[a * s + b] = alpha * dot;
-                }
+            layout.gather(q.data(), i, j, &mut qh);
+            layout.gather(k.data(), i, j, &mut kvh);
+            transpose_into(&kvh, dh, &mut kt);
+            matmul_into(&qh, &kt, dh, s, &mut scores);
+            for score in &mut scores {
+                *score *= alpha;
             }
-            let pmat = softmax_fwd(&scores, s);
-            let off = (i * heads + j) * s * s;
-            probs.data_mut()[off..off + s * s].copy_from_slice(pmat.data());
+            softmax_rows(&scores, s, pmat);
             // Context C = P Vj.
-            for a in 0..s {
-                for c in 0..dh {
-                    let mut acc = 0.0f32;
-                    for b in 0..s {
-                        acc += pmat.data()[a * s + b] * v.data()[(i * s + b) * h + j * dh + c];
-                    }
-                    ctx.data_mut()[(i * s + a) * h + j * dh + c] = acc;
-                }
-            }
+            layout.gather(v.data(), i, j, &mut kvh);
+            matmul_into(pmat, &kvh, s, dh, &mut ch);
+            layout.scatter(&ch, None, i, j, &mut ctx);
         }
     }
+    let ctx = Tensor::new(vec![n, s, h], ctx);
     let y = linear_fwd(&ctx, &p.wo, Some(&p.bo));
     (
         y,
@@ -290,7 +362,7 @@ pub fn mha_fwd(x: &Tensor, p: &MhaParams) -> (Tensor, MhaCache) {
             q,
             k,
             v,
-            probs,
+            probs: Tensor::new(vec![n * heads, s, s], probs),
             ctx,
         },
     )
@@ -298,66 +370,49 @@ pub fn mha_fwd(x: &Tensor, p: &MhaParams) -> (Tensor, MhaCache) {
 
 /// Gradients of [`mha_fwd`]: returns `(dx, dparams)` where `dparams` has
 /// the same structure as [`MhaParams`] (with `heads` copied over).
+///
+/// dP, dV, dQ and dK go through the matmul kernel per (sample, head) pair,
+/// as the scores and the context do in [`mha_fwd`]; `1/sqrt(dh)` multiplies
+/// each finished dQ and dK element.
 pub fn mha_bwd(cache: &MhaCache, p: &MhaParams, dy: &Tensor) -> (Tensor, MhaParams) {
     let (n, s, h) = (cache.x.shape()[0], cache.x.shape()[1], cache.x.shape()[2]);
     let heads = p.heads;
     let dh = h / heads;
     let alpha = 1.0 / (dh as f32).sqrt();
+    let layout = HeadLayout { s, h, dh };
     // Output projection.
     let (dctx, dwo, dbo) = linear_bwd(&cache.ctx, &p.wo, dy);
-    let mut dq = Tensor::zeros(vec![n, s, h]);
-    let mut dk = Tensor::zeros(vec![n, s, h]);
-    let mut dv = Tensor::zeros(vec![n, s, h]);
+    let mut dq = vec![0.0f32; n * s * h];
+    let mut dk = vec![0.0f32; n * s * h];
+    let mut dv = vec![0.0f32; n * s * h];
+    let (mut dch, mut blk, mut out) = (vec![0.0; s * dh], vec![0.0; s * dh], vec![0.0; s * dh]);
+    let mut vt = vec![0.0; dh * s];
+    let (mut dp, mut ds, mut st) = (vec![0.0; s * s], vec![0.0; s * s], vec![0.0; s * s]);
+    let mut pairs = cache.probs.data().chunks_exact(s * s);
     for i in 0..n {
         for j in 0..heads {
-            let off = (i * heads + j) * s * s;
-            let pmat = Tensor::new(vec![s, s], cache.probs.data()[off..off + s * s].to_vec());
+            let pmat = pairs.next().expect("one probability block per pair");
             // dP = dC Vj^T ; dVj = P^T dC.
-            let mut dp = Tensor::zeros(vec![s, s]);
-            for a in 0..s {
-                for b in 0..s {
-                    let mut acc = 0.0f32;
-                    for c in 0..dh {
-                        acc += dctx.data()[(i * s + a) * h + j * dh + c]
-                            * cache.v.data()[(i * s + b) * h + j * dh + c];
-                    }
-                    dp.data_mut()[a * s + b] = acc;
-                }
-            }
-            for b in 0..s {
-                for c in 0..dh {
-                    let mut acc = 0.0f32;
-                    for a in 0..s {
-                        acc += pmat.data()[a * s + b] * dctx.data()[(i * s + a) * h + j * dh + c];
-                    }
-                    dv.data_mut()[(i * s + b) * h + j * dh + c] = acc;
-                }
-            }
+            layout.gather(dctx.data(), i, j, &mut dch);
+            layout.gather(cache.v.data(), i, j, &mut blk);
+            transpose_into(&blk, dh, &mut vt);
+            matmul_into(&dch, &vt, dh, s, &mut dp);
+            transpose_into(pmat, s, &mut st);
+            matmul_into(&st, &dch, s, dh, &mut out);
+            layout.scatter(&out, None, i, j, &mut dv);
             // dS through the softmax, then dQ = alpha dS K, dK = alpha dS^T Q.
-            let ds = softmax_bwd(&pmat, &dp, s);
-            for a in 0..s {
-                for c in 0..dh {
-                    let mut acc_q = 0.0f32;
-                    for b in 0..s {
-                        acc_q +=
-                            ds.data()[a * s + b] * cache.k.data()[(i * s + b) * h + j * dh + c];
-                    }
-                    dq.data_mut()[(i * s + a) * h + j * dh + c] = alpha * acc_q;
-                }
-            }
-            for b in 0..s {
-                for c in 0..dh {
-                    let mut acc_k = 0.0f32;
-                    for a in 0..s {
-                        acc_k +=
-                            ds.data()[a * s + b] * cache.q.data()[(i * s + a) * h + j * dh + c];
-                    }
-                    dk.data_mut()[(i * s + b) * h + j * dh + c] = alpha * acc_k;
-                }
-            }
+            softmax_grad_rows(pmat, &dp, s, &mut ds);
+            layout.gather(cache.k.data(), i, j, &mut blk);
+            matmul_into(&ds, &blk, s, dh, &mut out);
+            layout.scatter(&out, Some(alpha), i, j, &mut dq);
+            transpose_into(&ds, s, &mut st);
+            layout.gather(cache.q.data(), i, j, &mut blk);
+            matmul_into(&st, &blk, s, dh, &mut out);
+            layout.scatter(&out, Some(alpha), i, j, &mut dk);
         }
     }
     // Back through the three input projections.
+    let [dq, dk, dv] = [dq, dk, dv].map(|d| Tensor::new(vec![n, s, h], d));
     let (dx_q, dwq, dbq) = linear_bwd(&cache.x, &p.wq, &dq);
     let (dx_k, dwk, dbk) = linear_bwd(&cache.x, &p.wk, &dk);
     let (dx_v, dwv, dbv) = linear_bwd(&cache.x, &p.wv, &dv);
@@ -583,8 +638,9 @@ mod tests {
         };
         let d_relu = relu_bwd(&x, &probe);
         grad_check(|x| loss(&relu_fwd(x)), &x, &d_relu, 3e-2);
-        let d_gelu = gelu_bwd(&x, &probe);
-        grad_check(|x| loss(&gelu_fwd(x)), &x, &d_gelu, 3e-2);
+        let (_, tanh) = gelu_fwd(&x);
+        let d_gelu = gelu_bwd(&x, &tanh, &probe);
+        grad_check(|x| loss(&gelu_fwd(x).0), &x, &d_gelu, 3e-2);
     }
 
     #[test]

@@ -154,7 +154,8 @@ impl Tensor {
         }
     }
 
-    /// 2-D matrix product: `[m, k] x [k, n] -> [m, n]`.
+    /// 2-D matrix product: `[m, k] x [k, n] -> [m, n]`, computed by
+    /// [`matmul_into`].
     ///
     /// # Panics
     ///
@@ -166,19 +167,7 @@ impl Tensor {
         let (k2, n) = (rhs.shape[0], rhs.shape[1]);
         assert_eq!(k, k2, "matmul: {k} vs {k2}");
         let mut out = vec![0.0f32; m * n];
-        for i in 0..m {
-            for p in 0..k {
-                let a = self.data[i * k + p];
-                if a == 0.0 {
-                    continue;
-                }
-                let row = &rhs.data[p * n..(p + 1) * n];
-                let dst = &mut out[i * n..(i + 1) * n];
-                for (d, &r) in dst.iter_mut().zip(row) {
-                    *d += a * r;
-                }
-            }
-        }
+        matmul_into(&self.data, &rhs.data, k, n, &mut out);
         Tensor::new(vec![m, n], out)
     }
 
@@ -191,11 +180,7 @@ impl Tensor {
         assert_eq!(self.shape.len(), 2, "transpose needs a 2-D tensor");
         let (m, n) = (self.shape[0], self.shape[1]);
         let mut out = vec![0.0f32; m * n];
-        for i in 0..m {
-            for j in 0..n {
-                out[j * m + i] = self.data[i * n + j];
-            }
-        }
+        transpose_into(&self.data, n, &mut out);
         Tensor::new(vec![n, m], out)
     }
 
@@ -231,6 +216,138 @@ impl Tensor {
             .zip(other.data())
         {
             *dst += src;
+        }
+    }
+}
+
+/// Rows of the register block [`matmul_into`] accumulates at once.
+const MR: usize = 4;
+/// Columns of the register block.
+const NR: usize = 8;
+
+/// `out = a x b` for row-major `a: [m, k]`, `b: [k, n]` and
+/// `out: [m, n]`, with `m = out.len() / n`; `out`'s prior contents are
+/// overwritten.
+///
+/// Every output element starts from `0.0` and adds `a[i][p] * b[p][j]` in
+/// ascending `p`, and Rust never fuses a multiply and an add, so the
+/// result does not depend on how the loops are blocked: a 4-row x 8-column
+/// block of outputs lives in registers while `p` runs, and the rows and
+/// columns left over keep the plain row loop, which sums in the same order.
+///
+/// Zero entries of `a` are multiplied like any other. Skipping them, as
+/// the plain loop this kernel is tested against does, changes no bit on
+/// finite inputs: a skipped product is ±0.0, and adding ±0.0 to an
+/// accumulator that started at +0.0 leaves it as it was (such a sum never
+/// becomes −0.0). The two differ only where a zero in `a` meets an
+/// infinite or NaN entry of `b`: that product is NaN here, and the skip
+/// drops it.
+///
+/// # Panics
+///
+/// Panics if the slice lengths do not match `[m, k] x [k, n] -> [m, n]`.
+pub(crate) fn matmul_into(a: &[f32], b: &[f32], k: usize, n: usize, out: &mut [f32]) {
+    if n == 0 {
+        assert!(
+            out.is_empty() && b.is_empty(),
+            "matmul: n = 0 needs empty b and out"
+        );
+        return;
+    }
+    let m = out.len() / n;
+    assert!(
+        out.len() == m * n && a.len() == m * k && b.len() == k * n,
+        "matmul: slices of {}, {} and {} do not fit [{m}, {k}] x [{k}, {n}]",
+        a.len(),
+        b.len(),
+        out.len()
+    );
+    if k == 0 {
+        out.fill(0.0);
+        return;
+    }
+    let n_blocked = n - n % NR;
+    let mut out_blocks = out.chunks_exact_mut(MR * n);
+    let mut a_blocks = a.chunks_exact(MR * k);
+    for (a4, out4) in (&mut a_blocks).zip(&mut out_blocks) {
+        let (a0, rest) = a4.split_at(k);
+        let (a1, rest) = rest.split_at(k);
+        let (a2, a3) = rest.split_at(k);
+        let (o0, rest) = out4.split_at_mut(n);
+        let (o1, rest) = rest.split_at_mut(n);
+        let (o2, o3) = rest.split_at_mut(n);
+        for j in (0..n_blocked).step_by(NR) {
+            // One named accumulator per row: LLVM keeps all four in vector
+            // registers, which it does not do for a 2-D array.
+            let mut c0 = [0.0f32; NR];
+            let mut c1 = [0.0f32; NR];
+            let mut c2 = [0.0f32; NR];
+            let mut c3 = [0.0f32; NR];
+            for (p, b_row) in b.chunks_exact(n).enumerate() {
+                let bv: &[f32; NR] = b_row[j..j + NR].try_into().expect("NR columns");
+                axpy_block(&mut c0, a0[p], bv);
+                axpy_block(&mut c1, a1[p], bv);
+                axpy_block(&mut c2, a2[p], bv);
+                axpy_block(&mut c3, a3[p], bv);
+            }
+            o0[j..j + NR].copy_from_slice(&c0);
+            o1[j..j + NR].copy_from_slice(&c1);
+            o2[j..j + NR].copy_from_slice(&c2);
+            o3[j..j + NR].copy_from_slice(&c3);
+        }
+        if n_blocked < n {
+            for (o, a_row) in [o0, o1, o2, o3].into_iter().zip([a0, a1, a2, a3]) {
+                row_times(a_row, b, n, n_blocked, &mut o[n_blocked..]);
+            }
+        }
+    }
+    let rest = a_blocks.remainder().chunks_exact(k);
+    for (a_row, out_row) in rest.zip(out_blocks.into_remainder().chunks_exact_mut(n)) {
+        row_times(a_row, b, n, 0, out_row);
+    }
+}
+
+/// `acc += a * b` over one block row.
+#[inline(always)]
+fn axpy_block(acc: &mut [f32; NR], a: f32, b: &[f32; NR]) {
+    for (d, &bv) in acc.iter_mut().zip(b) {
+        *d += a * bv;
+    }
+}
+
+/// The plain loop: `dst = a_row x b[.., from..]`, adding whole rows of `b`
+/// in ascending `p` from `0.0`.
+fn row_times(a_row: &[f32], b: &[f32], n: usize, from: usize, dst: &mut [f32]) {
+    dst.fill(0.0);
+    for (&av, b_row) in a_row.iter().zip(b.chunks_exact(n)) {
+        for (d, &bv) in dst.iter_mut().zip(&b_row[from..]) {
+            *d += av * bv;
+        }
+    }
+}
+
+/// Writes the transpose of row-major `src: [rows, cols]` into
+/// `dst: [cols, rows]`, in 8 x 8 tiles so that a tile's writes share a few
+/// cache lines instead of touching one line per element.
+pub(crate) fn transpose_into(src: &[f32], cols: usize, dst: &mut [f32]) {
+    const TILE: usize = 8;
+    assert_eq!(src.len(), dst.len(), "transpose: length mismatch");
+    if cols == 0 {
+        return;
+    }
+    let rows = src.len() / cols;
+    assert_eq!(
+        rows * cols,
+        src.len(),
+        "transpose: {cols} does not divide the length"
+    );
+    for i0 in (0..rows).step_by(TILE) {
+        for j0 in (0..cols).step_by(TILE) {
+            for i in i0..(i0 + TILE).min(rows) {
+                for j in j0..(j0 + TILE).min(cols) {
+                    dst[j * rows + i] = src[i * cols + j];
+                }
+            }
         }
     }
 }
