@@ -91,38 +91,36 @@ struct ChunkMsg {
 
 type Buffers = HashMap<OpId, Vec<ChunkMsg>>;
 
-/// Copies the rows of `chunks` intersecting `[lo, hi)` into an accumulator
-/// of shape `[hi-lo, per_sample]`, adding when `sum` (gradients) and
-/// overwriting when not (activations). Returns covered row count
-/// (with multiplicity).
-fn assemble(
-    chunks: &[ChunkMsg],
-    lo: usize,
-    hi: usize,
-    per_sample: usize,
-    sum: bool,
-) -> (Tensor, usize) {
+/// Rows of `chunk` inside `[lo, hi)`.
+fn overlap(chunk: &ChunkMsg, lo: usize, hi: usize, per_sample: usize) -> usize {
+    let rows = chunk.data.rows_for(per_sample);
+    let s = chunk.row_start.max(lo);
+    let e = (chunk.row_start + rows).min(hi);
+    e.saturating_sub(s)
+}
+
+/// Sums the rows of `chunks` intersecting `[lo, hi)` into an accumulator
+/// of shape `[hi-lo, per_sample]`. Chunks are added in (`from_stage`,
+/// `row_start`) order, not in the order they arrived: with three or more
+/// gradient chunks for the same rows, the f32 sum depends on that order,
+/// and arrival order is thread timing. Activation chunks are disjoint, so
+/// for them the sum is a copy.
+fn assemble(chunks: &[ChunkMsg], lo: usize, hi: usize, per_sample: usize) -> Tensor {
+    let mut ordered: Vec<&ChunkMsg> = chunks.iter().collect();
+    ordered.sort_by_key(|c| (c.from_stage, c.row_start));
     let mut out = Tensor::zeros(vec![hi - lo, per_sample]);
-    let mut covered = 0usize;
-    for c in chunks {
-        let c_rows = c.data.rows_for(per_sample);
+    for c in ordered {
         let s = c.row_start.max(lo);
-        let e = (c.row_start + c_rows).min(hi);
+        let e = (c.row_start + c.data.rows_for(per_sample)).min(hi);
         if s >= e {
             continue;
         }
-        covered += e - s;
         let piece = c
             .data
             .slice_rows(per_sample, s - c.row_start, e - c.row_start);
-        if sum {
-            out.add_rows(per_sample, s - lo, &piece);
-        } else {
-            // Overwrite: producer chunks are disjoint.
-            out.add_rows(per_sample, s - lo, &piece);
-        }
+        out.add_rows(per_sample, s - lo, &piece);
     }
-    (out, covered)
+    out
 }
 
 struct Worker<'a> {
@@ -224,10 +222,11 @@ impl<'a> Worker<'a> {
             let per_sample = self.graph.node(op).out_shape.numel();
             loop {
                 let chunks = self.fwd_buf.get(&op).map(Vec::as_slice).unwrap_or(&[]);
-                let (tensor, covered) = assemble(chunks, lo, hi, per_sample, false);
+                let covered: usize = chunks.iter().map(|c| overlap(c, lo, hi, per_sample)).sum();
                 if covered >= hi - lo {
                     let mut dims = vec![hi - lo];
                     dims.extend_from_slice(self.graph.node(op).out_shape.dims());
+                    let tensor = assemble(chunks, lo, hi, per_sample);
                     external.insert(op, tensor.reshape(dims));
                     break;
                 }
@@ -272,12 +271,7 @@ impl<'a> Worker<'a> {
                     let covered: usize = chunks
                         .iter()
                         .filter(|c| c.from_stage == cons)
-                        .map(|c| {
-                            let rows = c.data.rows_for(per_sample);
-                            let s = c.row_start.max(lo);
-                            let e = (c.row_start + rows).min(hi);
-                            e.saturating_sub(s)
-                        })
+                        .map(|c| overlap(c, lo, hi, per_sample))
                         .sum();
                     if covered < hi - lo {
                         complete = false;
@@ -285,8 +279,7 @@ impl<'a> Worker<'a> {
                     }
                 }
                 if complete {
-                    let (tensor, _) = assemble(chunks, lo, hi, per_sample, true);
-                    out.insert(op, tensor);
+                    out.insert(op, assemble(chunks, lo, hi, per_sample));
                     break;
                 }
                 self.recv_into_buffers()?;
@@ -547,4 +540,46 @@ pub fn train_traced(
         losses.push(result.loss);
     }
     Ok(losses)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn chunk(stage: u32, row_start: usize, rows: Vec<f32>) -> ChunkMsg {
+        ChunkMsg {
+            fwd: false,
+            op: OpId(0),
+            from_stage: StageId(stage),
+            row_start,
+            data: Tensor::new(vec![rows.len(), 1], rows),
+        }
+    }
+
+    fn bits(t: &Tensor) -> Vec<u32> {
+        t.data().iter().map(|v| v.to_bits()).collect()
+    }
+
+    #[test]
+    fn gradient_chunks_sum_in_stage_order_whatever_their_arrival() {
+        // Three consumer stages' gradients for rows [0, 2), plus one chunk
+        // reaching past them. Row 0's f32 sum depends on the order of the
+        // additions: (1e8 + -1e8) + 1 = 1, but (1e8 + 1) + -1e8 = 0.
+        let chunks = [
+            chunk(1, 0, vec![1e8, 0.5]),
+            chunk(2, 0, vec![-1e8, 0.25]),
+            chunk(3, 0, vec![1.0, 0.125]),
+            chunk(3, 1, vec![2.0, 4.0]),
+        ];
+        let want = assemble(&chunks, 0, 2, 1);
+        assert_eq!(want.data(), &[1.0, 2.875], "(from_stage, row_start) order");
+        for perm in [[3, 2, 1, 0], [2, 0, 3, 1], [0, 2, 1, 3], [1, 3, 0, 2]] {
+            let arrived: Vec<ChunkMsg> = perm.iter().map(|&i| chunks[i].clone()).collect();
+            assert_eq!(
+                bits(&assemble(&arrived, 0, 2, 1)),
+                bits(&want),
+                "arrival order {perm:?}"
+            );
+        }
+    }
 }
