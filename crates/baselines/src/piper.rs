@@ -168,10 +168,12 @@ impl PiperPlanner {
     }
 
     /// Enumerates all downsets of the unit graph (bitset form), capped.
+    /// Both exits fire before the DP evaluates anything, so they report
+    /// `evals: 0`.
     fn enumerate_downsets(&self, ug: &UnitGraph) -> Result<Vec<u128>, PlanError> {
         let n = ug.units.len();
         if n > 127 {
-            return Err(PlanError::SearchExplosion { evals: 1 << 62 });
+            return Err(PlanError::SearchExplosion { evals: 0 });
         }
         let pred_mask: Vec<u128> = ug
             .preds
@@ -187,9 +189,7 @@ impl PiperPlanner {
         while let Some(d) = stack.pop() {
             out.push(d);
             if out.len() > DOWNSET_CAP {
-                return Err(PlanError::SearchExplosion {
-                    evals: out.len() as u64,
-                });
+                return Err(PlanError::SearchExplosion { evals: 0 });
             }
             for (u, &pm) in pred_mask.iter().enumerate() {
                 let bit = 1u128 << u;
@@ -505,6 +505,10 @@ mod tests {
         let err = planner
             .plan(&model, &Cluster::summit_like(4), 4096)
             .unwrap_err();
-        assert!(matches!(err, PlanError::SearchExplosion { .. }), "{err:?}");
+        // The downset lattice overflows its cap before the DP runs.
+        assert!(
+            matches!(err, PlanError::SearchExplosion { evals: 0 }),
+            "{err:?}"
+        );
     }
 }

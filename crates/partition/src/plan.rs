@@ -173,7 +173,8 @@ pub enum PlanError {
     /// many-branch models ("search cannot be completed within reasonable
     /// timeframes", Table 1).
     SearchExplosion {
-        /// DP evaluations performed before giving up.
+        /// DP evaluations performed before giving up; 0 when the search
+        /// space was too large to enumerate, before any evaluation.
         evals: u64,
     },
     /// The model shape is not supported by this planner.
@@ -186,6 +187,9 @@ impl fmt::Display for PlanError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             PlanError::Infeasible(why) => write!(f, "no feasible strategy: {why}"),
+            PlanError::SearchExplosion { evals: 0 } => {
+                write!(f, "search exploded before any DP evaluation")
+            }
             PlanError::SearchExplosion { evals } => {
                 write!(f, "search exploded after {evals} DP evaluations")
             }
@@ -543,6 +547,10 @@ mod tests {
         assert!(PlanError::SearchExplosion { evals: 42 }
             .to_string()
             .contains("42"));
+        assert_eq!(
+            PlanError::SearchExplosion { evals: 0 }.to_string(),
+            "search exploded before any DP evaluation"
+        );
         assert!(PlanError::Infeasible("memory".into())
             .to_string()
             .contains("memory"));

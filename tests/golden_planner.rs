@@ -316,7 +316,7 @@ pipedream moe gpus=8 b=256 makespan=1.577098899e-2 stages=8 depth=8 micro=256 ev
 piper mmt-two-branch gpus=4 b=64 makespan=7.170435894e-1 stages=2 depth=2 micro=32 evals=21175 states=101 hits=0 iters=0 configs=7 fp=d8f116430b5b679daf7c8b7d57d7baba
 piper mmt-two-branch gpus=8 b=128 makespan=7.233340664e-1 stages=2 depth=2 micro=32 evals=24200 states=101 hits=0 iters=0 configs=8 fp=ebdd4ac504363e04240e5149a50574d8
 piper mmt-two-branch gpus=16 b=256 makespan=7.758393189e-1 stages=2 depth=2 micro=32 evals=24200 states=101 hits=0 iters=0 configs=8 fp=3ec246e351ee70ac5b98ed3a31a6aadc
-piper dlrm gpus=8 b=512 ✗ evals=10001
+piper dlrm gpus=8 b=512 ✗ evals=0
 ";
 const EXPECTED_SCALE: &str = "\
 mmt gpus=64 b=1024 makespan=2.392505301e0 stages=10 depth=4 micro=128 evals=9055582 states=6301 hits=5414565 iters=8 configs=42 fp=bb83a8300123d6530fedd640545cc36d
