@@ -7,43 +7,41 @@
 //! Each cell is the median of [`RUNS`] plans, with their min–max beside
 //! it: one plan's wall time swings with host noise (two single-shot runs
 //! of one binary read PD/GP as 2.4–16.7x and 2.3–18.7x on a 2-core host),
-//! so only the median is comparable across runs. The ratios divide
-//! medians.
+//! so only the median is comparable across runs. The plans run
+//! round-robin, one per planner per round, so host drift during a cell
+//! hits the three columns evenly; each ratio is the median of the
+//! per-round ratios.
 
 use gp_bench::harness::{harness_options, paper_mini_batch, row};
 use graphpipe::prelude::*;
 use std::time::Instant;
 
-/// Plans timed per (planner, cell).
+/// Rounds of plans per cell.
 const RUNS: usize = 3;
 
-/// The sorted search wall times of [`RUNS`] plans, in seconds, and the
-/// search counters (identical across the runs); `None` when the planner
-/// fails (the paper's "✗"), which it does on the first run if at all.
+/// Times one plan: its search wall time in seconds and its counters, or
+/// `None` when the planner fails (the paper's "✗").
 fn time_plan(
     planner: &dyn Planner,
     model: &SpModel,
     cluster: &Cluster,
     b: u64,
-) -> Option<(Vec<f64>, SearchStats)> {
-    let mut walls = Vec::with_capacity(RUNS);
-    let mut stats = SearchStats::default();
-    for _ in 0..RUNS {
-        let t0 = Instant::now();
-        match planner.plan(model, cluster, b) {
-            Ok(plan) => {
-                walls.push(t0.elapsed().as_secs_f64());
-                stats = plan.stats;
-            }
-            Err(PlanError::SearchExplosion { .. }) => return None,
-            Err(other) => {
-                eprintln!("warning: {} failed: {other}", planner.name());
-                return None;
-            }
+) -> Option<(f64, SearchStats)> {
+    let t0 = Instant::now();
+    match planner.plan(model, cluster, b) {
+        Ok(plan) => Some((t0.elapsed().as_secs_f64(), plan.stats)),
+        Err(PlanError::SearchExplosion { .. }) => None,
+        Err(other) => {
+            eprintln!("warning: {} failed: {other}", planner.name());
+            None
         }
     }
-    walls.sort_by(f64::total_cmp);
-    Some((walls, stats))
+}
+
+fn median(v: &[f64]) -> f64 {
+    let mut sorted = v.to_vec();
+    sorted.sort_by(f64::total_cmp);
+    sorted[sorted.len() / 2]
 }
 
 fn main() {
@@ -81,13 +79,36 @@ fn main() {
             let mini_batch = paper_mini_batch(lookup, devices);
             let cluster = Cluster::summit_like(devices);
             let opts = harness_options();
-            let gp = time_plan(
-                &GraphPipePlanner::with_options(opts.clone()),
-                model,
-                &cluster,
-                mini_batch,
-            );
-            if let Some((_, s)) = &gp {
+            let planners: [Box<dyn Planner>; 3] = [
+                Box::new(GraphPipePlanner::with_options(opts.clone())),
+                Box::new(PipeDreamPlanner::with_options(opts.clone())),
+                // §7.2 analyses Piper at operator granularity (|D| >= k^n
+                // over operators), which is what its search time is
+                // charged for.
+                Box::new(PiperPlanner::with_options(opts.clone()).with_unit_ops(1)),
+            ];
+            // Per planner, the wall time of each round in round order;
+            // `None` after its ✗, which comes on its first plan if at all.
+            let mut walls: [Option<Vec<f64>>; 3] =
+                [Some(Vec::new()), Some(Vec::new()), Some(Vec::new())];
+            let mut gp_stats = None;
+            for _ in 0..RUNS {
+                for (i, (planner, column)) in planners.iter().zip(&mut walls).enumerate() {
+                    let Some(column_walls) = column.as_mut() else {
+                        continue;
+                    };
+                    match time_plan(planner.as_ref(), model, &cluster, mini_batch) {
+                        Some((wall, stats)) => {
+                            column_walls.push(wall);
+                            if i == 0 {
+                                gp_stats = Some(stats);
+                            }
+                        }
+                        None => *column = None,
+                    }
+                }
+            }
+            if let Some(s) = gp_stats {
                 counter_rows.push(row(&[
                     name.to_string(),
                     devices.to_string(),
@@ -99,28 +120,19 @@ fn main() {
                     s.memory_prunes.to_string(),
                 ]));
             }
-            let pd = time_plan(
-                &PipeDreamPlanner::with_options(opts.clone()),
-                model,
-                &cluster,
-                mini_batch,
-            );
-            // §7.2 analyses Piper at operator granularity (|D| >= k^n over
-            // operators), which is what its search time is charged for.
-            let piper = time_plan(
-                &PiperPlanner::with_options(opts.clone()).with_unit_ops(1),
-                model,
-                &cluster,
-                mini_batch,
-            );
-            let median = |v: &Option<(Vec<f64>, SearchStats)>| v.as_ref().map(|(w, _)| w[RUNS / 2]);
-            let fmt = |v: &Option<(Vec<f64>, SearchStats)>| {
-                v.as_ref().map_or("✗".to_string(), |(w, _)| {
-                    format!("{:.3} ({:.3}–{:.3})", w[RUNS / 2], w[0], w[RUNS - 1])
+            let [gp, pd, piper] = &walls;
+            let fmt = |v: &Option<Vec<f64>>| {
+                v.as_ref().map_or("✗".to_string(), |w| {
+                    let min = w.iter().copied().fold(f64::INFINITY, f64::min);
+                    let max = w.iter().copied().fold(0.0, f64::max);
+                    format!("{:.3} ({min:.3}–{max:.3})", median(w))
                 })
             };
-            let ratio = |num: Option<f64>, den: Option<f64>| match (num, den) {
-                (Some(n), Some(d)) if d > 0.0 => format!("{:.1}x", n / d),
+            let ratio = |num: &Option<Vec<f64>>| match (num, gp) {
+                (Some(n), Some(d)) => {
+                    let per_round: Vec<f64> = n.iter().zip(d).map(|(n, d)| n / d).collect();
+                    format!("{:.1}x", median(&per_round))
+                }
                 _ => "-".to_string(),
             };
             println!(
@@ -128,11 +140,11 @@ fn main() {
                 row(&[
                     name.to_string(),
                     devices.to_string(),
-                    fmt(&piper),
-                    fmt(&pd),
-                    fmt(&gp),
-                    ratio(median(&piper), median(&gp)),
-                    ratio(median(&pd), median(&gp)),
+                    fmt(piper),
+                    fmt(pd),
+                    fmt(gp),
+                    ratio(piper),
+                    ratio(pd),
                 ])
             );
         }

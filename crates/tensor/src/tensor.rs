@@ -154,8 +154,12 @@ impl Tensor {
         }
     }
 
-    /// 2-D matrix product: `[m, k] x [k, n] -> [m, n]`, computed by
-    /// [`matmul_into`].
+    /// 2-D matrix product: `[m, k] x [k, n] -> [m, n]`.
+    ///
+    /// Each output element adds its products in ascending inner index,
+    /// starting from `0.0`, whatever the kernel's blocking. Zero entries
+    /// of `self` are multiplied like any other, so a zero against an
+    /// infinite or NaN entry of `rhs` gives NaN.
     ///
     /// # Panics
     ///
