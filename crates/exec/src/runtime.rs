@@ -26,6 +26,7 @@ use gp_sched::{PipelineSchedule, StageGraph, StageId};
 use gp_tensor::Tensor;
 use std::collections::HashMap;
 use std::fmt;
+use std::ops::Range;
 use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::{Arc, Mutex, PoisonError};
 
@@ -91,12 +92,12 @@ struct ChunkMsg {
 
 type Buffers = HashMap<OpId, Vec<ChunkMsg>>;
 
-/// Rows of `chunk` inside `[lo, hi)`.
-fn overlap(chunk: &ChunkMsg, lo: usize, hi: usize, per_sample: usize) -> usize {
-    let rows = chunk.data.rows_for(per_sample);
+/// The rows of `chunk` inside `[lo, hi)`, in global coordinates (empty
+/// when they miss).
+fn overlap(chunk: &ChunkMsg, lo: usize, hi: usize, per_sample: usize) -> Range<usize> {
     let s = chunk.row_start.max(lo);
-    let e = (chunk.row_start + rows).min(hi);
-    e.saturating_sub(s)
+    let e = (chunk.row_start + chunk.data.rows_for(per_sample)).min(hi);
+    s..e.max(s)
 }
 
 /// Sums the rows of `chunks` intersecting `[lo, hi)` into an accumulator
@@ -110,15 +111,14 @@ fn assemble(chunks: &[ChunkMsg], lo: usize, hi: usize, per_sample: usize) -> Ten
     ordered.sort_by_key(|c| (c.from_stage, c.row_start));
     let mut out = Tensor::zeros(vec![hi - lo, per_sample]);
     for c in ordered {
-        let s = c.row_start.max(lo);
-        let e = (c.row_start + c.data.rows_for(per_sample)).min(hi);
-        if s >= e {
+        let rows = overlap(c, lo, hi, per_sample);
+        if rows.is_empty() {
             continue;
         }
         let piece = c
             .data
-            .slice_rows(per_sample, s - c.row_start, e - c.row_start);
-        out.add_rows(per_sample, s - lo, &piece);
+            .slice_rows(per_sample, rows.start - c.row_start, rows.end - c.row_start);
+        out.add_rows(per_sample, rows.start - lo, &piece);
     }
     out
 }
@@ -222,7 +222,10 @@ impl<'a> Worker<'a> {
             let per_sample = self.graph.node(op).out_shape.numel();
             loop {
                 let chunks = self.fwd_buf.get(&op).map(Vec::as_slice).unwrap_or(&[]);
-                let covered: usize = chunks.iter().map(|c| overlap(c, lo, hi, per_sample)).sum();
+                let covered: usize = chunks
+                    .iter()
+                    .map(|c| overlap(c, lo, hi, per_sample).len())
+                    .sum();
                 if covered >= hi - lo {
                     let mut dims = vec![hi - lo];
                     dims.extend_from_slice(self.graph.node(op).out_shape.dims());
@@ -271,7 +274,7 @@ impl<'a> Worker<'a> {
                     let covered: usize = chunks
                         .iter()
                         .filter(|c| c.from_stage == cons)
-                        .map(|c| overlap(c, lo, hi, per_sample))
+                        .map(|c| overlap(c, lo, hi, per_sample).len())
                         .sum();
                     if covered < hi - lo {
                         complete = false;
