@@ -399,6 +399,15 @@ mod tests {
     }
 
     #[test]
+    fn zero_times_infinity_is_nan_in_every_path() {
+        // Zeros in the left operand are multiplied, not skipped: the 4 x 8
+        // block and the leftover row and column all see 0 * inf = NaN.
+        let a = Tensor::new(vec![5, 2], [0.0, 1.0].repeat(5));
+        let b = Tensor::new(vec![2, 9], [[f32::INFINITY; 9], [2.0; 9]].concat());
+        assert!(a.matmul(&b).data().iter().all(|v| v.is_nan()));
+    }
+
+    #[test]
     fn transpose_roundtrips() {
         let a = Tensor::new(vec![2, 3], vec![1., 2., 3., 4., 5., 6.]);
         assert_eq!(a.t().t(), a);
