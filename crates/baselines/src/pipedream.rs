@@ -17,17 +17,11 @@
 //! fingerprints or the artifact codec; `cargo xtask lint` scans it for
 //! nondeterminism hazards (DESIGN.md §"Determinism lint").
 
-use crate::{best_entry, insert_pareto, Entry};
-use gp_cluster::{Cluster, DeviceRange};
+use crate::{insert_pareto, plan_sequential, CutSpace, Entry, Evals, Fronts, Size};
+use gp_cluster::Cluster;
 use gp_cost::{CostModel, OpTable};
-use gp_ir::{Graph, OpId, SpModel};
-use gp_obs::ClockHandle;
-use gp_partition::{Plan, PlanError, PlanOptions, Planner, SearchStats};
-use gp_sched::{Stage, StageGraph, StageId};
-
-/// A reconstructed stage on the linearized chain: `(first op index,
-/// one-past-last op index, device count)`.
-type ChainCut = (u32, u32, u32);
+use gp_ir::{OpId, SpModel};
+use gp_partition::{Plan, PlanError, PlanOptions, Planner};
 
 /// Sequential-pipeline planner at operator granularity.
 ///
@@ -48,15 +42,12 @@ type ChainCut = (u32, u32, u32);
 #[derive(Debug, Clone, Default)]
 pub struct PipeDreamPlanner {
     options: PlanOptions,
-    /// Wall-clock seam: feeds only `SearchStats.wall`, which fingerprints
-    /// exclude.
-    clock: ClockHandle,
 }
 
-/// Per-prefix aggregate costs of the linearized chain.
-struct Prefix {
-    fwd: Vec<f64>,
-    bwd: Vec<f64>,
+/// PipeDream's cut space: the positions of the linearized chain, with the
+/// prefix sums that do not depend on the micro-batch size.
+struct Chain {
+    order: Vec<OpId>,
     params: Vec<u64>,
     act: Vec<u64>,
     /// `cut[c]`: activation bytes per sample crossing position `c` (the live
@@ -64,19 +55,15 @@ struct Prefix {
     cut: Vec<u64>,
 }
 
-impl Prefix {
-    /// The prefixes at the table's micro-batch size `col`.
-    fn build(graph: &Graph, table: &OpTable, order: &[OpId], col: usize) -> Prefix {
+impl Chain {
+    fn build(model: &SpModel, table: &OpTable) -> Chain {
+        let graph = model.graph();
+        let order = model.linearize();
         let n = order.len();
         let mut pos = vec![0usize; graph.len()];
-        for (i, &op) in order.iter().enumerate() {
-            pos[op.index()] = i;
-        }
-        let (mut fwd, mut bwd) = (vec![0.0; n + 1], vec![0.0; n + 1]);
         let (mut params, mut act) = (vec![0u64; n + 1], vec![0u64; n + 1]);
         for (i, &op) in order.iter().enumerate() {
-            fwd[i + 1] = fwd[i] + table.fwd(op, col);
-            bwd[i + 1] = bwd[i] + table.bwd(op, col);
+            pos[op.index()] = i;
             params[i + 1] = params[i] + table.param_bytes(op);
             act[i + 1] = act[i] + table.stashed_bytes(op);
         }
@@ -96,9 +83,8 @@ impl Prefix {
             acc += diff[c];
             cut[c] = acc as u64;
         }
-        Prefix {
-            fwd,
-            bwd,
+        Chain {
+            order,
             params,
             act,
             cut,
@@ -106,69 +92,43 @@ impl Prefix {
     }
 }
 
-impl PipeDreamPlanner {
-    /// Planner with default options.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Planner with explicit options.
-    pub fn with_options(options: PlanOptions) -> Self {
-        PipeDreamPlanner {
-            options,
-            ..Self::default()
+impl CutSpace for Chain {
+    /// `f[i][d]`: Pareto entries for partitioning ops `[i..n)` over `d`
+    /// devices; an entry's `next` is the end `j` of its first stage
+    /// `[i..j)`, and `child` indexes `f[j][d - d1]`.
+    fn fronts(&self, size: &Size<'_>, evals: &mut Evals) -> Result<Fronts, PlanError> {
+        let n = self.order.len();
+        let (mut fwd, mut bwd) = (vec![0.0; n + 1], vec![0.0; n + 1]);
+        for (i, &op) in self.order.iter().enumerate() {
+            fwd[i + 1] = fwd[i] + size.table.fwd(op, size.col);
+            bwd[i + 1] = bwd[i] + size.table.bwd(op, size.col);
         }
-    }
-
-    /// Runs the suffix DP at the table's micro-batch size `col`; returns
-    /// the cut positions and device counts of the best partition, with
-    /// its estimated bottleneck TPS.
-    #[allow(clippy::too_many_arguments)]
-    fn dp(
-        &self,
-        graph: &Graph,
-        cost: &CostModel,
-        table: &OpTable,
-        order: &[OpId],
-        devices: u32,
-        col: usize,
-        mini_batch: u64,
-        evals: &mut u64,
-    ) -> Option<(Vec<ChainCut>, f64)> {
-        let n = order.len() as u32;
-        let b = table.sizes()[col];
-        let pre = Prefix::build(graph, table, order, col);
-        let mem_budget = cost.memory_budget();
-        // f[i][d] = Pareto entries for partitioning ops [i..n) over d
-        // devices; an entry's `next` is the end `j` of its first stage
-        // `[i..j)`, and `child` indexes `f[j][d - d1]`.
-        let mut f: Vec<Vec<Vec<Entry>>> =
-            vec![vec![Vec::new(); devices as usize + 1]; n as usize + 1];
-        f[n as usize][0].push(Entry::SINK);
+        let (b, mem_budget) = (size.b, size.cost.memory_budget());
+        let mut f: Fronts = vec![vec![Vec::new(); size.devices as usize + 1]; n + 1];
+        f[n][0].push(Entry::SINK);
         for i in (0..n).rev() {
-            for d in 1..=devices {
+            for d in 1..=size.devices {
                 let mut front: Vec<Entry> = Vec::new();
                 for j in i + 1..=n {
-                    let seg_fwd = pre.fwd[j as usize] - pre.fwd[i as usize];
-                    let seg_bwd = pre.bwd[j as usize] - pre.bwd[i as usize];
-                    let seg_params = pre.params[j as usize] - pre.params[i as usize];
-                    let seg_act = pre.act[j as usize] - pre.act[i as usize];
-                    let comm_bytes = pre.cut[i as usize] + pre.cut[j as usize];
+                    let seg_time = (fwd[j] - fwd[i]) + (bwd[j] - bwd[i]);
+                    let seg_params = self.params[j] - self.params[i];
+                    let seg_act = self.act[j] - self.act[i];
+                    let comm_bytes = self.cut[i] + self.cut[j];
                     for d1 in 1..=d {
                         let d_rest = d - d1;
-                        if f[j as usize][d_rest as usize].is_empty() {
+                        if f[j][d_rest as usize].is_empty() {
                             continue;
                         }
-                        *evals += 1;
-                        let tps_stage = cost.candidate_tps(
-                            seg_fwd + seg_bwd,
+                        evals.charge()?;
+                        let tps_stage = size.cost.candidate_tps(
+                            seg_time,
                             comm_bytes,
                             seg_params,
                             b,
                             d1,
-                            mini_batch,
+                            size.mini_batch,
                         );
-                        for (ci, child) in f[j as usize][d_rest as usize].iter().enumerate() {
+                        for (ci, child) in f[j][d_rest as usize].iter().enumerate() {
                             // 1F1B: this stage sits child.depth stages from
                             // the sink and keeps depth+1 micro-batches.
                             let in_flight = (child.depth as u64 + 1) * b;
@@ -185,7 +145,7 @@ impl PipeDreamPlanner {
                             let cand = Entry {
                                 tps: tps_stage.max(child.tps),
                                 depth: child.depth + 1,
-                                next: j,
+                                next: j as u32,
                                 d1,
                                 child: ci as u32,
                             };
@@ -193,26 +153,26 @@ impl PipeDreamPlanner {
                         }
                     }
                 }
-                f[i as usize][d as usize] = front;
+                f[i][d as usize] = front;
             }
         }
-        // Best entry at the source with all devices in use.
-        let best = best_entry(&f[0][devices as usize])?;
-        // Reconstruct (start, end, devices) triples.
-        let mut cuts = Vec::new();
-        let (mut i, mut d, mut e) = (0u32, devices, best);
-        loop {
-            cuts.push((i, e.next, e.d1));
-            if e.next == n {
-                break;
-            }
-            let next = f[e.next as usize][(d - e.d1) as usize][e.child as usize];
-            i = e.next;
-            d -= e.d1;
-            e = next;
-        }
-        debug_assert_eq!(i, cuts.last().unwrap().0);
-        Some((cuts, best.tps))
+        Ok(f)
+    }
+
+    fn stage_ops(&self, from: u32, to: u32) -> Vec<OpId> {
+        self.order[from as usize..to as usize].to_vec()
+    }
+}
+
+impl PipeDreamPlanner {
+    /// Planner with default options.
+    pub fn new() -> Self {
+        Self::default()
+    }
+
+    /// Planner with explicit options.
+    pub fn with_options(options: PlanOptions) -> Self {
+        PipeDreamPlanner { options }
     }
 }
 
@@ -222,57 +182,9 @@ impl Planner for PipeDreamPlanner {
     }
 
     fn plan(&self, model: &SpModel, cluster: &Cluster, mini_batch: u64) -> Result<Plan, PlanError> {
-        let start = self.clock.now_nanos();
-        let graph = model.graph();
-        let cost = CostModel::new(cluster);
-        let order = model.linearize();
-        let devices = cluster.device_count() as u32;
-        let b_all = self.options.micro_batch_sizes(mini_batch)?;
-        let table = OpTable::new(&cost, graph, &b_all);
-        let mut stats = SearchStats::default();
-        let mut best: Option<(Vec<ChainCut>, f64, u64)> = None;
-        for (col, &b) in b_all.iter().enumerate() {
-            stats.configs_tried += 1;
-            let mut evals = 0u64;
-            if let Some((cuts, tps)) = self.dp(
-                graph, &cost, &table, &order, devices, col, mini_batch, &mut evals,
-            ) {
-                if best.as_ref().is_none_or(|(_, cur, _)| tps < *cur) {
-                    best = Some((cuts, tps, b));
-                }
-            }
-            stats.dp_evals += evals;
-            if stats.dp_evals > self.options.eval_budget {
-                return Err(PlanError::SearchExplosion {
-                    evals: stats.dp_evals,
-                });
-            }
-        }
-        let (cuts, _, b) = best.ok_or_else(|| {
-            PlanError::Infeasible(
-                "no sequential partition fits the device memory budget".to_string(),
-            )
-        })?;
-        let mut cursor = 0u32;
-        let stages: Vec<Stage> = cuts
-            .iter()
-            .enumerate()
-            .map(|(idx, &(i, j, d1))| {
-                let devices = DeviceRange::new(cursor, d1);
-                cursor += d1;
-                Stage {
-                    id: StageId(idx as u32),
-                    ops: order[i as usize..j as usize].to_vec(),
-                    devices,
-                    micro_batch: b,
-                    kfkb: 1,
-                }
-            })
-            .collect();
-        let stage_graph = StageGraph::new_sequential(graph, cluster, stages, mini_batch)
-            .map_err(|e| PlanError::Internal(e.to_string()))?;
-        stats.wall = self.clock.since(start);
-        Ok(Plan::from_stage_graph(stage_graph, model, &cost, stats))
+        plan_sequential(&self.options, model, cluster, mini_batch, |table| {
+            Ok(Chain::build(model, table))
+        })
     }
 }
 
@@ -280,6 +192,7 @@ impl Planner for PipeDreamPlanner {
 mod tests {
     use super::*;
     use gp_ir::zoo::{self, CandleUnoConfig, MmtConfig};
+    use gp_sched::StageId;
 
     #[test]
     fn sequential_stages_use_all_devices() {

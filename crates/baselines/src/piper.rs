@@ -19,15 +19,17 @@
 //!   operator-granularity baseline);
 //! * per-stage device counts are powers of two, as in Piper's
 //!   tensor/data-parallel configuration enumeration.
+//!
+//! gp-lint: deterministic — this module's outputs feed plan
+//! fingerprints or the artifact codec; `cargo xtask lint` scans it for
+//! nondeterminism hazards (DESIGN.md §"Determinism lint").
 
-use crate::{best_entry, insert_pareto, Entry};
-use gp_cluster::{Cluster, DeviceRange};
+use crate::{insert_pareto, plan_sequential, CutSpace, Entry, Evals, Fronts, Size};
+use gp_cluster::Cluster;
 use gp_cost::{CostModel, OpTable};
-use gp_ir::{Graph, OpId, SpBlock, SpModel};
-use gp_obs::ClockHandle;
-use gp_partition::{Plan, PlanError, PlanOptions, Planner, SearchStats};
-use gp_sched::{Stage, StageGraph, StageId};
-use std::collections::{BTreeSet, HashMap};
+use gp_ir::{OpId, SpBlock, SpModel};
+use gp_partition::{Plan, PlanError, PlanOptions, Planner};
+use std::collections::BTreeSet;
 
 /// Downset-lattice planner for sequential pipelines with cross-branch
 /// stages.
@@ -50,9 +52,6 @@ pub struct PiperPlanner {
     options: PlanOptions,
     /// Operators grouped per layer unit.
     unit_ops: usize,
-    /// Wall-clock seam: feeds only `SearchStats.wall`, which fingerprints
-    /// exclude.
-    clock: ClockHandle,
 }
 
 impl Default for PiperPlanner {
@@ -60,7 +59,6 @@ impl Default for PiperPlanner {
         PiperPlanner {
             options: PlanOptions::default(),
             unit_ops: 4,
-            clock: ClockHandle::default(),
         }
     }
 }
@@ -68,15 +66,13 @@ impl Default for PiperPlanner {
 /// Abort once the downset lattice exceeds this many downsets.
 const DOWNSET_CAP: usize = 10_000;
 
-/// A reconstructed stage in bitset form: `(outer downset, inner downset,
-/// device count)` — the stage's units are `outer \ inner`.
-type DownsetCut = (u128, u128, u32);
-
 struct UnitGraph {
     /// Operators of each unit, in topological order.
     units: Vec<Vec<OpId>>,
     /// Unit-level predecessor lists.
     preds: Vec<Vec<u32>>,
+    /// Op edges between units: `(from unit, to unit, producing op)`.
+    edges: Vec<(u32, u32, OpId)>,
 }
 
 impl UnitGraph {
@@ -125,23 +121,78 @@ impl UnitGraph {
             }
         }
         let mut preds = vec![Vec::new(); units.len()];
+        let mut edges = Vec::new();
         for (a, b) in graph.edges() {
             let (ua, ub) = (unit_of[a.index()], unit_of[b.index()]);
-            if ua != ub && !preds[ub as usize].contains(&ua) {
-                preds[ub as usize].push(ua);
+            if ua != ub {
+                edges.push((ua, ub, a));
+                if !preds[ub as usize].contains(&ua) {
+                    preds[ub as usize].push(ua);
+                }
             }
         }
-        UnitGraph { units, preds }
+        UnitGraph {
+            units,
+            preds,
+            edges,
+        }
     }
 }
 
-/// Per-downset cost aggregates at a fixed micro-batch size.
-struct DownsetCosts {
-    time: Vec<f64>,
+/// Piper's cut space: the downset lattice of the unit graph, with the
+/// per-downset aggregates that do not depend on the micro-batch size.
+struct Lattice {
+    units: Vec<Vec<OpId>>,
+    /// Bitset form; index 0 is the empty set (the source).
+    downsets: Vec<u128>,
+    /// Downset indices by descending popcount, so supersets are finalized
+    /// first; the full set (the sink) leads.
+    order: Vec<u32>,
     params: Vec<u64>,
     act: Vec<u64>,
     /// Live activation bytes crossing the downset boundary, per sample.
     cut: Vec<u64>,
+}
+
+/// The ops of the units in `set`, unit by unit.
+fn ops_in(units: &[Vec<OpId>], set: u128) -> impl Iterator<Item = OpId> + '_ {
+    (units.iter().enumerate())
+        .filter(move |&(u, _)| set & (1 << u) != 0)
+        .flat_map(|(_, ops)| ops.iter().copied())
+}
+
+impl Lattice {
+    fn build(ug: UnitGraph, downsets: Vec<u128>, table: &OpTable) -> Lattice {
+        let mut order: Vec<u32> = (0..downsets.len() as u32).collect();
+        order.sort_by_key(|&i| std::cmp::Reverse(downsets[i as usize].count_ones()));
+        let has = |set: u128, u: u32| set & (1 << u) != 0;
+        let params = downsets
+            .iter()
+            .map(|&d| ops_in(&ug.units, d).map(|op| table.param_bytes(op)).sum())
+            .collect();
+        let act = downsets
+            .iter()
+            .map(|&d| ops_in(&ug.units, d).map(|op| table.stashed_bytes(op)).sum())
+            .collect();
+        let cut = downsets
+            .iter()
+            .map(|&d| {
+                let crossing = ug
+                    .edges
+                    .iter()
+                    .filter(|&&(ua, ub, _)| has(d, ua) && !has(d, ub));
+                crossing.map(|&(_, _, op)| table.output_bytes(op)).sum()
+            })
+            .collect();
+        Lattice {
+            units: ug.units,
+            downsets,
+            order,
+            params,
+            act,
+            cut,
+        }
+    }
 }
 
 impl PiperPlanner {
@@ -181,7 +232,7 @@ impl PiperPlanner {
             .map(|ps| ps.iter().fold(0u128, |m, &p| m | (1 << p)))
             .collect();
         // Membership-only set; BTreeSet keeps the module free of
-        // iteration-order hazards (`gp-lint: deterministic`).
+        // iteration-order hazards.
         let mut seen: BTreeSet<u128> = BTreeSet::new();
         let mut stack = vec![0u128];
         seen.insert(0);
@@ -203,135 +254,62 @@ impl PiperPlanner {
         }
         Ok(out)
     }
+}
 
-    /// The downsets' cost aggregates at the table's micro-batch size
-    /// `col`.
-    fn downset_costs(
-        &self,
-        graph: &Graph,
-        table: &OpTable,
-        ug: &UnitGraph,
-        downsets: &[u128],
-        col: usize,
-    ) -> DownsetCosts {
-        let n = ug.units.len();
-        let mut unit_time = vec![0.0f64; n];
-        let mut unit_params = vec![0u64; n];
-        let mut unit_act = vec![0u64; n];
-        for (u, ops) in ug.units.iter().enumerate() {
-            for &op in ops {
-                unit_time[u] += table.time(op, col);
-                unit_params[u] += table.param_bytes(op);
-                unit_act[u] += table.stashed_bytes(op);
-            }
-        }
-        // Unit-level edge list with live bytes.
-        let mut unit_of = vec![u32::MAX; graph.len()];
-        for (u, ops) in ug.units.iter().enumerate() {
-            for op in ops {
-                unit_of[op.index()] = u as u32;
-            }
-        }
-        let mut edges: Vec<(u32, u32, u64)> = Vec::new();
-        for (a, bb) in graph.edges() {
-            let (ua, ub) = (unit_of[a.index()], unit_of[bb.index()]);
-            if ua != ub {
-                edges.push((ua, ub, table.output_bytes(a)));
-            }
-        }
-        let mut time = Vec::with_capacity(downsets.len());
-        let mut params = Vec::with_capacity(downsets.len());
-        let mut act = Vec::with_capacity(downsets.len());
-        let mut cut = Vec::with_capacity(downsets.len());
-        for &d in downsets {
-            let mut t = 0.0;
-            let (mut p, mut a) = (0u64, 0u64);
-            for u in 0..n {
-                if d & (1 << u) != 0 {
-                    t += unit_time[u];
-                    p += unit_params[u];
-                    a += unit_act[u];
-                }
-            }
-            let mut c = 0u64;
-            for &(ua, ub, bytes) in &edges {
-                if d & (1 << ua) != 0 && d & (1 << ub) == 0 {
-                    c += bytes;
-                }
-            }
-            time.push(t);
-            params.push(p);
-            act.push(a);
-            cut.push(c);
-        }
-        DownsetCosts {
-            time,
-            params,
-            act,
-            cut,
-        }
-    }
-
-    /// Suffix DP over the downset lattice for one micro-batch size.
-    #[allow(clippy::too_many_arguments)]
-    fn dp(
-        &self,
-        cost: &CostModel,
-        downsets: &[u128],
-        costs: &DownsetCosts,
-        devices: u32,
-        b: u64,
-        mini_batch: u64,
-        evals: &mut u64,
-    ) -> Result<Option<(Vec<DownsetCut>, f64)>, PlanError> {
-        let full: u128 = *downsets
+impl CutSpace for Lattice {
+    /// `g[downset][d]`: Pareto front for partitioning the complement; an
+    /// entry's `next` is the superset downset its first stage reaches, and
+    /// `child` indexes that downset's front.
+    fn fronts(&self, size: &Size<'_>, evals: &mut Evals) -> Result<Fronts, PlanError> {
+        let (b, devices) = (size.b, size.devices);
+        let unit_time: Vec<f64> = self
+            .units
             .iter()
-            .max_by_key(|d| d.count_ones())
-            .expect("lattice contains the full set");
-        // Order: descending popcount, so supersets are finalized first.
-        let mut order: Vec<u32> = (0..downsets.len() as u32).collect();
-        order.sort_by_key(|&i| std::cmp::Reverse(downsets[i as usize].count_ones()));
-        let index_of: HashMap<u128, u32> = downsets
+            .map(|ops| {
+                ops.iter()
+                    .fold(0.0, |t, &op| t + size.table.time(op, size.col))
+            })
+            .collect();
+        let time: Vec<f64> = self
+            .downsets
             .iter()
-            .enumerate()
-            .map(|(i, &d)| (d, i as u32))
+            .map(|&d| {
+                let in_d = (0..unit_time.len()).filter(|&u| d & (1 << u) != 0);
+                in_d.fold(0.0, |t, u| t + unit_time[u])
+            })
             .collect();
         let d_choices: Vec<u32> = (0..)
             .map(|e| 1u32 << e)
             .take_while(|&p| p <= devices)
             .collect();
-        let mem_budget = cost.memory_budget();
-        // g[downset][d] = Pareto front for partitioning the complement; an
-        // entry's `next` is the superset downset its first stage reaches,
-        // and `child` indexes that downset's front.
-        let mut g: Vec<Vec<Vec<Entry>>> =
-            vec![vec![Vec::new(); devices as usize + 1]; downsets.len()];
-        g[index_of[&full] as usize][0].push(Entry::SINK);
-        for (pi, &i2) in order.iter().enumerate() {
-            let d2 = downsets[i2 as usize];
+        let mem_budget = size.cost.memory_budget();
+        let mut g: Fronts = vec![vec![Vec::new(); devices as usize + 1]; self.downsets.len()];
+        g[self.order[0] as usize][0].push(Entry::SINK);
+        for (pi, &i2) in self.order.iter().enumerate() {
+            let (i2, d2) = (i2 as usize, self.downsets[i2 as usize]);
             // Transitions into every strict subset processed later.
-            for &i1 in &order[pi + 1..] {
-                let d1set = downsets[i1 as usize];
-                if d1set & !d2 != 0 {
+            for &i1 in &self.order[pi + 1..] {
+                let i1 = i1 as usize;
+                if self.downsets[i1] & !d2 != 0 {
                     continue; // not a subset
                 }
-                *evals += 1;
-                if *evals > self.options.eval_budget {
-                    return Err(PlanError::SearchExplosion { evals: *evals });
-                }
-                let stage_time = costs.time[i2 as usize] - costs.time[i1 as usize];
-                let stage_params = costs.params[i2 as usize] - costs.params[i1 as usize];
-                let stage_act = costs.act[i2 as usize] - costs.act[i1 as usize];
-                let comm_bytes = costs.cut[i1 as usize] + costs.cut[i2 as usize];
+                evals.charge()?;
+                let stage_time = time[i2] - time[i1];
+                let stage_params = self.params[i2] - self.params[i1];
+                let stage_act = self.act[i2] - self.act[i1];
+                let comm_bytes = self.cut[i1] + self.cut[i2];
                 for &dd in &d_choices {
-                    let tps_stage =
-                        cost.candidate_tps(stage_time, comm_bytes, stage_params, b, dd, mini_batch);
+                    let tps_stage = size.cost.candidate_tps(
+                        stage_time,
+                        comm_bytes,
+                        stage_params,
+                        b,
+                        dd,
+                        size.mini_batch,
+                    );
                     for d_rest in 0..=devices.saturating_sub(dd) {
-                        if g[i2 as usize][d_rest as usize].is_empty() {
-                            continue;
-                        }
-                        for ci in 0..g[i2 as usize][d_rest as usize].len() {
-                            let child = g[i2 as usize][d_rest as usize][ci];
+                        for ci in 0..g[i2][d_rest as usize].len() {
+                            let child = g[i2][d_rest as usize][ci];
                             let in_flight = (child.depth as u64 + 1) * b;
                             let mem = CostModel::stage_memory(
                                 stage_params,
@@ -346,33 +324,28 @@ impl PiperPlanner {
                             let cand = Entry {
                                 tps: tps_stage.max(child.tps),
                                 depth: child.depth + 1,
-                                next: i2,
+                                next: i2 as u32,
                                 d1: dd,
                                 child: ci as u32,
                             };
-                            let front = &mut g[i1 as usize][(d_rest + dd) as usize];
-                            insert_pareto(front, cand);
+                            insert_pareto(&mut g[i1][(d_rest + dd) as usize], cand);
                         }
                     }
                 }
             }
         }
-        let empty_idx = index_of[&0] as usize;
-        let Some(best) = best_entry(&g[empty_idx][devices as usize]) else {
-            return Ok(None);
-        };
-        // Reconstruct stages from the source: (from_set, to_set, devices).
-        let mut stages = Vec::new();
-        let (mut idx, mut d, mut e) = (empty_idx, devices, best);
-        while e.next != Entry::SINK.next {
-            let from = downsets[idx];
-            let to = downsets[e.next as usize];
-            stages.push((from, to, e.d1));
-            idx = e.next as usize;
-            d -= e.d1;
-            e = g[idx][d as usize][e.child as usize];
-        }
-        Ok(Some((stages, best.tps)))
+        Ok(g)
+    }
+
+    fn stage_ops(&self, from: u32, to: u32) -> Vec<OpId> {
+        let stage = self.downsets[to as usize] & !self.downsets[from as usize];
+        let mut ops: Vec<OpId> = ops_in(&self.units, stage).collect();
+        ops.sort_unstable();
+        ops
+    }
+
+    fn dp_states(&self) -> u64 {
+        self.downsets.len() as u64
     }
 }
 
@@ -382,62 +355,11 @@ impl Planner for PiperPlanner {
     }
 
     fn plan(&self, model: &SpModel, cluster: &Cluster, mini_batch: u64) -> Result<Plan, PlanError> {
-        let start = self.clock.now_nanos();
-        let graph = model.graph();
-        let cost = CostModel::new(cluster);
-        let devices = cluster.device_count() as u32;
-        let b_all = self.options.micro_batch_sizes(mini_batch)?;
-        let ug = UnitGraph::build(model, self.unit_ops);
-        let downsets = self.enumerate_downsets(&ug)?;
-        let table = OpTable::new(&cost, graph, &b_all);
-        let mut stats = SearchStats {
-            dp_states: downsets.len() as u64,
-            ..SearchStats::default()
-        };
-        let mut best: Option<(Vec<DownsetCut>, f64, u64)> = None;
-        let mut evals = 0u64;
-        for (col, &b) in b_all.iter().enumerate() {
-            stats.configs_tried += 1;
-            let costs = self.downset_costs(graph, &table, &ug, &downsets, col);
-            if let Some((cuts, tps)) =
-                self.dp(&cost, &downsets, &costs, devices, b, mini_batch, &mut evals)?
-            {
-                if best.as_ref().is_none_or(|(_, cur, _)| tps < *cur) {
-                    best = Some((cuts, tps, b));
-                }
-            }
-        }
-        stats.dp_evals = evals;
-        let (cuts, _, b) = best.ok_or_else(|| {
-            PlanError::Infeasible("no downset partition fits the device memory budget".to_string())
-        })?;
-        let mut cursor = 0u32;
-        let stages: Vec<Stage> = cuts
-            .iter()
-            .enumerate()
-            .map(|(idx, &(from, to, d1))| {
-                let mut ops: Vec<OpId> = Vec::new();
-                for (u, unit) in ug.units.iter().enumerate() {
-                    if to & (1 << u) != 0 && from & (1 << u) == 0 {
-                        ops.extend_from_slice(unit);
-                    }
-                }
-                ops.sort_unstable();
-                let devices = DeviceRange::new(cursor, d1);
-                cursor += d1;
-                Stage {
-                    id: StageId(idx as u32),
-                    ops,
-                    devices,
-                    micro_batch: b,
-                    kfkb: 1,
-                }
-            })
-            .collect();
-        let stage_graph = StageGraph::new_sequential(graph, cluster, stages, mini_batch)
-            .map_err(|e| PlanError::Internal(e.to_string()))?;
-        stats.wall = self.clock.since(start);
-        Ok(Plan::from_stage_graph(stage_graph, model, &cost, stats))
+        plan_sequential(&self.options, model, cluster, mini_batch, |table| {
+            let ug = UnitGraph::build(model, self.unit_ops);
+            let downsets = self.enumerate_downsets(&ug)?;
+            Ok(Lattice::build(ug, downsets, table))
+        })
     }
 }
 

@@ -1,7 +1,7 @@
 //! Appendix A.3: on a *sequential* Transformer (no branches) all three
 //! planners should match — GraphPipe's advantage comes only from topology.
 
-use gp_bench::harness::{paper_mini_batch, row, run_cell};
+use gp_bench::harness::{fmt_throughput, paper_mini_batch, row, run_cell};
 use graphpipe::prelude::*;
 use graphpipe::PlannerKind;
 
@@ -33,9 +33,9 @@ fn main() {
             "{}",
             row(&[
                 devices.to_string(),
-                piper.fmt_throughput(),
-                pd.fmt_throughput(),
-                gp.fmt_throughput(),
+                fmt_throughput(piper.throughput),
+                fmt_throughput(pd.throughput),
+                fmt_throughput(gp.throughput),
                 ratio,
             ])
         );

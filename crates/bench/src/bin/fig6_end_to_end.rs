@@ -6,7 +6,7 @@
 //! configuration, the gap widening with device count; Piper cannot produce
 //! strategies for the 8-branch models (printed as "✗").
 
-use gp_bench::harness::{paper_mini_batch, paper_models, row, run_cell};
+use gp_bench::harness::{fmt_throughput, paper_mini_batch, paper_models, row, run_cell};
 use graphpipe::prelude::*;
 use graphpipe::PlannerKind;
 
@@ -49,9 +49,9 @@ fn main() {
                 row(&[
                     devices.to_string(),
                     mini_batch.to_string(),
-                    cells[0].fmt_throughput(),
-                    cells[1].fmt_throughput(),
-                    cells[2].fmt_throughput(),
+                    fmt_throughput(cells[0].throughput),
+                    fmt_throughput(cells[1].throughput),
+                    fmt_throughput(cells[2].throughput),
                     speedup,
                     cells[0].depth.map_or("-".into(), |d| d.to_string()),
                     cells[1].depth.map_or("-".into(), |d| d.to_string()),

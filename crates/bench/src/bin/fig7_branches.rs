@@ -4,7 +4,7 @@
 //! Expected shape (paper): the GraphPipe advantage grows with the branch
 //! count, reaching about 2x at 16 branches.
 
-use gp_bench::harness::{paper_mini_batch, row, run_cell};
+use gp_bench::harness::{fmt_throughput, paper_mini_batch, row, run_cell};
 use graphpipe::prelude::*;
 use graphpipe::PlannerKind;
 
@@ -39,8 +39,8 @@ fn main() {
                 row(&[
                     branches.to_string(),
                     devices.to_string(),
-                    gp.fmt_throughput(),
-                    pd.fmt_throughput(),
+                    fmt_throughput(gp.throughput),
+                    fmt_throughput(pd.throughput),
                     norm,
                     gp.depth.map_or("-".into(), |d| d.to_string()),
                     pd.depth.map_or("-".into(), |d| d.to_string()),

@@ -5,7 +5,7 @@
 //! with identical operational intensity the gap is pure pipeline-depth
 //! reduction.
 
-use gp_bench::harness::row;
+use gp_bench::harness::{fmt_throughput, row};
 use graphpipe::prelude::*;
 use graphpipe::PlannerKind;
 
@@ -39,14 +39,18 @@ fn main() {
                 });
             cells.push(cell);
         }
-        let fmt = |v: Option<f64>| v.map_or("✗".to_string(), |t| format!("{t:.0}"));
         let ratio = match (cells[0], cells[1]) {
             (Some(g), Some(p)) => format!("{:.2}x", g / p),
             _ => "-".into(),
         };
         println!(
             "{}",
-            row(&[b.to_string(), fmt(cells[0]), fmt(cells[1]), ratio])
+            row(&[
+                b.to_string(),
+                fmt_throughput(cells[0]),
+                fmt_throughput(cells[1]),
+                ratio
+            ])
         );
     }
 }

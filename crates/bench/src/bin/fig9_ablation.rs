@@ -5,7 +5,7 @@
 //! Expected shape (paper): Parallel = 1.12-1.40x over SPP, GraphPipe =
 //! 1.25-1.61x.
 
-use gp_bench::harness::{paper_mini_batch, paper_models, row, run_cell};
+use gp_bench::harness::{fmt_throughput, paper_mini_batch, paper_models, row, run_cell};
 use graphpipe::prelude::*;
 use graphpipe::PlannerKind;
 
@@ -33,7 +33,6 @@ fn main() {
             .ok()
             .and_then(|p| graphpipe::simulate_plan(&model, &cluster, &p).ok())
             .map(|r| r.throughput);
-        let fmt = |v: Option<f64>| v.map_or("✗".to_string(), |t| format!("{t:.0}"));
         let gain = |v: Option<f64>| match (v, spp.throughput) {
             (Some(a), Some(b)) => format!("{:.2}x", a / b),
             _ => "-".into(),
@@ -42,9 +41,9 @@ fn main() {
             "{}",
             row(&[
                 name.to_string(),
-                spp.fmt_throughput(),
-                fmt(par),
-                gpp.fmt_throughput(),
+                fmt_throughput(spp.throughput),
+                fmt_throughput(par),
+                fmt_throughput(gpp.throughput),
                 gain(par),
                 gain(gpp.throughput),
             ])

@@ -31,32 +31,22 @@ pub fn harness_options() -> PlanOptions {
     }
 }
 
-/// Result of evaluating one (planner, model, devices) cell.
-pub struct Cell {
-    /// Simulated training throughput, samples/s; `None` when the planner
-    /// could not produce a strategy (the paper's "✗").
-    pub throughput: Option<f64>,
-    /// Pipeline depth of the chosen strategy.
-    pub depth: Option<usize>,
-    /// Chosen (maximum) micro-batch size.
-    pub micro_batch: Option<u64>,
-}
-
-impl Cell {
-    /// Renders the throughput or `✗`.
-    pub fn fmt_throughput(&self) -> String {
-        match self.throughput {
-            Some(t) => format!("{t:.0}"),
-            None => "✗".to_string(),
-        }
-    }
+/// Renders a throughput, or the paper's "✗" when the planner produced no
+/// strategy.
+pub fn fmt_throughput(throughput: Option<f64>) -> String {
+    throughput.map_or("✗".to_string(), |t| format!("{t:.0}"))
 }
 
 /// Evaluates a planner on a model at the harness options — a thin shim
 /// over [`Session::compare`], which owns the per-planner evaluation policy
 /// (A.2 micro-batch sweep for GraphPipe/PipeDream, coarse-unit single run
 /// for Piper).
-pub fn run_cell(model: &SpModel, cluster: &Cluster, mini_batch: u64, kind: PlannerKind) -> Cell {
+pub fn run_cell(
+    model: &SpModel,
+    cluster: &Cluster,
+    mini_batch: u64,
+    kind: PlannerKind,
+) -> ComparisonRow {
     let session = Session::builder()
         .model(model.clone())
         .cluster(cluster.clone())
@@ -64,13 +54,7 @@ pub fn run_cell(model: &SpModel, cluster: &Cluster, mini_batch: u64, kind: Plann
         .options(harness_options())
         .build()
         .expect("harness sessions are well-formed");
-    let comparison = session.compare(&[kind]);
-    let row = &comparison.rows()[0];
-    Cell {
-        throughput: row.throughput,
-        depth: row.depth,
-        micro_batch: row.micro_batch,
-    }
+    session.compare(&[kind]).rows()[0].clone()
 }
 
 /// The three evaluation models at their paper configurations.

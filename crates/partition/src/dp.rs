@@ -1195,6 +1195,27 @@ impl<'a> Dp<'a> {
         (start, start + w - 1)
     }
 
+    /// The device window of side `a` when `d` devices are split between
+    /// two sides taking `a_time` and `b_time` at the bound micro-batch:
+    /// `[a_min, d - b_min]` by the work bound, narrowed by the beam around
+    /// the work-proportional pivot. `None`, counted in
+    /// `work_bound_prunes`, when no split passes the bound.
+    fn split_window(&mut self, a_time: f64, b_time: f64, d: u32) -> Option<(u32, u32)> {
+        let a_min = self.min_devices(a_time);
+        let b_min = self.min_devices(b_time);
+        if a_min == u32::MAX || b_min == u32::MAX || a_min + b_min > d {
+            self.work_bound_prunes += 1;
+            return None;
+        }
+        let total = a_time + b_time;
+        let pivot = if total > 0.0 {
+            (d as f64 * (a_time / total)).round() as u32
+        } else {
+            a_min
+        };
+        Some(self.beam_window(a_min, d - b_min, pivot))
+    }
+
     fn take_scratch(&mut self) -> SplitScratch {
         self.scratch_pool.pop().unwrap_or_default()
     }
@@ -1327,19 +1348,9 @@ impl<'a> Dp<'a> {
                 - self.chain_time_at(chain, bi, start as usize);
             let suf_time = self.chain_time_at(chain, bi, n as usize)
                 - self.chain_time_at(chain, bi, mid as usize);
-            let d_head_min = self.min_devices(head_time);
-            let d_suf_min = self.min_devices(suf_time);
-            if d_head_min == u32::MAX || d_suf_min == u32::MAX || d_head_min + d_suf_min > d {
-                self.work_bound_prunes += 1;
+            let Some((w_lo, w_hi)) = self.split_window(suf_time, head_time, d) else {
                 continue;
-            }
-            let split_total = head_time + suf_time;
-            let pivot = if split_total > 0.0 {
-                (d as f64 * (suf_time / split_total)).round() as u32
-            } else {
-                d_suf_min
             };
-            let (w_lo, w_hi) = self.beam_window(d_suf_min, d - d_head_min, pivot);
             let width = (w_hi - w_lo + 1) as usize;
             let suf_slot = self.chain_slot(chain, mid);
             let mut scr = self.take_scratch();
@@ -1500,21 +1511,9 @@ impl<'a> Dp<'a> {
         let last_time = self.chain_time_at(absorbed, self.bound_bi, last_len);
         self.ensure_branch_time(branches);
         let others_time = self.branch_time_at(branches, (m - 1) as usize);
-        let d_last_min = self.min_devices(last_time);
-        let d_others_min = self.min_devices(others_time);
-        if d_last_min == u32::MAX || d_others_min == u32::MAX || d_last_min + d_others_min > d {
-            self.work_bound_prunes += 1;
-            return None;
-        }
+        let (w_lo, w_hi) = self.split_window(last_time, others_time, d)?;
         let mut best: Option<FragId> = None;
         let mut best_score: Score = (u64::MAX, u64::MAX, usize::MAX);
-        let absorb_total = last_time + others_time;
-        let pivot = if absorb_total > 0.0 {
-            (d as f64 * (last_time / absorb_total)).round() as u32
-        } else {
-            d_last_min
-        };
-        let (w_lo, w_hi) = self.beam_window(d_last_min, d - d_others_min, pivot);
         for d_last in w_lo..=w_hi {
             if self.charge(1) {
                 return None;
@@ -1588,19 +1587,9 @@ impl<'a> Dp<'a> {
                 - self.branch_time_at(branches, from as usize);
             let right_time = self.branch_time_at(branches, to as usize)
                 - self.branch_time_at(branches, split as usize);
-            let d_left_min = self.min_devices(left_time);
-            let d_right_min = self.min_devices(right_time);
-            if d_left_min == u32::MAX || d_right_min == u32::MAX || d_left_min + d_right_min > d {
-                self.work_bound_prunes += 1;
+            let Some((w_lo, w_hi)) = self.split_window(left_time, right_time, d) else {
                 continue;
-            }
-            let split_total = left_time + right_time;
-            let pivot = if split_total > 0.0 {
-                (d as f64 * (left_time / split_total)).round() as u32
-            } else {
-                d_left_min
             };
-            let (w_lo, w_hi) = self.beam_window(d_left_min, d - d_right_min, pivot);
             for d1 in w_lo..=w_hi {
                 if self.charge(1) {
                     return None;

@@ -2,9 +2,9 @@
 //!
 //! Plan fingerprints (`gp-serve`), artifact bytes, and golden tables are
 //! all *byte*-deterministic promises. This lint statically scans the
-//! modules behind those promises — every file whose module doc carries the
-//! `gp-lint: deterministic` tag — for source patterns that historically
-//! break such promises:
+//! modules behind those promises — every file whose module doc (a `//!`
+//! line) carries the `gp-lint: deterministic` tag — for source patterns
+//! that historically break such promises:
 //!
 //! * `HashMap` / `HashSet` — iteration order varies run to run;
 //! * `.values()` / `.keys()` — map iteration even through an alias;
@@ -25,6 +25,13 @@ use std::process::ExitCode;
 
 /// The module-doc tag that opts a file into the lint.
 pub const TAG: &str = "gp-lint: deterministic";
+
+/// Whether a module doc (`//!` line) carries the tag; a `//` comment or a
+/// string literal that spells it does not opt the file in.
+fn is_tagged(text: &str) -> bool {
+    text.lines()
+        .any(|l| l.trim_start().starts_with("//!") && l.contains(TAG))
+}
 
 /// The allowlist file, relative to the repo root.
 pub const ALLOWLIST: &str = "lint-allowlist.txt";
@@ -47,6 +54,7 @@ const REQUIRED_TAGGED: &[&str] = &[
     "crates/sched/src/inflight.rs",
     "crates/partition/src/plan.rs",
     "crates/partition/src/dp.rs",
+    "crates/baselines/src/lib.rs",
     "crates/baselines/src/pipedream.rs",
     "crates/baselines/src/piper.rs",
     "crates/ir/src/graph.rs",
@@ -216,7 +224,7 @@ pub fn run() -> ExitCode {
             errors.push(format!("cannot read {rel}"));
             continue;
         };
-        if !text.contains(TAG) {
+        if !is_tagged(&text) {
             continue;
         }
         tagged += 1;
@@ -257,5 +265,20 @@ pub fn run() -> ExitCode {
             errors.len()
         );
         ExitCode::FAILURE
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn only_module_docs_carry_the_tag() {
+        assert!(is_tagged(
+            "//! Docs.\n//!\n//! gp-lint: deterministic — why.\n"
+        ));
+        assert!(!is_tagged("// gp-lint: deterministic\nfn f() {}\n"));
+        assert!(!is_tagged("const T: &str = \"gp-lint: deterministic\";\n"));
+        assert!(!is_tagged("/// gp-lint: deterministic\nfn f() {}\n"));
     }
 }
