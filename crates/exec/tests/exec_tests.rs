@@ -92,10 +92,10 @@ fn data_parallel_replicas_are_gradient_equivalent() {
     assert_equivalent(&model, &sg, 8);
 }
 
-#[test]
-fn heterogeneous_micro_batches_are_gradient_equivalent() {
-    // Stage 0 runs micro-batches of 2, stage 1 of 4 (Figure 5 situation).
-    let model = zoo::mlp_chain(4, 8);
+/// `mlp_chain(4, 8)` split in two stages of one device each, at
+/// mini-batch 8; stage 0 runs micro-batches of 2, stage 1 of 4 (the
+/// Figure 5 situation).
+fn heterogeneous_stage_graph(model: &SpModel) -> StageGraph {
     let ops = model.linearize();
     let n = ops.len();
     let cluster = Cluster::tiny_test(2);
@@ -115,7 +115,13 @@ fn heterogeneous_micro_batches_are_gradient_equivalent() {
             kfkb: 1,
         },
     ];
-    let sg = StageGraph::new(model.graph(), &cluster, stages, 8).unwrap();
+    StageGraph::new(model.graph(), &cluster, stages, 8).unwrap()
+}
+
+#[test]
+fn heterogeneous_micro_batches_are_gradient_equivalent() {
+    let model = zoo::mlp_chain(4, 8);
+    let sg = heterogeneous_stage_graph(&model);
     assert_equivalent(&model, &sg, 8);
 }
 
@@ -211,4 +217,84 @@ fn input_ops_consume_batch_rows_in_order() {
     assert_eq!(inputs.len(), 2);
     let result = train_iteration(g, &sg, &schedule, &mut params, &batch, 0.1).unwrap();
     assert!(result.loss.is_finite());
+}
+
+/// `mlp_chain(4, 8)` in two stages of two data-parallel replicas each, at
+/// micro-batch 2 and mini-batch 8: four micro-batches, two per replica.
+fn two_replica_stage_graph(model: &SpModel) -> StageGraph {
+    let n = model.graph().len();
+    manual_stage_graph(model, &[n / 2, n], &[2, 2], 2, 8).1
+}
+
+/// `train`'s losses as f32 bits: 4 steps at lr 0.05, data seed 3,
+/// parameter seed 1.
+fn loss_bits(model: &SpModel, sg: &StageGraph) -> Vec<u32> {
+    let g = model.graph();
+    let schedule = schedule_tasks(sg, &assign_in_flight(sg));
+    let batch = synth_batch(g, sg.mini_batch(), 3);
+    let mut params = ModelParams::init(g, 1);
+    let losses = train(g, sg, &schedule, &mut params, &batch, 0.05, 4).unwrap();
+    losses.iter().map(|l| l.to_bits()).collect()
+}
+
+/// The f32 bits of `train`'s losses on three stage graphs that sum
+/// gradients across micro-batches, replicas or branches. Linear, ReLU and
+/// the L2 loss call no libm function, so every f32 operation is
+/// IEEE-exact and the bits are the same on every host. Every loss after
+/// the first is taken at parameters that SGD updated, so these also pin
+/// the update's rounding: the replicas' gradients summed in replica order,
+/// each micro-batch's gradient accumulated in task order.
+#[test]
+fn multi_replica_and_multi_micro_batch_losses_are_pinned_to_the_bit() {
+    let mlp = zoo::mlp_chain(4, 8);
+    let candle = zoo::candle_uno(&CandleUnoConfig::tiny());
+    let n = candle.graph().len();
+    let (_, branches) = manual_stage_graph(&candle, &[5, 10, n], &[1, 1, 1], 2, 8);
+    let cases: [(&str, &SpModel, StageGraph, [u32; 4]); 3] = [
+        (
+            "mlp 2x2 replicas",
+            &mlp,
+            two_replica_stage_graph(&mlp),
+            [990014508, 988209624, 986528645, 985085278],
+        ),
+        (
+            "mlp micro-batch 2/4",
+            &mlp,
+            heterogeneous_stage_graph(&mlp),
+            [990014506, 988209624, 986528644, 985085278],
+        ),
+        (
+            "candle-uno branches",
+            &candle,
+            branches,
+            [966725978, 966117150, 965576150, 965095258],
+        ),
+    ];
+    for (name, model, sg, want) in cases {
+        assert_eq!(loss_bits(model, &sg), want, "{name}");
+    }
+}
+
+/// A `train` call of `n` steps leaves nothing behind from one step for the
+/// next: it gives the same loss bits and the same parameters as `n` calls
+/// of `train_iteration`, each of which starts from scratch.
+#[test]
+fn train_steps_match_one_iteration_call_per_step() {
+    let model = zoo::mlp_chain(4, 8);
+    let g = model.graph();
+    let sg = two_replica_stage_graph(&model);
+    let schedule = schedule_tasks(&sg, &assign_in_flight(&sg));
+    let batch = synth_batch(g, 8, 3);
+    let init = ModelParams::init(g, 1);
+    let mut whole = init.clone();
+    let losses = train(g, &sg, &schedule, &mut whole, &batch, 0.05, 5).unwrap();
+    let mut stepped = init;
+    let mut one_by_one = Vec::new();
+    for _ in 0..5 {
+        let result = train_iteration(g, &sg, &schedule, &mut stepped, &batch, 0.05).unwrap();
+        one_by_one.push(result.loss.to_bits());
+    }
+    let whole_bits: Vec<u32> = losses.iter().map(|l| l.to_bits()).collect();
+    assert_eq!(whole_bits, one_by_one);
+    assert_eq!(whole.max_abs_diff(&stepped), 0.0);
 }
