@@ -43,7 +43,7 @@ pub fn synth_batch(graph: &Graph, mini_batch: u64, seed: u64) -> HashMap<OpId, T
 }
 
 /// Slices rows `[lo, hi)` of every input tensor (micro-batch extraction),
-/// reshaping each slice back to `[rows, per-sample dims...]`.
+/// shaping each slice as `[rows, per-sample dims...]`.
 pub fn slice_batch(
     graph: &Graph,
     batch: &HashMap<OpId, Tensor>,
@@ -52,14 +52,29 @@ pub fn slice_batch(
 ) -> HashMap<OpId, Tensor> {
     batch
         .iter()
-        .map(|(&op, tensor)| {
-            let per_sample = graph.node(op).out_shape.numel();
-            let sliced = tensor.slice_rows(per_sample, lo, hi);
-            let mut dims = vec![hi - lo];
-            dims.extend_from_slice(graph.node(op).out_shape.dims());
-            (op, sliced.reshape(dims))
-        })
+        .map(|(&op, tensor)| (op, input_rows(graph, op, tensor, lo, hi)))
         .collect()
+}
+
+/// Rows `[lo, hi)` of `op`'s whole-batch `tensor`, shaped
+/// `[rows, per-sample dims...]`, in one copy.
+///
+/// # Panics
+///
+/// Panics if the rows fall outside the tensor.
+pub(crate) fn input_rows(graph: &Graph, op: OpId, tensor: &Tensor, lo: usize, hi: usize) -> Tensor {
+    let shape = &graph.node(op).out_shape;
+    let per_sample = shape.numel();
+    assert!(
+        lo <= hi && hi <= tensor.rows_for(per_sample),
+        "rows {lo}..{hi} of {op}"
+    );
+    let mut dims = vec![hi - lo];
+    dims.extend_from_slice(shape.dims());
+    Tensor::new(
+        dims,
+        tensor.data()[lo * per_sample..hi * per_sample].to_vec(),
+    )
 }
 
 #[cfg(test)]

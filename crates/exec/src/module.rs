@@ -79,44 +79,78 @@ impl OpParams {
         }
     }
 
+    /// Every tensor, in a fixed order per variant (a linear layer's bias
+    /// last, when it has one).
+    fn tensors(&self) -> impl Iterator<Item = &Tensor> {
+        let list: [Option<&Tensor>; 8] = match self {
+            OpParams::None => Default::default(),
+            OpParams::Linear { w, b } => [Some(w), b.as_ref(), None, None, None, None, None, None],
+            OpParams::Mha(p) => [&p.wq, &p.wk, &p.wv, &p.wo, &p.bq, &p.bk, &p.bv, &p.bo].map(Some),
+            OpParams::LayerNorm { gamma, beta } => {
+                [Some(gamma), Some(beta), None, None, None, None, None, None]
+            }
+            OpParams::Embedding { table } => {
+                [Some(table), None, None, None, None, None, None, None]
+            }
+        };
+        list.into_iter().flatten()
+    }
+
+    /// [`tensors`](Self::tensors), mutably.
+    fn tensors_mut(&mut self) -> impl Iterator<Item = &mut Tensor> {
+        let list: [Option<&mut Tensor>; 8] = match self {
+            OpParams::None => Default::default(),
+            OpParams::Linear { w, b } => [Some(w), b.as_mut(), None, None, None, None, None, None],
+            OpParams::Mha(p) => {
+                let MhaParams {
+                    wq,
+                    wk,
+                    wv,
+                    wo,
+                    bq,
+                    bk,
+                    bv,
+                    bo,
+                    ..
+                } = &mut **p;
+                [wq, wk, wv, wo, bq, bk, bv, bo].map(Some)
+            }
+            OpParams::LayerNorm { gamma, beta } => {
+                [Some(gamma), Some(beta), None, None, None, None, None, None]
+            }
+            OpParams::Embedding { table } => {
+                [Some(table), None, None, None, None, None, None, None]
+            }
+        };
+        list.into_iter().flatten()
+    }
+
+    /// Pairs each of `self`'s tensors with `other`'s; a bias that only one
+    /// side has is skipped.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `other` has a different variant.
+    fn zip_mut<'a>(
+        &'a mut self,
+        other: &'a OpParams,
+    ) -> impl Iterator<Item = (&'a mut Tensor, &'a Tensor)> {
+        assert_eq!(
+            std::mem::discriminant(self),
+            std::mem::discriminant(other),
+            "parameter variant mismatch: {self:?} vs {other:?}"
+        );
+        self.tensors_mut().zip(other.tensors())
+    }
+
     /// `self -= lr * grad` over every tensor.
     ///
     /// # Panics
     ///
     /// Panics if `grad` has a different variant.
     pub fn sgd_step(&mut self, grad: &OpParams, lr: f32) {
-        match (self, grad) {
-            (OpParams::None, OpParams::None) => {}
-            (OpParams::Linear { w, b }, OpParams::Linear { w: gw, b: gb }) => {
-                w.axpy(-lr, gw);
-                if let (Some(b), Some(gb)) = (b.as_mut(), gb.as_ref()) {
-                    b.axpy(-lr, gb);
-                }
-            }
-            (OpParams::Mha(p), OpParams::Mha(g)) => {
-                p.wq.axpy(-lr, &g.wq);
-                p.wk.axpy(-lr, &g.wk);
-                p.wv.axpy(-lr, &g.wv);
-                p.wo.axpy(-lr, &g.wo);
-                p.bq.axpy(-lr, &g.bq);
-                p.bk.axpy(-lr, &g.bk);
-                p.bv.axpy(-lr, &g.bv);
-                p.bo.axpy(-lr, &g.bo);
-            }
-            (
-                OpParams::LayerNorm { gamma, beta },
-                OpParams::LayerNorm {
-                    gamma: gg,
-                    beta: gb,
-                },
-            ) => {
-                gamma.axpy(-lr, gg);
-                beta.axpy(-lr, gb);
-            }
-            (OpParams::Embedding { table }, OpParams::Embedding { table: gt }) => {
-                table.axpy(-lr, gt);
-            }
-            (a, b) => panic!("parameter/gradient variant mismatch: {a:?} vs {b:?}"),
+        for (p, g) in self.zip_mut(grad) {
+            p.axpy(-lr, g);
         }
     }
 
@@ -126,38 +160,15 @@ impl OpParams {
     ///
     /// Panics if `other` has a different variant.
     pub fn accumulate(&mut self, other: &OpParams) {
-        match (self, other) {
-            (OpParams::None, OpParams::None) => {}
-            (OpParams::Linear { w, b }, OpParams::Linear { w: ow, b: ob }) => {
-                w.axpy(1.0, ow);
-                if let (Some(b), Some(ob)) = (b.as_mut(), ob.as_ref()) {
-                    b.axpy(1.0, ob);
-                }
-            }
-            (OpParams::Mha(p), OpParams::Mha(o)) => {
-                p.wq.axpy(1.0, &o.wq);
-                p.wk.axpy(1.0, &o.wk);
-                p.wv.axpy(1.0, &o.wv);
-                p.wo.axpy(1.0, &o.wo);
-                p.bq.axpy(1.0, &o.bq);
-                p.bk.axpy(1.0, &o.bk);
-                p.bv.axpy(1.0, &o.bv);
-                p.bo.axpy(1.0, &o.bo);
-            }
-            (
-                OpParams::LayerNorm { gamma, beta },
-                OpParams::LayerNorm {
-                    gamma: og,
-                    beta: ob,
-                },
-            ) => {
-                gamma.axpy(1.0, og);
-                beta.axpy(1.0, ob);
-            }
-            (OpParams::Embedding { table }, OpParams::Embedding { table: ot }) => {
-                table.axpy(1.0, ot);
-            }
-            (a, b) => panic!("accumulate variant mismatch: {a:?} vs {b:?}"),
+        for (a, b) in self.zip_mut(other) {
+            a.axpy(1.0, b);
+        }
+    }
+
+    /// Sets every element to `+0.0`, keeping the allocations.
+    pub fn fill_zero(&mut self) {
+        for t in self.tensors_mut() {
+            t.data_mut().fill(0.0);
         }
     }
 
@@ -197,39 +208,15 @@ impl OpParams {
     ///
     /// Panics if `other` has a different variant.
     pub fn max_abs_diff(&self, other: &OpParams) -> f32 {
-        match (self, other) {
-            (OpParams::None, OpParams::None) => 0.0,
-            (OpParams::Linear { w, b }, OpParams::Linear { w: ow, b: ob }) => {
-                let mut d = w.max_abs_diff(ow);
-                if let (Some(b), Some(ob)) = (b.as_ref(), ob.as_ref()) {
-                    d = d.max(b.max_abs_diff(ob));
-                }
-                d
-            }
-            (OpParams::Mha(p), OpParams::Mha(o)) => [
-                p.wq.max_abs_diff(&o.wq),
-                p.wk.max_abs_diff(&o.wk),
-                p.wv.max_abs_diff(&o.wv),
-                p.wo.max_abs_diff(&o.wo),
-                p.bq.max_abs_diff(&o.bq),
-                p.bk.max_abs_diff(&o.bk),
-                p.bv.max_abs_diff(&o.bv),
-                p.bo.max_abs_diff(&o.bo),
-            ]
-            .into_iter()
-            .fold(0.0, f32::max),
-            (
-                OpParams::LayerNorm { gamma, beta },
-                OpParams::LayerNorm {
-                    gamma: og,
-                    beta: ob,
-                },
-            ) => gamma.max_abs_diff(og).max(beta.max_abs_diff(ob)),
-            (OpParams::Embedding { table }, OpParams::Embedding { table: ot }) => {
-                table.max_abs_diff(ot)
-            }
-            (a, b) => panic!("diff variant mismatch: {a:?} vs {b:?}"),
-        }
+        assert_eq!(
+            std::mem::discriminant(self),
+            std::mem::discriminant(other),
+            "parameter variant mismatch: {self:?} vs {other:?}"
+        );
+        self.tensors()
+            .zip(other.tensors())
+            .map(|(a, b)| a.max_abs_diff(b))
+            .fold(0.0, f32::max)
     }
 }
 

@@ -1,11 +1,18 @@
 //! The threaded distributed-training runtime.
 //!
-//! One OS thread per stage *replica* plays the role of one GPU: it executes
-//! its stage's task order (from `gp-sched`), exchanges activation and
-//! gradient chunks with neighbouring stages over `std::sync::mpsc`
-//! channels, and accumulates weight gradients. The main thread plays the
-//! role of the synchronous optimizer: it sums replica gradients in a fixed
-//! order (deterministic results) and applies SGD — preserving exactly the
+//! One OS thread per stage *replica* plays the role of one GPU. A call
+//! spawns the workers once and runs all of its training steps on them.
+//! Each worker keeps its channels, routing tables, task list and
+//! [`StageRunner`] from step to step, and the runner owns the stage's
+//! parameters. Within a step a worker executes its stage's task order
+//! (from `gp-sched`), exchanges activation and gradient chunks with
+//! neighbouring stages over `std::sync::mpsc` channels, and accumulates
+//! weight gradients; after its last task it applies SGD to its own
+//! parameters. The replicas of a data-parallel stage first swap their
+//! gradients, and each sums them in replica order (the allreduce), so
+//! every replica takes the same step. The main thread is only the
+//! synchronous barrier: one message to each worker starts a step, and one
+//! loss report from each ends it. That preserves exactly the
 //! synchronous-1F1B training semantics the paper's runtime guarantees
 //! ("the DNN training semantics is preserved, thus statistical convergence
 //! issues do not arise", §8).
@@ -16,42 +23,31 @@
 //! consumers assemble/sum the intersecting rows. This supports per-stage
 //! micro-batch sizes out of the box.
 
-use crate::data::slice_batch;
+use crate::data::input_rows;
 use crate::module::{ModelParams, OpParams};
 use crate::stage::StageRunner;
 use gp_cost::Pass;
 use gp_ir::{Graph, OpId};
-use gp_obs::Telemetry;
-use gp_sched::{PipelineSchedule, StageGraph, StageId};
+use gp_obs::{SpanId, Telemetry};
+use gp_sched::{PipelineSchedule, StageGraph, StageId, Task};
 use gp_tensor::Tensor;
 use std::collections::HashMap;
 use std::fmt;
 use std::ops::Range;
 use std::sync::mpsc::{self, Receiver, Sender};
-use std::sync::{Arc, Mutex, PoisonError};
-
-/// What one worker thread hands back: its `(stage, replica)` identity, the
-/// accumulated parameter gradients, and the local loss contribution.
-type ReplicaResult = ((StageId, u32), HashMap<OpId, OpParams>, f32);
+use std::sync::Arc;
 
 /// Errors raised by the threaded runtime.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ExecError {
-    /// A worker thread disconnected unexpectedly (a peer panicked).
-    ChannelClosed {
-        /// The stage whose worker observed the hang-up.
-        stage: StageId,
-    },
-    /// A worker thread panicked.
+    /// A worker thread panicked. The other workers were stopped, and the
+    /// caller's parameters keep their values from before the call.
     WorkerPanicked,
 }
 
 impl fmt::Display for ExecError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            ExecError::ChannelClosed { stage } => {
-                write!(f, "worker of stage {stage} lost its peers")
-            }
             ExecError::WorkerPanicked => write!(f, "a runtime worker panicked"),
         }
     }
@@ -77,7 +73,8 @@ pub struct TraceEvent {
 pub struct IterationResult {
     /// Training loss of the iteration (summed over micro-batches).
     pub loss: f32,
-    /// Completion order of all tasks (for schedule-conformance tests).
+    /// Every task, each replica's in the order it ran them, replicas in
+    /// (stage, replica) order (for schedule-conformance tests).
     pub trace: Vec<TraceEvent>,
 }
 
@@ -89,6 +86,28 @@ struct ChunkMsg {
     row_start: usize,
     data: Tensor,
 }
+
+/// A message to one worker.
+enum Msg {
+    /// Run one training step under this `exec.iteration` span.
+    Step(SpanId),
+    /// An activation or gradient chunk from a neighbouring stage.
+    Chunk(ChunkMsg),
+    /// A peer replica's gradients, for this step's replica sum.
+    Grads {
+        replica: u32,
+        grads: Arc<Vec<OpParams>>,
+    },
+    /// End the call; mid-step, abandon the step.
+    Stop,
+}
+
+/// A worker's answer to a step: its roster position and partial loss, or
+/// `None` if it panicked.
+type Report = Option<(usize, f32)>;
+
+/// A worker was told to stop mid-step.
+struct Stopped;
 
 type Buffers = HashMap<OpId, Vec<ChunkMsg>>;
 
@@ -123,92 +142,259 @@ fn assemble(chunks: &[ChunkMsg], lo: usize, hi: usize, per_sample: usize) -> Ten
     out
 }
 
+/// Replicas of `stage` owning micro-batches overlapping rows `[lo, hi)`;
+/// at most `d` consecutive micro-batches have distinct owners.
+fn target_replicas(
+    sg: &StageGraph,
+    stage: StageId,
+    lo: usize,
+    hi: usize,
+) -> impl Iterator<Item = u32> {
+    let s = sg.stage(stage);
+    let b = s.micro_batch as usize;
+    let d = s.dp_degree();
+    (lo / b..hi.div_ceil(b))
+        .take(d)
+        .map(move |mb| (mb % d) as u32)
+}
+
+/// Producer ops in other stages feeding `stage`.
+fn ext_inputs_of(graph: &Graph, sg: &StageGraph, stage: StageId) -> Vec<OpId> {
+    let mut v: Vec<OpId> = Vec::new();
+    for &op in &sg.stage(stage).ops {
+        for &p in graph.preds(op) {
+            if sg.stage_of(p) != stage && !v.contains(&p) {
+                v.push(p);
+            }
+        }
+    }
+    v.sort();
+    v
+}
+
+/// `stage`'s ops with consumers in other stages, and those stages.
+fn ext_outputs_of(graph: &Graph, sg: &StageGraph, stage: StageId) -> Vec<(OpId, Vec<StageId>)> {
+    let mut v: Vec<(OpId, Vec<StageId>)> = Vec::new();
+    for &op in &sg.stage(stage).ops {
+        let mut consumers: Vec<StageId> = Vec::new();
+        for &succ in graph.succs(op) {
+            let ss = sg.stage_of(succ);
+            if ss != stage && !consumers.contains(&ss) {
+                consumers.push(ss);
+            }
+        }
+        if !consumers.is_empty() {
+            v.push((op, consumers));
+        }
+    }
+    v.sort_by_key(|(op, _)| *op);
+    v
+}
+
+/// Every worker's channel, in (stage, replica) order.
+struct Roster {
+    senders: Vec<Sender<Msg>>,
+    /// Position of each stage's replica 0 in `senders`.
+    first: Vec<usize>,
+}
+
+impl Roster {
+    fn send(&self, stage: StageId, replica: u32, msg: Msg) {
+        // A closed channel means its worker panicked; the main thread
+        // learns that from the worker's report.
+        let _ = self.senders[self.first[stage.index()] + replica as usize].send(msg);
+    }
+}
+
+/// Messages a worker has received but not used yet.
+struct Inbox {
+    rx: Receiver<Msg>,
+    fwd: Buffers,
+    bwd: Buffers,
+    /// This step's gradients from each peer replica.
+    grads: Vec<Option<Arc<Vec<OpParams>>>>,
+}
+
+impl Inbox {
+    /// Waits for the next message and files chunks and gradients; a step
+    /// start is handed back.
+    fn recv(&mut self) -> Result<Option<SpanId>, Stopped> {
+        match self.rx.recv() {
+            Ok(Msg::Step(iteration)) => Ok(Some(iteration)),
+            Ok(Msg::Chunk(msg)) => {
+                let buf = if msg.fwd {
+                    &mut self.fwd
+                } else {
+                    &mut self.bwd
+                };
+                buf.entry(msg.op).or_default().push(msg);
+                Ok(None)
+            }
+            Ok(Msg::Grads { replica, grads }) => {
+                self.grads[replica as usize] = Some(grads);
+                Ok(None)
+            }
+            Ok(Msg::Stop) | Err(_) => Err(Stopped),
+        }
+    }
+
+    /// Waits for one chunk or gradient message, mid-step.
+    fn fill(&mut self) -> Result<(), Stopped> {
+        match self.recv()? {
+            None => Ok(()),
+            Some(_) => unreachable!("a step started before every worker ended the last"),
+        }
+    }
+
+    /// Waits for the next step. Chunks that peers already sent for it are
+    /// filed.
+    fn next_step(&mut self) -> Result<SpanId, Stopped> {
+        loop {
+            if let Some(iteration) = self.recv()? {
+                return Ok(iteration);
+            }
+        }
+    }
+
+    /// Drops this step's messages, keeping the allocations.
+    fn clear(&mut self) {
+        for chunks in self.fwd.values_mut().chain(self.bwd.values_mut()) {
+            chunks.clear();
+        }
+        self.grads.fill(None);
+    }
+}
+
+/// Tells the main thread when its worker unwinds, so that a panic ends the
+/// call instead of leaving the other workers waiting on the dead one.
+struct ReportPanic<'a>(&'a Sender<Report>);
+
+impl Drop for ReportPanic<'_> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            let _ = self.0.send(None);
+        }
+    }
+}
+
+/// One stage replica: everything it keeps from step to step.
 struct Worker<'a> {
     graph: &'a Graph,
     sg: &'a StageGraph,
+    roster: &'a Roster,
     stage: StageId,
     replica: u32,
-    rx: Receiver<ChunkMsg>,
-    senders: Arc<HashMap<(StageId, u32), Sender<ChunkMsg>>>,
-    batch: Arc<HashMap<OpId, Tensor>>,
-    trace: Arc<Mutex<Vec<TraceEvent>>>,
-    /// External producer ops feeding this stage (op, producer stage).
-    ext_inputs: Vec<(OpId, StageId)>,
-    /// This stage's ops with external consumers (op, consumer stages).
+    /// Position in the roster.
+    at: usize,
+    /// This replica's slice of the stage's task order.
+    tasks: Vec<Task>,
+    /// The stage's `Input` ops and their whole-batch data.
+    inputs: Vec<(OpId, &'a Tensor)>,
+    ext_inputs: Vec<OpId>,
     ext_outputs: Vec<(OpId, Vec<StageId>)>,
-    fwd_buf: Buffers,
-    bwd_buf: Buffers,
+    inbox: Inbox,
+    runner: StageRunner<'a>,
+    /// The replica sum (data-parallel stages only).
+    sum: Vec<OpParams>,
+    /// The current step's tasks, in the order they ran.
+    trace: Vec<TraceEvent>,
 }
 
-impl<'a> Worker<'a> {
-    fn run(
+impl Worker<'_> {
+    /// Runs steps until the main thread says stop, then hands back the
+    /// stage's parameters and the last step's trace.
+    fn serve(
         mut self,
-        runner: &mut StageRunner<'a>,
-        schedule: &PipelineSchedule,
-    ) -> Result<(), ExecError> {
-        let stage = self.sg.stage(self.stage);
-        let d = stage.dp_degree() as u32;
-        let b = stage.micro_batch as usize;
-        let tasks: Vec<_> = schedule
-            .stage(self.stage)
-            .tasks
-            .iter()
-            .filter(|t| t.mb % d == self.replica)
-            .copied()
-            .collect();
-        for task in tasks {
-            let (lo, hi) = (task.mb as usize * b, (task.mb as usize + 1) * b);
-            match task.pass {
+        lr: f32,
+        done: &Sender<Report>,
+        telemetry: &Telemetry,
+    ) -> (Vec<(OpId, OpParams)>, Vec<TraceEvent>) {
+        let _report_panic = ReportPanic(done);
+        let wall = telemetry.histogram(&format!("exec.stage{}.wall_ns", self.stage.index()));
+        while let Ok(iteration) = self.inbox.next_step() {
+            let span = telemetry.span_under_with("exec.replica", self.replica as u64, iteration);
+            let start_ns = telemetry.now_nanos();
+            let Ok(loss) = self.step(lr) else { break };
+            if let Some(hist) = &wall {
+                hist.record(telemetry.now_nanos().saturating_sub(start_ns));
+            }
+            drop(span);
+            let _ = done.send(Some((self.at, loss)));
+        }
+        (self.runner.into_params().collect(), self.trace)
+    }
+
+    /// One training step: the replica's tasks, then the update. Returns
+    /// the step's partial loss.
+    fn step(&mut self, lr: f32) -> Result<f32, Stopped> {
+        let b = self.sg.stage(self.stage).micro_batch as usize;
+        self.trace.clear();
+        for i in 0..self.tasks.len() {
+            let Task { pass, mb } = self.tasks[i];
+            let (lo, hi) = (mb as usize * b, (mb as usize + 1) * b);
+            match pass {
                 Pass::Forward => {
-                    let mut external =
-                        slice_batch(self.graph, &self.stage_inputs_from_batch(), lo, hi);
+                    let mut external: HashMap<OpId, Tensor> = self
+                        .inputs
+                        .iter()
+                        .map(|&(op, data)| (op, input_rows(self.graph, op, data, lo, hi)))
+                        .collect();
                     self.collect_forward_inputs(lo, hi, &mut external)?;
-                    runner.forward(task.mb, &external);
-                    self.ship_forward_outputs(runner, task.mb, lo, hi);
+                    self.runner.forward(mb, external);
+                    self.ship_forward_outputs(mb, lo, hi);
                 }
                 Pass::Backward => {
                     let ext_grads = self.collect_backward_grads(lo, hi)?;
-                    let upstream = runner.backward(task.mb, &ext_grads);
+                    let upstream = self.runner.backward(mb, ext_grads);
                     self.ship_backward_grads(&upstream, lo);
                 }
             }
-            // A peer's panic surfaces from its join, not from this lock.
-            self.trace
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .push(TraceEvent {
-                    stage: self.stage,
-                    replica: self.replica,
-                    mb: task.mb,
-                    pass: task.pass,
-                });
+            self.trace.push(TraceEvent {
+                stage: self.stage,
+                replica: self.replica,
+                mb,
+                pass,
+            });
         }
-        Ok(())
+        let loss = self.runner.loss();
+        self.update(lr)?;
+        self.inbox.clear();
+        Ok(loss)
     }
 
-    /// The subset of the global batch feeding `Input` ops of this stage.
-    fn stage_inputs_from_batch(&self) -> HashMap<OpId, Tensor> {
-        let stage = self.sg.stage(self.stage);
-        stage
-            .ops
-            .iter()
-            .filter_map(|op| self.batch.get(op).map(|t| (*op, t.clone())))
-            .collect()
-    }
-
-    fn recv_into_buffers(&mut self) -> Result<(), ExecError> {
-        match self.rx.recv() {
-            Ok(msg) => {
-                let buf = if msg.fwd {
-                    &mut self.fwd_buf
-                } else {
-                    &mut self.bwd_buf
-                };
-                buf.entry(msg.op).or_default().push(msg);
-                Ok(())
+    /// Applies SGD to the stage's parameters. A data-parallel replica first
+    /// sends its gradients to its peers, then sums every replica's into a
+    /// zeroed store in replica order, so all replicas take the same step.
+    fn update(&mut self, lr: f32) -> Result<(), Stopped> {
+        let d = self.inbox.grads.len() as u32;
+        if d == 1 {
+            self.runner.sgd_step(None, lr);
+            return Ok(());
+        }
+        let mine = Arc::new(self.runner.grads().to_vec());
+        for peer in (0..d).filter(|&r| r != self.replica) {
+            let grads = Arc::clone(&mine);
+            let msg = Msg::Grads {
+                replica: self.replica,
+                grads,
+            };
+            self.roster.send(self.stage, peer, msg);
+        }
+        while (0..d).any(|r| r != self.replica && self.inbox.grads[r as usize].is_none()) {
+            self.inbox.fill()?;
+        }
+        for s in &mut self.sum {
+            s.fill_zero();
+        }
+        // This replica's own slot stays empty: it is `mine`.
+        for grads in &self.inbox.grads {
+            let grads = grads.as_ref().unwrap_or(&mine);
+            for (s, g) in self.sum.iter_mut().zip(grads.iter()) {
+                s.accumulate(g);
             }
-            Err(_) => Err(ExecError::ChannelClosed { stage: self.stage }),
         }
+        self.runner.sgd_step(Some(&self.sum), lr);
+        Ok(())
     }
 
     fn collect_forward_inputs(
@@ -216,42 +402,42 @@ impl<'a> Worker<'a> {
         lo: usize,
         hi: usize,
         external: &mut HashMap<OpId, Tensor>,
-    ) -> Result<(), ExecError> {
-        let needs: Vec<OpId> = self.ext_inputs.iter().map(|&(op, _)| op).collect();
-        for op in needs {
-            let per_sample = self.graph.node(op).out_shape.numel();
+    ) -> Result<(), Stopped> {
+        for &op in &self.ext_inputs {
+            let shape = &self.graph.node(op).out_shape;
+            let per_sample = shape.numel();
             loop {
-                let chunks = self.fwd_buf.get(&op).map(Vec::as_slice).unwrap_or(&[]);
+                let chunks = self.inbox.fwd.get(&op).map_or(&[][..], Vec::as_slice);
                 let covered: usize = chunks
                     .iter()
                     .map(|c| overlap(c, lo, hi, per_sample).len())
                     .sum();
                 if covered >= hi - lo {
                     let mut dims = vec![hi - lo];
-                    dims.extend_from_slice(self.graph.node(op).out_shape.dims());
+                    dims.extend_from_slice(shape.dims());
                     let tensor = assemble(chunks, lo, hi, per_sample);
                     external.insert(op, tensor.reshape(dims));
                     break;
                 }
-                self.recv_into_buffers()?;
+                self.inbox.fill()?;
             }
         }
         Ok(())
     }
 
-    fn ship_forward_outputs(&self, runner: &StageRunner<'_>, mb: u32, lo: usize, hi: usize) {
+    fn ship_forward_outputs(&self, mb: u32, lo: usize, hi: usize) {
         for (op, consumers) in &self.ext_outputs {
-            let chunk = runner.output(mb, *op).clone();
+            let chunk = self.runner.output(mb, *op);
             for &cons in consumers {
-                for replica in self.target_replicas(cons, lo, hi) {
-                    let tx = &self.senders[&(cons, replica)];
-                    let _ = tx.send(ChunkMsg {
+                for replica in target_replicas(self.sg, cons, lo, hi) {
+                    let msg = Msg::Chunk(ChunkMsg {
                         fwd: true,
                         op: *op,
                         from_stage: self.stage,
                         row_start: lo,
                         data: chunk.clone(),
                     });
+                    self.roster.send(cons, replica, msg);
                 }
             }
         }
@@ -261,31 +447,26 @@ impl<'a> Worker<'a> {
         &mut self,
         lo: usize,
         hi: usize,
-    ) -> Result<HashMap<OpId, Tensor>, ExecError> {
+    ) -> Result<HashMap<OpId, Tensor>, Stopped> {
         let mut out = HashMap::new();
-        let needs: Vec<(OpId, Vec<StageId>)> = self.ext_outputs.clone();
-        for (op, consumers) in needs {
-            let per_sample = self.graph.node(op).out_shape.numel();
+        for (op, consumers) in &self.ext_outputs {
+            let per_sample = self.graph.node(*op).out_shape.numel();
             loop {
-                let chunks = self.bwd_buf.get(&op).map(Vec::as_slice).unwrap_or(&[]);
+                let chunks = self.inbox.bwd.get(op).map_or(&[][..], Vec::as_slice);
                 // Each consuming stage must cover [lo, hi) exactly once.
-                let mut complete = true;
-                for &cons in &consumers {
+                let complete = consumers.iter().all(|&cons| {
                     let covered: usize = chunks
                         .iter()
                         .filter(|c| c.from_stage == cons)
                         .map(|c| overlap(c, lo, hi, per_sample).len())
                         .sum();
-                    if covered < hi - lo {
-                        complete = false;
-                        break;
-                    }
-                }
+                    covered >= hi - lo
+                });
                 if complete {
-                    out.insert(op, assemble(chunks, lo, hi, per_sample));
+                    out.insert(*op, assemble(chunks, lo, hi, per_sample));
                     break;
                 }
-                self.recv_into_buffers()?;
+                self.inbox.fill()?;
             }
         }
         Ok(out)
@@ -295,31 +476,141 @@ impl<'a> Worker<'a> {
         for (&op, grad) in upstream {
             let producer = self.sg.stage_of(op);
             let rows = grad.rows_for(self.graph.node(op).out_shape.numel());
-            for replica in self.target_replicas(producer, lo, lo + rows) {
-                let tx = &self.senders[&(producer, replica)];
-                let _ = tx.send(ChunkMsg {
+            for replica in target_replicas(self.sg, producer, lo, lo + rows) {
+                let msg = Msg::Chunk(ChunkMsg {
                     fwd: false,
                     op,
                     from_stage: self.stage,
                     row_start: lo,
                     data: grad.clone(),
                 });
+                self.roster.send(producer, replica, msg);
             }
         }
     }
+}
 
-    /// Replicas of `stage` owning micro-batches overlapping rows `[lo, hi)`.
-    fn target_replicas(&self, stage: StageId, lo: usize, hi: usize) -> Vec<u32> {
-        let s = self.sg.stage(stage);
-        let b = s.micro_batch as usize;
-        let d = s.dp_degree() as u32;
-        let mb_lo = lo / b;
-        let mb_hi = hi.div_ceil(b);
-        let mut replicas: Vec<u32> = (mb_lo..mb_hi).map(|mb| mb as u32 % d).collect();
-        replicas.sort_unstable();
-        replicas.dedup();
-        replicas
+/// The one engine under the four public entry points: spawns one worker
+/// per stage replica, runs `steps` training steps on them, and writes the
+/// trained parameters back into `params`. Returns each step's loss and the
+/// last step's trace.
+///
+/// Each step opens an `exec.step` span and an `exec.iteration` span under
+/// it; each worker opens one `exec.replica` span per step under the
+/// iteration span and records one `exec.stage<N>.wall_ns` sample.
+#[allow(clippy::too_many_arguments)]
+fn run(
+    graph: &Graph,
+    sg: &StageGraph,
+    schedule: &PipelineSchedule,
+    params: &mut ModelParams,
+    batch: &HashMap<OpId, Tensor>,
+    lr: f32,
+    steps: usize,
+    telemetry: &Telemetry,
+) -> Result<(Vec<f32>, Vec<TraceEvent>), ExecError> {
+    let mut roster = Roster {
+        senders: Vec::new(),
+        first: Vec::new(),
+    };
+    let mut receivers = Vec::new();
+    for stage in sg.stages() {
+        roster.first.push(roster.senders.len());
+        for _ in 0..stage.dp_degree() {
+            let (tx, rx) = mpsc::channel();
+            roster.senders.push(tx);
+            receivers.push(rx);
+        }
     }
+    let mut receivers = receivers.into_iter();
+    let mut workers = Vec::with_capacity(roster.senders.len());
+    for stage in sg.stages() {
+        let d = stage.dp_degree() as u32;
+        for replica in 0..d {
+            let runner = StageRunner::new(graph, &stage.ops, params, sg.mini_batch());
+            let sum = if d > 1 {
+                runner.grads().to_vec()
+            } else {
+                Vec::new()
+            };
+            workers.push(Worker {
+                graph,
+                sg,
+                roster: &roster,
+                stage: stage.id,
+                replica,
+                at: workers.len(),
+                tasks: (schedule.stage(stage.id).tasks.iter())
+                    .filter(|t| t.mb % d == replica)
+                    .copied()
+                    .collect(),
+                inputs: (stage.ops.iter())
+                    .filter_map(|op| batch.get(op).map(|data| (*op, data)))
+                    .collect(),
+                ext_inputs: ext_inputs_of(graph, sg, stage.id),
+                ext_outputs: ext_outputs_of(graph, sg, stage.id),
+                inbox: Inbox {
+                    rx: receivers.next().expect("one receiver per replica"),
+                    fwd: HashMap::new(),
+                    bwd: HashMap::new(),
+                    grads: vec![None; d as usize],
+                },
+                runner,
+                sum,
+                trace: Vec::new(),
+            });
+        }
+    }
+
+    let (done, reports) = mpsc::channel::<Report>();
+    let trained = std::thread::scope(|scope| {
+        let handles: Vec<_> = workers
+            .into_iter()
+            .map(|worker| {
+                let done = &done;
+                scope.spawn(move || worker.serve(lr, done, telemetry))
+            })
+            .collect();
+        let mut losses = Vec::with_capacity(steps);
+        let mut partial = vec![0.0f32; handles.len()];
+        let mut failed = false;
+        'steps: for step in 0..steps {
+            let _step_span = telemetry.span_with("exec.step", step as u64);
+            let iteration = telemetry.span("exec.iteration");
+            for tx in &roster.senders {
+                let _ = tx.send(Msg::Step(iteration.id()));
+            }
+            for _ in 0..partial.len() {
+                let Ok(Some((at, loss))) = reports.recv() else {
+                    failed = true;
+                    break 'steps;
+                };
+                partial[at] = loss;
+            }
+            losses.push(partial.iter().fold(0.0, |sum, l| sum + l));
+        }
+        for tx in &roster.senders {
+            let _ = tx.send(Msg::Stop);
+        }
+        let mut stage_params = Vec::new();
+        let mut trace = Vec::new();
+        for handle in handles {
+            match handle.join() {
+                Ok((p, t)) => {
+                    stage_params.push(p);
+                    trace.extend(t);
+                }
+                Err(_) => failed = true,
+            }
+        }
+        (!failed).then_some((losses, stage_params, trace))
+    });
+    let (losses, stage_params, trace) = trained.ok_or(ExecError::WorkerPanicked)?;
+    // The replicas of a stage hold the same parameters.
+    for (op, p) in stage_params.into_iter().flatten() {
+        *params.op_mut(op) = p;
+    }
+    Ok((losses, trace))
 }
 
 /// Runs one distributed training iteration of `plan` with real tensor math,
@@ -327,7 +618,8 @@ impl<'a> Worker<'a> {
 ///
 /// # Errors
 ///
-/// Returns an [`ExecError`] if a worker thread fails.
+/// Returns [`ExecError::WorkerPanicked`] if a worker thread panics;
+/// `params` are then left as they were.
 pub fn train_iteration(
     graph: &Graph,
     sg: &StageGraph,
@@ -347,14 +639,16 @@ pub fn train_iteration(
     )
 }
 
-/// [`train_iteration`], emitting telemetry: an `exec.iteration` span, one
-/// `exec.replica` span per stage-replica worker thread (parented under
-/// the iteration span explicitly, since workers run on their own
-/// threads), and per-stage wall-time histograms
-/// (`exec.stage<N>.wall_ns`, one sample per replica per iteration).
+/// [`train_iteration`], emitting telemetry: one step of
+/// [`train_traced`], with its `exec.step`, `exec.iteration` and
+/// `exec.replica` spans and `exec.stage<N>.wall_ns` samples.
 ///
 /// Telemetry is write-only: losses, gradients, and the task trace are
 /// byte-identical with telemetry enabled or disabled.
+///
+/// # Errors
+///
+/// As [`train_iteration`].
 #[allow(clippy::too_many_arguments)]
 pub fn train_iteration_traced(
     graph: &Graph,
@@ -365,138 +659,20 @@ pub fn train_iteration_traced(
     lr: f32,
     telemetry: &Telemetry,
 ) -> Result<IterationResult, ExecError> {
-    let iteration_span = telemetry.span("exec.iteration");
-    let iteration_id = iteration_span.id();
-    // Replica roster and channels.
-    let mut replicas: Vec<(StageId, u32)> = Vec::new();
-    for s in sg.stages() {
-        for r in 0..s.dp_degree() as u32 {
-            replicas.push((s.id, r));
-        }
-    }
-    let mut senders: HashMap<(StageId, u32), Sender<ChunkMsg>> = HashMap::new();
-    let mut receivers: HashMap<(StageId, u32), Receiver<ChunkMsg>> = HashMap::new();
-    for &(s, r) in &replicas {
-        let (tx, rx) = mpsc::channel();
-        senders.insert((s, r), tx);
-        receivers.insert((s, r), rx);
-    }
-    let senders = Arc::new(senders);
-    let batch = Arc::new(batch.clone());
-    let trace = Arc::new(Mutex::new(Vec::new()));
-
-    // Stage-boundary maps.
-    let mut in_stage_of: Vec<StageId> = Vec::new();
-    for node in graph.nodes() {
-        in_stage_of.push(sg.stage_of(node.id));
-    }
-    let ext_inputs_of = |stage: StageId| -> Vec<(OpId, StageId)> {
-        let mut v: Vec<(OpId, StageId)> = Vec::new();
-        for op in &sg.stage(stage).ops {
-            for &p in graph.preds(*op) {
-                let ps = in_stage_of[p.index()];
-                if ps != stage && !v.contains(&(p, ps)) {
-                    v.push((p, ps));
-                }
-            }
-        }
-        v.sort();
-        v
-    };
-    let ext_outputs_of = |stage: StageId| -> Vec<(OpId, Vec<StageId>)> {
-        let mut map: HashMap<OpId, Vec<StageId>> = HashMap::new();
-        for op in &sg.stage(stage).ops {
-            for &succ in graph.succs(*op) {
-                let ss = in_stage_of[succ.index()];
-                if ss != stage {
-                    let list = map.entry(*op).or_default();
-                    if !list.contains(&ss) {
-                        list.push(ss);
-                    }
-                }
-            }
-        }
-        let mut v: Vec<(OpId, Vec<StageId>)> = map.into_iter().collect();
-        v.sort_by_key(|(op, _)| *op);
-        v
-    };
-
-    let mut results: Vec<ReplicaResult> = Vec::new();
-    let outcome: Result<(), ExecError> = std::thread::scope(|scope| {
-        let mut handles = Vec::new();
-        for &(stage, replica) in &replicas {
-            let rx = receivers
-                .remove(&(stage, replica))
-                .expect("receiver exists");
-            let worker = Worker {
-                graph,
-                sg,
-                stage,
-                replica,
-                rx,
-                senders: Arc::clone(&senders),
-                batch: Arc::clone(&batch),
-                trace: Arc::clone(&trace),
-                ext_inputs: ext_inputs_of(stage),
-                ext_outputs: ext_outputs_of(stage),
-                fwd_buf: HashMap::new(),
-                bwd_buf: HashMap::new(),
-            };
-            let params_ref: &ModelParams = params;
-            let worker_tele = telemetry.clone();
-            let handle = scope.spawn(move || {
-                let _replica_span =
-                    worker_tele.span_under_with("exec.replica", replica as u64, iteration_id);
-                let start_ns = worker_tele.now_nanos();
-                let mut runner =
-                    StageRunner::new(graph, &sg.stage(stage).ops, params_ref, sg.mini_batch());
-                worker.run(&mut runner, schedule)?;
-                if let Some(hist) =
-                    worker_tele.histogram(&format!("exec.stage{}.wall_ns", stage.index()))
-                {
-                    hist.record(worker_tele.now_nanos().saturating_sub(start_ns));
-                }
-                let grads = runner.grads().clone();
-                Ok::<_, ExecError>(((stage, replica), grads, runner.loss()))
-            });
-            handles.push(handle);
-        }
-        for handle in handles {
-            match handle.join() {
-                Ok(Ok(res)) => results.push(res),
-                Ok(Err(e)) => return Err(e),
-                Err(_) => return Err(ExecError::WorkerPanicked),
-            }
-        }
-        Ok(())
-    });
-    outcome?;
-
-    // Deterministic synchronous update: sum replica gradients in roster
-    // order (the data-parallel allreduce), then step.
-    results.sort_by_key(|(key, _, _)| *key);
-    let mut grads = params.zeros_like();
-    let mut loss = 0.0f32;
-    for (_, replica_grads, partial_loss) in &results {
-        for (&op, g) in replica_grads {
-            grads.op_mut(op).accumulate(g);
-        }
-        loss += partial_loss;
-    }
-    params.sgd_step(&grads, lr);
-    let trace = Arc::try_unwrap(trace)
-        .expect("all workers joined")
-        .into_inner()
-        .unwrap_or_else(PoisonError::into_inner);
-    Ok(IterationResult { loss, trace })
+    let (losses, trace) = run(graph, sg, schedule, params, batch, lr, 1, telemetry)?;
+    Ok(IterationResult {
+        loss: losses[0],
+        trace,
+    })
 }
 
 /// Runs `steps` distributed training iterations on a fixed batch, returning
-/// the per-step losses.
+/// the per-step losses. The workers are spawned once for all the steps.
 ///
 /// # Errors
 ///
-/// Propagates worker failures from [`train_iteration`].
+/// Returns [`ExecError::WorkerPanicked`] if a worker thread panics;
+/// `params` are then left as they were before the call.
 pub fn train(
     graph: &Graph,
     sg: &StageGraph,
@@ -518,13 +694,17 @@ pub fn train(
     )
 }
 
-/// [`train`], emitting one `exec.step` span per iteration plus everything
-/// [`train_iteration_traced`] records. Telemetry is write-only; the
-/// returned losses are identical with it enabled or disabled.
+/// [`train`], emitting telemetry. Each step opens an `exec.step` span and
+/// an `exec.iteration` span under it; each stage-replica worker opens one
+/// `exec.replica` span per step, parented under that step's iteration
+/// span explicitly (workers run on their own threads), and records one
+/// sample of its stage's wall time per step (`exec.stage<N>.wall_ns`).
+/// Telemetry is write-only; the returned losses are identical with it
+/// enabled or disabled.
 ///
 /// # Errors
 ///
-/// Propagates worker failures from [`train_iteration`].
+/// As [`train`].
 #[allow(clippy::too_many_arguments)]
 pub fn train_traced(
     graph: &Graph,
@@ -536,13 +716,7 @@ pub fn train_traced(
     steps: usize,
     telemetry: &Telemetry,
 ) -> Result<Vec<f32>, ExecError> {
-    let mut losses = Vec::with_capacity(steps);
-    for step in 0..steps {
-        let _step_span = telemetry.span_with("exec.step", step as u64);
-        let result = train_iteration_traced(graph, sg, schedule, params, batch, lr, telemetry)?;
-        losses.push(result.loss);
-    }
-    Ok(losses)
+    run(graph, sg, schedule, params, batch, lr, steps, telemetry).map(|(losses, _)| losses)
 }
 
 #[cfg(test)]

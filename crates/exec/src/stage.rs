@@ -14,12 +14,18 @@ struct MicroState {
 
 /// Executes one pipeline stage's operators for individual micro-batches,
 /// holding parameters, gradients, and in-flight activation stashes.
+///
+/// A runner lives for a whole training run: [`sgd_step`](Self::sgd_step)
+/// ends each step by updating its parameters and zeroing its gradients
+/// and loss in place.
 pub struct StageRunner<'g> {
     graph: &'g Graph,
     ops: Vec<OpId>,
     in_stage: Vec<bool>,
-    params: HashMap<OpId, OpParams>,
-    grads: HashMap<OpId, OpParams>,
+    /// Parameters, in `ops` order.
+    params: Vec<OpParams>,
+    /// Accumulated gradients, in `ops` order.
+    grads: Vec<OpParams>,
     mini_batch: u64,
     state: HashMap<u32, MicroState>,
     loss_partial: f32,
@@ -33,17 +39,13 @@ impl<'g> StageRunner<'g> {
         for &op in ops {
             in_stage[op.index()] = true;
         }
-        let stage_params: HashMap<OpId, OpParams> =
-            ops.iter().map(|&op| (op, params.op(op).clone())).collect();
-        let grads = stage_params
-            .iter()
-            .map(|(&op, p)| (op, p.zeros_like()))
-            .collect();
+        let params: Vec<OpParams> = ops.iter().map(|&op| params.op(op).clone()).collect();
+        let grads = params.iter().map(OpParams::zeros_like).collect();
         StageRunner {
             graph,
             ops: ops.to_vec(),
             in_stage,
-            params: stage_params,
+            params,
             grads,
             mini_batch,
             state: HashMap::new(),
@@ -61,32 +63,59 @@ impl<'g> StageRunner<'g> {
         self.loss_partial
     }
 
-    /// Accumulated weight gradients.
-    pub fn grads(&self) -> &HashMap<OpId, OpParams> {
+    /// Accumulated weight gradients, one per stage operator in the order
+    /// the runner was given them.
+    pub fn grads(&self) -> &[OpParams] {
         &self.grads
+    }
+
+    /// Ends a training step: `params -= lr * grads`, where `grads` is
+    /// `sum` when given (a data-parallel stage's replica sum) and the
+    /// runner's own gradients otherwise; then zeroes the gradients and the
+    /// loss for the next step.
+    ///
+    /// Stepping on the runner's own gradients rounds as stepping on their
+    /// sum into a fresh zero store would: the gradients start at `+0.0`
+    /// and only accumulate, and under round-to-nearest `+0.0 + -0.0` is
+    /// `+0.0`, so they never hold `-0.0`, and `0.0 + g` is `g`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `sum` does not match the stage's parameters.
+    pub fn sgd_step(&mut self, sum: Option<&[OpParams]>, lr: f32) {
+        let grads = sum.unwrap_or(&self.grads);
+        assert_eq!(grads.len(), self.params.len(), "one gradient per op");
+        for (p, g) in self.params.iter_mut().zip(grads) {
+            p.sgd_step(g, lr);
+        }
+        for g in &mut self.grads {
+            g.fill_zero();
+        }
+        self.loss_partial = 0.0;
+    }
+
+    /// The stage's parameters, by operator.
+    pub fn into_params(self) -> impl Iterator<Item = (OpId, OpParams)> {
+        self.ops.into_iter().zip(self.params)
     }
 
     /// Runs the forward pass of micro-batch `mb`.
     ///
     /// `external` maps producer operator ids (both `Input` operators of this
     /// stage and cross-stage producers) to their activations for this
-    /// micro-batch's rows.
+    /// micro-batch's rows; they are stashed for the backward pass.
     ///
     /// # Panics
     ///
     /// Panics if a required external input is missing — the runtime
     /// assembles them before calling.
-    pub fn forward(&mut self, mb: u32, external: &HashMap<OpId, Tensor>) {
-        let mut outs: HashMap<OpId, Tensor> = HashMap::new();
+    pub fn forward(&mut self, mb: u32, external: HashMap<OpId, Tensor>) {
+        let mut outs = external;
         let mut caches: HashMap<OpId, OpCache> = HashMap::new();
-        for &op in &self.ops {
+        for (&op, params) in self.ops.iter().zip(&self.params) {
             let node = self.graph.node(op);
             if matches!(node.kind, OpKind::Input) {
-                let data = external
-                    .get(&op)
-                    .unwrap_or_else(|| panic!("missing input data for {op}"))
-                    .clone();
-                outs.insert(op, data);
+                assert!(outs.contains_key(&op), "missing input data for {op}");
                 caches.insert(op, OpCache::None);
                 continue;
             }
@@ -95,23 +124,16 @@ impl<'g> StageRunner<'g> {
                 .preds(op)
                 .iter()
                 .map(|p| {
-                    outs.get(p).unwrap_or_else(|| {
-                        external
-                            .get(p)
-                            .unwrap_or_else(|| panic!("missing external activation {p} -> {op}"))
-                    })
+                    outs.get(p)
+                        .unwrap_or_else(|| panic!("missing external activation {p} -> {op}"))
                 })
                 .collect();
-            let (y, cache) = op_forward(node, &self.params[&op], &inputs, self.mini_batch);
+            let (y, cache) = op_forward(node, params, &inputs, self.mini_batch);
             if matches!(node.kind, OpKind::Loss) {
                 self.loss_partial += y.data()[0];
             }
             outs.insert(op, y);
             caches.insert(op, cache);
-        }
-        // Keep cross-stage inputs for the backward pass too.
-        for (&op, tensor) in external {
-            outs.entry(op).or_insert_with(|| tensor.clone());
         }
         self.state.insert(mb, MicroState { outs, caches });
     }
@@ -137,15 +159,16 @@ impl<'g> StageRunner<'g> {
     pub fn backward(
         &mut self,
         mb: u32,
-        external_grads: &HashMap<OpId, Tensor>,
+        external_grads: HashMap<OpId, Tensor>,
     ) -> HashMap<OpId, Tensor> {
         let state = self
             .state
             .remove(&mb)
             .unwrap_or_else(|| panic!("micro-batch {mb} is not in flight"));
-        let mut dy: HashMap<OpId, Tensor> = external_grads.clone();
+        let mut dy = external_grads;
         let mut upstream: HashMap<OpId, Tensor> = HashMap::new();
-        for &op in self.ops.iter().rev() {
+        for i in (0..self.ops.len()).rev() {
+            let op = self.ops[i];
             let node = self.graph.node(op);
             if matches!(node.kind, OpKind::Input) {
                 continue;
@@ -158,16 +181,13 @@ impl<'g> StageRunner<'g> {
             );
             let (dinputs, gparams) = op_backward(
                 node,
-                &self.params[&op],
+                &self.params[i],
                 &state.caches[&op],
                 if is_loss { None } else { grad_in.as_ref() },
                 self.mini_batch,
             );
             self.spread(op, dinputs, &mut dy, &mut upstream);
-            self.grads
-                .get_mut(&op)
-                .expect("stage op")
-                .accumulate(&gparams);
+            self.grads[i].accumulate(&gparams);
         }
         upstream
     }
@@ -211,12 +231,37 @@ mod tests {
         let ops: Vec<OpId> = g.nodes().map(|n| n.id).collect();
         let mut runner = StageRunner::new(g, &ops, &params, 4);
         let batch = synth_batch(g, 4, 9);
-        runner.forward(0, &batch);
+        runner.forward(0, batch);
         assert_eq!(runner.in_flight(), 1);
         assert!(runner.loss() > 0.0);
-        let upstream = runner.backward(0, &HashMap::new());
+        let upstream = runner.backward(0, HashMap::new());
         assert!(upstream.is_empty(), "no external producers");
         assert_eq!(runner.in_flight(), 0);
+    }
+
+    #[test]
+    fn sgd_step_updates_the_parameters_and_zeroes_the_step() {
+        let model = zoo::mlp_chain(2, 8);
+        let g = model.graph();
+        let params = ModelParams::init(g, 3);
+        let ops: Vec<OpId> = g.nodes().map(|n| n.id).collect();
+        let mut runner = StageRunner::new(g, &ops, &params, 4);
+        runner.forward(0, synth_batch(g, 4, 9));
+        let _ = runner.backward(0, HashMap::new());
+        let mut expect = params.clone();
+        for (&op, grad) in ops.iter().zip(runner.grads()) {
+            expect.op_mut(op).sgd_step(grad, 0.1);
+        }
+        runner.sgd_step(None, 0.1);
+        assert_eq!(runner.loss(), 0.0);
+        for grad in runner.grads() {
+            assert_eq!(grad.max_abs_diff(&grad.zeros_like()), 0.0);
+        }
+        let mut stepped = params;
+        for (op, p) in runner.into_params() {
+            *stepped.op_mut(op) = p;
+        }
+        assert_eq!(stepped.max_abs_diff(&expect), 0.0);
     }
 
     #[test]
@@ -227,6 +272,6 @@ mod tests {
         let params = ModelParams::init(g, 3);
         let ops: Vec<OpId> = g.nodes().map(|n| n.id).collect();
         let mut runner = StageRunner::new(g, &ops, &params, 4);
-        let _ = runner.backward(0, &HashMap::new());
+        let _ = runner.backward(0, HashMap::new());
     }
 }

@@ -3,11 +3,15 @@
 
 use gp_cluster::{Cluster, DeviceRange};
 use gp_cost::Pass;
-use gp_exec::{reference_step, synth_batch, train, train_iteration, ModelParams};
+use gp_exec::{reference_step, synth_batch, train, train_iteration, ExecError, ModelParams};
 use gp_ir::zoo::{self, CandleUnoConfig, DlrmConfig, MmtConfig};
 use gp_ir::{OpId, SpModel};
 use gp_partition::{GraphPipePlanner, Planner};
 use gp_sched::{assign_in_flight, schedule_tasks, Stage, StageGraph, StageId};
+use std::collections::HashMap;
+use std::sync::mpsc;
+use std::thread;
+use std::time::Duration;
 
 /// Builds a hand-rolled stage graph: `cuts` are op-count prefixes, one
 /// device per stage unless `dp` widens a stage.
@@ -297,4 +301,46 @@ fn train_steps_match_one_iteration_call_per_step() {
     let whole_bits: Vec<u32> = losses.iter().map(|l| l.to_bits()).collect();
     assert_eq!(whole_bits, one_by_one);
     assert_eq!(whole.max_abs_diff(&stepped), 0.0);
+}
+
+/// A worker that panics stops its peers: the call returns `WorkerPanicked`
+/// instead of leaving the other workers blocked on their channels, and the
+/// caller's parameters keep their values. An empty batch makes every stage
+/// that reads an input panic ("missing input data") while the stages
+/// after it wait for activations. Each call runs on its own thread, so a
+/// hang fails the test after the timeout instead of hanging the suite.
+#[test]
+fn a_worker_panic_ends_the_call_with_an_error() {
+    let mmt = zoo::mmt(&MmtConfig::tiny());
+    let plan = GraphPipePlanner::new()
+        .plan(&mmt, &Cluster::summit_like(2), 8)
+        .unwrap();
+    let mlp = zoo::mlp_chain(4, 8);
+    let replicated = two_replica_stage_graph(&mlp);
+    let cases = [
+        ("mmt-tiny plan", mmt, plan.stage_graph, 1),
+        ("mlp 2x2 replicas", mlp, replicated, 3),
+    ];
+    for (name, model, sg, steps) in cases {
+        assert!(sg.len() >= 2, "{name}: two connected stages");
+        let (tx, rx) = mpsc::channel();
+        thread::spawn(move || {
+            let g = model.graph();
+            let schedule = schedule_tasks(&sg, &assign_in_flight(&sg));
+            let init = ModelParams::init(g, 1);
+            let mut params = init.clone();
+            let empty = HashMap::new();
+            let result = if steps == 1 {
+                train_iteration(g, &sg, &schedule, &mut params, &empty, 0.05).map(|r| vec![r.loss])
+            } else {
+                train(g, &sg, &schedule, &mut params, &empty, 0.05, steps)
+            };
+            let _ = tx.send((result, params.max_abs_diff(&init)));
+        });
+        let (result, moved) = rx
+            .recv_timeout(Duration::from_secs(20))
+            .unwrap_or_else(|e| panic!("{name}: the call did not return: {e}"));
+        assert_eq!(result, Err(ExecError::WorkerPanicked), "{name}");
+        assert_eq!(moved, 0.0, "{name}: parameters changed");
+    }
 }
