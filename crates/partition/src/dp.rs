@@ -2220,9 +2220,6 @@ fn drive_search(
 #[derive(Debug, Clone, Default)]
 pub struct GraphPipePlanner {
     options: PlanOptions,
-    /// Wall-clock seam: feeds only `SearchStats` wall fields, which every
-    /// fingerprint and comparison excludes.
-    clock: ClockHandle,
     /// Telemetry handle (inert by default): search spans and counters.
     /// Write-only — never read back into the plan.
     telemetry: Telemetry,
@@ -2262,15 +2259,16 @@ impl GraphPipePlanner {
         fanout: Fanout<'_>,
     ) -> Result<Plan, PlanError> {
         let _search_span = self.telemetry.span("planner.search");
-        let start = self.clock.now_nanos();
+        let clock = ClockHandle::default();
+        let start = clock.now_nanos();
         let ctx = SearchCtx::new(model, cluster, mini_batch, &self.options)?;
-        let (solution, stats) = drive_search(&ctx, fanout, &self.clock, &self.telemetry)?;
-        let finalize_start = self.clock.now_nanos();
+        let (solution, stats) = drive_search(&ctx, fanout, &clock, &self.telemetry)?;
+        let finalize_start = clock.now_nanos();
         let _finalize_span = self.telemetry.span("planner.finalize");
         let mut plan =
             Self::solution_to_plan(&solution, model, cluster, &ctx.cost, mini_batch, stats)?;
-        plan.stats.phases.finalize_wall = self.clock.since(finalize_start);
-        plan.stats.wall = self.clock.since(start);
+        plan.stats.phases.finalize_wall = clock.since(finalize_start);
+        plan.stats.wall = clock.since(start);
         Ok(plan)
     }
 
