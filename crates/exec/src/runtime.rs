@@ -98,16 +98,16 @@ enum Msg {
         replica: u32,
         grads: Arc<Vec<OpParams>>,
     },
-    /// End the call; mid-step, abandon the step.
-    Stop,
+    /// Abandon the call: a worker panicked.
+    Abort,
 }
 
 /// A worker's answer to a step: its roster position and partial loss, or
 /// `None` if it panicked.
 type Report = Option<(usize, f32)>;
 
-/// A worker was told to stop mid-step.
-struct Stopped;
+/// The main thread aborted the call.
+struct Aborted;
 
 type Buffers = HashMap<OpId, Vec<ChunkMsg>>;
 
@@ -218,7 +218,7 @@ struct Inbox {
 impl Inbox {
     /// Waits for the next message and files chunks and gradients; a step
     /// start is handed back.
-    fn recv(&mut self) -> Result<Option<SpanId>, Stopped> {
+    fn recv(&mut self) -> Result<Option<SpanId>, Aborted> {
         match self.rx.recv() {
             Ok(Msg::Step(iteration)) => Ok(Some(iteration)),
             Ok(Msg::Chunk(msg)) => {
@@ -234,12 +234,12 @@ impl Inbox {
                 self.grads[replica as usize] = Some(grads);
                 Ok(None)
             }
-            Ok(Msg::Stop) | Err(_) => Err(Stopped),
+            Ok(Msg::Abort) | Err(_) => Err(Aborted),
         }
     }
 
     /// Waits for one chunk or gradient message, mid-step.
-    fn fill(&mut self) -> Result<(), Stopped> {
+    fn fill(&mut self) -> Result<(), Aborted> {
         match self.recv()? {
             None => Ok(()),
             Some(_) => unreachable!("a step started before every worker ended the last"),
@@ -248,7 +248,7 @@ impl Inbox {
 
     /// Waits for the next step. Chunks that peers already sent for it are
     /// filed.
-    fn next_step(&mut self) -> Result<SpanId, Stopped> {
+    fn next_step(&mut self) -> Result<SpanId, Aborted> {
         loop {
             if let Some(iteration) = self.recv()? {
                 return Ok(iteration);
@@ -301,17 +301,21 @@ struct Worker<'a> {
 }
 
 impl Worker<'_> {
-    /// Runs steps until the main thread says stop, then hands back the
-    /// stage's parameters and the last step's trace.
+    /// Runs `steps` steps, each started by the main thread, then hands
+    /// back the stage's parameters and the last step's trace.
     fn serve(
         mut self,
+        steps: usize,
         lr: f32,
         done: &Sender<Report>,
         telemetry: &Telemetry,
     ) -> (Vec<(OpId, OpParams)>, Vec<TraceEvent>) {
         let _report_panic = ReportPanic(done);
         let wall = telemetry.histogram(&format!("exec.stage{}.wall_ns", self.stage.index()));
-        while let Ok(iteration) = self.inbox.next_step() {
+        for _ in 0..steps {
+            let Ok(iteration) = self.inbox.next_step() else {
+                break;
+            };
             let span = telemetry.span_under_with("exec.replica", self.replica as u64, iteration);
             let start_ns = telemetry.now_nanos();
             let Ok(loss) = self.step(lr) else { break };
@@ -326,7 +330,7 @@ impl Worker<'_> {
 
     /// One training step: the replica's tasks, then the update. Returns
     /// the step's partial loss.
-    fn step(&mut self, lr: f32) -> Result<f32, Stopped> {
+    fn step(&mut self, lr: f32) -> Result<f32, Aborted> {
         let b = self.sg.stage(self.stage).micro_batch as usize;
         self.trace.clear();
         for i in 0..self.tasks.len() {
@@ -365,7 +369,7 @@ impl Worker<'_> {
     /// Applies SGD to the stage's parameters. A data-parallel replica first
     /// sends its gradients to its peers, then sums every replica's into a
     /// zeroed store in replica order, so all replicas take the same step.
-    fn update(&mut self, lr: f32) -> Result<(), Stopped> {
+    fn update(&mut self, lr: f32) -> Result<(), Aborted> {
         let d = self.inbox.grads.len() as u32;
         if d == 1 {
             self.runner.sgd_step(None, lr);
@@ -402,7 +406,7 @@ impl Worker<'_> {
         lo: usize,
         hi: usize,
         external: &mut HashMap<OpId, Tensor>,
-    ) -> Result<(), Stopped> {
+    ) -> Result<(), Aborted> {
         for &op in &self.ext_inputs {
             let shape = &self.graph.node(op).out_shape;
             let per_sample = shape.numel();
@@ -447,7 +451,7 @@ impl Worker<'_> {
         &mut self,
         lo: usize,
         hi: usize,
-    ) -> Result<HashMap<OpId, Tensor>, Stopped> {
+    ) -> Result<HashMap<OpId, Tensor>, Aborted> {
         let mut out = HashMap::new();
         for (op, consumers) in &self.ext_outputs {
             let per_sample = self.graph.node(*op).out_shape.numel();
@@ -564,21 +568,26 @@ fn run(
 
     let (done, reports) = mpsc::channel::<Report>();
     let trained = std::thread::scope(|scope| {
-        let handles: Vec<_> = workers
-            .into_iter()
-            .map(|worker| {
-                let done = &done;
-                scope.spawn(move || worker.serve(lr, done, telemetry))
-            })
-            .collect();
+        let mut idle = Some(workers);
+        let mut handles = Vec::new();
         let mut losses = Vec::with_capacity(steps);
-        let mut partial = vec![0.0f32; handles.len()];
+        let mut partial = vec![0.0f32; roster.senders.len()];
         let mut failed = false;
         'steps: for step in 0..steps {
             let _step_span = telemetry.span_with("exec.step", step as u64);
             let iteration = telemetry.span("exec.iteration");
             for tx in &roster.senders {
                 let _ = tx.send(Msg::Step(iteration.id()));
+            }
+            // Spawned once the first step is queued, so that no worker
+            // starts by waiting to be woken.
+            if let Some(workers) = idle.take() {
+                handles = (workers.into_iter())
+                    .map(|worker| {
+                        let done = &done;
+                        scope.spawn(move || worker.serve(steps, lr, done, telemetry))
+                    })
+                    .collect();
             }
             for _ in 0..partial.len() {
                 let Ok(Some((at, loss))) = reports.recv() else {
@@ -589,8 +598,10 @@ fn run(
             }
             losses.push(partial.iter().fold(0.0, |sum, l| sum + l));
         }
-        for tx in &roster.senders {
-            let _ = tx.send(Msg::Stop);
+        if failed {
+            for tx in &roster.senders {
+                let _ = tx.send(Msg::Abort);
+            }
         }
         let mut stage_params = Vec::new();
         let mut trace = Vec::new();

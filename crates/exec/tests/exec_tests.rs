@@ -324,7 +324,7 @@ fn a_worker_panic_ends_the_call_with_an_error() {
     for (name, model, sg, steps) in cases {
         assert!(sg.len() >= 2, "{name}: two connected stages");
         let (tx, rx) = mpsc::channel();
-        thread::spawn(move || {
+        let call = thread::spawn(move || {
             let g = model.graph();
             let schedule = schedule_tasks(&sg, &assign_in_flight(&sg));
             let init = ModelParams::init(g, 1);
@@ -340,6 +340,8 @@ fn a_worker_panic_ends_the_call_with_an_error() {
         let (result, moved) = rx
             .recv_timeout(Duration::from_secs(20))
             .unwrap_or_else(|e| panic!("{name}: the call did not return: {e}"));
+        call.join()
+            .expect("the calling thread ends once the call returns");
         assert_eq!(result, Err(ExecError::WorkerPanicked), "{name}");
         assert_eq!(moved, 0.0, "{name}: parameters changed");
     }
