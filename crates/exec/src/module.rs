@@ -125,6 +125,19 @@ impl OpParams {
         list.into_iter().flatten()
     }
 
+    /// Checks that `other` holds the same kind of parameters.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `other` has a different variant.
+    fn assert_same_variant(&self, other: &OpParams) {
+        assert_eq!(
+            std::mem::discriminant(self),
+            std::mem::discriminant(other),
+            "parameter variant mismatch: {self:?} vs {other:?}"
+        );
+    }
+
     /// Pairs each of `self`'s tensors with `other`'s; a bias that only one
     /// side has is skipped.
     ///
@@ -135,11 +148,7 @@ impl OpParams {
         &'a mut self,
         other: &'a OpParams,
     ) -> impl Iterator<Item = (&'a mut Tensor, &'a Tensor)> {
-        assert_eq!(
-            std::mem::discriminant(self),
-            std::mem::discriminant(other),
-            "parameter variant mismatch: {self:?} vs {other:?}"
-        );
+        self.assert_same_variant(other);
         self.tensors_mut().zip(other.tensors())
     }
 
@@ -208,11 +217,7 @@ impl OpParams {
     ///
     /// Panics if `other` has a different variant.
     pub fn max_abs_diff(&self, other: &OpParams) -> f32 {
-        assert_eq!(
-            std::mem::discriminant(self),
-            std::mem::discriminant(other),
-            "parameter variant mismatch: {self:?} vs {other:?}"
-        );
+        self.assert_same_variant(other);
         self.tensors()
             .zip(other.tensors())
             .map(|(a, b)| a.max_abs_diff(b))
