@@ -3020,6 +3020,110 @@ mod tests {
         SpModel::new("random", b.finish().unwrap(), root).unwrap()
     }
 
+    /// Two branches joined by `cat`, the last of which ends in a
+    /// `[Branches, join]` run of its own (`x -> {b1, b2} -> cat2`).
+    /// Absorbing the outer joins into that branch gives a chain whose own
+    /// `[Branches, join...]` run absorbs too: a variant of a variant.
+    fn nested_join_model(width: usize) -> SpModel {
+        let mut b = gp_ir::GraphBuilder::new();
+        let in0 = b.input("in0", gp_ir::Shape::vector(width));
+        let a1 = b.linear("a1", in0, width, true).unwrap();
+        let a2 = b.linear("a2", a1, width, true).unwrap();
+        let in1 = b.input("in1", gp_ir::Shape::vector(width));
+        let x = b.linear("x", in1, width, true).unwrap();
+        let b1 = b.linear("b1", x, width, true).unwrap();
+        let b2 = b.linear("b2", x, width, true).unwrap();
+        let cat2 = b.op("cat2", gp_ir::OpKind::Concat, &[b1, b2]).unwrap();
+        let cat = b.op("cat", gp_ir::OpKind::Concat, &[a2, cat2]).unwrap();
+        let head = b.linear("head", cat, 1, true).unwrap();
+        let loss = b.loss("loss", &[head]);
+        let leaf = SpBlock::Leaf;
+        let root = SpBlock::Chain(vec![
+            SpBlock::Branches(vec![
+                SpBlock::Chain(vec![leaf(in0), leaf(a1), leaf(a2)]),
+                SpBlock::Chain(vec![
+                    leaf(in1),
+                    leaf(x),
+                    SpBlock::Branches(vec![leaf(b1), leaf(b2)]),
+                    leaf(cat2),
+                ]),
+            ]),
+            leaf(cat),
+            leaf(head),
+            leaf(loss),
+        ]);
+        SpModel::new("nested-join", b.finish().unwrap(), root).unwrap()
+    }
+
+    /// One line per plan: each stage's op names, first device and device
+    /// count, micro-batch size and k, then the search counters.
+    fn plan_line(model: &SpModel, plan: &Plan) -> String {
+        use std::fmt::Write as _;
+        let graph = model.graph();
+        let mut line = String::new();
+        for s in plan.stage_graph.stages() {
+            let ops: Vec<&str> = s
+                .ops
+                .iter()
+                .map(|&op| graph.node(op).name.as_str())
+                .collect();
+            let (first, len) = (s.devices.first().0, s.devices.len());
+            let (b, k) = (s.micro_batch, s.kfkb);
+            write!(line, "[{}] {first}+{len} b{b} k{k}; ", ops.join(" ")).unwrap();
+        }
+        let st = &plan.stats;
+        write!(
+            line,
+            "evals={} states={} hits={} misses={} bound={} memory={} beam={} batches={} \
+             iters={} configs={}",
+            st.dp_evals,
+            st.dp_states,
+            st.memo_hits,
+            st.memo_misses,
+            st.work_bound_prunes,
+            st.memory_prunes,
+            st.beam_prunes,
+            st.eval_batches,
+            st.binary_iters,
+            st.configs_tried
+        )
+        .unwrap();
+        line
+    }
+
+    #[test]
+    fn a_variant_of_a_variant_plans_as_pinned() {
+        // Pinned on the lazily grown arena, which built variants of
+        // variants on this model. At 4 GPUs the plan's last stage is one:
+        // `b2` with `cat2` and the outer joins absorbed.
+        let model = nested_join_model(4096);
+        let planner = GraphPipePlanner::new();
+        let cells = [
+            (
+                4,
+                64,
+                "[in0 a1 a2] 0+1 b64 k1; [in1 x] 1+1 b64 k1; [b1] 2+1 b64 k1; \
+                 [b2 cat2 cat head loss] 3+1 b64 k1; evals=421 states=24 hits=18 misses=206 \
+                 bound=416 memory=0 beam=0 batches=274 iters=8 configs=14",
+            ),
+            (
+                8,
+                128,
+                "[in0 a1] 3+1 b128 k1; [a2] 4+1 b128 k1; [in1 x] 5+1 b128 k1; [b1] 6+1 b128 k1; \
+                 [b2] 7+1 b128 k1; [cat2 cat head loss] 0+3 b128 k1; evals=18868 states=265 \
+                 hits=6687 misses=3762 bound=1906 memory=0 beam=0 batches=7042 iters=9 \
+                 configs=25",
+            ),
+        ];
+        for (devices, mini_batch, pinned) in cells {
+            let label = format!("nested-join@{devices}");
+            let cluster = Cluster::summit_like(devices);
+            let plan = assert_fanout_parity(&planner, &model, &cluster, mini_batch, &label)
+                .unwrap_or_else(|e| panic!("{label}: {e}"));
+            assert_eq!(plan_line(&model, &plan), pinned, "{label}");
+        }
+    }
+
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(24))]
 
