@@ -32,8 +32,11 @@
 //!
 //! The DP state is arena-indexed, `Send`, and allocation-light:
 //!
-//! * the SP tree lives in a flat [`Arena`] (`NodeIdx = u32`), with
-//!   on-demand "absorbed" chain variants appended to it;
+//! * the SP tree lives in a flat [`Arena`] (`NodeIdx = u32`), built once
+//!   per search by [`SearchCtx::new`] with every absorbed chain variant
+//!   interned up front, so a `NodeIdx` names the same node in every run;
+//!   each chain node's micro-batch-independent aggregates
+//!   ([`ChainStatic`]) are built beside it, and every run borrows both;
 //! * solved fragments live in a slab (`FragId = u32`). A [`Frag`] is
 //!   either a single proto-stage or the O(1) concatenation of two earlier
 //!   fragments, so combining candidates never copies stage vectors — the
@@ -46,9 +49,10 @@
 //!   dense `[d - 1] -> FragId` columns per interned `DownId`. Lookups are
 //!   pure indexing; `reset` between binary-search probes is dropping the
 //!   state wholesale;
-//! * the per-chain prefix-time / static-cost caches are flat arrays
-//!   indexed by `NodeIdx` (× micro-batch candidate), and op-membership
-//!   tests use a stamped scratch array instead of per-call hash sets;
+//! * a run's one prefix-time cache is a flat array indexed by `NodeIdx`
+//!   (× micro-batch candidate), serving chain splits and branch splits
+//!   alike, and op-membership tests use a stamped scratch array instead
+//!   of per-call hash sets;
 //! * every per-op cost those caches sum comes from the search's
 //!   [`OpTable`], built once by [`SearchCtx::new`] and keyed by `OpId`: a
 //!   run computes no `op_time` of its own;
@@ -62,8 +66,8 @@
 //! A single DP run is a pure function of `(graph, cost, SP tree, t_max,
 //! micro-batch candidates, eval budget)`: candidate enumeration order,
 //! tie-breaking, and `Down` interning order are all fixed, and the run
-//! reads no state of other runs, only the search's immutable op-cost
-//! table. The binary search's probe *sequence* is
+//! reads no state of other runs, only the search's immutable arena and
+//! op-cost table. The binary search's probe *sequence* is
 //! in turn a deterministic function of per-probe feasibility, so a probe
 //! is **lazy**: its answer is the first micro-batch configuration, in
 //! [`SearchCtx::run_specs`] order, whose DP run is feasible, and it
@@ -83,11 +87,16 @@
 //! as [`Outcome::Cancelled`] and are never read. [`consume`] merges the
 //! runs up to the cut in configuration order, so the returned [`Plan`] —
 //! strategy *and* deterministic counters — does not depend on the thread
-//! count or the interleaving; only `stats.wall` does. A helper's run
-//! executes under the pass's whole remaining eval budget; if the replay
-//! finds that the sequential search would have run out of budget mid-run,
-//! that run is re-executed with the exact remaining budget so even
-//! [`PlanError::SearchExplosion`] accounting is bit-identical.
+//! count or the interleaving; only `stats.wall` does.
+//!
+//! The eval budget has one rule: every charge is a whole batch, and a run
+//! halts at the first batch past its budget. Until it halts, a run's
+//! count does not depend on its budget, so a helper's run, which executes
+//! under the pass's whole remaining budget, passes the sequential
+//! remainder exactly when the sequential search would run out of budget
+//! in it. [`consume`] reports any such run as
+//! [`PlanError::SearchExplosion`] with `eval_budget + 1` evals, the
+//! baselines' rule, whatever the helper count.
 //!
 //! gp-lint: deterministic — this module's outputs feed plan
 //! fingerprints or the artifact codec; `cargo xtask lint` scans it for
@@ -115,24 +124,68 @@ enum ANode {
     Branches(Vec<NodeIdx>),
 }
 
-/// Flat storage for the SP tree, with on-demand "absorbed" chain variants.
+/// Flat storage for the SP tree and every absorbed chain variant, built
+/// once per search.
 struct Arena {
     nodes: Vec<ANode>,
     /// Full operator list per node, in forward topological order.
     ops: Vec<Vec<OpId>>,
     root: NodeIdx,
-    absorb_cache: HashMap<(NodeIdx, NodeIdx, usize, usize), NodeIdx>,
+    /// `(chain, s, e)` → the chain of the last branch of `chain`'s
+    /// `Branches` element `s`, followed by its join elements `[s + 1, e)`.
+    variants: FastMap<(NodeIdx, u16, u16), NodeIdx>,
+    /// First memo slot of each node, then the total slot count.
+    slot_base: Vec<u32>,
 }
 
 impl Arena {
+    /// The SP tree under `block`, then its absorbed variants: a worklist
+    /// over every chain node, variants included, because a variant's
+    /// elements can hold a `[Branches, join...]` run of their own.
     fn build(block: &SpBlock) -> Arena {
         let mut arena = Arena {
             nodes: Vec::new(),
             ops: Vec::new(),
             root: 0,
-            absorb_cache: HashMap::new(),
+            variants: FastMap::default(),
+            slot_base: Vec::new(),
         };
         arena.root = arena.add(block);
+        let mut chain = 0;
+        while (chain as usize) < arena.nodes.len() {
+            let elems = match arena.node(chain) {
+                ANode::Chain(elems) => elems.clone(),
+                _ => Vec::new(),
+            };
+            for (s, &branches) in elems.iter().enumerate() {
+                if !arena.is_branches(branches) {
+                    continue;
+                }
+                let last = *arena
+                    .children(branches)
+                    .last()
+                    .expect("Branches nodes are non-empty");
+                let mut variant = match arena.node(last) {
+                    ANode::Chain(cs) => cs.clone(),
+                    _ => vec![last],
+                };
+                for e in s + 1..elems.len() {
+                    if !arena.is_leaf(elems[e]) {
+                        break;
+                    }
+                    variant.push(elems[e]);
+                    let idx = arena.push(ANode::Chain(variant.clone()));
+                    arena.variants.insert((chain, s as u16, e as u16 + 1), idx);
+                }
+            }
+            chain += 1;
+        }
+        let mut next = 0;
+        for node in &arena.nodes {
+            arena.slot_base.push(next);
+            next += node_slot_count(node);
+        }
+        arena.slot_base.push(next);
         arena
     }
 
@@ -184,31 +237,18 @@ impl Arena {
         matches!(self.node(idx), ANode::Leaf(_))
     }
 
-    /// The chain obtained by appending `chain`'s elements `[tail_s, tail_e)`
-    /// (the absorbed join operators) to the last branch of `branches`.
-    fn absorbed_chain(
-        &mut self,
-        branches: NodeIdx,
-        chain: NodeIdx,
-        tail_s: usize,
-        tail_e: usize,
-    ) -> NodeIdx {
-        let key = (branches, chain, tail_s, tail_e);
-        if let Some(&idx) = self.absorb_cache.get(&key) {
-            return idx;
-        }
-        let last_branch = *self
-            .children(branches)
+    /// The variant that absorbs `chain`'s elements `[s, e)`, a `Branches`
+    /// element and the joins after it (see [`Dp::absorbable`]).
+    fn variant(&self, chain: NodeIdx, s: u16, e: u16) -> NodeIdx {
+        self.variants[&(chain, s, e)]
+    }
+
+    /// Memo slots of every node.
+    fn slots(&self) -> usize {
+        *self
+            .slot_base
             .last()
-            .expect("Branches nodes are non-empty");
-        let mut elems = match self.node(last_branch) {
-            ANode::Chain(cs) => cs.clone(),
-            _ => vec![last_branch],
-        };
-        elems.extend_from_slice(&self.children(chain)[tail_s..tail_e]);
-        let idx = self.push(ANode::Chain(elems));
-        self.absorb_cache.insert(key, idx);
-        idx
+            .expect("built arenas have a slot total") as usize
     }
 }
 
@@ -334,7 +374,7 @@ const MEMO_NONE: u32 = u32::MAX - 1;
 
 /// Dense memoization table: `rows[slot][down]` is a lazily allocated
 /// `[d - 1] -> encoded FragId` column of length `d_max`. Slots are
-/// precomputed per `(node, interval)` (see [`Dp::sync_arena`]); lookups
+/// precomputed per `(node, interval)` (see [`Arena::slot_base`]); lookups
 /// and inserts are pure indexing.
 struct MemoTable {
     rows: Vec<Vec<Option<Box<[u32]>>>>,
@@ -344,9 +384,9 @@ struct MemoTable {
 }
 
 impl MemoTable {
-    fn new(d_max: usize) -> MemoTable {
+    fn new(d_max: usize, slots: usize) -> MemoTable {
         MemoTable {
-            rows: Vec::new(),
+            rows: vec![Vec::new(); slots],
             d_max,
             filled: 0,
         }
@@ -404,6 +444,7 @@ fn range_slot(m: u16, from: u16, to: u16) -> u32 {
 // ---------------------------------------------------------------- engine --
 
 /// Per-chain, micro-batch-independent prefix aggregates over elements.
+#[derive(Debug)]
 struct ChainStatic {
     /// Prefix parameter bytes.
     params: Vec<u64>,
@@ -415,6 +456,72 @@ struct ChainStatic {
     adj: Vec<u64>,
     /// Whether all intra-chain edges connect adjacent elements (fast path).
     simple: bool,
+}
+
+impl ChainStatic {
+    /// The aggregates of every chain node of `arena`, indexed by
+    /// `NodeIdx` (`None` for the other nodes).
+    fn all(arena: &Arena, graph: &Graph, table: &OpTable) -> Vec<Option<ChainStatic>> {
+        // Beside each op, the chain that last marked it and its element
+        // there: every chain is marked once, so no reset is needed.
+        let mut owner = vec![NodeIdx::MAX; graph.len()];
+        let mut elem = vec![0u32; graph.len()];
+        let mut statics = Vec::with_capacity(arena.nodes.len());
+        for chain in 0..arena.nodes.len() as NodeIdx {
+            let ANode::Chain(elems) = arena.node(chain) else {
+                statics.push(None);
+                continue;
+            };
+            for (i, &c) in elems.iter().enumerate() {
+                for &op in arena.node_ops(c) {
+                    owner[op.index()] = chain;
+                    elem[op.index()] = i as u32;
+                }
+            }
+            let elem_of =
+                |op: OpId| (owner[op.index()] == chain).then(|| elem[op.index()] as usize);
+            let n = elems.len();
+            let mut params = vec![0u64; n + 1];
+            let mut act = vec![0u64; n + 1];
+            let mut ext = vec![0u64; n + 1];
+            let mut adj = vec![0u64; n + 1];
+            let mut simple = true;
+            for (i, &c) in elems.iter().enumerate() {
+                let mut p = 0u64;
+                let mut a = 0u64;
+                let mut x = 0u64;
+                for &op in arena.node_ops(c) {
+                    p += table.param_bytes(op);
+                    a += table.stashed_bytes(op);
+                    let bytes = table.output_bytes(op);
+                    for &succ in graph.succs(op) {
+                        match elem_of(succ) {
+                            Some(j) if j == i => {}
+                            Some(j) if j == i + 1 => adj[i + 1] += bytes,
+                            Some(_) => simple = false,
+                            None => x += bytes,
+                        }
+                    }
+                    for &pred in graph.preds(op) {
+                        if elem_of(pred).is_none() {
+                            x += table.output_bytes(pred);
+                        }
+                    }
+                }
+                params[i + 1] = params[i] + p;
+                act[i + 1] = act[i] + a;
+                ext[i + 1] = ext[i] + x;
+            }
+            statics.push(Some(ChainStatic {
+                params,
+                act,
+                ext,
+                adj,
+                simple,
+            }));
+        }
+        statics
+    }
 }
 
 /// A single-stage candidate found for a segment.
@@ -528,7 +635,9 @@ struct Dp<'a> {
     cost: &'a CostModel,
     /// The search's per-op costs.
     table: &'a OpTable,
-    arena: Arena,
+    /// The search's arena and chain statics, shared by every run.
+    arena: &'a Arena,
+    statics: &'a [Option<ChainStatic>],
     mini_batch: u64,
     t_max: f64,
     mem_budget: u64,
@@ -545,20 +654,12 @@ struct Dp<'a> {
     down_ids: FastMap<Down, DownId>,
     frags: Vec<Frag>,
     memo: MemoTable,
-    /// First memo slot of each arena node.
-    slot_base: Vec<u32>,
-    /// Per-node chain statics (`None` until computed).
-    chain_static: Vec<Option<Box<ChainStatic>>>,
-    /// Per-(node, b-candidate) prefix of element fwd+bwd times for one
-    /// micro-batch, at `node * b_cands.len() + b_index`.
-    chain_time: Vec<Option<Box<[f64]>>>,
-    /// Per-branches-node prefix of per-branch times at `bound_b`.
-    branch_time: Vec<Option<Box<[f64]>>>,
+    /// Per-(node, b-candidate) prefix of child fwd+bwd times for one
+    /// micro-batch, at `node * b_cands.len() + b_index`: a chain's
+    /// elements or a branches node's branches.
+    prefix_time: Vec<Option<Box<[f64]>>>,
     /// Stamped op-membership scratch (replaces per-call bitmaps).
     member_stamp: Vec<u64>,
-    /// Beside each stamp, the chain element its op belongs to (written
-    /// only by [`Dp::ensure_chain_static`]).
-    member_elem: Vec<u32>,
     cur_stamp: u64,
     /// Generic-segment aggregate memo, keyed by packed `(node, s, e)`.
     seg_cache: FastMap<u64, SegEntry>,
@@ -607,11 +708,13 @@ impl<'a> Dp<'a> {
         let bound_b = b_cands.iter().copied().max().unwrap_or(1);
         let bound_bi = b_cands.iter().position(|&b| b == bound_b).unwrap_or(0);
         let b_cols = b_cands.iter().map(|&b| ctx.table.column(b)).collect();
+        let b_count = b_cands.len().max(1);
         let mut dp = Dp {
             graph: ctx.graph,
             cost: &ctx.cost,
             table: &ctx.table,
-            arena: Arena::build(ctx.root),
+            arena: &ctx.arena,
+            statics: &ctx.statics,
             mini_batch: ctx.mini_batch,
             t_max,
             mem_budget: ctx.cost.memory_budget(),
@@ -623,13 +726,9 @@ impl<'a> Dp<'a> {
             downs: Vec::new(),
             down_ids: FastMap::default(),
             frags: Vec::new(),
-            memo: MemoTable::new(ctx.devices as usize),
-            slot_base: Vec::new(),
-            chain_static: Vec::new(),
-            chain_time: Vec::new(),
-            branch_time: Vec::new(),
+            memo: MemoTable::new(ctx.devices as usize, ctx.arena.slots()),
+            prefix_time: vec![None; ctx.arena.nodes.len() * b_count],
             member_stamp: vec![0; ctx.graph.len()],
-            member_elem: vec![0; ctx.graph.len()],
             cur_stamp: 0,
             seg_cache: FastMap::default(),
             tps_cache: FastMap::default(),
@@ -652,31 +751,7 @@ impl<'a> Dp<'a> {
             cand_tps: Vec::new(),
         };
         dp.intern(Down::default()); // id 0 = the global sink
-        dp.sync_arena();
         dp
-    }
-
-    /// Extends the per-node caches and memo slots after arena growth
-    /// (absorbed chains are appended during solving).
-    fn sync_arena(&mut self) {
-        let b_count = self.b_cands.len().max(1);
-        while self.slot_base.len() < self.arena.nodes.len() {
-            let idx = self.slot_base.len();
-            let base = match idx {
-                0 => 0,
-                _ => self.slot_base[idx - 1] + node_slot_count(&self.arena.nodes[idx - 1]),
-            };
-            self.slot_base.push(base);
-            let slots = node_slot_count(&self.arena.nodes[idx]);
-            for _ in 0..slots {
-                self.memo.rows.push(Vec::new());
-            }
-            self.chain_static.push(None);
-            for _ in 0..b_count {
-                self.chain_time.push(None);
-            }
-            self.branch_time.push(None);
-        }
     }
 
     fn intern(&mut self, down: Down) -> DownId {
@@ -699,13 +774,15 @@ impl<'a> Dp<'a> {
         &self.frags[id as usize]
     }
 
-    /// Charges `units` evals; true once the run must stop.
+    /// Charges a batch of `units` evals; true once the run must stop. A
+    /// halted run charges nothing more, so a run stops at the first batch
+    /// past its budget, whatever unwinds after it.
     fn charge(&mut self, units: u64) -> bool {
-        self.evals += units;
-        if self.evals > self.budget {
-            self.exploded = true;
+        if !self.halted() {
+            self.evals += units;
+            self.exploded = self.evals > self.budget;
         }
-        self.exploded || self.cancelled
+        self.halted()
     }
 
     /// Whether the run must stop: it ran out of budget or was cancelled.
@@ -725,13 +802,13 @@ impl<'a> Dp<'a> {
 
     /// Global memo slot of a chain suffix `[start..n)`.
     fn chain_slot(&self, chain: NodeIdx, start: u16) -> u32 {
-        self.slot_base[chain as usize] + start as u32
+        self.arena.slot_base[chain as usize] + start as u32
     }
 
     /// Global memo slot of a branch interval `[from..to)`.
     fn branch_slot(&self, branches: NodeIdx, from: u16, to: u16) -> u32 {
         let m = self.arena.children(branches).len() as u16;
-        self.slot_base[branches as usize] + range_slot(m, from, to)
+        self.arena.slot_base[branches as usize] + range_slot(m, from, to)
     }
 
     fn memo_get(&mut self, slot: u32, down: DownId, d: u32) -> Option<Option<FragId>> {
@@ -757,134 +834,49 @@ impl<'a> Dp<'a> {
 
     // -------------------------------------------------- segment metrics --
 
-    fn ensure_chain_static(&mut self, chain: NodeIdx) {
-        if self.chain_static[chain as usize].is_some() {
-            return;
-        }
-        // Mark each element's ops with the element index.
-        self.cur_stamp += 1;
-        let stamp = self.cur_stamp;
-        let n = self.arena.children(chain).len();
-        for i in 0..n {
-            let c = self.arena.children(chain)[i];
-            for &op in self.arena.node_ops(c) {
-                self.member_stamp[op.index()] = stamp;
-                self.member_elem[op.index()] = i as u32;
-            }
-        }
-        let elem_of = |op: OpId| {
-            (self.member_stamp[op.index()] == stamp).then(|| self.member_elem[op.index()] as usize)
-        };
-        let mut params = vec![0u64; n + 1];
-        let mut act = vec![0u64; n + 1];
-        let mut ext = vec![0u64; n + 1];
-        let mut adj = vec![0u64; n + 1];
-        let mut simple = true;
-        for i in 0..n {
-            let c = self.arena.children(chain)[i];
-            let mut p = 0u64;
-            let mut a = 0u64;
-            let mut x = 0u64;
-            for &op in self.arena.node_ops(c) {
-                p += self.table.param_bytes(op);
-                a += self.table.stashed_bytes(op);
-                let bytes = self.table.output_bytes(op);
-                for &succ in self.graph.succs(op) {
-                    match elem_of(succ) {
-                        Some(j) if j == i => {}
-                        Some(j) if j == i + 1 => adj[i + 1] += bytes,
-                        Some(_) => simple = false,
-                        None => x += bytes,
-                    }
-                }
-                for &pred in self.graph.preds(op) {
-                    if elem_of(pred).is_none() {
-                        x += self.table.output_bytes(pred);
-                    }
-                }
-            }
-            params[i + 1] = params[i] + p;
-            act[i + 1] = act[i] + a;
-            ext[i + 1] = ext[i] + x;
-        }
-        self.chain_static[chain as usize] = Some(Box::new(ChainStatic {
-            params,
-            act,
-            ext,
-            adj,
-            simple,
-        }));
-    }
-
-    /// Fills the prefix of element fwd+bwd times for `chain` at
-    /// micro-batch candidate `bi`.
-    fn ensure_chain_time(&mut self, chain: NodeIdx, bi: usize) {
-        let idx = chain as usize * self.b_cands.len().max(1) + bi;
-        if self.chain_time[idx].is_some() {
+    /// Fills the prefix of child fwd+bwd times for `node` (a chain's
+    /// elements or a branches node's branches) at micro-batch candidate
+    /// `bi`.
+    fn ensure_prefix_time(&mut self, node: NodeIdx, bi: usize) {
+        let idx = node as usize * self.b_cands.len().max(1) + bi;
+        if self.prefix_time[idx].is_some() {
             return;
         }
         let col = self.b_cols[bi];
-        let n = self.arena.children(chain).len();
-        let mut prefix = Vec::with_capacity(n + 1);
+        let children = self.arena.children(node);
+        let mut prefix = Vec::with_capacity(children.len() + 1);
         prefix.push(0.0);
-        for i in 0..n {
-            let c = self.arena.children(chain)[i];
+        for (i, &c) in children.iter().enumerate() {
             let mut t = 0.0;
             for &op in self.arena.node_ops(c) {
                 t += self.table.time(op, col);
             }
             prefix.push(prefix[i] + t);
         }
-        self.chain_time[idx] = Some(prefix.into_boxed_slice());
+        self.prefix_time[idx] = Some(prefix.into_boxed_slice());
     }
 
-    /// Prefix time value for `chain` at micro-batch candidate `bi`
-    /// (`ensure_chain_time` must have run).
-    fn chain_time_at(&self, chain: NodeIdx, bi: usize, i: usize) -> f64 {
-        self.chain_time[chain as usize * self.b_cands.len().max(1) + bi]
+    /// Prefix time value for `node` at micro-batch candidate `bi`
+    /// (`ensure_prefix_time` must have run).
+    fn prefix_time_at(&self, node: NodeIdx, bi: usize, i: usize) -> f64 {
+        self.prefix_time[node as usize * self.b_cands.len().max(1) + bi]
             .as_ref()
-            .expect("chain_time filled")[i]
-    }
-
-    /// Fills the prefix of per-branch total times (at `bound_b`).
-    fn ensure_branch_time(&mut self, branches: NodeIdx) {
-        if self.branch_time[branches as usize].is_some() {
-            return;
-        }
-        let col = self.b_cols[self.bound_bi];
-        let n = self.arena.children(branches).len();
-        let mut prefix = Vec::with_capacity(n + 1);
-        prefix.push(0.0);
-        for i in 0..n {
-            let c = self.arena.children(branches)[i];
-            let mut t = 0.0;
-            for &op in self.arena.node_ops(c) {
-                t += self.table.time(op, col);
-            }
-            prefix.push(prefix[i] + t);
-        }
-        self.branch_time[branches as usize] = Some(prefix.into_boxed_slice());
-    }
-
-    fn branch_time_at(&self, branches: NodeIdx, i: usize) -> f64 {
-        self.branch_time[branches as usize]
-            .as_ref()
-            .expect("branch_time filled")[i]
+            .expect("prefix_time filled")[i]
     }
 
     /// Cost aggregates of a segment at micro-batch candidate `bi`.
     fn segment_costs(&mut self, seg: Seg, bi: usize) -> SegmentCosts {
         match seg {
             Seg::SimpleChain { chain, s, e } => {
-                self.ensure_chain_time(chain, bi);
-                let stat = self.chain_static[chain as usize]
+                self.ensure_prefix_time(chain, bi);
+                let stat = self.statics[chain as usize]
                     .as_ref()
-                    .expect("chain_static filled");
+                    .expect("chain nodes have statics");
                 let (s, e) = (s as usize, e as usize);
                 let comm =
                     stat.adj[s] + stat.adj[e.min(stat.adj.len() - 1)] + (stat.ext[e] - stat.ext[s]);
                 (
-                    self.chain_time_at(chain, bi, e) - self.chain_time_at(chain, bi, s),
+                    self.prefix_time_at(chain, bi, e) - self.prefix_time_at(chain, bi, s),
                     stat.params[e] - stat.params[s],
                     stat.act[e] - stat.act[s],
                     comm,
@@ -901,78 +893,48 @@ impl<'a> Dp<'a> {
         // Memo first: the same segment is re-aggregated for every
         // `(devices, down-set)` DP state that considers it, and the op walk
         // below dominates the planner's wall clock when it isn't cached.
-        let key = (node as u64) << 32 | (s as u64) << 16 | e as u64;
+        let key = Seg::Generic { node, s, e }.key();
         if let Some(entry) = self.seg_cache.get(&key) {
             let time = entry.times[bi];
             if !time.is_nan() {
                 return (time, entry.params, entry.act, entry.comm);
             }
         }
+        // The segment's members: the whole node, or its children `[s, e)`.
+        let arena = self.arena;
+        let members = if (s, e) == WHOLE {
+            std::slice::from_ref(&node)
+        } else {
+            &arena.children(node)[s as usize..e as usize]
+        };
         self.cur_stamp += 1;
         let stamp = self.cur_stamp;
-        let whole = (s, e) == WHOLE;
-        let (cs, ce) = if whole {
-            (0, self.arena.children(node).len())
-        } else {
-            (s as usize, e as usize)
-        };
         // Pass 1: mark members.
-        if whole {
-            for &op in self.arena.node_ops(node) {
+        for &m in members {
+            for &op in arena.node_ops(m) {
                 self.member_stamp[op.index()] = stamp;
-            }
-        } else {
-            for i in cs..ce {
-                let c = self.arena.children(node)[i];
-                for &op in self.arena.node_ops(c) {
-                    self.member_stamp[op.index()] = stamp;
-                }
             }
         }
         // Pass 2: aggregate.
+        let (graph, table, col) = (self.graph, self.table, self.b_cols[bi]);
+        let outside = |op: OpId| self.member_stamp[op.index()] != stamp;
         let mut time = 0.0;
         let (mut params, mut act, mut comm) = (0u64, 0u64, 0u64);
-        let col = self.b_cols[bi];
-        let visit = |dp: &Self, op: OpId| -> (f64, u64, u64, u64) {
-            let table = dp.table;
-            let bytes = table.output_bytes(op);
-            let mut x = 0u64;
-            for &succ in dp.graph.succs(op) {
-                if dp.member_stamp[succ.index()] != stamp {
-                    x += bytes;
+        for &m in members {
+            for &op in arena.node_ops(m) {
+                time += table.time(op, col);
+                params += table.param_bytes(op);
+                act += table.stashed_bytes(op);
+                let bytes = table.output_bytes(op);
+                for &succ in graph.succs(op) {
+                    if outside(succ) {
+                        comm += bytes;
+                    }
                 }
-            }
-            for &pred in dp.graph.preds(op) {
-                if dp.member_stamp[pred.index()] != stamp {
-                    x += table.output_bytes(pred);
-                }
-            }
-            (
-                table.time(op, col),
-                table.param_bytes(op),
-                table.stashed_bytes(op),
-                x,
-            )
-        };
-        if whole {
-            for i in 0..self.arena.node_ops(node).len() {
-                let op = self.arena.node_ops(node)[i];
-                let (t, p, a, x) = visit(self, op);
-                time += t;
-                params += p;
-                act += a;
-                comm += x;
-            }
-        } else {
-            for i in cs..ce {
-                let c = self.arena.children(node)[i];
-                for j in 0..self.arena.node_ops(c).len() {
-                    let op = self.arena.node_ops(c)[j];
-                    let (t, p, a, x) = visit(self, op);
-                    time += t;
-                    params += p;
-                    act += a;
-                    comm += x;
+                for &pred in graph.preds(op) {
+                    if outside(pred) {
+                        comm += table.output_bytes(pred);
+                    }
                 }
             }
         }
@@ -994,11 +956,9 @@ impl<'a> Dp<'a> {
     /// stopped the sweep, leaving no answer.
     ///
     /// Runs as one batched pass, micro-batch sizes outer, the window next,
-    /// `k` inner: segment costs are gathered per size first, TPS through
-    /// the `(segment, b, d)` memo, and the eval budget is charged for the
-    /// whole batch (live pairs × sizes) up front — falling back to
-    /// per-candidate charging only when the batch could trip the budget,
-    /// so explosion accounting stays deterministic.
+    /// `k` inner: the eval budget is charged for the whole batch (live
+    /// pairs × sizes) up front, then segment costs are gathered per size
+    /// and TPS comes through the `(segment, b, d)` memo.
     fn eval_candidates(
         &mut self,
         seg: Seg,
@@ -1009,16 +969,14 @@ impl<'a> Dp<'a> {
         self.eval_batches += 1;
         let n = self.b_cands.len();
         let w = window.len();
+        if self.charge(w as u64 * n as u64) {
+            return false;
+        }
         let mut costs = std::mem::take(&mut self.cand_costs);
         costs.clear();
         for bi in 0..n {
             let c = self.segment_costs(seg, bi);
             costs.push(c);
-        }
-        let units = w as u64 * n as u64;
-        let batched = !self.exploded && self.evals + units <= self.budget;
-        if batched {
-            self.evals += units;
         }
         let mut tps = std::mem::take(&mut self.cand_tps);
         tps.clear();
@@ -1046,15 +1004,10 @@ impl<'a> Dp<'a> {
             }
         }
         best.fill(None);
-        let mut complete = true;
-        'sweep: for bi in 0..n {
+        for bi in 0..n {
             let b = self.b_cands[bi];
             let (_time, params, act, _comm) = costs[bi];
             for (j, &(d, down_id)) in window.iter().enumerate() {
-                if !batched && self.charge(1) {
-                    complete = false;
-                    break 'sweep;
-                }
                 if tps[bi * w + j] > self.t_max {
                     continue;
                 }
@@ -1083,7 +1036,7 @@ impl<'a> Dp<'a> {
         }
         self.cand_costs = costs;
         self.cand_tps = tps;
-        complete
+        true
     }
 
     /// [`Dp::eval_candidates`] at one `(d, down_id)` pair.
@@ -1098,11 +1051,10 @@ impl<'a> Dp<'a> {
 
     /// The segment of chain elements `[s, e)`: prefix-served when the
     /// chain is simple.
-    fn chain_seg(&mut self, chain: NodeIdx, s: u16, e: u16) -> Seg {
-        self.ensure_chain_static(chain);
-        let simple = self.chain_static[chain as usize]
+    fn chain_seg(&self, chain: NodeIdx, s: u16, e: u16) -> Seg {
+        let simple = self.statics[chain as usize]
             .as_ref()
-            .expect("chain_static filled")
+            .expect("chain nodes have statics")
             .simple;
         if simple {
             Seg::SimpleChain { chain, s, e }
@@ -1244,7 +1196,7 @@ impl<'a> Dp<'a> {
         }
         match self.arena.node(node) {
             ANode::Leaf(_) => {
-                let slot = self.slot_base[node as usize];
+                let slot = self.arena.slot_base[node as usize];
                 if let Some(cached) = self.memo_get(slot, down_id, d) {
                     return cached;
                 }
@@ -1299,11 +1251,11 @@ impl<'a> Dp<'a> {
         }
         let n = self.arena.children(chain).len() as u16;
         debug_assert!(start < n);
-        self.ensure_chain_time(chain, self.bound_bi);
         let bi = self.bound_bi;
+        self.ensure_prefix_time(chain, bi);
         // Work bound: the whole suffix must fit d devices at the target.
-        let suffix_time = self.chain_time_at(chain, bi, n as usize)
-            - self.chain_time_at(chain, bi, start as usize);
+        let suffix_time = self.prefix_time_at(chain, bi, n as usize)
+            - self.prefix_time_at(chain, bi, start as usize);
         if !self.work_bound_ok(suffix_time, d) {
             self.work_bound_prunes += 1;
             self.memo_set(slot, down_id, d, None);
@@ -1344,10 +1296,10 @@ impl<'a> Dp<'a> {
         // tie-breaking matches the per-split loop it replaces (DESIGN.md
         // §"Planner search").
         for mid in start + 1..n {
-            let head_time = self.chain_time_at(chain, bi, mid as usize)
-                - self.chain_time_at(chain, bi, start as usize);
-            let suf_time = self.chain_time_at(chain, bi, n as usize)
-                - self.chain_time_at(chain, bi, mid as usize);
+            let head_time = self.prefix_time_at(chain, bi, mid as usize)
+                - self.prefix_time_at(chain, bi, start as usize);
+            let suf_time = self.prefix_time_at(chain, bi, n as usize)
+                - self.prefix_time_at(chain, bi, mid as usize);
             let Some((w_lo, w_hi)) = self.split_window(suf_time, head_time, d) else {
                 continue;
             };
@@ -1370,18 +1322,11 @@ impl<'a> Dp<'a> {
                     .extend_from_slice(&col[(w_lo - 1) as usize..w_hi as usize]),
                 None => scr.col.resize(width, MEMO_EMPTY),
             }
-            // Charge the fill pass up front when it cannot trip the budget
-            // (mirrors the evaluator's batched accounting); the per-index
-            // fallback keeps the explosion trajectory deterministic near
-            // the edge.
-            let fill_batched = !self.exploded && self.evals + width as u64 <= self.budget;
-            if fill_batched {
-                self.evals += width as u64;
+            // The fill pass is one batch: one eval per window index.
+            if self.charge(width as u64) {
+                return None;
             }
             for i in 0..width {
-                if !fill_batched && self.charge(1) {
-                    return None;
-                }
                 if scr.col[i] == MEMO_EMPTY {
                     let r = self.solve_chain(chain, mid, w_lo + i as u32, down_id);
                     scr.col[i] = r.unwrap_or(MEMO_NONE);
@@ -1502,15 +1447,13 @@ impl<'a> Dp<'a> {
         }
         let branches = self.arena.children(chain)[s as usize];
         let m = self.arena.children(branches).len() as u16;
-        let absorbed = self
-            .arena
-            .absorbed_chain(branches, chain, s as usize + 1, e as usize);
-        self.sync_arena();
-        self.ensure_chain_time(absorbed, self.bound_bi);
+        let absorbed = self.arena.variant(chain, s, e);
+        let bi = self.bound_bi;
+        self.ensure_prefix_time(absorbed, bi);
         let last_len = self.arena.children(absorbed).len();
-        let last_time = self.chain_time_at(absorbed, self.bound_bi, last_len);
-        self.ensure_branch_time(branches);
-        let others_time = self.branch_time_at(branches, (m - 1) as usize);
+        let last_time = self.prefix_time_at(absorbed, bi, last_len);
+        self.ensure_prefix_time(branches, bi);
+        let others_time = self.prefix_time_at(branches, bi, (m - 1) as usize);
         let (w_lo, w_hi) = self.split_window(last_time, others_time, d)?;
         let mut best: Option<FragId> = None;
         let mut best_score: Score = (u64::MAX, u64::MAX, usize::MAX);
@@ -1581,12 +1524,13 @@ impl<'a> Dp<'a> {
             best = Some(frag);
         }
         // Binary splits with work-bound device windows.
-        self.ensure_branch_time(branches);
+        let bi = self.bound_bi;
+        self.ensure_prefix_time(branches, bi);
         for split in from + 1..to {
-            let left_time = self.branch_time_at(branches, split as usize)
-                - self.branch_time_at(branches, from as usize);
-            let right_time = self.branch_time_at(branches, to as usize)
-                - self.branch_time_at(branches, split as usize);
+            let left_time = self.prefix_time_at(branches, bi, split as usize)
+                - self.prefix_time_at(branches, bi, from as usize);
+            let right_time = self.prefix_time_at(branches, bi, to as usize)
+                - self.prefix_time_at(branches, bi, split as usize);
             let Some((w_lo, w_hi)) = self.split_window(left_time, right_time, d) else {
                 continue;
             };
@@ -1701,9 +1645,8 @@ enum Outcome {
     Cancelled,
 }
 
-/// One DP run (one micro-batch configuration at one target): its outcome,
-/// counters and budget, so the replay can decide whether the run is valid
-/// for the sequential budget trajectory.
+/// One DP run (one micro-batch configuration at one target): its outcome
+/// and counters.
 #[derive(Debug, Clone)]
 struct RunResult {
     outcome: Outcome,
@@ -1715,7 +1658,6 @@ struct RunResult {
     memory_prunes: u64,
     beam_prunes: u64,
     eval_batches: u64,
-    budget: u64,
 }
 
 impl RunResult {
@@ -1736,11 +1678,8 @@ impl RunResult {
 /// runs past it that are under way stop at their next poll.
 struct Cut(AtomicUsize);
 
-/// The cut of a run outside any pass: it never falls.
-static UNCUT: Cut = Cut::new();
-
 impl Cut {
-    const fn new() -> Cut {
+    fn new() -> Cut {
         Cut(AtomicUsize::new(usize::MAX))
     }
 
@@ -1758,7 +1697,10 @@ impl Cut {
 struct SearchCtx<'a> {
     graph: &'a Graph,
     cost: CostModel,
-    root: &'a SpBlock,
+    /// The SP tree with every absorbed variant, and each chain node's
+    /// statics (see [`ChainStatic::all`]).
+    arena: Arena,
+    statics: Vec<Option<ChainStatic>>,
     devices: u32,
     mini_batch: u64,
     /// Per-op costs at every micro-batch size the search tries.
@@ -1816,10 +1758,13 @@ impl<'a> SearchCtx<'a> {
         let totals = (0..b_all.len())
             .map(|col| graph.nodes().map(|n| table.time(n.id, col)).sum())
             .collect();
+        let arena = Arena::build(model.root());
+        let statics = ChainStatic::all(&arena, graph, &table);
         let mut ctx = SearchCtx {
             graph,
             cost,
-            root: model.root(),
+            arena,
+            statics,
             devices,
             mini_batch,
             table,
@@ -1891,8 +1836,7 @@ fn run_dp(
     index: usize,
 ) -> RunResult {
     let mut dp = Dp::new(ctx, t_max, b_cands, budget, cut, index);
-    let root = dp.arena.root;
-    let sol = dp.solve(root, ctx.devices, 0);
+    let sol = dp.solve(ctx.arena.root, ctx.devices, 0);
     let outcome = if dp.cancelled {
         Outcome::Cancelled
     } else if dp.exploded {
@@ -1910,7 +1854,6 @@ fn run_dp(
         memory_prunes: dp.memory_prunes,
         beam_prunes: dp.beam_prunes,
         eval_batches: dp.eval_batches,
-        budget,
     }
 }
 
@@ -1954,8 +1897,8 @@ impl Fanout<'static> {
 /// helpers for all but one of the unclaimed runs. Helpers claim from the
 /// back, the largest micro-batch first, because the work-conservation
 /// bound prunes large micro-batches least, so the last runs usually cost
-/// the most. A helper's run gets the pass's whole remaining budget; the
-/// replay re-runs the rare one whose budget mattered. A run that ends the
+/// the most. A helper's run gets the pass's whole remaining budget, which
+/// [`consume`] judges against the sequential remainder. A run that ends the
 /// pass lowers the [`Cut`] to its index: no run past it is claimed, and
 /// the runs past it that are under way end as [`Outcome::Cancelled`].
 fn run_pass(
@@ -2044,7 +1987,7 @@ struct Answer {
 }
 
 /// One binary-search probe at target `t`: runs its configurations lazily,
-/// then replays the runs into the search's stats and budget trajectory.
+/// then consumes its runs into the search's stats and budget trajectory.
 fn probe(
     ctx: &SearchCtx<'_>,
     t: f64,
@@ -2058,8 +2001,8 @@ fn probe(
     let (specs, filtered) = ctx.run_specs(t);
     stats.work_bound_prunes += filtered;
     let runs = run_pass(ctx, t, &specs, true, *evals_used, fanout, telemetry);
-    for (index, (run, b_cands)) in runs.into_iter().zip(specs).enumerate() {
-        if let Some(solution) = consume(ctx, t, run, b_cands, stats, evals_used, telemetry)? {
+    for (index, run) in runs.into_iter().enumerate() {
+        if let Some(solution) = consume(ctx, run, stats, evals_used, telemetry)? {
             return Ok(Some(Answer { t, index, solution }));
         }
     }
@@ -2083,8 +2026,8 @@ fn complete(
     let _complete = telemetry.span_with("search.complete", rest.len() as u64);
     let runs = run_pass(ctx, answer.t, &rest, false, *evals_used, fanout, telemetry);
     let mut best = answer.solution;
-    for (run, b_cands) in runs.into_iter().zip(rest) {
-        if let Some(sol) = consume(ctx, answer.t, run, b_cands, stats, evals_used, telemetry)? {
+    for run in runs {
+        if let Some(sol) = consume(ctx, run, stats, evals_used, telemetry)? {
             if sol.pick_key() < best.pick_key() {
                 best = sol;
             }
@@ -2094,33 +2037,38 @@ fn complete(
 }
 
 /// Consumes one run, in configuration order, into the search's stats and
-/// budget trajectory, and returns its solution. A run that the sequential
-/// search would have executed under a *smaller* remaining budget than it
-/// was given, and for which that would have mattered (explosion, or more
-/// evals than remain), is re-executed with the exact remaining budget, so
-/// explosion accounting is bit-identical to a fully sequential search.
+/// budget trajectory, and returns its solution. A run whose count passes
+/// the sequential remaining budget is where the sequential search runs
+/// out of it (see the module doc), whatever budget the run had: the
+/// search explodes at its first eval past `eval_budget`.
 fn consume(
     ctx: &SearchCtx<'_>,
-    t: f64,
     run: RunResult,
-    b_cands: Vec<u64>,
     stats: &mut SearchStats,
     evals_used: &mut u64,
     telemetry: &Telemetry,
 ) -> Result<Option<Solution>, PlanError> {
-    stats.configs_tried += 1;
-    let remaining = ctx.options.eval_budget.saturating_sub(*evals_used);
-    let overspent = matches!(run.outcome, Outcome::Exploded) || run.evals > remaining;
-    let run = if overspent && run.budget != remaining {
-        run_dp(ctx, t, b_cands, remaining, &UNCUT, 0)
-    } else {
-        run
-    };
-    *evals_used += run.evals;
-    stats.dp_evals += run.evals;
+    let remaining = ctx.options.eval_budget - *evals_used;
     // Histogram of work per DP invocation: data-valued (eval counts,
     // not times), so its contents are themselves deterministic.
+    let solution = match run.outcome {
+        Outcome::Done(solution) if run.evals <= remaining => solution,
+        Outcome::Cancelled => {
+            return Err(PlanError::Internal(
+                "a cancelled DP run was consumed".to_string(),
+            ))
+        }
+        _ => {
+            telemetry.record("planner.dp_evals_per_run", remaining + 1);
+            return Err(PlanError::SearchExplosion {
+                evals: ctx.options.eval_budget + 1,
+            });
+        }
+    };
     telemetry.record("planner.dp_evals_per_run", run.evals);
+    stats.configs_tried += 1;
+    *evals_used += run.evals;
+    stats.dp_evals += run.evals;
     stats.dp_states = stats.dp_states.max(run.distinct_states);
     stats.memo_hits += run.memo_hits;
     stats.memo_misses += run.memo_misses;
@@ -2128,13 +2076,7 @@ fn consume(
     stats.memory_prunes += run.memory_prunes;
     stats.beam_prunes += run.beam_prunes;
     stats.eval_batches += run.eval_batches;
-    match run.outcome {
-        Outcome::Done(solution) => Ok(solution),
-        Outcome::Exploded => Err(PlanError::SearchExplosion { evals: *evals_used }),
-        Outcome::Cancelled => Err(PlanError::Internal(
-            "a cancelled DP run was consumed".to_string(),
-        )),
-    }
+    Ok(solution)
 }
 
 /// Algorithm 1 lines 2–11: geometric bracketing from the
@@ -2374,9 +2316,7 @@ mod tests {
 
     #[test]
     fn memo_table_counts_distinct_cells_once() {
-        let mut memo = MemoTable::new(4);
-        memo.rows.push(Vec::new());
-        memo.rows.push(Vec::new());
+        let mut memo = MemoTable::new(4, 2);
         assert_eq!(memo.get(0, 0, 1), MEMO_EMPTY);
         memo.set(0, 0, 1, 7);
         memo.set(0, 0, 1, 9); // overwrite: not a new state
@@ -2694,6 +2634,8 @@ mod tests {
 
     #[test]
     fn search_explosion_budget_is_enforced() {
+        // The search stops at its first eval past the budget; it used to
+        // count on as the recursion unwound and report 3.
         let model = zoo::candle_uno(&CandleUnoConfig::default());
         let opts = PlanOptions {
             eval_budget: 1,
@@ -2702,7 +2644,7 @@ mod tests {
         let err = GraphPipePlanner::with_options(opts)
             .plan(&model, &Cluster::summit_like(8), 1024)
             .unwrap_err();
-        assert!(matches!(err, PlanError::SearchExplosion { .. }), "{err:?}");
+        assert_eq!(err, PlanError::SearchExplosion { evals: 2 });
     }
 
     #[test]
@@ -2711,7 +2653,8 @@ mod tests {
         let cluster = Cluster::summit_like(2);
         let opts = PlanOptions::default().with_beam_width(4);
         let ctx = SearchCtx::new(&model, &cluster, 16, &opts).unwrap();
-        let mut dp = Dp::new(&ctx, 1.0, vec![1], 1000, &UNCUT, 0);
+        let cut = Cut::new();
+        let mut dp = Dp::new(&ctx, 1.0, vec![1], 1000, &cut, 0);
         // Unbounded: identity.
         dp.beam_width = None;
         assert_eq!(dp.beam_window(1, 63, 10), (1, 63));
@@ -2865,7 +2808,7 @@ mod tests {
         specs
             .into_iter()
             .map(|b_cands| {
-                let run = run_dp(&ctx, t, b_cands, u64::MAX, &UNCUT, 0);
+                let run = run_dp(&ctx, t, b_cands, u64::MAX, &Cut::new(), 0);
                 (run.evals, matches!(run.outcome, Outcome::Done(Some(_))))
             })
             .collect()
@@ -2913,18 +2856,17 @@ mod tests {
 
     #[test]
     fn fanned_out_explosion_matches_sequential() {
-        // Budget accounting must be bit-identical on the error path too.
+        // Budget accounting must be bit-identical on the error path too,
+        // and every explosion stops at the first eval past the budget.
         // Every budget comes from the search's own eval counts and trips
         // in a known place.
         let explode = |model: &SpModel, options: PlanOptions, devices, mini_batch, label: &str| {
+            let evals = options.eval_budget + 1;
             let planner = GraphPipePlanner::with_options(options);
             let cluster = Cluster::summit_like(devices);
             let err = assert_fanout_parity(&planner, model, &cluster, mini_batch, label)
                 .expect_err("the budget is exceeded");
-            assert!(
-                matches!(err, PlanError::SearchExplosion { .. }),
-                "{label}: {err:?}"
-            );
+            assert_eq!(err, PlanError::SearchExplosion { evals }, "{label}");
         };
         let uno = zoo::candle_uno(&CandleUnoConfig::default());
         let defaults = PlanOptions::default();
@@ -2949,7 +2891,7 @@ mod tests {
         let options = defaults.clone().with_eval_budget(total - 1);
         explode(&uno, options, 8, 1024, "uno: the final probe's last run");
         // A helper's run behind infeasible configurations: it runs under
-        // the whole budget, so the replay must re-run it under what the
+        // the whole budget, so its count must be judged against what the
         // calling thread's runs left.
         let mmt = zoo::mmt(&MmtConfig::default());
         let options = last_feasible_options();
