@@ -50,8 +50,5 @@ mod stage;
 pub use data::{slice_batch, synth_batch};
 pub use module::{op_backward, op_forward, ModelParams, OpCache, OpParams};
 pub use reference::{reference_step, reference_train};
-pub use runtime::{
-    train, train_iteration, train_iteration_traced, train_traced, ExecError, IterationResult,
-    TraceEvent,
-};
+pub use runtime::{train, train_iteration, train_traced, ExecError, IterationResult, TraceEvent};
 pub use stage::StageRunner;

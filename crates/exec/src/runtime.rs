@@ -344,8 +344,8 @@ impl Worker<'_> {
                         .map(|&(op, data)| (op, input_rows(self.graph, op, data, lo, hi)))
                         .collect();
                     self.collect_forward_inputs(lo, hi, &mut external)?;
-                    self.runner.forward(mb, external);
-                    self.ship_forward_outputs(mb, lo, hi);
+                    let outs = self.runner.forward(mb, external);
+                    self.ship_forward_outputs(&outs, lo, hi);
                 }
                 Pass::Backward => {
                     let ext_grads = self.collect_backward_grads(lo, hi)?;
@@ -429,9 +429,9 @@ impl Worker<'_> {
         Ok(())
     }
 
-    fn ship_forward_outputs(&self, mb: u32, lo: usize, hi: usize) {
+    fn ship_forward_outputs(&self, outs: &HashMap<OpId, Tensor>, lo: usize, hi: usize) {
         for (op, consumers) in &self.ext_outputs {
-            let chunk = self.runner.output(mb, *op);
+            let chunk = &outs[op];
             for &cons in consumers {
                 for replica in target_replicas(self.sg, cons, lo, hi) {
                     let msg = Msg::Chunk(ChunkMsg {
@@ -639,38 +639,16 @@ pub fn train_iteration(
     batch: &HashMap<OpId, Tensor>,
     lr: f32,
 ) -> Result<IterationResult, ExecError> {
-    train_iteration_traced(
+    let (losses, trace) = run(
         graph,
         sg,
         schedule,
         params,
         batch,
         lr,
+        1,
         &Telemetry::disabled(),
-    )
-}
-
-/// [`train_iteration`], emitting telemetry: one step of
-/// [`train_traced`], with its `exec.step`, `exec.iteration` and
-/// `exec.replica` spans and `exec.stage<N>.wall_ns` samples.
-///
-/// Telemetry is write-only: losses, gradients, and the task trace are
-/// byte-identical with telemetry enabled or disabled.
-///
-/// # Errors
-///
-/// As [`train_iteration`].
-#[allow(clippy::too_many_arguments)]
-pub fn train_iteration_traced(
-    graph: &Graph,
-    sg: &StageGraph,
-    schedule: &PipelineSchedule,
-    params: &mut ModelParams,
-    batch: &HashMap<OpId, Tensor>,
-    lr: f32,
-    telemetry: &Telemetry,
-) -> Result<IterationResult, ExecError> {
-    let (losses, trace) = run(graph, sg, schedule, params, batch, lr, 1, telemetry)?;
+    )?;
     Ok(IterationResult {
         loss: losses[0],
         trace,

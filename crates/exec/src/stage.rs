@@ -6,12 +6,6 @@ use gp_ir::{Graph, OpId, OpKind};
 use gp_tensor::Tensor;
 use std::collections::HashMap;
 
-/// Per-micro-batch forward state retained until the backward pass.
-struct MicroState {
-    outs: HashMap<OpId, Tensor>,
-    caches: HashMap<OpId, OpCache>,
-}
-
 /// Executes one pipeline stage's operators for individual micro-batches,
 /// holding parameters, gradients, and in-flight activation stashes.
 ///
@@ -27,7 +21,8 @@ pub struct StageRunner<'g> {
     /// Accumulated gradients, in `ops` order.
     grads: Vec<OpParams>,
     mini_batch: u64,
-    state: HashMap<u32, MicroState>,
+    /// Per in-flight micro-batch, each op's backward cache.
+    state: HashMap<u32, HashMap<OpId, OpCache>>,
     loss_partial: f32,
 }
 
@@ -99,17 +94,19 @@ impl<'g> StageRunner<'g> {
         self.ops.into_iter().zip(self.params)
     }
 
-    /// Runs the forward pass of micro-batch `mb`.
+    /// Runs the forward pass of micro-batch `mb` and returns every
+    /// activation it saw: `external`'s and each stage operator's output.
+    /// Only the backward caches stay stashed until [`backward`](Self::backward).
     ///
     /// `external` maps producer operator ids (both `Input` operators of this
     /// stage and cross-stage producers) to their activations for this
-    /// micro-batch's rows; they are stashed for the backward pass.
+    /// micro-batch's rows.
     ///
     /// # Panics
     ///
     /// Panics if a required external input is missing — the runtime
     /// assembles them before calling.
-    pub fn forward(&mut self, mb: u32, external: HashMap<OpId, Tensor>) {
+    pub fn forward(&mut self, mb: u32, external: HashMap<OpId, Tensor>) -> HashMap<OpId, Tensor> {
         let mut outs = external;
         let mut caches: HashMap<OpId, OpCache> = HashMap::new();
         for (&op, params) in self.ops.iter().zip(&self.params) {
@@ -135,16 +132,8 @@ impl<'g> StageRunner<'g> {
             outs.insert(op, y);
             caches.insert(op, cache);
         }
-        self.state.insert(mb, MicroState { outs, caches });
-    }
-
-    /// The stashed output of an operator for a given in-flight micro-batch.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the micro-batch is not in flight.
-    pub fn output(&self, mb: u32, op: OpId) -> &Tensor {
-        &self.state[&mb].outs[&op]
+        self.state.insert(mb, caches);
+        outs
     }
 
     /// Runs the backward pass of micro-batch `mb`, releasing its stash.
@@ -161,7 +150,7 @@ impl<'g> StageRunner<'g> {
         mb: u32,
         external_grads: HashMap<OpId, Tensor>,
     ) -> HashMap<OpId, Tensor> {
-        let state = self
+        let caches = self
             .state
             .remove(&mb)
             .unwrap_or_else(|| panic!("micro-batch {mb} is not in flight"));
@@ -182,7 +171,7 @@ impl<'g> StageRunner<'g> {
             let (dinputs, gparams) = op_backward(
                 node,
                 &self.params[i],
-                &state.caches[&op],
+                &caches[&op],
                 if is_loss { None } else { grad_in.as_ref() },
                 self.mini_batch,
             );

@@ -165,39 +165,6 @@ pub fn assign_in_flight(sg: &StageGraph) -> InFlightTable {
     InFlightTable { samples }
 }
 
-/// Chooses the smallest `k` for stage `x` (among `candidates`) that
-/// minimizes its in-flight samples across all successors — the
-/// argmin-over-`k_x` rule of Appendix A.1.
-///
-/// Returns `(k, in_flight_samples)`.
-///
-/// # Panics
-///
-/// Panics if `candidates` is empty.
-pub fn best_kfkb(
-    b_x: u64,
-    successors: &[(u64, u64, u64)], // (k_y, b_y, i_y) per successor
-    candidates: &[u64],
-) -> (u64, u64) {
-    assert!(!candidates.is_empty(), "need at least one k candidate");
-    candidates
-        .iter()
-        .map(|&k| {
-            let worst = if successors.is_empty() {
-                k * b_x
-            } else {
-                successors
-                    .iter()
-                    .map(|&(k_y, b_y, i_y)| compute_in_flight(k, b_x, k_y, b_y, i_y))
-                    .max()
-                    .expect("non-empty successors")
-            };
-            (k, worst)
-        })
-        .min_by(|a, b| (a.1, a.0).cmp(&(b.1, b.0)))
-        .expect("non-empty candidates")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -344,18 +311,6 @@ mod tests {
         assert_eq!(t.samples(StageId(0)), 4);
         assert_eq!(t.samples(StageId(1)), 4);
         assert_eq!(t.samples(StageId(2)), 2);
-    }
-
-    #[test]
-    fn best_kfkb_prefers_smaller_footprint() {
-        // With a single downstream (1F1B, b=4, i=8), k=1 minimizes the
-        // upstream in-flight count.
-        let (k, i) = best_kfkb(4, &[(1, 4, 8)], &[1, 2, 4]);
-        assert_eq!(k, 1);
-        assert_eq!(i, compute_in_flight(1, 4, 1, 4, 8));
-        // For a sink stage (no successors), k=1 also wins: k*b grows with k.
-        let (k, i) = best_kfkb(4, &[], &[1, 2, 4]);
-        assert_eq!((k, i), (1, 4));
     }
 
     #[test]

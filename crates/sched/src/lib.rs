@@ -58,7 +58,7 @@ mod report;
 mod stage;
 mod tasks;
 
-pub use inflight::{assign_in_flight, best_kfkb, compute_in_flight, InFlightTable};
+pub use inflight::{assign_in_flight, compute_in_flight, InFlightTable};
 pub use report::{verify_stages, Check, Location, VerifyError, VerifyReport, Violation};
 pub use stage::{Stage, StageGraph, StageId};
 pub use tasks::{
