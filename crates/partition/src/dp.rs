@@ -169,11 +169,11 @@ impl Arena {
                     ANode::Chain(cs) => cs.clone(),
                     _ => vec![last],
                 };
-                for e in s + 1..elems.len() {
-                    if !arena.is_leaf(elems[e]) {
+                for (e, &join) in elems.iter().enumerate().skip(s + 1) {
+                    if !arena.is_leaf(join) {
                         break;
                     }
-                    variant.push(elems[e]);
+                    variant.push(join);
                     let idx = arena.push(ANode::Chain(variant.clone()));
                     arena.variants.insert((chain, s as u16, e as u16 + 1), idx);
                 }
