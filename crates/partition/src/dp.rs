@@ -444,7 +444,6 @@ fn range_slot(m: u16, from: u16, to: u16) -> u32 {
 // ---------------------------------------------------------------- engine --
 
 /// Per-chain, micro-batch-independent prefix aggregates over elements.
-#[derive(Debug)]
 struct ChainStatic {
     /// Prefix parameter bytes.
     params: Vec<u64>,
