@@ -2049,7 +2049,8 @@ fn consume(
 ) -> Result<Option<Solution>, PlanError> {
     let remaining = ctx.options.eval_budget - *evals_used;
     // Histogram of work per DP invocation: data-valued (eval counts,
-    // not times), so its contents are themselves deterministic.
+    // not times), so its contents are themselves deterministic. A run
+    // that explodes records the eval past the budget the search reports.
     let solution = match run.outcome {
         Outcome::Done(solution) if run.evals <= remaining => solution,
         Outcome::Cancelled => {
@@ -2057,7 +2058,7 @@ fn consume(
                 "a cancelled DP run was consumed".to_string(),
             ))
         }
-        _ => {
+        Outcome::Done(_) | Outcome::Exploded => {
             telemetry.record("planner.dp_evals_per_run", remaining + 1);
             return Err(PlanError::SearchExplosion {
                 evals: ctx.options.eval_budget + 1,
@@ -2682,15 +2683,15 @@ mod tests {
     /// Plans with exactly `helpers` helper threads on every probe that has
     /// more than one run: a private budget with a core for each plus the
     /// search's own, and no spawn gate. Zero helpers is the sequential
-    /// reference. Returns the wall-free result and the probes that fanned
-    /// out.
+    /// reference. Returns the wall-free result, the probes that fanned
+    /// out, and the `planner.dp_evals_per_run` histogram.
     fn plan_fanned(
         planner: &GraphPipePlanner,
         model: &SpModel,
         cluster: &Cluster,
         mini_batch: u64,
         helpers: usize,
-    ) -> (Result<Plan, PlanError>, u64) {
+    ) -> (Result<Plan, PlanError>, u64, gp_obs::HistogramSnapshot) {
         let cores = CoreBudget::new(helpers + 1);
         let telemetry = Telemetry::enabled();
         let planner = planner.clone().with_telemetry(telemetry.clone());
@@ -2704,7 +2705,9 @@ mod tests {
                 plan.stats.zero_walls();
                 plan
             });
-        (result, fanout_probes(&telemetry))
+        let registry = telemetry.registry().expect("enabled");
+        let evals_per_run = registry.histogram("planner.dp_evals_per_run").snapshot();
+        (result, fanout_probes(&telemetry), evals_per_run)
     }
 
     fn fanout_probes(telemetry: &Telemetry) -> u64 {
@@ -2717,7 +2720,7 @@ mod tests {
 
     /// The sequential result, after checking that 1 and 3 helpers fan out
     /// and reproduce it exactly: the plan with its search counters, or the
-    /// same error.
+    /// same error, and the same per-run eval histogram.
     fn assert_fanout_parity(
         planner: &GraphPipePlanner,
         model: &SpModel,
@@ -2725,12 +2728,14 @@ mod tests {
         mini_batch: u64,
         label: &str,
     ) -> Result<Plan, PlanError> {
-        let (reference, none) = plan_fanned(planner, model, cluster, mini_batch, 0);
+        let (reference, none, per_run) = plan_fanned(planner, model, cluster, mini_batch, 0);
         assert_eq!(none, 0, "{label}: the reference fanned out");
         for helpers in [1, 3] {
-            let (fanned, probes) = plan_fanned(planner, model, cluster, mini_batch, helpers);
+            let (fanned, probes, fanned_per_run) =
+                plan_fanned(planner, model, cluster, mini_batch, helpers);
             assert!(probes > 0, "{label}: no probe fanned out");
             assert_eq!(fanned, reference, "{label}: helpers={helpers}");
+            assert_eq!(fanned_per_run, per_run, "{label}: helpers={helpers}");
         }
         reference
     }
@@ -3083,8 +3088,8 @@ mod tests {
             let cluster = Cluster::summit_like(devices);
             let mini_batch = 1u64 << log_b;
             let planner = GraphPipePlanner::new();
-            let (reference, _) = plan_fanned(&planner, &model, &cluster, mini_batch, 0);
-            let (fanned, _) = plan_fanned(&planner, &model, &cluster, mini_batch, helpers);
+            let (reference, ..) = plan_fanned(&planner, &model, &cluster, mini_batch, 0);
+            let (fanned, ..) = plan_fanned(&planner, &model, &cluster, mini_batch, helpers);
             proptest::prop_assert_eq!(fanned, reference);
         }
     }
@@ -3094,7 +3099,7 @@ mod tests {
         let model = zoo::mmt(&MmtConfig::default());
         let cluster = Cluster::summit_like(8);
         let planner = GraphPipePlanner::new();
-        let (reference, _) = plan_fanned(&planner, &model, &cluster, 128, 0);
+        let (reference, ..) = plan_fanned(&planner, &model, &cluster, 128, 0);
         let cores = CoreBudget::new(2);
         let others = cores.helpers(2);
         assert_eq!(others.granted(), 2, "other searches fill the host");
