@@ -2634,8 +2634,7 @@ mod tests {
 
     #[test]
     fn search_explosion_budget_is_enforced() {
-        // The search stops at its first eval past the budget; it used to
-        // count on as the recursion unwound and report 3.
+        // The search stops at its first eval past the budget.
         let model = zoo::candle_uno(&CandleUnoConfig::default());
         let opts = PlanOptions {
             eval_budget: 1,
