@@ -18,7 +18,7 @@
 //! `UPDATE_GOLDENS=1 cargo test -q --test verify_mutations`.
 
 use gp_cluster::{Cluster, DeviceRange};
-use gp_ir::{zoo, PlanPath, SpBlock, SpModel};
+use gp_ir::{zoo, OpId, PlanPath, SpBlock, SpError, SpModel};
 use gp_partition::{GraphPipePlanner, Plan, Planner};
 use gp_sched::{InFlightTable, Stage, StageGraph, StageId};
 use gp_serve::artifact::{decode_plan, encode_plan};
@@ -292,7 +292,7 @@ fn non_finite_estimate_is_rejected() {
 
 /// The SP-ized golden cell — the one whose model runs the DAG fallback
 /// ladder ([`gp_ir::PlanPath::SpIzed`]) — with its decoded plan. The
-/// SP-tree mutations below corrupt *this* model's tree six ways and
+/// SP-tree mutations below corrupt *this* model's tree seven ways and
 /// require the strategy verifier to reject each by catalog name.
 fn sp_ized_cell() -> (SpModel, Cluster, Plan) {
     let model = zoo::gnn_pipe(&zoo::GnnPipeConfig::tiny());
@@ -307,11 +307,16 @@ fn sp_ized_cell() -> (SpModel, Cluster, Plan) {
 
 /// Rebuilds the SP-ized cell's model with `mutate` applied to its tree
 /// (bypassing validation via [`SpModel::new_unchecked`]) and asserts the
-/// strategy verifier names `expected`.
-fn assert_tree_mutation(expected: Check, mutate: impl FnOnce(&mut SpBlock)) {
+/// strategy verifier names `expected`, and that the validating constructor
+/// rejects the same tree with `sp_error`.
+fn assert_tree_mutation(expected: Check, sp_error: SpError, mutate: impl FnOnce(&mut SpBlock)) {
     let (model, cluster, plan) = sp_ized_cell();
     let mut root = model.root().clone();
     mutate(&mut root);
+    assert_eq!(
+        SpModel::new(model.name(), model.graph().clone(), root.clone()).err(),
+        Some(sp_error)
+    );
     let corrupt = SpModel::new_unchecked(model.name(), model.graph().clone(), root, model.path());
     let report = verify_strategy(&corrupt, &cluster, &plan);
     assert!(
@@ -339,17 +344,21 @@ fn leaves(block: &SpBlock) -> Vec<gp_ir::OpId> {
 fn dropped_split_node_is_rejected() {
     // Removing the first child of the root drops every operator under it
     // from the tree's coverage.
-    assert_tree_mutation(Check::SpCoverExact, |root| match root {
-        SpBlock::Chain(items) | SpBlock::Branches(items) => {
-            items.remove(0);
-        }
-        SpBlock::Leaf(_) => panic!("the SP-ized cell's tree cannot be a single leaf"),
-    });
+    assert_tree_mutation(
+        Check::SpCoverExact,
+        SpError::MissingOp(OpId(0)),
+        |root| match root {
+            SpBlock::Chain(items) | SpBlock::Branches(items) => {
+                items.remove(0);
+            }
+            SpBlock::Leaf(_) => panic!("the SP-ized cell's tree cannot be a single leaf"),
+        },
+    );
 }
 
 #[test]
 fn duplicated_leaf_is_rejected() {
-    assert_tree_mutation(Check::SpCoverExact, |root| {
+    assert_tree_mutation(Check::SpCoverExact, SpError::DuplicateOp(OpId(0)), |root| {
         let dup = SpBlock::Leaf(leaves(root)[0]);
         match root {
             SpBlock::Chain(items) | SpBlock::Branches(items) => items.push(dup),
@@ -361,10 +370,15 @@ fn duplicated_leaf_is_rejected() {
 #[test]
 fn reordered_chain_is_rejected() {
     // Reversing the series order runs the sink before the source.
-    assert_tree_mutation(Check::SpTopoOrder, |root| {
-        let reversed: Vec<SpBlock> = leaves(root).into_iter().rev().map(SpBlock::Leaf).collect();
-        *root = SpBlock::Chain(reversed);
-    });
+    assert_tree_mutation(
+        Check::SpTopoOrder,
+        SpError::BackwardEdge(OpId(0), OpId(1)),
+        |root| {
+            let reversed: Vec<SpBlock> =
+                leaves(root).into_iter().rev().map(SpBlock::Leaf).collect();
+            *root = SpBlock::Chain(reversed);
+        },
+    );
 }
 
 #[test]
@@ -373,10 +387,31 @@ fn cross_branch_edge_is_rejected() {
     // (leaves stay in series order) the linearization topological — but
     // every data edge now crosses parallel branches, exactly the corruption
     // `sp-edge-cover` exists to catch.
-    assert_tree_mutation(Check::SpEdgeCover, |root| {
-        let flat: Vec<SpBlock> = leaves(root).into_iter().map(SpBlock::Leaf).collect();
-        *root = SpBlock::Branches(flat);
-    });
+    assert_tree_mutation(
+        Check::SpEdgeCover,
+        SpError::CrossBranchEdge(OpId(0), OpId(1)),
+        |root| {
+            let flat: Vec<SpBlock> = leaves(root).into_iter().map(SpBlock::Leaf).collect();
+            *root = SpBlock::Branches(flat);
+        },
+    );
+}
+
+#[test]
+fn reversed_branches_are_rejected() {
+    // The same flattening in reversed series order: every edge still
+    // crosses parallel branches, which the constructor reports first, while
+    // the verifier first finds that the series linearization runs
+    // backwards.
+    assert_tree_mutation(
+        Check::SpTopoOrder,
+        SpError::CrossBranchEdge(OpId(0), OpId(1)),
+        |root| {
+            let reversed: Vec<SpBlock> =
+                leaves(root).into_iter().rev().map(SpBlock::Leaf).collect();
+            *root = SpBlock::Branches(reversed);
+        },
+    );
 }
 
 #[test]
