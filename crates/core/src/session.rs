@@ -463,15 +463,15 @@ impl Session {
     /// [`Error::Artifact`] when the document is malformed or does not
     /// describe a valid strategy for this model and cluster (the error
     /// names the violated invariant); [`Error::Verify`] when the decoded
-    /// plan fails the session-level [`gp_verify::verify_strategy`] pass;
+    /// plan fails the session-level [`gp_verify::verify_model`] pass;
     /// [`Error::Invalid`] when the artifact's mini-batch or recorded
     /// fingerprint disagrees with the session.
     pub fn load_artifact(&self, text: &str, kind: PlannerKind) -> Result<PlannedStrategy, Error> {
         let _span = self.telemetry.span("session.load_artifact");
         let (plan, recorded) = artifact::decode_plan(text, self.model.graph(), &self.cluster)?;
-        // The codec verified the plan against the graph; the session also
-        // holds the SP tree, so run the full strategy-level pass.
-        gp_verify::verify_strategy(&self.model, &self.cluster, &plan).into_result()?;
+        // The codec verified the plan against the graph and cluster; the
+        // session also holds the SP tree and path, so add the model side.
+        gp_verify::verify_model(&self.model, &plan).into_result()?;
         if plan.stage_graph.mini_batch() != self.mini_batch {
             return Err(Error::Invalid(format!(
                 "artifact plans mini-batch {}, session uses {}",

@@ -36,7 +36,7 @@
 //! nondeterminism hazards (DESIGN.md §"Determinism lint").
 
 use crate::graph::{Graph, GraphError, OpId};
-use crate::sp::{PlanPath, SpBlock, SpModel};
+use crate::sp::{PlanPath, SpAudit, SpBlock, SpModel};
 
 /// Default distortion budget (1 GiB of extra activation transit) before
 /// [`plan_dag`] abandons SP-ization for the clustering fallback.
@@ -138,69 +138,19 @@ pub fn recognize(graph: &Graph) -> Option<SpBlock> {
 /// immediately following block).
 ///
 /// This is the quantity [`PlanPath::SpIzed`] reports as `distortion`, and
-/// what `gp-verify`'s `distortion-exact` check recomputes.
+/// what `gp-verify`'s `distortion-exact` check recomputes, both from the
+/// same [`SpAudit`].
 pub fn transit_volume(graph: &Graph, root: &SpBlock) -> u64 {
-    edge_relation(graph, root).0
+    SpAudit::new(graph, root).transit_volume
 }
 
 /// Data edges the tree cannot admit: endpoints missing from the tree,
-/// split across sibling `Branches`, or flowing backwards along a `Chain`.
-/// Empty exactly when the tree covers the original edge set —
-/// `gp-verify`'s `sp-edge-cover` check.
+/// split across sibling `Branches`, or flowing backwards along a `Chain`
+/// (the [`SpAudit`] faults). Empty exactly when the tree covers the
+/// original edge set — `gp-verify`'s `sp-edge-cover` check.
 pub fn edge_cover_violations(graph: &Graph, root: &SpBlock) -> Vec<(OpId, OpId)> {
-    edge_relation(graph, root).1
-}
-
-/// Walks every graph edge against the tree once, returning the total
-/// transit volume of admitted edges and the list of non-admitted edges.
-fn edge_relation(graph: &Graph, root: &SpBlock) -> (u64, Vec<(OpId, OpId)>) {
-    // Tree path (child indices from the root) per operator; duplicates
-    // keep the first occurrence (the duplicate itself is a coverage
-    // violation reported by `sp-cover-exact`, not an edge violation).
-    let mut paths: Vec<Option<Vec<u32>>> = vec![None; graph.len()];
-    let mut stack: Vec<(&SpBlock, Vec<u32>)> = vec![(root, Vec::new())];
-    while let Some((block, path)) = stack.pop() {
-        match block {
-            SpBlock::Leaf(id) => {
-                if let Some(slot) = paths.get_mut(id.index()) {
-                    slot.get_or_insert(path);
-                }
-            }
-            SpBlock::Chain(items) | SpBlock::Branches(items) => {
-                for (i, item) in items.iter().enumerate() {
-                    let mut p = path.clone();
-                    p.push(i as u32);
-                    stack.push((item, p));
-                }
-            }
-        }
-    }
-    let mut volume = 0u64;
-    let mut violations = Vec::new();
-    for (u, v) in graph.edges() {
-        let (Some(pu), Some(pv)) = (&paths[u.index()], &paths[v.index()]) else {
-            violations.push((u, v));
-            continue;
-        };
-        let common = pu.iter().zip(pv.iter()).take_while(|(a, b)| a == b).count();
-        let chain = {
-            let mut cur = root;
-            for &i in &pu[..common] {
-                cur = match cur {
-                    SpBlock::Chain(items) | SpBlock::Branches(items) => &items[i as usize],
-                    SpBlock::Leaf(_) => unreachable!("path descends past a leaf"),
-                };
-            }
-            matches!(cur, SpBlock::Chain(_))
-        };
-        if !chain || pu[common] >= pv[common] {
-            violations.push((u, v));
-            continue;
-        }
-        let gap = u64::from(pv[common] - pu[common]) - 1;
-        volume += graph.node(u).output_bytes() * gap;
-    }
-    (volume, violations)
+    let faults = SpAudit::new(graph, root).faults;
+    faults.into_iter().map(|(u, v, _)| (u, v)).collect()
 }
 
 // ---------------------------------------------------------------------------

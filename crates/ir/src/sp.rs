@@ -4,9 +4,12 @@
 //! series-parallel graphs" (section 5): its partitioner works on a recursive
 //! series-parallel decomposition rather than the raw DAG. This module defines
 //! that decomposition as an explicit tree ([`SpBlock`]) paired with the graph
-//! it describes ([`SpModel`]), and validates that the tree is a faithful
-//! description: every operator appears exactly once and every data edge is
-//! compatible with the series/parallel nesting.
+//! it describes ([`SpModel`]), and checks that the tree is a faithful
+//! description: every operator appears exactly once and every data edge runs
+//! forward along the lowest `Chain` holding both endpoints. [`SpAudit`] is
+//! the one walk that checks it. [`SpModel::new`] reads its verdict, and the
+//! DAG ladder's transit volume and `gp-verify`'s SP-tree checks read its
+//! fields.
 //!
 //! gp-lint: deterministic — this module's outputs feed plan
 //! fingerprints or the artifact codec; `cargo xtask lint` scans it for
@@ -14,7 +17,6 @@
 
 use crate::graph::{Graph, OpId};
 use crate::identity;
-use std::collections::HashMap;
 use std::fmt;
 use std::sync::OnceLock;
 
@@ -54,16 +56,6 @@ impl SpBlock {
                 for item in items {
                     item.collect_ops(out);
                 }
-            }
-        }
-    }
-
-    /// Number of operators in this block.
-    pub fn op_count(&self) -> usize {
-        match self {
-            SpBlock::Leaf(_) => 1,
-            SpBlock::Chain(items) | SpBlock::Branches(items) => {
-                items.iter().map(SpBlock::op_count).sum()
             }
         }
     }
@@ -113,25 +105,6 @@ impl SpBlock {
                 } else {
                     SpBlock::Branches(flat)
                 }
-            }
-        }
-    }
-
-    /// Whether the tree is in the form produced by [`SpBlock::normalize`].
-    pub fn is_normalized(&self) -> bool {
-        match self {
-            SpBlock::Leaf(_) => true,
-            SpBlock::Chain(items) => {
-                items.len() >= 2
-                    && items
-                        .iter()
-                        .all(|i| !matches!(i, SpBlock::Chain(_)) && i.is_normalized())
-            }
-            SpBlock::Branches(items) => {
-                items.len() >= 2
-                    && items
-                        .iter()
-                        .all(|i| !matches!(i, SpBlock::Branches(_)) && i.is_normalized())
             }
         }
     }
@@ -268,7 +241,7 @@ impl SpModel {
     /// flows backwards along a chain.
     pub fn new(name: impl Into<String>, graph: Graph, root: SpBlock) -> Result<Self, SpError> {
         let root = root.normalize();
-        validate_sp(&graph, &root)?;
+        SpAudit::new(&graph, &root).into_result()?;
         Ok(SpModel::new_unchecked(name, graph, root, PlanPath::ExactSp))
     }
 
@@ -359,78 +332,135 @@ impl SpModel {
     }
 }
 
-/// Positions of an op in the SP tree: the path of child indices from root.
-type Path = Vec<u32>;
-
-fn validate_sp(graph: &Graph, root: &SpBlock) -> Result<(), SpError> {
-    // Build op -> tree-path map, detecting duplicates/unknowns.
-    let mut paths: HashMap<OpId, Path> = HashMap::new();
-    let mut stack: Vec<(&SpBlock, Path)> = vec![(root, Vec::new())];
-    while let Some((block, path)) = stack.pop() {
-        match block {
-            SpBlock::Leaf(id) => {
-                if id.index() >= graph.len() {
-                    return Err(SpError::UnknownOp(*id));
-                }
-                if paths.insert(*id, path).is_some() {
-                    return Err(SpError::DuplicateOp(*id));
-                }
-            }
-            SpBlock::Chain(items) | SpBlock::Branches(items) => {
-                for (i, item) in items.iter().enumerate() {
-                    let mut p = path.clone();
-                    p.push(i as u32);
-                    stack.push((item, p));
-                }
-            }
-        }
-    }
-    for node in graph.nodes() {
-        if !paths.contains_key(&node.id) {
-            return Err(SpError::MissingOp(node.id));
-        }
-    }
-    // Check every edge against the lowest common ancestor's block kind.
-    for (u, v) in graph.edges() {
-        let (pu, pv) = (&paths[&u], &paths[&v]);
-        let common = pu.iter().zip(pv.iter()).take_while(|(a, b)| a == b).count();
-        // The LCA block is the composite at depth `common`; find its kind by
-        // walking down the tree.
-        let lca_kind = block_kind_at(root, &pu[..common]);
-        match lca_kind {
-            BlockKindAt::Chain => {
-                if pu[common] >= pv[common] {
-                    return Err(SpError::BackwardEdge(u, v));
-                }
-            }
-            BlockKindAt::Branches => return Err(SpError::CrossBranchEdge(u, v)),
-            BlockKindAt::Leaf => {
-                // LCA is a leaf only if u == v, impossible for an edge.
-                unreachable!("an edge's endpoints are distinct ops");
-            }
-        }
-    }
-    Ok(())
+/// Why an SP tree does not admit a data edge (see [`SpAudit::faults`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum EdgeFault {
+    /// An endpoint is missing from the tree.
+    Uncovered,
+    /// The endpoints' lowest common ancestor is a `Branches` node.
+    CrossBranch {
+        /// Whether the consumer's branch comes first in series order.
+        backward: bool,
+    },
+    /// The consumer comes first along the endpoints' lowest common `Chain`.
+    Backward,
 }
 
-enum BlockKindAt {
-    Leaf,
-    Chain,
-    Branches,
+impl EdgeFault {
+    /// Whether the edge runs backwards in the tree's series order, the
+    /// depth-first order [`SpModel::linearize`] returns.
+    pub fn runs_backward(self) -> bool {
+        matches!(
+            self,
+            EdgeFault::Backward | EdgeFault::CrossBranch { backward: true }
+        )
+    }
 }
 
-fn block_kind_at(root: &SpBlock, path: &[u32]) -> BlockKindAt {
-    let mut cur = root;
-    for &i in path {
-        cur = match cur {
-            SpBlock::Chain(items) | SpBlock::Branches(items) => &items[i as usize],
-            SpBlock::Leaf(_) => unreachable!("path descends past a leaf"),
-        };
+/// One walk of an SP tree against its graph's operators and data edges.
+///
+/// It places each operator at its tree position and records the first
+/// coverage defect. It classifies each data edge the tree does not admit,
+/// and sums the transit volume of the edges it does admit. A tree faithful
+/// to its graph has no coverage defect and no fault.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SpAudit {
+    /// Number of leaves in the tree.
+    pub leaves: usize,
+    /// The first coverage defect: an unknown or duplicate leaf in walk
+    /// order (depth first, last child first), else the lowest-numbered
+    /// operator missing from the tree.
+    pub coverage: Option<SpError>,
+    /// Every data edge the tree does not admit, in [`Graph::edges`] order.
+    pub faults: Vec<(OpId, OpId, EdgeFault)>,
+    /// Bytes of activation transit the tree adds over the graph: each
+    /// admitted edge whose endpoints sit `gap` positions apart under their
+    /// lowest common `Chain` carries its producer's output across the
+    /// `gap - 1` positions between them (see [`crate::dag::transit_volume`]).
+    pub transit_volume: u64,
+}
+
+impl SpAudit {
+    /// Walks `root` against `graph` once.
+    pub fn new(graph: &Graph, root: &SpBlock) -> Self {
+        // Each operator's position: the steps from the root, each naming
+        // whether it leaves a `Chain` and which child it takes. A duplicate
+        // keeps the position the walk meets first.
+        let mut position: Vec<Option<Vec<(bool, u32)>>> = vec![None; graph.len()];
+        let (mut leaves, mut coverage) = (0, None);
+        let mut stack = vec![(root, Vec::new())];
+        while let Some((block, path)) = stack.pop() {
+            match block {
+                SpBlock::Leaf(id) => {
+                    leaves += 1;
+                    let defect = match position.get_mut(id.index()) {
+                        None => Some(SpError::UnknownOp(*id)),
+                        Some(Some(_)) => Some(SpError::DuplicateOp(*id)),
+                        Some(slot) => {
+                            *slot = Some(path);
+                            None
+                        }
+                    };
+                    coverage = coverage.or(defect);
+                }
+                SpBlock::Chain(items) | SpBlock::Branches(items) => {
+                    let chain = matches!(block, SpBlock::Chain(_));
+                    for (i, item) in items.iter().enumerate() {
+                        let mut p = path.clone();
+                        p.push((chain, i as u32));
+                        stack.push((item, p));
+                    }
+                }
+            }
+        }
+        coverage = coverage.or_else(|| {
+            let missing = graph.nodes().find(|n| position[n.id.index()].is_none());
+            missing.map(|n| SpError::MissingOp(n.id))
+        });
+        let (mut faults, mut transit_volume) = (Vec::new(), 0);
+        for (u, v) in graph.edges() {
+            let (Some(pu), Some(pv)) = (&position[u.index()], &position[v.index()]) else {
+                faults.push((u, v, EdgeFault::Uncovered));
+                continue;
+            };
+            // Two distinct leaves: the paths part at the endpoints' lowest
+            // common ancestor, in the children that hold them.
+            let depth = pu.iter().zip(pv).take_while(|(a, b)| a == b).count();
+            let ((chain, su), (_, sv)) = (pu[depth], pv[depth]);
+            if !chain {
+                faults.push((u, v, EdgeFault::CrossBranch { backward: su > sv }));
+            } else if su > sv {
+                faults.push((u, v, EdgeFault::Backward));
+            } else {
+                transit_volume += graph.node(u).output_bytes() * u64::from(sv - su - 1);
+            }
+        }
+        SpAudit {
+            leaves,
+            coverage,
+            faults,
+            transit_volume,
+        }
     }
-    match cur {
-        SpBlock::Leaf(_) => BlockKindAt::Leaf,
-        SpBlock::Chain(_) => BlockKindAt::Chain,
-        SpBlock::Branches(_) => BlockKindAt::Branches,
+
+    /// The verdict [`SpModel::new`] returns: the coverage defect, else the
+    /// first fault.
+    ///
+    /// # Errors
+    ///
+    /// [`SpError::CrossBranchEdge`] for a fault under a `Branches` node
+    /// whichever way it runs, [`SpError::BackwardEdge`] for one along a
+    /// `Chain`.
+    pub fn into_result(self) -> Result<(), SpError> {
+        if let Some(defect) = self.coverage {
+            return Err(defect);
+        }
+        match self.faults.first() {
+            None => Ok(()),
+            Some(&(u, v, EdgeFault::CrossBranch { .. })) => Err(SpError::CrossBranchEdge(u, v)),
+            // An uncovered endpoint is a coverage defect, returned above.
+            Some(&(u, v, _)) => Err(SpError::BackwardEdge(u, v)),
+        }
     }
 }
 
@@ -463,7 +493,7 @@ mod tests {
     fn valid_model_roundtrips() {
         let (g, tree) = fork_join();
         let m = SpModel::new("forkjoin", g, tree).unwrap();
-        assert_eq!(m.root().op_count(), 5);
+        assert_eq!(m.root().ops().len(), 5);
         assert_eq!(m.root().branch_points(), 1);
         let lin = m.linearize();
         assert!(m.graph().is_topo_order(&lin));
@@ -544,10 +574,8 @@ mod tests {
                 SpBlock::Leaf(OpId(3)),
             ])]),
         ]);
-        let n = t.normalize();
-        assert!(n.is_normalized());
         assert_eq!(
-            n,
+            t.normalize(),
             SpBlock::Chain(vec![
                 SpBlock::Leaf(OpId(0)),
                 SpBlock::Leaf(OpId(1)),

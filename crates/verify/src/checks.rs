@@ -1,5 +1,5 @@
 //! The invariant checks past the stage list: `verify_stage_graph`,
-//! `verify_schedule`, `verify_plan`, and `verify_strategy`.
+//! `verify_schedule`, `verify_plan`, `verify_model` and `verify_strategy`.
 //!
 //! Every check is named after its DESIGN.md §"Invariant catalog" entry (see
 //! [`Check`]); the entry points compose so each caller pays only for the
@@ -11,7 +11,7 @@
 
 use gp_cluster::Cluster;
 use gp_cost::{CostModel, Pass};
-use gp_ir::{Graph, SpModel};
+use gp_ir::{Graph, PlanPath, SpAudit, SpModel};
 use gp_partition::Plan;
 use gp_sched::{
     assign_in_flight, covering_micro_batches, verify_stages, Check, Location, PipelineSchedule,
@@ -373,67 +373,58 @@ pub fn verify_plan(graph: &Graph, cluster: &Cluster, plan: &Plan) -> VerifyRepor
     report
 }
 
-/// Verifies a plan against its source model: `sp-cover-exact`,
-/// `sp-topo-order`, `sp-edge-cover`, `distortion-exact` and
-/// `plan-path-consistent` over the model's SP tree and plan path, then
-/// everything [`verify_plan`] covers (DESIGN.md §"Invariant catalog").
-/// This is the check `Session::plan` and `Session::load_artifact` run at
-/// their trust boundaries.
-pub fn verify_strategy(model: &SpModel, cluster: &Cluster, plan: &Plan) -> VerifyReport {
+/// Verifies the model side of a plan: `sp-cover-exact`, `sp-topo-order`,
+/// `sp-edge-cover` and `distortion-exact`, all read from one [`SpAudit`] of
+/// the model's SP tree, then `plan-path-consistent` (DESIGN.md §"Invariant
+/// catalog"). `Session::load_artifact` runs this on a plan the artifact
+/// codec has already put through [`verify_plan`].
+pub fn verify_model(model: &SpModel, plan: &Plan) -> VerifyReport {
     let graph = model.graph();
     let mut report = VerifyReport::new();
-    let order = model.linearize();
-    let mut seen = vec![false; graph.len()];
-    let mut sp_cover = order.len() == graph.len();
-    for &op in &order {
-        if op.index() >= graph.len() || seen[op.index()] {
-            sp_cover = false;
-            break;
-        }
-        seen[op.index()] = true;
-    }
-    if !sp_cover {
+    let audit = SpAudit::new(graph, model.root());
+    if audit.coverage.is_some() {
         report.fail(
             Check::SpCoverExact,
             Location::global(),
             format!(
                 "SP tree names {} operators, graph has {}; coverage must be exactly one-to-one",
-                order.len(),
+                audit.leaves,
                 graph.len()
             ),
         );
-    } else if !graph.is_topo_order(&order) {
+    } else if audit
+        .faults
+        .iter()
+        .any(|&(_, _, fault)| fault.runs_backward())
+    {
+        // With exact coverage, an edge that runs backwards in series order
+        // is exactly what keeps the linearization from being topological.
         report.fail(
             Check::SpTopoOrder,
             Location::global(),
             "the SP tree's series linearization is not a topological order of the graph",
         );
-    } else {
-        // With a one-to-one topological tree established, the edge and
-        // distortion accounting of the DAG ladder becomes checkable.
-        let violations = gp_ir::dag::edge_cover_violations(graph, model.root());
-        if let Some(&(u, v)) = violations.first() {
+    } else if let Some(&(u, v, _)) = audit.faults.first() {
+        report.fail(
+            Check::SpEdgeCover,
+            Location::global().at_op(u),
+            format!(
+                "the SP tree does not admit data edge {u} -> {v} ({} edge(s) lost); \
+                 an SP-ized plan must cover the original dependency set",
+                audit.faults.len()
+            ),
+        );
+    } else if let PlanPath::SpIzed { distortion } = model.path() {
+        if distortion != audit.transit_volume {
             report.fail(
-                Check::SpEdgeCover,
-                Location::global().at_op(u),
+                Check::DistortionExact,
+                Location::global(),
                 format!(
-                    "the SP tree does not admit data edge {u} -> {v} ({} edge(s) lost); \
-                     an SP-ized plan must cover the original dependency set",
-                    violations.len()
+                    "plan path reports distortion {distortion} bytes but the tree's \
+                     transit volume recomputes to {}",
+                    audit.transit_volume
                 ),
             );
-        } else if let gp_ir::PlanPath::SpIzed { distortion } = model.path() {
-            let recomputed = gp_ir::dag::transit_volume(graph, model.root());
-            if distortion != recomputed {
-                report.fail(
-                    Check::DistortionExact,
-                    Location::global(),
-                    format!(
-                        "plan path reports distortion {distortion} bytes but the tree's \
-                         transit volume recomputes to {recomputed}"
-                    ),
-                );
-            }
         }
     }
     if plan.path != model.path() {
@@ -446,7 +437,7 @@ pub fn verify_strategy(model: &SpModel, cluster: &Cluster, plan: &Plan) -> Verif
                 model.path()
             ),
         );
-    } else if let gp_ir::PlanPath::Clustered { units } = plan.path {
+    } else if let PlanPath::Clustered { units } = plan.path {
         if units == 0 || units as usize > graph.len() {
             report.fail(
                 Check::PlanPathConsistent,
@@ -460,7 +451,15 @@ pub fn verify_strategy(model: &SpModel, cluster: &Cluster, plan: &Plan) -> Verif
             );
         }
     }
-    report.merge(verify_plan(graph, cluster, plan));
+    report
+}
+
+/// Verifies a plan against its source model: everything [`verify_model`]
+/// and [`verify_plan`] cover. This is the check `Session::plan` runs at its
+/// trust boundary.
+pub fn verify_strategy(model: &SpModel, cluster: &Cluster, plan: &Plan) -> VerifyReport {
+    let mut report = verify_model(model, plan);
+    report.merge(verify_plan(model.graph(), cluster, plan));
     report
 }
 

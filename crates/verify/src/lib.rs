@@ -22,8 +22,10 @@
 //!   including the topological deadlock certificate;
 //! - [`verify_plan`] — a complete [`Plan`] including in-flight, memory,
 //!   and estimate consistency;
-//! - [`verify_strategy`] — a plan against its source [`SpModel`], the
-//!   check `Session::plan` and `Session::load_artifact` run.
+//! - [`verify_model`] — a plan's SP tree and plan path against its source
+//!   [`SpModel`], the check `Session::load_artifact` adds to the codec's;
+//! - [`verify_strategy`] — [`verify_model`] and [`verify_plan`] together,
+//!   the check `Session::plan` runs.
 //!
 //! All entry points return a [`VerifyReport`]; convert to a hard error
 //! with [`VerifyReport::into_result`]. The checks themselves iterate only
@@ -38,5 +40,5 @@
 
 mod checks;
 
-pub use checks::{verify_plan, verify_schedule, verify_stage_graph, verify_strategy};
+pub use checks::{verify_model, verify_plan, verify_schedule, verify_stage_graph, verify_strategy};
 pub use gp_sched::{verify_stages, Check, Location, VerifyError, VerifyReport, Violation};

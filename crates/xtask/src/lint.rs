@@ -59,6 +59,7 @@ const REQUIRED_TAGGED: &[&str] = &[
     "crates/baselines/src/piper.rs",
     "crates/ir/src/graph.rs",
     "crates/ir/src/sp.rs",
+    "crates/ir/src/dag.rs",
     "crates/ir/src/identity.rs",
 ];
 
