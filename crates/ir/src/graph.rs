@@ -212,11 +212,6 @@ impl Graph {
         self.nodes.iter().map(|n| n.kind.param_count()).sum()
     }
 
-    /// Total forward FLOPs of the whole graph for one sample.
-    pub fn total_forward_flops(&self) -> u64 {
-        self.nodes.iter().map(|n| self.forward_flops(n.id)).sum()
-    }
-
     /// A topological order of all operator ids (Kahn's algorithm, stable by
     /// id so the result is deterministic).
     pub fn topo_order(&self) -> Vec<OpId> {
@@ -419,11 +414,6 @@ impl GraphBuilder {
         self.push(name.into(), OpKind::Loss, shape, inputs)
     }
 
-    /// The per-sample output shape of an already-added operator.
-    pub fn shape_of(&self, id: OpId) -> &Shape {
-        &self.nodes[id.index()].out_shape
-    }
-
     fn push(&mut self, name: String, kind: OpKind, out_shape: Shape, inputs: &[OpId]) -> OpId {
         let id = OpId(self.nodes.len() as u32);
         self.nodes.push(Node {
@@ -561,8 +551,6 @@ mod tests {
     #[test]
     fn flop_accessors_are_consistent() {
         let g = diamond();
-        let total: u64 = g.nodes().map(|n| g.forward_flops(n.id)).sum();
-        assert_eq!(g.total_forward_flops(), total);
         assert_eq!(g.total_params(), 2 * 8 * 8);
     }
 

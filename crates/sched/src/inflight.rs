@@ -120,12 +120,6 @@ impl InFlightTable {
         let b = sg.stage(id).micro_batch;
         self.samples[id.index()].div_ceil(b)
     }
-
-    /// The largest per-stage in-flight sample count (the memory-pressure
-    /// hot spot, typically a source stage).
-    pub fn max_samples(&self) -> u64 {
-        self.samples.iter().copied().max().unwrap_or(0)
-    }
 }
 
 /// Assigns in-flight counts to every stage by traversing the stage DAG
@@ -259,7 +253,6 @@ mod tests {
         assert_eq!(t.samples(StageId(1)), 4); // sink: k*b
         assert_eq!(t.samples(StageId(0)), 8); // row 7: + b
         assert_eq!(t.micro_batches(&sg, StageId(0)), 2);
-        assert_eq!(t.max_samples(), 8);
     }
 
     #[test]
