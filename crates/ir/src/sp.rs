@@ -236,13 +236,22 @@ impl SpModel {
     ///
     /// # Errors
     ///
-    /// Returns an [`SpError`] when the tree and graph disagree: coverage is
-    /// not exactly one-to-one, an edge crosses parallel branches, or an edge
-    /// flows backwards along a chain.
+    /// Returns an [`SpError`] when the tree and graph disagree: the
+    /// [`SpAudit`]'s coverage defect, else its first fault — an edge that
+    /// crosses parallel branches (whichever way it runs) or flows backwards
+    /// along a chain.
     pub fn new(name: impl Into<String>, graph: Graph, root: SpBlock) -> Result<Self, SpError> {
         let root = root.normalize();
-        SpAudit::new(&graph, &root).into_result()?;
-        Ok(SpModel::new_unchecked(name, graph, root, PlanPath::ExactSp))
+        let audit = SpAudit::new(&graph, &root);
+        if let Some(defect) = audit.coverage {
+            return Err(defect);
+        }
+        match audit.faults.first() {
+            None => Ok(SpModel::new_unchecked(name, graph, root, PlanPath::ExactSp)),
+            Some(&(u, v, EdgeFault::CrossBranch { .. })) => Err(SpError::CrossBranchEdge(u, v)),
+            // An uncovered endpoint is a coverage defect, returned above.
+            Some(&(u, v, _)) => Err(SpError::BackwardEdge(u, v)),
+        }
     }
 
     /// Pairs a graph with a tree **without validating or normalizing** —
@@ -346,17 +355,6 @@ pub enum EdgeFault {
     Backward,
 }
 
-impl EdgeFault {
-    /// Whether the edge runs backwards in the tree's series order, the
-    /// depth-first order [`SpModel::linearize`] returns.
-    pub fn runs_backward(self) -> bool {
-        matches!(
-            self,
-            EdgeFault::Backward | EdgeFault::CrossBranch { backward: true }
-        )
-    }
-}
-
 /// One walk of an SP tree against its graph's operators and data edges.
 ///
 /// It places each operator at its tree position and records the first
@@ -440,26 +438,6 @@ impl SpAudit {
             coverage,
             faults,
             transit_volume,
-        }
-    }
-
-    /// The verdict [`SpModel::new`] returns: the coverage defect, else the
-    /// first fault.
-    ///
-    /// # Errors
-    ///
-    /// [`SpError::CrossBranchEdge`] for a fault under a `Branches` node
-    /// whichever way it runs, [`SpError::BackwardEdge`] for one along a
-    /// `Chain`.
-    pub fn into_result(self) -> Result<(), SpError> {
-        if let Some(defect) = self.coverage {
-            return Err(defect);
-        }
-        match self.faults.first() {
-            None => Ok(()),
-            Some(&(u, v, EdgeFault::CrossBranch { .. })) => Err(SpError::CrossBranchEdge(u, v)),
-            // An uncovered endpoint is a coverage defect, returned above.
-            Some(&(u, v, _)) => Err(SpError::BackwardEdge(u, v)),
         }
     }
 }

@@ -11,7 +11,7 @@
 
 use gp_cluster::Cluster;
 use gp_cost::{CostModel, Pass};
-use gp_ir::{Graph, PlanPath, SpAudit, SpModel};
+use gp_ir::{EdgeFault, Graph, PlanPath, SpAudit, SpModel};
 use gp_partition::Plan;
 use gp_sched::{
     assign_in_flight, covering_micro_batches, verify_stages, Check, Location, PipelineSchedule,
@@ -392,11 +392,12 @@ pub fn verify_model(model: &SpModel, plan: &Plan) -> VerifyReport {
                 graph.len()
             ),
         );
-    } else if audit
-        .faults
-        .iter()
-        .any(|&(_, _, fault)| fault.runs_backward())
-    {
+    } else if audit.faults.iter().any(|&(.., fault)| {
+        matches!(
+            fault,
+            EdgeFault::Backward | EdgeFault::CrossBranch { backward: true }
+        )
+    }) {
         // With exact coverage, an edge that runs backwards in series order
         // is exactly what keeps the linearization from being topological.
         report.fail(
