@@ -1083,4 +1083,31 @@ mod tests {
         let err = s.load_artifact(&text, PlannerKind::PipeDream).unwrap_err();
         assert!(matches!(err, Error::Invalid(_)), "{err}");
     }
+
+    /// The codec checks the plan against the graph and cluster, not the
+    /// model: an SP-ized plan stripped of its `plan_path` member decodes as
+    /// an exact-SP plan, and only the model-side checks reject it.
+    #[test]
+    fn a_plan_path_the_model_did_not_take_is_a_verify_error() {
+        let s = Session::builder()
+            .model_dag(zoo::gnn_pipe_graph(&zoo::GnnPipeConfig::tiny()))
+            .cluster(Cluster::summit_like(4))
+            .mini_batch(32)
+            .build()
+            .unwrap();
+        let PlanPath::SpIzed { distortion } = s.model().path() else {
+            panic!("gnn-pipe takes the SP-ization rung");
+        };
+        let text = s.plan(PlannerKind::GraphPipe).unwrap().artifact();
+        let member = format!("\"plan_path\":{{\"kind\":\"sp-ized\",\"distortion\":{distortion}}},");
+        let stripped = text.replacen(&member, "", 1);
+        assert_ne!(stripped, text, "plan_path member not found");
+        let err = s
+            .load_artifact(&stripped, PlannerKind::GraphPipe)
+            .unwrap_err();
+        assert!(
+            matches!(&err, Error::Verify(e) if e.report().violates(gp_verify::Check::PlanPathConsistent)),
+            "{err}"
+        );
+    }
 }
