@@ -7,9 +7,9 @@
 //! it describes ([`SpModel`]), and checks that the tree is a faithful
 //! description: every operator appears exactly once and every data edge runs
 //! forward along the lowest `Chain` holding both endpoints. [`SpAudit`] is
-//! the one walk that checks it. [`SpModel::new`] reads its verdict, and the
-//! DAG ladder's transit volume and `gp-verify`'s SP-tree checks read its
-//! fields.
+//! the one walk that checks it: [`SpModel::new`] turns its first defect
+//! into an [`SpError`], and the DAG ladder's transit volume and
+//! `gp-verify`'s SP-tree checks read its fields.
 //!
 //! gp-lint: deterministic — this module's outputs feed plan
 //! fingerprints or the artifact codec; `cargo xtask lint` scans it for
@@ -361,7 +361,7 @@ pub enum EdgeFault {
 /// coverage defect. It classifies each data edge the tree does not admit,
 /// and sums the transit volume of the edges it does admit. A tree faithful
 /// to its graph has no coverage defect and no fault.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug)]
 pub struct SpAudit {
     /// Number of leaves in the tree.
     pub leaves: usize,
