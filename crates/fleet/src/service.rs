@@ -9,9 +9,10 @@
 //! 1. **Sharded cache** — an [`Arc<Plan>`] under a per-shard lock, keyed
 //!    by fingerprint and graph numbering; no I/O.
 //! 2. **Persistent store** — the canonical artifact bytes on disk;
-//!    decoding re-validates the plan against this request's model and
-//!    cluster, so a corrupt or mismatched artifact degrades to a miss,
-//!    never to a wrong answer.
+//!    decoding re-validates the plan against this request's graph and
+//!    cluster, and `gp_verify::verify_model` against its model, so a
+//!    corrupt or mismatched artifact degrades to a miss, never to a wrong
+//!    answer.
 //! 3. **Single-flight join** — a request with the same key already being
 //!    planned; the new request subscribes to its result instead of
 //!    planning again.
@@ -121,8 +122,9 @@ pub struct FleetStats {
     pub shard_hits: u64,
     /// Served from the persistent store (decoded + re-validated).
     pub store_hits: u64,
-    /// Store artifacts refused (numbering mismatch, corrupt bytes, or a
-    /// fingerprint that does not match the request).
+    /// Store artifacts refused (numbering mismatch, corrupt bytes, a
+    /// fingerprint that does not match the request, or a plan path the
+    /// request's model did not take).
     pub store_rejects: u64,
     /// Joined an identical in-flight request.
     pub joins: u64,
@@ -519,7 +521,9 @@ impl FleetService {
         let decoded = (stored_numbering == numbering)
             .then(|| artifact::decode_plan(&text, request.model.graph(), &request.cluster))
             .and_then(Result::ok);
-        let Some((plan, _)) = decoded.filter(|(_, fp)| *fp == Some(fingerprint)) else {
+        let Some((plan, _)) = decoded.filter(|(plan, fp)| {
+            *fp == Some(fingerprint) && gp_verify::verify_model(&request.model, plan).is_clean()
+        }) else {
             shared
                 .counters
                 .store_rejects

@@ -8,7 +8,7 @@ use graphpipe::fleet::{
     canonical_artifact, shard_of, AdmissionConfig, FleetConfig, FleetService, Served, TenantClass,
     TenantSpec,
 };
-use graphpipe::ir::zoo::{self, CandleUnoConfig, DlrmConfig, MmtConfig, MoeConfig};
+use graphpipe::ir::zoo::{self, CandleUnoConfig, DlrmConfig, GnnPipeConfig, MmtConfig, MoeConfig};
 use graphpipe::ir::SpModel;
 use graphpipe::prelude::*;
 use graphpipe::serve::{PlanRequest, ServePlanner};
@@ -240,44 +240,72 @@ fn artifact_path(dir: &std::path::Path, request: &PlanRequest) -> PathBuf {
 
 /// Fault injection: an artifact corrupted on disk between two runs is a
 /// store reject, never a wrong plan; the request is re-planned and the
-/// file rewritten, so the next run serves it from the store again.
+/// file rewritten, so the next run serves it from the store again. Two
+/// corruptions: a truncated file, which does not decode, and an SP-ized
+/// plan stripped of its `plan_path` member, which decodes cleanly into an
+/// exact-SP plan that the request's model did not take.
 #[test]
 fn a_corrupt_store_artifact_is_replanned_and_rewritten() {
-    let dir = TempDir::new("corrupt");
-    let fleet = || {
-        FleetService::start(FleetConfig {
-            store: Some(dir.path().to_path_buf()),
-            ..FleetConfig::local(1, 8)
-        })
-        .unwrap()
-    };
-    let request = zoo_requests().remove(0);
-    let fp = request.fingerprint();
-    let file = artifact_path(dir.path(), &request);
+    let sp_ized = PlanRequest::new(
+        Arc::new(zoo::gnn_pipe(&GnnPipeConfig::tiny())),
+        Cluster::summit_like(4),
+        32,
+    );
+    let truncate: Corruption = |text| text[..text.len() / 2].to_string();
+    let cases = [
+        (zoo_requests().remove(0), truncate),
+        (sp_ized, strip_plan_path),
+    ];
+    for (request, corrupt) in cases {
+        let dir = TempDir::new("corrupt");
+        let fleet = || {
+            FleetService::start(FleetConfig {
+                store: Some(dir.path().to_path_buf()),
+                ..FleetConfig::local(1, 8)
+            })
+            .unwrap()
+        };
+        let fp = request.fingerprint();
+        let file = artifact_path(dir.path(), &request);
 
-    let original = {
-        let plan = fleet().submit("t", request.clone()).unwrap().wait();
-        canonical_artifact(&plan.expect("cold plan"), fp)
-    };
-    assert_eq!(std::fs::read_to_string(&file).unwrap(), original);
-    std::fs::write(&file, &original[..original.len() / 2]).unwrap();
-
-    {
-        let fleet = fleet();
-        let ticket = fleet.submit("t", request.clone()).unwrap();
-        assert_eq!(ticket.served(), Served::Planned);
-        let plan = ticket.wait().expect("re-planned");
-        assert_eq!(canonical_artifact(&plan, fp), original);
-        let stats = fleet.stats();
-        assert_eq!(stats.store_rejects, 1, "{stats:?}");
-        assert_eq!(stats.planner_runs, 1, "{stats:?}");
+        let original = {
+            let plan = fleet().submit("t", request.clone()).unwrap().wait();
+            canonical_artifact(&plan.expect("cold plan"), fp)
+        };
         assert_eq!(std::fs::read_to_string(&file).unwrap(), original);
-    }
+        std::fs::write(&file, corrupt(&original)).unwrap();
 
-    let fleet = fleet();
-    let ticket = fleet.submit("t", request).unwrap();
-    assert_eq!(ticket.served(), Served::Store);
-    assert_eq!(canonical_artifact(&ticket.wait().unwrap(), fp), original);
+        {
+            let fleet = fleet();
+            let ticket = fleet.submit("t", request.clone()).unwrap();
+            assert_eq!(ticket.served(), Served::Planned);
+            let plan = ticket.wait().expect("re-planned");
+            assert_eq!(plan.path, request.model.path());
+            assert_eq!(canonical_artifact(&plan, fp), original);
+            let stats = fleet.stats();
+            assert_eq!(stats.store_rejects, 1, "{stats:?}");
+            assert_eq!(stats.planner_runs, 1, "{stats:?}");
+            assert_eq!(std::fs::read_to_string(&file).unwrap(), original);
+        }
+
+        let fleet = fleet();
+        let ticket = fleet.submit("t", request).unwrap();
+        assert_eq!(ticket.served(), Served::Store);
+        assert_eq!(canonical_artifact(&ticket.wait().unwrap(), fp), original);
+    }
+}
+
+/// Rewrites a store file's text.
+type Corruption = fn(&str) -> String;
+
+/// Removes an artifact's `plan_path` member, the way an exact-SP plan
+/// spells its path.
+fn strip_plan_path(text: &str) -> String {
+    let start = text
+        .find(",\"plan_path\":")
+        .expect("an SP-ized artifact records its plan path");
+    let end = start + text[start..].find('}').expect("the member closes") + 1;
+    format!("{}{}", &text[..start], &text[end..])
 }
 
 /// Fault injection: a store write that fails never fails the request. A
