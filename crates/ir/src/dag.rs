@@ -21,8 +21,8 @@
 //!    nodes are never adjacent; cross-level edges flow forward), at the
 //!    price of *distortion*: a skip edge's activation transits the
 //!    intermediate chain positions. [`transit_volume`] quantifies that
-//!    extra communication volume in bytes; the result is reported as
-//!    [`PlanPath::SpIzed`] and re-checked exactly by `gp-verify`.
+//!    extra communication volume in bytes; the model's construction
+//!    audit computes it once and records it as [`PlanPath::SpIzed`].
 //! 3. **Clustering** ([`PlanPath::Clustered`]): past the distortion
 //!    budget, fall back to a flat topological chain coarsened
 //!    Piper-style into `ceil(ops / unit_ops)` unit groups — the same
@@ -105,17 +105,20 @@ pub fn plan_dag(
             SpModel::new(name, graph, root).expect("recognized SP tree is valid by construction")
         );
     }
-    let distortion = transit_volume(&graph, &root);
-    if distortion <= options.distortion_budget {
-        let model =
-            SpModel::new(name, graph, root).expect("SP-ized level chain is valid by construction");
-        return Ok(model.with_path(PlanPath::SpIzed { distortion }));
+    let sp_ized = SpModel::audited(name, graph, root, |distortion| PlanPath::SpIzed {
+        distortion,
+    })
+    .expect("SP-ized level chain is valid by construction");
+    if matches!(sp_ized.path(), PlanPath::SpIzed { distortion }
+        if distortion <= options.distortion_budget)
+    {
+        return Ok(sp_ized);
     }
+    let (name, graph) = sp_ized.into_parts();
     let flat = SpBlock::Chain(graph.topo_order().into_iter().map(SpBlock::Leaf).collect());
     let units = (graph.len() as u32).div_ceil(options.unit_ops.max(1));
-    let model =
-        SpModel::new(name, graph, flat).expect("a topological chain is valid by construction");
-    Ok(model.with_path(PlanPath::Clustered { units }))
+    let clustered = SpModel::audited(name, graph, flat, |_| PlanPath::Clustered { units });
+    Ok(clustered.expect("a topological chain is valid by construction"))
 }
 
 /// Recovers the exact SP tree of a graph, or `None` when the graph is not
@@ -137,17 +140,16 @@ pub fn recognize(graph: &Graph) -> Option<SpBlock> {
 /// whose every edge connects adjacent chain positions (or crosses into an
 /// immediately following block).
 ///
-/// This is the quantity [`PlanPath::SpIzed`] reports as `distortion`, and
-/// what `gp-verify`'s `distortion-exact` check recomputes, both from the
-/// same [`SpAudit`].
+/// This is the quantity [`PlanPath::SpIzed`] reports as `distortion`:
+/// [`plan_dag`] reads it from the same audit that validates the model.
 pub fn transit_volume(graph: &Graph, root: &SpBlock) -> u64 {
     SpAudit::new(graph, root).transit_volume
 }
 
 /// Data edges the tree cannot admit: endpoints missing from the tree,
-/// split across sibling `Branches`, or flowing backwards along a `Chain`
-/// (the [`SpAudit`] faults). Empty exactly when the tree covers the
-/// original edge set — `gp-verify`'s `sp-edge-cover` check.
+/// split across sibling `Branches`, or flowing backwards along a `Chain`.
+/// Empty exactly when the tree covers the original edge set, which every
+/// [`SpModel`]'s tree does.
 pub fn edge_cover_violations(graph: &Graph, root: &SpBlock) -> Vec<(OpId, OpId)> {
     let faults = SpAudit::new(graph, root).faults;
     faults.into_iter().map(|(u, v, _)| (u, v)).collect()
@@ -432,6 +434,33 @@ mod tests {
         assert!(model.graph().is_topo_order(&model.linearize()));
     }
 
+    /// The clustered unit count is `ceil(ops / unit_ops)`, which lies in
+    /// `1..=ops` for every positive `unit_ops`, so a plan that records the
+    /// model's path carries a sane count.
+    #[test]
+    fn clustered_unit_counts_lie_in_one_to_ops() {
+        use crate::zoo::{gnn_pipe_graph, GnnPipeConfig};
+        let graphs = [
+            gnn_pipe_graph(&GnnPipeConfig::tiny()),
+            gnn_pipe_graph(&GnnPipeConfig::default()),
+            n_graph(),
+        ];
+        for graph in graphs {
+            let ops = graph.len() as u32;
+            for unit_ops in [1, 3, 8, u32::MAX] {
+                let options = DagOptions::default()
+                    .with_distortion_budget(0)
+                    .with_unit_ops(unit_ops);
+                let model = plan_dag("g", graph.clone(), &options).unwrap();
+                let PlanPath::Clustered { units } = model.path() else {
+                    panic!("budget 0 must cluster, got {:?}", model.path());
+                };
+                assert_eq!(units, ops.div_ceil(unit_ops), "unit_ops {unit_ops}");
+                assert!((1..=ops).contains(&units), "{units} units, {ops} ops");
+            }
+        }
+    }
+
     #[test]
     fn edge_cover_violations_flag_cross_branch_trees() {
         let (g, _) = fork_join();
@@ -479,8 +508,6 @@ mod tests {
             "PlanPath::SpIzed",
             "PlanPath::Clustered",
             "distortion_budget",
-            "sp-edge-cover",
-            "distortion-exact",
             "plan-path-consistent",
         ] {
             assert!(

@@ -2,8 +2,7 @@
 //!
 //! Two hashes identify an [`SpModel`], and both are memoized on it
 //! ([`SpModel::fingerprint`], [`SpModel::numbering_signature`]) because a
-//! model never changes after construction except through
-//! [`SpModel::with_path`], which resets them:
+//! model never changes after construction:
 //!
 //! * the **canonical fingerprint** hashes the model graph structurally —
 //!   per-node labels are refined Weisfeiler–Leman style from operator

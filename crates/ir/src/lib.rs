@@ -40,4 +40,4 @@ pub use graph::{Graph, GraphBuilder, GraphError, Node, OpId};
 pub use identity::Digest;
 pub use op::{Nonlinearity, OpKind, BYTES_PER_ELEMENT};
 pub use shape::Shape;
-pub use sp::{EdgeFault, PlanPath, SpAudit, SpBlock, SpError, SpModel};
+pub use sp::{PlanPath, SpBlock, SpError, SpModel};

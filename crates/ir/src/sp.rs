@@ -6,10 +6,12 @@
 //! that decomposition as an explicit tree ([`SpBlock`]) paired with the graph
 //! it describes ([`SpModel`]), and checks that the tree is a faithful
 //! description: every operator appears exactly once and every data edge runs
-//! forward along the lowest `Chain` holding both endpoints. [`SpAudit`] is
-//! the one walk that checks it: [`SpModel::new`] turns its first defect
-//! into an [`SpError`], and the DAG ladder's transit volume and
-//! `gp-verify`'s SP-tree checks read its fields.
+//! forward along the lowest `Chain` holding both endpoints. One walk, the
+//! crate-private `SpAudit`, checks it. Every model is built through it
+//! once: [`SpModel::new`] turns its first defect into an [`SpError`], and
+//! the DAG ladder records its transit volume as the SP-ized distortion. A
+//! model has no setters, so an `SpModel` is valid by construction and
+//! nothing downstream re-audits it.
 //!
 //! gp-lint: deterministic — this module's outputs feed plan
 //! fingerprints or the artifact codec; `cargo xtask lint` scans it for
@@ -128,8 +130,9 @@ pub enum PlanPath {
         /// The distortion bound: extra activation-transit volume in bytes
         /// that the decomposition adds over the raw DAG's edges (each skip
         /// edge pays its producer's output once per chain position it
-        /// crosses). Must equal [`crate::dag::transit_volume`] recomputed
-        /// over the model — `gp-verify` checks this exactly.
+        /// crosses). [`crate::dag::plan_dag`] records it from the model's
+        /// construction audit, so it equals [`crate::dag::transit_volume`]
+        /// over the model's graph and tree.
         distortion: u64,
     },
     /// The graph exceeded the distortion budget; a coarse Piper-style
@@ -237,55 +240,49 @@ impl SpModel {
     /// # Errors
     ///
     /// Returns an [`SpError`] when the tree and graph disagree: the
-    /// [`SpAudit`]'s coverage defect, else its first fault — an edge that
+    /// audit's coverage defect, else its first fault — an edge that
     /// crosses parallel branches (whichever way it runs) or flows backwards
     /// along a chain.
     pub fn new(name: impl Into<String>, graph: Graph, root: SpBlock) -> Result<Self, SpError> {
+        SpModel::audited(name, graph, root, |_| PlanPath::ExactSp)
+    }
+
+    /// The one constructor: normalizes `root`, audits it against `graph`
+    /// once, and reads the model's path off the audit's transit volume with
+    /// `path`. [`SpModel::new`] records [`PlanPath::ExactSp`], and
+    /// [`crate::dag::plan_dag`] the rung it took.
+    pub(crate) fn audited(
+        name: impl Into<String>,
+        graph: Graph,
+        root: SpBlock,
+        path: impl FnOnce(u64) -> PlanPath,
+    ) -> Result<Self, SpError> {
         let root = root.normalize();
         let audit = SpAudit::new(&graph, &root);
         if let Some(defect) = audit.coverage {
             return Err(defect);
         }
-        match audit.faults.first() {
-            None => Ok(SpModel::new_unchecked(name, graph, root, PlanPath::ExactSp)),
-            Some(&(u, v, EdgeFault::CrossBranch { .. })) => Err(SpError::CrossBranchEdge(u, v)),
-            // An uncovered endpoint is a coverage defect, returned above.
-            Some(&(u, v, _)) => Err(SpError::BackwardEdge(u, v)),
+        if let Some(&(u, v, fault)) = audit.faults.first() {
+            return Err(match fault {
+                EdgeFault::CrossBranch => SpError::CrossBranchEdge(u, v),
+                // An uncovered endpoint is a coverage defect, returned above.
+                _ => SpError::BackwardEdge(u, v),
+            });
         }
-    }
-
-    /// Pairs a graph with a tree **without validating or normalizing** —
-    /// the seam that lets `gp-verify`'s mutation tests build models the
-    /// validating constructor would reject. Production code paths must use
-    /// [`SpModel::new`] or [`crate::dag::plan_dag`].
-    pub fn new_unchecked(
-        name: impl Into<String>,
-        graph: Graph,
-        root: SpBlock,
-        path: PlanPath,
-    ) -> Self {
-        SpModel {
+        Ok(SpModel {
             graph,
             root,
             name: name.into(),
-            path,
+            path: path(audit.transit_volume),
             fingerprint: OnceLock::new(),
             numbering: OnceLock::new(),
-        }
+        })
     }
 
-    /// Returns the model with its plan path replaced. Used by the DAG
-    /// planning pipeline to record which rung of the fallback ladder
-    /// produced the tree; the path is absorbed into the
-    /// model fingerprint whenever it is not [`PlanPath::ExactSp`].
-    ///
-    /// This is the only way a model changes after construction, so it is
-    /// the one place that resets the identity memos.
-    pub fn with_path(mut self, path: PlanPath) -> Self {
-        self.path = path;
-        self.fingerprint = OnceLock::new();
-        self.numbering = OnceLock::new();
-        self
+    /// Takes the model apart into its name and graph, for the next rung of
+    /// [`crate::dag::plan_dag`].
+    pub(crate) fn into_parts(self) -> (String, Graph) {
+        (self.name, self.graph)
     }
 
     /// The underlying computation graph.
@@ -343,14 +340,11 @@ impl SpModel {
 
 /// Why an SP tree does not admit a data edge (see [`SpAudit::faults`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum EdgeFault {
+pub(crate) enum EdgeFault {
     /// An endpoint is missing from the tree.
     Uncovered,
     /// The endpoints' lowest common ancestor is a `Branches` node.
-    CrossBranch {
-        /// Whether the consumer's branch comes first in series order.
-        backward: bool,
-    },
+    CrossBranch,
     /// The consumer comes first along the endpoints' lowest common `Chain`.
     Backward,
 }
@@ -362,35 +356,32 @@ pub enum EdgeFault {
 /// and sums the transit volume of the edges it does admit. A tree faithful
 /// to its graph has no coverage defect and no fault.
 #[derive(Debug)]
-pub struct SpAudit {
-    /// Number of leaves in the tree.
-    pub leaves: usize,
+pub(crate) struct SpAudit {
     /// The first coverage defect: an unknown or duplicate leaf in walk
     /// order (depth first, last child first), else the lowest-numbered
     /// operator missing from the tree.
-    pub coverage: Option<SpError>,
+    pub(crate) coverage: Option<SpError>,
     /// Every data edge the tree does not admit, in [`Graph::edges`] order.
-    pub faults: Vec<(OpId, OpId, EdgeFault)>,
+    pub(crate) faults: Vec<(OpId, OpId, EdgeFault)>,
     /// Bytes of activation transit the tree adds over the graph: each
     /// admitted edge whose endpoints sit `gap` positions apart under their
     /// lowest common `Chain` carries its producer's output across the
     /// `gap - 1` positions between them (see [`crate::dag::transit_volume`]).
-    pub transit_volume: u64,
+    pub(crate) transit_volume: u64,
 }
 
 impl SpAudit {
     /// Walks `root` against `graph` once.
-    pub fn new(graph: &Graph, root: &SpBlock) -> Self {
+    pub(crate) fn new(graph: &Graph, root: &SpBlock) -> Self {
         // Each operator's position: the steps from the root, each naming
         // whether it leaves a `Chain` and which child it takes. A duplicate
         // keeps the position the walk meets first.
         let mut position: Vec<Option<Vec<(bool, u32)>>> = vec![None; graph.len()];
-        let (mut leaves, mut coverage) = (0, None);
+        let mut coverage = None;
         let mut stack = vec![(root, Vec::new())];
         while let Some((block, path)) = stack.pop() {
             match block {
                 SpBlock::Leaf(id) => {
-                    leaves += 1;
                     let defect = match position.get_mut(id.index()) {
                         None => Some(SpError::UnknownOp(*id)),
                         Some(Some(_)) => Some(SpError::DuplicateOp(*id)),
@@ -426,7 +417,7 @@ impl SpAudit {
             let depth = pu.iter().zip(pv).take_while(|(a, b)| a == b).count();
             let ((chain, su), (_, sv)) = (pu[depth], pv[depth]);
             if !chain {
-                faults.push((u, v, EdgeFault::CrossBranch { backward: su > sv }));
+                faults.push((u, v, EdgeFault::CrossBranch));
             } else if su > sv {
                 faults.push((u, v, EdgeFault::Backward));
             } else {
@@ -434,7 +425,6 @@ impl SpAudit {
             }
         }
         SpAudit {
-            leaves,
             coverage,
             faults,
             transit_volume,
@@ -594,20 +584,6 @@ mod tests {
         assert_eq!(numbering, identity::numbering_signature(m.graph()));
         assert_eq!(m.fingerprint.get(), Some(&fp));
         assert_eq!(m.numbering.get(), Some(&numbering));
-    }
-
-    #[test]
-    fn with_path_resets_the_identity_memo() {
-        let m = forkjoin_model();
-        let (exact, numbering) = (m.fingerprint(), m.numbering_signature());
-        let m = m.with_path(PlanPath::Clustered { units: 2 });
-        assert!(m.fingerprint.get().is_none() && m.numbering.get().is_none());
-        assert_ne!(m.fingerprint(), exact);
-        assert_eq!(m.fingerprint(), identity::model_digest(&m));
-        // The path is not part of the numbering.
-        assert_eq!(m.numbering_signature(), numbering);
-        let m = m.with_path(PlanPath::ExactSp);
-        assert_eq!(m.fingerprint(), exact);
     }
 
     #[test]

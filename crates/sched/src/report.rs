@@ -103,24 +103,8 @@ pub enum Check {
     /// and non-negative, so fingerprint equality keeps implying value
     /// equality (DESIGN.md §"Invariant catalog").
     EstimateFinite,
-    /// `sp-cover-exact` — the SP tree names every graph operator exactly
-    /// once (DESIGN.md §"Invariant catalog").
-    SpCoverExact,
-    /// `sp-topo-order` — the SP tree's series linearization is a
-    /// topological order of the graph (DESIGN.md §"Invariant catalog").
-    SpTopoOrder,
-    /// `sp-edge-cover` — the SP tree admits every data edge of the graph
-    /// (no edge is lost across branches or reversed along a chain), so an
-    /// SP-ized plan covers the original dependency set (DESIGN.md
-    /// §"Invariant catalog").
-    SpEdgeCover,
-    /// `distortion-exact` — an `SpIzed` plan path's reported distortion
-    /// equals the transit volume recomputed from the graph and tree
-    /// (DESIGN.md §"Invariant catalog").
-    DistortionExact,
     /// `plan-path-consistent` — the plan's recorded `PlanPath` equals the
-    /// model's, and a `Clustered` unit count is sane for the graph
-    /// (DESIGN.md §"Invariant catalog").
+    /// model's (DESIGN.md §"Invariant catalog").
     PlanPathConsistent,
 }
 
@@ -152,10 +136,6 @@ impl Check {
             Check::MemoryBudget => "memory-budget",
             Check::EstimateConsistent => "estimate-consistent",
             Check::EstimateFinite => "estimate-finite",
-            Check::SpCoverExact => "sp-cover-exact",
-            Check::SpTopoOrder => "sp-topo-order",
-            Check::SpEdgeCover => "sp-edge-cover",
-            Check::DistortionExact => "distortion-exact",
             Check::PlanPathConsistent => "plan-path-consistent",
         }
     }
@@ -187,10 +167,6 @@ impl Check {
             Check::MemoryBudget,
             Check::EstimateConsistent,
             Check::EstimateFinite,
-            Check::SpCoverExact,
-            Check::SpTopoOrder,
-            Check::SpEdgeCover,
-            Check::DistortionExact,
             Check::PlanPathConsistent,
         ]
     }
@@ -651,15 +627,20 @@ mod tests {
         }
     }
 
-    /// Doc-sync: every check name appears (backticked) in DESIGN.md
-    /// §"Invariant catalog", in `Check::all()` order, so the rustdoc
-    /// cross-references cannot rot.
+    /// Doc-sync, both ways: every check name appears (backticked) in
+    /// DESIGN.md §"Invariant catalog", in `Check::all()` order, and every
+    /// name on a catalog bullet (a line `` * `name` — ``, or two names
+    /// joined by ` / `) is a check, so neither side can keep an entry the
+    /// other lost.
     #[test]
     fn every_check_is_cataloged_in_design_md() {
         let design = include_str!("../../../DESIGN.md");
         let catalog = &design[design
             .find("## Invariant catalog")
             .expect("DESIGN.md must keep an \"Invariant catalog\" section")..];
+        let catalog = &catalog[..catalog[2..]
+            .find("\n## ")
+            .map_or(catalog.len(), |end| end + 2)];
         let mut cursor = 0;
         for &c in Check::all() {
             let needle = format!("`{}`", c.name());
@@ -668,6 +649,19 @@ mod tests {
                 .unwrap_or_else(|| panic!("{needle} missing or out of order in the catalog"));
             cursor += at + needle.len();
         }
+        let bulleted: Vec<&str> = catalog
+            .lines()
+            .filter_map(|line| line.strip_prefix("* `")?.split_once(" — "))
+            .flat_map(|(names, _)| names.split(" / "))
+            .map(|name| name.trim_matches('`'))
+            .collect();
+        for name in &bulleted {
+            assert!(
+                Check::all().iter().any(|c| c.name() == *name),
+                "the catalog lists `{name}`, which is not a check"
+            );
+        }
+        assert_eq!(bulleted.len(), Check::all().len(), "{bulleted:?}");
     }
 
     #[test]

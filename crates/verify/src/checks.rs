@@ -4,14 +4,16 @@
 //! Every check is named after its DESIGN.md §"Invariant catalog" entry (see
 //! [`Check`]); the entry points compose so each caller pays only for the
 //! structures it holds. The stage-list checks (`verify_stages`) live in
-//! gp-sched, whose `StageGraph` constructors run them. None of the checks
+//! gp-sched, whose `StageGraph` constructors run them, and the SP-tree
+//! checks live in `SpModel`'s constructors, so `verify_model` compares
+//! plan paths and nothing more. None of the checks
 //! execute anything — the deadlock-freedom certificate in particular is a
 //! topological argument over the same task dependency graph `gp-sim`
 //! relaxes, not a simulation.
 
 use gp_cluster::Cluster;
 use gp_cost::{CostModel, Pass};
-use gp_ir::{EdgeFault, Graph, PlanPath, SpAudit, SpModel};
+use gp_ir::{Graph, SpModel};
 use gp_partition::Plan;
 use gp_sched::{
     assign_in_flight, covering_micro_batches, verify_stages, Check, Location, PipelineSchedule,
@@ -373,61 +375,14 @@ pub fn verify_plan(graph: &Graph, cluster: &Cluster, plan: &Plan) -> VerifyRepor
     report
 }
 
-/// Verifies the model side of a plan: `sp-cover-exact`, `sp-topo-order`,
-/// `sp-edge-cover` and `distortion-exact`, all read from one [`SpAudit`] of
-/// the model's SP tree, then `plan-path-consistent` (DESIGN.md §"Invariant
-/// catalog"). `Session::load_artifact` runs this on a plan the artifact
-/// codec has already put through [`verify_plan`].
+/// Verifies the model side of a plan: `plan-path-consistent`, the plan's
+/// recorded [`PlanPath`](gp_ir::PlanPath) against the model's (DESIGN.md §"Invariant
+/// catalog"). The model's SP tree needs no check here: every `SpModel`
+/// constructor audits it, and a model has no setters.
+/// `Session::load_artifact` and the fleet's store hits run this on a plan
+/// the artifact codec has already put through [`verify_plan`].
 pub fn verify_model(model: &SpModel, plan: &Plan) -> VerifyReport {
-    let graph = model.graph();
     let mut report = VerifyReport::new();
-    let audit = SpAudit::new(graph, model.root());
-    if audit.coverage.is_some() {
-        report.fail(
-            Check::SpCoverExact,
-            Location::global(),
-            format!(
-                "SP tree names {} operators, graph has {}; coverage must be exactly one-to-one",
-                audit.leaves,
-                graph.len()
-            ),
-        );
-    } else if audit.faults.iter().any(|&(.., fault)| {
-        matches!(
-            fault,
-            EdgeFault::Backward | EdgeFault::CrossBranch { backward: true }
-        )
-    }) {
-        // With exact coverage, an edge that runs backwards in series order
-        // is exactly what keeps the linearization from being topological.
-        report.fail(
-            Check::SpTopoOrder,
-            Location::global(),
-            "the SP tree's series linearization is not a topological order of the graph",
-        );
-    } else if let Some(&(u, v, _)) = audit.faults.first() {
-        report.fail(
-            Check::SpEdgeCover,
-            Location::global().at_op(u),
-            format!(
-                "the SP tree does not admit data edge {u} -> {v} ({} edge(s) lost); \
-                 an SP-ized plan must cover the original dependency set",
-                audit.faults.len()
-            ),
-        );
-    } else if let PlanPath::SpIzed { distortion } = model.path() {
-        if distortion != audit.transit_volume {
-            report.fail(
-                Check::DistortionExact,
-                Location::global(),
-                format!(
-                    "plan path reports distortion {distortion} bytes but the tree's \
-                     transit volume recomputes to {}",
-                    audit.transit_volume
-                ),
-            );
-        }
-    }
     if plan.path != model.path() {
         report.fail(
             Check::PlanPathConsistent,
@@ -438,19 +393,6 @@ pub fn verify_model(model: &SpModel, plan: &Plan) -> VerifyReport {
                 model.path()
             ),
         );
-    } else if let PlanPath::Clustered { units } = plan.path {
-        if units == 0 || units as usize > graph.len() {
-            report.fail(
-                Check::PlanPathConsistent,
-                Location::global(),
-                format!(
-                    "clustered plan path reports {units} units for a {}-operator graph; \
-                     expected 1..={}",
-                    graph.len(),
-                    graph.len()
-                ),
-            );
-        }
     }
     report
 }

@@ -22,8 +22,9 @@
 //!   including the topological deadlock certificate;
 //! - [`verify_plan`] — a complete [`Plan`] including in-flight, memory,
 //!   and estimate consistency;
-//! - [`verify_model`] — a plan's SP tree and plan path against its source
-//!   [`SpModel`], the check `Session::load_artifact` adds to the codec's;
+//! - [`verify_model`] — a plan's path against its source [`SpModel`]'s,
+//!   the check `Session::load_artifact` and the fleet's store hits add to
+//!   the codec's (the model's SP tree was audited when it was built);
 //! - [`verify_strategy`] — [`verify_model`] and [`verify_plan`] together,
 //!   the check `Session::plan` runs.
 //!

@@ -7,7 +7,8 @@
 //! expected [`Check`] must appear in the report. The corruptions are
 //! applied at the layer where they can exist: raw stage lists go through
 //! [`verify_stages`] and the [`StageGraph`] constructors that run it,
-//! assembled plans through [`verify_plan`], and two
+//! assembled plans through [`verify_plan`], corrupted SP trees through
+//! [`SpModel::new`], whose [`SpError`] each pins, and two
 //! byte-level corruptions go through the artifact codec to prove decode
 //! errors carry the violation name end to end (DESIGN.md §"Invariant
 //! catalog").
@@ -292,8 +293,8 @@ fn non_finite_estimate_is_rejected() {
 
 /// The SP-ized golden cell — the one whose model runs the DAG fallback
 /// ladder ([`gp_ir::PlanPath::SpIzed`]) — with its decoded plan. The
-/// SP-tree mutations below corrupt *this* model's tree seven ways and
-/// require the strategy verifier to reject each by catalog name.
+/// SP-tree mutations below corrupt *this* model's tree five ways, and the
+/// plan-path mutations its plan's path two ways.
 fn sp_ized_cell() -> (SpModel, Cluster, Plan) {
     let model = zoo::gnn_pipe(&zoo::GnnPipeConfig::tiny());
     let cluster = Cluster::summit_like(4);
@@ -305,23 +306,15 @@ fn sp_ized_cell() -> (SpModel, Cluster, Plan) {
     (model, cluster, plan)
 }
 
-/// Rebuilds the SP-ized cell's model with `mutate` applied to its tree
-/// (bypassing validation via [`SpModel::new_unchecked`]) and asserts the
-/// strategy verifier names `expected`, and that the validating constructor
-/// rejects the same tree with `sp_error`.
-fn assert_tree_mutation(expected: Check, sp_error: SpError, mutate: impl FnOnce(&mut SpBlock)) {
-    let (model, cluster, plan) = sp_ized_cell();
+/// Rebuilds the SP-ized cell's model with `mutate` applied to its tree and
+/// asserts that the validating constructor rejects it with `sp_error`.
+fn assert_tree_mutation(sp_error: SpError, mutate: impl FnOnce(&mut SpBlock)) {
+    let (model, _, _) = sp_ized_cell();
     let mut root = model.root().clone();
     mutate(&mut root);
     assert_eq!(
-        SpModel::new(model.name(), model.graph().clone(), root.clone()).err(),
+        SpModel::new(model.name(), model.graph().clone(), root).err(),
         Some(sp_error)
-    );
-    let corrupt = SpModel::new_unchecked(model.name(), model.graph().clone(), root, model.path());
-    let report = verify_strategy(&corrupt, &cluster, &plan);
-    assert!(
-        report.violates(expected),
-        "expected {expected} in report, got: {report}"
     );
 }
 
@@ -344,21 +337,17 @@ fn leaves(block: &SpBlock) -> Vec<gp_ir::OpId> {
 fn dropped_split_node_is_rejected() {
     // Removing the first child of the root drops every operator under it
     // from the tree's coverage.
-    assert_tree_mutation(
-        Check::SpCoverExact,
-        SpError::MissingOp(OpId(0)),
-        |root| match root {
-            SpBlock::Chain(items) | SpBlock::Branches(items) => {
-                items.remove(0);
-            }
-            SpBlock::Leaf(_) => panic!("the SP-ized cell's tree cannot be a single leaf"),
-        },
-    );
+    assert_tree_mutation(SpError::MissingOp(OpId(0)), |root| match root {
+        SpBlock::Chain(items) | SpBlock::Branches(items) => {
+            items.remove(0);
+        }
+        SpBlock::Leaf(_) => panic!("the SP-ized cell's tree cannot be a single leaf"),
+    });
 }
 
 #[test]
 fn duplicated_leaf_is_rejected() {
-    assert_tree_mutation(Check::SpCoverExact, SpError::DuplicateOp(OpId(0)), |root| {
+    assert_tree_mutation(SpError::DuplicateOp(OpId(0)), |root| {
         let dup = SpBlock::Leaf(leaves(root)[0]);
         match root {
             SpBlock::Chain(items) | SpBlock::Branches(items) => items.push(dup),
@@ -370,70 +359,32 @@ fn duplicated_leaf_is_rejected() {
 #[test]
 fn reordered_chain_is_rejected() {
     // Reversing the series order runs the sink before the source.
-    assert_tree_mutation(
-        Check::SpTopoOrder,
-        SpError::BackwardEdge(OpId(0), OpId(1)),
-        |root| {
-            let reversed: Vec<SpBlock> =
-                leaves(root).into_iter().rev().map(SpBlock::Leaf).collect();
-            *root = SpBlock::Chain(reversed);
-        },
-    );
+    assert_tree_mutation(SpError::BackwardEdge(OpId(0), OpId(1)), |root| {
+        let reversed: Vec<SpBlock> = leaves(root).into_iter().rev().map(SpBlock::Leaf).collect();
+        *root = SpBlock::Chain(reversed);
+    });
 }
 
 #[test]
 fn cross_branch_edge_is_rejected() {
     // Flattening the tree into one big `Branches` keeps coverage exact and
     // (leaves stay in series order) the linearization topological — but
-    // every data edge now crosses parallel branches, exactly the corruption
-    // `sp-edge-cover` exists to catch.
-    assert_tree_mutation(
-        Check::SpEdgeCover,
-        SpError::CrossBranchEdge(OpId(0), OpId(1)),
-        |root| {
-            let flat: Vec<SpBlock> = leaves(root).into_iter().map(SpBlock::Leaf).collect();
-            *root = SpBlock::Branches(flat);
-        },
-    );
+    // every data edge now crosses parallel branches.
+    assert_tree_mutation(SpError::CrossBranchEdge(OpId(0), OpId(1)), |root| {
+        let flat: Vec<SpBlock> = leaves(root).into_iter().map(SpBlock::Leaf).collect();
+        *root = SpBlock::Branches(flat);
+    });
 }
 
 #[test]
 fn reversed_branches_are_rejected() {
-    // The same flattening in reversed series order: every edge still
-    // crosses parallel branches, which the constructor reports first, while
-    // the verifier first finds that the series linearization runs
-    // backwards.
-    assert_tree_mutation(
-        Check::SpTopoOrder,
-        SpError::CrossBranchEdge(OpId(0), OpId(1)),
-        |root| {
-            let reversed: Vec<SpBlock> =
-                leaves(root).into_iter().rev().map(SpBlock::Leaf).collect();
-            *root = SpBlock::Branches(reversed);
-        },
-    );
-}
-
-#[test]
-fn stale_distortion_is_rejected() {
-    let (model, cluster, plan) = sp_ized_cell();
-    let PlanPath::SpIzed { distortion } = model.path() else {
-        unreachable!()
-    };
-    let stale = PlanPath::SpIzed {
-        distortion: distortion + 1,
-    };
-    let corrupt = SpModel::new_unchecked(
-        model.name(),
-        model.graph().clone(),
-        model.root().clone(),
-        stale,
-    );
-    let report = verify_strategy(&corrupt, &cluster, &plan);
-    assert!(
-        report.violates(Check::DistortionExact),
-        "expected distortion-exact in report, got: {report}"
-    );
+    // The same flattening in reversed series order: the series
+    // linearization now also runs backwards, but every edge still crosses
+    // parallel branches, which the constructor reports first.
+    assert_tree_mutation(SpError::CrossBranchEdge(OpId(0), OpId(1)), |root| {
+        let reversed: Vec<SpBlock> = leaves(root).into_iter().rev().map(SpBlock::Leaf).collect();
+        *root = SpBlock::Branches(reversed);
+    });
 }
 
 #[test]
@@ -449,16 +400,11 @@ fn mismatched_plan_path_is_rejected() {
 
 #[test]
 fn insane_cluster_unit_count_is_rejected() {
+    // `plan_dag` gives a clustered model `ceil(ops / unit_ops)` units,
+    // never zero, so a plan that claims zero disagrees with every model.
     let (model, cluster, mut plan) = sp_ized_cell();
-    let zero_units = PlanPath::Clustered { units: 0 };
-    plan.path = zero_units;
-    let corrupt = SpModel::new_unchecked(
-        model.name(),
-        model.graph().clone(),
-        model.root().clone(),
-        zero_units,
-    );
-    let report = verify_strategy(&corrupt, &cluster, &plan);
+    plan.path = PlanPath::Clustered { units: 0 };
+    let report = verify_strategy(&model, &cluster, &plan);
     assert!(
         report.violates(Check::PlanPathConsistent),
         "expected plan-path-consistent in report, got: {report}"
