@@ -248,11 +248,6 @@ impl FleetTicket {
         self.served
     }
 
-    /// Whether the response needed no planner work at submit time.
-    pub fn served_from_cache(&self) -> bool {
-        matches!(self.served, Served::Cache | Served::Store)
-    }
-
     /// Blocks until the plan (or failure) is available.
     ///
     /// # Errors
@@ -960,11 +955,11 @@ mod tests {
         let fp = t1.fingerprint();
         // The local preset's admission leaves the request unchanged.
         assert_eq!(fp, request().fingerprint());
-        assert!(!t1.served_from_cache());
+        assert_eq!(t1.served(), Served::Planned);
         t1.wait().unwrap();
         let t2 = service.submit("t", request()).unwrap();
         assert_eq!(t2.fingerprint(), fp);
-        assert!(t2.served_from_cache());
+        assert_eq!(t2.served(), Served::Cache);
         t2.wait().unwrap();
     }
 

@@ -8,7 +8,7 @@
 //! telemetry is off.
 //!
 //! Parenting is implicit within a thread (a thread-local span stack) and
-//! explicit across threads ([`Telemetry::span_under`]), which is how the
+//! explicit across threads ([`Telemetry::span_under_with`]), which is how the
 //! executor's per-replica worker threads attach to the iteration span that
 //! spawned them.
 
@@ -145,14 +145,10 @@ impl Telemetry {
         self.open(name, Some(detail), None)
     }
 
-    /// Open a span under an explicit parent — the cross-thread form. The
-    /// span still pushes onto the *current* thread's stack, so further
-    /// spans opened on this thread nest under it.
-    pub fn span_under(&self, name: &'static str, parent: SpanId) -> Span {
-        self.open(name, None, Some(parent))
-    }
-
-    /// [`span_under`](Self::span_under) with a numeric annotation.
+    /// Open a span with a numeric annotation under an explicit parent —
+    /// the cross-thread form. The span still pushes onto the *current*
+    /// thread's stack, so further spans opened on this thread nest under
+    /// it.
     pub fn span_under_with(&self, name: &'static str, detail: u64, parent: SpanId) -> Span {
         self.open(name, Some(detail), Some(parent))
     }
@@ -384,7 +380,7 @@ mod tests {
         let root_id = root.id();
         let tele2 = tele.clone();
         std::thread::spawn(move || {
-            let _w = tele2.span_under("worker", root_id);
+            let _w = tele2.span_under_with("worker", 0, root_id);
         })
         .join()
         .unwrap();

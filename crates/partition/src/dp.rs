@@ -2086,7 +2086,6 @@ fn consume(
 fn drive_search(
     ctx: &SearchCtx<'_>,
     fanout: Fanout<'_>,
-    clock: &ClockHandle,
     telemetry: &Telemetry,
 ) -> Result<(Solution, SearchStats), PlanError> {
     // This thread's core, held for the whole search.
@@ -2097,7 +2096,6 @@ fn drive_search(
     let mut answer: Option<Answer> = None;
     let mut t_lo = ctx.t_base;
     let mut t_hi = 2.0 * ctx.t_base;
-    let bracket_start = clock.now_nanos();
     {
         let _bracket = telemetry.span("search.bracket");
         for t in ctx.ladder() {
@@ -2111,14 +2109,12 @@ fn drive_search(
             t_lo = t;
         }
     }
-    stats.phases.bracket_wall = clock.since(bracket_start);
     let Some(mut answer) = answer else {
         return Err(PlanError::Infeasible(format!(
             "no partition fits the {} MiB device memory budget",
             ctx.cost.memory_budget() >> 20
         )));
     };
-    let bisect_start = clock.now_nanos();
     let _bisect = telemetry.span("search.bisect");
     // Refine within the bracket [t_lo, t_hi].
     while t_hi - t_lo > epsilon * t_hi {
@@ -2132,7 +2128,6 @@ fn drive_search(
         }
     }
     let solution = complete(ctx, answer, fanout, &mut stats, &mut evals_used, telemetry)?;
-    stats.phases.bisect_wall = clock.since(bisect_start);
     Ok((solution, stats))
 }
 
@@ -2204,12 +2199,10 @@ impl GraphPipePlanner {
         let clock = ClockHandle::default();
         let start = clock.now_nanos();
         let ctx = SearchCtx::new(model, cluster, mini_batch, &self.options)?;
-        let (solution, stats) = drive_search(&ctx, fanout, &clock, &self.telemetry)?;
-        let finalize_start = clock.now_nanos();
+        let (solution, stats) = drive_search(&ctx, fanout, &self.telemetry)?;
         let _finalize_span = self.telemetry.span("planner.finalize");
         let mut plan =
             Self::solution_to_plan(&solution, model, cluster, &ctx.cost, mini_batch, stats)?;
-        plan.stats.phases.finalize_wall = clock.since(finalize_start);
         plan.stats.wall = clock.since(start);
         Ok(plan)
     }

@@ -201,26 +201,6 @@ impl fmt::Display for PlanError {
 
 impl std::error::Error for PlanError {}
 
-/// Wall-clock breakdown of one search, by phase (Algorithm 1 structure).
-///
-/// Like [`SearchStats::wall`], every field here is *nondeterministic
-/// measurement*, not plan data: all walls are excluded from plan
-/// fingerprints and artifact bytes, and [`SearchStats::zero_walls`]
-/// clears them wherever plans are compared for equality. Times come from
-/// the injected `gp_obs::Clock` seam, never from a direct wall-clock
-/// read (DESIGN.md §"Observability").
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct SearchPhases {
-    /// Geometric bracket-ladder phase: the doubling probes that find a
-    /// feasible throughput target (Algorithm 1 lines 2–6).
-    pub bracket_wall: Duration,
-    /// Bisection phase: refinement probes inside the bracket (lines 7–11),
-    /// then GraphPipe's completion pass at the final target.
-    pub bisect_wall: Duration,
-    /// Strategy reconstruction: solution → stage graph → schedule.
-    pub finalize_wall: Duration,
-}
-
 /// Search-cost accounting, reported alongside every plan (Table 1).
 ///
 /// GraphPipe's counters cover the DP runs its search *consumed*: each
@@ -232,8 +212,6 @@ pub struct SearchPhases {
 pub struct SearchStats {
     /// Wall-clock search time.
     pub wall: Duration,
-    /// Wall-clock phase breakdown (zero for single-shot planners).
-    pub phases: SearchPhases,
     /// Dynamic-programming evaluations charged by the consumed runs.
     pub dp_evals: u64,
     /// Distinct memoized DP states, at the peak across consumed runs.
@@ -286,13 +264,12 @@ impl SearchStats {
         self.memo_hits as f64 / total as f64
     }
 
-    /// Zero every wall-clock field — total and phase breakdown — leaving
-    /// only the deterministic counters. Plan-equality tests, the fan-out
-    /// parity tests, and the golden-artifact check all use this: wall
-    /// times are the *only* nondeterministic fields in a plan.
+    /// Zero the wall-clock search time, leaving only the deterministic
+    /// counters. Plan-equality tests, the fan-out parity tests, and the
+    /// golden-artifact check all use this: the wall time is the *only*
+    /// nondeterministic field in a plan.
     pub fn zero_walls(&mut self) {
         self.wall = Duration::ZERO;
-        self.phases = SearchPhases::default();
     }
 }
 

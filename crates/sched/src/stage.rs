@@ -266,18 +266,6 @@ impl StageGraph {
         }
         depth.into_iter().max().unwrap_or(0)
     }
-
-    /// Longest path (in stages, inclusive) from `id` to any sink.
-    pub fn depth_to_sink(&self, id: StageId) -> usize {
-        let order = self.topo_order();
-        let mut depth = vec![1usize; self.stages.len()];
-        for &s in order.iter().rev() {
-            for &succ in self.succs(s) {
-                depth[s.index()] = depth[s.index()].max(depth[succ.index()] + 1);
-            }
-        }
-        depth[id.index()]
-    }
 }
 
 #[cfg(test)]
@@ -314,8 +302,6 @@ mod tests {
         assert_eq!(sg.pipeline_depth(), 2);
         assert_eq!(sg.succs(StageId(0)), &[StageId(1)]);
         assert_eq!(sg.preds(StageId(1)), &[StageId(0)]);
-        assert_eq!(sg.depth_to_sink(StageId(0)), 2);
-        assert_eq!(sg.depth_to_sink(StageId(1)), 1);
     }
 
     #[test]

@@ -343,7 +343,7 @@ fn u32_field(doc: &Json, name: &'static str) -> Result<u32, ArtifactError> {
 /// graph first, then the same graph with the sequential chain imposed, so
 /// both GraphPipe and SPP-baseline strategies reconstruct exactly. A stage
 /// list the constructor rejects fails with its first violation.
-pub fn rebuild_stage_graph(
+fn rebuild_stage_graph(
     graph: &Graph,
     cluster: &Cluster,
     stages: Vec<Stage>,
@@ -556,9 +556,6 @@ pub fn decode_plan(
         eval_batches: u64_field(stats_doc, "eval_batches")?,
         binary_iters: u32_field(stats_doc, "binary_iters")?,
         configs_tried: u32_field(stats_doc, "configs_tried")?,
-        // Phase walls are measurement, not plan data: never encoded, so a
-        // decoded plan always carries the zero breakdown.
-        ..SearchStats::default()
     };
 
     // Absent means the exact-SP path.
