@@ -6,10 +6,9 @@
 //! structures it holds. The stage-list checks (`verify_stages`) live in
 //! gp-sched, whose `StageGraph` constructors run them, and the SP-tree
 //! checks live in `SpModel`'s constructors, so `verify_model` compares
-//! plan paths and nothing more. None of the checks
-//! execute anything — the deadlock-freedom certificate in particular is a
-//! topological argument over the same task dependency graph `gp-sim`
-//! relaxes, not a simulation.
+//! plan paths and nothing more. None of the checks execute anything — the
+//! deadlock-freedom certificate in particular is a topological argument
+//! over the same task dependency graph `gp-sim` relaxes, not a simulation.
 
 use gp_cluster::Cluster;
 use gp_cost::{CostModel, Pass};
@@ -376,9 +375,9 @@ pub fn verify_plan(graph: &Graph, cluster: &Cluster, plan: &Plan) -> VerifyRepor
 }
 
 /// Verifies the model side of a plan: `plan-path-consistent`, the plan's
-/// recorded [`PlanPath`](gp_ir::PlanPath) against the model's (DESIGN.md §"Invariant
-/// catalog"). The model's SP tree needs no check here: every `SpModel`
-/// constructor audits it, and a model has no setters.
+/// recorded [`PlanPath`](gp_ir::PlanPath) against the model's (DESIGN.md
+/// §"Invariant catalog"). The model's SP tree needs no check here: every
+/// `SpModel` constructor audits it, and a model has no setters.
 /// `Session::load_artifact` and the fleet's store hits run this on a plan
 /// the artifact codec has already put through [`verify_plan`].
 pub fn verify_model(model: &SpModel, plan: &Plan) -> VerifyReport {
