@@ -638,9 +638,7 @@ mod tests {
         let catalog = &design[design
             .find("## Invariant catalog")
             .expect("DESIGN.md must keep an \"Invariant catalog\" section")..];
-        let catalog = &catalog[..catalog[2..]
-            .find("\n## ")
-            .map_or(catalog.len(), |end| end + 2)];
+        let catalog = &catalog[..catalog.find("\n## ").unwrap_or(catalog.len())];
         let mut cursor = 0;
         for &c in Check::all() {
             let needle = format!("`{}`", c.name());

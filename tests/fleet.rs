@@ -251,7 +251,7 @@ fn a_corrupt_store_artifact_is_replanned_and_rewritten() {
         Cluster::summit_like(4),
         32,
     );
-    let truncate: Corruption = |text| text[..text.len() / 2].to_string();
+    let truncate: fn(&str) -> String = |text| text[..text.len() / 2].to_string();
     let cases = [
         (zoo_requests().remove(0), truncate),
         (sp_ized, strip_plan_path),
@@ -294,9 +294,6 @@ fn a_corrupt_store_artifact_is_replanned_and_rewritten() {
         assert_eq!(canonical_artifact(&ticket.wait().unwrap(), fp), original);
     }
 }
-
-/// Rewrites a store file's text.
-type Corruption = fn(&str) -> String;
 
 /// Removes an artifact's `plan_path` member, the way an exact-SP plan
 /// spells its path.
