@@ -138,7 +138,7 @@ fn plan_sequential<S: CutSpace>(
     model: &SpModel,
     cluster: &Cluster,
     mini_batch: u64,
-    space: impl FnOnce(&OpTable) -> Result<S, PlanError>,
+    space: impl FnOnce() -> Result<S, PlanError>,
 ) -> Result<Plan, PlanError> {
     let clock = ClockHandle::default();
     let start = clock.now_nanos();
@@ -146,7 +146,7 @@ fn plan_sequential<S: CutSpace>(
     let graph = model.graph();
     let cost = CostModel::new(cluster);
     let table = OpTable::new(&cost, graph, &sizes);
-    let space = space(&table)?;
+    let space = space()?;
     let devices = cluster.device_count() as u32;
     let mut stats = SearchStats {
         dp_states: space.dp_states(),

@@ -19,7 +19,7 @@
 
 use crate::{insert_pareto, plan_sequential, CutSpace, Entry, Evals, Fronts, Size};
 use gp_cluster::Cluster;
-use gp_cost::{CostModel, OpTable};
+use gp_cost::CostModel;
 use gp_ir::{OpId, SpModel};
 use gp_partition::{Plan, PlanError, PlanOptions, Planner};
 
@@ -56,7 +56,7 @@ struct Chain {
 }
 
 impl Chain {
-    fn build(model: &SpModel, table: &OpTable) -> Chain {
+    fn build(model: &SpModel) -> Chain {
         let graph = model.graph();
         let order = model.linearize();
         let n = order.len();
@@ -64,8 +64,8 @@ impl Chain {
         let (mut params, mut act) = (vec![0u64; n + 1], vec![0u64; n + 1]);
         for (i, &op) in order.iter().enumerate() {
             pos[op.index()] = i;
-            params[i + 1] = params[i] + table.param_bytes(op);
-            act[i + 1] = act[i] + table.stashed_bytes(op);
+            params[i + 1] = params[i] + graph.param_bytes(op);
+            act[i + 1] = act[i] + graph.stashed_bytes(op);
         }
         // diff[c] accumulates edge contributions: an edge (u, v) is live
         // across every cut strictly between u and v.
@@ -73,7 +73,7 @@ impl Chain {
         for (u, v) in graph.edges() {
             let (pu, pv) = (pos[u.index()], pos[v.index()]);
             debug_assert!(pu < pv, "linearization must be topological");
-            let bytes = table.output_bytes(u) as i64;
+            let bytes = graph.output_bytes(u) as i64;
             diff[pu + 1] += bytes;
             diff[pv + 1] -= bytes;
         }
@@ -182,8 +182,8 @@ impl Planner for PipeDreamPlanner {
     }
 
     fn plan(&self, model: &SpModel, cluster: &Cluster, mini_batch: u64) -> Result<Plan, PlanError> {
-        plan_sequential(&self.options, model, cluster, mini_batch, |table| {
-            Ok(Chain::build(model, table))
+        plan_sequential(&self.options, model, cluster, mini_batch, || {
+            Ok(Chain::build(model))
         })
     }
 }

@@ -26,8 +26,8 @@
 
 use crate::{insert_pareto, plan_sequential, CutSpace, Entry, Evals, Fronts, Size};
 use gp_cluster::Cluster;
-use gp_cost::{CostModel, OpTable};
-use gp_ir::{OpId, SpBlock, SpModel};
+use gp_cost::CostModel;
+use gp_ir::{Graph, OpId, SpBlock, SpModel};
 use gp_partition::{Plan, PlanError, PlanOptions, Planner};
 use std::collections::BTreeSet;
 
@@ -162,17 +162,17 @@ fn ops_in(units: &[Vec<OpId>], set: u128) -> impl Iterator<Item = OpId> + '_ {
 }
 
 impl Lattice {
-    fn build(ug: UnitGraph, downsets: Vec<u128>, table: &OpTable) -> Lattice {
+    fn build(ug: UnitGraph, downsets: Vec<u128>, graph: &Graph) -> Lattice {
         let mut order: Vec<u32> = (0..downsets.len() as u32).collect();
         order.sort_by_key(|&i| std::cmp::Reverse(downsets[i as usize].count_ones()));
         let has = |set: u128, u: u32| set & (1 << u) != 0;
         let params = downsets
             .iter()
-            .map(|&d| ops_in(&ug.units, d).map(|op| table.param_bytes(op)).sum())
+            .map(|&d| ops_in(&ug.units, d).map(|op| graph.param_bytes(op)).sum())
             .collect();
         let act = downsets
             .iter()
-            .map(|&d| ops_in(&ug.units, d).map(|op| table.stashed_bytes(op)).sum())
+            .map(|&d| ops_in(&ug.units, d).map(|op| graph.stashed_bytes(op)).sum())
             .collect();
         let cut = downsets
             .iter()
@@ -181,7 +181,7 @@ impl Lattice {
                     .edges
                     .iter()
                     .filter(|&&(ua, ub, _)| has(d, ua) && !has(d, ub));
-                crossing.map(|&(_, _, op)| table.output_bytes(op)).sum()
+                crossing.map(|&(_, _, op)| graph.output_bytes(op)).sum()
             })
             .collect();
         Lattice {
@@ -355,10 +355,10 @@ impl Planner for PiperPlanner {
     }
 
     fn plan(&self, model: &SpModel, cluster: &Cluster, mini_batch: u64) -> Result<Plan, PlanError> {
-        plan_sequential(&self.options, model, cluster, mini_batch, |table| {
+        plan_sequential(&self.options, model, cluster, mini_batch, || {
             let ug = UnitGraph::build(model, self.unit_ops);
             let downsets = self.enumerate_downsets(&ug)?;
-            Ok(Lattice::build(ug, downsets, table))
+            Ok(Lattice::build(ug, downsets, model.graph()))
         })
     }
 }

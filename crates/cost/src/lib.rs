@@ -4,7 +4,9 @@
 //! time of each operator while extrapolating communication latency by affine
 //! functions" (§5) and checks per-device memory budgets (Equation 2). With
 //! no GPUs available, this crate substitutes profiling with a roofline
-//! model over the analytic FLOP/byte counts of `gp-ir`:
+//! model over the analytic FLOP/byte counts `gp-ir` records per operator
+//! once, when it builds the graph, so no cost query walks shapes or
+//! allocates:
 //!
 //! * **compute time** — `flops / (peak * efficiency(micro_batch))`, where the
 //!   saturating efficiency curve reproduces the paper's "larger micro-batches
@@ -18,8 +20,9 @@
 //!   samples, the quantity GPP minimizes.
 //!
 //! Every planner prices a candidate stage through the same three pieces:
-//! an [`OpTable`] of per-op costs at the search's micro-batch sizes, which
-//! the planner sums over the stage's operators;
+//! an [`OpTable`] of per-op times at the search's micro-batch sizes, which
+//! the planner sums with the graph's per-op bytes over the stage's
+//! operators;
 //! [`CostModel::candidate_tps`] for its Time-Per-Sample; and
 //! [`CostModel::stage_memory`] for its Equation 2 memory, which
 //! [`CostModel::stage_memory_bytes`] (and so `Plan::measure` and
@@ -100,14 +103,8 @@ impl CostModel {
         let flops = flops_per_sample as f64 * micro_batch as f64;
         // Moved bytes: inputs + output per sample, plus one read of the
         // weights per kernel launch.
-        let node = graph.node(op);
-        let io_per_sample: u64 = graph
-            .input_shapes(op)
-            .iter()
-            .map(|s| s.numel() as u64 * gp_ir::BYTES_PER_ELEMENT)
-            .sum::<u64>()
-            + node.output_bytes();
-        let weight_bytes = node.kind.param_count() * gp_ir::BYTES_PER_ELEMENT;
+        let io_per_sample = graph.input_bytes(op) + graph.output_bytes(op);
+        let weight_bytes = graph.param_bytes(op);
         // In f64 too, as the FLOPs: below 2^53 every term converts exactly
         // and the sum rounds as the unwrapped u64 sum converts.
         let moved = (io_per_sample as f64 * micro_batch as f64 + weight_bytes as f64)
@@ -156,9 +153,7 @@ impl CostModel {
 
     /// Bytes of learnable parameters held by a stage (per replica).
     pub fn stage_param_bytes(&self, graph: &Graph, ops: &[OpId]) -> u64 {
-        ops.iter()
-            .map(|&op| graph.node(op).kind.param_count() * gp_ir::BYTES_PER_ELEMENT)
-            .sum()
+        ops.iter().map(|&op| graph.param_bytes(op)).sum()
     }
 
     /// Activation bytes a stage must stash per in-flight sample.
@@ -277,7 +272,7 @@ impl CostModel {
         for &u in from_ops {
             for &v in graph.succs(u) {
                 if member[v.index()] {
-                    total += graph.node(u).output_bytes();
+                    total += graph.output_bytes(u);
                 }
             }
         }
@@ -318,13 +313,13 @@ impl CostModel {
     }
 }
 
-/// The per-op costs a search sums, built once per search at its
+/// The per-op times a search sums, built once per search at its
 /// micro-batch sizes. Per op and size: the forward and the backward time,
 /// each the exact `f64` of [`CostModel::op_time`], so a sum over the table
-/// in a given term order has the bits of the same sum over `op_time`. Per
-/// op: the parameter, stashed-activation and output bytes. Rows are keyed
-/// by `OpId` and the table is immutable, so every probe, configuration
-/// and thread of a search reads one table.
+/// in a given term order has the bits of the same sum over `op_time`.
+/// (Per-op bytes need no table: the [`Graph`] holds them.) Rows are
+/// keyed by `OpId` and the table is immutable, so every probe,
+/// configuration and thread of a search reads one table.
 #[derive(Debug, Clone)]
 pub struct OpTable {
     /// Operators per column (`graph.len()`).
@@ -333,9 +328,6 @@ pub struct OpTable {
     sizes: Vec<u64>,
     /// `times[col * ops + op]`: `[fwd, bwd]` time of `op` at `sizes[col]`.
     times: Vec<[f64; 2]>,
-    params: Vec<u64>,
-    stashed: Vec<u64>,
-    out_bytes: Vec<u64>,
 }
 
 impl OpTable {
@@ -343,9 +335,6 @@ impl OpTable {
     pub fn new(cost: &CostModel, graph: &Graph, sizes: &[u64]) -> OpTable {
         let ops = graph.len();
         let mut times = vec![[0.0; 2]; ops * sizes.len()];
-        let mut params = vec![0; ops];
-        let mut stashed = vec![0; ops];
-        let mut out_bytes = vec![0; ops];
         for node in graph.nodes() {
             let op = node.id;
             for (col, &b) in sizes.iter().enumerate() {
@@ -354,17 +343,11 @@ impl OpTable {
                     cost.op_time(graph, op, b, Pass::Backward),
                 ];
             }
-            params[op.index()] = node.kind.param_count() * gp_ir::BYTES_PER_ELEMENT;
-            stashed[op.index()] = graph.stashed_bytes(op);
-            out_bytes[op.index()] = node.output_bytes();
         }
         OpTable {
             ops,
             sizes: sizes.to_vec(),
             times,
-            params,
-            stashed,
-            out_bytes,
         }
     }
 
@@ -402,24 +385,6 @@ impl OpTable {
     pub fn time(&self, op: OpId, col: usize) -> f64 {
         let [fwd, bwd] = self.times[col * self.ops + op.index()];
         fwd + bwd
-    }
-
-    /// Parameter bytes of `op`.
-    #[inline]
-    pub fn param_bytes(&self, op: OpId) -> u64 {
-        self.params[op.index()]
-    }
-
-    /// Stashed activation bytes per sample of `op`.
-    #[inline]
-    pub fn stashed_bytes(&self, op: OpId) -> u64 {
-        self.stashed[op.index()]
-    }
-
-    /// Output bytes per sample of `op`.
-    #[inline]
-    pub fn output_bytes(&self, op: OpId) -> u64 {
-        self.out_bytes[op.index()]
     }
 }
 
@@ -606,29 +571,183 @@ mod tests {
         assert!(cost.candidate_tps(8.0, 0, 1 << 20, 4, 2, 64) < tps);
     }
 
+    /// `op_time` as it priced an op before the graph held its statics:
+    /// walking the op's input shapes on every call.
+    fn op_time_from_shapes(
+        cost: &CostModel,
+        graph: &Graph,
+        op: OpId,
+        micro_batch: u64,
+        pass: Pass,
+    ) -> f64 {
+        let p = cost.cluster.profile();
+        let node = graph.node(op);
+        let shapes: Vec<&gp_ir::Shape> = (graph.preds(op).iter())
+            .map(|&q| &graph.node(q).out_shape)
+            .collect();
+        let flops_per_sample = match pass {
+            Pass::Forward => node.kind.forward_flops(&shapes),
+            Pass::Backward => node.kind.backward_flops(&shapes),
+        };
+        if flops_per_sample == 0 {
+            return 0.0;
+        }
+        let flops = flops_per_sample as f64 * micro_batch as f64;
+        let io_per_sample: u64 = shapes
+            .iter()
+            .map(|s| s.numel() as u64 * gp_ir::BYTES_PER_ELEMENT)
+            .sum::<u64>()
+            + node.out_shape.numel() as u64 * gp_ir::BYTES_PER_ELEMENT;
+        let weight_bytes = node.kind.param_count() * gp_ir::BYTES_PER_ELEMENT;
+        let moved = (io_per_sample as f64 * micro_batch as f64 + weight_bytes as f64)
+            * match pass {
+                Pass::Forward => 1.0,
+                Pass::Backward => 2.0,
+            };
+        let t_compute = flops / (p.peak_flops * p.efficiency(micro_batch));
+        let t_memory = moved / p.mem_bandwidth;
+        p.kernel_overhead + t_compute.max(t_memory)
+    }
+
+    /// The generator of `tests/dag_properties.rs`'s `build_dag` over
+    /// picks from a seeded SplitMix64 stream, at a drawn width: residual
+    /// meshes of `linear` ops and multi-input `Add`s.
+    fn random_dag(seed: u64) -> Graph {
+        let mut state = seed;
+        let mut draw = move |bound: usize| {
+            state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = state;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            ((z ^ (z >> 31)) % bound as u64) as usize
+        };
+        let dim = 1 + draw(64);
+        let mut b = gp_ir::GraphBuilder::new();
+        let mut nodes = vec![b.input("x", gp_ir::Shape::vector(dim))];
+        let mut has_succ = vec![false];
+        for i in 0..1 + draw(24) {
+            let (pick, fan_in) = (draw(997), 1 + draw(3));
+            let mut preds = Vec::new();
+            for j in 0..fan_in {
+                let k = (pick + j * (pick / 7 + 1)) % nodes.len();
+                if !preds.contains(&nodes[k]) {
+                    preds.push(nodes[k]);
+                    has_succ[k] = true;
+                }
+            }
+            nodes.push(if preds.len() == 1 {
+                b.linear(format!("fc{i}"), preds[0], dim, true).unwrap()
+            } else {
+                b.op(format!("add{i}"), gp_ir::OpKind::Add, &preds).unwrap()
+            });
+            has_succ.push(false);
+        }
+        let dangling: Vec<OpId> = (nodes.iter().zip(&has_succ))
+            .filter(|&(_, &s)| !s)
+            .map(|(&n, _)| n)
+            .collect();
+        let tail = match dangling[..] {
+            [one] => one,
+            _ => b.op("merge", gp_ir::OpKind::Add, &dangling).unwrap(),
+        };
+        let head = b.linear("head", tail, 1, true).unwrap();
+        b.loss("loss", &[head]);
+        b.finish().unwrap()
+    }
+
+    /// Every zoo graph: the authored models at their default, `full` and
+    /// `tiny` configurations, the two raw-graph models through `plan_dag`,
+    /// and random DAGs.
+    fn every_zoo_graph() -> Vec<(String, Graph)> {
+        use gp_ir::zoo::{DlrmConfig, GnnPipeConfig, Gpt2Config, MoeConfig};
+        let mut models = vec![
+            zoo::mmt(&MmtConfig::default()),
+            zoo::mmt(&MmtConfig::two_branch()),
+            zoo::mmt(&MmtConfig::tiny()),
+            zoo::dlrm(&DlrmConfig::default()),
+            zoo::dlrm(&DlrmConfig::tiny()),
+            zoo::candle_uno(&CandleUnoConfig::default()),
+            zoo::candle_uno(&CandleUnoConfig::full()),
+            zoo::candle_uno(&CandleUnoConfig::tiny()),
+            zoo::moe(&MoeConfig::default()),
+            zoo::moe(&MoeConfig::tiny()),
+            zoo::gpt2(&Gpt2Config::default()),
+            zoo::gpt2(&Gpt2Config::tiny()),
+            zoo::gnn_pipe(&GnnPipeConfig::default()),
+            zoo::gnn_pipe(&GnnPipeConfig::tiny()),
+            zoo::sequential_transformer(2, &MmtConfig::tiny()),
+            zoo::case_study(&MmtConfig::tiny()),
+            zoo::mlp_chain(4, 64),
+        ];
+        let dags = [
+            zoo::gpt2_graph(&Gpt2Config::default()),
+            zoo::gpt2_graph(&Gpt2Config::tiny()),
+            zoo::gnn_pipe_graph(&GnnPipeConfig::default()),
+            zoo::gnn_pipe_graph(&GnnPipeConfig::tiny()),
+        ];
+        for graph in dags {
+            let options = gp_ir::DagOptions::default();
+            models.push(gp_ir::plan_dag("dag", graph, &options).unwrap());
+        }
+        let mut graphs: Vec<(String, Graph)> = (models.into_iter())
+            .map(|m| (m.name().to_string(), m.graph().clone()))
+            .collect();
+        graphs.extend((0..32).map(|seed| (format!("random dag {seed}"), random_dag(seed))));
+        graphs
+    }
+
     #[test]
     fn op_table_holds_op_time_bit_for_bit() {
-        let (model, cost) = setup();
-        let g = model.graph();
-        let sizes = [1, 4, 32];
-        let table = OpTable::new(&cost, g, &sizes);
-        assert_eq!(table.sizes(), sizes);
-        for node in g.nodes() {
-            for (col, &b) in sizes.iter().enumerate() {
-                assert_eq!(table.column(b), col);
-                let fwd = cost.op_time(g, node.id, b, Pass::Forward);
-                let bwd = cost.op_time(g, node.id, b, Pass::Backward);
-                assert_eq!(table.fwd(node.id, col).to_bits(), fwd.to_bits());
-                assert_eq!(table.bwd(node.id, col).to_bits(), bwd.to_bits());
-                assert_eq!(table.time(node.id, col).to_bits(), (fwd + bwd).to_bits());
+        let cost = CostModel::new(&Cluster::summit_like(4));
+        let sizes = [1, 3, 64, 1 << 20];
+        for (label, g) in every_zoo_graph() {
+            let table = OpTable::new(&cost, &g, &sizes);
+            assert_eq!(table.sizes(), sizes);
+            for node in g.nodes() {
+                let id = node.id;
+                let label = format!("{label} {}", node.name);
+                // Each per-op number the graph recorded is its `OpKind`
+                // formula over the op's input shapes.
+                let shapes: Vec<&gp_ir::Shape> = (g.preds(id).iter())
+                    .map(|&p| &g.node(p).out_shape)
+                    .collect();
+                let bytes = |s: &gp_ir::Shape| s.numel() as u64 * gp_ir::BYTES_PER_ELEMENT;
+                let kind = &node.kind;
+                let recorded = [
+                    g.forward_flops(id),
+                    g.backward_flops(id),
+                    g.input_bytes(id),
+                    g.output_bytes(id),
+                    g.param_bytes(id),
+                    g.stashed_bytes(id),
+                ];
+                let formulas = [
+                    kind.forward_flops(&shapes),
+                    kind.backward_flops(&shapes),
+                    shapes.iter().map(|s| bytes(s)).sum(),
+                    bytes(&node.out_shape),
+                    kind.param_count() * gp_ir::BYTES_PER_ELEMENT,
+                    kind.stashed_bytes(&shapes),
+                ];
+                assert_eq!(recorded, formulas, "{label}");
+                let ops = [id];
+                let params = cost.stage_param_bytes(&g, &ops);
+                let act = cost.stage_activation_bytes_per_sample(&g, &ops);
+                assert_eq!([params, act], [formulas[4], formulas[5]], "{label}");
+                // `op_time` over the recorded numbers has the bits of the
+                // shape walk, and the table holds them.
+                for (col, &b) in sizes.iter().enumerate() {
+                    assert_eq!(table.column(b), col);
+                    let fwd = cost.op_time(&g, id, b, Pass::Forward);
+                    let bwd = cost.op_time(&g, id, b, Pass::Backward);
+                    let walked = [Pass::Forward, Pass::Backward]
+                        .map(|pass| op_time_from_shapes(&cost, &g, id, b, pass).to_bits());
+                    assert_eq!([fwd.to_bits(), bwd.to_bits()], walked, "{label} b={b}");
+                    assert_eq!(table.fwd(id, col).to_bits(), fwd.to_bits());
+                    assert_eq!(table.bwd(id, col).to_bits(), bwd.to_bits());
+                    assert_eq!(table.time(id, col).to_bits(), (fwd + bwd).to_bits());
+                }
             }
-            let ops = [node.id];
-            assert_eq!(table.param_bytes(node.id), cost.stage_param_bytes(g, &ops));
-            assert_eq!(
-                table.stashed_bytes(node.id),
-                cost.stage_activation_bytes_per_sample(g, &ops)
-            );
-            assert_eq!(table.output_bytes(node.id), node.output_bytes());
         }
     }
 }

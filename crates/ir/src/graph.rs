@@ -42,10 +42,32 @@ pub struct Node {
     pub out_shape: Shape,
 }
 
-impl Node {
-    /// Bytes of the operator's per-sample output activation.
-    pub fn output_bytes(&self) -> u64 {
-        self.out_shape.numel() as u64 * BYTES_PER_ELEMENT
+/// The per-sample numbers every cost query reads for one operator,
+/// computed once by [`GraphBuilder`] from the operator's kind and its
+/// input shapes; [`Graph`]'s per-op accessors read them.
+#[derive(Debug, Clone)]
+struct OpStatics {
+    forward_flops: u64,
+    backward_flops: u64,
+    input_bytes: u64,
+    output_bytes: u64,
+    param_bytes: u64,
+    stashed_bytes: u64,
+}
+
+impl OpStatics {
+    fn new(kind: &OpKind, in_shapes: &[&Shape], out_shape: &Shape) -> OpStatics {
+        OpStatics {
+            forward_flops: kind.forward_flops(in_shapes),
+            backward_flops: kind.backward_flops(in_shapes),
+            input_bytes: in_shapes
+                .iter()
+                .map(|s| s.numel() as u64 * BYTES_PER_ELEMENT)
+                .sum(),
+            output_bytes: out_shape.numel() as u64 * BYTES_PER_ELEMENT,
+            param_bytes: kind.param_count() * BYTES_PER_ELEMENT,
+            stashed_bytes: kind.stashed_bytes(in_shapes),
+        }
     }
 }
 
@@ -114,6 +136,7 @@ pub struct Graph {
     nodes: Vec<Node>,
     preds: Vec<Vec<OpId>>,
     succs: Vec<Vec<OpId>>,
+    statics: Vec<OpStatics>,
 }
 
 impl Graph {
@@ -181,30 +204,44 @@ impl Graph {
             .expect("validated graph has a Loss sink")
     }
 
-    /// Input shapes of operator `id` (output shapes of its predecessors).
-    pub fn input_shapes(&self, id: OpId) -> Vec<&Shape> {
-        self.preds(id)
-            .iter()
-            .map(|&p| &self.node(p).out_shape)
-            .collect()
-    }
+    // The per-op numbers below were computed when the graph was built
+    // (`OpStatics`), so reading them walks no shapes and allocates nothing.
 
     /// Forward FLOPs of operator `id` for one sample.
+    #[inline]
     pub fn forward_flops(&self, id: OpId) -> u64 {
-        let shapes = self.input_shapes(id);
-        self.node(id).kind.forward_flops(&shapes)
+        self.statics[id.index()].forward_flops
     }
 
     /// Backward FLOPs of operator `id` for one sample.
+    #[inline]
     pub fn backward_flops(&self, id: OpId) -> u64 {
-        let shapes = self.input_shapes(id);
-        self.node(id).kind.backward_flops(&shapes)
+        self.statics[id.index()].backward_flops
+    }
+
+    /// Bytes of operator `id`'s inputs (its predecessors' outputs) per
+    /// sample.
+    #[inline]
+    pub fn input_bytes(&self, id: OpId) -> u64 {
+        self.statics[id.index()].input_bytes
+    }
+
+    /// Bytes of operator `id`'s output activation per sample.
+    #[inline]
+    pub fn output_bytes(&self, id: OpId) -> u64 {
+        self.statics[id.index()].output_bytes
+    }
+
+    /// Bytes of operator `id`'s learnable parameters.
+    #[inline]
+    pub fn param_bytes(&self, id: OpId) -> u64 {
+        self.statics[id.index()].param_bytes
     }
 
     /// Activation bytes operator `id` must stash per in-flight sample.
+    #[inline]
     pub fn stashed_bytes(&self, id: OpId) -> u64 {
-        let shapes = self.input_shapes(id);
-        self.node(id).kind.stashed_bytes(&shapes)
+        self.statics[id.index()].stashed_bytes
     }
 
     /// Total learnable parameters of the whole graph.
@@ -322,6 +359,7 @@ pub struct GraphBuilder {
     nodes: Vec<Node>,
     preds: Vec<Vec<OpId>>,
     succs: Vec<Vec<OpId>>,
+    statics: Vec<OpStatics>,
 }
 
 impl GraphBuilder {
@@ -342,7 +380,8 @@ impl GraphBuilder {
 
     /// Adds a graph input producing per-sample tensors of `shape`.
     pub fn input(&mut self, name: impl Into<String>, shape: Shape) -> OpId {
-        self.push(name.into(), OpKind::Input, shape, &[])
+        let statics = OpStatics::new(&OpKind::Input, &[], &shape);
+        self.push(name.into(), OpKind::Input, shape, &[], statics)
     }
 
     /// Adds an arbitrary operator with the given inputs, inferring its
@@ -374,7 +413,8 @@ impl GraphBuilder {
                     op: name.clone(),
                     reason,
                 })?;
-        Ok(self.push(name, kind, out_shape, inputs))
+        let statics = OpStatics::new(&kind, &in_shapes, &out_shape);
+        Ok(self.push(name, kind, out_shape, inputs, statics))
     }
 
     /// Convenience: adds a [`OpKind::Linear`] layer.
@@ -411,10 +451,18 @@ impl GraphBuilder {
         let shape = OpKind::Loss
             .infer_output_shape(&shapes)
             .expect("Loss accepts any non-empty inputs");
-        self.push(name.into(), OpKind::Loss, shape, inputs)
+        let statics = OpStatics::new(&OpKind::Loss, &shapes, &shape);
+        self.push(name.into(), OpKind::Loss, shape, inputs, statics)
     }
 
-    fn push(&mut self, name: String, kind: OpKind, out_shape: Shape, inputs: &[OpId]) -> OpId {
+    fn push(
+        &mut self,
+        name: String,
+        kind: OpKind,
+        out_shape: Shape,
+        inputs: &[OpId],
+        statics: OpStatics,
+    ) -> OpId {
         let id = OpId(self.nodes.len() as u32);
         self.nodes.push(Node {
             id,
@@ -422,6 +470,7 @@ impl GraphBuilder {
             kind,
             out_shape,
         });
+        self.statics.push(statics);
         self.preds.push(inputs.to_vec());
         self.succs.push(Vec::new());
         for &i in inputs {
@@ -441,6 +490,7 @@ impl GraphBuilder {
             nodes: self.nodes,
             preds: self.preds,
             succs: self.succs,
+            statics: self.statics,
         };
         g.validate()?;
         Ok(g)

@@ -262,11 +262,13 @@ impl SpModel {
         if let Some(defect) = audit.coverage {
             return Err(defect);
         }
-        if let Some(&(u, v, fault)) = audit.faults.first() {
-            return Err(match fault {
-                EdgeFault::CrossBranch => SpError::CrossBranchEdge(u, v),
-                // An uncovered endpoint is a coverage defect, returned above.
-                _ => SpError::BackwardEdge(u, v),
+        // An uncovered endpoint is a coverage defect, returned above, so
+        // a fault that does not cross branches runs backwards.
+        if let Some(&(u, v, cross_branch)) = audit.faults.first() {
+            return Err(if cross_branch {
+                SpError::CrossBranchEdge(u, v)
+            } else {
+                SpError::BackwardEdge(u, v)
             });
         }
         Ok(SpModel {
@@ -338,22 +340,11 @@ impl SpModel {
     }
 }
 
-/// Why an SP tree does not admit a data edge (see [`SpAudit::faults`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum EdgeFault {
-    /// An endpoint is missing from the tree.
-    Uncovered,
-    /// The endpoints' lowest common ancestor is a `Branches` node.
-    CrossBranch,
-    /// The consumer comes first along the endpoints' lowest common `Chain`.
-    Backward,
-}
-
 /// One walk of an SP tree against its graph's operators and data edges.
 ///
 /// It places each operator at its tree position and records the first
-/// coverage defect. It classifies each data edge the tree does not admit,
-/// and sums the transit volume of the edges it does admit. A tree faithful
+/// coverage defect. It lists each data edge the tree does not admit, and
+/// sums the transit volume of the edges it does admit. A tree faithful
 /// to its graph has no coverage defect and no fault.
 #[derive(Debug)]
 pub(crate) struct SpAudit {
@@ -361,8 +352,12 @@ pub(crate) struct SpAudit {
     /// order (depth first, last child first), else the lowest-numbered
     /// operator missing from the tree.
     pub(crate) coverage: Option<SpError>,
-    /// Every data edge the tree does not admit, in [`Graph::edges`] order.
-    pub(crate) faults: Vec<(OpId, OpId, EdgeFault)>,
+    /// Every data edge `(u, v)` the tree does not admit, in
+    /// [`Graph::edges`] order, with whether it crosses parallel branches:
+    /// its endpoints' lowest common ancestor is a `Branches` node. (The
+    /// others have an endpoint missing from the tree, or a consumer that
+    /// comes first along the endpoints' lowest common `Chain`.)
+    pub(crate) faults: Vec<(OpId, OpId, bool)>,
     /// Bytes of activation transit the tree adds over the graph: each
     /// admitted edge whose endpoints sit `gap` positions apart under their
     /// lowest common `Chain` carries its producer's output across the
@@ -409,19 +404,17 @@ impl SpAudit {
         let (mut faults, mut transit_volume) = (Vec::new(), 0);
         for (u, v) in graph.edges() {
             let (Some(pu), Some(pv)) = (&position[u.index()], &position[v.index()]) else {
-                faults.push((u, v, EdgeFault::Uncovered));
+                faults.push((u, v, false));
                 continue;
             };
             // Two distinct leaves: the paths part at the endpoints' lowest
             // common ancestor, in the children that hold them.
             let depth = pu.iter().zip(pv).take_while(|(a, b)| a == b).count();
             let ((chain, su), (_, sv)) = (pu[depth], pv[depth]);
-            if !chain {
-                faults.push((u, v, EdgeFault::CrossBranch));
-            } else if su > sv {
-                faults.push((u, v, EdgeFault::Backward));
+            if !chain || su > sv {
+                faults.push((u, v, !chain));
             } else {
-                transit_volume += graph.node(u).output_bytes() * u64::from(sv - su - 1);
+                transit_volume += graph.output_bytes(u) * u64::from(sv - su - 1);
             }
         }
         SpAudit {

@@ -53,9 +53,10 @@
 //!   (× micro-batch candidate), serving chain splits and branch splits
 //!   alike, and op-membership tests use a stamped scratch array instead
 //!   of per-call hash sets;
-//! * every per-op cost those caches sum comes from the search's
-//!   [`OpTable`], built once by [`SearchCtx::new`] and keyed by `OpId`: a
-//!   run computes no `op_time` of its own;
+//! * every per-op time those caches sum comes from the search's
+//!   [`OpTable`], built once by [`SearchCtx::new`] and keyed by `OpId`, and
+//!   every per-op byte count from the graph, which computed them when it
+//!   was built: a run computes no `op_time` of its own;
 //! * every candidate stage is priced by one evaluator,
 //!   [`Dp::eval_candidates`], over a window of `(devices, boundary)`
 //!   pairs, through gp-cost's [`CostModel::candidate_tps`] and
@@ -67,7 +68,7 @@
 //! micro-batch candidates, eval budget)`: candidate enumeration order,
 //! tie-breaking, and `Down` interning order are all fixed, and the run
 //! reads no state of other runs, only the search's immutable arena and
-//! op-cost table. The binary search's probe *sequence* is
+//! op-time table. The binary search's probe *sequence* is
 //! in turn a deterministic function of per-probe feasibility, so a probe
 //! is **lazy**: its answer is the first micro-batch configuration, in
 //! [`SearchCtx::run_specs`] order, whose DP run is feasible, and it
@@ -460,7 +461,7 @@ struct ChainStatic {
 impl ChainStatic {
     /// The aggregates of every chain node of `arena`, indexed by
     /// `NodeIdx` (`None` for the other nodes).
-    fn all(arena: &Arena, graph: &Graph, table: &OpTable) -> Vec<Option<ChainStatic>> {
+    fn all(arena: &Arena, graph: &Graph) -> Vec<Option<ChainStatic>> {
         // Beside each op, the chain that last marked it and its element
         // there: every chain is marked once, so no reset is needed.
         let mut owner = vec![NodeIdx::MAX; graph.len()];
@@ -490,9 +491,9 @@ impl ChainStatic {
                 let mut a = 0u64;
                 let mut x = 0u64;
                 for &op in arena.node_ops(c) {
-                    p += table.param_bytes(op);
-                    a += table.stashed_bytes(op);
-                    let bytes = table.output_bytes(op);
+                    p += graph.param_bytes(op);
+                    a += graph.stashed_bytes(op);
+                    let bytes = graph.output_bytes(op);
                     for &succ in graph.succs(op) {
                         match elem_of(succ) {
                             Some(j) if j == i => {}
@@ -503,7 +504,7 @@ impl ChainStatic {
                     }
                     for &pred in graph.preds(op) {
                         if elem_of(pred).is_none() {
-                            x += table.output_bytes(pred);
+                            x += graph.output_bytes(pred);
                         }
                     }
                 }
@@ -632,7 +633,7 @@ struct SplitScratch {
 struct Dp<'a> {
     graph: &'a Graph,
     cost: &'a CostModel,
-    /// The search's per-op costs.
+    /// The search's per-op times.
     table: &'a OpTable,
     /// The search's arena and chain statics, shared by every run.
     arena: &'a Arena,
@@ -922,9 +923,9 @@ impl<'a> Dp<'a> {
         for &m in members {
             for &op in arena.node_ops(m) {
                 time += table.time(op, col);
-                params += table.param_bytes(op);
-                act += table.stashed_bytes(op);
-                let bytes = table.output_bytes(op);
+                params += graph.param_bytes(op);
+                act += graph.stashed_bytes(op);
+                let bytes = graph.output_bytes(op);
                 for &succ in graph.succs(op) {
                     if outside(succ) {
                         comm += bytes;
@@ -932,7 +933,7 @@ impl<'a> Dp<'a> {
                 }
                 for &pred in graph.preds(op) {
                     if outside(pred) {
-                        comm += table.output_bytes(pred);
+                        comm += graph.output_bytes(pred);
                     }
                 }
             }
@@ -1702,7 +1703,7 @@ struct SearchCtx<'a> {
     statics: Vec<Option<ChainStatic>>,
     devices: u32,
     mini_batch: u64,
-    /// Per-op costs at every micro-batch size the search tries.
+    /// Per-op times at every micro-batch size the search tries.
     table: OpTable,
     /// Whole-model fwd+bwd time per table column, summed in
     /// `graph.nodes()` order.
@@ -1746,19 +1747,36 @@ impl<'a> SearchCtx<'a> {
         let devices = cluster.device_count() as u32;
         let t_hi0 = cost.max_tps(graph);
         // A device without compute throughput or memory bandwidth makes
-        // the bound infinite (a tiny one puts it near f64::MAX), and the
-        // bracket ladder up to `4 * t_hi0` then never ends.
+        // the bound infinite (a tiny one puts it near f64::MAX), a NaN
+        // kernel overhead makes it NaN, and the bracket ladder up to
+        // `4 * t_hi0` then never ends. The error names the profile fields
+        // `op_time` reads that are at fault: any that is not finite, and a
+        // divisor that is not positive.
         if !(4.0 * t_hi0).is_finite() {
-            return Err(PlanError::Infeasible(format!(
-                "max_tps is {t_hi0}: peak_flops and mem_bandwidth must be positive and finite"
-            )));
+            let p = cluster.profile();
+            let faults: Vec<String> = [
+                ("peak_flops", p.peak_flops, true),
+                ("mem_bandwidth", p.mem_bandwidth, true),
+                ("kernel_overhead", p.kernel_overhead, false),
+                ("efficiency_half_sat", p.efficiency_half_sat, false),
+            ]
+            .into_iter()
+            .filter(|&(_, v, divisor)| !v.is_finite() || (divisor && v <= 0.0))
+            .map(|(field, v, _)| format!("{field} is {v}"))
+            .collect();
+            let why = if faults.is_empty() {
+                "the device profile prices the model past f64::MAX / 4".to_string()
+            } else {
+                format!("device profile {}", faults.join(", "))
+            };
+            return Err(PlanError::Infeasible(format!("max_tps is {t_hi0}: {why}")));
         }
         let table = OpTable::new(&cost, graph, &b_all);
         let totals = (0..b_all.len())
             .map(|col| graph.nodes().map(|n| table.time(n.id, col)).sum())
             .collect();
         let arena = Arena::build(model.root());
-        let statics = ChainStatic::all(&arena, graph, &table);
+        let statics = ChainStatic::all(&arena, graph);
         let mut ctx = SearchCtx {
             graph,
             cost,
@@ -2367,17 +2385,6 @@ mod tests {
                     .sum();
                 assert_eq!(ctx.totals[col].to_bits(), total.to_bits(), "{label} b={b}");
             }
-            for n in graph.nodes() {
-                let ops = [n.id];
-                let params = cost.stage_param_bytes(graph, &ops);
-                assert_eq!(table.param_bytes(n.id), params, "{label} {}", n.name);
-                assert_eq!(
-                    table.stashed_bytes(n.id),
-                    graph.stashed_bytes(n.id),
-                    "{label}"
-                );
-                assert_eq!(table.output_bytes(n.id), n.output_bytes(), "{label}");
-            }
         }
     }
 
@@ -2574,21 +2581,44 @@ mod tests {
         // infinite, and the bracket ladder up to `4 * max_tps` used to grow
         // unbounded. A tiny throughput that lands `max_tps` in
         // (f64::MAX / 4, f64::MAX] overflows the same bound.
-        let cluster = |peak_flops: f64| {
+        // A NaN kernel overhead makes it NaN, and the error must blame the
+        // overhead, not the throughput.
+        let v100 = gp_cluster::DeviceProfile::v100();
+        let cluster = |peak_flops: f64, kernel_overhead: f64| {
             let mut profile = gp_cluster::DeviceProfile::v100();
             profile.peak_flops = peak_flops;
+            profile.kernel_overhead = kernel_overhead;
             let link = gp_cluster::LinkProfile::nvlink();
             Cluster::new(profile, 4, 4, link, link)
         };
         // `max_tps` scales as 1 / peak_flops once compute dominates.
         let max_tps = |c: &Cluster| CostModel::new(c).max_tps(zoo::mlp_chain(2, 512).graph());
-        let tiny = max_tps(&cluster(1.0)) / (f64::MAX / 2.0);
-        let huge = max_tps(&cluster(tiny));
+        let tiny = max_tps(&cluster(1.0, v100.kernel_overhead)) / (f64::MAX / 2.0);
+        let huge = max_tps(&cluster(tiny, v100.kernel_overhead));
         assert!(huge.is_finite() && huge > f64::MAX / 4.0, "{huge}");
-        for peak_flops in [0.0, tiny] {
-            let label = format!("peak_flops {peak_flops:e}");
-            match plan_guarded(&label, PlanOptions::default(), cluster(peak_flops), 32) {
-                Err(PlanError::Infeasible(msg)) if msg.starts_with("max_tps") => {}
+        // Each profile and the one field its error names (none for the
+        // tiny throughput: every field is finite and positive there).
+        let cases = [
+            (0.0, v100.kernel_overhead, Some("peak_flops")),
+            (tiny, v100.kernel_overhead, None),
+            (v100.peak_flops, f64::NAN, Some("kernel_overhead")),
+        ];
+        let fields = [
+            "peak_flops",
+            "mem_bandwidth",
+            "kernel_overhead",
+            "efficiency_half_sat",
+        ];
+        for (peak_flops, kernel_overhead, blamed) in cases {
+            let label = format!("peak_flops {peak_flops:e}, kernel_overhead {kernel_overhead:e}");
+            let c = cluster(peak_flops, kernel_overhead);
+            match plan_guarded(&label, PlanOptions::default(), c, 32) {
+                Err(PlanError::Infeasible(msg)) if msg.starts_with("max_tps") => {
+                    for field in fields {
+                        let named = msg.contains(field);
+                        assert_eq!(named, blamed == Some(field), "{label}: {msg}");
+                    }
+                }
                 other => panic!("{label}: expected a max_tps error, got {other:?}"),
             }
         }

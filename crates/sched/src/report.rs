@@ -520,8 +520,14 @@ pub fn verify_stages(
             );
         }
     }
-    // C1, convexity half (needs in-bounds ops).
-    if ops_in_bounds {
+    // C2 over the data-derived stage DAG, decided first because it
+    // settles C1's convexity half. Needs dense ids and an exact cover for
+    // a trustworthy `stage_of` table.
+    let sorted = (ids_dense && cover_exact).then(|| stage_dag_sort(graph, &stage_of, stages.len()));
+    // C1, convexity half (needs in-bounds ops). Over an acyclic stage DAG
+    // every stage is convex: a path that left a stage and re-entered it
+    // would be a cycle of stages. Otherwise walk each stage.
+    if ops_in_bounds && sorted != Some(Ok(())) {
         for s in stages {
             if !graph.is_convex(&s.ops) {
                 report.fail(
@@ -567,44 +573,53 @@ pub fn verify_stages(
             ),
         );
     }
-    // Acyclicity of the data-derived stage DAG. Needs dense ids and an
-    // exact cover for a trustworthy `stage_of` table.
-    if ids_dense && cover_exact {
-        let n = stages.len();
-        let mut succs: Vec<Vec<u32>> = vec![Vec::new(); n];
-        let mut indeg = vec![0usize; n];
-        for (u, v) in graph.edges() {
-            let (su, sv) = (stage_of[u.index()], stage_of[v.index()]);
-            if su != sv && !succs[su as usize].contains(&sv) {
-                succs[su as usize].push(sv);
-                indeg[sv as usize] += 1;
-            }
-        }
-        let mut stack: Vec<u32> = (0..n as u32).filter(|&s| indeg[s as usize] == 0).collect();
-        let mut seen = 0usize;
-        while let Some(s) = stack.pop() {
-            seen += 1;
-            for &t in &succs[s as usize] {
-                indeg[t as usize] -= 1;
-                if indeg[t as usize] == 0 {
-                    stack.push(t);
-                }
-            }
-        }
-        if seen != n {
-            let cyclic = indeg
-                .iter()
-                .position(|&d| d > 0)
-                .map(|i| StageId(i as u32))
-                .expect("an unprocessed stage retains in-degree");
-            report.fail(
-                Check::StageAcyclic,
-                Location::stage(cyclic),
-                format!("the data-derived stage DAG is cyclic ({seen}/{n} stages sort)"),
-            );
-        }
+    if let Some(Err((cyclic, seen))) = sorted {
+        report.fail(
+            Check::StageAcyclic,
+            Location::stage(cyclic),
+            format!(
+                "the data-derived stage DAG is cyclic ({seen}/{} stages sort)",
+                stages.len()
+            ),
+        );
     }
     report
+}
+
+/// Topologically sorts the stage DAG that `graph`'s edges induce over
+/// `n` stages, given each operator's stage. On a cycle, the error holds
+/// the first stage still holding in-degree and the number of stages that
+/// sorted.
+fn stage_dag_sort(graph: &Graph, stage_of: &[u32], n: usize) -> Result<(), (StageId, usize)> {
+    let mut succs: Vec<Vec<u32>> = vec![Vec::new(); n];
+    let mut indeg = vec![0usize; n];
+    for (u, v) in graph.edges() {
+        let (su, sv) = (stage_of[u.index()], stage_of[v.index()]);
+        if su != sv && !succs[su as usize].contains(&sv) {
+            succs[su as usize].push(sv);
+            indeg[sv as usize] += 1;
+        }
+    }
+    let mut stack: Vec<u32> = (0..n as u32).filter(|&s| indeg[s as usize] == 0).collect();
+    let mut seen = 0usize;
+    while let Some(s) = stack.pop() {
+        seen += 1;
+        for &t in &succs[s as usize] {
+            indeg[t as usize] -= 1;
+            if indeg[t as usize] == 0 {
+                stack.push(t);
+            }
+        }
+    }
+    if seen == n {
+        return Ok(());
+    }
+    let cyclic = indeg
+        .iter()
+        .position(|&d| d > 0)
+        .map(|i| StageId(i as u32))
+        .expect("an unprocessed stage retains in-degree");
+    Err((cyclic, seen))
 }
 
 #[cfg(test)]

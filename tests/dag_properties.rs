@@ -1,6 +1,7 @@
 //! Property wall for the arbitrary-DAG planning ladder (`gp_ir::dag`).
 //!
-//! Two families of guarantees (DESIGN.md §"Arbitrary DAGs"):
+//! Three families of guarantees (DESIGN.md §"Arbitrary DAGs" and
+//! §"Invariant catalog"):
 //!
 //! * **Recognition parity** — on every hand-authored zoo model, dropping
 //!   the authored SP tree and re-recovering it from the raw graph yields a
@@ -11,11 +12,16 @@
 //!   ladder lands on, no dependency edge is ever lost, the linearization
 //!   stays topological, and the distortion reported by the SP-ized path
 //!   equals an independent recomputation of the added transit volume.
+//! * **Convexity off the stage DAG** — on stage lists cut from random
+//!   topological orders of random DAGs, `verify_stages` flags `op-convex`
+//!   for exactly the stages `Graph::is_convex`'s walk rejects, though it
+//!   skips the walks whenever the stage DAG is acyclic.
 
 use gp_ir::dag::{edge_cover_violations, plan_dag, recognize, transit_volume, DagOptions};
-use gp_ir::{zoo, Graph, GraphBuilder, OpKind, PlanPath, Shape, SpModel};
+use gp_ir::{zoo, Graph, GraphBuilder, OpId, OpKind, PlanPath, Shape, SpModel};
 use gp_serve::fingerprint::{model_fingerprint, request_fingerprint};
 use graphpipe::prelude::*;
+use graphpipe::sched::{verify_stages, Check, Stage, StageId};
 use proptest::prelude::*;
 
 /// Every hand-authored SP model in the zoo, by name.
@@ -115,7 +121,7 @@ fn build_dag(picks: &[(usize, usize)]) -> Graph {
         nodes.push(node);
         has_succ.push(false);
     }
-    let dangling: Vec<gp_ir::OpId> = nodes
+    let dangling: Vec<OpId> = nodes
         .iter()
         .zip(&has_succ)
         .filter(|(_, &s)| !s)
@@ -132,8 +138,90 @@ fn build_dag(picks: &[(usize, usize)]) -> Graph {
     b.finish().unwrap()
 }
 
+/// A random topological order of `graph`: Kahn's algorithm taking, at
+/// each step, the ready operator the next draw names (cycling through
+/// `draws`).
+fn random_topo_order(graph: &Graph, draws: &[usize]) -> Vec<OpId> {
+    let mut indeg: Vec<usize> = graph.nodes().map(|n| graph.preds(n.id).len()).collect();
+    let mut ready = graph.sources();
+    let mut order = Vec::with_capacity(graph.len());
+    while !ready.is_empty() {
+        let k = draws[order.len() % draws.len()] % ready.len();
+        let id = ready.swap_remove(k);
+        order.push(id);
+        for &s in graph.succs(id) {
+            indeg[s.index()] -= 1;
+            if indeg[s.index()] == 0 {
+                ready.push(s);
+            }
+        }
+    }
+    order
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// `verify_stages` reads convexity off an acyclic stage DAG instead
+    /// of walking each stage, so on contiguous runs of a topological order
+    /// (an acyclic stage DAG) and on the same runs with ops moved between
+    /// stages (mostly cyclic) it must flag `op-convex` for exactly the
+    /// stages `Graph::is_convex` rejects, and only beside `stage-acyclic`.
+    #[test]
+    fn op_convex_matches_the_walk_it_skips(
+        picks in proptest::collection::vec((0usize..997, 1usize..4), 1..20),
+        draws in proptest::collection::vec(0usize..1000, 1..32),
+        runs in proptest::collection::vec(1usize..6, 1..10),
+        moves in proptest::collection::vec((0usize..997, 0usize..997), 1..4),
+    ) {
+        let graph = build_dag(&picks);
+        let order = random_topo_order(&graph, &draws);
+        prop_assert!(graph.is_topo_order(&order));
+        // Contiguous runs of the order; the last run takes the rest.
+        let mut runs_ops: Vec<Vec<OpId>> = Vec::new();
+        let mut at = 0;
+        for &len in &runs {
+            if at < order.len() {
+                let end = (at + len).min(order.len());
+                runs_ops.push(order[at..end].to_vec());
+                at = end;
+            }
+        }
+        runs_ops.last_mut().expect("the order is not empty").extend(&order[at..]);
+        let mut moved_ops = runs_ops.clone();
+        for &(op, to) in &moves {
+            let op = order[op % order.len()];
+            for stage in &mut moved_ops {
+                stage.retain(|&o| o != op);
+            }
+            let to = to % moved_ops.len();
+            moved_ops[to].push(op);
+        }
+        for (moved, lists) in [(false, runs_ops), (true, moved_ops)] {
+            let stages: Vec<Stage> = (lists.into_iter().enumerate())
+                .map(|(i, ops)| Stage {
+                    id: StageId(i as u32),
+                    ops,
+                    devices: DeviceRange::new(i as u32, 1),
+                    micro_batch: 1,
+                    kfkb: 1,
+                })
+                .collect();
+            let report = verify_stages(&graph, &Cluster::summit_like(stages.len()), &stages, 1);
+            let flagged: Vec<StageId> = (report.violations().iter())
+                .filter(|v| v.check == Check::OpConvex)
+                .map(|v| v.location.stage.expect("op-convex names its stage"))
+                .collect();
+            let walked: Vec<StageId> = (stages.iter())
+                .filter(|s| !graph.is_convex(&s.ops))
+                .map(|s| s.id)
+                .collect();
+            prop_assert_eq!(&flagged, &walked, "moved: {}", moved);
+            let cyclic = report.violates(Check::StageAcyclic);
+            prop_assert!(flagged.is_empty() || cyclic, "op-convex without stage-acyclic");
+            prop_assert!(moved || !cyclic, "contiguous runs of a topological order are acyclic");
+        }
+    }
 
     /// Whatever rung the ladder lands on, planning an arbitrary DAG never
     /// loses a dependency edge, keeps the linearization topological, and
